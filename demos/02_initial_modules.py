@@ -9,6 +9,7 @@ from syzdepth import (
     MonomialIdeal,
     TermOrder,
     initial_module,
+    lex_refined_initial,
     syzygy_generators,
     taylor_complex,
     taylor_initial_component,
@@ -44,9 +45,7 @@ print("closed form for the basis element {3}:", closed.gens)
 print()
 
 # Re-sorting the basis lex-refined moves every generator off x1.
-basis, perm = C.basis(1).sort_lex_refined()
-Z1_sorted = [v.map_positions(lambda p: perm[p]) for v in Z1]
-ini_lex = initial_module(Z1_sorted, TermOrder(basis, "lex"))
+ini_lex, _ = lex_refined_initial(C, 1)
 show("ini(Z_1) under a lex-refined basis:", ini_lex)
 print()
 

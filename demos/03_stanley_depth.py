@@ -7,13 +7,11 @@ through the filtration induced by their initial modules.
 
 from syzdepth import (
     MonomialIdeal,
-    TermOrder,
     char_poset,
     exact_sdepth,
     filtration_lower_bound,
-    initial_module,
+    lex_refined_initial,
     partition_to_decomposition,
-    syzygy_generators,
     taylor_complex,
     verify_decomposition,
 )
@@ -51,9 +49,7 @@ print()
 # Syzygy modules: the initial module filters Z_p with monomial-ideal factors,
 # so min over components bounds the Stanley depth from below.
 K = taylor_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-basis, perm = K.basis(1).sort_lex_refined()
-gens = [v.map_positions(lambda p: perm[p]) for v in syzygy_generators(K, 1)]
-ini = initial_module(gens, TermOrder(basis, "lex"))
+ini, _ = lex_refined_initial(K, 1)
 bound = filtration_lower_bound(ini)
 print("Koszul(x1,x2,x3): sdepth Z_1 >=", bound.value,
       "(component ideals live in the last variables)")

@@ -40,6 +40,7 @@ from .groebner import (
 )
 from .syzygy import (
     compose_cone_gb,
+    lex_refined_initial,
     taylor_initial_component,
     verify_boundary_gb,
     verify_gunnar_step,

@@ -18,14 +18,13 @@ from .complexes import (
     eliahou_kervaire,
     koszul_complex,
     minimize,
-    syzygy_generators,
     taylor_complex,
 )
 from .freemod import TermOrder
 from .groebner import hilbert_slice_check, initial_module
 from .monomials import MonomialIdeal
 from .stanley import char_poset, exact_sdepth, filtration_lower_bound
-from .syzygy import boundary_leading_terms, verify_boundary_gb
+from .syzygy import boundary_leading_terms, lex_refined_initial, verify_boundary_gb
 from .verify import THEOREMS, VerifyJob, all_pass, run_verify_job
 
 
@@ -100,13 +99,15 @@ def cmd_resolve(args) -> int:
     I, ordered = load_ideal(args.input)
     C = build_complex(I, args.method, ordered)
     payload = {"method": args.method, "complex": complex_to_jsonable(C)}
+    emitted = C
     if args.minimize:
-        M = minimize(C)
-        payload["complex"] = complex_to_jsonable(M)
-        payload["rank_table"] = {"original": list(C.ranks), "minimized": list(M.ranks)}
+        emitted = minimize(C)
+        payload["complex"] = complex_to_jsonable(emitted)
+        payload["rank_table"] = {"original": list(C.ranks),
+                                 "minimized": list(emitted.ranks)}
     if args.check:
         box = parse_box(args.box, I.n) if args.box else None
-        report = check_exactness_on_box(C, I, box)
+        report = check_exactness_on_box(emitted, I, box)
         payload["exactness"] = {"ok": report.ok, "box": list(report.box),
                                 "degrees_checked": report.degrees_checked}
         if not report.ok:
@@ -141,10 +142,7 @@ def cmd_initial(args) -> int:
             if not rep.equal:
                 exit_code = 1
     else:
-        basis, perm = C.basis(p).sort_lex_refined()
-        gens = [v.map_positions(lambda pos: perm[pos])
-                for v in C.differential(p + 1)]
-        ini = initial_module(gens, TermOrder(basis, "lex"))
+        ini, gens = lex_refined_initial(C, p)
         payload = {"p": p, "basis": "lex", **ini.to_jsonable()}
         if args.oracle:
             box = tuple(e + 1 for e in C.degree_box(0))
@@ -178,10 +176,7 @@ def cmd_sdepth(args) -> int:
                        "note": "Z_p vanishes beyond the resolution"}
             write_output(payload, args.output)
             return 0
-        basis, perm = C.basis(args.p).sort_lex_refined()
-        gens = [v.map_positions(lambda pos: perm[pos])
-                for v in syzygy_generators(C, args.p)]
-        ini = initial_module(gens, TermOrder(basis, "lex"))
+        ini, _ = lex_refined_initial(C, args.p)
         bound = filtration_lower_bound(ini)
         payload = {"p": args.p, "sdepth_lower_bound": bound.value,
                    "free": bound.free, "components": ini.to_jsonable()}

@@ -13,7 +13,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg, monomials
 from .freemod import (
@@ -26,6 +26,7 @@ from .freemod import (
     leading_term,
     multidegree_of,
 )
+from .groebner import _divide
 from .monomials import Mono, MonomialIdeal
 
 
@@ -68,13 +69,6 @@ class FreeComplex:
         if 1 <= p <= self.length:
             return self._diffs[p]
         return ()
-
-    def entry(self, p: int, row: int, col: int) -> ModuleVector:
-        """The (row, col) entry of the p-th differential as a one-position vector."""
-        column = self._diffs[p][col]
-        v = ModuleVector(self.n, {(row, mono): c for (pos, mono), c in column.items()
-                                  if pos == row})
-        return v
 
     def apply(self, p: int, v: ModuleVector) -> ModuleVector:
         """Image of v in F_p under the p-th differential."""
@@ -339,35 +333,22 @@ def stable_order(I: MonomialIdeal) -> tuple:
 
 
 def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    """A preimage w with d_p(w) = z, by greedy division against the columns.
+    """A preimage w with d_p(w) = z, by division against the columns.
 
     Falls back to exact linear algebra on the multidegree slice when the
-    division gets stuck; raises if no preimage exists.
+    division leaves a remainder; raises if no preimage exists.
     """
     n = C.n
     if z.is_zero():
         return ModuleVector(n)
     order = TermOrder(C.basis(p - 1), "lex")
     columns = C.differential(p)
-    divisors = [(j, col, leading_term(col, order))
-                for j, col in enumerate(columns) if not col.is_zero()]
-    rem = z
-    w = ModuleVector(n)
-    while not rem.is_zero():
-        t = leading_term(rem, order)
-        hit = None
-        for j, col, lt in divisors:
-            if lt.position == t.position:
-                quotient = monomials.divide(t.monomial, lt.monomial)
-                if quotient is not None:
-                    hit = (j, col, t.coeff / lt.coeff, quotient)
-                    break
-        if hit is None:
-            return _lift_by_slice(C, p, z)
-        j, col, coeff, quotient = hit
-        w = w + ModuleVector(n, {(j, quotient): coeff})
-        rem = rem - col.scale(coeff, quotient)
-    return w
+    nonzero = [j for j, col in enumerate(columns) if not col.is_zero()]
+    divisors = [(columns[j], leading_term(columns[j], order)) for j in nonzero]
+    quotient, rem = _divide(z, divisors, order)
+    if not rem.is_zero():
+        return _lift_by_slice(C, p, z)
+    return ModuleVector(n, {(nonzero[i], mono): c for (i, mono), c in quotient.items()})
 
 
 def _lift_by_slice(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
@@ -442,15 +423,7 @@ def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:
                 n, [OrderedBasis(n, [BasisElement(monomials.unit(n), frozenset())])], [])
         G = shift_complex(G, gens[j])
         G = _relabel(G, ("g", j + 1))
-        phi_columns = [[_scalar_column(F, gens[j])]]
-        for i in range(1, G.length + 1):
-            cols = []
-            for k in range(G.rank(i)):
-                z = apply_columns(phi_columns[i - 1],
-                                  G.apply(i, ModuleVector.generator(n, k)), n)
-                cols.append(lift_through(F, i, z))
-            phi_columns.append(cols)
-        F = mapping_cone(ChainMap(G, F, phi_columns))
+        F, _ = comparison_cone(G, F, gens[j])
     if not is_minimal(F):
         warnings.warn("iterated mapping cone is not minimal", stacklevel=2)
     return F
@@ -462,11 +435,26 @@ def _relabel(C: FreeComplex, tag) -> FreeComplex:
     return FreeComplex(C.n, bases, [C.differential(p) for p in range(1, C.length + 1)])
 
 
-def _scalar_column(F: FreeComplex, u: Mono) -> ModuleVector:
-    """Multiplication by u into F_0 (which must have rank one)."""
-    if F.rank(0) != 1:
-        raise ValueError("expected a rank-one module in homological degree 0")
-    return ModuleVector(F.n, {(0, u): Fraction(1)})
+def comparison_cone(G: FreeComplex, F: FreeComplex, u: Mono):
+    """Cone of the comparison map phi: G -> F over multiplication by u.
+
+    phi_0 sends the single basis element of G_0 to u times the single basis
+    element of F_0 (both must have rank one); each higher phi_i is lifted
+    through the differentials of F.  Returns (cone, phi).
+    """
+    if F.rank(0) != 1 or G.rank(0) != 1:
+        raise ValueError("expected rank-one modules in homological degree 0")
+    n = F.n
+    phi_columns = [[ModuleVector(n, {(0, u): Fraction(1)})]]
+    for i in range(1, G.length + 1):
+        cols = []
+        for k in range(G.rank(i)):
+            z = apply_columns(phi_columns[i - 1],
+                              G.apply(i, ModuleVector.generator(n, k)), n)
+            cols.append(lift_through(F, i, z))
+        phi_columns.append(cols)
+    phi = ChainMap(G, F, phi_columns)
+    return mapping_cone(phi), phi
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +715,6 @@ def check_exactness_on_box(C: FreeComplex, module_gens, box: Optional[Mono] = No
 # Serialization
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def complex_to_jsonable(C: FreeComplex) -> dict:
     differentials = []
     for p in range(1, C.length + 1):
@@ -738,7 +722,7 @@ def complex_to_jsonable(C: FreeComplex) -> dict:
         for r in range(C.rank(p - 1)):
             row = []
             for c in range(C.rank(p)):
-                entry = [{"coeff": _coeff_str(coeff), "monomial": list(mono)}
+                entry = [{"coeff": str(coeff), "monomial": list(mono)}
                          for (pos, mono), coeff in C.differential(p)[c].items()
                          if pos == r]
                 row.append(entry)

@@ -185,12 +185,6 @@ class ModuleVector:
         v._terms = {(fn(pos), mono): c for (pos, mono), c in self._terms.items()}
         return v
 
-    def restrict_positions(self, keep) -> "ModuleVector":
-        keep = set(keep)
-        v = ModuleVector(self.n)
-        v._terms = {k: c for k, c in self._terms.items() if k[0] in keep}
-        return v
-
     def coefficient(self, position: int, monomial: Mono) -> Fraction:
         return self._terms.get((position, monomial), Fraction(0))
 
@@ -214,10 +208,6 @@ def multidegree_of(v: ModuleVector, basis: OrderedBasis) -> Optional[Mono]:
     return degree
 
 
-def is_multihomogeneous(v: ModuleVector, basis: OrderedBasis) -> bool:
-    return v.is_zero() or multidegree_of(v, basis) is not None
-
-
 def vector_to_row(v: ModuleVector, coords: dict):
     row = [0] * len(coords)
     for key, c in v.items():
@@ -225,14 +215,12 @@ def vector_to_row(v: ModuleVector, coords: dict):
     return row
 
 
-def graded_piece(gens, a: Mono, basis: OrderedBasis, box: Optional[Mono] = None):
+def graded_piece(gens, a: Mono, basis: OrderedBasis):
     """Basis of the degree-a slice of the module generated by gens.
 
     Every generator must be multihomogeneous; the slice is spanned by the
     monomial multiples x^(a - deg g) * g that land in degree a.
     """
-    if box is not None and not all(0 <= ai <= bi for ai, bi in zip(a, box)):
-        raise ValueError(f"degree {a} outside the declared box {box}")
     multiples = []
     for g in gens:
         if g.is_zero():

@@ -68,10 +68,6 @@ def divide(u: Mono, v: Mono) -> Optional[Mono]:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def total_degree(u: Mono) -> int:
-    return sum(u)
-
-
 def support(u: Mono) -> frozenset:
     """Indices (0-based) of variables with positive exponent."""
     return frozenset(i for i, e in enumerate(u) if e > 0)

@@ -8,9 +8,10 @@ intervals of the number of coordinates of the top that sit at the cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import monomials
 from .groebner import InitialModule
@@ -167,9 +168,7 @@ def _feasible_partition(P: CharPoset, points_sorted, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Stanley depth of monomial ideals, with a cache shared across calls
-
-_SDEPTH_CACHE: dict = {}
+# Stanley depth of monomial ideals, with a bounded cache shared across calls
 
 
 def ideal_sdepth(I: MonomialIdeal, max_points: int = 512) -> int:
@@ -182,10 +181,12 @@ def ideal_sdepth(I: MonomialIdeal, max_points: int = 512) -> int:
         raise ValueError("the zero ideal has no Stanley depth here")
     if len(I.gens) == 1:
         return I.n
-    key = (I.n, I.gens)
-    if key not in _SDEPTH_CACHE:
-        _SDEPTH_CACHE[key] = exact_sdepth(char_poset(I), max_points).value
-    return _SDEPTH_CACHE[key]
+    return _searched_ideal_sdepth(I.n, I.gens, max_points)
+
+
+@functools.lru_cache(maxsize=1024)
+def _searched_ideal_sdepth(n: int, gens: tuple, max_points: int) -> int:
+    return exact_sdepth(char_poset(MonomialIdeal(n, gens)), max_points).value
 
 
 class FiltrationBound(NamedTuple):
@@ -251,7 +252,3 @@ def verify_decomposition(decomposition, I: MonomialIdeal,
         if covering != expected:
             return False, a
     return True, None
-
-
-def decomposition_depth(decomposition) -> int:
-    return min((len(Z) for _, Z in decomposition), default=0)

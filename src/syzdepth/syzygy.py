@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from . import monomials
+from . import groebner, monomials
 from .complexes import ChainMap, FreeComplex, lift_through, syzygy_generators
 from .freemod import ModuleVector, OrderedBasis, TermOrder, leading_term
 from .groebner import (
@@ -143,10 +143,16 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
     return composed
 
 
-def _sorted_syzygy_setup(C: FreeComplex, p: int):
+def lex_refined_initial(C: FreeComplex, p: int):
+    """ini(Z_p) under the lex-refined reordering of the basis of F_p.
+
+    Z_p is generated by the columns of the (p+1)-st differential; at p = 0
+    these are the columns of d_1, which generate the resolved submodule.
+    Returns (initial module, generators moved to the reordered basis).
+    """
     basis, perm = C.basis(p).sort_lex_refined()
-    gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(C, p)]
-    return basis, gens
+    gens = [v.map_positions(lambda pos: perm[pos]) for v in C.differential(p + 1)]
+    return groebner.initial_module(gens, TermOrder(basis, "lex")), gens
 
 
 def offending_generator(initial: InitialModule, k: int):
@@ -163,19 +169,13 @@ def verify_theorem_main(C: FreeComplex, p: int, instance: Any = None) -> Theorem
     generated away from x_1..x_p.  Z_0 is the resolved module itself, where
     the statement is vacuous."""
     witness: dict = {}
-    if p == 0:
-        witness["note"] = ("Z_0 is the resolved submodule of F_0; no variables "
-                           "are required to vanish at p=0")
-        basis, perm = C.basis(0).sort_lex_refined()
-        gens = [v.map_positions(lambda pos: perm[pos]) for v in C.differential(1)]
-        ini = initial_module(gens, TermOrder(basis, "lex"))
-        witness["components"] = ini.to_jsonable()
-        return TheoremReport("theorem-main", instance, p, "PASS", witness)
     if p > C.length:
         witness["note"] = "Z_p = 0 beyond the length of the complex"
         return TheoremReport("theorem-main", instance, p, "PASS", witness)
-    basis, gens = _sorted_syzygy_setup(C, p)
-    ini = initial_module(gens, TermOrder(basis, "lex"))
+    if p == 0:
+        witness["note"] = ("Z_0 is the resolved submodule of F_0; no variables "
+                           "are required to vanish at p=0")
+    ini, _ = lex_refined_initial(C, p)
     witness["components"] = ini.to_jsonable()
     bad = offending_generator(ini, min(p, C.n))
     if bad is not None:

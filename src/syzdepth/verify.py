@@ -7,23 +7,17 @@ one report per instance; reports embed the instance for replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import blocks, monomials
 from .complexes import (
-    ChainMap,
-    FreeComplex,
-    apply_columns,
-    check_exactness_on_box,
-    lift_through,
-    mapping_cone,
+    comparison_cone,
     minimize,
     shift_complex,
     syzygy_generators,
     taylor_complex,
 )
-from .freemod import ModuleVector, TermOrder
+from .freemod import TermOrder
 from .groebner import buchberger, initial_module, is_squarefree_module
 from .instances import (
     ideal_instance,
@@ -34,7 +28,7 @@ from .instances import (
 )
 from .monomials import MonomialIdeal
 from .stanley import char_poset, exact_sdepth, filtration_lower_bound, validate_partition
-from .syzygy import TheoremReport, compose_cone_gb, verify_boundary_gb, verify_theorem_main
+from .syzygy import compose_cone_gb, lex_refined_initial, verify_boundary_gb, verify_theorem_main
 
 THEOREMS = ("theorem-main", "boundary-gb", "mainsyz", "regular",
             "sqfree-stde", "squarefree", "lemma-groebner")
@@ -67,20 +61,7 @@ def taylor_step_cone(gens, n):
     last = gens[-1]
     quotients = [monomials.divide(u, monomials.gcd(u, last)) for u in gens[:-1]]
     G = shift_complex(taylor_complex(quotients, n), last)
-    phi_columns = [[ModuleVector(n, {(0, last): Fraction(1)})]]
-    for i in range(1, G.length + 1):
-        cols = []
-        for k in range(G.rank(i)):
-            z = apply_columns(phi_columns[i - 1],
-                              G.apply(i, ModuleVector.generator(n, k)), n)
-            cols.append(lift_through(F, i, z))
-        phi_columns.append(cols)
-    phi = ChainMap(G, F, phi_columns)
-    return mapping_cone(phi), phi
-
-
-def _is_free_syzygy(minimized: FreeComplex, p: int) -> bool:
-    return minimized.rank(p + 1) == 0
+    return comparison_cone(G, F, last)
 
 
 def run_verify_job(job: VerifyJob) -> Iterator[dict]:
@@ -185,11 +166,9 @@ def _run_mainsyz(rng, job) -> dict:
     C = taylor_complex(list(I.gens), I.n)
     minimized = minimize(C)
     for p in range(1, I.n):
-        if _is_free_syzygy(minimized, p):
-            continue
-        basis, perm = C.basis(p).sort_lex_refined()
-        gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(C, p)]
-        ini = initial_module(gens, TermOrder(basis, "lex"))
+        if minimized.rank(p + 1) == 0:
+            continue  # Z_p is zero or free in the minimal resolution
+        ini, _ = lex_refined_initial(C, p)
         bound = filtration_lower_bound(ini)
         if not bound.free and bound.value < p + 1:
             return _report("mainsyz", instance, "FAIL",
@@ -253,9 +232,7 @@ def _run_squarefree(rng, job) -> dict:
             continue  # Z_p is zero or free here
         if n + 1 - d - p < 1:
             continue
-        basis, perm = C.basis(p).sort_lex_refined()
-        gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(C, p)]
-        ini = initial_module(gens, TermOrder(basis, "lex"))
+        ini, _ = lex_refined_initial(C, p)
         if not is_squarefree_module(ini):
             return _report("squarefree", instance, "FAIL",
                            {"p": p, "reason": "initial module not squarefree"})

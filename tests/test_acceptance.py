@@ -46,7 +46,7 @@ from syzdepth.stanley import (
     ideal_sdepth,
     validate_partition,
 )
-from syzdepth.syzygy import verify_boundary_gb, verify_theorem_main
+from syzdepth.syzygy import lex_refined_initial, verify_boundary_gb, verify_theorem_main
 from syzdepth.verify import taylor_step_cone
 
 CORPUS_SEED = 1729
@@ -72,13 +72,6 @@ def corpus():
 @pytest.fixture(scope="module")
 def minimized(corpus):
     return [minimize(C) for _, C in corpus]
-
-
-def lex_refined_initial(C, p):
-    basis, perm = C.basis(p).sort_lex_refined()
-    gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(C, p)]
-    return initial_module(gens, TermOrder(basis, "lex"),
-                          check_scalar_independence=False)
 
 
 def test_criterion_01_complex_validity(corpus):
@@ -144,21 +137,18 @@ def test_criterion_04_cone_groebner_composition():
         G, F = phi.source, phi.target
         for i in range(1, cone.length + 1):
             ini_c = initial_module(syzygy_generators(cone, i),
-                                   TermOrder(cone.basis(i), "lex"),
-                                   check_scalar_independence=False)
+                                   TermOrder(cone.basis(i), "lex"))
             g_parts = ()
             if G.rank(i - 1):
                 if i <= G.length:
                     g_parts = initial_module(
-                        list(G.differential(i)), TermOrder(G.basis(i - 1), "lex"),
-                        check_scalar_independence=False).components
+                        list(G.differential(i)), TermOrder(G.basis(i - 1), "lex")).components
                 else:
                     g_parts = tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1)))
             f_parts = ()
             if F.rank(i):
                 f_parts = initial_module(
-                    syzygy_generators(F, i), TermOrder(F.basis(i), "lex"),
-                    check_scalar_independence=False).components
+                    syzygy_generators(F, i), TermOrder(F.basis(i), "lex")).components
             assert ini_c.components == tuple(g_parts) + tuple(f_parts), (I, i)
             if i <= F.length:
                 gbF = buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
@@ -206,7 +196,7 @@ def test_criterion_06_mainsyz_bound(corpus, minimized):
             if M.rank(p + 1) == 0:
                 skipped_free += 1
                 continue
-            ini = lex_refined_initial(C, p)
+            ini, _ = lex_refined_initial(C, p)
             bound = filtration_lower_bound(ini)
             assert bound.free or bound.value >= p + 1, (I, p, bound)
             checked += 1
@@ -225,13 +215,11 @@ def test_criterion_07_regular_sequences():
             gens_p = syzygy_generators(C, p)
             if not gens_p:
                 continue
-            ini = initial_module(gens_p, TermOrder(C.basis(p), "lex"),
-                                 check_scalar_independence=False)
+            ini = initial_module(gens_p, TermOrder(C.basis(p), "lex"))
             bound = filtration_lower_bound(ini)
             assert bound.free or bound.value >= n - (m - p) // 2, (gens, p)
         # Z_1 components are truncated regular sequences; Shen's formula is exact.
-        ini1 = initial_module(syzygy_generators(C, 1), TermOrder(C.basis(1), "lex"),
-                              check_scalar_independence=False)
+        ini1 = initial_module(syzygy_generators(C, 1), TermOrder(C.basis(1), "lex"))
         for j, component in ini1.nonzero_components():
             k = len(component.gens)
             assert ideal_sdepth(component) == n - k // 2, (gens, j)
@@ -353,7 +341,7 @@ def test_criterion_11_squarefree_syzygies():
                 continue  # Z_p is zero or free in the minimal resolution
             if n + 1 - d - p < 1:
                 continue
-            ini = lex_refined_initial(C, p)
+            ini, _ = lex_refined_initial(C, p)
             assert is_squarefree_module(ini), (I, p)
             bound = filtration_lower_bound(ini)
             required = syzygy_sqfree_bound(n, d, p)

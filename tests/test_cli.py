@@ -3,6 +3,7 @@ import json
 import pytest
 
 from syzdepth.cli import main
+from syzdepth.complexes import minimize
 
 LCM_TRIANGLE = {"n": 3, "generators": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
 SQUARES = {"n": 2, "generators": [[2, 0], [1, 1], [0, 2]]}
@@ -127,6 +128,25 @@ def test_partition_rejects_nonsquarefree(ideal_file, capsys):
     code = main(["partition", "--input", ideal_file(SQUARES)])
     assert code == 2
     assert "squarefree" in capsys.readouterr().err
+
+
+def test_resolve_check_certifies_the_minimized_complex(ideal_file, capsys, monkeypatch):
+    # A minimization that loses the top level emits a complex that is not a
+    # resolution; the certificate must be taken on that emitted complex.
+    from syzdepth import cli
+    from syzdepth.complexes import FreeComplex
+
+    def truncated(C):
+        M = minimize(C)
+        return FreeComplex(M.n, M.bases[:-1],
+                           [M.differential(p) for p in range(1, M.length)])
+
+    monkeypatch.setattr(cli, "minimize", truncated)
+    code, data = run_json(["resolve", "--input", ideal_file(LCM_TRIANGLE),
+                           "--minimize", "--check"], capsys)
+    assert code == 1
+    assert data["rank_table"]["minimized"] == [1, 3]
+    assert not data["exactness"]["ok"]
 
 
 def test_bad_input_exit_codes(ideal_file, capsys, tmp_path):

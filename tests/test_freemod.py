@@ -99,12 +99,6 @@ def test_graded_piece_examples():
     assert graded_piece(gens, (0, 0), b) == []
 
 
-def test_graded_piece_box_guard():
-    b = basis_of((0, 0))
-    with pytest.raises(ValueError, match="box"):
-        graded_piece([ModuleVector.generator(2, 0)], (3, 0), b, box=(2, 2))
-
-
 coeffs = st.integers(-3, 3)
 monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
 

@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from syzdepth.complexes import koszul_complex, syzygy_generators, taylor_complex
+from syzdepth.complexes import koszul_complex, minimize, syzygy_generators, taylor_complex
 from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, TermOrder
 from syzdepth.groebner import (
     buchberger,
@@ -14,15 +13,11 @@ from syzdepth.groebner import (
     normal_form,
 )
 from syzdepth.instances import random_monomial_ideal, trial_rng
-from syzdepth.monomials import MonomialIdeal
+from syzdepth.monomials import MonomialIdeal, minimalize_ordered
+from syzdepth.syzygy import lex_refined_initial
+from syzdepth.verify import taylor_step_cone
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-
-
-def lex_refined_syzygies(C, p):
-    basis, perm = C.basis(p).sort_lex_refined()
-    gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(C, p)]
-    return basis, gens
 
 
 def test_buchberger_monomial_input_passthrough():
@@ -47,16 +42,15 @@ def test_buchberger_single_generator():
 
 def test_buchberger_koszul_z1():
     K = koszul_complex([X1, X2, X3], 3)
-    basis, gens = lex_refined_syzygies(K, 1)
-    gb = buchberger(gens, TermOrder(basis, "lex"))
+    ini, gens = lex_refined_initial(K, 1)
+    gb = buchberger(gens, TermOrder(ini.basis, "lex"))
     lts = {(t.position, t.monomial) for t in gb.leading_terms()}
     assert lts == {(0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1))}
 
 
 def test_initial_module_koszul_z1():
     K = koszul_complex([X1, X2, X3], 3)
-    basis, gens = lex_refined_syzygies(K, 1)
-    ini = initial_module(gens, TermOrder(basis, "lex"))
+    ini, gens = lex_refined_initial(K, 1)
     assert ini.components[0].gens == ((0, 0, 1), (0, 1, 0))
     assert ini.components[1].gens == ((0, 0, 1),)
     assert ini.components[2].is_zero()
@@ -89,38 +83,57 @@ def test_product_criterion_not_applied_across_positions():
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
     f = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 1)): Fraction(1)})
     g = ModuleVector(2, {(0, (0, 1)): Fraction(1), (1, (1, 0)): Fraction(1)})
-    ini = initial_module([f, g], TermOrder(basis, "lex"),
-                         check_scalar_independence=False)
+    ini = initial_module([f, g], TermOrder(basis, "lex"))
     assert ini.components[0].gens == ((0, 1), (1, 0))
     assert ini.components[1].gens == ((2, 0),)
 
 
 def test_hilbert_slice_check_fault_injection():
     K = koszul_complex([X1, X2, X3], 3)
-    basis, gens = lex_refined_syzygies(K, 1)
-    ini = initial_module(gens, TermOrder(basis, "lex"))
+    ini, gens = lex_refined_initial(K, 1)
     damaged = type(ini)(ini.basis, (MonomialIdeal(3, [(0, 0, 1)]),) + ini.components[1:])
     ok, bad = hilbert_slice_check(gens, damaged, (2, 2, 2))
     assert not ok and bad is not None
-    assert hilbert_slice_check([], type(ini)(basis, tuple(
+    assert hilbert_slice_check([], type(ini)(ini.basis, tuple(
         MonomialIdeal(3, []) for _ in range(3))), (1, 1, 1))[0]
 
 
-def test_scalar_order_independence():
-    C = taylor_complex([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
-    for p in (1, 2):
-        basis, gens = lex_refined_syzygies(C, p)
-        a = initial_module(gens, TermOrder(basis, "lex"),
-                           check_scalar_independence=False)
-        b = initial_module(gens, TermOrder(basis, "degrevlex"),
-                           check_scalar_independence=False)
-        assert a.components == b.components
+@st.composite
+def monomial_ideals(draw):
+    """Minimal generators, in drawn order, of an ideal with n <= 4, m <= 5
+    and exponents <= 3."""
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return n, list(minimalize_ordered(draw(st.lists(exponents, min_size=1, max_size=5))))
+
+
+def _scalar_orders_agree(C):
+    """Under the complex's own basis and under the lex-refined one."""
+    for p in range(C.length):
+        ini, gens = lex_refined_initial(C, p)
+        assert initial_module(gens, TermOrder(ini.basis, "degrevlex")) == ini, p
+        own = [initial_module(C.differential(p + 1), TermOrder(C.basis(p), scalar))
+               for scalar in ("lex", "degrevlex")]
+        assert own[0] == own[1], p
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_ideals())
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+def test_scalar_order_independence(ideal):
+    # Multihomogeneous generators have an initial module that depends on the
+    # ordered basis alone, never on the scalar order breaking ties.
+    n, gens = ideal
+    C = taylor_complex(gens, n)
+    _scalar_orders_agree(C)
+    _scalar_orders_agree(minimize(C))
+    if len(gens) >= 2:
+        _scalar_orders_agree(taylor_step_cone(gens, n)[0])
 
 
 def test_is_squarefree_module():
     K = koszul_complex([X1, X2, X3], 3)
-    basis, gens = lex_refined_syzygies(K, 1)
-    ini = initial_module(gens, TermOrder(basis, "lex"))
+    ini, _ = lex_refined_initial(K, 1)
     assert is_squarefree_module(ini)
     from syzdepth.groebner import InitialModule
 
@@ -139,11 +152,7 @@ def test_squarefree_initial_modules_of_squarefree_ideals():
         I = random_monomial_ideal(rng, 4, 4, 1, squarefree=True)
         C = taylor_complex(list(I.gens), I.n)
         for p in range(1, C.length + 1):
-            basis, gens = lex_refined_syzygies(C, p)
-            if not gens:
-                continue
-            ini = initial_module(gens, TermOrder(basis, "lex"),
-                                 check_scalar_independence=False)
+            ini, _ = lex_refined_initial(C, p)
             assert is_squarefree_module(ini)
 
 

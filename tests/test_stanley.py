@@ -5,6 +5,7 @@ import pytest
 from syzdepth.complexes import koszul_complex, syzygy_generators, taylor_complex
 from syzdepth.freemod import TermOrder
 from syzdepth.groebner import initial_module
+from syzdepth.syzygy import lex_refined_initial
 from syzdepth.monomials import MonomialIdeal, unit
 from syzdepth.stanley import (
     CharPoset,
@@ -74,6 +75,15 @@ def test_exact_sdepth_size_guard():
         exact_sdepth(P, max_points=100)
 
 
+def test_ideal_sdepth_cache_respects_point_limit():
+    # A value searched under the default limit must not answer a call whose
+    # smaller limit refuses the 7-point poset of the maximal ideal.
+    m = maximal_ideal(3)
+    assert ideal_sdepth(m) == 2
+    with pytest.raises(ValueError, match="7 points"):
+        ideal_sdepth(m, max_points=1)
+
+
 def test_validate_partition_faults():
     P = char_poset(maximal_ideal(2))
     good = [Interval((1, 0), (1, 1)), Interval((0, 1), (0, 1))]
@@ -89,9 +99,7 @@ def test_validate_partition_faults():
 
 def test_filtration_bound_koszul_z1():
     K = koszul_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    basis, perm = K.basis(1).sort_lex_refined()
-    gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(K, 1)]
-    ini = initial_module(gens, TermOrder(basis, "lex"))
+    ini, _ = lex_refined_initial(K, 1)
     bound = filtration_lower_bound(ini)
     assert not bound.free
     assert bound.value == 2  # min(sdepth(x2,x3), sdepth(x3)) = min(2, 3)

@@ -12,6 +12,7 @@ from syzdepth.groebner import buchberger
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
     compose_cone_gb,
+    lex_refined_initial,
     taylor_initial_component,
     verify_boundary_gb,
     verify_gunnar_step,
@@ -52,16 +53,15 @@ def test_boundary_terms_under_lex_refined_basis():
     # Re-sorting the Taylor basis of (x1^2, x1x2, x2^2) lex-refined changes the
     # boundary leading terms; they still generate the initial module.
     C = taylor_complex(SQUARES, 2)
-    basis, perm = C.basis(1).sort_lex_refined()
-    order = TermOrder(basis, "lex")
-    gens = [v.map_positions(lambda pos: perm[pos]) for v in syzygy_generators(C, 1)]
+    oracle, gens = lex_refined_initial(C, 1)
+    order = TermOrder(oracle.basis, "lex")
     lts = {(t.position, t.monomial)
            for t in (leading_term(g, order) for g in gens)}
     assert lts == {(0, (0, 1)), (0, (0, 2)), (1, (0, 1))}
-    from syzdepth.groebner import initial_module, monomial_module_from_terms
+    from syzdepth.groebner import monomial_module_from_terms
 
-    claimed = monomial_module_from_terms(basis, [leading_term(g, order) for g in gens])
-    oracle = initial_module(gens, order)
+    claimed = monomial_module_from_terms(oracle.basis,
+                                         [leading_term(g, order) for g in gens])
     assert claimed.components == oracle.components
 
 

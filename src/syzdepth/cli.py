@@ -1,7 +1,8 @@
 """Command line surface: resolve, initial, sdepth, partition, verify.
 
 Exit codes: 0 success / all checks pass, 1 a certified check found a
-disagreement, 2 bad input or configuration.
+disagreement, 2 bad input or configuration, 3 internal error (a
+RuntimeError raised inside the library, such as a failed minimization).
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def cmd_initial(args) -> int:
         ini, gens = lex_refined_initial(C, p)
         payload = {"p": p, "basis": "lex", **ini.to_jsonable()}
         if args.oracle:
-            box = tuple(e + 1 for e in C.degree_box(0))
-            ok, bad = hilbert_slice_check(gens, ini, box)
+            ok, bad = hilbert_slice_check(gens, ini, C.degree_box())
             payload["oracle_equal"] = ok
             if not ok:
                 payload["failing_degree"] = list(bad)
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from . import linalg, monomials
+from . import monomials
 from .freemod import (
     BasisElement,
     ModuleVector,
     OrderedBasis,
+    Slices,
     Term,
     TermOrder,
-    graded_dimension,
     leading_term,
     multidegree_of,
 )
@@ -74,14 +74,15 @@ class FreeComplex:
         """Image of v in F_p under the p-th differential."""
         return apply_columns(self.differential(p), v, self.n)
 
-    def degree_box(self, pad: int = 1) -> Mono:
+    def degree_box(self) -> Mono:
+        """One more than the largest basis degree, coordinatewise."""
         box = [0] * self.n
         for basis in self.bases:
             for e in basis:
                 for i, d in enumerate(e.degree):
                     if d > box[i]:
                         box[i] = d
-        return tuple(b + pad for b in box)
+        return tuple(b + 1 for b in box)
 
     def __repr__(self):
         return f"FreeComplex(n={self.n}, ranks={self.ranks})"
@@ -352,42 +353,16 @@ def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
 
 
 def _lift_by_slice(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    n = C.n
     d = multidegree_of(z, C.basis(p - 1))
     if d is None:
         raise ValueError("can only lift multihomogeneous elements")
-    candidates = []
-    vectors = []
-    for j, col in enumerate(C.differential(p)):
-        shift = monomials.divide(d, C.basis(p).degree(j))
-        if shift is None or col.is_zero():
-            continue
-        candidates.append((j, shift))
-        vectors.append(col.scale(1, shift))
-    coords = {}
-    for v in vectors:
-        for key in v.items():
-            coords.setdefault(key[0], len(coords))
-    for key in z.items():
-        coords.setdefault(key[0], len(coords))
-    cols = []
-    for v in vectors:
-        col = [Fraction(0)] * len(coords)
-        for key, c in v.items():
-            col[coords[key]] = c
-        cols.append(col)
-    target = [Fraction(0)] * len(coords)
-    for key, c in z.items():
-        target[coords[key]] = c
-    sol = linalg.solve_exact(cols, target)
+    source = C.basis(p)
+    sol = Slices(C.differential(p), C.basis(p - 1), source.degrees).solve(z, d)
     if sol is None:
         raise ValueError(f"lifting failed at homological degree {p}: "
                          "the complex is not exact there")
-    w = ModuleVector(n)
-    for (j, shift), c in zip(candidates, sol):
-        if c:
-            w = w + ModuleVector(n, {(j, shift): c})
-    return w
+    return ModuleVector(C.n, {(j, monomials.divide(d, source.degree(j))): c
+                              for j, c in sol.items()})
 
 
 def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:
@@ -602,112 +577,60 @@ class ExactnessReport:
     degrees_checked: int = 0
 
 
-def _coefficient_matrix(C: FreeComplex, p: int):
-    rows, colscount = C.rank(p - 1), C.rank(p)
-    N = [[Fraction(0)] * colscount for _ in range(rows)]
-    for j, col in enumerate(C.differential(p)):
-        source = C.basis(p).degree(j)
-        for (r, mono), coeff in col.items():
-            expected = monomials.divide(source, C.basis(p - 1).degree(r))
-            if expected != mono:
-                raise ValueError("differential is not multidegree-preserving")
-            N[r][j] += coeff
-    return N
-
-
-def _module_dimension(module_gens, a: Mono, basis0: OrderedBasis) -> int:
-    if isinstance(module_gens, MonomialIdeal):
-        if len(basis0) != 1:
-            raise ValueError("monomial-ideal comparison expects a rank-one F_0")
-        shift = monomials.divide(a, basis0.degree(0))
-        return 1 if shift is not None and module_gens.contains(shift) else 0
-    return graded_dimension(module_gens, a, basis0)
-
-
 def check_exactness_on_box(C: FreeComplex, module_gens, box: Optional[Mono] = None,
                            exhaustive: bool = False) -> ExactnessReport:
     """Degreewise exactness over the box, with the cokernel at level zero
     matching the module generated by module_gens.
 
-    Ranks are taken mod a large prime first; a modular failure is confirmed
-    with exact arithmetic before it is reported.  Set exhaustive to collect
-    every failing degree instead of stopping at the first.
+    Ranks of the differentials are taken mod a large prime first; a modular
+    failure is confirmed with exact arithmetic before it is reported.  The
+    module's ranks are always exact: they are the bound the others meet.
+    Set exhaustive to collect every failing degree instead of stopping at
+    the first.
     """
     if box is None:
         box = C.degree_box()
     if not check_complex(C):
         return ExactnessReport(False, box, failures=[(-1, None)])
-    # Image containment at level 0, so the rank comparison is two-sided.
     if isinstance(module_gens, MonomialIdeal):
-        for col in C.differential(1):
-            for (pos, mono), _ in col.items():
-                if not module_gens.contains(mono):
-                    return ExactnessReport(False, box, failures=[(0, None)])
-    else:
-        for col in C.differential(1):
-            if col.is_zero():
-                continue
-            d = multidegree_of(col, C.basis(0))
-            inside = graded_dimension(list(module_gens), d, C.basis(0))
-            extended = graded_dimension(list(module_gens) + [col], d, C.basis(0))
-            if inside != extended:
-                return ExactnessReport(False, box, failures=[(0, None)])
+        if len(C.basis(0)) != 1:
+            raise ValueError("monomial-ideal comparison expects a rank-one F_0")
+        module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
+    module_gens = list(module_gens)
+    # The module engine also holds the columns of d_1, for image containment,
+    # so that the rank comparison below is two-sided.
+    module = Slices(module_gens + list(C.differential(1)), C.basis(0))
+    own = (1 << len(module_gens)) - 1
+    for j, col in enumerate(C.differential(1)):
+        mask = module.active(C.basis(1).degree(j)) & own
+        if module.rank(mask) != module.rank(mask | 1 << (len(module_gens) + j)):
+            return ExactnessReport(False, box, failures=[(0, None)])
 
     length = C.length
-    matrices = [None] + [_coefficient_matrix(C, p) for p in range(1, length + 1)]
-    degrees = [[e.degree for e in C.basis(p)] for p in range(length + 1)]
-    rank_cache = {}
+    diffs = [Slices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+             for p in range(1, length + 1)]
 
-    def masks(a):
-        out = []
-        for level in degrees:
-            mask = 0
-            for i, d in enumerate(level):
-                if all(di <= ai for di, ai in zip(d, a)):
-                    mask |= 1 << i
-            out.append(mask)
-        return out
-
-    def slice_rank(p, mask_rows, mask_cols, exact=False):
-        key = (p, mask_rows, mask_cols, exact)
-        if key in rank_cache:
-            return rank_cache[key]
-        rows = [i for i in range(len(degrees[p - 1])) if mask_rows >> i & 1]
-        cols = [j for j in range(len(degrees[p])) if mask_cols >> j & 1]
-        sub = [[matrices[p][r][c] for c in cols] for r in rows]
-        rank = linalg.exact_rank(sub) if exact else linalg.rank_mod_p(sub)
-        rank_cache[key] = rank
-        return rank
+    def failing_level(module_rank, masks, exact):
+        """First p where the slice at this degree is not exact, or None."""
+        ranks = [diff.rank(mask, exact) for diff, mask in zip(diffs, masks)] + [0]
+        if ranks[0] != module_rank:
+            return 0
+        for p in range(1, length + 1):
+            if ranks[p - 1] + ranks[p] != masks[p - 1].bit_count():
+                return p
+        return None
 
     report = ExactnessReport(True, box)
     for a in itertools.product(*(range(b + 1) for b in box)):
         report.degrees_checked += 1
-        act = masks(a)
-        dims = [bin(mask).count("1") for mask in act]
-        ranks = [0] * (length + 2)
-        for p in range(1, length + 1):
-            ranks[p] = slice_rank(p, act[p - 1], act[p])
-        ok_here = ranks[1] == _module_dimension(module_gens, a, C.basis(0))
-        bad_p = 0 if not ok_here else None
-        if bad_p is None:
-            for p in range(1, length + 1):
-                if ranks[p] + ranks[p + 1] != dims[p]:
-                    bad_p = p
-                    break
-        if bad_p is not None:
-            # Confirm with exact ranks before reporting.
-            exact_ranks = [0] * (length + 2)
-            for p in range(1, length + 1):
-                exact_ranks[p] = slice_rank(p, act[p - 1], act[p], exact=True)
-            confirmed = exact_ranks[1] != _module_dimension(module_gens, a, C.basis(0))
-            if not confirmed:
-                confirmed = any(exact_ranks[p] + exact_ranks[p + 1] != dims[p]
-                                for p in range(1, length + 1))
-            if confirmed:
-                report.ok = False
-                report.failures.append((bad_p, a))
-                if not exhaustive:
-                    return report
+        masks = [diff.active(a) for diff in diffs]
+        module_rank = module.rank(module.active(a) & own)
+        bad_p = failing_level(module_rank, masks, exact=False)
+        if bad_p is not None and failing_level(module_rank, masks, exact=True) is not None:
+            report.ok = False
+            report.failures.append((bad_p, a))
+            if not exhaustive:
+                return report
     return report
 
 

@@ -208,11 +208,93 @@ def multidegree_of(v: ModuleVector, basis: OrderedBasis) -> Optional[Mono]:
     return degree
 
 
-def vector_to_row(v: ModuleVector, coords: dict):
-    row = [0] * len(coords)
-    for key, c in v.items():
-        row[coords[key]] = c
-    return row
+class Slices:
+    """Multidegree slices of the span of multihomogeneous vectors.
+
+    The degree-a piece of F has one monomial, a / deg e_j, at each basis
+    position j with deg e_j | a, so a vector of degree d | a contributes the
+    scalar row position -> coefficient to the slice at a, whatever a is.
+    The vectors whose degree divides a are found by AND-ing per-coordinate
+    bitsets, and ranks are cached per bitmask.  Pass degrees to give each
+    vector a degree of its own (a zero vector then still counts as active);
+    otherwise zero vectors have no degree and are never active.
+    """
+
+    def __init__(self, vectors, basis: OrderedBasis, degrees=None):
+        self.basis = basis
+        self._rows = []
+        known = []  # (index, degree) of every vector that has a degree
+        for i, v in enumerate(vectors):
+            d = multidegree_of(v, basis)
+            if d is None and not v.is_zero():
+                raise ValueError("slices need multihomogeneous vectors")
+            if degrees is not None:
+                if d is not None and d != degrees[i]:
+                    raise ValueError(f"vector {i} does not have degree {degrees[i]}")
+                d = degrees[i]
+            self._rows.append({pos: c for (pos, _), c in v.items()})
+            if d is not None:
+                known.append((i, d))
+        # _below[k][t]: the vectors whose k-th degree coordinate is at most t.
+        self._below = []
+        for k in range(basis.n):
+            below = [0] * (max((d[k] for _, d in known), default=0) + 1)
+            for i, d in known:
+                below[d[k]] |= 1 << i
+            for t in range(1, len(below)):
+                below[t] |= below[t - 1]
+            self._below.append(below)
+        self._ranks = {}
+
+    def active(self, a: Mono) -> int:
+        """Bitmask of the vectors whose degree divides a."""
+        mask = (1 << len(self._rows)) - 1
+        for below, t in zip(self._below, a):
+            mask &= below[min(t, len(below) - 1)]
+        return mask
+
+    def _matrix(self, mask: int, extra=None):
+        rows = [self._rows[i] for i in _bits(mask)]
+        if extra is not None:
+            rows.append(extra)
+        positions = sorted({pos for row in rows for pos in row})
+        return [[row.get(pos, 0) for pos in positions] for row in rows], positions
+
+    def rank(self, mask: int, exact: bool = True) -> int:
+        """Rank of the chosen vectors; exact, or mod linalg.DEFAULT_PRIME."""
+        key = (mask, exact)
+        if key not in self._ranks:
+            matrix, _ = self._matrix(mask)
+            self._ranks[key] = (linalg.exact_rank(matrix) if exact
+                                else linalg.rank_mod_p(matrix))
+        return self._ranks[key]
+
+    def piece(self, a: Mono):
+        """A basis of the degree-a slice, as vectors in RREF."""
+        matrix, positions = self._matrix(self.active(a))
+        reduced, _ = linalg.rref(matrix)
+        return [ModuleVector(self.basis.n,
+                             {(pos, monomials.divide(a, self.basis.degree(pos))): c
+                              for pos, c in zip(positions, row) if c})
+                for row in reduced]
+
+    def solve(self, target: ModuleVector, a: Mono):
+        """Coefficients {index: c} with sum c * x^(a - deg v_index) * v_index
+        equal to the degree-a target, or None when the slice misses it."""
+        mask = self.active(a)
+        matrix, _ = self._matrix(mask, {pos: c for (pos, _), c in target.items()})
+        *columns, goal = matrix
+        sol = linalg.solve_exact(columns, goal)
+        if sol is None:
+            return None
+        return {i: c for i, c in zip(_bits(mask), sol) if c}
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def graded_piece(gens, a: Mono, basis: OrderedBasis):
@@ -221,30 +303,9 @@ def graded_piece(gens, a: Mono, basis: OrderedBasis):
     Every generator must be multihomogeneous; the slice is spanned by the
     monomial multiples x^(a - deg g) * g that land in degree a.
     """
-    multiples = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        d = multidegree_of(g, basis)
-        if d is None:
-            raise ValueError("graded_piece needs multihomogeneous generators")
-        shift = monomials.divide(a, d)
-        if shift is not None:
-            multiples.append(g.scale(1, shift))
-    if not multiples:
-        return []
-    coords = {}
-    for v in multiples:
-        for key in v._terms:
-            coords.setdefault(key, len(coords))
-    rows = [vector_to_row(v, coords) for v in multiples]
-    reduced, _ = linalg.rref(rows)
-    keys = list(coords)
-    out = []
-    for row in reduced:
-        out.append(ModuleVector(basis.n, {keys[i]: c for i, c in enumerate(row) if c}))
-    return out
+    return Slices(gens, basis).piece(a)
 
 
 def graded_dimension(gens, a: Mono, basis: OrderedBasis) -> int:
-    return len(graded_piece(gens, a, basis))
+    slices = Slices(gens, basis)
+    return slices.rank(slices.active(a))

@@ -7,6 +7,7 @@ with no reference to how the generators arose.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -15,9 +16,9 @@ from . import monomials
 from .freemod import (
     ModuleVector,
     OrderedBasis,
+    Slices,
     Term,
     TermOrder,
-    graded_dimension,
     leading_term,
 )
 from .monomials import Mono, MonomialIdeal
@@ -52,14 +53,6 @@ class InitialModule:
 
     def nonzero_components(self):
         return [(j, c) for j, c in enumerate(self.components) if not c.is_zero()]
-
-    def graded_dimension(self, a: Mono) -> int:
-        dim = 0
-        for j, ideal in enumerate(self.components):
-            shift = monomials.divide(a, self.basis.degree(j))
-            if shift is not None and ideal.contains(shift):
-                dim += 1
-        return dim
 
     def to_jsonable(self) -> dict:
         return {
@@ -197,17 +190,17 @@ def initial_module(gens: Iterable[ModuleVector], order: TermOrder) -> InitialMod
     not on the scalar order; the test suite checks this as a property.
     """
     gens = [g for g in gens if not g.is_zero()]
-    return _initial_from_gb(buchberger(gens, order), order)
+    return _initial_from_gb(buchberger(gens, order))
 
 
-def _initial_from_gb(gb: GroebnerBasis, order: TermOrder) -> InitialModule:
+def _initial_from_gb(gb: GroebnerBasis) -> InitialModule:
+    basis = gb.order.basis
     per_position = {}
     for lt in gb.leading_terms():
         per_position.setdefault(lt.position, []).append(lt.monomial)
-    components = tuple(
-        MonomialIdeal(order.basis.n, per_position.get(j, []))
-        for j in range(len(order.basis)))
-    return InitialModule(order.basis, components)
+    components = tuple(MonomialIdeal(basis.n, per_position.get(j, []))
+                       for j in range(len(basis)))
+    return InitialModule(basis, components)
 
 
 def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:
@@ -222,12 +215,17 @@ def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> In
 def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule,
                         box: Mono):
     """Graded dimensions of the span of gens and of the initial module agree
-    on every degree of the box.  Returns (ok, first failing degree)."""
-    import itertools
+    on every degree of the box.  Returns (ok, first failing degree).
 
-    gens = [g for g in gens if not g.is_zero()]
+    Both sides are ranks of one slice engine each; the initial module enters
+    through its generators u e_j, which are unit rows.
+    """
+    span = Slices(gens, initial.basis)
+    monomial = Slices([ModuleVector.generator(initial.basis.n, j, u)
+                       for j, ideal in enumerate(initial.components) for u in ideal.gens],
+                      initial.basis)
     for a in itertools.product(*(range(b + 1) for b in box)):
-        if graded_dimension(gens, a, initial.basis) != initial.graded_dimension(a):
+        if span.rank(span.active(a)) != monomial.rank(monomial.active(a)):
             return False, a
     return True, None
 

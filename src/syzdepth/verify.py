@@ -12,13 +12,14 @@ from typing import Iterator
 from . import blocks, monomials
 from .complexes import (
     comparison_cone,
+    is_minimal,
     minimize,
     shift_complex,
     syzygy_generators,
     taylor_complex,
 )
 from .freemod import TermOrder
-from .groebner import buchberger, initial_module, is_squarefree_module
+from .groebner import _initial_from_gb, buchberger, initial_module, is_squarefree_module
 from .instances import (
     ideal_instance,
     random_monomial_ideal,
@@ -86,7 +87,11 @@ def _run_theorem_main(rng, job) -> dict:
     I = random_monomial_ideal(rng, job.n_max, job.m_max, job.exp_max)
     instance = ideal_instance(I)
     C = taylor_complex(list(I.gens), I.n)
-    complexes = [("taylor", C), ("minimized", minimize(C))]
+    complexes = [("taylor", C)]
+    if not is_minimal(C):
+        # minimize only re-sorts a minimal complex lex-refined, and
+        # lex_refined_initial sorts the same way, so it would agree.
+        complexes.append(("minimized", minimize(C)))
     for tag, cx in complexes:
         for p in range(0, I.n + 1):
             rep = verify_theorem_main(cx, p, instance)
@@ -131,27 +136,18 @@ def _run_lemma_groebner(rng, job) -> dict:
         ini_c = initial_module(syzygy_generators(cone, i), order_c)
         # Z_{i-1}(G) is generated by the columns of the i-th differential of G
         # (at i = 1 these generate the resolved colon module itself).
-        if G.rank(i - 1):
-            if i <= G.length:
-                g_components = initial_module(
-                    list(G.differential(i)), TermOrder(G.basis(i - 1), "lex")).components
-            else:
-                g_components = tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1)))
-        else:
-            g_components = ()
-        if F.rank(i):
-            f_components = initial_module(
-                syzygy_generators(F, i), TermOrder(F.basis(i), "lex")).components
-        else:
-            f_components = ()
-        expected = tuple(g_components) + tuple(f_components)
+        gbG = (buchberger(list(G.differential(i)), TermOrder(G.basis(i - 1), "lex"))
+               if i <= G.length else None)
+        gbF = (buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
+               if i <= F.length else None)
+        g_components = (_initial_from_gb(gbG).components if gbG is not None
+                        else tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1))))
+        f_components = _initial_from_gb(gbF).components if gbF is not None else ()
+        expected = g_components + f_components
         if ini_c.components != expected:
             return _report("lemma-groebner", instance, "FAIL",
                            {"i": i, "cone": ini_c.to_jsonable()})
-        if i <= F.length and i <= G.length:
-            gbF = buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
-            gbG = buchberger(list(G.differential(i)),
-                             TermOrder(G.basis(i - 1), "lex"))
+        if gbF is not None and gbG is not None:
             try:
                 compose_cone_gb(gbF, gbG, phi, cone, i)
             except RuntimeError as exc:

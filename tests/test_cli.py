@@ -149,6 +149,22 @@ def test_resolve_check_certifies_the_minimized_complex(ideal_file, capsys, monke
     assert not data["exactness"]["ok"]
 
 
+def test_internal_error_exits_3(ideal_file, capsys, monkeypatch):
+    # Exit code 1 means a certified disagreement; a failure inside the
+    # library must not be mistaken for one.
+    from syzdepth import cli
+
+    def broken(C):
+        raise RuntimeError("minimization broke the complex property")
+
+    monkeypatch.setattr(cli, "minimize", broken)
+    code = main(["resolve", "--input", ideal_file(LCM_TRIANGLE), "--minimize"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: minimization broke the complex property\n"
+
+
 def test_bad_input_exit_codes(ideal_file, capsys, tmp_path):
     assert main(["resolve", "--input", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

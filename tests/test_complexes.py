@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from syzdepth import linalg
 from syzdepth.complexes import (
     ChainMap,
     FreeComplex,
@@ -288,6 +289,65 @@ def test_exactness_detects_corrupted_sign():
     report = check_exactness_on_box(broken, I)
     assert not report.ok
     assert report.failures
+
+
+def test_exactness_failures_of_a_truncated_taylor_complex():
+    # Dropping a basis element of F_2 leaves H_1 nonzero; every failing
+    # degree of the box is reported, in the order of the walk.
+    gens = [(2, 0, 1), (1, 1, 0), (0, 2, 1)]
+    C = taylor_complex(gens, 3)
+    F2 = OrderedBasis(3, C.basis(2).elements[1:])
+    T = FreeComplex(3, [C.basis(0), C.basis(1), F2],
+                    [C.differential(1), C.differential(2)[1:]])
+    report = check_exactness_on_box(T, MonomialIdeal(3, gens), exhaustive=True)
+    assert not report.ok
+    assert report.failures == [(1, (1, 2, 1)), (1, (1, 2, 2)), (1, (1, 3, 1)),
+                               (1, (1, 3, 2))]
+    assert report.degrees_checked == 48
+
+
+def test_exactness_module_rank_is_exact():
+    # P * x e_1 vanishes mod P, so a modular rank of the module would read 1
+    # at degree x and hide that the cokernel differs from the module.
+    P = linalg.DEFAULT_PRIME
+    F0 = OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])
+    F1 = OrderedBasis(1, [BasisElement((1,))])
+    D = FreeComplex(1, [F0, F1], [[ModuleVector(1, {(0, (1,)): Fraction(1)})]])
+    module = [ModuleVector(1, {(0, (1,)): Fraction(1)}),
+              ModuleVector(1, {(1, (1,)): Fraction(P)})]
+    report = check_exactness_on_box(D, module)
+    assert not report.ok
+    assert report.failures == [(0, (1,))]
+
+
+def test_exactness_confirms_modular_failures_exactly():
+    # Scaling d_2 by P kills it mod P; the exact ranks clear the degree.
+    P = linalg.DEFAULT_PRIME
+    K = koszul_complex([(1, 0), (0, 1)], 2)
+    scaled = FreeComplex(2, K.bases, [K.differential(1),
+                                      [K.differential(2)[0].scale(P)]])
+    report = check_exactness_on_box(scaled, MonomialIdeal(2, [(1, 0), (0, 1)]))
+    assert report.ok and report.degrees_checked == 9
+
+
+def test_lift_by_slice():
+    # The fallback of lift_through: exact linear algebra on one slice.
+    from syzdepth.complexes import _lift_by_slice
+
+    C = taylor_complex([(2, 0, 1), (1, 1, 0), (0, 2, 1)], 3)
+    top = (2, 2, 1)
+    for p in range(1, C.length + 1):
+        v = ModuleVector(3)
+        for j, e in enumerate(C.basis(p)):
+            shift = tuple(t - d for t, d in zip(top, e.degree))
+            v = v + ModuleVector.generator(3, j, shift, coeff=j + 1)
+        z = C.apply(p, v)
+        assert C.apply(p, _lift_by_slice(C, p, z)) == z
+    with pytest.raises(ValueError, match="lifting failed"):
+        _lift_by_slice(C, 1, ModuleVector.generator(3, 0, (1, 0, 0)))
+    mixed = ModuleVector.generator(3, 0, (2, 0, 1)) + ModuleVector.generator(3, 0, (1, 1, 1))
+    with pytest.raises(ValueError, match="multihomogeneous"):
+        _lift_by_slice(C, 1, mixed)
 
 
 def test_complex_json_roundtrip_shape():

@@ -7,6 +7,7 @@ from syzdepth.freemod import (
     BasisElement,
     ModuleVector,
     OrderedBasis,
+    Slices,
     TermOrder,
     graded_piece,
     leading_term,
@@ -97,6 +98,9 @@ def test_graded_piece_examples():
     assert graded_piece([ModuleVector.generator(2, 0)], (0, 0), b)[0] == \
         ModuleVector.generator(2, 0)
     assert graded_piece(gens, (0, 0), b) == []
+    mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (0, (0, 0)): Fraction(1)})
+    with pytest.raises(ValueError, match="multihomogeneous"):
+        graded_piece([mixed], (1, 1), b)
 
 
 coeffs = st.integers(-3, 3)
@@ -125,6 +129,28 @@ def test_leading_term_ignores_scalar_order_when_multihomogeneous(pair):
     t1 = leading_term(v, TermOrder(basis, "lex"))
     t2 = leading_term(v, TermOrder(basis, "degrevlex"))
     assert t1 == t2
+
+
+@given(st.lists(multihomogeneous_vectors(), max_size=4),
+       st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_slice_rank_matches_coordinate_rank(pairs, a):
+    # Reference: the multiples x^(a - deg v) v in (position, monomial)
+    # coordinates, reduced by the independent row reduction above.
+    basis = basis_of((1, 0), (0, 1), (0, 0))
+    vectors = [v for v, _ in pairs]
+    multiples = []
+    for v in vectors:
+        d = multidegree_of(v, basis)
+        if d is not None and all(x <= y for x, y in zip(d, a)):
+            multiples.append(v.scale(1, tuple(y - x for x, y in zip(d, a))))
+    coords = sorted({key for w in multiples for key, _ in w.items()})
+    expected = _brute_rank([[w.coefficient(*key) for key in coords] for w in multiples])
+    slices = Slices(vectors, basis)
+    mask = slices.active(a)
+    assert slices.rank(mask) == slices.rank(mask, exact=False) == expected
+    piece = graded_piece(vectors, a, basis)
+    assert len(piece) == expected
+    assert all(multidegree_of(w, basis) == a for w in piece)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), monos, coeffs), max_size=5),

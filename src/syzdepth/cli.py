@@ -2,15 +2,18 @@
 
 Exit codes: 0 success / all checks pass, 1 a certified check found a
 disagreement, 2 bad input or configuration, 3 internal error (a
-RuntimeError raised inside the library, such as a failed minimization).
+RuntimeError raised inside the library, such as a failed minimization, a
+failed lift or a Stanley-depth certificate that does not validate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from . import blocks, monomials
 from .complexes import (
@@ -58,8 +61,53 @@ def load_ideal(path: str) -> MonomialIdeal:
     return MonomialIdeal(n, ordered), ordered
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for JSON
+    values with string keys.
+
+    With indent set, the json module falls back to its pure-Python encoder;
+    this one joins lists of plain ints in one call.  indent is the newline
+    and indentation in front of the value's closing bracket.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:  # bool is a subclass of int, not int
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_dumps(x, inner) for x in value])
+        return "[" + inner + body + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = ("," + inner).join([encode_basestring_ascii(key) + ": " + _dumps(value[key], inner)
+                                   for key in sorted(value)])
+        return "{" + inner + body + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_output(payload: dict, path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -162,7 +210,7 @@ def cmd_sdepth(args) -> int:
             if args.quotient else char_poset(I)
         try:
             result = exact_sdepth(poset)
-        except ValueError as exc:
+        except ValueError as exc:  # only the refusal of a poset above the point limit
             raise InputError(str(exc)) from exc
         payload = {"sdepth": result.value, "g": list(poset.cap),
                    "intervals": [{"a": list(iv.bottom), "b": list(iv.top)}

@@ -337,7 +337,7 @@ def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
     """A preimage w with d_p(w) = z, by division against the columns.
 
     Falls back to exact linear algebra on the multidegree slice when the
-    division leaves a remainder; raises if no preimage exists.
+    division leaves a remainder; raises RuntimeError if no preimage exists.
     """
     n = C.n
     if z.is_zero():
@@ -359,8 +359,8 @@ def _lift_by_slice(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
     source = C.basis(p)
     sol = Slices(C.differential(p), C.basis(p - 1), source.degrees).solve(z, d)
     if sol is None:
-        raise ValueError(f"lifting failed at homological degree {p}: "
-                         "the complex is not exact there")
+        raise RuntimeError(f"lifting failed at homological degree {p}: "
+                           "the complex is not exact there")
     return ModuleVector(C.n, {(j, monomials.divide(d, source.degree(j))): c
                               for j, c in sol.items()})
 

@@ -208,6 +208,42 @@ def multidegree_of(v: ModuleVector, basis: OrderedBasis) -> Optional[Mono]:
     return degree
 
 
+class DegreeMasks:
+    """Bitmasks over indexed exponent vectors, bit i standing for vector i.
+
+    at_most[k][t] holds the vectors whose k-th coordinate is at most t, so
+    the vectors in a box are an AND of one prefix mask per coordinate.
+    degrees is a sequence of (index, exponent vector) pairs, and size the
+    number of bits of the full mask.
+    """
+
+    def __init__(self, degrees, n: int, size: int):
+        self.full = (1 << size) - 1
+        self.at_most = []
+        for k in range(n):
+            below = [0] * (max((d[k] for _, d in degrees), default=0) + 1)
+            for i, d in degrees:
+                below[d[k]] |= 1 << i
+            for t in range(1, len(below)):
+                below[t] |= below[t - 1]
+            self.at_most.append(below)
+
+    def dividing(self, a: Mono) -> int:
+        """Bitmask of the vectors that divide a."""
+        mask = self.full
+        for below, t in zip(self.at_most, a):
+            mask &= below[min(t, len(below) - 1)]
+        return mask
+
+    def multiples(self, a: Mono) -> int:
+        """Bitmask of the vectors that a divides."""
+        mask = self.full
+        for below, t in zip(self.at_most, a):
+            if t > 0:
+                mask &= ~below[min(t - 1, len(below) - 1)]
+        return mask
+
+
 class Slices:
     """Multidegree slices of the span of multihomogeneous vectors.
 
@@ -235,23 +271,12 @@ class Slices:
             self._rows.append({pos: c for (pos, _), c in v.items()})
             if d is not None:
                 known.append((i, d))
-        # _below[k][t]: the vectors whose k-th degree coordinate is at most t.
-        self._below = []
-        for k in range(basis.n):
-            below = [0] * (max((d[k] for _, d in known), default=0) + 1)
-            for i, d in known:
-                below[d[k]] |= 1 << i
-            for t in range(1, len(below)):
-                below[t] |= below[t - 1]
-            self._below.append(below)
+        self._masks = DegreeMasks(known, basis.n, len(self._rows))
         self._ranks = {}
 
     def active(self, a: Mono) -> int:
         """Bitmask of the vectors whose degree divides a."""
-        mask = (1 << len(self._rows)) - 1
-        for below, t in zip(self._below, a):
-            mask &= below[min(t, len(below) - 1)]
-        return mask
+        return self._masks.dividing(a)
 
     def _matrix(self, mask: int, extra=None):
         rows = [self._rows[i] for i in _bits(mask)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import monomials
+from .freemod import DegreeMasks
 from .groebner import InitialModule
 from .monomials import Mono, MonomialIdeal
 
@@ -102,8 +103,11 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
     """Maximum over interval partitions of the minimum interval value.
 
     Decision search for descending target values: branch on the
-    lexicographically smallest uncovered point, try tops by decreasing value.
-    Failure states are memoized on the covered set.
+    lexicographically smallest uncovered point, try tops by decreasing value,
+    ties by increasing top.  Points are the bits of an int in lexicographic
+    order, so the smallest uncovered point is the lowest zero bit of the
+    covered set, and failure states are memoized on that int.  Every
+    returned partition has passed validate_partition.
     """
     if P.size > max_points:
         raise ValueError(f"poset has {P.size} points, above the limit "
@@ -111,60 +115,73 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
                          "lower bounds instead")
     if not P.points:
         return SdepthResult(P.n, ())
-    points_sorted = sorted(P.points)
+    tops = _CandidateTops(P)
     for d in range(P.n, -1, -1):
-        partition = _feasible_partition(P, points_sorted, d)
+        partition = _feasible_partition(tops, d)
         if partition is not None:
-            validate_partition(P, partition)
+            try:
+                validate_partition(P, partition)
+            except ValueError as exc:
+                raise RuntimeError("the search returned a certificate that is "
+                                   f"not an interval partition: {exc}") from exc
             return SdepthResult(d, tuple(partition))
-    raise AssertionError("unreachable: singleton partitions always succeed")
+    raise RuntimeError("the search found no interval partition, not even "
+                       "the one into single points")
 
 
-def _candidate_tops(P: CharPoset, a: Mono, d: int):
-    tops = []
-    for b in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, P.cap))):
-        iv = Interval(a, b)
-        value = interval_value(iv, P.cap)
-        if value >= d:
-            tops.append((value, b))
-    tops.sort(key=lambda vb: (-vb[0], vb[1]))
-    return [b for _, b in tops]
+class _CandidateTops(dict):
+    """i -> the intervals [a, b] inside P from the i-th point a in
+    lexicographic order, as (value, interval, bitmask) by decreasing value,
+    then top; built on first use and shared by every target d.
+
+    An interval lies in P exactly when its bitmask has one bit for each of
+    its prod(b_j - a_j + 1) points.
+    """
+
+    def __init__(self, P: CharPoset):
+        super().__init__()
+        self.points = sorted(P.points)
+        self.cap = P.cap
+        self.masks = DegreeMasks(list(enumerate(self.points)), P.n, len(self.points))
+
+    def __missing__(self, i):
+        a = self.points[i]
+        # (top so far, bitmask, value, size), extended one coordinate at a time
+        partial = [((), self.masks.multiples(a), 0, 1)]
+        for lo, hi, below in zip(a, self.cap, self.masks.at_most):
+            partial = [(b + (t,), mask & below[min(t, len(below) - 1)],
+                        value + (t == hi), size * (t - lo + 1))
+                       for b, mask, value, size in partial for t in range(lo, hi + 1)]
+        found = [(value, Interval(a, b), mask) for b, mask, value, size in partial
+                 if mask.bit_count() == size]
+        found.sort(key=lambda entry: (-entry[0], entry[1].top))
+        self[i] = found
+        return found
 
 
-def _feasible_partition(P: CharPoset, points_sorted, d: int):
+def _feasible_partition(tops, d: int):
+    """An interval partition of every point into intervals of value at least
+    d, as a list of Interval, or None."""
+    full = (1 << len(tops.points)) - 1
     failed = set()
-    candidates = {}
 
     def search(covered):
-        uncovered_first = None
-        for pt in points_sorted:
-            if pt not in covered:
-                uncovered_first = pt
-                break
-        if uncovered_first is None:
+        if covered == full:
             return []
         if covered in failed:
             return None
-        a = uncovered_first
-        if a not in candidates:
-            candidates[a] = _candidate_tops(P, a, d)
-        for b in candidates[a]:
-            pts = []
-            ok = True
-            for pt in interval_points(Interval(a, b)):
-                if pt not in P.points or pt in covered:
-                    ok = False
-                    break
-                pts.append(pt)
-            if not ok:
-                continue
-            rest = search(covered | frozenset(pts))
-            if rest is not None:
-                return [Interval(a, b)] + rest
+        first = (~covered & (covered + 1)).bit_length() - 1
+        for value, iv, mask in tops[first]:
+            if value < d:
+                break
+            if not mask & covered:
+                rest = search(covered | mask)
+                if rest is not None:
+                    return [iv] + rest
         failed.add(covered)
         return None
 
-    return search(frozenset())
+    return search(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from syzdepth.cli import main
+from syzdepth.cli import _dumps, main
 from syzdepth.complexes import minimize
 
 LCM_TRIANGLE = {"n": 3, "generators": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
@@ -194,3 +198,127 @@ def test_verify_bad_theorem_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
+    # A lift that finds no preimage means the library built a complex that is
+    # not exact: an internal error, not bad input.  The patched lift asks the
+    # slice solver for the basis element e_0 itself, which no image reaches.
+    from syzdepth import complexes
+    from syzdepth.freemod import ModuleVector
+
+    monkeypatch.setattr(complexes, "lift_through", lambda C, p, z: complexes._lift_by_slice(
+        C, p, ModuleVector.generator(C.n, 0, C.basis(p - 1).degree(0))))
+    code = main(["resolve", "--input", ideal_file(SQUARES), "--method", "ek"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: lifting failed at homological degree 1: "
+                            "the complex is not exact there\n")
+
+
+@pytest.mark.parametrize("search, message", [
+    (lambda tops, d: [], "not an interval partition: point"),
+    (lambda tops, d: None, "no interval partition"),
+])
+def test_exact_search_failure_exits_3(ideal_file, capsys, monkeypatch, search, message):
+    # A certificate that fails validation, or a search that finds none, is a
+    # fault of the search; only the point limit is a refusal of the input.
+    from syzdepth import stanley
+
+    monkeypatch.setattr(stanley, "_feasible_partition", search)
+    code = main(["sdepth", "--input", ideal_file(LCM_TRIANGLE), "--mode", "exact"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_exact_point_limit_exits_2(ideal_file, capsys):
+    big = {"n": 10, "generators": [[1] * 10]}
+    code = main(["sdepth", "--input", ideal_file(big), "--mode", "exact", "--quotient"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "above the limit" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# The output writer, and CLI calls on edge-case ideals
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+    | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.tuples(children, children)
+    | st.lists(st.integers()) | st.dictionaries(st.text(), children),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(json_values)
+@example({})
+@example([])
+@example({"": [], "a": {}, "b": ()})
+@example([True, False, None, 0, -1, 10**40, 1.5, float("nan"), float("-inf")])
+@example([True, 1, False])
+@example(["\"\\\n\t\x00\x7f", "é", "\u2603", "\U0001f600"])
+def test_dumps_matches_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def run_cli(argv):
+    """Exit code of the call; asserts it is 0 or 2, and that stdout is then
+    the canonical JSON text or empty."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    assert code in (0, 2)
+    if code == 0:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    else:
+        assert text == ""
+    return code
+
+
+EDGE_IDEALS = {
+    "single": {"n": 3, "generators": [[1, 2, 0]]},
+    "repeated": {"n": 2, "generators": [[1, 0], [1, 0], [0, 1]]},
+    "non-minimal": {"n": 3, "generators": [[1, 0, 0], [1, 1, 0], [0, 1, 1], [2, 1, 1]]},
+    "one-variable": {"n": 1, "generators": [[2]]},
+    "one-variable-repeated": {"n": 1, "generators": [[3], [1], [1]]},
+    "squarefree-single": {"n": 4, "generators": [[1, 1, 0, 1]]},
+}
+EDGE_COMMANDS = [
+    ["sdepth", "--mode", "exact"],
+    ["sdepth", "--mode", "exact", "--quotient"],
+    ["sdepth", "--mode", "sqfree-construct"],
+    ["partition"],
+    ["resolve", "--check"],
+]
+
+
+@pytest.mark.parametrize("args", EDGE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(EDGE_IDEALS))
+def test_edge_case_inputs(ideal_file, name, args):
+    run_cli(args + ["--input", ideal_file(EDGE_IDEALS[name])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                                min_size=1, max_size=4))),
+       st.sampled_from(EDGE_COMMANDS))
+def test_cli_on_random_small_ideals(ideal, args):
+    # Zero vectors are refused (exit 2); repeats and non-minimal generators
+    # are allowed, and every exit 0 writes the canonical JSON text.
+    n, gens = ideal
+    with tempfile.TemporaryDirectory() as directory:
+        path = f"{directory}/ideal.json"
+        with open(path, "w") as fh:
+            json.dump({"n": n, "generators": gens}, fh)
+        code = run_cli(args + ["--input", path])
+    if not all(any(g) for g in gens):
+        assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzdepth.complexes import koszul_complex, syzygy_generators, taylor_complex
 from syzdepth.freemod import TermOrder
@@ -14,6 +15,7 @@ from syzdepth.stanley import (
     exact_sdepth,
     filtration_lower_bound,
     ideal_sdepth,
+    interval_points,
     interval_value,
     partition_to_decomposition,
     validate_partition,
@@ -201,3 +203,100 @@ def test_filtration_bound_below_exact_sdepth():
     bound = filtration_lower_bound(ini)
     values = [ideal_sdepth(c) for _, c in ini.nonzero_components()]
     assert bound.value == min(values)
+
+
+# ---------------------------------------------------------------------------
+# The frozenset search that exact_sdepth replaced, kept as the reference for
+# its bitset search: same branching order, so the same partitions.
+
+
+def reference_sdepth(P):
+    if not P.points:
+        return P.n, ()
+    points_sorted = sorted(P.points)
+    for d in range(P.n, -1, -1):
+        partition = _reference_feasible_partition(P, points_sorted, d)
+        if partition is not None:
+            return d, tuple(partition)
+    raise AssertionError("unreachable: singleton partitions always succeed")
+
+
+def _reference_candidate_tops(P, a, d):
+    tops = []
+    for b in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, P.cap))):
+        iv = Interval(a, b)
+        value = interval_value(iv, P.cap)
+        if value >= d:
+            tops.append((value, b))
+    tops.sort(key=lambda vb: (-vb[0], vb[1]))
+    return [b for _, b in tops]
+
+
+def _reference_feasible_partition(P, points_sorted, d):
+    failed = set()
+    candidates = {}
+
+    def search(covered):
+        uncovered_first = None
+        for pt in points_sorted:
+            if pt not in covered:
+                uncovered_first = pt
+                break
+        if uncovered_first is None:
+            return []
+        if covered in failed:
+            return None
+        a = uncovered_first
+        if a not in candidates:
+            candidates[a] = _reference_candidate_tops(P, a, d)
+        for b in candidates[a]:
+            pts = []
+            ok = True
+            for pt in interval_points(Interval(a, b)):
+                if pt not in P.points or pt in covered:
+                    ok = False
+                    break
+                pts.append(pt)
+            if not ok:
+                continue
+            rest = search(covered | frozenset(pts))
+            if rest is not None:
+                return [Interval(a, b)] + rest
+        failed.add(covered)
+        return None
+
+    return search(frozenset())
+
+
+@st.composite
+def small_posets(draw):
+    """Ideals I, quotients S/I and I/J with J inside I (n <= 4, exponents
+    <= 2 in I), under the default cap or a larger one."""
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    mono = st.tuples(*[st.sampled_from([0, 1, 2])] * n)
+    gens = draw(st.lists(mono.filter(any), min_size=1, max_size=4))
+    I = MonomialIdeal(n, gens)
+    kind = draw(st.sampled_from(["ideal", "S/I", "I/J"]))
+    J = None
+    if kind == "S/I":
+        I, J = MonomialIdeal(n, [unit(n)]), I
+    elif kind == "I/J":
+        shifts = st.tuples(*[st.sampled_from([0, 1])] * n)
+        J = MonomialIdeal(n, [tuple(a + b for a, b in zip(draw(st.sampled_from(I.gens)),
+                                                          draw(shifts)))
+                              for _ in range(draw(st.integers(1, 3)))])
+    P = char_poset(I, J)
+    if draw(st.booleans()):
+        P = char_poset(I, J, tuple(e + draw(st.integers(0, 1)) for e in P.cap))
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets())
+def test_exact_sdepth_matches_reference_search(P):
+    if P.size > 512:
+        with pytest.raises(ValueError, match="limit"):
+            exact_sdepth(P)
+        return
+    result = exact_sdepth(P)
+    assert (result.value, result.partition) == reference_sdepth(P)

@@ -3,7 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 a certified check found a
 disagreement, 2 bad input or configuration, 3 internal error (a
 RuntimeError raised inside the library, such as a failed minimization, a
-failed lift or a Stanley-depth certificate that does not validate).
+failed lift or a Stanley-depth certificate that does not validate, or a
+MemoryError or RecursionError when a computation outgrows the process).
 """
 
 from __future__ import annotations
@@ -40,20 +41,21 @@ def load_ideal(path: str) -> MonomialIdeal:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSON, UTF-8 or nesting depth
         raise InputError(f"cannot read ideal file {path}: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data or "generators" not in data:
         raise InputError("ideal file must be an object with keys 'n' and 'generators'")
     n = data["n"]
     gens = data["generators"]
-    if not isinstance(n, int) or n < 1:
+    # type(...) is int: JSON true and false load as bools, a subclass of int.
+    if type(n) is not int or n < 1:
         raise InputError("'n' must be a positive integer")
     if not isinstance(gens, list) or not gens:
         raise InputError("'generators' must be a nonempty list")
     for g in gens:
         if (not isinstance(g, list) or len(g) != n
-                or not all(isinstance(e, int) and e >= 0 for e in g)):
-            raise InputError(f"generator {g} is not a length-{n} vector of "
+                or not all(type(e) is int and e >= 0 for e in g)):
+            raise InputError(f"generator {g!r} is not a length-{n} vector of "
                              "nonnegative integers")
         if not any(g):
             raise InputError("the zero exponent vector is not a valid generator")
@@ -335,13 +337,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:  # RecursionError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

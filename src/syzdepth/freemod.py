@@ -285,14 +285,11 @@ class Slices:
         positions = sorted({pos for row in rows for pos in row})
         return [[row.get(pos, 0) for pos in positions] for row in rows], positions
 
-    def rank(self, mask: int, exact: bool = True) -> int:
-        """Rank of the chosen vectors; exact, or mod linalg.DEFAULT_PRIME."""
-        key = (mask, exact)
-        if key not in self._ranks:
-            matrix, _ = self._matrix(mask)
-            self._ranks[key] = (linalg.exact_rank(matrix) if exact
-                                else linalg.rank_mod_p(matrix))
-        return self._ranks[key]
+    def rank(self, mask: int) -> int:
+        """Exact rank of the chosen vectors."""
+        if mask not in self._ranks:
+            self._ranks[mask] = linalg.exact_rank(self._matrix(mask)[0])
+        return self._ranks[mask]
 
     def piece(self, a: Mono):
         """A basis of the degree-a slice, as vectors in RREF."""

@@ -190,20 +190,12 @@ def initial_module(gens: Iterable[ModuleVector], order: TermOrder) -> InitialMod
     not on the scalar order; the test suite checks this as a property.
     """
     gens = [g for g in gens if not g.is_zero()]
-    return _initial_from_gb(buchberger(gens, order))
-
-
-def _initial_from_gb(gb: GroebnerBasis) -> InitialModule:
-    basis = gb.order.basis
-    per_position = {}
-    for lt in gb.leading_terms():
-        per_position.setdefault(lt.position, []).append(lt.monomial)
-    components = tuple(MonomialIdeal(basis.n, per_position.get(j, []))
-                       for j in range(len(basis)))
-    return InitialModule(basis, components)
+    gb = buchberger(gens, order)
+    return monomial_module_from_terms(gb.order.basis, gb.leading_terms())
 
 
 def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:
+    """The monomial module generated by the terms, one ideal per basis position."""
     per_position = {}
     for t in terms:
         per_position.setdefault(t.position, []).append(t.monomial)

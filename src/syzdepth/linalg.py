@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, plus a modular fast path.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of row lists holding ints or Fractions.  Everything here
 is deterministic: pivots are chosen left to right, top to bottom.
@@ -8,10 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm as int_lcm
-
-# Mersenne prime; modular ranks never exceed rational ranks, so a modular
-# rank that certifies an equality certifies it over Q as well.
-DEFAULT_PRIME = (1 << 61) - 1
 
 
 def _integer_rows(rows):
@@ -49,53 +45,11 @@ def exact_rank(rows) -> int:
         p = m[row][col]
         for r in range(row + 1, nrows):
             factor = m[r][col]
-            if factor or prev != 1:
+            if factor or p != prev:  # otherwise the update leaves the row as it is
                 for c in range(col + 1, ncols):
                     m[r][c] = (m[r][c] * p - factor * m[row][c]) // prev
             m[r][col] = 0
         prev = p
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(rows, p: int = DEFAULT_PRIME) -> int:
-    """Rank of the matrix reduced mod p; always <= the rational rank."""
-    if not rows:
-        return 0
-    m = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, Fraction):
-                r.append(x.numerator * pow(x.denominator, -1, p) % p)
-            else:
-                r.append(x % p)
-        m.append(r)
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        mrow = m[row]
-        for r in range(row + 1, nrows):
-            factor = m[r][col]
-            if factor:
-                factor = factor * inv % p
-                mr = m[r]
-                for c in range(col, ncols):
-                    mr[c] = (mr[c] - factor * mrow[c]) % p
         row += 1
         rank += 1
         if row == nrows:

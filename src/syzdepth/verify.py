@@ -19,7 +19,7 @@ from .complexes import (
     taylor_complex,
 )
 from .freemod import TermOrder
-from .groebner import _initial_from_gb, buchberger, initial_module, is_squarefree_module
+from .groebner import buchberger, initial_module, is_squarefree_module, monomial_module_from_terms
 from .instances import (
     ideal_instance,
     random_monomial_ideal,
@@ -140,9 +140,13 @@ def _run_lemma_groebner(rng, job) -> dict:
                if i <= G.length else None)
         gbF = (buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
                if i <= F.length else None)
-        g_components = (_initial_from_gb(gbG).components if gbG is not None
-                        else tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1))))
-        f_components = _initial_from_gb(gbF).components if gbF is not None else ()
+        g_components = (
+            monomial_module_from_terms(gbG.order.basis, gbG.leading_terms()).components
+            if gbG is not None
+            else tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1))))
+        f_components = (
+            monomial_module_from_terms(gbF.order.basis, gbF.leading_terms()).components
+            if gbF is not None else ())
         expected = g_components + f_components
         if ini_c.components != expected:
             return _report("lemma-groebner", instance, "FAIL",

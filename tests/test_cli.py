@@ -179,6 +179,35 @@ def test_bad_input_exit_codes(ideal_file, capsys, tmp_path):
     assert main(["resolve", "--input", bad2]) == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 2, "generators": [[True, 0], [0, 1]]},
+    {"n": 2, "generators": [[1, False], [0, 1]]},
+    {"n": True, "generators": [[1]]},
+], ids=["exponent-true", "exponent-false", "n-true"])
+def test_boolean_inputs_exit_2(ideal_file, capsys, payload):
+    # JSON true and false load as Python bools, which are ints too.
+    code = main(["sdepth", "--input", ideal_file(payload)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_3(ideal_file, capsys, monkeypatch, error):
+    from syzdepth import cli
+
+    def exhausted(poset):
+        raise error()
+
+    monkeypatch.setattr(cli, "exact_sdepth", exhausted)
+    code = main(["sdepth", "--input", ideal_file(LCM_TRIANGLE)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_stream_and_replay(capsys):
     code = main(["verify", "--theorem", "regular", "--trials", "3", "--seed", "11"])
     first = capsys.readouterr().out
@@ -322,3 +351,82 @@ def test_cli_on_random_small_ideals(ideal, args):
         code = run_cli(args + ["--input", path])
     if not all(any(g) for g in gens):
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed ideal files
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+           | st.text(max_size=5))
+NOT_INT = (st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+           | st.lists(st.integers(0, 2), max_size=2)
+           | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+INVALID_JSON = st.sampled_from([
+    b"", b"{", b"[1, 2", b'{"n": 2, "generators": [[1, 0],]}', b"{'n': 1}",
+    b'{"n": 1, "generators": [[1]]} trailing', b"\xff\xfe", b"[" * 5000,
+]) | st.binary(max_size=8).map(lambda b: b"{" + b)
+MALFORMED_KINDS = ("invalid-json", "non-object", "missing-keys", "wrong-n-type",
+                   "nonpositive-n", "wrong-generators-type", "wrong-generator-type",
+                   "wrong-exponent-type", "wrong-length", "negative-exponent",
+                   "zero-generator")
+
+
+@st.composite
+def malformed_ideal_files(draw):
+    """(kind, contents) of a file that is not an ideal file."""
+    kind = draw(st.sampled_from(MALFORMED_KINDS))
+    if kind == "invalid-json":
+        return kind, draw(INVALID_JSON)
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=3))
+    i = draw(st.integers(0, len(gens) - 1))
+    k = draw(st.integers(0, n - 1))
+    payload = {"n": n, "generators": gens}
+    if kind == "non-object":
+        payload = draw(SCALARS | st.lists(SCALARS, max_size=3) | st.just([payload]))
+    elif kind == "missing-keys":
+        payload = draw(st.sampled_from([{}, {"n": n}, {"generators": gens},
+                                        {"N": n, "generators": gens}]))
+    elif kind == "wrong-n-type":
+        payload["n"] = draw(NOT_INT)
+    elif kind == "nonpositive-n":
+        payload["n"] = draw(st.integers(-3, 0))
+    elif kind == "wrong-generators-type":
+        payload["generators"] = draw(NOT_INT | st.just([]))
+    elif kind == "wrong-generator-type":
+        gens[i] = draw(SCALARS)
+    elif kind == "wrong-exponent-type":
+        gens[i][k] = draw(NOT_INT)
+    elif kind == "wrong-length":
+        if n == 1 or draw(st.booleans()):
+            gens[i].append(0)
+        else:
+            gens[i].pop()
+    elif kind == "negative-exponent":
+        gens[i][k] = draw(st.integers(-3, -1))
+    else:  # zero-generator
+        gens.insert(i, [0] * n)
+    return kind, json.dumps(payload).encode()
+
+
+MALFORMED_COMMANDS = [["resolve"], ["initial", "--p", "1"], ["sdepth"], ["partition"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_ideal_files(), st.sampled_from(MALFORMED_COMMANDS))
+@example(("wrong-generator-type", b'{"n": 1, "generators": ["a\\nb"]}'), ["sdepth"])
+@example(("invalid-json", b"[" * 5000), ["resolve"])
+def test_malformed_ideal_files_exit_2(malformed, args):
+    _, content = malformed
+    with tempfile.TemporaryDirectory() as directory:
+        path = f"{directory}/ideal.json"
+        with open(path, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args + ["--input", path])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

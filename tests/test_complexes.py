@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from syzdepth import linalg
 from syzdepth.complexes import (
     ChainMap,
     FreeComplex,
@@ -291,15 +290,34 @@ def test_exactness_detects_corrupted_sign():
     assert report.failures
 
 
+TRUNCATED_GENS = [(2, 0, 1), (1, 1, 0), (0, 2, 1)]
+
+
+def _truncated_taylor_report(scale=1):
+    """Exhaustive report on the Taylor complex of TRUNCATED_GENS without the
+    first basis element of F_2, with every column of d_1 scaled."""
+    C = taylor_complex(TRUNCATED_GENS, 3)
+    F2 = OrderedBasis(3, C.basis(2).elements[1:])
+    T = FreeComplex(3, [C.basis(0), C.basis(1), F2],
+                    [[col.scale(scale) for col in C.differential(1)],
+                     C.differential(2)[1:]])
+    return check_exactness_on_box(T, MonomialIdeal(3, TRUNCATED_GENS), exhaustive=True)
+
+
 def test_exactness_failures_of_a_truncated_taylor_complex():
     # Dropping a basis element of F_2 leaves H_1 nonzero; every failing
     # degree of the box is reported, in the order of the walk.
-    gens = [(2, 0, 1), (1, 1, 0), (0, 2, 1)]
-    C = taylor_complex(gens, 3)
-    F2 = OrderedBasis(3, C.basis(2).elements[1:])
-    T = FreeComplex(3, [C.basis(0), C.basis(1), F2],
-                    [C.differential(1), C.differential(2)[1:]])
-    report = check_exactness_on_box(T, MonomialIdeal(3, gens), exhaustive=True)
+    report = _truncated_taylor_report()
+    assert not report.ok
+    assert report.failures == [(1, (1, 2, 1)), (1, (1, 2, 2)), (1, (1, 3, 1)),
+                               (1, (1, 3, 2))]
+    assert report.degrees_checked == 48
+
+
+def test_exactness_reports_the_level_the_exact_ranks_find():
+    # Scaling d_1 by P kills it mod P, so a modular rank would blame level 0;
+    # the exact ranks clear level 0 and fail at level 1.
+    report = _truncated_taylor_report(scale=(1 << 61) - 1)
     assert not report.ok
     assert report.failures == [(1, (1, 2, 1)), (1, (1, 2, 2)), (1, (1, 3, 1)),
                                (1, (1, 3, 2))]
@@ -309,7 +327,7 @@ def test_exactness_failures_of_a_truncated_taylor_complex():
 def test_exactness_module_rank_is_exact():
     # P * x e_1 vanishes mod P, so a modular rank of the module would read 1
     # at degree x and hide that the cokernel differs from the module.
-    P = linalg.DEFAULT_PRIME
+    P = (1 << 61) - 1
     F0 = OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])
     F1 = OrderedBasis(1, [BasisElement((1,))])
     D = FreeComplex(1, [F0, F1], [[ModuleVector(1, {(0, (1,)): Fraction(1)})]])
@@ -322,7 +340,7 @@ def test_exactness_module_rank_is_exact():
 
 def test_exactness_confirms_modular_failures_exactly():
     # Scaling d_2 by P kills it mod P; the exact ranks clear the degree.
-    P = linalg.DEFAULT_PRIME
+    P = (1 << 61) - 1
     K = koszul_complex([(1, 0), (0, 1)], 2)
     scaled = FreeComplex(2, K.bases, [K.differential(1),
                                       [K.differential(2)[0].scale(P)]])

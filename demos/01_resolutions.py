@@ -25,7 +25,7 @@ print("  ranks:", C.ranks)
 print("  d o d = 0 and multidegree-preserving:", check_complex(C))
 
 report = check_exactness_on_box(C, I)
-print(f"  exact at every multidegree of the box {report.box} "
+print(f"  exact at every multidegree, decided on the lcm closure "
       f"({report.degrees_checked} degrees): {report.ok}")
 
 M = minimize(C)

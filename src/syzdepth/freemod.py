@@ -253,7 +253,8 @@ class Slices:
     The vectors whose degree divides a are found by AND-ing per-coordinate
     bitsets, and ranks are cached per bitmask.  Pass degrees to give each
     vector a degree of its own (a zero vector then still counts as active);
-    otherwise zero vectors have no degree and are never active.
+    otherwise zero vectors have no degree and are never active.  Every
+    slice is fixed by which of the degrees in self.degrees divide a.
     """
 
     def __init__(self, vectors, basis: OrderedBasis, degrees=None):
@@ -271,6 +272,7 @@ class Slices:
             self._rows.append({pos: c for (pos, _), c in v.items()})
             if d is not None:
                 known.append((i, d))
+        self.degrees = [d for _, d in known]
         self._masks = DegreeMasks(known, basis.n, len(self._rows))
         self._ranks = {}
 

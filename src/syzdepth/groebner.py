@@ -7,7 +7,6 @@ with no reference to how the generators arose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -21,7 +20,7 @@ from .freemod import (
     TermOrder,
     leading_term,
 )
-from .monomials import Mono, MonomialIdeal
+from .monomials import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -204,19 +203,20 @@ def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> In
     return InitialModule(basis, components)
 
 
-def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule,
-                        box: Mono):
+def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule):
     """Graded dimensions of the span of gens and of the initial module agree
-    on every degree of the box.  Returns (ok, first failing degree).
+    in every multidegree.  Returns (ok, first failing degree).
 
     Both sides are ranks of one slice engine each; the initial module enters
-    through its generators u e_j, which are unit rows.
+    through its generators u e_j, which are unit rows.  Both ranks are fixed
+    by which generator degrees divide the degree, so the walk covers the lcm
+    closure of those degrees in lex order.
     """
     span = Slices(gens, initial.basis)
     monomial = Slices([ModuleVector.generator(initial.basis.n, j, u)
                        for j, ideal in enumerate(initial.components) for u in ideal.gens],
                       initial.basis)
-    for a in itertools.product(*(range(b + 1) for b in box)):
+    for a in monomials.lcm_closure(span.degrees + monomial.degrees, initial.basis.n):
         if span.rank(span.active(a)) != monomial.rank(monomial.active(a)):
             return False, a
     return True, None

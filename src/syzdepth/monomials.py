@@ -105,6 +105,20 @@ def order_key(kind: str):
         raise ValueError(f"unknown monomial order {kind!r}") from None
 
 
+def lcm_closure(degrees: Iterable[Mono], n: int) -> list:
+    """The zero degree and the lcm of every nonempty subset of the degrees,
+    deduplicated and sorted lexicographically.
+
+    Each degree a has the representative lcm{d : d | a} in the closure, and
+    the same degrees divide both, so a property that depends only on which
+    degrees divide a is decided on the closure (the lcm lattice).
+    """
+    closure = {unit(n)}
+    for d in set(degrees):
+        closure |= {lcm(c, d) for c in closure}
+    return sorted(closure)
+
+
 def minimalize(gens: Iterable[Mono]) -> tuple:
     """Unique minimal generating set of the monomial ideal generated by gens."""
     gens = sorted(set(gens), key=lambda u: (sum(u), u))

@@ -1,10 +1,14 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from syzdepth.complexes import (
     ChainMap,
+    ExactnessReport,
     FreeComplex,
     check_complex,
     check_exactness_on_box,
@@ -21,9 +25,11 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis
+from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, Slices, multidegree_of
+from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
-from syzdepth.monomials import MonomialIdeal
+from syzdepth.monomials import MonomialIdeal, divides, lcm, lcm_closure, mul, unit
+from syzdepth.syzygy import lex_refined_initial
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -117,8 +123,6 @@ def test_cone_differential_squares_to_zero():
 
 def test_cone_syzygy_dimension_identity():
     # Degreewise, dim Z_i(C) = dim Z_i(F) + dim Z_{i-1}(G) for every cone.
-    import itertools
-
     from syzdepth.freemod import graded_dimension
     from syzdepth.verify import taylor_step_cone
 
@@ -126,7 +130,8 @@ def test_cone_syzygy_dimension_identity():
                     ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)]:
         cone, phi = taylor_step_cone(gens, n)
         G, F = phi.source, phi.target
-        box = cone.degree_box()
+        box = [1 + max(e.degree[i] for basis in cone.bases for e in basis)
+               for i in range(n)]
         for i in range(1, cone.length + 1):
             zc = syzygy_generators(cone, i)
             zf = syzygy_generators(F, i) if i <= F.length else []
@@ -271,7 +276,7 @@ def test_minimized_bases_are_lex_refined():
 def test_exactness_examples():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
     K = koszul_complex([(1, 0), (0, 1)], 2)
-    assert check_exactness_on_box(K, I, (2, 2)).ok
+    assert check_exactness_on_box(K, I).ok
     # A duplicated generator still gives a resolution.
     dup = taylor_complex([(1, 0), (1, 0)], 2)
     assert check_exactness_on_box(dup, MonomialIdeal(2, [(1, 0)])).ok
@@ -293,25 +298,28 @@ def test_exactness_detects_corrupted_sign():
 TRUNCATED_GENS = [(2, 0, 1), (1, 1, 0), (0, 2, 1)]
 
 
-def _truncated_taylor_report(scale=1):
-    """Exhaustive report on the Taylor complex of TRUNCATED_GENS without the
-    first basis element of F_2, with every column of d_1 scaled."""
+def _truncated_taylor(scale=1):
+    """The Taylor complex of TRUNCATED_GENS without the first basis element
+    of F_2, with every column of d_1 scaled."""
     C = taylor_complex(TRUNCATED_GENS, 3)
     F2 = OrderedBasis(3, C.basis(2).elements[1:])
-    T = FreeComplex(3, [C.basis(0), C.basis(1), F2],
-                    [[col.scale(scale) for col in C.differential(1)],
-                     C.differential(2)[1:]])
-    return check_exactness_on_box(T, MonomialIdeal(3, TRUNCATED_GENS), exhaustive=True)
+    return FreeComplex(3, [C.basis(0), C.basis(1), F2],
+                       [[col.scale(scale) for col in C.differential(1)],
+                        C.differential(2)[1:]])
+
+
+def _truncated_taylor_report(scale=1):
+    return check_exactness_on_box(_truncated_taylor(scale), MonomialIdeal(3, TRUNCATED_GENS),
+                                  exhaustive=True)
 
 
 def test_exactness_failures_of_a_truncated_taylor_complex():
     # Dropping a basis element of F_2 leaves H_1 nonzero; every failing
-    # degree of the box is reported, in the order of the walk.
+    # degree of the lcm closure is reported, in the order of the walk.
     report = _truncated_taylor_report()
     assert not report.ok
-    assert report.failures == [(1, (1, 2, 1)), (1, (1, 2, 2)), (1, (1, 3, 1)),
-                               (1, (1, 3, 2))]
-    assert report.degrees_checked == 48
+    assert report.failures == [(1, (1, 2, 1))]
+    assert report.degrees_checked == 7
 
 
 def test_exactness_reports_the_level_the_exact_ranks_find():
@@ -319,9 +327,8 @@ def test_exactness_reports_the_level_the_exact_ranks_find():
     # the exact ranks clear level 0 and fail at level 1.
     report = _truncated_taylor_report(scale=(1 << 61) - 1)
     assert not report.ok
-    assert report.failures == [(1, (1, 2, 1)), (1, (1, 2, 2)), (1, (1, 3, 1)),
-                               (1, (1, 3, 2))]
-    assert report.degrees_checked == 48
+    assert report.failures == [(1, (1, 2, 1))]
+    assert report.degrees_checked == 7
 
 
 def test_exactness_module_rank_is_exact():
@@ -345,7 +352,17 @@ def test_exactness_confirms_modular_failures_exactly():
     scaled = FreeComplex(2, K.bases, [K.differential(1),
                                       [K.differential(2)[0].scale(P)]])
     report = check_exactness_on_box(scaled, MonomialIdeal(2, [(1, 0), (0, 1)]))
-    assert report.ok and report.degrees_checked == 9
+    assert report.ok and report.degrees_checked == 4
+
+
+def test_exactness_is_checked_beyond_the_complex_degrees():
+    # The Taylor complex of x has cokernel S/(x), not S/(x, y^9); the only
+    # witness lies above every basis degree, at the module generator y^9.
+    C = taylor_complex([(1, 0)], 2)
+    module = [ModuleVector.generator(2, 0, (1, 0)), ModuleVector.generator(2, 0, (0, 9))]
+    report = check_exactness_on_box(C, module)
+    assert not report.ok
+    assert report.failures == [(0, (0, 9))]
 
 
 def test_lift_by_slice():
@@ -385,3 +402,167 @@ def test_random_complexes_are_complexes_and_exact():
         C = taylor_complex(list(I.gens), I.n)
         assert check_complex(C)
         assert check_exactness_on_box(C, I).ok
+
+
+# ---------------------------------------------------------------------------
+# The box walks the lcm-closure walks replaced, kept as references.
+
+
+def reference_box_walk(C, module_gens, box, exhaustive=False):
+    if not check_complex(C):
+        return ExactnessReport(False, failures=[(-1, None)])
+    if isinstance(module_gens, MonomialIdeal):
+        if len(C.basis(0)) != 1:
+            raise ValueError("monomial-ideal comparison expects a rank-one F_0")
+        module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
+    module_gens = list(module_gens)
+    module = Slices(module_gens + list(C.differential(1)), C.basis(0))
+    own = (1 << len(module_gens)) - 1
+    for j, col in enumerate(C.differential(1)):
+        mask = module.active(C.basis(1).degree(j)) & own
+        if module.rank(mask) != module.rank(mask | 1 << (len(module_gens) + j)):
+            return ExactnessReport(False, failures=[(0, None)])
+
+    length = C.length
+    diffs = [Slices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+             for p in range(1, length + 1)]
+
+    def failing_level(module_rank, masks):
+        ranks = [diff.rank(mask) for diff, mask in zip(diffs, masks)] + [0]
+        if ranks[0] != module_rank:
+            return 0
+        for p in range(1, length + 1):
+            if ranks[p - 1] + ranks[p] != masks[p - 1].bit_count():
+                return p
+        return None
+
+    report = ExactnessReport(True)
+    for a in itertools.product(*(range(b + 1) for b in box)):
+        report.degrees_checked += 1
+        masks = [diff.active(a) for diff in diffs]
+        bad_p = failing_level(module.rank(module.active(a) & own), masks)
+        if bad_p is not None:
+            report.ok = False
+            report.failures.append((bad_p, a))
+            if not exhaustive:
+                return report
+    return report
+
+
+def reference_slice_box_walk(gens, initial, box):
+    span = Slices(gens, initial.basis)
+    monomial = Slices([ModuleVector.generator(initial.basis.n, j, u)
+                       for j, ideal in enumerate(initial.components) for u in ideal.gens],
+                      initial.basis)
+    for a in itertools.product(*(range(b + 1) for b in box)):
+        if span.rank(span.active(a)) != monomial.rank(monomial.active(a)):
+            return False, a
+    return True, None
+
+
+def _lcm_of(degrees, n):
+    return functools.reduce(lcm, degrees, unit(n))
+
+
+def _covering_box(degrees, n):
+    """A box holding [0, lcm(degrees)], so the box walk sees the closure."""
+    return tuple(e + 1 for e in _lcm_of(degrees, n))
+
+
+def _replace_column(C, p, j, column):
+    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs[p - 1][j] = column
+    return FreeComplex(C.n, C.bases, diffs)
+
+
+@st.composite
+def ideals(draw):
+    """An ideal with n <= 4, at most 5 generators and exponents <= 3."""
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal(n, draw(st.lists(exponents, min_size=1, max_size=5)))
+
+
+@st.composite
+def damaged_complexes(draw):
+    """(complex, ideal): the Taylor complex of the ideal, its minimization, or
+    its truncation at some level p with one basis element of F_p dropped;
+    then possibly one column scaled by 0 or 2, or one of its signs flipped."""
+    I = draw(ideals())
+    n = I.n
+    C = taylor_complex(list(I.gens), n)
+    kind = draw(st.sampled_from(["taylor", "minimized", "truncated"]))
+    if kind == "minimized":
+        C = minimize(C)
+    elif kind == "truncated":
+        p = draw(st.integers(1, C.length))
+        k = draw(st.integers(0, C.rank(p) - 1))
+        elements = C.basis(p).elements
+        top = OrderedBasis(n, elements[:k] + elements[k + 1:])
+        cols = C.differential(p)
+        C = FreeComplex(n, C.bases[:p] + (top,),
+                        [C.differential(q) for q in range(1, p)] + [cols[:k] + cols[k + 1:]])
+    damage = draw(st.sampled_from(["none", "scale 0", "scale 2", "flip"]))
+    p = draw(st.integers(1, C.length))
+    if damage != "none" and C.rank(p):
+        j = draw(st.integers(0, C.rank(p) - 1))
+        col = C.differential(p)[j]
+        if damage == "flip":
+            first = min(key for key, _ in col.items())
+            col = ModuleVector(n, {key: (-c if key == first else c) for key, c in col.items()})
+        else:
+            col = col.scale(int(damage[-1]))
+        C = _replace_column(C, p, j, col)
+    return C, I
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_complexes())
+@example((_truncated_taylor(), MonomialIdeal(3, TRUNCATED_GENS)))
+@example((taylor_complex([(1, 0)], 2), MonomialIdeal(2, [(1, 0), (0, 9)])))
+def test_closure_walk_agrees_with_the_box_walk(case):
+    # Same verdict and first failure; the exhaustive failures are the box
+    # walk's at closure degrees, and each failing degree a of the box has its
+    # representative lcm{d in D : d | a} among them at the same level.
+    C, I = case
+    n = C.n
+    degrees = list(I.gens) + [d for basis in C.bases[1:] for d in basis.degrees]
+    closure = set(lcm_closure(degrees, n))
+    box = _covering_box(degrees, n)
+    first, ref_first = check_exactness_on_box(C, I), reference_box_walk(C, I, box)
+    assert (first.ok, first.failures) == (ref_first.ok, ref_first.failures)
+    every = check_exactness_on_box(C, I, exhaustive=True)
+    ref_every = reference_box_walk(C, I, box, exhaustive=True)
+    assert every.ok == ref_every.ok
+    assert every.failures == [(p, a) for p, a in ref_every.failures
+                              if a is None or a in closure]
+    assert every.degrees_checked in (0, len(closure))
+    for p, a in ref_every.failures:
+        if a is not None:
+            assert (p, _lcm_of([d for d in degrees if divides(d, a)], n)) in every.failures
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals(), st.booleans(), st.data())
+def test_slice_check_closure_walk_agrees_with_the_box_walk(I, minimized, data):
+    C = taylor_complex(list(I.gens), I.n)
+    if minimized:
+        C = minimize(C)
+    p = data.draw(st.integers(0, C.length - 1))
+    ini, gens = lex_refined_initial(C, p)
+    variants = [ini]
+    nonzero = ini.nonzero_components()
+    if nonzero:
+        j, ideal = data.draw(st.sampled_from(nonzero))
+        k = data.draw(st.integers(0, len(ideal.gens) - 1))
+        dropped = MonomialIdeal(I.n, ideal.gens[:k] + ideal.gens[k + 1:])
+        variants.append(InitialModule(ini.basis, ini.components[:j] + (dropped,)
+                                      + ini.components[j + 1:]))
+    assert hilbert_slice_check(gens, ini) == (True, None)
+    for initial in variants:
+        degrees = [multidegree_of(g, ini.basis) for g in gens if not g.is_zero()]
+        degrees += [mul(u, ini.basis.degree(j))
+                    for j, ideal in enumerate(initial.components) for u in ideal.gens]
+        box = _covering_box(degrees, I.n)
+        assert hilbert_slice_check(gens, initial) == \
+            reference_slice_box_walk(gens, initial, box)

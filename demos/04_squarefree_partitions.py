@@ -18,7 +18,7 @@ from syzdepth import (
     sqfree_lower_bound,
     squarefree_partition,
 )
-from syzdepth.blocks import filter_of_supports, subset_to_degree
+from syzdepth.blocks import filter_of_supports, mask_elements, subset_to_degree
 
 print("Block structures on the circle [7], density 2, A = {1, 4, 5}:")
 s = block_structure(7, {1, 4, 5}, 2)
@@ -39,15 +39,15 @@ print()
 # The staged partition of the full boolean filter on [5]: every interval top
 # has at least 2s+1 = 3 elements, matching the exact Stanley depth.
 n = 5
-family = filter_of_supports(n, [frozenset({i}) for i in range(1, n + 1)])
+family = filter_of_supports(n, [1 << i for i in range(n)])
 pairs = squarefree_partition(n, family)
 print(f"Partition of all nonempty subsets of [{n}]:")
 staged = [(A, B) for A, B in pairs if A != B]
 for A, B in staged:
-    print("  interval", sorted(A), "..", sorted(B))
+    print("  interval", mask_elements(A), "..", mask_elements(B))
 print(f"  plus {len(pairs) - len(staged)} trivial intervals")
-value = min(len(B) for _, B in pairs)
-I = MonomialIdeal(n, [subset_to_degree(n, {i}) for i in range(1, n + 1)])
+value = min(B.bit_count() for _, B in pairs)
+I = MonomialIdeal(n, [subset_to_degree(n, 1 << i) for i in range(n)])
 exact = exact_sdepth(char_poset(I, g=(1,) * n)).value
 print(f"partition value {value} = lower bound {sqfree_lower_bound(n)}"
       f" = exact Stanley depth {exact}")

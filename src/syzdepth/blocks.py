@@ -5,6 +5,11 @@ for a subset A and a rational density delta >= 1 partitions the circle into
 anchored blocks and A-free gaps subject to two counting axioms; adjoining
 the gaps to A gives the map used to build interval partitions of order
 filters, stage by cardinality, with a schedule of densities.
+
+Block structures take subsets of [n] as sets of ints.  Order filters and
+their interval partitions are int bitmasks, bit i standing for x_{i+1},
+which is element i+1 of [n]: the subset {1, 3} is 0b101.  lifted_f keeps
+the set interface and the partition converts at that one call.
 """
 
 from __future__ import annotations
@@ -230,28 +235,82 @@ def sigma_schedule(s: int) -> SigmaSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Interval partitions of order filters
+# Interval partitions of order filters, on bitmasks
+
+
+def subset_mask(elements: Iterable) -> int:
+    """The bitmask of a subset of [n]: bit i for element i+1."""
+    mask = 0
+    for x in elements:
+        mask |= 1 << (x - 1)
+    return mask
+
+
+def mask_elements(mask: int) -> list:
+    """The elements of [n] in a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def support_mask(degree) -> int:
+    """The bitmask of the support of an exponent vector."""
+    mask = 0
+    for i, e in enumerate(degree):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _lex_key(n: int):
+    """Sort key for masks of one size: ascending keys list the subsets in
+    lexicographic order of their sorted elements.  Two sets of one size
+    first differ at the least element of their symmetric difference, and
+    the set holding it comes first; the key is the complement written
+    least element first, where that set reads 0."""
+    full = (1 << n) - 1
+    return lambda mask: f"{full ^ mask:0{n}b}"[::-1]
+
+
+def _upset(base: int, free: int) -> list:
+    """base | sub for every submask sub of free."""
+    out = []
+    sub = free
+    while True:
+        out.append(base | sub)
+        if not sub:
+            return out
+        sub = (sub - 1) & free
 
 
 def is_order_filter(n: int, sets) -> Optional[tuple]:
     """None when up-closed; otherwise a violating (member, superset) pair."""
     family = set(sets)
+    full = (1 << n) - 1
     for S in family:
-        for j in range(1, n + 1):
-            if j not in S and S | {j} not in family:
-                return (S, S | frozenset([j]))
+        free = full & ~S
+        while free:
+            bit = free & -free
+            if S | bit not in family:
+                return (S, S | bit)
+            free ^= bit
     return None
 
 
 def filter_of_supports(n: int, supports: Iterable) -> set:
-    """The order filter generated by the given support sets inside [n]."""
-    gens = [frozenset(S) for S in supports]
+    """The order filter generated by the given support masks inside [n].
+
+    The up-closure of a support g is g together with every submask of its
+    complement; a support reaching outside [n] has no superset inside it.
+    """
+    full = (1 << n) - 1
     out = set()
-    for size in range(n + 1):
-        for C in itertools.combinations(range(1, n + 1), size):
-            C = frozenset(C)
-            if any(g <= C for g in gens):
-                out.add(C)
+    for g in supports:
+        if not g & ~full:
+            out.update(_upset(g, full & ~g))
     return out
 
 
@@ -265,48 +324,61 @@ def _largest_s(budget: int) -> int:
 def squarefree_partition(n: int, filter_sets) -> list:
     """Interval partition of an order filter with all tops of size >= 2s+1.
 
-    Stage a covers every uncovered a-set A by the interval up to
-    lifted_f(n, A, sigma(a)); whatever survives the r stages becomes a
-    trivial interval.  Disjointness is asserted while covering.
+    The filter and the returned (bottom, top) pairs are bitmasks.  Stage a
+    covers every uncovered a-set A, in lexicographic order, by the interval
+    up to lifted_f(n, A, sigma(a)); whatever survives the r stages becomes a
+    trivial interval, by size and then lexicographically.  Disjointness is
+    asserted while covering.
     """
-    family = {frozenset(S) for S in filter_sets}
+    family = set(filter_sets)
     if not family:
         return []
+    if max(family) >> n:
+        raise ValueError(f"the filter has a set outside [{n}]")
     bad = is_order_filter(n, family)
     if bad is not None:
-        raise ValueError(f"not an order filter: {sorted(bad[0])} is in but "
-                         f"{sorted(bad[1])} is not")
-    if frozenset() in family:
+        raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
+                         f"{mask_elements(bad[1])} is not")
+    if 0 in family:
         raise ValueError("the filter contains the empty set (unit ideal)")
     schedule = sigma_schedule(_largest_s(n + 1))
+    by_size = [[] for _ in range(n + 1)]
+    for S in family:
+        by_size[S.bit_count()].append(S)
+    key = _lex_key(n)
     covered = set()
     out = []
     for a in range(1, schedule.r + 1):
-        stage = sorted((S for S in family if len(S) == a), key=sorted)
-        for A in stage:
+        for A in sorted(by_size[a], key=key):
             if A in covered:
                 continue
-            top = lifted_f(n, A, schedule(a))
-            members = [A | frozenset(extra)
-                       for size in range(len(top) - len(A) + 1)
-                       for extra in itertools.combinations(sorted(top - A), size)]
-            clash = [C for C in members if C in covered]
-            if clash:
-                raise RuntimeError(f"stage {a} interval [{sorted(A)}, {sorted(top)}] "
-                                   f"meets the cover at {sorted(clash[0])}")
+            top = subset_mask(lifted_f(n, mask_elements(A), schedule(a)))
+            members = _upset(A, top & ~A)
+            if not covered.isdisjoint(members):
+                # The first clash in the order of growing extensions of A.
+                clash = min((C for C in members if C in covered),
+                            key=lambda C: (C.bit_count(), key(C & ~A)))
+                raise RuntimeError(f"stage {a} interval [{mask_elements(A)}, "
+                                   f"{mask_elements(top)}] meets the cover at "
+                                   f"{mask_elements(clash)}")
             covered.update(members)
             out.append((A, top))
-    for B in sorted(family - covered, key=lambda S: (len(S), sorted(S))):
-        out.append((B, B))
+    for size in by_size:
+        out.extend((B, B) for B in sorted(size, key=key) if B not in covered)
     return out
 
 
-def subset_to_degree(n: int, S) -> tuple:
-    return tuple(1 if i in S else 0 for i in range(1, n + 1))
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def subset_to_degree(n: int, mask: int) -> tuple:
+    """The exponent vector of a mask inside [n]: its n binary digits, least
+    significant first, as ints."""
+    return tuple(format(mask, "b").zfill(n)[::-1].encode().translate(_DIGIT_VALUES))
 
 
 def to_interval_partition(n: int, pairs) -> list:
-    """Convert subset intervals to exponent-tuple intervals (cap all ones)."""
+    """Convert mask intervals to exponent-tuple intervals (cap all ones)."""
     return [Interval(subset_to_degree(n, A), subset_to_degree(n, B))
             for A, B in pairs]
 

@@ -25,8 +25,7 @@ from .complexes import (
     minimize,
     taylor_complex,
 )
-from .freemod import TermOrder
-from .groebner import hilbert_slice_check, initial_module
+from .groebner import hilbert_slice_check
 from .monomials import MonomialIdeal
 from .stanley import char_poset, exact_sdepth, filtration_lower_bound
 from .syzygy import boundary_leading_terms, lex_refined_initial, verify_boundary_gb
@@ -169,11 +168,10 @@ def cmd_initial(args) -> int:
         write_output(payload, args.output)
         return 0
     exit_code = 0
-    if args.basis == "boundary":
-        ini = boundary_leading_terms(C, p) if p >= 1 else initial_module(
-            list(C.differential(1)), TermOrder(C.basis(0), "lex"))
+    if args.basis == "boundary" and p >= 1:
+        ini = boundary_leading_terms(C, p)
         payload = {"p": p, "basis": "boundary", **ini.to_jsonable()}
-        if args.oracle and p >= 1:
+        if args.oracle:
             rep = verify_boundary_gb(C, p,
                                      taylor_gens=list(ordered)
                                      if args.method in ("taylor", "koszul") else None)
@@ -181,8 +179,10 @@ def cmd_initial(args) -> int:
             if not rep.equal:
                 exit_code = 1
     else:
+        # Z_0 is spanned by the columns of d_1 inside F_0, which has one basis
+        # element, so there the boundary basis is the lex-refined one.
         ini, gens = lex_refined_initial(C, p)
-        payload = {"p": p, "basis": "lex", **ini.to_jsonable()}
+        payload = {"p": p, "basis": args.basis, **ini.to_jsonable()}
         if args.oracle:
             ok, bad = hilbert_slice_check(gens, ini)
             payload["oracle_equal"] = ok
@@ -230,18 +230,20 @@ def _squarefree_partition_payload(I: MonomialIdeal) -> dict:
     if not I.is_squarefree():
         raise InputError("sqfree-construct needs a squarefree ideal")
     n = I.n
-    supports = [frozenset(i + 1 for i in monomials.support(g)) for g in I.gens]
-    family = blocks.filter_of_supports(n, supports)
+    family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
     pairs = blocks.squarefree_partition(n, family)
-    value = min(len(B) for _, B in pairs) if pairs else n
+    value = min(B.bit_count() for _, B in pairs) if pairs else n
+    # Most intervals are trivial, so most masks occur twice: convert each once.
+    degree, subset = {}, {}
+    for mask in {mask for pair in pairs for mask in pair}:
+        degree[mask] = blocks.subset_to_degree(n, mask)
+        subset[mask] = blocks.mask_elements(mask)
     return {
         "sdepth": value,
         "g": [1] * n,
         "bound": blocks.sqfree_lower_bound(n),
-        "intervals": [{"a": list(blocks.subset_to_degree(n, A)),
-                       "b": list(blocks.subset_to_degree(n, B))}
-                      for A, B in pairs],
-        "subsets": [{"a": sorted(A), "b": sorted(B)} for A, B in pairs],
+        "intervals": [{"a": degree[A], "b": degree[B]} for A, B in pairs],
+        "subsets": [{"a": subset[A], "b": subset[B]} for A, B in pairs],
     }
 
 
@@ -288,8 +290,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--basis", choices=["lex", "boundary"], default="lex")
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check the initial module: the Hilbert-slice check "
-                        "for --basis lex, Buchberger for --basis boundary")
+                   help="cross-check the initial module: Buchberger for --basis "
+                        "boundary at p >= 1, the Hilbert-slice check otherwise")
     p.add_argument("--output")
     p.set_defaults(func=cmd_initial)
 
@@ -320,9 +322,13 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: the parser depends on no input and parse_args
+# leaves it unchanged, so every call can share it.
+_PARSER = make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

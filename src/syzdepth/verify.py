@@ -199,8 +199,7 @@ def _run_sqfree_stde(rng, job) -> dict:
     n = rng.randint(2, max(2, job.n_max))
     I = random_monomial_ideal(rng, n, job.m_max, 1, squarefree=True, n=n)
     instance = ideal_instance(I)
-    supports = [frozenset(i + 1 for i in monomials.support(g)) for g in I.gens]
-    family = blocks.filter_of_supports(n, supports)
+    family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
     pairs = blocks.squarefree_partition(n, family)
     poset = char_poset(I, g=(1,) * n)
     intervals = blocks.to_interval_partition(n, pairs)
@@ -209,7 +208,7 @@ def _run_sqfree_stde(rng, job) -> dict:
     except ValueError as exc:
         return _report("sqfree-stde", instance, "FAIL", {"error": str(exc)})
     bound = blocks.sqfree_lower_bound(n)
-    worst = min(len(B) for _, B in pairs)
+    worst = min(B.bit_count() for _, B in pairs)
     if worst < bound:
         return _report("sqfree-stde", instance, "FAIL",
                        {"min_top": worst, "bound": bound})

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import test_golden_cli as golden
+from syzdepth import cli, groebner
 from syzdepth.cli import _dumps, main
 from syzdepth.complexes import minimize
+from syzdepth.groebner import InitialModule
+from syzdepth.monomials import MonomialIdeal
 
 LCM_TRIANGLE = {"n": 3, "generators": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
 SQUARES = {"n": 2, "generators": [[2, 0], [1, 1], [0, 2]]}
@@ -79,6 +84,26 @@ def test_initial_beyond_length(ideal_file, capsys):
                            "--p", "7", "--basis", "lex"], capsys)
     assert code == 0
     assert data["components"] == []
+
+
+@pytest.mark.parametrize("basis", ["lex", "boundary"])
+def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypatch, basis):
+    # At p = 0 both bases check the emitted module against the span of the
+    # columns of d_1; dropping a generator must be caught, not passed over.
+    real = groebner.initial_module
+
+    def damaged(gens, order):
+        ini = real(gens, order)
+        first = ini.components[0]
+        return InitialModule(ini.basis, (MonomialIdeal(first.n, first.gens[1:]),)
+                             + ini.components[1:])
+
+    monkeypatch.setattr(groebner, "initial_module", damaged)
+    code, data = run_json(["initial", "--input", ideal_file(LCM_TRIANGLE), "--p", "0",
+                           "--basis", basis, "--oracle"], capsys)
+    assert code == 1
+    assert data["oracle_equal"] is False
+    assert data["failing_degree"]
 
 
 def test_sdepth_exact(ideal_file, capsys):
@@ -429,3 +454,59 @@ def test_malformed_ideal_files_exit_2(malformed, args):
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# One parser serves every call in a process: nothing of one call may reach
+# the next.
+
+GOLDEN_CASES = dict(golden.CASES)
+
+
+def assert_golden(name):
+    rc, out = golden._run(GOLDEN_CASES[name])
+    with open(os.path.join(golden.GOLDEN, name + ".out")) as fh:
+        assert (rc, out) == (golden._exit_codes()[name], fh.read()), name
+
+
+def test_golden_cases_replayed_in_reverse_order():
+    for name, _ in reversed(golden.CASES):
+        assert_golden(name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--minimize", "--check", "--method", "ek"],
+    ["sdepth", "--input", "ideal.json", "--quotient", "--mode", "bogus"],
+    ["verify", "--theorem", "theorem-main", "--trials", "many"],
+], ids=["missing-input", "bad-choice", "bad-int"])
+def test_argparse_error_then_a_valid_call(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert_golden("resolve-taylor")
+    assert_golden("sdepth-exact-triangle")
+
+
+def test_flags_take_their_defaults_after_a_call_that_set_them():
+    assert_golden("resolve-minimize-check")
+    assert_golden("resolve-taylor")
+    assert_golden("sdepth-quotient-triangle")
+    assert_golden("sdepth-exact-triangle")
+
+
+def test_main_builds_no_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "make_parser", refuse)
+    assert_golden("resolve-minimize-check")
+
+
+@pytest.mark.parametrize("name", ["sdepth-sqfree-path8", "verify-sqfree-stde"])
+def test_output_file_holds_the_golden_stdout(tmp_path, name):
+    path = str(tmp_path / "out")
+    rc, out = golden._run(GOLDEN_CASES[name] + ["--output", path])
+    assert out == ""
+    with open(path) as fh, open(os.path.join(golden.GOLDEN, name + ".out")) as gh:
+        assert (rc, fh.read()) == (golden._exit_codes()[name], gh.read())

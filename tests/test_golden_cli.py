@@ -20,6 +20,11 @@ from syzdepth.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
+def _squarefree(n, supports):
+    return {"n": n, "generators": [[1 if j + 1 in support else 0 for j in range(n)]
+                                   for support in supports]}
+
+
 INPUTS = {
     "triangle": {"n": 3, "generators": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]},
     "squares": {"n": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
@@ -29,6 +34,15 @@ INPUTS = {
     "maximal3": {"n": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     "path8": {"n": 8, "generators": [[1 if j in (i, i + 1) else 0 for j in range(8)]
                                      for i in range(7)]},
+    # Squarefree ideals with large supports, so that their filters stay small,
+    # on either side of the 8-bit chunk edges of the mask encoder.
+    "wide9": _squarefree(9, [{1, 9}, {2, 8, 9}, {3, 4, 5, 6, 7}]),
+    "wide16": _squarefree(16, [set(range(1, 13)) | {16}, set(range(5, 17)) - {10},
+                               {1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+                               set(range(2, 16))]),
+    "wide17": _squarefree(17, [set(range(1, 14)) | {17}, set(range(6, 18)) | {1},
+                               {1, 2, 4, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
+                               set(range(3, 17))]),
 }
 
 
@@ -54,6 +68,12 @@ def _cases():
         ("sdepth-quotient-squares", ["sdepth", "--input", "squares", "--quotient"]),
         ("sdepth-sqfree-path8", ["sdepth", "--input", "path8", "--mode", "sqfree-construct"]),
     ]
+    for name in ("wide9", "wide16", "wide17"):
+        cases += [
+            (f"sdepth-sqfree-{name}",
+             ["sdepth", "--input", name, "--mode", "sqfree-construct"]),
+            (f"partition-{name}", ["partition", "--input", name]),
+        ]
     for name in ("path4", "mixed"):
         for p in (1, 2, 3):
             cases.append((f"sdepth-filtration-{name}-p{p}",

@@ -107,11 +107,12 @@ def _dumps(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_output(payload: dict, path):
-    text = _dumps(payload)
+def write_output(text: str, path):
+    """Write JSON text, newline-terminated, to the file at path or to stdout."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -149,9 +150,9 @@ def cmd_resolve(args) -> int:
         report = check_exactness_on_box(emitted, I)
         payload["exactness"] = {"ok": report.ok, "degrees_checked": report.degrees_checked}
         if not report.ok:
-            write_output(payload, args.output)
+            write_output(_dumps(payload), args.output)
             return 1
-    write_output(payload, args.output)
+    write_output(_dumps(payload), args.output)
     return 0
 
 
@@ -165,7 +166,7 @@ def cmd_initial(args) -> int:
         payload = {"p": p, "basis": args.basis,
                    "degrees": [], "components": [],
                    "note": "Z_p vanishes beyond the resolution"}
-        write_output(payload, args.output)
+        write_output(_dumps(payload), args.output)
         return 0
     exit_code = 0
     if args.basis == "boundary" and p >= 1:
@@ -189,11 +190,15 @@ def cmd_initial(args) -> int:
             if not ok:
                 payload["failing_degree"] = list(bad)
                 exit_code = 1
-    write_output(payload, args.output)
+    write_output(_dumps(payload), args.output)
     return exit_code
 
 
 def cmd_sdepth(args) -> int:
+    if args.quotient and args.mode != "exact":
+        raise InputError("--quotient needs --mode exact")
+    if args.p is not None and args.mode != "filtration-bound":
+        raise InputError("--p needs --mode filtration-bound")
     I, ordered = load_ideal(args.input)
     if args.mode == "exact":
         poset = char_poset(MonomialIdeal(I.n, [monomials.unit(I.n)]), I) \
@@ -212,21 +217,30 @@ def cmd_sdepth(args) -> int:
         if args.p > C.length - 1:
             payload = {"p": args.p, "sdepth_lower_bound": I.n, "free": True,
                        "note": "Z_p vanishes beyond the resolution"}
-            write_output(payload, args.output)
+            write_output(_dumps(payload), args.output)
             return 0
         ini, _ = lex_refined_initial(C, args.p)
         bound = filtration_lower_bound(ini)
         payload = {"p": args.p, "sdepth_lower_bound": bound.value,
                    "free": bound.free, "components": ini.to_jsonable()}
     elif args.mode == "sqfree-construct":
-        payload = _squarefree_partition_payload(I)
+        write_output(_squarefree_partition_json(I), args.output)
+        return 0
     else:
         raise InputError(f"unknown mode {args.mode!r}")
-    write_output(payload, args.output)
+    write_output(_dumps(payload), args.output)
     return 0
 
 
-def _squarefree_partition_payload(I: MonomialIdeal) -> dict:
+def _squarefree_partition_json(I: MonomialIdeal) -> str:
+    """The squarefree construction's certificate: sdepth, the cap g, the
+    bound 2s+1 and every interval, once as exponent vectors and once as
+    subsets of [n].
+
+    The text is _dumps of that payload, written straight from the mask
+    pairs: each distinct mask is converted once, and each interval is a
+    fixed template around those strings.
+    """
     if not I.is_squarefree():
         raise InputError("sqfree-construct needs a squarefree ideal")
     n = I.n
@@ -234,22 +248,62 @@ def _squarefree_partition_payload(I: MonomialIdeal) -> dict:
     pairs = blocks.squarefree_partition(n, family)
     value = min(B.bit_count() for _, B in pairs) if pairs else n
     # Most intervals are trivial, so most masks occur twice: convert each once.
-    degree, subset = {}, {}
-    for mask in {mask for pair in pairs for mask in pair}:
-        degree[mask] = blocks.subset_to_degree(n, mask)
-        subset[mask] = blocks.mask_elements(mask)
-    return {
-        "sdepth": value,
-        "g": [1] * n,
-        "bound": blocks.sqfree_lower_bound(n),
-        "intervals": [{"a": degree[A], "b": degree[B]} for A, B in pairs],
-        "subsets": [{"a": subset[A], "b": subset[B]} for A, B in pairs],
-    }
+    masks = {mask for pair in pairs for mask in pair}
+    degree = _mask_lists(n, masks, lambda i, bit: _ITEM + "01"[bit])
+    subset = _mask_lists(n, masks, lambda i, bit: _ITEM + str(i + 1) if bit else "")
+    parts = [f'{{\n  "bound": {blocks.sqfree_lower_bound(n)},\n  "g": {_dumps([1] * n, _INDENT)},'
+             '\n  "intervals": ']
+    _add_interval_list(parts, pairs, degree)
+    parts.append(f',\n  "sdepth": {value},\n  "subsets": ')
+    _add_interval_list(parts, pairs, subset)
+    parts.append("\n}")
+    return "".join(parts)
+
+
+# In front of a top-level closing bracket, and in front of each item of an
+# int list three levels deep, such as "a" of an interval; the closing
+# bracket of such a list sits behind six spaces.
+_INDENT = "\n  "
+_ITEM = ",\n        "
+
+
+def _mask_lists(n: int, masks, item) -> dict:
+    """mask -> the JSON text of its list of item(i, bit) over the bits i < n,
+    lowest first, where each item's text starts with _ITEM.
+
+    A per-call table gives, for each 8-bit chunk of the mask, the joined
+    items of each of the chunk's values; a mask's list is its chunks'
+    entries joined, without the first item's comma.
+    """
+    tables = []
+    for low in range(0, n, 8):
+        table = [""]
+        for i in range(low, min(low + 8, n)):
+            table = [t + item(i, 0) for t in table] + [t + item(i, 1) for t in table]
+        tables.append(table)
+    size = len(tables)
+    get = list.__getitem__
+    join = "".join
+    return {mask: f"[{join(map(get, tables, mask.to_bytes(size, 'little')))[1:]}\n      ]"
+            for mask in masks}
+
+
+def _add_interval_list(parts: list, pairs, text: dict) -> None:
+    """Append the pieces of the JSON list of {"a": text[A], "b": text[B]}
+    over the pairs, one level deep; the pieces share the texts, so nothing
+    is copied until the final join."""
+    if not pairs:
+        parts.append("[]")
+        return
+    parts.append("[")
+    for A, B in pairs:
+        parts += ('\n    {\n      "a": ', text[A], ',\n      "b": ', text[B], "\n    },")
+    parts[-1] = "\n    }" + _INDENT + "]"
 
 
 def cmd_partition(args) -> int:
     I, _ = load_ideal(args.input)
-    write_output(_squarefree_partition_payload(I), args.output)
+    write_output(_squarefree_partition_json(I), args.output)
     return 0
 
 
@@ -301,7 +355,7 @@ def make_parser() -> argparse.ArgumentParser:
                    default="exact")
     p.add_argument("--quotient", action="store_true",
                    help="work with S/I instead of I (exact mode)")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=int, help="syzygy index (filtration-bound mode)")
     p.add_argument("--output")
     p.set_defaults(func=cmd_sdepth)
 

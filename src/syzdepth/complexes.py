@@ -11,6 +11,7 @@ and module-generator degrees, which decides it in every multidegree.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
-    Term,
     TermOrder,
     leading_term,
     multidegree_of,
@@ -113,32 +113,35 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
         if sum(u) == 0:
             raise ValueError("unit generator: the ideal is the whole ring")
 
-    def lcm_of(subset):
-        deg = monomials.unit(n)
-        for i in subset:
-            deg = monomials.lcm(deg, gens[i - 1])
-        return deg
-
+    # The lcm of each subset, from the lcm of the subset without its largest
+    # element, one level down.
+    lcms = {frozenset(): monomials.unit(n)}
     bases = []
     positions = []  # per level: subset -> position
     for p in range(m + 1):
         subsets = sorted((frozenset(c) for c in itertools.combinations(range(1, m + 1), p)),
                          key=_subset_order_key, reverse=True)
-        bases.append(OrderedBasis(n, (BasisElement(lcm_of(F), F) for F in subsets)))
+        for F in subsets:
+            if F:
+                top = max(F)
+                lcms[F] = monomials.lcm(lcms[F - {top}], gens[top - 1])
+        bases.append(OrderedBasis(n, (BasisElement(lcms[F], F) for F in subsets)))
         positions.append({F: i for i, F in enumerate(subsets)})
 
+    signs = (Fraction(1), Fraction(-1))
     diffs = []
     for p in range(1, m + 1):
+        below = positions[p - 1]
         cols = []
         for element in bases[p]:
-            F = sorted(element.label)
+            F = element.label
             terms = []
-            for j, i in enumerate(F):
-                sub = frozenset(F) - {i}
-                quotient = monomials.divide(element.degree, lcm_of(sub))
-                sign = 1 if j % 2 == 0 else -1
-                terms.append(Term(Fraction(sign), quotient, positions[p - 1][sub]))
-            cols.append(ModuleVector.from_terms(n, terms))
+            for j, i in enumerate(sorted(F)):
+                # lcm(F - {i}) divides lcm(F), so the quotient needs no check.
+                face = F - {i}
+                quotient = tuple(map(operator.sub, element.degree, lcms[face]))
+                terms.append(((below[face], quotient), signs[j % 2]))
+            cols.append(ModuleVector(n, terms))
         diffs.append(cols)
     return FreeComplex(n, bases, diffs)
 

@@ -113,10 +113,6 @@ class ModuleVector:
                         del self._terms[(pos, mono)]
 
     @classmethod
-    def from_terms(cls, n: int, terms: Iterable[Term]) -> "ModuleVector":
-        return cls(n, [((t.position, tuple(t.monomial)), Fraction(t.coeff)) for t in terms])
-
-    @classmethod
     def generator(cls, n: int, position: int, monomial: Optional[Mono] = None,
                   coeff=1) -> "ModuleVector":
         mono = tuple(monomial) if monomial is not None else monomials.unit(n)

@@ -94,6 +94,12 @@ def validate_partition(P: CharPoset, intervals: Sequence[Interval]) -> None:
         raise ValueError(f"point {missing} is not covered")
 
 
+# Search calls one exact_sdepth call may make over all its targets d; the
+# maximal ideal needs 120,183 at n = 6.  Past it the search is refused like a
+# poset above the point limit, which also bounds the memo of failed states.
+SEARCH_NODE_LIMIT = 1_000_000
+
+
 class SdepthResult(NamedTuple):
     value: int
     partition: tuple  # tuple of Interval
@@ -107,7 +113,8 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
     ties by increasing top.  Points are the bits of an int in lexicographic
     order, so the smallest uncovered point is the lowest zero bit of the
     covered set, and failure states are memoized on that int.  Every
-    returned partition has passed validate_partition.
+    returned partition has passed validate_partition.  A search that
+    visits more than SEARCH_NODE_LIMIT nodes raises ValueError.
     """
     if P.size > max_points:
         raise ValueError(f"poset has {P.size} points, above the limit "
@@ -132,7 +139,8 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
 class _CandidateTops(dict):
     """i -> the intervals [a, b] inside P from the i-th point a in
     lexicographic order, as (value, interval, bitmask) by decreasing value,
-    then top; built on first use and shared by every target d.
+    then top; built on first use and shared by every target d, as is the
+    count of search nodes visited so far.
 
     An interval lies in P exactly when its bitmask has one bit for each of
     its prod(b_j - a_j + 1) points.
@@ -140,6 +148,7 @@ class _CandidateTops(dict):
 
     def __init__(self, P: CharPoset):
         super().__init__()
+        self.nodes = 0
         self.points = sorted(P.points)
         self.cap = P.cap
         self.masks = DegreeMasks(list(enumerate(self.points)), P.n, len(self.points))
@@ -164,8 +173,16 @@ def _feasible_partition(tops, d: int):
     d, as a list of Interval, or None."""
     full = (1 << len(tops.points)) - 1
     failed = set()
+    budget = SEARCH_NODE_LIMIT - tops.nodes
+    nodes = 0
 
     def search(covered):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ValueError(f"the exact search visited more than {SEARCH_NODE_LIMIT} "
+                             "nodes; use the filtration or squarefree lower bounds "
+                             "instead")
         if covered == full:
             return []
         if covered in failed:
@@ -181,7 +198,9 @@ def _feasible_partition(tops, d: int):
         failed.add(covered)
         return None
 
-    return search(0)
+    partition = search(0)
+    tops.nodes += nodes
+    return partition
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
-from syzdepth import cli, groebner
-from syzdepth.cli import _dumps, main
+from syzdepth import blocks, cli, groebner, monomials, stanley
+from syzdepth.cli import InputError, _dumps, main
 from syzdepth.complexes import minimize
 from syzdepth.groebner import InitialModule
 from syzdepth.monomials import MonomialIdeal
@@ -319,6 +319,89 @@ json_values = st.recursive(
 @example(["\"\\\n\t\x00\x7f", "é", "\u2603", "\U0001f600"])
 def test_dumps_matches_json(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# The payload builder that the squarefree certificate encoder replaced, kept
+# verbatim as the reference: json.dumps of its payload is the expected text.
+def reference_squarefree_partition_payload(I: MonomialIdeal) -> dict:
+    if not I.is_squarefree():
+        raise InputError("sqfree-construct needs a squarefree ideal")
+    n = I.n
+    family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
+    pairs = blocks.squarefree_partition(n, family)
+    value = min(B.bit_count() for _, B in pairs) if pairs else n
+    # Most intervals are trivial, so most masks occur twice: convert each once.
+    degree, subset = {}, {}
+    for mask in {mask for pair in pairs for mask in pair}:
+        degree[mask] = blocks.subset_to_degree(n, mask)
+        subset[mask] = blocks.mask_elements(mask)
+    return {
+        "sdepth": value,
+        "g": [1] * n,
+        "bound": blocks.sqfree_lower_bound(n),
+        "intervals": [{"a": degree[A], "b": degree[B]} for A, B in pairs],
+        "subsets": [{"a": subset[A], "b": subset[B]} for A, B in pairs],
+    }
+
+
+# Squarefree ideals on up to 18 variables whose supports each miss at most
+# four variables, so that every filter has at most 4 * 16 sets.
+wide_squarefree_ideals = st.integers(1, 18).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sets(st.integers(0, n - 1), max_size=min(4, n - 1)).map(
+        lambda missing: [0 if j in missing else 1 for j in range(n)]),
+        min_size=1, max_size=4)))
+
+
+def _edges(n, pairs):
+    return [[1 if j + 1 in pair else 0 for j in range(n)] for pair in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_squarefree_ideals)
+@example((1, [[1]]))
+@example((3, []))  # the zero ideal: no intervals
+@example((7, _edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1)])))
+@example((8, _edges(8, [(i,) for i in range(1, 9)])))
+@example((9, golden.INPUTS["wide9"]["generators"]))
+@example((16, golden.INPUTS["wide16"]["generators"]))
+@example((17, golden.INPUTS["wide17"]["generators"]))
+def test_squarefree_certificate_matches_the_reference_payload(ideal):
+    n, gens = ideal
+    I = MonomialIdeal(n, monomials.minimalize_ordered(tuple(g) for g in gens))
+    expected = json.dumps(reference_squarefree_partition_payload(I), indent=2, sort_keys=True)
+    assert cli._squarefree_partition_json(I) == expected
+
+
+OTHER_MODE_FLAGS = [
+    (["sdepth", "--mode", "sqfree-construct", "--quotient"], "--quotient needs --mode exact"),
+    (["sdepth", "--mode", "filtration-bound", "--p", "1", "--quotient"],
+     "--quotient needs --mode exact"),
+    (["sdepth", "--mode", "exact", "--p", "1"], "--p needs --mode filtration-bound"),
+    (["sdepth", "--p", "2"], "--p needs --mode filtration-bound"),
+    (["sdepth", "--mode", "sqfree-construct", "--p", "1"],
+     "--p needs --mode filtration-bound"),
+]
+
+
+@pytest.mark.parametrize("args, message", OTHER_MODE_FLAGS,
+                         ids=[" ".join(args) for args, _ in OTHER_MODE_FLAGS])
+def test_sdepth_rejects_flags_of_other_modes(ideal_file, capsys, args, message):
+    code = main(args + ["--input", ideal_file(MAXIMAL4)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_exact_node_budget_exits_2(ideal_file, capsys, monkeypatch):
+    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 20)
+    code = main(["sdepth", "--input", ideal_file(MAXIMAL4), "--mode", "exact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the exact search visited more than 20 nodes; use the "
+                            "filtration or squarefree lower bounds instead\n")
 
 
 def run_cli(argv):

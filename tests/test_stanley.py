@@ -77,6 +77,19 @@ def test_exact_sdepth_size_guard():
         exact_sdepth(P, max_points=100)
 
 
+def test_exact_search_node_budget_spans_every_target(monkeypatch):
+    # The maximal ideal at n = 5 takes 1,524 search calls over the targets
+    # d = 5, 4, 3, more than any one target takes alone.
+    from syzdepth import stanley
+
+    P = char_poset(maximal_ideal(5))
+    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 1524)
+    assert exact_sdepth(P).value == 3
+    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 1523)
+    with pytest.raises(ValueError, match="more than 1523 nodes"):
+        exact_sdepth(P)
+
+
 def test_ideal_sdepth_cache_respects_point_limit():
     # A value searched under the default limit must not answer a call whose
     # smaller limit refuses the 7-point poset of the maximal ideal.

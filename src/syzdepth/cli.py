@@ -1,10 +1,13 @@
 """Command line surface: resolve, initial, sdepth, partition, verify.
 
 Exit codes: 0 success / all checks pass, 1 a certified check found a
-disagreement, 2 bad input or configuration, 3 internal error (a
-RuntimeError raised inside the library, such as a failed minimization, a
-failed lift or a Stanley-depth certificate that does not validate, or a
-MemoryError or RecursionError when a computation outgrows the process).
+disagreement, 2 bad input or configuration (such as a malformed ideal
+file, sdepth's --quotient outside --mode exact or --p outside --mode
+filtration-bound, or an exact search refused at its point limit or node
+budget), 3 internal error (a RuntimeError raised inside the library, such
+as a failed minimization, a failed lift or a Stanley-depth certificate that
+does not validate, or a MemoryError or RecursionError when a computation
+outgrows the process).
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def cmd_sdepth(args) -> int:
             if args.quotient else char_poset(I)
         try:
             result = exact_sdepth(poset)
-        except ValueError as exc:  # only the refusal of a poset above the point limit
+        except ValueError as exc:  # only a refusal: the point limit or the node budget
             raise InputError(str(exc)) from exc
         payload = {"sdepth": result.value, "g": list(poset.cap),
                    "intervals": [{"a": list(iv.bottom), "b": list(iv.top)}

@@ -1,4 +1,4 @@
-"""Initial modules of syzygy modules under position-over-term orders.
+"""Initial modules of syzygy modules under the position-over-lex order.
 
 Shows that the initial module depends only on the ordered basis, that the
 differentials of a Taylor complex hand over a Groebner basis of each syzygy
@@ -7,7 +7,6 @@ module, and that lex-refined bases push the generators into later variables.
 
 from syzdepth import (
     MonomialIdeal,
-    TermOrder,
     initial_module,
     lex_refined_initial,
     syzygy_generators,
@@ -36,7 +35,7 @@ print()
 
 # Under the complex's own (iterated) basis order the boundary leading terms
 # already generate the initial module; the closed form agrees.
-ini_taylor = initial_module(Z1, TermOrder(C.basis(1), "lex"))
+ini_taylor = initial_module(Z1, C.basis(1))
 show("ini(Z_1) under the Taylor basis order:", ini_taylor)
 rep = verify_boundary_gb(C, 1, taylor_gens=gens)
 print("boundary terms = oracle = closed form:", rep.equal)

@@ -7,7 +7,6 @@ from .freemod import (
     ModuleVector,
     OrderedBasis,
     Term,
-    TermOrder,
     graded_piece,
     leading_term,
     multidegree_of,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all checks pass, 1 a certified check found a
 disagreement, 2 bad input or configuration (such as a malformed ideal
-file, sdepth's --quotient outside --mode exact or --p outside --mode
-filtration-bound, or an exact search refused at its point limit or node
+file, an output file that cannot be written, sdepth's --quotient outside
+--mode exact or --p outside --mode filtration-bound, verify bounds below
+their minimum, or an exact search refused at its point limit or node
 budget), 3 internal error (a RuntimeError raised inside the library, such
 as a failed minimization, a failed lift or a Stanley-depth certificate that
 does not validate, or a MemoryError or RecursionError when a computation
@@ -113,9 +114,12 @@ def _dumps(value, indent: str = "\n") -> str:
 def write_output(text: str, path):
     """Write JSON text, newline-terminated, to the file at path or to stdout."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write output file {path}: {exc}") from exc
     else:
         print(text)
 
@@ -314,7 +318,10 @@ def cmd_verify(args) -> int:
     job = VerifyJob(theorem=args.theorem, trials=args.trials, seed=args.seed,
                     n_max=args.n_max, m_max=args.m_max, exp_max=args.exp_max)
     reports = []
-    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        raise InputError(f"cannot write output file {args.output}: {exc}") from exc
     try:
         for report in run_verify_job(job):
             reports.append(report)

@@ -23,7 +23,6 @@ from .freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
-    TermOrder,
     leading_term,
     multidegree_of,
 )
@@ -90,7 +89,7 @@ def apply_columns(columns, v: ModuleVector, n: int) -> ModuleVector:
 # Taylor and Koszul complexes
 
 
-def _subset_order_key(subset):
+def _cone_subset_key(subset):
     # Iterated mapping-cone order: compare largest elements first.
     return tuple(sorted(subset, reverse=True))
 
@@ -120,7 +119,7 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
     positions = []  # per level: subset -> position
     for p in range(m + 1):
         subsets = sorted((frozenset(c) for c in itertools.combinations(range(1, m + 1), p)),
-                         key=_subset_order_key, reverse=True)
+                         key=_cone_subset_key, reverse=True)
         for F in subsets:
             if F:
                 top = max(F)
@@ -336,11 +335,10 @@ def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
     n = C.n
     if z.is_zero():
         return ModuleVector(n)
-    order = TermOrder(C.basis(p - 1), "lex")
     columns = C.differential(p)
     nonzero = [j for j, col in enumerate(columns) if not col.is_zero()]
-    divisors = [(columns[j], leading_term(columns[j], order)) for j in nonzero]
-    quotient, rem = _divide(z, divisors, order)
+    divisors = [(columns[j], leading_term(columns[j])) for j in nonzero]
+    quotient, rem = _divide(z, divisors)
     if not rem.is_zero():
         return _lift_by_slice(C, p, z)
     return ModuleVector(n, {(nonzero[i], mono): c for (i, mono), c in quotient.items()})

@@ -1,10 +1,11 @@
-"""Free multigraded modules with ordered bases and position-over-term orders.
+"""Free multigraded modules with ordered bases and the position-over-lex order.
 
 An element of a free module is a normalized sum of terms (coefficient,
-monomial, basis position).  The term order compares basis positions first
-(position 0 is the largest basis element), then monomials under the chosen
-scalar order.  For multihomogeneous elements the leading term depends only
-on the basis ordering, never on the scalar order.
+monomial, basis position).  The term order is fixed: it compares basis
+positions first (position 0 is the largest basis element), then monomials
+lexicographically.  A multihomogeneous element has at most one term per
+position, x^(d - deg e_j) at position j, so its leading term is fixed by the
+basis ordering alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Optional
 
 from . import linalg, monomials
-from .monomials import Mono, order_key
+from .monomials import Mono
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,10 @@ class Term(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Position-over-term order on a free module with a fixed ordered basis."""
-
-    basis: OrderedBasis
-    scalar: str = "lex"
-
-    def key(self, position: int, monomial: Mono):
-        return (-position, order_key(self.scalar)(monomial))
+def term_key(key):
+    """Sort key of a (position, monomial) pair under position over lex."""
+    position, monomial = key
+    return (-position, monomial)
 
 
 class ModuleVector:
@@ -106,7 +102,10 @@ class ModuleVector:
                 if coeff:
                     pos, mono = key
                     cur = self._terms.get((pos, mono))
-                    new = (cur + coeff) if cur is not None else Fraction(coeff)
+                    if cur is not None:
+                        new = cur + coeff
+                    else:
+                        new = coeff if type(coeff) is Fraction else Fraction(coeff)
                     if new:
                         self._terms[(pos, mono)] = new
                     elif cur is not None:
@@ -123,13 +122,6 @@ class ModuleVector:
 
     def items(self):
         return self._terms.items()
-
-    def terms(self, order: Optional[TermOrder] = None):
-        """Terms, sorted descending when an order is given."""
-        items = self._terms.items()
-        if order is not None:
-            items = sorted(items, key=lambda kv: order.key(*kv[0]), reverse=True)
-        return [Term(c, mono, pos) for (pos, mono), c in items]
 
     def __len__(self):
         return len(self._terms)
@@ -185,10 +177,10 @@ class ModuleVector:
         return self._terms.get((position, monomial), Fraction(0))
 
 
-def leading_term(v: ModuleVector, order: TermOrder) -> Term:
+def leading_term(v: ModuleVector) -> Term:
     if v.is_zero():
         raise ValueError("zero vector has no leading term")
-    pos, mono = max(v._terms, key=lambda key: order.key(*key))
+    pos, mono = max(v._terms, key=term_key)
     return Term(v._terms[(pos, mono)], mono, pos)
 
 

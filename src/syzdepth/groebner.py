@@ -1,8 +1,9 @@
-"""Buchberger's algorithm over free multigraded modules with POT orders.
+"""Buchberger's algorithm over free multigraded modules, position over lex.
 
 This is the independent oracle the rest of the library is checked against:
 initial modules of syzygy modules are computed here from generators alone,
-with no reference to how the generators arose.
+with no reference to how the generators arose.  The term order is the one
+of freemod, read on the ordered basis passed in.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from typing import Iterable, Optional, Sequence
 
 from . import monomials
 from .freemod import (
+    BasisElement,
     ModuleVector,
     OrderedBasis,
     Slices,
     Term,
-    TermOrder,
     leading_term,
+    term_key,
 )
 from .monomials import MonomialIdeal
 
@@ -26,10 +28,10 @@ from .monomials import MonomialIdeal
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple
-    order: TermOrder
+    basis: OrderedBasis
 
     def leading_terms(self):
-        return [leading_term(g, self.order) for g in self.generators]
+        return [leading_term(g) for g in self.generators]
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,15 @@ class InitialModule:
         }
 
 
-def normal_form(v: ModuleVector, reducers: Sequence, order: TermOrder) -> ModuleVector:
+def normal_form(v: ModuleVector, reducers: Sequence) -> ModuleVector:
     """Full remainder of v on division by the reducers.
 
     reducers is a sequence of (vector, leading term) pairs, tried in order.
     """
-    return _divide(v, reducers, order)[1]
+    return _divide(v, reducers)[1]
 
 
-def _divide(v: ModuleVector, reducers: Sequence, order: TermOrder):
+def _divide(v: ModuleVector, reducers: Sequence):
     """The division of normal_form, returning (quotient, remainder).
 
     The quotient maps (reducer index, monomial) to a coefficient c, so that v
@@ -79,7 +81,7 @@ def _divide(v: ModuleVector, reducers: Sequence, order: TermOrder):
     tail = ModuleVector(n)
     quotient = {}
     while not rem.is_zero():
-        t = leading_term(rem, order)
+        t = leading_term(rem)
         hit = None
         for i, (g, lt) in enumerate(reducers):
             if lt.position == t.position:
@@ -108,7 +110,7 @@ def _single_position(v: ModuleVector) -> Optional[int]:
     return positions.pop() if len(positions) == 1 else None
 
 
-def buchberger(gens: Iterable[ModuleVector], order: TermOrder) -> GroebnerBasis:
+def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBasis:
     """The unique reduced Groebner basis of the submodule generated by gens.
 
     Pairs are processed by increasing multidegree of the S-pair lcm (total
@@ -117,23 +119,23 @@ def buchberger(gens: Iterable[ModuleVector], order: TermOrder) -> GroebnerBasis:
     elements both live in a single basis position; for genuine module
     elements the criterion is unsound and is not used.
     """
-    basis = []  # list of (vector, leading term)
-    n = order.basis.n
+    elements = []  # list of (vector, leading term)
+    n = basis.n
 
     def pair_key(i, j):
-        lt_i, lt_j = basis[i][1], basis[j][1]
+        lt_i, lt_j = elements[i][1], elements[j][1]
         l = monomials.lcm(lt_i.monomial, lt_j.monomial)
-        degree = monomials.mul(l, order.basis.degree(lt_i.position))
+        degree = monomials.mul(l, basis.degree(lt_i.position))
         return (sum(degree), degree, i, j)
 
     def add_element(v):
-        lt = leading_term(v, order)
+        lt = leading_term(v)
         v = v.scale(1 / lt.coeff)
         lt = Term(Fraction(1), lt.monomial, lt.position)
-        index = len(basis)
-        basis.append((v, lt))
+        index = len(elements)
+        elements.append((v, lt))
         for i in range(index):
-            if basis[i][1].position == lt.position:
+            if elements[i][1].position == lt.position:
                 pairs.append((i, index))
 
     pairs = []
@@ -144,22 +146,22 @@ def buchberger(gens: Iterable[ModuleVector], order: TermOrder) -> GroebnerBasis:
     while pairs:
         pairs.sort(key=lambda ij: pair_key(*ij))
         i, j = pairs.pop(0)
-        f, lt_f = basis[i]
-        g, lt_g = basis[j]
+        f, lt_f = elements[i]
+        g, lt_g = elements[j]
         if (monomials.gcd(lt_f.monomial, lt_g.monomial) == monomials.unit(n)
                 and _single_position(f) is not None
                 and _single_position(g) is not None):
             continue
         s = _spair(f, lt_f, g, lt_g)
-        rem = normal_form(s, basis, order)
+        rem = normal_form(s, elements)
         if not rem.is_zero():
             add_element(rem)
 
     # Minimalize: drop elements whose leading term another one divides.
     kept = []
-    for idx, (g, lt) in enumerate(basis):
+    for idx, (g, lt) in enumerate(elements):
         redundant = False
-        for idx2, (_, lt2) in enumerate(basis):
+        for idx2, (_, lt2) in enumerate(elements):
             if idx2 == idx:
                 continue
             if lt2.position == lt.position and monomials.divides(lt2.monomial, lt.monomial):
@@ -169,28 +171,21 @@ def buchberger(gens: Iterable[ModuleVector], order: TermOrder) -> GroebnerBasis:
                 break
         if not redundant:
             kept.append((g, lt))
-    # Inter-reduce tails for the unique reduced basis.
-    reduced = []
+    # Inter-reduce tails for the unique reduced basis, keyed by leading term.
+    reduced = {}
     for i, (g, lt) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
         head = ModuleVector(n, {(lt.position, lt.monomial): Fraction(1)})
-        tail = normal_form(g - head, others, order)
-        reduced.append(head + tail)
-    reduced.sort(key=lambda v: order.key(leading_term(v, order).position,
-                                         leading_term(v, order).monomial),
-                 reverse=True)
-    return GroebnerBasis(tuple(reduced), order)
+        tail = normal_form(g - head, others)
+        reduced[(lt.position, lt.monomial)] = head + tail
+    ordered = sorted(reduced, key=term_key, reverse=True)
+    return GroebnerBasis(tuple(reduced[key] for key in ordered), basis)
 
 
-def initial_module(gens: Iterable[ModuleVector], order: TermOrder) -> InitialModule:
-    """Minimal generators of ini(M) per basis position, via Buchberger.
-
-    For multihomogeneous generators the result depends only on the basis,
-    not on the scalar order; the test suite checks this as a property.
-    """
+def initial_module(gens: Iterable[ModuleVector], basis: OrderedBasis) -> InitialModule:
+    """Minimal generators of ini(M) per basis position, via Buchberger."""
     gens = [g for g in gens if not g.is_zero()]
-    gb = buchberger(gens, order)
-    return monomial_module_from_terms(gb.order.basis, gb.leading_terms())
+    return monomial_module_from_terms(basis, buchberger(gens, basis).leading_terms())
 
 
 def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:
@@ -233,7 +228,7 @@ def is_squarefree_module(initial: InitialModule) -> bool:
 
 
 def kernel_generators(columns: Sequence[ModuleVector], source_basis: OrderedBasis,
-                      target_basis: OrderedBasis, scalar: str = "lex"):
+                      target_basis: OrderedBasis):
     """Generators of the kernel of the map sending e_j to columns[j].
 
     Uses the tag-module trick: each column is extended by a shadow term
@@ -244,16 +239,13 @@ def kernel_generators(columns: Sequence[ModuleVector], source_basis: OrderedBasi
     """
     n = target_basis.n
     r = len(target_basis)
-    from .freemod import BasisElement
-
     extended = OrderedBasis(n, list(target_basis.elements)
                             + [BasisElement(e.degree, ("tag", e.label))
                                for e in source_basis.elements])
-    order = TermOrder(extended, scalar)
     tagged = []
     for j, col in enumerate(columns):
         tagged.append(col + ModuleVector.generator(n, r + j))
-    gb = buchberger(tagged, order)
+    gb = buchberger(tagged, extended)
     kernel = []
     for g in gb.generators:
         if all(pos >= r for (pos, _), _ in g.items()):

@@ -1,7 +1,7 @@
-"""Exponent-vector arithmetic and monomial orders.
+"""Exponent-vector arithmetic and monomial ideals.
 
 Monomials and multidegrees are plain tuples of ints of a fixed length n.
-Variable priority is fixed at x1 > x2 > ... > xn; all orders here respect it.
+Variable priority is fixed at x1 > x2 > ... > xn, so lex is tuple comparison.
 """
 
 from __future__ import annotations
@@ -83,26 +83,6 @@ def lex_compare(a: Mono, b: Mono) -> int:
     if a == b:
         return 0
     return 1 if a > b else -1
-
-
-def lex_key(u: Mono):
-    return u
-
-
-def degrevlex_key(u: Mono):
-    # Larger key = larger monomial: total degree first, then the last
-    # differing variable with the smaller exponent wins.
-    return (sum(u), tuple(-e for e in reversed(u)))
-
-
-ORDER_KEYS = {"lex": lex_key, "degrevlex": degrevlex_key}
-
-
-def order_key(kind: str):
-    try:
-        return ORDER_KEYS[kind]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {kind!r}") from None
 
 
 def lcm_closure(degrees: Iterable[Mono], n: int) -> list:

@@ -12,11 +12,12 @@ from typing import Any, Optional, Sequence
 
 from . import groebner, monomials
 from .complexes import ChainMap, FreeComplex, lift_through, syzygy_generators
-from .freemod import ModuleVector, OrderedBasis, TermOrder, leading_term
+from .freemod import ModuleVector, OrderedBasis, leading_term
 from .groebner import (
     GroebnerBasis,
     InitialModule,
     initial_module,
+    kernel_generators,
     monomial_module_from_terms,
 )
 from .monomials import Mono, MonomialIdeal
@@ -60,9 +61,7 @@ def taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdea
 def boundary_leading_terms(C: FreeComplex, p: int) -> InitialModule:
     """Monomial module spanned by the leading terms of the (p+1)-boundaries,
     taken under the complex's own basis order at level p."""
-    order = TermOrder(C.basis(p), "lex")
-    terms = [leading_term(col, order) for col in C.differential(p + 1)
-             if not col.is_zero()]
+    terms = [leading_term(col) for col in C.differential(p + 1) if not col.is_zero()]
     return monomial_module_from_terms(C.basis(p), terms)
 
 
@@ -99,10 +98,9 @@ def verify_boundary_gb(C: FreeComplex, p: int,
     """
     if p < 1:
         raise ValueError("boundary Groebner bases are checked for p >= 1")
-    order = TermOrder(C.basis(p), "lex")
     gens = syzygy_generators(C, p)
     boundary = boundary_leading_terms(C, p)
-    oracle = initial_module(gens, order)
+    oracle = initial_module(gens, C.basis(p))
     closed = None
     if taylor_gens is not None:
         components = []
@@ -133,10 +131,8 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
         if not cone.apply(i, v).is_zero():
             raise RuntimeError("composed element is not a cycle; the cone input "
                                "does not match the chain map")
-    order = TermOrder(cone.basis(i), "lex")
-    claimed = monomial_module_from_terms(
-        cone.basis(i), [leading_term(v, order) for v in composed])
-    oracle = initial_module(syzygy_generators(cone, i), order)
+    claimed = monomial_module_from_terms(cone.basis(i), [leading_term(v) for v in composed])
+    oracle = initial_module(syzygy_generators(cone, i), cone.basis(i))
     if claimed.components != oracle.components:
         raise RuntimeError("composed set is not a Groebner basis of the cone "
                            f"syzygy module at i={i}")
@@ -152,7 +148,7 @@ def lex_refined_initial(C: FreeComplex, p: int):
     """
     basis, perm = C.basis(p).sort_lex_refined()
     gens = [v.map_positions(lambda pos: perm[pos]) for v in C.differential(p + 1)]
-    return groebner.initial_module(gens, TermOrder(basis, "lex")), gens
+    return groebner.initial_module(gens, basis), gens
 
 
 def offending_generator(initial: InitialModule, k: int):
@@ -190,15 +186,12 @@ def verify_gunnar_step(columns: Sequence[ModuleVector], source_basis: OrderedBas
     """Kernel counterpart of the image hypothesis: if ini of the image avoids
     x_1..x_{p-1} under a lex-refined target basis, ini of the kernel avoids
     x_1..x_p under a lex-refined source basis."""
-    from .groebner import kernel_generators
-
     G_basis, G_perm = target_basis.sort_lex_refined()
     F_basis, F_perm = source_basis.sort_lex_refined()
     cols = [None] * len(columns)
     for j, col in enumerate(columns):
         cols[F_perm[j]] = col.map_positions(lambda pos: G_perm[pos])
-    image_ini = initial_module([c for c in cols if not c.is_zero()],
-                               TermOrder(G_basis, "lex"))
+    image_ini = initial_module([c for c in cols if not c.is_zero()], G_basis)
     bad = offending_generator(image_ini, max(p - 1, 0))
     if bad is not None:
         raise ValueError(f"hypothesis fails: ini of the image has generator "
@@ -208,7 +201,7 @@ def verify_gunnar_step(columns: Sequence[ModuleVector], source_basis: OrderedBas
     if not kernel:
         witness["note"] = "injective map; the kernel statement is vacuous"
         return TheoremReport("gunnar-step", instance, p, "PASS", witness)
-    kernel_ini = initial_module(kernel, TermOrder(F_basis, "lex"))
+    kernel_ini = initial_module(kernel, F_basis)
     witness["components"] = kernel_ini.to_jsonable()
     bad = offending_generator(kernel_ini, min(p, source_basis.n))
     if bad is not None:

@@ -12,13 +12,13 @@ from typing import Iterator
 from . import blocks, monomials
 from .complexes import (
     comparison_cone,
+    eliahou_kervaire,
     is_minimal,
     minimize,
     shift_complex,
     syzygy_generators,
     taylor_complex,
 )
-from .freemod import TermOrder
 from .groebner import buchberger, initial_module, is_squarefree_module, monomial_module_from_terms
 from .instances import (
     ideal_instance,
@@ -47,6 +47,16 @@ class VerifyJob:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem {self.theorem!r}; choose from {THEOREMS}")
+        if self.trials < 0:
+            raise ValueError("--trials must be at least 0")
+        for flag, value in (("--n-max", self.n_max), ("--m-max", self.m_max),
+                            ("--exp-max", self.exp_max)):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1")
+        if self.theorem == "lemma-groebner" and self.n_max < 2:
+            # One variable gives principal ideals only, and the runner
+            # redraws until it has two generators.
+            raise ValueError("--n-max must be at least 2 for lemma-groebner")
 
 
 def taylor_step_cone(gens, n):
@@ -110,8 +120,6 @@ def _run_boundary_gb(rng, job) -> dict:
         if not rep.equal:
             return _report("boundary-gb", instance, "FAIL",
                            {"complex": "taylor", **rep.to_jsonable()})
-    from .complexes import eliahou_kervaire
-
     stable = random_stable_ideal(rng, min(job.n_max, 3), job.m_max, min(job.exp_max, 2))
     if not stable.is_unit() and not stable.is_zero():
         EK = eliahou_kervaire(stable)
@@ -132,20 +140,19 @@ def _run_lemma_groebner(rng, job) -> dict:
     cone, phi = taylor_step_cone(gens, I.n)
     G, F = phi.source, phi.target
     for i in range(1, cone.length + 1):
-        order_c = TermOrder(cone.basis(i), "lex")
-        ini_c = initial_module(syzygy_generators(cone, i), order_c)
+        ini_c = initial_module(syzygy_generators(cone, i), cone.basis(i))
         # Z_{i-1}(G) is generated by the columns of the i-th differential of G
         # (at i = 1 these generate the resolved colon module itself).
-        gbG = (buchberger(list(G.differential(i)), TermOrder(G.basis(i - 1), "lex"))
+        gbG = (buchberger(list(G.differential(i)), G.basis(i - 1))
                if i <= G.length else None)
-        gbF = (buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
+        gbF = (buchberger(syzygy_generators(F, i), F.basis(i))
                if i <= F.length else None)
         g_components = (
-            monomial_module_from_terms(gbG.order.basis, gbG.leading_terms()).components
+            monomial_module_from_terms(gbG.basis, gbG.leading_terms()).components
             if gbG is not None
             else tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1))))
         f_components = (
-            monomial_module_from_terms(gbF.order.basis, gbF.leading_terms()).components
+            monomial_module_from_terms(gbF.basis, gbF.leading_terms()).components
             if gbF is not None else ())
         expected = g_components + f_components
         if ini_c.components != expected:
@@ -186,7 +193,7 @@ def _run_regular(rng, job) -> dict:
         gens_p = syzygy_generators(C, p)
         if not gens_p:
             continue
-        ini = initial_module(gens_p, TermOrder(C.basis(p), "lex"))
+        ini = initial_module(gens_p, C.basis(p))
         bound = filtration_lower_bound(ini)
         required = n - (m - p) // 2
         if not bound.free and bound.value < required:

@@ -32,7 +32,6 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import TermOrder
 from syzdepth.groebner import buchberger, initial_module, is_squarefree_module
 from syzdepth.instances import (
     random_monomial_ideal,
@@ -136,25 +135,21 @@ def test_criterion_04_cone_groebner_composition():
         cone, phi = taylor_step_cone(list(I.gens), I.n)
         G, F = phi.source, phi.target
         for i in range(1, cone.length + 1):
-            ini_c = initial_module(syzygy_generators(cone, i),
-                                   TermOrder(cone.basis(i), "lex"))
+            ini_c = initial_module(syzygy_generators(cone, i), cone.basis(i))
             g_parts = ()
             if G.rank(i - 1):
                 if i <= G.length:
-                    g_parts = initial_module(
-                        list(G.differential(i)), TermOrder(G.basis(i - 1), "lex")).components
+                    g_parts = initial_module(list(G.differential(i)), G.basis(i - 1)).components
                 else:
                     g_parts = tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1)))
             f_parts = ()
             if F.rank(i):
-                f_parts = initial_module(
-                    syzygy_generators(F, i), TermOrder(F.basis(i), "lex")).components
+                f_parts = initial_module(syzygy_generators(F, i), F.basis(i)).components
             assert ini_c.components == tuple(g_parts) + tuple(f_parts), (I, i)
             if i <= F.length:
-                gbF = buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
-                gbG = buchberger(list(G.differential(i)),
-                                 TermOrder(G.basis(i - 1), "lex")) \
-                    if i <= G.length else buchberger([], TermOrder(cone.basis(i), "lex"))
+                gbF = buchberger(syzygy_generators(F, i), F.basis(i))
+                gbG = buchberger(list(G.differential(i)), G.basis(i - 1)) \
+                    if i <= G.length else buchberger([], cone.basis(i))
                 compose_cone_gb(gbF, gbG, phi, cone, i)  # raises unless certified
     announce(4, True, time.time() - t0, "50 cones")
 
@@ -215,11 +210,11 @@ def test_criterion_07_regular_sequences():
             gens_p = syzygy_generators(C, p)
             if not gens_p:
                 continue
-            ini = initial_module(gens_p, TermOrder(C.basis(p), "lex"))
+            ini = initial_module(gens_p, C.basis(p))
             bound = filtration_lower_bound(ini)
             assert bound.free or bound.value >= n - (m - p) // 2, (gens, p)
         # Z_1 components are truncated regular sequences; Shen's formula is exact.
-        ini1 = initial_module(syzygy_generators(C, 1), TermOrder(C.basis(1), "lex"))
+        ini1 = initial_module(syzygy_generators(C, 1), C.basis(1))
         for j, component in ini1.nonzero_components():
             k = len(component.gens)
             assert ideal_sdepth(component) == n - k // 2, (gens, j)

@@ -253,6 +253,46 @@ def test_verify_bad_theorem_exits_2(capsys):
     assert exc.value.code == 2
 
 
+BAD_VERIFY_BOUNDS = [
+    (["--trials", "-1"], "--trials must be at least 0"),
+    (["--n-max", "0"], "--n-max must be at least 1"),
+    (["--m-max", "0"], "--m-max must be at least 1"),
+    (["--exp-max", "0"], "--exp-max must be at least 1"),
+    (["--exp-max", "-1"], "--exp-max must be at least 1"),
+    (["--theorem", "lemma-groebner", "--n-max", "1"],
+     "--n-max must be at least 2 for lemma-groebner"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_VERIFY_BOUNDS,
+                         ids=[" ".join(args) for args, _ in BAD_VERIFY_BOUNDS])
+def test_verify_rejects_bad_bounds(capsys, args, message):
+    code = main(["verify", "--theorem", "theorem-main", "--trials", "2"] + args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["resolve", "--input", "IDEAL"],
+    ["sdepth", "--input", "IDEAL", "--mode", "sqfree-construct"],
+    ["verify", "--theorem", "regular", "--trials", "1"],
+], ids=["resolve", "sqfree-construct", "verify"])
+def test_unwritable_output_exits_2(ideal_file, capsys, tmp_path, args):
+    # Exit 1 is kept for certified disagreements; a missing output directory
+    # is bad input.
+    path = ideal_file(LCM_TRIANGLE)
+    target = tmp_path / "missing" / "out.json"
+    code = main([path if a == "IDEAL" else a for a in args] + ["--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output file {target}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not target.parent.exists()
+
+
 def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
     # A lift that finds no preimage means the library built a complex that is
     # not exact: an internal error, not bad input.  The patched lift asks the

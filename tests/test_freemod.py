@@ -10,7 +10,6 @@ from syzdepth.freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
-    TermOrder,
     graded_piece,
     leading_term,
     multidegree_of,
@@ -42,24 +41,36 @@ def test_sort_lex_refined_examples():
 def test_leading_term_position_rule():
     v = ModuleVector(2, {(0, (0, 1)): Fraction(1), (1, (1, 0)): Fraction(-1)})
     b = basis_of((1, 0), (0, 1))
-    t = leading_term(v, TermOrder(b, "lex"))
+    assert multidegree_of(v, b) == (1, 1)
+    t = leading_term(v)
     assert (t.position, t.monomial) == (0, (0, 1))
     # Reversing the basis order flips which term leads.
     flipped = ModuleVector(2, {(1, (0, 1)): Fraction(1), (0, (1, 0)): Fraction(-1)})
-    t2 = leading_term(flipped, TermOrder(basis_of((0, 1), (1, 0)), "lex"))
+    assert multidegree_of(flipped, basis_of((0, 1), (1, 0))) == (1, 1)
+    t2 = leading_term(flipped)
     assert (t2.position, t2.monomial) == (0, (1, 0))
 
 
 def test_leading_term_scalar_order():
+    # Within one position monomials compare lexicographically.
     v = ModuleVector(2, {(0, (1, 0)): Fraction(1), (0, (0, 1)): Fraction(1)})
-    b = basis_of((0, 0))
-    t = leading_term(v, TermOrder(b, "lex"))
+    t = leading_term(v)
     assert t.monomial == (1, 0)
 
 
 def test_leading_term_zero_raises():
     with pytest.raises(ValueError, match="no leading term"):
-        leading_term(ModuleVector(2), TermOrder(basis_of((0, 0)), "lex"))
+        leading_term(ModuleVector(2))
+
+
+def test_coefficients_are_fractions():
+    # Ints become Fractions, so that quotients of coefficients stay exact.
+    half = Fraction(1, 2)
+    v = ModuleVector(2, {(0, (1, 0)): 3, (1, (0, 1)): half})
+    assert [type(c) for _, c in v.items()] == [Fraction, Fraction]
+    assert v.coefficient(0, (1, 0)) / 2 == Fraction(3, 2)
+    assert v.coefficient(1, (0, 1)) is half
+    assert ModuleVector(2, [((0, (1, 0)), 1), ((0, (1, 0)), 2)]).coefficient(0, (1, 0)) == 3
 
 
 def test_multidegree_of():
@@ -124,13 +135,17 @@ def multihomogeneous_vectors(draw):
 
 
 @given(multihomogeneous_vectors())
-def test_leading_term_ignores_scalar_order_when_multihomogeneous(pair):
+def test_multihomogeneous_vector_has_one_term_per_position(pair):
+    # The term at position j can only be x^(d - deg e_j), so the monomial
+    # order never breaks a tie: the leading term sits at the first position.
     v, basis = pair
-    if v.is_zero():
-        return
-    t1 = leading_term(v, TermOrder(basis, "lex"))
-    t2 = leading_term(v, TermOrder(basis, "degrevlex"))
-    assert t1 == t2
+    positions = [pos for (pos, _), _ in v.items()]
+    assert len(positions) == len(set(positions))
+    if not v.is_zero():
+        d = multidegree_of(v, basis)
+        t = leading_term(v)
+        assert t.position == min(positions)
+        assert t.monomial == tuple(a - b for a, b in zip(d, basis.degree(t.position)))
 
 
 @given(st.integers(1, 5).flatmap(lambda c: st.lists(
@@ -179,8 +194,7 @@ def test_leading_term_is_multiplicative(raw, m):
     v = ModuleVector(2, {(p, mo): Fraction(c) for p, mo, c in raw if c})
     if v.is_zero():
         return
-    order = TermOrder(basis_of((0, 0), (0, 0), (0, 0)), "lex")
-    t = leading_term(v, order)
-    tm = leading_term(v.scale(1, m), order)
+    t = leading_term(v)
+    tm = leading_term(v.scale(1, m))
     assert tm.position == t.position
     assert tm.monomial == tuple(a + b for a, b in zip(t.monomial, m))

@@ -9,7 +9,7 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, TermOrder
+from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, leading_term
 from syzdepth.groebner import (
     buchberger,
     hilbert_slice_check,
@@ -21,7 +21,6 @@ from syzdepth.groebner import (
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, minimalize_ordered
 from syzdepth.syzygy import lex_refined_initial
-from syzdepth.verify import taylor_step_cone
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -31,7 +30,7 @@ def test_buchberger_monomial_input_passthrough():
     gens = [ModuleVector(2, {(0, (2, 0)): Fraction(3)}),
             ModuleVector(2, {(0, (1, 1)): Fraction(1)}),
             ModuleVector(2, {(0, (2, 1)): Fraction(1)})]
-    gb = buchberger(gens, TermOrder(basis, "lex"))
+    gb = buchberger(gens, basis)
     lts = {(t.position, t.monomial) for t in gb.leading_terms()}
     assert lts == {(0, (2, 0)), (0, (1, 1))}
     for g in gb.generators:
@@ -41,7 +40,7 @@ def test_buchberger_monomial_input_passthrough():
 def test_buchberger_single_generator():
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
     v = ModuleVector(2, {(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(4)})
-    gb = buchberger([v], TermOrder(basis, "lex"))
+    gb = buchberger([v], basis)
     assert len(gb.generators) == 1
     assert gb.generators[0] == v.scale(Fraction(1, 2))
 
@@ -49,7 +48,7 @@ def test_buchberger_single_generator():
 def test_buchberger_koszul_z1():
     K = koszul_complex([X1, X2, X3], 3)
     ini, gens = lex_refined_initial(K, 1)
-    gb = buchberger(gens, TermOrder(ini.basis, "lex"))
+    gb = buchberger(gens, ini.basis)
     lts = {(t.position, t.monomial) for t in gb.leading_terms()}
     assert lts == {(0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1))}
 
@@ -66,7 +65,7 @@ def test_initial_module_koszul_z1():
 
 def test_initial_module_taylor_order():
     C = taylor_complex([(2, 0), (1, 1), (0, 2)], 2)
-    ini = initial_module(syzygy_generators(C, 1), TermOrder(C.basis(1), "lex"))
+    ini = initial_module(syzygy_generators(C, 1), C.basis(1))
     by_label = {C.basis(1).elements[j].label: c for j, c in enumerate(ini.components)}
     assert by_label[frozenset({3})].gens == ((1, 0),)
     assert by_label[frozenset({2})].gens == ((1, 0),)
@@ -77,7 +76,7 @@ def test_initial_module_of_monomial_generators():
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((1, 0))])
     gens = [ModuleVector(2, {(0, (0, 2)): Fraction(1)}),
             ModuleVector(2, {(1, (1, 0)): Fraction(5)})]
-    ini = initial_module(gens, TermOrder(basis, "lex"))
+    ini = initial_module(gens, basis)
     assert ini.components[0].gens == ((0, 2),)
     assert ini.components[1].gens == ((1, 0),)
 
@@ -88,7 +87,7 @@ def test_product_criterion_not_applied_across_positions():
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
     f = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 1)): Fraction(1)})
     g = ModuleVector(2, {(0, (0, 1)): Fraction(1), (1, (1, 0)): Fraction(1)})
-    ini = initial_module([f, g], TermOrder(basis, "lex"))
+    ini = initial_module([f, g], basis)
     assert ini.components[0].gens == ((0, 1), (1, 0))
     assert ini.components[1].gens == ((2, 0),)
 
@@ -109,30 +108,6 @@ def monomial_ideals(draw):
     n = draw(st.integers(1, 4))
     exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
     return n, list(minimalize_ordered(draw(st.lists(exponents, min_size=1, max_size=5))))
-
-
-def _scalar_orders_agree(C):
-    """Under the complex's own basis and under the lex-refined one."""
-    for p in range(C.length):
-        ini, gens = lex_refined_initial(C, p)
-        assert initial_module(gens, TermOrder(ini.basis, "degrevlex")) == ini, p
-        own = [initial_module(C.differential(p + 1), TermOrder(C.basis(p), scalar))
-               for scalar in ("lex", "degrevlex")]
-        assert own[0] == own[1], p
-
-
-@settings(max_examples=25, deadline=None)
-@given(monomial_ideals())
-@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
-def test_scalar_order_independence(ideal):
-    # Multihomogeneous generators have an initial module that depends on the
-    # ordered basis alone, never on the scalar order breaking ties.
-    n, gens = ideal
-    C = taylor_complex(gens, n)
-    _scalar_orders_agree(C)
-    _scalar_orders_agree(minimize(C))
-    if len(gens) >= 2:
-        _scalar_orders_agree(taylor_step_cone(gens, n)[0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,12 +152,9 @@ def test_squarefree_initial_modules_of_squarefree_ideals():
 
 def test_normal_form_remainder_irreducible():
     basis = OrderedBasis(2, [BasisElement((0, 0))])
-    order = TermOrder(basis, "lex")
     divisor = ModuleVector(2, {(0, (1, 0)): Fraction(1)})
-    from syzdepth.freemod import leading_term
-
     v = ModuleVector(2, {(0, (2, 1)): Fraction(1), (0, (0, 3)): Fraction(2)})
-    rem = normal_form(v, [(divisor, leading_term(divisor, order))], order)
+    rem = normal_form(v, [(divisor, leading_term(divisor))])
     assert rem == ModuleVector(2, {(0, (0, 3)): Fraction(2)})
 
 

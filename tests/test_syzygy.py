@@ -7,7 +7,7 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import TermOrder, leading_term
+from syzdepth.freemod import leading_term
 from syzdepth.groebner import buchberger
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
@@ -54,22 +54,19 @@ def test_boundary_terms_under_lex_refined_basis():
     # boundary leading terms; they still generate the initial module.
     C = taylor_complex(SQUARES, 2)
     oracle, gens = lex_refined_initial(C, 1)
-    order = TermOrder(oracle.basis, "lex")
-    lts = {(t.position, t.monomial)
-           for t in (leading_term(g, order) for g in gens)}
+    lts = {(t.position, t.monomial) for t in map(leading_term, gens)}
     assert lts == {(0, (0, 1)), (0, (0, 2)), (1, (0, 1))}
     from syzdepth.groebner import monomial_module_from_terms
 
-    claimed = monomial_module_from_terms(oracle.basis,
-                                         [leading_term(g, order) for g in gens])
+    claimed = monomial_module_from_terms(oracle.basis, [leading_term(g) for g in gens])
     assert claimed.components == oracle.components
 
 
 def test_compose_cone_gb_trivial_and_small():
     cone, phi = taylor_step_cone([(2, 0), (0, 2)], 2)
     F, G = phi.target, phi.source
-    gbF = buchberger(syzygy_generators(F, 1), TermOrder(F.basis(1), "lex"))
-    gbG = buchberger(list(G.differential(1)), TermOrder(G.basis(0), "lex"))
+    gbF = buchberger(syzygy_generators(F, 1), F.basis(1))
+    gbG = buchberger(list(G.differential(1)), G.basis(0))
     composed = compose_cone_gb(gbF, gbG, phi, cone, 1)
     # F has a single generator, so Z_1(F) = 0 and everything lifts from G.
     assert len(gbF.generators) == 0
@@ -83,8 +80,8 @@ def test_compose_cone_gb_direct_sum_identity():
     cone, phi = taylor_step_cone(gens, 2)
     F, G = phi.target, phi.source
     for i in range(1, cone.length):
-        gbF = buchberger(syzygy_generators(F, i), TermOrder(F.basis(i), "lex"))
-        gbG = buchberger(list(G.differential(i)), TermOrder(G.basis(i - 1), "lex"))
+        gbF = buchberger(syzygy_generators(F, i), F.basis(i))
+        gbG = buchberger(list(G.differential(i)), G.basis(i - 1))
         composed = compose_cone_gb(gbF, gbG, phi, cone, i)
         assert composed  # certified inside compose_cone_gb
 

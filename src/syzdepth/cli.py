@@ -31,7 +31,7 @@ from .complexes import (
 )
 from .groebner import hilbert_slice_check
 from .monomials import MonomialIdeal
-from .stanley import char_poset, exact_sdepth, filtration_lower_bound
+from .stanley import SearchRefused, char_poset, exact_sdepth, filtration_lower_bound
 from .syzygy import boundary_leading_terms, lex_refined_initial, verify_boundary_gb
 from .verify import THEOREMS, VerifyJob, all_pass, run_verify_job
 
@@ -212,8 +212,9 @@ def cmd_sdepth(args) -> int:
             if args.quotient else char_poset(I)
         try:
             result = exact_sdepth(poset)
-        except ValueError as exc:  # only a refusal: the point limit or the node budget
-            raise InputError(str(exc)) from exc
+        except SearchRefused as exc:
+            raise InputError(f"{exc}; use the filtration or squarefree lower bounds "
+                             "instead") from exc
         payload = {"sdepth": result.value, "g": list(poset.cap),
                    "intervals": [{"a": list(iv.bottom), "b": list(iv.top)}
                                  for iv in result.partition]}

@@ -79,9 +79,21 @@ class FreeComplex:
 
 
 def apply_columns(columns, v: ModuleVector, n: int) -> ModuleVector:
-    out = ModuleVector(n)
+    """Image of v under the map sending e_j to columns[j]."""
+    return ModuleVector(n, _image_terms(columns, v))
+
+
+def _image_terms(columns, v: ModuleVector) -> dict:
+    """The terms of apply_columns, summed in one dict with zeros dropped."""
+    out = {}
     for (pos, mono), coeff in v.items():
-        out = out + columns[pos].scale(coeff, mono)
+        for (pos2, mono2), c in columns[pos].items():
+            key = (pos2, tuple(map(operator.add, mono, mono2)))
+            new = out.get(key, 0) + c * coeff
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -546,7 +558,12 @@ def minimize(C: FreeComplex) -> FreeComplex:
 
 
 def check_complex(C: FreeComplex) -> bool:
-    """d composed with d vanishes and every column is multihomogeneous."""
+    """d composed with d vanishes and every column is multihomogeneous.
+
+    d_{p-1}(d_p(e_j)) is summed straight from the columns of d_p and d_{p-1}
+    into one {(position, monomial): c} dict, with no vector built per term;
+    the multidegree check comes first.
+    """
     for p in range(1, C.length + 1):
         for j, col in enumerate(C.differential(p)):
             if not col.is_zero():
@@ -554,10 +571,9 @@ def check_complex(C: FreeComplex) -> bool:
                 if d != C.basis(p).degree(j):
                     return False
         if p >= 2:
-            for j in range(C.rank(p)):
-                image = C.apply(p - 1, C.apply(p, ModuleVector.generator(C.n, j)))
-                if not image.is_zero():
-                    return False
+            below = C.differential(p - 1)
+            if any(_image_terms(below, col) for col in C.differential(p)):
+                return False
     return True
 
 

@@ -155,7 +155,8 @@ class ModuleVector:
 
     def scale(self, coeff, monomial: Optional[Mono] = None) -> "ModuleVector":
         """Multiply by coeff * x^monomial."""
-        coeff = Fraction(coeff)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
         v = ModuleVector(self.n)
         if not coeff:
             return v

@@ -111,7 +111,24 @@ def _single_position(v: ModuleVector) -> Optional[int]:
 
 
 def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBasis:
-    """The unique reduced Groebner basis of the submodule generated by gens.
+    """The unique reduced Groebner basis of the submodule generated by gens:
+    the S-pair loop, minimalisation, then inter-reduction of the tails."""
+    kept = _minimal(_spair_loop(gens, basis))
+    # Inter-reduce tails for the unique reduced basis, keyed by leading term.
+    n = basis.n
+    reduced = {}
+    for i, (g, lt) in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        head = ModuleVector(n, {(lt.position, lt.monomial): Fraction(1)})
+        tail = normal_form(g - head, others)
+        reduced[(lt.position, lt.monomial)] = head + tail
+    ordered = sorted(reduced, key=term_key, reverse=True)
+    return GroebnerBasis(tuple(reduced[key] for key in ordered), basis)
+
+
+def _spair_loop(gens: Iterable[ModuleVector], basis: OrderedBasis) -> list:
+    """A Groebner basis of the submodule generated by gens, as a list of
+    (monic vector, leading term) pairs.
 
     Pairs are processed by increasing multidegree of the S-pair lcm (total
     degree first, then lex, then insertion index), and every new element is
@@ -156,8 +173,12 @@ def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBas
         rem = normal_form(s, elements)
         if not rem.is_zero():
             add_element(rem)
+    return elements
 
-    # Minimalize: drop elements whose leading term another one divides.
+
+def _minimal(elements: list) -> list:
+    """The elements whose leading term no other one divides (of equal
+    leading terms the earliest): a minimal Groebner basis."""
     kept = []
     for idx, (g, lt) in enumerate(elements):
         redundant = False
@@ -171,21 +192,15 @@ def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBas
                 break
         if not redundant:
             kept.append((g, lt))
-    # Inter-reduce tails for the unique reduced basis, keyed by leading term.
-    reduced = {}
-    for i, (g, lt) in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        head = ModuleVector(n, {(lt.position, lt.monomial): Fraction(1)})
-        tail = normal_form(g - head, others)
-        reduced[(lt.position, lt.monomial)] = head + tail
-    ordered = sorted(reduced, key=term_key, reverse=True)
-    return GroebnerBasis(tuple(reduced[key] for key in ordered), basis)
+    return kept
 
 
 def initial_module(gens: Iterable[ModuleVector], basis: OrderedBasis) -> InitialModule:
-    """Minimal generators of ini(M) per basis position, via Buchberger."""
-    gens = [g for g in gens if not g.is_zero()]
-    return monomial_module_from_terms(basis, buchberger(gens, basis).leading_terms())
+    """Minimal generators of ini(M) per basis position: the leading terms of
+    a minimal Groebner basis, which are those of the reduced one, so the
+    tails are never inter-reduced."""
+    kept = _minimal(_spair_loop(gens, basis))
+    return monomial_module_from_terms(basis, [lt for _, lt in kept])
 
 
 def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:

@@ -11,15 +11,19 @@ from math import lcm as int_lcm
 
 
 def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
+    """Scale each row by the lcm of its denominators; rank is unchanged.
+
+    Ints and Fractions both carry numerator and denominator, and a row whose
+    denominators are all 1 (every row of a Slices engine over a complex with
+    integer entries) is read off its numerators with no Fraction arithmetic.
+    """
     out = []
     for row in rows:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-            continue
-        denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-        scale = int_lcm(*denoms) if denoms else 1
-        out.append([int(x * scale) if isinstance(x, Fraction) else x * scale for x in row])
+        scale = int_lcm(*[x.denominator for x in row])
+        if scale == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 

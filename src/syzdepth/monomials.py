@@ -92,10 +92,16 @@ def lcm_closure(degrees: Iterable[Mono], n: int) -> list:
     Each degree a has the representative lcm{d : d | a} in the closure, and
     the same degrees divide both, so a property that depends only on which
     degrees divide a is decided on the closure (the lcm lattice).
+
+    The closure is lcm-closed after every step, so a degree already in it
+    adds nothing and is skipped.  Degrees are walked by increasing total
+    degree, so a degree that is the lcm of earlier ones (every basis degree
+    of a Taylor complex, after its generators) is always skipped.
     """
     closure = {unit(n)}
-    for d in set(degrees):
-        closure |= {lcm(c, d) for c in closure}
+    for d in sorted(set(degrees), key=sum):
+        if d not in closure:
+            closure |= {lcm(c, d) for c in closure}
     return sorted(closure)
 
 

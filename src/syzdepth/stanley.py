@@ -100,6 +100,10 @@ def validate_partition(P: CharPoset, intervals: Sequence[Interval]) -> None:
 SEARCH_NODE_LIMIT = 1_000_000
 
 
+class SearchRefused(ValueError):
+    """The exact search refused a poset at the point limit or the node budget."""
+
+
 class SdepthResult(NamedTuple):
     value: int
     partition: tuple  # tuple of Interval
@@ -114,12 +118,11 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
     order, so the smallest uncovered point is the lowest zero bit of the
     covered set, and failure states are memoized on that int.  Every
     returned partition has passed validate_partition.  A search that
-    visits more than SEARCH_NODE_LIMIT nodes raises ValueError.
+    visits more than SEARCH_NODE_LIMIT nodes, or a poset above max_points,
+    raises SearchRefused.
     """
     if P.size > max_points:
-        raise ValueError(f"poset has {P.size} points, above the limit "
-                         f"{max_points}; use the filtration or squarefree "
-                         "lower bounds instead")
+        raise SearchRefused(f"poset has {P.size} points, above the limit {max_points}")
     if not P.points:
         return SdepthResult(P.n, ())
     tops = _CandidateTops(P)
@@ -180,9 +183,7 @@ def _feasible_partition(tops, d: int):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise ValueError(f"the exact search visited more than {SEARCH_NODE_LIMIT} "
-                             "nodes; use the filtration or squarefree lower bounds "
-                             "instead")
+            raise SearchRefused(f"the exact search visited more than {SEARCH_NODE_LIMIT} nodes")
         if covered == full:
             return []
         if covered in failed:
@@ -236,14 +237,22 @@ def filtration_lower_bound(initial: InitialModule, max_points: int = 512) -> Fil
     This bounds the Stanley depth of any module whose initial module is the
     given one, through the position filtration.  When every component is
     zero the module is zero (or free for syzygies) and n is returned with a
-    flag.
+    flag.  A component whose exact search is refused raises SearchRefused
+    naming its position.
     """
     n = initial.basis.n
     nonzero = initial.nonzero_components()
     if not nonzero:
         return FiltrationBound(n, True)
-    value = min(ideal_sdepth(ideal, max_points) for _, ideal in nonzero)
-    return FiltrationBound(value, False)
+    values = []
+    for j, ideal in nonzero:
+        try:
+            values.append(ideal_sdepth(ideal, max_points))
+        except SearchRefused as exc:
+            raise SearchRefused(f"the filtration bound needs the exact Stanley depth "
+                                f"of the component at position {j}, and its search "
+                                f"was refused: {exc}") from exc
+    return FiltrationBound(min(values), False)
 
 
 # ---------------------------------------------------------------------------

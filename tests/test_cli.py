@@ -444,6 +444,19 @@ def test_exact_node_budget_exits_2(ideal_file, capsys, monkeypatch):
                             "filtration or squarefree lower bounds instead\n")
 
 
+def test_filtration_bound_refusal_names_the_component(ideal_file, capsys, monkeypatch):
+    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 3)
+    code = main(["sdepth", "--input", ideal_file(MAXIMAL4), "--mode", "filtration-bound",
+                 "--p", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == ("error: the filtration bound needs the exact Stanley depth of "
+                            "the component at position 0, and its search was refused: "
+                            "the exact search visited more than 3 nodes\n")
+
+
 def run_cli(argv):
     """Exit code of the call; asserts it is 0 or 2, and that stdout is then
     the canonical JSON text or empty."""

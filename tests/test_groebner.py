@@ -16,11 +16,13 @@ from syzdepth.groebner import (
     initial_module,
     is_squarefree_module,
     kernel_generators,
+    monomial_module_from_terms,
     normal_form,
 )
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, minimalize_ordered
 from syzdepth.syzygy import lex_refined_initial
+from syzdepth.verify import taylor_step_cone
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -123,6 +125,44 @@ def test_minimize_keeps_lex_refined_initial_of_minimal_taylor(ideal):
     M = minimize(C)
     for p in range(C.length + 1):
         assert lex_refined_initial(C, p)[0] == lex_refined_initial(M, p)[0], p
+
+
+@st.composite
+def syzygy_generators_on_bases(draw):
+    """(generators, basis): the columns of d_{p+1}, p >= 1 where the complex
+    is long enough, of a Taylor complex, its minimization or a Taylor step
+    cone of a seeded random ideal with n <= 4, m <= 5 and exponents <= 3, on
+    the basis of F_p as it is or re-sorted lex-refined."""
+    I = random_monomial_ideal(trial_rng(draw(st.integers(0, 10**6)), 0), 4, 5, 3, min_gens=2)
+    n, gens = I.n, list(I.gens)
+    assume(len(gens) >= 2)
+    kind = draw(st.sampled_from(["taylor", "minimized", "cone"]))
+    if kind == "cone":
+        C, _ = taylor_step_cone(gens, n)
+    else:
+        C = taylor_complex(gens, n)
+        if kind == "minimized":
+            C = minimize(C)
+    p = draw(st.integers(1, C.length - 1)) if C.length >= 2 else 0
+    columns = list(C.differential(p + 1))
+    if draw(st.booleans()):
+        basis, perm = C.basis(p).sort_lex_refined()
+        return [v.map_positions(lambda pos: perm[pos]) for v in columns], basis
+    return columns, C.basis(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(syzygy_generators_on_bases())
+@example((list(koszul_complex([X1, X2, X3], 3).differential(2)),
+          koszul_complex([X1, X2, X3], 3).basis(1)))
+@example((list(koszul_complex([X1, X2, X3], 3).differential(2)) * 2,
+          koszul_complex([X1, X2, X3], 3).basis(1)))
+def test_initial_module_is_the_reduced_basis_leading_terms(case):
+    # initial_module stops at a minimal Groebner basis; its leading terms
+    # are those of the reduced basis buchberger returns.
+    gens, basis = case
+    expected = monomial_module_from_terms(basis, buchberger(gens, basis).leading_terms())
+    assert initial_module(gens, basis) == expected
 
 
 def test_is_squarefree_module():

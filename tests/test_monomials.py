@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ from syzdepth.monomials import (
     divides,
     is_squarefree,
     lcm,
+    lcm_closure,
     lex_compare,
     minimalize,
     mul,
@@ -69,6 +71,27 @@ def test_lcm_is_least_common_multiple(u, v):
 def test_lex_compatible_with_addition(a, b, c):
     if lex_compare(a, b) == 1:
         assert lex_compare(mul(a, c), mul(b, c)) == 1
+
+
+degree_lists = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                                             max_size=7)))
+
+
+@given(degree_lists, st.data())
+def test_lcm_closure_is_the_lcm_of_every_subset(case, data):
+    # The skip of degrees already in the closure loses no lcm, and the
+    # sorted list depends on neither the input order nor duplicates.
+    n, degrees = case
+    brute = {functools.reduce(lcm, subset, unit(n))
+             for k in range(len(degrees) + 1)
+             for subset in itertools.combinations(degrees, k)}
+    closure = lcm_closure(degrees, n)
+    assert closure == sorted(brute)
+    extra = data.draw(st.lists(st.sampled_from(degrees), max_size=3)) if degrees else []
+    shuffled = data.draw(st.permutations(degrees + extra))
+    assert lcm_closure(shuffled, n) == closure
+    assert lcm_closure(iter(shuffled), n) == closure
 
 
 def test_minimalize():

@@ -146,11 +146,9 @@ def build_complex(I: MonomialIdeal, method: str, ordered_gens=None):
 def cmd_resolve(args) -> int:
     I, ordered = load_ideal(args.input)
     C = build_complex(I, args.method, ordered)
-    payload = {"method": args.method, "complex": complex_to_jsonable(C)}
-    emitted = C
+    emitted = minimize(C) if args.minimize else C
+    payload = {"method": args.method, "complex": complex_to_jsonable(emitted)}
     if args.minimize:
-        emitted = minimize(C)
-        payload["complex"] = complex_to_jsonable(emitted)
         payload["rank_table"] = {"original": list(C.ranks),
                                  "minimized": list(emitted.ranks)}
     if args.check:

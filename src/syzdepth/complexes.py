@@ -23,6 +23,7 @@ from .freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
+    add_multiple,
     leading_term,
     multidegree_of,
 )
@@ -87,13 +88,7 @@ def _image_terms(columns, v: ModuleVector) -> dict:
     """The terms of apply_columns, summed in one dict with zeros dropped."""
     out = {}
     for (pos, mono), coeff in v.items():
-        for (pos2, mono2), c in columns[pos].items():
-            key = (pos2, tuple(map(operator.add, mono, mono2)))
-            new = out.get(key, 0) + c * coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+        add_multiple(out, columns[pos].items(), coeff, mono)
     return out
 
 

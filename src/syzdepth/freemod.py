@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Any, Iterable, NamedTuple, Optional
 
 from . import linalg, monomials
@@ -154,17 +155,22 @@ class ModuleVector:
         return self + (-other)
 
     def scale(self, coeff, monomial: Optional[Mono] = None) -> "ModuleVector":
-        """Multiply by coeff * x^monomial."""
+        """Multiply by coeff * x^monomial; by 1 or -1 the coefficients are
+        copied or negated, not multiplied."""
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
         v = ModuleVector(self.n)
         if not coeff:
             return v
-        if monomial is None or not any(monomial):
-            v._terms = {k: c * coeff for k, c in self._terms.items()}
+        items = self._terms.items()
+        if monomial is not None and any(monomial):
+            items = [((pos, monomials.mul(mono, monomial)), c) for (pos, mono), c in items]
+        if coeff == 1:
+            v._terms = dict(items)
+        elif coeff == -1:
+            v._terms = {k: -c for k, c in items}
         else:
-            v._terms = {(pos, monomials.mul(mono, monomial)): c * coeff
-                        for (pos, mono), c in self._terms.items()}
+            v._terms = {k: c * coeff for k, c in items}
         return v
 
     def map_positions(self, shift) -> "ModuleVector":
@@ -176,6 +182,25 @@ class ModuleVector:
 
     def coefficient(self, position: int, monomial: Mono) -> Fraction:
         return self._terms.get((position, monomial), Fraction(0))
+
+
+def add_multiple(terms: dict, items, coeff, shift: Mono) -> None:
+    """terms += coeff * x^shift * items, in place, with zero sums dropped.
+
+    terms maps (position, monomial) to a coefficient, and items is a
+    sequence of such pairs.  A coeff of 1 or -1 adds or subtracts the item
+    coefficients, which stay the Fractions they are, without multiplying.
+    """
+    moved = any(shift)
+    sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
+    for (pos, mono), c in items:
+        key = (pos, tuple(map(add, mono, shift))) if moved else (pos, mono)
+        old = terms.get(key, 0)
+        new = old + c if sign > 0 else old - c if sign < 0 else old + c * coeff
+        if new:
+            terms[key] = new
+        else:
+            terms.pop(key, None)
 
 
 def leading_term(v: ModuleVector) -> Term:

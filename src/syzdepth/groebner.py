@@ -4,12 +4,20 @@ This is the independent oracle the rest of the library is checked against:
 initial modules of syzygy modules are computed here from generators alone,
 with no reference to how the generators arose.  The term order is the one
 of freemod, read on the ordered basis passed in.
+
+The S-pair loop keeps its pairs in a heap keyed once, when a pair is
+pushed, by the multidegree of its lcm.  Division reduces one term dict in
+place against reducers bucketed by leading position, each bucket in the
+given order, so the first divisor found is the first in the whole list.
+Arithmetic is exact throughout; multiplying by 1 or -1 copies or negates.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, sub
 from typing import Iterable, Optional, Sequence
 
 from . import monomials
@@ -19,6 +27,7 @@ from .freemod import (
     OrderedBasis,
     Slices,
     Term,
+    add_multiple,
     leading_term,
     term_key,
 )
@@ -67,7 +76,7 @@ def normal_form(v: ModuleVector, reducers: Sequence) -> ModuleVector:
 
     reducers is a sequence of (vector, leading term) pairs, tried in order.
     """
-    return _divide(v, reducers)[1]
+    return ModuleVector(v.n, _reduce(dict(v.items()), _bucketed(reducers)))
 
 
 def _divide(v: ModuleVector, reducers: Sequence):
@@ -76,38 +85,54 @@ def _divide(v: ModuleVector, reducers: Sequence):
     The quotient maps (reducer index, monomial) to a coefficient c, so that v
     is the sum of c * x^monomial * reducer over its entries plus the remainder.
     """
-    n = v.n
-    rem = v
-    tail = ModuleVector(n)
     quotient = {}
-    while not rem.is_zero():
-        t = leading_term(rem)
-        hit = None
-        for i, (g, lt) in enumerate(reducers):
-            if lt.position == t.position:
-                mono = monomials.divide(t.monomial, lt.monomial)
-                if mono is not None:
-                    hit = (i, g, t.coeff / lt.coeff, mono)
-                    break
-        if hit is None:
-            tail = tail + ModuleVector(n, {(t.position, t.monomial): t.coeff})
-            rem = rem - ModuleVector(n, {(t.position, t.monomial): t.coeff})
+    tail = _reduce(dict(v.items()), _bucketed(reducers), quotient)
+    return quotient, ModuleVector(v.n, tail)
+
+
+def _bucketed(reducers: Sequence) -> dict:
+    buckets = {}
+    for i, (g, lt) in enumerate(reducers):
+        _add_reducer(buckets, i, g, lt)
+    return buckets
+
+
+def _add_reducer(buckets: dict, index: int, g: ModuleVector, lt: Term) -> tuple:
+    """File reducer g under its leading position, after the earlier ones, as
+    the entry (index, leading monomial, leading coefficient, other terms),
+    which is returned."""
+    lead = (lt.position, lt.monomial)
+    entry = (index, lt.monomial, lt.coeff, [(key, c) for key, c in g.items() if key != lead])
+    buckets.setdefault(lt.position, []).append(entry)
+    return entry
+
+
+def _reduce(rem: dict, buckets: dict, quotient: Optional[dict] = None) -> dict:
+    """Divide the terms rem, in place, by the bucketed reducers; return the
+    remainder terms in the order they were found, and record the quotient
+    when a dict is passed for it.
+
+    Each step takes the leading term of rem and the first reducer of its
+    position whose leading monomial divides it.  The reducer's leading term
+    cancels it exactly, so it is popped and the other terms are subtracted.
+    """
+    tail = {}
+    while rem:
+        lead = max(rem, key=term_key)
+        c = rem.pop(lead)
+        pos, mono = lead
+        for i, lm, lc, rest in buckets.get(pos, ()):
+            if all(map(le, lm, mono)):
+                break
         else:
-            i, g, coeff, mono = hit
-            quotient[(i, mono)] = quotient.get((i, mono), 0) + coeff
-            rem = rem - g.scale(coeff, mono)
-    return quotient, tail
-
-
-def _spair(f, lt_f: Term, g, lt_g: Term):
-    l = monomials.lcm(lt_f.monomial, lt_g.monomial)
-    return (f.scale(1 / lt_f.coeff, monomials.divide(l, lt_f.monomial))
-            - g.scale(1 / lt_g.coeff, monomials.divide(l, lt_g.monomial)))
-
-
-def _single_position(v: ModuleVector) -> Optional[int]:
-    positions = {pos for (pos, _), _ in v.items()}
-    return positions.pop() if len(positions) == 1 else None
+            tail[lead] = c
+            continue
+        shift = tuple(map(sub, mono, lm))
+        coeff = c if lc == 1 else c / lc
+        if quotient is not None:
+            quotient[(i, shift)] = quotient.get((i, shift), 0) + coeff
+        add_multiple(rem, rest, -coeff, shift)
+    return tail
 
 
 def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBasis:
@@ -130,49 +155,52 @@ def _spair_loop(gens: Iterable[ModuleVector], basis: OrderedBasis) -> list:
     """A Groebner basis of the submodule generated by gens, as a list of
     (monic vector, leading term) pairs.
 
-    Pairs are processed by increasing multidegree of the S-pair lcm (total
-    degree first, then lex, then insertion index), and every new element is
-    fully reduced.  The product criterion is applied only to pairs whose
-    elements both live in a single basis position; for genuine module
-    elements the criterion is unsound and is not used.
+    Pairs wait in a heap keyed by the multidegree of their lcm (total degree
+    first, then lex, then the two indices); each key is computed once, when
+    the pair is pushed, and no two are equal.  Every new element is fully
+    reduced against the earlier ones, bucketed by leading position.  The
+    product criterion is applied only to pairs whose elements both live in a
+    single basis position; for genuine module elements it is unsound and is
+    not used.
     """
     elements = []  # list of (vector, leading term)
-    n = basis.n
-
-    def pair_key(i, j):
-        lt_i, lt_j = elements[i][1], elements[j][1]
-        l = monomials.lcm(lt_i.monomial, lt_j.monomial)
-        degree = monomials.mul(l, basis.degree(lt_i.position))
-        return (sum(degree), degree, i, j)
+    entries = []  # the reducer entry of each element
+    single = []  # whether each element lives in a single basis position
+    buckets = {}  # leading position -> reducer entries, by index
+    queue = []  # heap of (total degree, degree, i, j)
 
     def add_element(v):
         lt = leading_term(v)
         v = v.scale(1 / lt.coeff)
         lt = Term(Fraction(1), lt.monomial, lt.position)
         index = len(elements)
+        degree = basis.degree(lt.position)
+        for i, lm, _, _ in buckets.get(lt.position, ()):
+            d = monomials.mul(monomials.lcm(lm, lt.monomial), degree)
+            heapq.heappush(queue, (sum(d), d, i, index))
         elements.append((v, lt))
-        for i in range(index):
-            if elements[i][1].position == lt.position:
-                pairs.append((i, index))
+        entries.append(_add_reducer(buckets, index, v, lt))
+        single.append(len({pos for (pos, _), _ in v.items()}) == 1)
 
-    pairs = []
     for g in gens:
         if g is not None and not g.is_zero():
             add_element(g)
 
-    while pairs:
-        pairs.sort(key=lambda ij: pair_key(*ij))
-        i, j = pairs.pop(0)
-        f, lt_f = elements[i]
-        g, lt_g = elements[j]
-        if (monomials.gcd(lt_f.monomial, lt_g.monomial) == monomials.unit(n)
-                and _single_position(f) is not None
-                and _single_position(g) is not None):
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
+        _, lm_i, _, rest_i = entries[i]
+        _, lm_j, _, rest_j = entries[j]
+        if single[i] and single[j] and not any(map(min, lm_i, lm_j)):
             continue
-        s = _spair(f, lt_f, g, lt_g)
-        rem = normal_form(s, elements)
-        if not rem.is_zero():
-            add_element(rem)
+        # The S-pair x^(l/lm_i) v_i - x^(l/lm_j) v_j; the monic leading
+        # terms cancel, so only the other terms enter it.
+        l = monomials.lcm(lm_i, lm_j)
+        s = {}
+        add_multiple(s, rest_i, 1, monomials.divide(l, lm_i))
+        add_multiple(s, rest_j, -1, monomials.divide(l, lm_j))
+        tail = _reduce(s, buckets)
+        if tail:
+            add_element(ModuleVector(basis.n, tail))
     return elements
 
 

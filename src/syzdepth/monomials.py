@@ -6,6 +6,7 @@ Variable priority is fixed at x1 > x2 > ... > xn, so lex is tuple comparison.
 
 from __future__ import annotations
 
+from operator import add, le, sub
 from typing import Iterable, Optional
 
 Mono = tuple  # length-n tuple of ints, componentwise >= 0 for monomials
@@ -26,9 +27,8 @@ def variable(i: int, n: int) -> Mono:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _check_pair(u: Mono, v: Mono) -> None:
-    if len(u) != len(v):
-        raise ValueError(f"mismatched variable counts: {len(u)} vs {len(v)}")
+def _mismatch(u: Mono, v: Mono) -> ValueError:
+    return ValueError(f"mismatched variable counts: {len(u)} vs {len(v)}")
 
 
 def check_monomial(u: Mono) -> Mono:
@@ -39,33 +39,42 @@ def check_monomial(u: Mono) -> Mono:
     return u
 
 
+# The helpers below sit in the inner loops of Buchberger and the complexes.
+# map stops at the shorter tuple, so each one checks the lengths first.
+
+
 def mul(u: Mono, v: Mono) -> Mono:
-    _check_pair(u, v)
-    return tuple(a + b for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise _mismatch(u, v)
+    return tuple(map(add, u, v))
 
 
 def lcm(u: Mono, v: Mono) -> Mono:
-    _check_pair(u, v)
-    return tuple(max(a, b) for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise _mismatch(u, v)
+    return tuple(map(max, u, v))
 
 
 def gcd(u: Mono, v: Mono) -> Mono:
-    _check_pair(u, v)
-    return tuple(min(a, b) for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise _mismatch(u, v)
+    return tuple(map(min, u, v))
 
 
 def divides(v: Mono, u: Mono) -> bool:
     """True when v divides u componentwise."""
-    _check_pair(u, v)
-    return all(b <= a for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise _mismatch(u, v)
+    return all(map(le, v, u))
 
 
 def divide(u: Mono, v: Mono) -> Optional[Mono]:
     """u/v when v divides u, else None."""
-    _check_pair(u, v)
-    if any(b > a for a, b in zip(u, v)):
+    if len(u) != len(v):
+        raise _mismatch(u, v)
+    if not all(map(le, v, u)):
         return None
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def support(u: Mono) -> frozenset:
@@ -79,7 +88,8 @@ def is_squarefree(u: Mono) -> bool:
 
 def lex_compare(a: Mono, b: Mono) -> int:
     """-1, 0 or 1; first differing coordinate decides, x1 weighs most."""
-    _check_pair(a, b)
+    if len(a) != len(b):
+        raise _mismatch(a, b)
     if a == b:
         return 0
     return 1 if a > b else -1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -114,7 +115,11 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
 
     Decision search for descending target values: branch on the
     lexicographically smallest uncovered point, try tops by decreasing value,
-    ties by increasing top.  Points are the bits of an int in lexicographic
+    ties by increasing top.  The targets start at the start bound: the
+    minimum over points x of the largest value of a point of P above x.
+    The interval that covers x has its top among those points, so no
+    partition beats the bound, and the targets above it, which would all
+    be refuted, are skipped.  Points are the bits of an int in lexicographic
     order, so the smallest uncovered point is the lowest zero bit of the
     covered set, and failure states are memoized on that int.  Every
     returned partition has passed validate_partition.  A search that
@@ -126,7 +131,7 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
     if not P.points:
         return SdepthResult(P.n, ())
     tops = _CandidateTops(P)
-    for d in range(P.n, -1, -1):
+    for d in range(_start_bound(tops), -1, -1):
         partition = _feasible_partition(tops, d)
         if partition is not None:
             try:
@@ -169,6 +174,26 @@ class _CandidateTops(dict):
         found.sort(key=lambda entry: (-entry[0], entry[1].top))
         self[i] = found
         return found
+
+
+def _start_bound(tops) -> int:
+    """min over points x of the largest value of a point of P above x.
+
+    at_least[v] is the bitmask of the points of value at least v, so the
+    bound only falls while no point above x is in at_least[bound].
+    """
+    n = len(tops.cap)
+    at_least = [0] * (n + 1)
+    for i, b in enumerate(tops.points):
+        at_least[sum(map(operator.eq, b, tops.cap))] |= 1 << i
+    for v in range(n - 1, -1, -1):
+        at_least[v] |= at_least[v + 1]
+    bound = n
+    for a in tops.points:
+        above = tops.masks.multiples(a)
+        while not at_least[bound] & above:
+            bound -= 1
+    return bound
 
 
 def _feasible_partition(tops, d: int):

@@ -112,12 +112,13 @@ def verify_boundary_gb(C: FreeComplex, p: int,
 
 
 def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
-                    cone: FreeComplex, i: int):
+                    cone: FreeComplex, i: int, oracle: Optional[InitialModule] = None):
     """Groebner basis of Z_i(cone) from bases of Z_i(F) and Z_{i-1}(G).
 
     Elements of gbF embed into the F part; elements of gbG are lifted to
     cycles of the cone through the cone differential.  The result is checked
-    against the Buchberger oracle and returned as a list of module vectors.
+    against the Buchberger oracle ini(Z_i(cone)), computed here unless the
+    caller passes it, and returned as a list of module vectors.
     """
     if i < 1:
         raise ValueError("composition applies to syzygy modules Z_i with i >= 1")
@@ -132,7 +133,8 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
             raise RuntimeError("composed element is not a cycle; the cone input "
                                "does not match the chain map")
     claimed = monomial_module_from_terms(cone.basis(i), [leading_term(v) for v in composed])
-    oracle = initial_module(syzygy_generators(cone, i), cone.basis(i))
+    if oracle is None:
+        oracle = initial_module(syzygy_generators(cone, i), cone.basis(i))
     if claimed.components != oracle.components:
         raise RuntimeError("composed set is not a Groebner basis of the cone "
                            f"syzygy module at i={i}")

@@ -160,7 +160,7 @@ def _run_lemma_groebner(rng, job) -> dict:
                            {"i": i, "cone": ini_c.to_jsonable()})
         if gbF is not None and gbG is not None:
             try:
-                compose_cone_gb(gbF, gbG, phi, cone, i)
+                compose_cone_gb(gbF, gbG, phi, cone, i, oracle=ini_c)
             except RuntimeError as exc:
                 return _report("lemma-groebner", instance, "FAIL",
                                {"i": i, "compose_error": str(exc)})

@@ -11,6 +11,8 @@ from syzdepth.complexes import (
 )
 from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, leading_term
 from syzdepth.groebner import (
+    _divide,
+    _spair_loop,
     buchberger,
     hilbert_slice_check,
     initial_module,
@@ -214,3 +216,170 @@ def test_kernel_of_injective_map_is_empty():
     basis1 = OrderedBasis(2, [BasisElement((1, 0))])
     cols = [ModuleVector(2, {(0, (1, 0)): Fraction(1)})]
     assert kernel_generators(cols, basis1, basis0) == []
+
+
+# ---------------------------------------------------------------------------
+# The heap-ordered, bucketed kernel against a copy of the kernel it replaced:
+# a pair list re-sorted on every pop, a linear scan for the first divisor and
+# a new vector at every division step, with every coefficient multiplied.
+
+
+def _reference_scale(v, coeff, mono):
+    return ModuleVector(v.n, {(pos, tuple(a + b for a, b in zip(m, mono))): c * coeff
+                              for (pos, m), c in v.items()})
+
+
+def _reference_divide(v, reducers):
+    n = v.n
+    rem = v
+    tail = ModuleVector(n)
+    quotient = {}
+    while not rem.is_zero():
+        t = leading_term(rem)
+        hit = None
+        for i, (g, lt) in enumerate(reducers):
+            if lt.position == t.position:
+                mono = tuple(a - b for a, b in zip(t.monomial, lt.monomial))
+                if min(mono) >= 0:
+                    hit = (i, g, t.coeff / lt.coeff, mono)
+                    break
+        if hit is None:
+            tail = tail + ModuleVector(n, {(t.position, t.monomial): t.coeff})
+            rem = rem - ModuleVector(n, {(t.position, t.monomial): t.coeff})
+        else:
+            i, g, coeff, mono = hit
+            quotient[(i, mono)] = quotient.get((i, mono), 0) + coeff
+            rem = rem - _reference_scale(g, coeff, mono)
+    return quotient, tail
+
+
+def _reference_spair_loop(gens, basis):
+    elements = []
+
+    def pair_key(i, j):
+        lt_i, lt_j = elements[i][1], elements[j][1]
+        l = tuple(map(max, lt_i.monomial, lt_j.monomial))
+        degree = tuple(a + b for a, b in zip(l, basis.degree(lt_i.position)))
+        return (sum(degree), degree, i, j)
+
+    def add_element(v):
+        lt = leading_term(v)
+        v = _reference_scale(v, 1 / lt.coeff, (0,) * basis.n)
+        lt = lt._replace(coeff=Fraction(1))
+        index = len(elements)
+        elements.append((v, lt))
+        pairs.extend((i, index) for i in range(index)
+                     if elements[i][1].position == lt.position)
+
+    def single(v):
+        return len({pos for (pos, _), _ in v.items()}) == 1
+
+    pairs = []
+    for g in gens:
+        if g is not None and not g.is_zero():
+            add_element(g)
+    while pairs:
+        pairs.sort(key=lambda ij: pair_key(*ij))
+        i, j = pairs.pop(0)
+        (f, lt_f), (g, lt_g) = elements[i], elements[j]
+        if (not any(map(min, lt_f.monomial, lt_g.monomial))
+                and single(f) and single(g)):
+            continue
+        l = tuple(map(max, lt_f.monomial, lt_g.monomial))
+        s = (_reference_scale(f, 1, tuple(a - b for a, b in zip(l, lt_f.monomial)))
+             - _reference_scale(g, 1, tuple(a - b for a, b in zip(l, lt_g.monomial))))
+        rem = _reference_divide(s, elements)[1]
+        if not rem.is_zero():
+            add_element(rem)
+    return elements
+
+
+def _term_lists(elements):
+    return [(list(v.items()), lt) for v, lt in elements]
+
+
+@st.composite
+def spair_loop_inputs(draw):
+    """(generators, basis) from a seeded random ideal (n <= 4, m <= 5,
+    exponents <= 3) and a Taylor complex, its minimisation or a Taylor step
+    cone: the columns of d_{p+1} on the basis of F_p, as it is or re-sorted
+    lex-refined, for any p >= 0, or the tagged columns of d_p that
+    kernel_generators hands to buchberger.  One generator is scaled by -3/2,
+    so that leading coefficients are not all 1."""
+    I = random_monomial_ideal(trial_rng(draw(st.integers(0, 10**6)), 0), 4, 5, 3, min_gens=2)
+    n, gens = I.n, list(I.gens)
+    assume(len(gens) >= 2)
+    kind = draw(st.sampled_from(["taylor", "minimized", "cone"]))
+    if kind == "cone":
+        C, _ = taylor_step_cone(gens, n)
+    else:
+        C = taylor_complex(gens, n)
+        if kind == "minimized":
+            C = minimize(C)
+    p = draw(st.integers(0, C.length - 1))
+    columns = list(C.differential(p + 1))
+    basis = C.basis(p)
+    how = draw(st.sampled_from(["as-is", "lex-refined", "tagged"]))
+    if how == "lex-refined":
+        basis, perm = basis.sort_lex_refined()
+        columns = [v.map_positions(lambda pos: perm[pos]) for v in columns]
+    elif how == "tagged":
+        r = len(basis)
+        source = C.basis(p + 1)
+        basis = OrderedBasis(n, list(basis.elements)
+                             + [BasisElement(e.degree, ("tag", e.label)) for e in source])
+        columns = [col + ModuleVector.generator(n, r + j) for j, col in enumerate(columns)]
+    return columns[:1] + [columns[0].scale(Fraction(-3, 2))] + columns[1:], basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(spair_loop_inputs())
+@example((list(koszul_complex([X1, X2, X3], 3).differential(2)) * 2,
+          koszul_complex([X1, X2, X3], 3).basis(1)))
+def test_spair_loop_matches_the_sorted_list_kernel(case):
+    gens, basis = case
+    assert _term_lists(_spair_loop(gens, basis)) == \
+        _term_lists(_reference_spair_loop(gens, basis))
+
+
+@st.composite
+def division_cases(draw):
+    """(vector, reducers) pairs from a seeded random ideal (n <= 4, m <= 5,
+    exponents <= 3): the inputs lift_through gets while the Taylor step cone
+    is built and while compose_cone_gb lifts, and each column of a Taylor or
+    minimised differential divided by the other columns, some of them scaled
+    by 5/3 so that leading coefficients are not 1."""
+    I = random_monomial_ideal(trial_rng(draw(st.integers(0, 10**6)), 0), 4, 5, 3, min_gens=2)
+    n, gens = I.n, list(I.gens)
+    assume(len(gens) >= 2)
+    cases = []
+    _, phi = taylor_step_cone(gens, n)
+    G, F = phi.source, phi.target
+    for i in range(1, min(G.length, F.length) + 1):
+        divisors = [(col, leading_term(col)) for col in F.differential(i) if not col.is_zero()]
+        targets = [phi.apply(i - 1, G.apply(i, ModuleVector.generator(n, k)))
+                   for k in range(G.rank(i))]
+        if i + 1 <= G.length:
+            targets += [-phi.apply(i, z) for z in
+                        buchberger(list(G.differential(i + 1)), G.basis(i)).generators]
+        cases += [(z, divisors) for z in targets if not z.is_zero()]
+    C = taylor_complex(gens, n)
+    if draw(st.booleans()):
+        C = minimize(C)
+    for p in range(1, C.length + 1):
+        columns = [col if k % 2 else col.scale(Fraction(5, 3))
+                   for k, col in enumerate(C.differential(p)) if not col.is_zero()]
+        for k, col in enumerate(columns):
+            cases.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]]))
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(division_cases())
+def test_divide_matches_the_linear_scan_kernel(cases):
+    for v, reducers in cases:
+        quotient, rem = _divide(v, reducers)
+        expected_quotient, expected_rem = _reference_divide(v, reducers)
+        assert list(quotient.items()) == list(expected_quotient.items())
+        assert list(rem.items()) == list(expected_rem.items())
+        assert all(type(c) is Fraction for c in quotient.values())

@@ -8,6 +8,7 @@ from syzdepth.monomials import (
     MonomialIdeal,
     divide,
     divides,
+    gcd,
     is_squarefree,
     lcm,
     lcm_closure,
@@ -30,6 +31,14 @@ def test_lcm_examples():
 def test_lcm_mismatched_length():
     with pytest.raises(ValueError):
         lcm((1, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("helper", [mul, lcm, gcd, divides, divide, lex_compare])
+def test_helpers_reject_mismatched_lengths(helper):
+    # The helpers map over both tuples, which would stop at the shorter one.
+    for u, v in [((1, 0), (1, 0, 0)), ((0, 0, 2), (1,)), ((), (0,))]:
+        with pytest.raises(ValueError, match="mismatched variable counts"):
+            helper(u, v)
 
 
 def test_divide_examples():

@@ -280,6 +280,24 @@ def _reference_feasible_partition(P, points_sorted, d):
     return search(frozenset())
 
 
+def test_exact_sdepth_starts_at_the_bound_above_every_point():
+    # S/J with 110 points whose true value is 1.  Started at d = n, the
+    # search spent 1,924,753 nodes refuting d = 2 and was refused.
+    J = MonomialIdeal(4, [(1, 1, 2, 1), (1, 2, 0, 2), (2, 1, 0, 2)])
+    P = char_poset(MonomialIdeal(4, [unit(4)]), J, (3, 2, 3, 2))
+    assert P.size == 110
+    result = exact_sdepth(P)
+    assert result.value == 1
+    assert min(interval_value(iv, P.cap) for iv in result.partition) == 1
+    # Witness for sdepth <= 1: a point x with no point of value 2 or more
+    # above it in P.  No interval starting at x, nor any other interval
+    # covering x, then has value 2.
+    witnesses = [x for x in P.points
+                 if all(interval_value(Interval(x, y), P.cap) < 2 for y in P.points
+                        if all(a <= b for a, b in zip(x, y)))]
+    assert witnesses
+
+
 @st.composite
 def small_posets(draw):
     """Ideals I, quotients S/I and I/J with J inside I (n <= 4, exponents

@@ -8,7 +8,7 @@ from syzdepth.complexes import (
     taylor_complex,
 )
 from syzdepth.freemod import leading_term
-from syzdepth.groebner import buchberger
+from syzdepth.groebner import buchberger, initial_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
     compose_cone_gb,
@@ -84,6 +84,21 @@ def test_compose_cone_gb_direct_sum_identity():
         gbG = buchberger(list(G.differential(i)), G.basis(i - 1))
         composed = compose_cone_gb(gbF, gbG, phi, cone, i)
         assert composed  # certified inside compose_cone_gb
+
+
+def test_compose_cone_gb_checks_against_the_oracle_it_is_given():
+    gens = [(2, 0), (1, 1), (0, 2)]
+    cone, phi = taylor_step_cone(gens, 2)
+    F, G = phi.target, phi.source
+    gbF = buchberger(syzygy_generators(F, 1), F.basis(1))
+    gbG = buchberger(list(G.differential(1)), G.basis(0))
+    oracle = initial_module(syzygy_generators(cone, 1), cone.basis(1))
+    assert compose_cone_gb(gbF, gbG, phi, cone, 1, oracle=oracle) == \
+        compose_cone_gb(gbF, gbG, phi, cone, 1)
+    damaged = type(oracle)(oracle.basis, (MonomialIdeal(2, [(0, 1)]),)
+                           + oracle.components[1:])
+    with pytest.raises(RuntimeError, match="not a Groebner basis"):
+        compose_cone_gb(gbF, gbG, phi, cone, 1, oracle=damaged)
 
 
 def test_theorem_main_koszul():

@@ -556,19 +556,28 @@ def check_complex(C: FreeComplex) -> bool:
     """d composed with d vanishes and every column is multihomogeneous.
 
     d_{p-1}(d_p(e_j)) is summed straight from the columns of d_p and d_{p-1}
-    into one {(position, monomial): c} dict, with no vector built per term;
-    the multidegree check comes first.
+    into one {(position, monomial): c} dict, with no vector built per term.
+    Each integral coefficient is read as an int, its numerator, and the
+    others stay Fractions, so the sums are exact.  The multidegree check of
+    each level comes first.
     """
+    below = None
     for p in range(1, C.length + 1):
         for j, col in enumerate(C.differential(p)):
             if not col.is_zero():
                 d = multidegree_of(col, C.basis(p - 1))
                 if d != C.basis(p).degree(j):
                     return False
-        if p >= 2:
-            below = C.differential(p - 1)
-            if any(_image_terms(below, col) for col in C.differential(p)):
-                return False
+        cols = [[(key, c.numerator if c.denominator == 1 else c) for key, c in col.items()]
+                for col in C.differential(p)]
+        if below is not None:
+            for col in cols:
+                image = {}
+                for (pos, mono), coeff in col:
+                    add_multiple(image, below[pos], coeff, mono)
+                if image:
+                    return False
+        below = cols
     return True
 
 
@@ -584,9 +593,12 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     """Degreewise exactness in every multidegree, with the cokernel at level
     zero matching the module generated by module_gens.
 
-    Every rank is exact: one Slices engine per differential, and one for the
-    module, eliminate fraction-free and cache ranks per bitmask.  Each slice
-    is fixed by which module-generator and F_1..F_L basis degrees divide the
+    It starts with check_complex, whose d o d sums read integral
+    coefficients as ints.  Every rank is exact: one Slices engine per
+    differential, and one for the module, stores its rows once as integers
+    and hands the active ones to linalg.exact_rank, a fraction-free
+    elimination on sparse rows; ranks are cached per bitmask.  Each slice is
+    fixed by which module-generator and F_1..F_L basis degrees divide the
     degree, so walking their lcm closure in lex order decides every degree
     (Gasharov-Peeva-Welker).  Set exhaustive to collect every failing
     closure degree instead of stopping at the first.
@@ -640,17 +652,18 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
 
 
 def complex_to_jsonable(C: FreeComplex) -> dict:
+    """The complex as JSON values: ranks, basis degrees and, per differential,
+    a rows x columns matrix whose cells list the terms of that entry.
+
+    Each column's terms are read once into their cells, so a cell keeps the
+    order the terms have in the column.
+    """
     differentials = []
     for p in range(1, C.length + 1):
-        matrix = []
-        for r in range(C.rank(p - 1)):
-            row = []
-            for c in range(C.rank(p)):
-                entry = [{"coeff": str(coeff), "monomial": list(mono)}
-                         for (pos, mono), coeff in C.differential(p)[c].items()
-                         if pos == r]
-                row.append(entry)
-            matrix.append(row)
+        matrix = [[[] for _ in range(C.rank(p))] for _ in range(C.rank(p - 1))]
+        for c, col in enumerate(C.differential(p)):
+            for (pos, mono), coeff in col.items():
+                matrix[pos][c].append({"coeff": str(coeff), "monomial": list(mono)})
         differentials.append(matrix)
     return {
         "n": C.n,

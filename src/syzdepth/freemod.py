@@ -189,7 +189,7 @@ def add_multiple(terms: dict, items, coeff, shift: Mono) -> None:
 
     terms maps (position, monomial) to a coefficient, and items is a
     sequence of such pairs.  A coeff of 1 or -1 adds or subtracts the item
-    coefficients, which stay the Fractions they are, without multiplying.
+    coefficients, ints or Fractions, as they are, without multiplying.
     """
     moved = any(shift)
     sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
@@ -265,10 +265,12 @@ class Slices:
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
     The vectors whose degree divides a are found by AND-ing per-coordinate
-    bitsets, and ranks are cached per bitmask.  Pass degrees to give each
-    vector a degree of its own (a zero vector then still counts as active);
-    otherwise zero vectors have no degree and are never active.  Every
-    slice is fixed by which of the degrees in self.degrees divide a.
+    bitsets.  Each row is also stored once as integers, scaled by the lcm
+    of its denominators, which changes no rank: rank hands those sparse rows
+    to linalg.exact_rank and caches the answer per bitmask.  Pass degrees to
+    give each vector a degree of its own (a zero vector then still counts as
+    active); otherwise zero vectors have no degree and are never active.
+    Every slice is fixed by which of the degrees in self.degrees divide a.
     """
 
     def __init__(self, vectors, basis: OrderedBasis, degrees=None):
@@ -286,6 +288,7 @@ class Slices:
             self._rows.append({pos: c for (pos, _), c in v.items()})
             if d is not None:
                 known.append((i, d))
+        self._integer_rows = [linalg.integer_row(row) for row in self._rows]
         self.degrees = [d for _, d in known]
         self._masks = DegreeMasks(known, basis.n, len(self._rows))
         self._ranks = {}
@@ -295,6 +298,7 @@ class Slices:
         return self._masks.dividing(a)
 
     def _matrix(self, mask: int, extra=None):
+        """Dense rows of the chosen vectors (and extra), for piece and solve."""
         rows = [self._rows[i] for i in _bits(mask)]
         if extra is not None:
             rows.append(extra)
@@ -304,7 +308,8 @@ class Slices:
     def rank(self, mask: int) -> int:
         """Exact rank of the chosen vectors."""
         if mask not in self._ranks:
-            self._ranks[mask] = linalg.exact_rank(self._matrix(mask)[0])
+            rows = self._integer_rows
+            self._ranks[mask] = linalg.exact_rank([rows[i] for i in _bits(mask)])
         return self._ranks[mask]
 
     def piece(self, a: Mono):

@@ -1,64 +1,68 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists holding ints or Fractions.  Everything here
-is deterministic: pivots are chosen left to right, top to bottom.
+Dense matrices are lists of row lists holding ints or Fractions; rref and
+solve_exact work on them.  exact_rank takes sparse rows instead, dicts
+{column: value} with no zero values, and eliminates on integers.
+Everything here is deterministic: pivots are chosen left to right, top to
+bottom.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm as int_lcm
+from math import gcd, lcm
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators; rank is unchanged.
+def integer_row(row: dict) -> dict:
+    """The sparse row scaled by the lcm of its denominators; rank is unchanged.
 
-    Ints and Fractions both carry numerator and denominator, and a row whose
-    denominators are all 1 (every row of a Slices engine over a complex with
-    integer entries) is read off its numerators with no Fraction arithmetic.
+    Ints and Fractions both carry numerator and denominator, so a row whose
+    denominators are all 1 is read off its numerators.
     """
-    out = []
-    for row in rows:
-        scale = int_lcm(*[x.denominator for x in row])
-        if scale == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    scale = lcm(*[x.denominator for x in row.values()])
+    if scale == 1:
+        return {c: x.numerator for c, x in row.items()}
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
 
 
 def exact_rank(rows) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    if not rows:
-        return 0
-    m = _integer_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot = r
+    """Rank over Q of sparse rows, by fraction-free elimination.
+
+    A row holding a Fraction is first scaled by integer_row.  Each row is
+    then split into its leading (smallest) column's entry B and the rest.
+    While a pivot (A, pivot rest) sits at that column, the row becomes
+    (A / g) * rest - (B / g) * (pivot rest), with g = gcd(A, B), divided by
+    its content.  A row left nonzero becomes the pivot of its leading
+    column.  The input rows are not modified.
+    """
+    pivots = {}  # leading column -> (leading entry, the other entries)
+    for row in rows:
+        if Fraction in map(type, row.values()):
+            row = integer_row(row)
+        while row:
+            lead = min(row)
+            rest = dict(row)
+            b = rest.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (b, rest)
                 break
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-        p = m[row][col]
-        for r in range(row + 1, nrows):
-            factor = m[r][col]
-            if factor or p != prev:  # otherwise the update leaves the row as it is
-                for c in range(col + 1, ncols):
-                    m[r][c] = (m[r][c] * p - factor * m[row][c]) // prev
-            m[r][col] = 0
-        prev = p
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+            head, tail = pivot
+            g = gcd(head, b)
+            a, b = head // g, b // g
+            if a != 1:
+                rest = {c: a * x for c, x in rest.items()}
+            for c, x in tail.items():
+                y = rest.get(c, 0) - b * x
+                if y:
+                    rest[c] = y
+                else:
+                    del rest[c]
+            content = gcd(*rest.values())
+            if content > 1:
+                rest = {c: x // content for c, x in rest.items()}
+            row = rest
+    return len(pivots)
 
 
 def rref(rows):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from syzdepth.cli import _dumps
 from syzdepth.complexes import (
     ChainMap,
     ExactnessReport,
@@ -30,6 +31,7 @@ from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, divides, lcm, lcm_closure, mul, unit
 from syzdepth.syzygy import lex_refined_initial
+from syzdepth.verify import taylor_step_cone
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -595,6 +597,122 @@ def test_check_complex_rejects_a_flipped_sign_and_a_mixed_column():
     assert not check_complex(_replace_column(KOSZUL3, 2, 2, _FLIPPED_D2))
     assert multidegree_of(_MIXED_D1, KOSZUL3.basis(0)) is None
     assert not check_complex(_replace_column(KOSZUL3, 1, 0, _MIXED_D1))
+
+
+def _scale_level(C, p, factor):
+    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs[p - 1] = [col.scale(factor) for col in diffs[p - 1]]
+    return FreeComplex(C.n, C.bases, diffs)
+
+
+KOSZUL3_TWO_THIRDS = _scale_level(KOSZUL3, 2, Fraction(2, 3))
+
+
+def _rescale_basis(C, p, factors):
+    """The same complex after e_k in F_p becomes e_k / factors[k]: column k
+    of d_p is scaled by factors[k], and row k of d_{p+1} divided by it."""
+    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs[p - 1] = [col.scale(f) for col, f in zip(diffs[p - 1], factors)]
+    if p < C.length:
+        diffs[p] = [ModuleVector(C.n, {(k, mono): c / factors[k] for (k, mono), c in col.items()})
+                    for col in diffs[p]]
+    return FreeComplex(C.n, C.bases, diffs)
+
+
+def test_check_complex_on_non_integral_coefficients():
+    # d_2 with its columns scaled by 2/3 still composes to zero with d_1 and
+    # d_3, and the complex stays exact; one entry moved by 1/7 breaks d o d.
+    C = KOSZUL3_TWO_THIRDS
+    assert {c for col in C.differential(2) for _, c in col.items()} == \
+        {Fraction(2, 3), Fraction(-2, 3)}
+    assert check_complex(C) and reference_check_complex(C)
+    assert check_exactness_on_box(C, MonomialIdeal(3, [X1, X2, X3])).ok
+    col = C.differential(2)[0]
+    key, c = next(iter(col.items()))
+    damaged = _replace_column(C, 2, 0, ModuleVector(3, {**dict(col.items()),
+                                                        key: c + Fraction(1, 7)}))
+    assert not check_complex(damaged) and not reference_check_complex(damaged)
+    # F_1 rescaled by 1/2, 1/3 and 1/5: d_1 then holds those Fractions and
+    # d_2 the ints 2, 3 and 5 up to sign, and d o d cancels only when the
+    # ints and the Fractions are summed exactly together.
+    rescaled = _rescale_basis(KOSZUL3, 1, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+    assert check_complex(rescaled)
+
+
+nonzero_fractions = st.fractions(-5, 5, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged_complexes(), st.booleans(), st.data())
+def test_check_complex_agrees_with_the_vector_reference_on_fractions(case, rescale, data):
+    # Rescaling the basis of one F_p by fractions keeps d o d = 0 or not as
+    # it was, with denominators that differ from column to column; scaling
+    # one column of d_p by a fraction in general breaks d_p o d_{p+1}.
+    C, _ = case
+    p = data.draw(st.integers(1, C.length))
+    if rescale:
+        factors = st.lists(nonzero_fractions, min_size=C.rank(p), max_size=C.rank(p))
+        C = _rescale_basis(C, p, data.draw(factors))
+    elif C.rank(p):
+        j = data.draw(st.integers(0, C.rank(p) - 1))
+        C = _replace_column(C, p, j, C.differential(p)[j].scale(data.draw(nonzero_fractions)))
+    assert check_complex(C) == reference_check_complex(C)
+
+
+def reference_complex_to_jsonable(C):
+    """complex_to_jsonable as it read when each cell rescanned its column."""
+    differentials = []
+    for p in range(1, C.length + 1):
+        matrix = []
+        for r in range(C.rank(p - 1)):
+            row = []
+            for c in range(C.rank(p)):
+                entry = [{"coeff": str(coeff), "monomial": list(mono)}
+                         for (pos, mono), coeff in C.differential(p)[c].items()
+                         if pos == r]
+                row.append(entry)
+            matrix.append(row)
+        differentials.append(matrix)
+    return {
+        "n": C.n,
+        "ranks": list(C.ranks),
+        "degrees": [[list(e.degree) for e in basis] for basis in C.bases],
+        "differentials": differentials,
+    }
+
+
+@st.composite
+def serialised_complexes(draw):
+    """Taylor, minimized, Eliahou-Kervaire or taylor_step_cone complexes,
+    with one column possibly scaled by a non-integral fraction."""
+    kind = draw(st.sampled_from(["taylor", "minimized", "ek", "cone"]))
+    if kind == "ek":
+        n = draw(st.integers(1, 3))
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
+                             min_size=1, max_size=3))
+        C = eliahou_kervaire(stable_closure(MonomialIdeal(n, gens)))
+    else:
+        I = draw(ideals())
+        gens = list(I.gens)
+        if kind == "cone" and len(gens) >= 2:
+            C, _ = taylor_step_cone(gens, I.n)
+        else:
+            C = taylor_complex(gens, I.n)
+            if kind == "minimized":
+                C = minimize(C)
+    if C.length and draw(st.booleans()):
+        p = draw(st.integers(1, C.length))
+        if C.rank(p):
+            j = draw(st.integers(0, C.rank(p) - 1))
+            C = _replace_column(C, p, j, C.differential(p)[j].scale(draw(nonzero_fractions)))
+    return C
+
+
+@settings(max_examples=100, deadline=None)
+@given(serialised_complexes())
+@example(KOSZUL3_TWO_THIRDS)
+def test_complex_to_jsonable_matches_the_cell_by_cell_reference(C):
+    assert _dumps(complex_to_jsonable(C)) == _dumps(reference_complex_to_jsonable(C))
 
 
 @settings(max_examples=150, deadline=None)

@@ -153,9 +153,67 @@ def test_multihomogeneous_vector_has_one_term_per_position(pair):
              min_size=c, max_size=c), max_size=6)))
 @example([[0, 0, 1], [0, 1, 0], [2, 0, 0]])
 def test_exact_rank_matches_reference_rank(rows):
-    # Against the independent Fraction reduction above.  In the example the
-    # last row is skipped at the first pivot and divided by it at the next.
-    assert linalg.exact_rank(rows) == _brute_rank(rows)
+    # Against the independent Fraction reduction above, with the rows fed as
+    # sparse dicts.  The example is kept from the dense Bareiss kernel, which
+    # skipped its last row at the first pivot and divided it by that pivot at
+    # the next, and so lost a rank.
+    assert linalg.exact_rank(_sparse(rows)) == _brute_rank(rows)
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+BIG = 10 ** 20
+big_entries = (st.sampled_from([0, 0, 1, -1]) | st.integers(-BIG, BIG)
+               | st.fractions(-BIG, BIG, max_denominator=10 ** 6))
+factors = (st.integers(-BIG, BIG) | st.fractions(-BIG, BIG, max_denominator=10 ** 6)).filter(bool)
+
+
+@st.composite
+def dependent_rows(draw):
+    """(rows, column order): entries up to 10^20 in size, Fractions with
+    denominators up to 10^6, and rows that duplicate a row, are a multiple
+    of one, or add a multiple of one row to another."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(big_entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        u = draw(st.sampled_from(rows))
+        v = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["duplicate", "proportional", "combination"]))
+        if kind == "duplicate":
+            new = list(u)
+        else:
+            f = draw(factors)
+            new = [f * x for x in u] if kind == "proportional" else \
+                [x + f * y for x, y in zip(u, v)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, draw(st.permutations(range(ncols)))
+
+
+@given(dependent_rows())
+@example(([[1, 1, 0], [1, 0, 1], [0, -1, 1]], [0, 1, 2]))
+@example(([[2, 2], [1, 1]], [0, 1]))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [3, 2]], [1, 0]))
+def test_exact_rank_on_large_fractional_and_dependent_rows(case):
+    # The sparse rows list their columns in a drawn order, so that the
+    # leading column need not be the first key, and exact_rank leaves them
+    # as they were.  Examples: the second row reduces to {2: 1, 1: -1},
+    # whose leading column is not its first key; 2 * (1, 1) - (2, 2)
+    # needs the multiply by the pivot; the lcm 6 makes both rows (3, 2).
+    rows, order = case
+    sparse = [{c: row[c] for c in order if row[c]} for row in rows]
+    before = [list(row.items()) for row in sparse]
+    assert linalg.exact_rank(sparse) == _brute_rank(rows)
+    assert [list(row.items()) for row in sparse] == before
+
+
+def test_integer_row_scales_by_the_lcm_of_the_denominators():
+    row = {3: Fraction(1, 4), 0: Fraction(5, 6), 1: 2, 2: Fraction(-4, 1)}
+    assert linalg.integer_row(row) == {3: 3, 0: 10, 1: 24, 2: -48}
+    assert [type(x) for x in linalg.integer_row(row).values()] == [int] * 4
+    assert linalg.integer_row({0: Fraction(7), 1: -1}) == {0: 7, 1: -1}
 
 
 @given(st.lists(multihomogeneous_vectors(), max_size=4),

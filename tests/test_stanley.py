@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syzdepth.complexes import koszul_complex, syzygy_generators, taylor_complex
 from syzdepth.groebner import initial_module
@@ -226,11 +226,22 @@ def reference_sdepth(P):
     if not P.points:
         return P.n, ()
     points_sorted = sorted(P.points)
-    for d in range(P.n, -1, -1):
+    for d in range(reference_start_bound(P), -1, -1):
         partition = _reference_feasible_partition(P, points_sorted, d)
         if partition is not None:
             return d, tuple(partition)
     raise AssertionError("unreachable: singleton partitions always succeed")
+
+
+def reference_start_bound(P):
+    """min over points x of max value of Interval(x, y) over points y >= x.
+
+    The interval covering x has its top among those y, so no partition has
+    a larger value, and the targets above this are skipped.
+    """
+    return min(max(interval_value(Interval(x, y), P.cap) for y in P.points
+                   if all(a <= b for a, b in zip(x, y)))
+               for x in P.points)
 
 
 def _reference_candidate_tops(P, a, d):
@@ -280,11 +291,16 @@ def _reference_feasible_partition(P, points_sorted, d):
     return search(frozenset())
 
 
+# S/J with 110 points whose true value is 1.  Started at d = n, the bitset
+# search spent 1,924,753 nodes refuting d = 2 and was refused, and the
+# reference search took about 95 s.
+POSET_110 = char_poset(MonomialIdeal(4, [unit(4)]),
+                       MonomialIdeal(4, [(1, 1, 2, 1), (1, 2, 0, 2), (2, 1, 0, 2)]),
+                       (3, 2, 3, 2))
+
+
 def test_exact_sdepth_starts_at_the_bound_above_every_point():
-    # S/J with 110 points whose true value is 1.  Started at d = n, the
-    # search spent 1,924,753 nodes refuting d = 2 and was refused.
-    J = MonomialIdeal(4, [(1, 1, 2, 1), (1, 2, 0, 2), (2, 1, 0, 2)])
-    P = char_poset(MonomialIdeal(4, [unit(4)]), J, (3, 2, 3, 2))
+    P = POSET_110
     assert P.size == 110
     result = exact_sdepth(P)
     assert result.value == 1
@@ -323,6 +339,7 @@ def small_posets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(small_posets())
+@example(POSET_110)
 def test_exact_sdepth_matches_reference_search(P):
     if P.size > 512:
         with pytest.raises(ValueError, match="limit"):

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from . import blocks, monomials
 from .complexes import (
     check_exactness_on_box,
-    complex_to_jsonable,
+    complex_json,
     eliahou_kervaire,
     koszul_complex,
     minimize,
@@ -147,18 +147,21 @@ def cmd_resolve(args) -> int:
     I, ordered = load_ideal(args.input)
     C = build_complex(I, args.method, ordered)
     emitted = minimize(C) if args.minimize else C
-    payload = {"method": args.method, "complex": complex_to_jsonable(emitted)}
+    payload = {"method": args.method}
     if args.minimize:
         payload["rank_table"] = {"original": list(C.ranks),
                                  "minimized": list(emitted.ranks)}
+    exit_code = 0
     if args.check:
         report = check_exactness_on_box(emitted, I)
         payload["exactness"] = {"ok": report.ok, "degrees_checked": report.degrees_checked}
         if not report.ok:
-            write_output(_dumps(payload), args.output)
-            return 1
-    write_output(_dumps(payload), args.output)
-    return 0
+            exit_code = 1
+    # "complex" sorts before every other key, so its text, written straight
+    # from the complex, opens the object that _dumps makes of the others.
+    write_output('{\n  "complex": ' + complex_json(emitted, _INDENT) + "," + _dumps(payload)[1:],
+                 args.output)
+    return exit_code
 
 
 def cmd_initial(args) -> int:

@@ -10,7 +10,6 @@ and module-generator degrees, which decides it in every multidegree.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -96,17 +95,16 @@ def _image_terms(columns, v: ModuleVector) -> dict:
 # Taylor and Koszul complexes
 
 
-def _cone_subset_key(subset):
-    # Iterated mapping-cone order: compare largest elements first.
-    return tuple(sorted(subset, reverse=True))
-
-
 def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
     """Taylor complex of the sequence; bases are labelled by subsets of [m].
 
     Basis elements at each level are ordered with the subset containing the
     later generators first, matching the order induced by the iterated
-    mapping-cone construction.
+    mapping-cone construction, which compares subsets largest element
+    first.  Subsets are int masks, bit i standing for generator i + 1, and
+    each level is in descending order of its masks: two subsets of one size
+    are ordered by the largest element of their symmetric difference, and
+    so are their masks as ints.  Labels are frozensets of 1-based indices.
     """
     gens = [tuple(u) for u in gens]
     m = len(gens)
@@ -119,35 +117,44 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
         if sum(u) == 0:
             raise ValueError("unit generator: the ideal is the whole ring")
 
-    # The lcm of each subset, from the lcm of the subset without its largest
-    # element, one level down.
-    lcms = {frozenset(): monomials.unit(n)}
+    # The lcm and label of each subset, from those of the subset without its
+    # largest element, a smaller mask.
+    lcms = [monomials.unit(n)]
+    labels = [frozenset()]
+    levels = [[0]] + [[] for _ in range(m)]
+    for F in range(1, 1 << m):
+        top = F.bit_length()
+        rest = F ^ (1 << (top - 1))
+        lcms.append(tuple(map(max, lcms[rest], gens[top - 1])))
+        labels.append(labels[rest] | {top})
+        levels[F.bit_count()].append(F)
+    position = [0] * (1 << m)  # of each subset within its level
     bases = []
-    positions = []  # per level: subset -> position
-    for p in range(m + 1):
-        subsets = sorted((frozenset(c) for c in itertools.combinations(range(1, m + 1), p)),
-                         key=_cone_subset_key, reverse=True)
-        for F in subsets:
-            if F:
-                top = max(F)
-                lcms[F] = monomials.lcm(lcms[F - {top}], gens[top - 1])
-        bases.append(OrderedBasis(n, (BasisElement(lcms[F], F) for F in subsets)))
-        positions.append({F: i for i, F in enumerate(subsets)})
+    for level in levels:
+        level.reverse()
+        for i, F in enumerate(level):
+            position[F] = i
+        bases.append(OrderedBasis(n, [BasisElement(lcms[F], labels[F]) for F in level]))
 
     signs = (Fraction(1), Fraction(-1))
     diffs = []
-    for p in range(1, m + 1):
-        below = positions[p - 1]
+    for level in levels[1:]:
         cols = []
-        for element in bases[p]:
-            F = element.label
-            terms = []
-            for j, i in enumerate(sorted(F)):
-                # lcm(F - {i}) divides lcm(F), so the quotient needs no check.
-                face = F - {i}
-                quotient = tuple(map(operator.sub, element.degree, lcms[face]))
-                terms.append(((below[face], quotient), signs[j % 2]))
-            cols.append(ModuleVector(n, terms))
+        for F in level:
+            # One term per face F - {i}, for the elements i of F in
+            # increasing order; lcm(F - {i}) divides lcm(F), so the quotient
+            # needs no check, and the faces' positions differ.
+            degree = lcms[F]
+            terms = {}
+            rest = F
+            j = 0
+            while rest:
+                low = rest & -rest
+                face = F ^ low
+                terms[position[face], tuple(map(operator.sub, degree, lcms[face]))] = signs[j & 1]
+                rest ^= low
+                j += 1
+            cols.append(ModuleVector.from_terms(n, terms))
         diffs.append(cols)
     return FreeComplex(n, bases, diffs)
 
@@ -651,23 +658,52 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
 # Serialization
 
 
-def complex_to_jsonable(C: FreeComplex) -> dict:
-    """The complex as JSON values: ranks, basis degrees and, per differential,
-    a rows x columns matrix whose cells list the terms of that entry.
+def complex_json(C: FreeComplex, indent: str = "\n") -> str:
+    """The complex as the JSON text of its ranks, basis degrees and, per
+    differential, a rows x columns matrix whose cells list the terms of that
+    entry as {"coeff": str(c), "monomial": [...]}, in the order the terms
+    have in the column.
 
-    Each column's terms are read once into their cells, so a cell keeps the
-    order the terms have in the column.
+    The text is json.dumps(value, indent=2, sort_keys=True) of that value,
+    byte for byte, with indent the newline and indentation in front of the
+    closing brace, as for cli._dumps.  Each column's terms are read once
+    into their cells; each distinct (coeff, monomial) cell is written once,
+    and every empty cell is the constant "[]".
     """
-    differentials = []
+    pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
+    cells = {}  # (coeff, monomial) -> the text of a cell with that one term
+    cut = len(pad[4]) + 1  # a cell's closing pad[4] + "]"
+    matrices = []
     for p in range(1, C.length + 1):
-        matrix = [[[] for _ in range(C.rank(p))] for _ in range(C.rank(p - 1))]
+        grid = [["[]"] * C.rank(p) for _ in range(C.rank(p - 1))]
         for c, col in enumerate(C.differential(p)):
             for (pos, mono), coeff in col.items():
-                matrix[pos][c].append({"coeff": str(coeff), "monomial": list(mono)})
-        differentials.append(matrix)
-    return {
-        "n": C.n,
-        "ranks": list(C.ranks),
-        "degrees": [[list(e.degree) for e in basis] for basis in C.bases],
-        "differentials": differentials,
-    }
+                text = cells.get((coeff, mono))
+                if text is None:
+                    # The str of a Fraction or int needs no JSON escapes.
+                    text = cells[coeff, mono] = (
+                        f'[{pad[5]}{{{pad[6]}"coeff": "{str(coeff)}",{pad[6]}"monomial": '
+                        f'{_json_ints(mono, pad[6])}{pad[5]}}}{pad[4]}]')
+                row = grid[pos]
+                # Only a column that is not multihomogeneous puts two terms
+                # in one cell.
+                row[c] = text if row[c] == "[]" else row[c][:-cut] + "," + text[1:]
+        matrices.append(_json_list([_json_list(row, pad[3]) for row in grid], pad[2]))
+    degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])
+               for basis in C.bases]
+    return (f'{{{pad[1]}"degrees": {_json_list(degrees, pad[1])},'
+            f'{pad[1]}"differentials": {_json_list(matrices, pad[1])},'
+            f'{pad[1]}"n": {int.__repr__(C.n)},'
+            f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{indent}}}')
+
+
+def _json_list(items, indent: str) -> str:
+    """The JSON list of the item texts, its closing bracket behind indent."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _json_ints(values, indent: str) -> str:
+    return _json_list(list(map(int.__repr__, values)), indent)

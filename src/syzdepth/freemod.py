@@ -118,6 +118,14 @@ class ModuleVector:
         mono = tuple(monomial) if monomial is not None else monomials.unit(n)
         return cls(n, {(position, mono): Fraction(coeff)})
 
+    @classmethod
+    def from_terms(cls, n: int, terms: dict) -> "ModuleVector":
+        """The vector with the term dict terms, taken as it is, without the
+        normalising loop: every coefficient must be a nonzero Fraction."""
+        v = cls(n)
+        v._terms = terms
+        return v
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -137,19 +145,16 @@ class ModuleVector:
     def __add__(self, other):
         out = dict(self._terms)
         for key, c in other._terms.items():
-            new = out.get(key, 0) + c
+            old = out.get(key)
+            new = c if old is None else old + c
             if new:
                 out[key] = new
             else:
                 out.pop(key, None)
-        v = ModuleVector(self.n)
-        v._terms = out
-        return v
+        return ModuleVector.from_terms(self.n, out)
 
     def __neg__(self):
-        v = ModuleVector(self.n)
-        v._terms = {k: -c for k, c in self._terms.items()}
-        return v
+        return ModuleVector.from_terms(self.n, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -159,26 +164,24 @@ class ModuleVector:
         copied or negated, not multiplied."""
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
-        v = ModuleVector(self.n)
         if not coeff:
-            return v
+            return ModuleVector(self.n)
         items = self._terms.items()
         if monomial is not None and any(monomial):
             items = [((pos, monomials.mul(mono, monomial)), c) for (pos, mono), c in items]
         if coeff == 1:
-            v._terms = dict(items)
+            terms = dict(items)
         elif coeff == -1:
-            v._terms = {k: -c for k, c in items}
+            terms = {k: -c for k, c in items}
         else:
-            v._terms = {k: c * coeff for k, c in items}
-        return v
+            terms = {k: c * coeff for k, c in items}
+        return ModuleVector.from_terms(self.n, terms)
 
     def map_positions(self, shift) -> "ModuleVector":
         """Relabel positions through a callable or an offset int."""
         fn = (lambda p: p + shift) if isinstance(shift, int) else shift
-        v = ModuleVector(self.n)
-        v._terms = {(fn(pos), mono): c for (pos, mono), c in self._terms.items()}
-        return v
+        return ModuleVector.from_terms(
+            self.n, {(fn(pos), mono): c for (pos, mono), c in self._terms.items()})
 
     def coefficient(self, position: int, monomial: Mono) -> Fraction:
         return self._terms.get((position, monomial), Fraction(0))
@@ -189,14 +192,21 @@ def add_multiple(terms: dict, items, coeff, shift: Mono) -> None:
 
     terms maps (position, monomial) to a coefficient, and items is a
     sequence of such pairs.  A coeff of 1 or -1 adds or subtracts the item
-    coefficients, ints or Fractions, as they are, without multiplying.
+    coefficients, ints or Fractions, as they are, without multiplying.  A
+    missing key starts from c, -c or c * coeff, not from 0 + ..., which
+    would send every new Fraction through its reflected operator.
     """
     moved = any(shift)
     sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
     for (pos, mono), c in items:
         key = (pos, tuple(map(add, mono, shift))) if moved else (pos, mono)
-        old = terms.get(key, 0)
-        new = old + c if sign > 0 else old - c if sign < 0 else old + c * coeff
+        old = terms.get(key)
+        if sign > 0:
+            new = c if old is None else old + c
+        elif sign < 0:
+            new = -c if old is None else old - c
+        else:
+            new = c * coeff if old is None else old + c * coeff
         if new:
             terms[key] = new
         else:
@@ -241,20 +251,31 @@ class DegreeMasks:
             for t in range(1, len(below)):
                 below[t] |= below[t - 1]
             self.at_most.append(below)
+        # A coordinate at or past its table's top keeps every vector that
+        # has a degree, the top's mask; the tables never change, so each
+        # top index and the mask's complement are stored once.
+        self._known = 0
+        for i, _ in degrees:
+            self._known |= 1 << i
+        self._unknown = self.full & ~self._known
+        self._tables = [(below, len(below) - 1) for below in self.at_most]
 
     def dividing(self, a: Mono) -> int:
         """Bitmask of the vectors that divide a."""
-        mask = self.full
-        for below, t in zip(self.at_most, a):
-            mask &= below[min(t, len(below) - 1)]
+        mask = self._known
+        for (below, top), t in zip(self._tables, a):
+            if t < top:
+                mask &= below[t]
         return mask
 
     def multiples(self, a: Mono) -> int:
         """Bitmask of the vectors that a divides."""
         mask = self.full
-        for below, t in zip(self.at_most, a):
-            if t > 0:
-                mask &= ~below[min(t - 1, len(below) - 1)]
+        for (below, top), t in zip(self._tables, a):
+            if t > top:
+                mask &= self._unknown
+            elif t > 0:
+                mask &= ~below[t - 1]
         return mask
 
 

@@ -130,7 +130,8 @@ def _reduce(rem: dict, buckets: dict, quotient: Optional[dict] = None) -> dict:
         shift = tuple(map(sub, mono, lm))
         coeff = c if lc == 1 else c / lc
         if quotient is not None:
-            quotient[(i, shift)] = quotient.get((i, shift), 0) + coeff
+            old = quotient.get((i, shift))
+            quotient[(i, shift)] = coeff if old is None else old + coeff
         add_multiple(rem, rest, -coeff, shift)
     return tail
 

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
 from syzdepth import blocks, cli, groebner, monomials, stanley
-from syzdepth.cli import InputError, _dumps, main
-from syzdepth.complexes import minimize
+from syzdepth.cli import InputError, _dumps, load_ideal, main
+from syzdepth.complexes import check_exactness_on_box, minimize, taylor_complex
+from test_complexes import reference_complex_to_jsonable
 from syzdepth.groebner import InitialModule
 from syzdepth.monomials import MonomialIdeal
 
@@ -170,11 +171,22 @@ def test_resolve_check_certifies_the_minimized_complex(ideal_file, capsys, monke
                            [M.differential(p) for p in range(1, M.length)])
 
     monkeypatch.setattr(cli, "minimize", truncated)
-    code, data = run_json(["resolve", "--input", ideal_file(LCM_TRIANGLE),
-                           "--minimize", "--check"], capsys)
+    path = ideal_file(LCM_TRIANGLE)
+    code = main(["resolve", "--input", path, "--minimize", "--check"])
+    out = capsys.readouterr().out
+    data = json.loads(out)
     assert code == 1
     assert data["rank_table"]["minimized"] == [1, 3]
     assert not data["exactness"]["ok"]
+    # The whole text, complex included, against the payload built cell by cell.
+    I, ordered = load_ideal(path)
+    C = taylor_complex(list(ordered), I.n)
+    M = truncated(C)
+    report = check_exactness_on_box(M, I)
+    expected = {"method": "taylor", "complex": reference_complex_to_jsonable(M),
+                "rank_table": {"original": list(C.ranks), "minimized": list(M.ranks)},
+                "exactness": {"ok": report.ok, "degrees_checked": report.degrees_checked}}
+    assert out == _dumps(expected) + "\n"
 
 
 def test_internal_error_exits_3(ideal_file, capsys, monkeypatch):

@@ -1,19 +1,22 @@
 import functools
 import itertools
+import json
+import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syzdepth.cli import _dumps
+from syzdepth.cli import _INDENT, _dumps
 from syzdepth.complexes import (
     ChainMap,
     ExactnessReport,
     FreeComplex,
     check_complex,
     check_exactness_on_box,
-    complex_to_jsonable,
+    complex_json,
     eliahou_kervaire,
     is_minimal,
     is_stable,
@@ -56,6 +59,99 @@ def test_taylor_regular_sequence_is_koszul():
 def test_taylor_unit_generator_rejected():
     with pytest.raises(ValueError, match="unit"):
         taylor_complex([(0, 0)], 2)
+
+
+@pytest.mark.parametrize("gens, n, message", [
+    ([], 2, "need at least one generator"),
+    ([(1, 0), (1, 0, 0)], 2, "generator (1, 0, 0) does not have length 2"),
+    ([(1, 0), (0, 0)], 2, "unit generator: the ideal is the whole ring"),
+    ([(1, -1)], 2, "negative exponent in monomial (1, -1)"),
+], ids=["no-generators", "wrong-length", "unit-generator", "negative-exponent"])
+def test_taylor_error_messages(gens, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        taylor_complex(gens, n)
+
+
+def reference_cone_subset_key(subset):
+    # Iterated mapping-cone order: compare largest elements first.
+    return tuple(sorted(subset, reverse=True))
+
+
+def reference_taylor_complex(gens, n):
+    """taylor_complex as it read when it sorted frozensets by the cone key."""
+    gens = [tuple(u) for u in gens]
+    m = len(gens)
+    lcms = {frozenset(): unit(n)}
+    bases = []
+    positions = []
+    for p in range(m + 1):
+        subsets = sorted((frozenset(c) for c in itertools.combinations(range(1, m + 1), p)),
+                         key=reference_cone_subset_key, reverse=True)
+        for F in subsets:
+            if F:
+                top = max(F)
+                lcms[F] = lcm(lcms[F - {top}], gens[top - 1])
+        bases.append(OrderedBasis(n, (BasisElement(lcms[F], F) for F in subsets)))
+        positions.append({F: i for i, F in enumerate(subsets)})
+    signs = (Fraction(1), Fraction(-1))
+    diffs = []
+    for p in range(1, m + 1):
+        below = positions[p - 1]
+        cols = []
+        for element in bases[p]:
+            F = element.label
+            terms = []
+            for j, i in enumerate(sorted(F)):
+                face = F - {i}
+                quotient = tuple(map(operator.sub, element.degree, lcms[face]))
+                terms.append(((below[face], quotient), signs[j % 2]))
+            cols.append(ModuleVector(n, terms))
+        diffs.append(cols)
+    return FreeComplex(n, bases, diffs)
+
+
+def test_descending_masks_follow_the_cone_order():
+    for m in range(1, 9):
+        for p in range(m + 1):
+            subsets = sorted((frozenset(c) for c in itertools.combinations(range(1, m + 1), p)),
+                             key=reference_cone_subset_key, reverse=True)
+            masks = sorted((sum(1 << (i - 1) for i in F) for F in subsets), reverse=True)
+            assert [frozenset(i + 1 for i in range(m) if mask >> i & 1)
+                    for mask in masks] == subsets
+
+
+@st.composite
+def taylor_inputs(draw):
+    """(generators, n): up to 8 generators in up to 5 variables, with
+    repeats and multiples of earlier generators mixed in."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                         min_size=1, max_size=8))
+    while len(gens) < 8 and draw(st.booleans()):
+        g = draw(st.sampled_from(gens))
+        shift = draw(st.tuples(*[st.integers(0, 1)] * n))
+        gens.insert(draw(st.integers(0, len(gens))), mul(g, shift))
+    return gens, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(taylor_inputs())
+@example(([(1, 0), (1, 0), (0, 1)], 2))
+@example(([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 0, 0),
+           (0, 2, 0), (0, 0, 2), (1, 1, 0)], 3))
+def test_taylor_complex_matches_the_frozenset_reference(case):
+    gens, n = case
+    C = taylor_complex(gens, n)
+    R = reference_taylor_complex(gens, n)
+    assert C.n == R.n and C.length == R.length
+    for p in range(C.length + 1):
+        assert [(e.degree, e.label) for e in C.basis(p)] == \
+            [(e.degree, e.label) for e in R.basis(p)]
+        assert all(type(e.label) is frozenset for e in C.basis(p))
+    for p in range(1, C.length + 1):
+        for col, ref in zip(C.differential(p), R.differential(p), strict=True):
+            assert list(col.items()) == list(ref.items())
+            assert [type(c) for _, c in col.items()] == [type(c) for _, c in ref.items()]
 
 
 def test_taylor_top_entry():
@@ -389,7 +485,7 @@ def test_lift_by_slice():
 
 def test_complex_json_roundtrip_shape():
     C = taylor_complex([(1, 0), (0, 1)], 2)
-    data = complex_to_jsonable(C)
+    data = json.loads(complex_json(C))
     assert data["ranks"] == [1, 2, 1]
     assert data["degrees"][1] == [[0, 1], [1, 0]]
     entry = data["differentials"][0][0][0][0]
@@ -660,7 +756,8 @@ def test_check_complex_agrees_with_the_vector_reference_on_fractions(case, resca
 
 
 def reference_complex_to_jsonable(C):
-    """complex_to_jsonable as it read when each cell rescanned its column."""
+    """The JSON value complex_json writes, as complex_to_jsonable read when
+    each cell rescanned its column."""
     differentials = []
     for p in range(1, C.length + 1):
         matrix = []
@@ -708,11 +805,30 @@ def serialised_complexes(draw):
     return C
 
 
+# A column that is not multihomogeneous puts two terms in one cell; a level
+# of rank zero gives rows without cells, and a complex of length zero no
+# differentials.
+TWO_TERM_CELL = FreeComplex(
+    2, [OrderedBasis(2, [BasisElement((0, 0))]), OrderedBasis(2, [BasisElement((1, 1))] * 2)],
+    [[ModuleVector(2, {(0, (1, 1)): Fraction(-3, 4)}),
+      ModuleVector(2, {(0, (2, 0)): Fraction(1), (0, (1, 1)): Fraction(-3, 4),
+                       (0, (0, 1)): Fraction(5)})]])
+EMPTY_LEVEL = FreeComplex(
+    1, [OrderedBasis(1, [BasisElement((0,)), BasisElement((1,))]), OrderedBasis(1, [])], [[]])
+LENGTH_ZERO = FreeComplex(3, [OrderedBasis(3, [BasisElement((0, 0, 0))])], [])
+
+
 @settings(max_examples=100, deadline=None)
 @given(serialised_complexes())
 @example(KOSZUL3_TWO_THIRDS)
+@example(taylor_complex([(2, 1)], 2))
+@example(TWO_TERM_CELL)
+@example(EMPTY_LEVEL)
+@example(LENGTH_ZERO)
 def test_complex_to_jsonable_matches_the_cell_by_cell_reference(C):
-    assert _dumps(complex_to_jsonable(C)) == _dumps(reference_complex_to_jsonable(C))
+    # complex_json at the indent of resolve's payload, and at the top level.
+    for indent in (_INDENT, "\n"):
+        assert complex_json(C, indent) == _dumps(reference_complex_to_jsonable(C), indent)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syzdepth import linalg
 
 from syzdepth.freemod import (
     BasisElement,
+    DegreeMasks,
     ModuleVector,
     OrderedBasis,
     Slices,
@@ -256,3 +257,36 @@ def test_leading_term_is_multiplicative(raw, m):
     tm = leading_term(v.scale(1, m))
     assert tm.position == t.position
     assert tm.monomial == tuple(a + b for a, b in zip(t.monomial, m))
+
+
+def reference_dividing(masks, a):
+    """DegreeMasks.dividing as it read when it clamped every coordinate."""
+    mask = masks.full
+    for below, t in zip(masks.at_most, a):
+        mask &= below[min(t, len(below) - 1)]
+    return mask
+
+
+def reference_multiples(masks, a):
+    """DegreeMasks.multiples as it read when it clamped every coordinate."""
+    mask = masks.full
+    for below, t in zip(masks.at_most, a):
+        if t > 0:
+            mask &= ~below[min(t - 1, len(below) - 1)]
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degree_masks_match_the_clamping_reference(data):
+    # Vectors without a degree are the zero vectors Slices admits; queries
+    # reach past every table and include zero coordinates.
+    n = data.draw(st.integers(1, 4))
+    degrees = data.draw(st.lists(st.none() | st.tuples(*[st.integers(0, 3)] * n),
+                                 max_size=12))
+    masks = DegreeMasks([(i, d) for i, d in enumerate(degrees) if d is not None],
+                        n, len(degrees))
+    queries = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=8))
+    for a in queries + [(0,) * n]:
+        assert masks.dividing(a) == reference_dividing(masks, a)
+        assert masks.multiples(a) == reference_multiples(masks, a)

@@ -1,13 +1,12 @@
 """Multigraded resolutions of monomial ideals, syzygy initial modules, and
 Stanley depth, computed and certified in exact rational arithmetic."""
 
-from .monomials import MonomialIdeal, divide, is_squarefree, lcm, lex_compare, support
+from .monomials import MonomialIdeal, divide, is_squarefree, lcm, support
 from .freemod import (
     BasisElement,
     ModuleVector,
     OrderedBasis,
     Term,
-    graded_piece,
     leading_term,
     multidegree_of,
 )

@@ -26,7 +26,7 @@ from .freemod import (
     leading_term,
     multidegree_of,
 )
-from .groebner import _divide
+from .groebner import _divide, _tagged_groebner, normal_form
 from .monomials import Mono, MonomialIdeal
 
 
@@ -343,8 +343,11 @@ def stable_order(I: MonomialIdeal) -> tuple:
 def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
     """A preimage w with d_p(w) = z, by division against the columns.
 
-    Falls back to exact linear algebra on the multidegree slice when the
-    division leaves a remainder; raises RuntimeError if no preimage exists.
+    When the boundaries of F_p's generators form a Groebner basis of their
+    span, as they do for Eliahou-Kervaire and the resolutions of the paper's
+    second theorem, the division leaves no remainder.  Otherwise the lift
+    divides z by a Groebner basis of the tagged columns (_lift_by_groebner);
+    it raises RuntimeError if no preimage exists.
     """
     n = C.n
     if z.is_zero():
@@ -354,21 +357,28 @@ def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
     divisors = [(columns[j], leading_term(columns[j])) for j in nonzero]
     quotient, rem = _divide(z, divisors)
     if not rem.is_zero():
-        return _lift_by_slice(C, p, z)
+        return _lift_by_groebner(C, p, z)
     return ModuleVector(n, {(nonzero[i], mono): c for (i, mono), c in quotient.items()})
 
 
-def _lift_by_slice(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    d = multidegree_of(z, C.basis(p - 1))
-    if d is None:
+def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
+    """A preimage of the multihomogeneous z from the tagged Groebner basis.
+
+    Each basis element is d_p(w) + w with w at the tag positions, which rank
+    below every target position.  So z is a boundary exactly when its normal
+    form has no target term, and then z - (normal form) = d_p(w) + w with
+    w = -(normal form).
+    """
+    target = C.basis(p - 1)
+    if multidegree_of(z, target) is None:
         raise ValueError("can only lift multihomogeneous elements")
-    source = C.basis(p)
-    sol = Slices(C.differential(p), C.basis(p - 1), source.degrees).solve(z, d)
-    if sol is None:
+    gb = _tagged_groebner(C.differential(p), C.basis(p), target)
+    r = len(target)
+    rem = normal_form(z, [(g, leading_term(g)) for g in gb.generators])
+    if any(pos < r for (pos, _), _ in rem.items()):
         raise RuntimeError(f"lifting failed at homological degree {p}: "
                            "the complex is not exact there")
-    return ModuleVector(C.n, {(j, monomials.divide(d, source.degree(j))): c
-                              for j, c in sol.items()})
+    return (-rem).map_positions(-r)
 
 
 def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:

@@ -286,16 +286,16 @@ class Slices:
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
     The vectors whose degree divides a are found by AND-ing per-coordinate
-    bitsets.  Each row is also stored once as integers, scaled by the lcm
-    of its denominators, which changes no rank: rank hands those sparse rows
-    to linalg.exact_rank and caches the answer per bitmask.  Pass degrees to
-    give each vector a degree of its own (a zero vector then still counts as
-    active); otherwise zero vectors have no degree and are never active.
-    Every slice is fixed by which of the degrees in self.degrees divide a.
+    bitsets.  Each row is stored once, as integers scaled by the lcm of its
+    denominators, which changes no rank: rank hands those sparse rows to
+    linalg.exact_rank, the library's one elimination kernel, and caches the
+    answer per bitmask.  Pass degrees to give each vector a degree of its
+    own (a zero vector then still counts as active); otherwise zero vectors
+    have no degree and are never active.  Every slice is fixed by which of
+    the degrees in self.degrees divide a.
     """
 
     def __init__(self, vectors, basis: OrderedBasis, degrees=None):
-        self.basis = basis
         self._rows = []
         known = []  # (index, degree) of every vector that has a degree
         for i, v in enumerate(vectors):
@@ -306,10 +306,9 @@ class Slices:
                 if d is not None and d != degrees[i]:
                     raise ValueError(f"vector {i} does not have degree {degrees[i]}")
                 d = degrees[i]
-            self._rows.append({pos: c for (pos, _), c in v.items()})
+            self._rows.append(linalg.integer_row({pos: c for (pos, _), c in v.items()}))
             if d is not None:
                 known.append((i, d))
-        self._integer_rows = [linalg.integer_row(row) for row in self._rows]
         self.degrees = [d for _, d in known]
         self._masks = DegreeMasks(known, basis.n, len(self._rows))
         self._ranks = {}
@@ -318,40 +317,12 @@ class Slices:
         """Bitmask of the vectors whose degree divides a."""
         return self._masks.dividing(a)
 
-    def _matrix(self, mask: int, extra=None):
-        """Dense rows of the chosen vectors (and extra), for piece and solve."""
-        rows = [self._rows[i] for i in _bits(mask)]
-        if extra is not None:
-            rows.append(extra)
-        positions = sorted({pos for row in rows for pos in row})
-        return [[row.get(pos, 0) for pos in positions] for row in rows], positions
-
     def rank(self, mask: int) -> int:
         """Exact rank of the chosen vectors."""
         if mask not in self._ranks:
-            rows = self._integer_rows
+            rows = self._rows
             self._ranks[mask] = linalg.exact_rank([rows[i] for i in _bits(mask)])
         return self._ranks[mask]
-
-    def piece(self, a: Mono):
-        """A basis of the degree-a slice, as vectors in RREF."""
-        matrix, positions = self._matrix(self.active(a))
-        reduced, _ = linalg.rref(matrix)
-        return [ModuleVector(self.basis.n,
-                             {(pos, monomials.divide(a, self.basis.degree(pos))): c
-                              for pos, c in zip(positions, row) if c})
-                for row in reduced]
-
-    def solve(self, target: ModuleVector, a: Mono):
-        """Coefficients {index: c} with sum c * x^(a - deg v_index) * v_index
-        equal to the degree-a target, or None when the slice misses it."""
-        mask = self.active(a)
-        matrix, _ = self._matrix(mask, {pos: c for (pos, _), c in target.items()})
-        *columns, goal = matrix
-        sol = linalg.solve_exact(columns, goal)
-        if sol is None:
-            return None
-        return {i: c for i, c in zip(_bits(mask), sol) if c}
 
 
 def _bits(mask: int):
@@ -359,17 +330,3 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def graded_piece(gens, a: Mono, basis: OrderedBasis):
-    """Basis of the degree-a slice of the module generated by gens.
-
-    Every generator must be multihomogeneous; the slice is spanned by the
-    monomial multiples x^(a - deg g) * g that land in degree a.
-    """
-    return Slices(gens, basis).piece(a)
-
-
-def graded_dimension(gens, a: Mono, basis: OrderedBasis) -> int:
-    slices = Slices(gens, basis)
-    return slices.rank(slices.active(a))

@@ -172,7 +172,7 @@ def _spair_loop(gens: Iterable[ModuleVector], basis: OrderedBasis) -> list:
 
     def add_element(v):
         lt = leading_term(v)
-        v = v.scale(1 / lt.coeff)
+        v = v.scale(lt.coeff ** -1)
         lt = Term(Fraction(1), lt.monomial, lt.position)
         index = len(elements)
         degree = basis.degree(lt.position)
@@ -275,23 +275,32 @@ def kernel_generators(columns: Sequence[ModuleVector], source_basis: OrderedBasi
                       target_basis: OrderedBasis):
     """Generators of the kernel of the map sending e_j to columns[j].
 
-    Uses the tag-module trick: each column is extended by a shadow term
-    recording its source position, the extended module is eliminated with the
-    target positions ranked above the shadow positions, and basis elements
-    with vanishing target part are kernel elements.  The surviving shadow
-    parts form a Groebner basis of the kernel under the source POT order.
+    The elements of the tagged Groebner basis (_tagged_groebner) with no
+    target part are kernel elements, and their tag parts form a Groebner
+    basis of the kernel under the source POT order.
+    """
+    gb = _tagged_groebner(columns, source_basis, target_basis)
+    r = len(target_basis)
+    kernel = []
+    for g in gb.generators:
+        if all(pos >= r for (pos, _), _ in g.items()):
+            kernel.append(g.map_positions(-r))
+    return kernel
+
+
+def _tagged_groebner(columns: Sequence[ModuleVector], source_basis: OrderedBasis,
+                    target_basis: OrderedBasis) -> GroebnerBasis:
+    """The tag-module trick: the reduced Groebner basis of the columns, each
+    extended by a tag term e_(r+j) recording its source position j.
+
+    The extended basis is the target basis (r positions) followed by the
+    source basis, so the target positions rank above the tags.  Every
+    element of the tagged module is d(w) + w with w read at the tags.
     """
     n = target_basis.n
     r = len(target_basis)
     extended = OrderedBasis(n, list(target_basis.elements)
                             + [BasisElement(e.degree, ("tag", e.label))
                                for e in source_basis.elements])
-    tagged = []
-    for j, col in enumerate(columns):
-        tagged.append(col + ModuleVector.generator(n, r + j))
-    gb = buchberger(tagged, extended)
-    kernel = []
-    for g in gb.generators:
-        if all(pos >= r for (pos, _), _ in g.items()):
-            kernel.append(g.map_positions(-r))
-    return kernel
+    tagged = [col + ModuleVector.generator(n, r + j) for j, col in enumerate(columns)]
+    return buchberger(tagged, extended)

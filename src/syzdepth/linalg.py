@@ -1,10 +1,10 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one elimination kernel.
 
-Dense matrices are lists of row lists holding ints or Fractions; rref and
-solve_exact work on them.  exact_rank takes sparse rows instead, dicts
-{column: value} with no zero values, and eliminates on integers.
-Everything here is deterministic: pivots are chosen left to right, top to
-bottom.
+Rows are sparse, dicts {column: value} of ints or Fractions with no zero
+values.  exact_rank eliminates them on integers, each row on its leading
+(smallest) column, and is the library's only kernel: every slice rank goes
+through it, and a lift that division cannot find goes through a Groebner
+basis instead (complexes.lift_through).
 """
 
 from __future__ import annotations
@@ -63,51 +63,3 @@ def exact_rank(rows) -> int:
                 rest = {c: x // content for c, x in rest.items()}
             row = rest
     return len(pivots)
-
-
-def rref(rows):
-    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m[:row], pivots
-
-
-def solve_exact(columns, target):
-    """One rational solution x of sum_j x_j * columns[j] = target, or None.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    reduced, pivots = rref(aug)
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        if col == ncols:  # pivot in the target column: inconsistent system
-            return None
-        sol[col] = reduced[r][ncols]
-    return sol

@@ -86,15 +86,6 @@ def is_squarefree(u: Mono) -> bool:
     return all(e <= 1 for e in u)
 
 
-def lex_compare(a: Mono, b: Mono) -> int:
-    """-1, 0 or 1; first differing coordinate decides, x1 weighs most."""
-    if len(a) != len(b):
-        raise _mismatch(a, b)
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
 def lcm_closure(degrees: Iterable[Mono], n: int) -> list:
     """The zero degree and the lcm of every nonempty subset of the degrees,
     deduplicated and sorted lexicographically.
@@ -190,12 +181,3 @@ class MonomialIdeal:
 
     def is_squarefree(self) -> bool:
         return all(is_squarefree(g) for g in self.gens)
-
-    def restrict(self, variables: tuple) -> "MonomialIdeal":
-        """Project generators onto the given variable indices (they must carry
-        all nonzero exponents)."""
-        vset = set(variables)
-        for g in self.gens:
-            if any(e > 0 and i not in vset for i, e in enumerate(g)):
-                raise ValueError(f"generator {g} uses a variable outside {variables}")
-        return MonomialIdeal(len(variables), [tuple(g[i] for i in variables) for g in self.gens])

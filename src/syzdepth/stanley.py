@@ -160,13 +160,17 @@ class _CandidateTops(dict):
         self.points = sorted(P.points)
         self.cap = P.cap
         self.masks = DegreeMasks(list(enumerate(self.points)), P.n, len(self.points))
+        # Each prefix table padded with its last mask up to the cap, so that
+        # every coordinate a top can take indexes it directly.
+        self._below = [below + below[-1:] * (hi + 1 - len(below))
+                       for below, hi in zip(self.masks.at_most, self.cap)]
 
     def __missing__(self, i):
         a = self.points[i]
         # (top so far, bitmask, value, size), extended one coordinate at a time
         partial = [((), self.masks.multiples(a), 0, 1)]
-        for lo, hi, below in zip(a, self.cap, self.masks.at_most):
-            partial = [(b + (t,), mask & below[min(t, len(below) - 1)],
+        for lo, hi, below in zip(a, self.cap, self._below):
+            partial = [(b + (t,), mask & below[t],
                         value + (t == hi), size * (t - lo + 1))
                        for b, mask, value, size in partial for t in range(lo, hi + 1)]
         found = [(value, Interval(a, b), mask) for b, mask, value, size in partial

@@ -308,11 +308,12 @@ def test_unwritable_output_exits_2(ideal_file, capsys, tmp_path, args):
 def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
     # A lift that finds no preimage means the library built a complex that is
     # not exact: an internal error, not bad input.  The patched lift asks the
-    # slice solver for the basis element e_0 itself, which no image reaches.
+    # Groebner fallback for the basis element e_0 itself, which no image
+    # reaches.
     from syzdepth import complexes
     from syzdepth.freemod import ModuleVector
 
-    monkeypatch.setattr(complexes, "lift_through", lambda C, p, z: complexes._lift_by_slice(
+    monkeypatch.setattr(complexes, "lift_through", lambda C, p, z: complexes._lift_by_groebner(
         C, p, ModuleVector.generator(C.n, 0, C.basis(p - 1).degree(0))))
     code = main(["resolve", "--input", ideal_file(SQUARES), "--method", "ek"])
     captured = capsys.readouterr()

@@ -221,8 +221,11 @@ def test_cone_differential_squares_to_zero():
 
 def test_cone_syzygy_dimension_identity():
     # Degreewise, dim Z_i(C) = dim Z_i(F) + dim Z_{i-1}(G) for every cone.
-    from syzdepth.freemod import graded_dimension
     from syzdepth.verify import taylor_step_cone
+
+    def dimension(gens, a, basis):
+        slices = Slices(gens, basis)
+        return slices.rank(slices.active(a))
 
     for gens, n in [([(2, 0), (1, 1), (0, 2)], 2),
                     ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)]:
@@ -235,9 +238,9 @@ def test_cone_syzygy_dimension_identity():
             zf = syzygy_generators(F, i) if i <= F.length else []
             zg = list(G.differential(i)) if i <= G.length else []
             for a in itertools.product(*(range(b + 1) for b in box)):
-                left = graded_dimension(zc, a, cone.basis(i)) if zc else 0
-                right = (graded_dimension(zf, a, F.basis(i)) if zf else 0) + \
-                        (graded_dimension(zg, a, G.basis(i - 1)) if zg else 0)
+                left = dimension(zc, a, cone.basis(i)) if zc else 0
+                right = (dimension(zf, a, F.basis(i)) if zf else 0) + \
+                        (dimension(zg, a, G.basis(i - 1)) if zg else 0)
                 assert left == right, (gens, i, a)
 
 
@@ -464,8 +467,9 @@ def test_exactness_is_checked_beyond_the_complex_degrees():
 
 
 def test_lift_by_slice():
-    # The fallback of lift_through: exact linear algebra on one slice.
-    from syzdepth.complexes import _lift_by_slice
+    # The fallback of lift_through: division by a Groebner basis of the
+    # tagged columns.
+    from syzdepth.complexes import _lift_by_groebner
 
     C = taylor_complex([(2, 0, 1), (1, 1, 0), (0, 2, 1)], 3)
     top = (2, 2, 1)
@@ -475,12 +479,102 @@ def test_lift_by_slice():
             shift = tuple(t - d for t, d in zip(top, e.degree))
             v = v + ModuleVector.generator(3, j, shift, coeff=j + 1)
         z = C.apply(p, v)
-        assert C.apply(p, _lift_by_slice(C, p, z)) == z
+        assert C.apply(p, _lift_by_groebner(C, p, z)) == z
     with pytest.raises(RuntimeError, match="lifting failed"):
-        _lift_by_slice(C, 1, ModuleVector.generator(3, 0, (1, 0, 0)))
+        _lift_by_groebner(C, 1, ModuleVector.generator(3, 0, (1, 0, 0)))
     mixed = ModuleVector.generator(3, 0, (2, 0, 1)) + ModuleVector.generator(3, 0, (1, 1, 1))
     with pytest.raises(ValueError, match="multihomogeneous"):
-        _lift_by_slice(C, 1, mixed)
+        _lift_by_groebner(C, 1, mixed)
+
+
+def _fallback_case():
+    """(C, p, z, a): a boundary z of degree a whose division by the columns
+    of the minimized d_p leaves a remainder.  z is the boundary of
+    sum_j (j + 1) x^(a - deg e_j) e_j over the e_j of F_p."""
+    C = minimize(taylor_complex([(2, 2, 0), (1, 2, 2), (2, 0, 3)], 3))
+    p, a = 2, (2, 2, 3)
+    v = ModuleVector(3)
+    for j, e in enumerate(C.basis(p)):
+        shift = tuple(t - d for t, d in zip(a, e.degree))
+        v = v + ModuleVector.generator(3, j, shift, coeff=j + 1)
+    return C, p, C.apply(p, v), a
+
+
+def test_lift_through_uses_the_groebner_fallback(monkeypatch):
+    from syzdepth import complexes
+    from syzdepth.freemod import leading_term
+    from syzdepth.groebner import _divide
+
+    C, p, z, a = _fallback_case()
+    divisors = [(col, leading_term(col)) for col in C.differential(p) if not col.is_zero()]
+    assert not _divide(z, divisors)[1].is_zero()
+    calls = []
+    fallback = complexes._lift_by_groebner
+    monkeypatch.setattr(complexes, "_lift_by_groebner",
+                        lambda *args: calls.append(args) or fallback(*args))
+    w = complexes.lift_through(C, p, z)
+    assert len(calls) == 1
+    assert C.apply(p, w) == z
+    assert multidegree_of(w, C.basis(p)) == a
+
+
+@st.composite
+def lift_cases(draw):
+    """(C, p, z, a, boundary): a Taylor complex or its minimisation (n <= 4,
+    m <= 5, exponents <= 2), a level p >= 1 and a multihomogeneous z in
+    F_(p-1) of a degree a above an lcm of F_p's basis degrees.  z is the
+    boundary of a drawn element of F_p of degree a (boundary is True) or a
+    drawn element of F_(p-1) of degree a."""
+    n = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    C = taylor_complex(draw(st.lists(mono, min_size=1, max_size=5)), n)
+    if draw(st.booleans()):
+        C = minimize(C)
+    p = draw(st.integers(1, C.length))
+    degrees = C.basis(p).degrees
+    chosen = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))
+    a = tuple(x + draw(st.integers(0, 1)) for x in functools.reduce(lcm, chosen))
+    coeffs = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 3)] + [Fraction(2, 3)])
+    level = p if draw(st.booleans()) else p - 1
+    basis = C.basis(level)
+    below = [j for j, e in enumerate(basis) if divides(e.degree, a)]
+    v = ModuleVector(n)
+    if below:
+        for j in draw(st.lists(st.sampled_from(below), min_size=1, unique=True)):
+            shift = tuple(t - d for t, d in zip(a, basis.degree(j)))
+            v = v + ModuleVector.generator(n, j, shift, coeff=draw(coeffs))
+    z = C.apply(p, v) if level == p else v
+    return C, p, z, a, level == p
+
+
+def _in_image(C, p, z, a):
+    """Oracle: z of degree a is in the image of d_p exactly when adding it
+    to the degree-a slice of the columns leaves the rank unchanged."""
+    columns = list(C.differential(p))
+    slices = Slices(columns + [z], C.basis(p - 1), list(C.basis(p).degrees) + [a])
+    mask = slices.active(a)
+    return slices.rank(mask) == slices.rank(mask & ~(1 << len(columns)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lift_cases())
+@example(_fallback_case() + (True,))
+def test_lift_by_groebner_lifts_exactly_the_boundaries(case):
+    from syzdepth.complexes import _lift_by_groebner
+
+    C, p, z, a, boundary = case
+    if z.is_zero():
+        return
+    in_image = _in_image(C, p, z, a)
+    assert in_image or not boundary
+    if in_image:
+        w = _lift_by_groebner(C, p, z)
+        assert C.apply(p, w) == z
+        assert multidegree_of(w, C.basis(p)) == a
+    else:
+        with pytest.raises(RuntimeError, match=f"lifting failed at homological degree {p}: "
+                           "the complex is not exact there"):
+            _lift_by_groebner(C, p, z)
 
 
 def test_complex_json_roundtrip_shape():

@@ -11,7 +11,6 @@ from syzdepth.freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
-    graded_piece,
     leading_term,
     multidegree_of,
 )
@@ -101,20 +100,17 @@ def _brute_rank(rows):
     return rank
 
 
-def test_graded_piece_examples():
+def test_slices_reject_mixed_vectors():
     b = basis_of((0, 0))
     gens = [ModuleVector(2, {(0, (1, 0)): Fraction(1)}),
             ModuleVector(2, {(0, (0, 1)): Fraction(1)})]
-    piece = graded_piece(gens, (1, 1), b)
-    assert len(piece) == 1
-    # Independent oracle: x2*(x1 e) and x1*(x2 e) are the same coordinate vector.
-    assert _brute_rank([[1], [1]]) == 1
-    assert graded_piece([ModuleVector.generator(2, 0)], (0, 0), b)[0] == \
-        ModuleVector.generator(2, 0)
-    assert graded_piece(gens, (0, 0), b) == []
+    slices = Slices(gens, b)
+    # x2*(x1 e) and x1*(x2 e) are the same coordinate vector.
+    assert slices.rank(slices.active((1, 1))) == _brute_rank([[1], [1]]) == 1
+    assert slices.rank(slices.active((0, 0))) == 0
     mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (0, (0, 0)): Fraction(1)})
     with pytest.raises(ValueError, match="multihomogeneous"):
-        graded_piece([mixed], (1, 1), b)
+        Slices([mixed], b)
 
 
 coeffs = st.integers(-3, 3)
@@ -234,9 +230,6 @@ def test_slice_rank_matches_coordinate_rank(pairs, a):
     slices = Slices(vectors, basis)
     mask = slices.active(a)
     assert slices.rank(mask) == expected
-    piece = graded_piece(vectors, a, basis)
-    assert len(piece) == expected
-    assert all(multidegree_of(w, basis) == a for w in piece)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), monos, coeffs), max_size=5),

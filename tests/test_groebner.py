@@ -200,6 +200,22 @@ def test_normal_form_remainder_irreducible():
     assert rem == ModuleVector(2, {(0, (0, 3)): Fraction(2)})
 
 
+def test_spair_loop_elements_are_monic_fractions():
+    # Each element is scaled by the reciprocal of its leading coefficient,
+    # whatever its sign and size, and every coefficient stays a Fraction.
+    basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((1, 0))])
+    gens = [ModuleVector(2, {(0, (2, 0)): Fraction(-3, 2), (1, (1, 0)): Fraction(1)}),
+            ModuleVector(2, {(0, (1, 1)): Fraction(5), (1, (0, 1)): Fraction(-1, 7)}),
+            ModuleVector(2, {(1, (0, 2)): Fraction(-1, 7)})]
+    elements = _spair_loop(gens, basis)
+    for (v, lt), g in zip(elements, gens):
+        assert v == g.scale(Fraction(1) / leading_term(g).coeff)
+    for v, lt in elements:
+        assert lt.coeff == 1 and type(lt.coeff) is Fraction
+        assert leading_term(v).coeff == 1
+        assert all(type(c) is Fraction for _, c in v.items())
+
+
 def test_kernel_generators_koszul():
     K = koszul_complex([X1, X2, X3], 3)
     cols = list(K.differential(1))

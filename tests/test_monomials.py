@@ -12,7 +12,6 @@ from syzdepth.monomials import (
     is_squarefree,
     lcm,
     lcm_closure,
-    lex_compare,
     minimalize,
     mul,
     support,
@@ -33,7 +32,7 @@ def test_lcm_mismatched_length():
         lcm((1, 0), (1, 0, 0))
 
 
-@pytest.mark.parametrize("helper", [mul, lcm, gcd, divides, divide, lex_compare])
+@pytest.mark.parametrize("helper", [mul, lcm, gcd, divides, divide])
 def test_helpers_reject_mismatched_lengths(helper):
     # The helpers map over both tuples, which would stop at the shorter one.
     for u, v in [((1, 0), (1, 0, 0)), ((0, 0, 2), (1,)), ((), (0,))]:
@@ -51,12 +50,6 @@ def test_divide_is_exact():
     u, v = (3, 1, 2), (1, 0, 2)
     w = divide(u, v)
     assert mul(v, w) == u
-
-
-def test_lex_compare_examples():
-    assert lex_compare((2, 0), (1, 1)) == 1
-    assert lex_compare((1, 1, 0), (1, 0, 1)) == 1
-    assert lex_compare((1, 1), (1, 1)) == 0
 
 
 def test_support_and_squarefree():
@@ -78,8 +71,9 @@ def test_lcm_is_least_common_multiple(u, v):
 
 @given(monos, monos, monos)
 def test_lex_compatible_with_addition(a, b, c):
-    if lex_compare(a, b) == 1:
-        assert lex_compare(mul(a, c), mul(b, c)) == 1
+    # Lex is tuple comparison, x1 weighing most.
+    if a > b:
+        assert mul(a, c) > mul(b, c)
 
 
 degree_lists = st.integers(1, 4).flatmap(
@@ -118,10 +112,3 @@ def test_ideal_membership_and_cap():
     I = MonomialIdeal(2, [(2, 0), (1, 1)])
     assert I.contains((2, 1)) and not I.contains((1, 0))
     assert I.lcm_exponent() == (2, 1)
-
-
-def test_ideal_restrict():
-    I = MonomialIdeal(3, [(0, 2, 0), (0, 1, 1)])
-    assert I.restrict((1, 2)).gens == ((1, 1), (2, 0))
-    with pytest.raises(ValueError):
-        I.restrict((0, 1))

@@ -347,3 +347,17 @@ def test_exact_sdepth_matches_reference_search(P):
         return
     result = exact_sdepth(P)
     assert (result.value, result.partition) == reference_sdepth(P)
+
+
+@pytest.mark.parametrize("gens", [[(2,)], [(2, 0), (0, 3)], [(2, 0), (1, 1), (0, 2)],
+                                  [(1, 0, 0), (0, 2, 0), (0, 0, 3)]])
+def test_exact_quotient_with_the_cap_past_every_point(gens):
+    # The poset of sdepth --quotient: S/I under I's lcm exponent, which no
+    # point of S/I reaches, so every candidate top's last coordinate lies
+    # past the prefix tables of the points.
+    n = len(gens[0])
+    P = char_poset(MonomialIdeal(n, [unit(n)]), MonomialIdeal(n, gens))
+    assert all(max(x[k] for x in P.points) < P.cap[k] for k in range(n))
+    result = exact_sdepth(P)
+    assert (result.value, result.partition) == reference_sdepth(P)
+    validate_partition(P, result.partition)

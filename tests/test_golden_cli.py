@@ -54,6 +54,14 @@ def _cases():
          ["resolve", "--input", "mixed", "--minimize", "--check"]),
         ("resolve-ek", ["resolve", "--input", "stable", "--method", "ek", "--check"]),
         ("resolve-ek-nonstable", ["resolve", "--input", "triangle", "--method", "ek"]),
+        ("resolve-koszul-maximal3", ["resolve", "--input", "maximal3", "--method", "koszul"]),
+        ("resolve-koszul-triangle", ["resolve", "--input", "triangle", "--method", "koszul"]),
+        ("initial-koszul-maximal3-boundary-p1",
+         ["initial", "--input", "maximal3", "--method", "koszul", "--p", "1",
+          "--basis", "boundary", "--oracle"]),
+        ("initial-ek-stable-boundary-p1",
+         ["initial", "--input", "stable", "--method", "ek", "--p", "1",
+          "--basis", "boundary", "--oracle"]),
     ]
     for name in ("triangle", "squares", "mixed"):
         for basis in ("lex", "boundary"):

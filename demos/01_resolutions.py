@@ -11,7 +11,6 @@ from syzdepth import (
     eliahou_kervaire,
     is_minimal,
     is_stable,
-    koszul_complex,
     minimize,
     taylor_complex,
 )
@@ -35,7 +34,7 @@ print("  minimized complex still resolves I:", check_exactness_on_box(M, I).ok)
 print()
 
 # Regular sequences: the Taylor complex IS the Koszul complex and is minimal.
-K = koszul_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+K = taylor_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 print("Koszul complex of the regular sequence (x1, x2, x3)")
 print("  ranks:", K.ranks, "(binomial coefficients)")
 print("  minimal already:", is_minimal(K))

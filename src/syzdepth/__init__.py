@@ -18,7 +18,6 @@ from .complexes import (
     eliahou_kervaire,
     is_minimal,
     is_stable,
-    koszul_complex,
     linear_quotients,
     mapping_cone,
     minimize,

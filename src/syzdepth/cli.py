@@ -22,10 +22,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import blocks, monomials
 from .complexes import (
+    RESOLUTIONS,
     check_exactness_on_box,
     complex_json,
-    eliahou_kervaire,
-    koszul_complex,
     minimize,
     taylor_complex,
 )
@@ -124,23 +123,15 @@ def write_output(text: str, path):
         print(text)
 
 
-def build_complex(I: MonomialIdeal, method: str, ordered_gens=None):
-    gens = list(ordered_gens) if ordered_gens is not None else list(I.gens)
-    if method == "taylor":
-        return taylor_complex(gens, I.n)
-    if method == "koszul":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            C = koszul_complex(gens, I.n)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return C
-    if method == "ek":
-        try:
-            return eliahou_kervaire(I)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    raise InputError(f"unknown method {method!r}")
+def build_complex(I: MonomialIdeal, method: str, ordered):
+    """complexes.RESOLUTIONS[method] on the ideal and its generators in
+    input order, each warning written to stderr as one "warning: ..." line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        C = RESOLUTIONS[method].build(I, ordered)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return C
 
 
 def cmd_resolve(args) -> int:
@@ -183,7 +174,7 @@ def cmd_initial(args) -> int:
         if args.oracle:
             rep = verify_boundary_gb(C, p,
                                      taylor_gens=list(ordered)
-                                     if args.method in ("taylor", "koszul") else None)
+                                     if RESOLUTIONS[args.method].taylor_of_input else None)
             payload["oracle_equal"] = rep.equal
             if not rep.equal:
                 exit_code = 1
@@ -343,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="construct a free resolution")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["taylor", "koszul", "ek"], default="taylor")
+    p.add_argument("--method", choices=list(RESOLUTIONS), default="taylor")
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--check", action="store_true",
                    help="certify exactness in every multidegree")
@@ -352,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("initial", help="initial module of a syzygy module")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["taylor", "koszul", "ek"], default="taylor")
+    p.add_argument("--method", choices=list(RESOLUTIONS), default="taylor")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--basis", choices=["lex", "boundary"], default="lex")
     p.add_argument("--oracle", action="store_true",

@@ -1,4 +1,4 @@
-"""Multigraded free complexes: Taylor, Koszul, mapping cones, Eliahou-Kervaire.
+"""Multigraded free complexes: Taylor, mapping cones, Eliahou-Kervaire.
 
 A complex stores one ordered basis per homological degree and the columns of
 each differential as module vectors.  Homological degree 0 is the target free
@@ -14,7 +14,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import monomials
 from .freemod import (
@@ -92,7 +92,7 @@ def _image_terms(columns, v: ModuleVector) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Taylor and Koszul complexes
+# Taylor complexes
 
 
 def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
@@ -169,26 +169,6 @@ def is_regular_sequence(gens: Sequence[Mono]) -> bool:
     return True
 
 
-def koszul_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
-    """Koszul complex of a regular sequence of monomials.
-
-    Coincides with the Taylor complex; a non-regular input triggers a warning
-    and still returns the Taylor complex.
-    """
-    if not is_regular_sequence(gens):
-        warnings.warn("generators are not a regular sequence; returning the "
-                      "Taylor complex", stacklevel=2)
-    return taylor_complex(gens, n)
-
-
-def shift_complex(C: FreeComplex, a: Mono) -> FreeComplex:
-    """Tensor with S(-a): add a to every basis degree."""
-    bases = [OrderedBasis(C.n, (BasisElement(monomials.mul(e.degree, a), e.label)
-                                for e in basis))
-             for basis in C.bases]
-    return FreeComplex(C.n, bases, [C.differential(p) for p in range(1, C.length + 1)])
-
-
 # ---------------------------------------------------------------------------
 # Mapping cones
 
@@ -239,7 +219,7 @@ def mapping_cone(phi: ChainMap) -> FreeComplex:
     bases = []
     for i in range(length + 1):
         elems = []
-        if 1 <= i <= G.length + 1 and i - 1 <= G.length:
+        if 1 <= i <= G.length + 1:
             for e in G.basis(i - 1):
                 elems.append(BasisElement(e.degree, ("G", e.label)))
         if i <= F.length:
@@ -249,19 +229,17 @@ def mapping_cone(phi: ChainMap) -> FreeComplex:
 
     diffs = []
     for i in range(1, length + 1):
-        g_rank_target = G.rank(i - 2) if i >= 2 else 0
+        g_rank_target = G.rank(i - 2)
         cols = []
-        if i - 1 <= G.length:
-            for j in range(G.rank(i - 1)):
-                col = ModuleVector(n)
-                if i >= 2:
-                    col = col + (-G.apply(i - 1, ModuleVector.generator(n, j)))
-                col = col + phi.apply(i - 1, ModuleVector.generator(n, j)).map_positions(
-                    g_rank_target)
-                cols.append(col)
-        if i <= F.length:
-            for column in F.differential(i):
-                cols.append(column.map_positions(g_rank_target))
+        for j in range(G.rank(i - 1)):
+            col = ModuleVector(n)
+            if i >= 2:
+                col = col + (-G.apply(i - 1, ModuleVector.generator(n, j)))
+            col = col + phi.apply(i - 1, ModuleVector.generator(n, j)).map_positions(
+                g_rank_target)
+            cols.append(col)
+        for column in F.differential(i):
+            cols.append(column.map_positions(g_rank_target))
         diffs.append(cols)
     return FreeComplex(n, bases, diffs)
 
@@ -309,7 +287,7 @@ def _exchange_monomials(u: Mono):
 
 def is_stable(I: MonomialIdeal) -> bool:
     """Exchange condition x_j * u / x_{m(u)} in I on all minimal generators."""
-    return all(I.contains(v) for u in I.gens for v in _exchange_monomials(u))
+    return first_stability_violation(I) is None
 
 
 def first_stability_violation(I: MonomialIdeal):
@@ -384,9 +362,9 @@ def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
 def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:
     """Iterated mapping cone over the stable order; minimal for stable ideals.
 
-    Each step resolves the colon module by the Koszul complex on the colon
-    variables; the comparison maps are produced by multigraded lifting and the
-    cone is certified afterwards.  A non-minimal outcome triggers a warning.
+    Each generator after the first is one comparison_cone step over the
+    variables of its colon ideal, never empty, as that ideal is proper and
+    nonzero.  A non-minimal outcome triggers a warning.
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("need a proper nonzero monomial ideal")
@@ -401,41 +379,30 @@ def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:
     if not quotients.ok:
         raise ValueError(f"stable order has no linear quotients at step {quotients.failed_at}")
 
-    F = FreeComplex(
-        n,
-        [OrderedBasis(n, [BasisElement(monomials.unit(n), ("F0",))]),
-         OrderedBasis(n, [BasisElement(gens[0], ("g", 1))])],
-        [[ModuleVector(n, {(0, gens[0]): Fraction(1)})]],
-    )
-    for j in range(1, len(gens)):
-        variables = sorted(quotients.variable_sets[j - 1])
-        G = taylor_complex([monomials.variable(i, n) for i in variables], n) \
-            if variables else FreeComplex(
-                n, [OrderedBasis(n, [BasisElement(monomials.unit(n), frozenset())])], [])
-        G = shift_complex(G, gens[j])
-        G = _relabel(G, ("g", j + 1))
-        F, _ = comparison_cone(G, F, gens[j])
+    F = taylor_complex(gens[:1], n)
+    for u, variables in zip(gens[1:], quotients.variable_sets):
+        F, _ = comparison_cone(F, [monomials.variable(i, n) for i in sorted(variables)], u)
     if not is_minimal(F):
         warnings.warn("iterated mapping cone is not minimal", stacklevel=2)
     return F
 
 
-def _relabel(C: FreeComplex, tag) -> FreeComplex:
-    bases = [OrderedBasis(C.n, (BasisElement(e.degree, (tag, e.label)) for e in basis))
-             for basis in C.bases]
-    return FreeComplex(C.n, bases, [C.differential(p) for p in range(1, C.length + 1)])
-
-
-def comparison_cone(G: FreeComplex, F: FreeComplex, u: Mono):
+def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
     """Cone of the comparison map phi: G -> F over multiplication by u.
 
-    phi_0 sends the single basis element of G_0 to u times the single basis
-    element of F_0 (both must have rank one); each higher phi_i is lifted
-    through the differentials of F.  Returns (cone, phi).
+    G is the Taylor complex of colon_gens, the generators of (J : u) when F
+    resolves S/J, with every degree shifted by u.  phi_0 sends G_0 to u times
+    the one basis element of F_0; each higher phi_i is lifted through the
+    differentials of F.  Returns (cone, phi).
     """
-    if F.rank(0) != 1 or G.rank(0) != 1:
-        raise ValueError("expected rank-one modules in homological degree 0")
+    if F.rank(0) != 1:
+        raise ValueError("expected a rank-one module in homological degree 0")
     n = F.n
+    T = taylor_complex(colon_gens, n)
+    G = FreeComplex(n, [OrderedBasis(n, (BasisElement(monomials.mul(e.degree, u), e.label)
+                                         for e in basis))
+                        for basis in T.bases],
+                    [T.differential(p) for p in range(1, T.length + 1)])
     phi_columns = [[ModuleVector(n, {(0, u): Fraction(1)})]]
     for i in range(1, G.length + 1):
         cols = []
@@ -446,6 +413,32 @@ def comparison_cone(G: FreeComplex, F: FreeComplex, u: Mono):
         phi_columns.append(cols)
     phi = ChainMap(G, F, phi_columns)
     return mapping_cone(phi), phi
+
+
+class Resolution(NamedTuple):
+    """One method: build(I, gens) makes its complex from the ideal and its
+    minimal generators in input order and raises ValueError on an ideal it
+    cannot resolve; taylor_of_input says the complex is the Taylor complex
+    of gens."""
+    build: Callable[[MonomialIdeal, Sequence[Mono]], FreeComplex]
+    taylor_of_input: bool
+
+
+def _koszul(I: MonomialIdeal, gens: Sequence[Mono]) -> FreeComplex:
+    """The Koszul complex of a regular sequence is its Taylor complex."""
+    if not is_regular_sequence(gens):
+        warnings.warn("generators are not a regular sequence; returning the "
+                      "Taylor complex", stacklevel=2)
+    return taylor_complex(gens, I.n)
+
+
+# One entry per --method.  The builders are looked up when called, so that
+# one replaced on this module, as bench/tracing.py does, is the one that runs.
+RESOLUTIONS = {
+    "taylor": Resolution(lambda I, gens: taylor_complex(gens, I.n), True),
+    "koszul": Resolution(_koszul, True),
+    "ek": Resolution(lambda I, gens: eliahou_kervaire(I), False),
+}
 
 
 # ---------------------------------------------------------------------------

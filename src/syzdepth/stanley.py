@@ -95,9 +95,10 @@ def validate_partition(P: CharPoset, intervals: Sequence[Interval]) -> None:
         raise ValueError(f"point {missing} is not covered")
 
 
-# Search calls one exact_sdepth call may make over all its targets d; the
-# maximal ideal needs 120,183 at n = 6.  Past it the search is refused like a
-# poset above the point limit, which also bounds the memo of failed states.
+# The most points, and search calls over all its targets d, that one
+# exact_sdepth call may take (the maximal ideal needs 120,183 calls at n = 6).
+# Past either the search is refused, which also bounds the memo of failures.
+POINT_LIMIT = 512
 SEARCH_NODE_LIMIT = 1_000_000
 
 
@@ -110,7 +111,7 @@ class SdepthResult(NamedTuple):
     partition: tuple  # tuple of Interval
 
 
-def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
+def exact_sdepth(P: CharPoset) -> SdepthResult:
     """Maximum over interval partitions of the minimum interval value.
 
     Decision search for descending target values: branch on the
@@ -123,11 +124,11 @@ def exact_sdepth(P: CharPoset, max_points: int = 512) -> SdepthResult:
     order, so the smallest uncovered point is the lowest zero bit of the
     covered set, and failure states are memoized on that int.  Every
     returned partition has passed validate_partition.  A search that
-    visits more than SEARCH_NODE_LIMIT nodes, or a poset above max_points,
+    visits more than SEARCH_NODE_LIMIT nodes, or a poset above POINT_LIMIT,
     raises SearchRefused.
     """
-    if P.size > max_points:
-        raise SearchRefused(f"poset has {P.size} points, above the limit {max_points}")
+    if P.size > POINT_LIMIT:
+        raise SearchRefused(f"poset has {P.size} points, above the limit {POINT_LIMIT}")
     if not P.points:
         return SdepthResult(P.n, ())
     tops = _CandidateTops(P)
@@ -237,7 +238,7 @@ def _feasible_partition(tops, d: int):
 # Stanley depth of monomial ideals, with a bounded cache shared across calls
 
 
-def ideal_sdepth(I: MonomialIdeal, max_points: int = 512) -> int:
+def ideal_sdepth(I: MonomialIdeal) -> int:
     """Stanley depth of a monomial ideal over its full ring.
 
     Variables absent from every generator contribute cap 0 in the poset, so
@@ -247,12 +248,13 @@ def ideal_sdepth(I: MonomialIdeal, max_points: int = 512) -> int:
         raise ValueError("the zero ideal has no Stanley depth here")
     if len(I.gens) == 1:
         return I.n
-    return _searched_ideal_sdepth(I.n, I.gens, max_points)
+    return _searched_ideal_sdepth(I.n, I.gens)
 
 
+# Keyed on the ideal alone, as the search's limits are constants.
 @functools.lru_cache(maxsize=1024)
-def _searched_ideal_sdepth(n: int, gens: tuple, max_points: int) -> int:
-    return exact_sdepth(char_poset(MonomialIdeal(n, gens)), max_points).value
+def _searched_ideal_sdepth(n: int, gens: tuple) -> int:
+    return exact_sdepth(char_poset(MonomialIdeal(n, gens))).value
 
 
 class FiltrationBound(NamedTuple):
@@ -260,7 +262,7 @@ class FiltrationBound(NamedTuple):
     free: bool  # all components were zero
 
 
-def filtration_lower_bound(initial: InitialModule, max_points: int = 512) -> FiltrationBound:
+def filtration_lower_bound(initial: InitialModule) -> FiltrationBound:
     """min over nonzero components I_j of sdepth(I_j).
 
     This bounds the Stanley depth of any module whose initial module is the
@@ -276,7 +278,7 @@ def filtration_lower_bound(initial: InitialModule, max_points: int = 512) -> Fil
     values = []
     for j, ideal in nonzero:
         try:
-            values.append(ideal_sdepth(ideal, max_points))
+            values.append(ideal_sdepth(ideal))
         except SearchRefused as exc:
             raise SearchRefused(f"the filtration bound needs the exact Stanley depth "
                                 f"of the component at position {j}, and its search "

@@ -15,7 +15,6 @@ from .complexes import (
     eliahou_kervaire,
     is_minimal,
     minimize,
-    shift_complex,
     syzygy_generators,
     taylor_complex,
 )
@@ -71,8 +70,7 @@ def taylor_step_cone(gens, n):
     F = taylor_complex(gens[:-1], n)
     last = gens[-1]
     quotients = [monomials.divide(u, monomials.gcd(u, last)) for u in gens[:-1]]
-    G = shift_complex(taylor_complex(quotients, n), last)
-    return comparison_cone(G, F, last)
+    return comparison_cone(F, quotients, last)
 
 
 def run_verify_job(job: VerifyJob) -> Iterator[dict]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
-from syzdepth import blocks, cli, groebner, monomials, stanley
+from syzdepth import blocks, cli, groebner, monomials
 from syzdepth.cli import InputError, _dumps, load_ideal, main
 from syzdepth.complexes import check_exactness_on_box, minimize, taylor_complex
 from test_complexes import reference_complex_to_jsonable
@@ -61,7 +61,16 @@ def test_resolve_ek_rejects_nonstable(ideal_file, capsys):
     code = main(["resolve", "--input", path, "--method", "ek"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "not stable" in err
+    assert err == ("error: ideal is not stable: generator (0, 1) fails the exchange rule "
+                   "(missing (1, 0))\n")
+
+
+def test_resolve_koszul_warns_on_an_irregular_sequence(ideal_file, capsys):
+    code = main(["resolve", "--input", ideal_file(LCM_TRIANGLE), "--method", "koszul"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ("warning: generators are not a regular sequence; returning the "
+                            "Taylor complex\n")
 
 
 def test_initial_boundary_matches_spec_example(ideal_file, capsys):
@@ -447,8 +456,8 @@ def test_sdepth_rejects_flags_of_other_modes(ideal_file, capsys, args, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_exact_node_budget_exits_2(ideal_file, capsys, monkeypatch):
-    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 20)
+def test_exact_node_budget_exits_2(ideal_file, capsys, search_limit):
+    search_limit("SEARCH_NODE_LIMIT", 20)
     code = main(["sdepth", "--input", ideal_file(MAXIMAL4), "--mode", "exact"])
     captured = capsys.readouterr()
     assert code == 2
@@ -457,10 +466,15 @@ def test_exact_node_budget_exits_2(ideal_file, capsys, monkeypatch):
                             "filtration or squarefree lower bounds instead\n")
 
 
-def test_filtration_bound_refusal_names_the_component(ideal_file, capsys, monkeypatch):
-    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 3)
-    code = main(["sdepth", "--input", ideal_file(MAXIMAL4), "--mode", "filtration-bound",
-                 "--p", "1"])
+def test_filtration_bound_refusal_names_the_component(ideal_file, capsys, search_limit):
+    argv = ["sdepth", "--input", ideal_file(MAXIMAL4), "--mode", "filtration-bound",
+            "--p", "1"]
+    # Under the default limit the call answers, and the component's value is
+    # cached; the lowered limit must still refuse it.
+    assert main(argv) == 0
+    capsys.readouterr()
+    search_limit("SEARCH_NODE_LIMIT", 3)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from syzdepth.cli import _INDENT, _dumps
 from syzdepth.complexes import (
+    RESOLUTIONS,
     ChainMap,
     ExactnessReport,
     FreeComplex,
@@ -20,7 +21,6 @@ from syzdepth.complexes import (
     eliahou_kervaire,
     is_minimal,
     is_stable,
-    koszul_complex,
     linear_quotients,
     mapping_cone,
     minimize,
@@ -39,6 +39,11 @@ from syzdepth.verify import taylor_step_cone
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
+def koszul(gens, n):
+    """The complex of the koszul method on the sequence."""
+    return RESOLUTIONS["koszul"].build(MonomialIdeal(n, gens), gens)
+
+
 def test_taylor_single_generator():
     C = taylor_complex([(2, 0)], 2)
     assert C.ranks == (1, 1)
@@ -49,7 +54,7 @@ def test_taylor_single_generator():
 
 def test_taylor_regular_sequence_is_koszul():
     T = taylor_complex([X1, X2, X3], 3)
-    K = koszul_complex([X1, X2, X3], 3)
+    K = koszul([X1, X2, X3], 3)
     assert T.ranks == (1, 3, 3, 1)
     for p in range(1, 4):
         assert T.differential(p) == K.differential(p)
@@ -164,11 +169,11 @@ def test_taylor_top_entry():
 
 def test_koszul_warns_on_irregular():
     with pytest.warns(UserWarning, match="regular"):
-        koszul_complex([(1, 1, 0), (0, 1, 1)], 3)
+        koszul([(1, 1, 0), (0, 1, 1)], 3)
 
 
 def test_koszul_signs():
-    C = koszul_complex([(1, 0), (0, 1)], 2)
+    C = koszul([(1, 0), (0, 1)], 2)
     col = C.differential(2)[0]
     labels = {e.label: i for i, e in enumerate(C.basis(1))}
     # d(e_12) = x1 e_2 - x2 e_1 with the printed sign convention.
@@ -177,9 +182,9 @@ def test_koszul_signs():
 
 
 def test_koszul_ranks_binomial():
-    C = koszul_complex([X1, X2, X3], 3)
+    C = koszul([X1, X2, X3], 3)
     assert C.ranks == (1, 3, 3, 1)
-    C2 = koszul_complex([(2, 0), (0, 3)], 2)
+    C2 = koszul([(2, 0), (0, 3)], 2)
     assert is_minimal(C2)
 
 
@@ -306,7 +311,7 @@ def test_ek_example_ranks():
 def test_ek_maximal_ideal_is_koszul():
     I = MonomialIdeal(3, [X1, X2, X3])
     C = eliahou_kervaire(I)
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     assert C.ranks == K.ranks
     for p in range(4):
         assert sorted(C.basis(p).degrees) == sorted(K.basis(p).degrees)
@@ -335,7 +340,7 @@ def test_ek_rejects_nonstable():
 
 
 def test_syzygy_generators_examples():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     Z1 = syzygy_generators(K, 1)
     labels = {e.label: i for i, e in enumerate(K.basis(1))}
     expected = set()
@@ -363,7 +368,7 @@ def test_minimize_examples():
     again = minimize(M)
     assert again.ranks == M.ranks
     # Regular sequences are already minimal.
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     assert minimize(K).ranks == K.ranks
 
 
@@ -376,7 +381,7 @@ def test_minimized_bases_are_lex_refined():
 
 def test_exactness_examples():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
-    K = koszul_complex([(1, 0), (0, 1)], 2)
+    K = taylor_complex([(1, 0), (0, 1)], 2)
     assert check_exactness_on_box(K, I).ok
     # A duplicated generator still gives a resolution.
     dup = taylor_complex([(1, 0), (1, 0)], 2)
@@ -385,7 +390,7 @@ def test_exactness_examples():
 
 def test_exactness_detects_corrupted_sign():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
-    K = koszul_complex([(1, 0), (0, 1)], 2)
+    K = taylor_complex([(1, 0), (0, 1)], 2)
     # Flip one sign inside d_2: x1 e2 + x2 e1 no longer maps onto the syzygy.
     col = K.differential(2)[0]
     flipped = ModuleVector(2, {key: (c if key[0] == 0 else -c)
@@ -449,7 +454,7 @@ def test_exactness_module_rank_is_exact():
 def test_exactness_confirms_modular_failures_exactly():
     # Scaling d_2 by P kills it mod P; the exact ranks clear the degree.
     P = (1 << 61) - 1
-    K = koszul_complex([(1, 0), (0, 1)], 2)
+    K = taylor_complex([(1, 0), (0, 1)], 2)
     scaled = FreeComplex(2, K.bases, [K.differential(1),
                                       [K.differential(2)[0].scale(P)]])
     report = check_exactness_on_box(scaled, MonomialIdeal(2, [(1, 0), (0, 1)]))
@@ -760,7 +765,7 @@ def reference_check_complex(C):
     return True
 
 
-KOSZUL3 = koszul_complex([X1, X2, X3], 3)
+KOSZUL3 = taylor_complex([X1, X2, X3], 3)
 _FLIPPED_D2 = ModuleVector(3, {key: (-c if k == 0 else c)
                                for k, (key, c) in enumerate(KOSZUL3.differential(2)[2].items())})
 _MIXED_D1 = ModuleVector(3, {(0, X3): Fraction(1), (0, X1): Fraction(1)})

@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from syzdepth.complexes import (
     is_minimal,
-    koszul_complex,
     minimize,
     syzygy_generators,
     taylor_complex,
@@ -50,7 +49,7 @@ def test_buchberger_single_generator():
 
 
 def test_buchberger_koszul_z1():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     ini, gens = lex_refined_initial(K, 1)
     gb = buchberger(gens, ini.basis)
     lts = {(t.position, t.monomial) for t in gb.leading_terms()}
@@ -58,7 +57,7 @@ def test_buchberger_koszul_z1():
 
 
 def test_initial_module_koszul_z1():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     ini, gens = lex_refined_initial(K, 1)
     assert ini.components[0].gens == ((0, 0, 1), (0, 1, 0))
     assert ini.components[1].gens == ((0, 0, 1),)
@@ -97,7 +96,7 @@ def test_product_criterion_not_applied_across_positions():
 
 
 def test_hilbert_slice_check_fault_injection():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     ini, gens = lex_refined_initial(K, 1)
     damaged = type(ini)(ini.basis, (MonomialIdeal(3, [(0, 0, 1)]),) + ini.components[1:])
     assert hilbert_slice_check(gens, damaged) == (False, (1, 1, 0))
@@ -155,10 +154,10 @@ def syzygy_generators_on_bases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(syzygy_generators_on_bases())
-@example((list(koszul_complex([X1, X2, X3], 3).differential(2)),
-          koszul_complex([X1, X2, X3], 3).basis(1)))
-@example((list(koszul_complex([X1, X2, X3], 3).differential(2)) * 2,
-          koszul_complex([X1, X2, X3], 3).basis(1)))
+@example((list(taylor_complex([X1, X2, X3], 3).differential(2)),
+          taylor_complex([X1, X2, X3], 3).basis(1)))
+@example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
+          taylor_complex([X1, X2, X3], 3).basis(1)))
 def test_initial_module_is_the_reduced_basis_leading_terms(case):
     # initial_module stops at a minimal Groebner basis; its leading terms
     # are those of the reduced basis buchberger returns.
@@ -168,7 +167,7 @@ def test_initial_module_is_the_reduced_basis_leading_terms(case):
 
 
 def test_is_squarefree_module():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     ini, _ = lex_refined_initial(K, 1)
     assert is_squarefree_module(ini)
     from syzdepth.groebner import InitialModule
@@ -217,7 +216,7 @@ def test_spair_loop_elements_are_monic_fractions():
 
 
 def test_kernel_generators_koszul():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     cols = list(K.differential(1))
     kernel = kernel_generators(cols, K.basis(1), K.basis(0))
     # The kernel of d_1 is Z_1, spanned by the Koszul relations.
@@ -350,8 +349,8 @@ def spair_loop_inputs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(spair_loop_inputs())
-@example((list(koszul_complex([X1, X2, X3], 3).differential(2)) * 2,
-          koszul_complex([X1, X2, X3], 3).basis(1)))
+@example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
+          taylor_complex([X1, X2, X3], 3).basis(1)))
 def test_spair_loop_matches_the_sorted_list_kernel(case):
     gens, basis = case
     assert _term_lists(_spair_loop(gens, basis)) == \

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syzdepth.complexes import koszul_complex, syzygy_generators, taylor_complex
+from syzdepth.complexes import syzygy_generators, taylor_complex
 from syzdepth.groebner import initial_module
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.monomials import MonomialIdeal, unit
@@ -70,32 +70,32 @@ def test_exact_sdepth_principal():
     assert ideal_sdepth(I) == 3
 
 
-def test_exact_sdepth_size_guard():
+def test_exact_sdepth_size_guard(search_limit):
     P = CharPoset(10, (1,) * 10, frozenset(itertools.product((0, 1), repeat=10)))
+    search_limit("POINT_LIMIT", 100)
     with pytest.raises(ValueError, match="limit"):
-        exact_sdepth(P, max_points=100)
+        exact_sdepth(P)
 
 
-def test_exact_search_node_budget_spans_every_target(monkeypatch):
+def test_exact_search_node_budget_spans_every_target(search_limit):
     # The maximal ideal at n = 5 takes 1,524 search calls over the targets
     # d = 5, 4, 3, more than any one target takes alone.
-    from syzdepth import stanley
-
     P = char_poset(maximal_ideal(5))
-    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 1524)
+    search_limit("SEARCH_NODE_LIMIT", 1524)
     assert exact_sdepth(P).value == 3
-    monkeypatch.setattr(stanley, "SEARCH_NODE_LIMIT", 1523)
+    search_limit("SEARCH_NODE_LIMIT", 1523)
     with pytest.raises(ValueError, match="more than 1523 nodes"):
         exact_sdepth(P)
 
 
-def test_ideal_sdepth_cache_respects_point_limit():
-    # A value searched under the default limit must not answer a call whose
-    # smaller limit refuses the 7-point poset of the maximal ideal.
+def test_ideal_sdepth_cache_respects_point_limit(search_limit):
+    # A value searched under the default limit must not answer once a smaller
+    # limit, which refuses the 7-point poset of the maximal ideal, is set.
     m = maximal_ideal(3)
     assert ideal_sdepth(m) == 2
+    search_limit("POINT_LIMIT", 1)
     with pytest.raises(ValueError, match="7 points"):
-        ideal_sdepth(m, max_points=1)
+        ideal_sdepth(m)
 
 
 def test_validate_partition_faults():
@@ -112,7 +112,7 @@ def test_validate_partition_faults():
 
 
 def test_filtration_bound_koszul_z1():
-    K = koszul_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    K = taylor_complex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     ini, _ = lex_refined_initial(K, 1)
     bound = filtration_lower_bound(ini)
     assert not bound.free
@@ -210,7 +210,7 @@ def test_certificates_verify_as_decompositions():
 def test_filtration_bound_below_exact_sdepth():
     # The filtration bound never exceeds the exact Stanley depth of the
     # syzygy components it is built from (it is their minimum).
-    K = koszul_complex([(1, 0), (0, 1)], 2)
+    K = taylor_complex([(1, 0), (0, 1)], 2)
     ini = initial_module(syzygy_generators(K, 1), K.basis(1))
     bound = filtration_lower_bound(ini)
     values = [ideal_sdepth(c) for _, c in ini.nonzero_components()]

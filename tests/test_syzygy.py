@@ -2,7 +2,6 @@ import pytest
 
 from syzdepth.complexes import (
     eliahou_kervaire,
-    koszul_complex,
     minimize,
     syzygy_generators,
     taylor_complex,
@@ -102,7 +101,7 @@ def test_compose_cone_gb_checks_against_the_oracle_it_is_given():
 
 
 def test_theorem_main_koszul():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     for p in range(0, 4):
         rep = verify_theorem_main(K, p)
         assert rep.passed, rep.to_jsonable()
@@ -125,7 +124,7 @@ def test_theorem_main_p0_vacuous():
 
 
 def test_gunnar_step_koszul():
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     rep = verify_gunnar_step(list(K.differential(1)), K.basis(1), K.basis(0), 1)
     assert rep.passed and rep.witness["kernel_size"] == 3
 
@@ -144,6 +143,6 @@ def test_gunnar_step_taylor_squares():
 
 def test_gunnar_step_rejects_bad_hypothesis():
     # Image initial module meets x1, so the p=2 hypothesis fails.
-    K = koszul_complex([X1, X2, X3], 3)
+    K = taylor_complex([X1, X2, X3], 3)
     with pytest.raises(ValueError, match="hypothesis"):
         verify_gunnar_step(list(K.differential(1)), K.basis(1), K.basis(0), 2)

@@ -34,6 +34,10 @@ INPUTS = {
     "maximal3": {"n": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     "path8": {"n": 8, "generators": [[1 if j in (i, i + 1) else 0 for j in range(8)]
                                      for i in range(7)]},
+    # The path on 7 vertices with the odd-indexed edges x1x2, x3x4, x5x6
+    # first: its Taylor complex is far from minimal.
+    "path7odd": {"n": 7, "generators": [[1 if j in (i, i + 1) else 0 for j in range(7)]
+                                        for i in (0, 2, 4, 1, 3, 5)]},
     # Squarefree ideals with large supports, so that their filters stay small,
     # on either side of the 8-bit chunk edges of the mask encoder.
     "wide9": _squarefree(9, [{1, 9}, {2, 8, 9}, {3, 4, 5, 6, 7}]),
@@ -52,6 +56,8 @@ def _cases():
         ("resolve-minimize-check", ["resolve", "--input", "triangle", "--minimize", "--check"]),
         ("resolve-minimize-check-mixed",
          ["resolve", "--input", "mixed", "--minimize", "--check"]),
+        ("resolve-minimize-check-path7odd",
+         ["resolve", "--input", "path7odd", "--minimize", "--check"]),
         ("resolve-ek", ["resolve", "--input", "stable", "--method", "ek", "--check"]),
         ("resolve-ek-nonstable", ["resolve", "--input", "triangle", "--method", "ek"]),
         ("resolve-koszul-maximal3", ["resolve", "--input", "maximal3", "--method", "koszul"]),

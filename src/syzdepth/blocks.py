@@ -46,10 +46,6 @@ class BlockStructure:
         """Rotation-independent identity of the structure."""
         return frozenset((block.B, block.G) for block in self.blocks)
 
-    def to_jsonable(self) -> dict:
-        return {"A": sorted(self.A), "delta": str(self.delta),
-                "blocks": [{"B": list(b.B), "G": list(b.G)} for b in self.blocks]}
-
 
 def _delta_range_check(n: int, A, delta: Fraction) -> None:
     if not A:

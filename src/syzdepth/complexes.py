@@ -204,7 +204,7 @@ class ChainMap:
         for i in range(1, G.length + 1):
             for j in range(G.rank(i)):
                 left = F.apply(i, self.columns[i][j]) if i <= F.length else ModuleVector(F.n)
-                right = self.apply(i - 1, G.apply(i, ModuleVector.generator(G.n, j)))
+                right = self.apply(i - 1, G.differential(i)[j])
                 if left != right:
                     raise ValueError(f"chain map does not commute at homological "
                                      f"degree {i}, basis element {j}")
@@ -232,11 +232,9 @@ def mapping_cone(phi: ChainMap) -> FreeComplex:
         g_rank_target = G.rank(i - 2)
         cols = []
         for j in range(G.rank(i - 1)):
-            col = ModuleVector(n)
+            col = phi.columns[i - 1][j].map_positions(g_rank_target)
             if i >= 2:
-                col = col + (-G.apply(i - 1, ModuleVector.generator(n, j)))
-            col = col + phi.apply(i - 1, ModuleVector.generator(n, j)).map_positions(
-                g_rank_target)
+                col = -G.differential(i - 1)[j] + col
             cols.append(col)
         for column in F.differential(i):
             cols.append(column.map_positions(g_rank_target))
@@ -405,12 +403,8 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
                     [T.differential(p) for p in range(1, T.length + 1)])
     phi_columns = [[ModuleVector(n, {(0, u): Fraction(1)})]]
     for i in range(1, G.length + 1):
-        cols = []
-        for k in range(G.rank(i)):
-            z = apply_columns(phi_columns[i - 1],
-                              G.apply(i, ModuleVector.generator(n, k)), n)
-            cols.append(lift_through(F, i, z))
-        phi_columns.append(cols)
+        phi_columns.append([lift_through(F, i, apply_columns(phi_columns[i - 1], col, n))
+                            for col in G.differential(i)])
     phi = ChainMap(G, F, phi_columns)
     return mapping_cone(phi), phi
 
@@ -466,97 +460,66 @@ def is_minimal(C: FreeComplex) -> bool:
 def minimize(C: FreeComplex) -> FreeComplex:
     """Cancel unit entries until every entry lies in the maximal ideal.
 
-    Basis degrees survive; each level of the result is re-sorted lex-refined.
+    Each column of d_p is a dict {row: (monomial, coeff)}, one term per row
+    as the input is a complex, which is checked first.  A unit lam in row r
+    of column c is cancelled by the Schur complement: every other live
+    column with an entry in row r loses (entry / lam) times column c, which
+    clears its row r.  Then column c leaves d_p, column r leaves d_{p-1},
+    and row c leaves d_{p+1}, where d o d = 0 has made it zero.  The search
+    resumes at column c of d_p: a new unit in an earlier column would need
+    that column to hold a unit in row r, which the search would have met
+    first.  So the cancellations come in the order of a search that starts
+    again at d_1 after each one.  Basis degrees survive; each level of the
+    result is re-sorted lex-refined.
     """
+    if not check_complex(C):
+        raise RuntimeError("minimization needs d o d = 0 and multihomogeneous "
+                           "columns; the input was not a complex")
     n = C.n
     zero = monomials.unit(n)
     length = C.length
-    cols = [None] + [[dict(col.items()) for col in C.differential(p)]
-                     for p in range(1, length + 1)]
+    cols = [None] + [[{r: (mono, coeff) for (r, mono), coeff in col.items()}
+                      for col in C.differential(p)] for p in range(1, length + 1)]
     alive = [[True] * C.rank(p) for p in range(length + 1)]
-
-    def find_unit():
-        for p in range(1, length + 1):
-            for c, col in enumerate(cols[p]):
-                if not alive[p][c]:
+    for p in range(1, length + 1):
+        for c, pivot in enumerate(cols[p]):
+            r = next((r for r, (mono, coeff) in pivot.items() if mono == zero and coeff),
+                     None)
+            if r is None:
+                continue
+            lam = pivot[r][1]
+            for c2, col in enumerate(cols[p]):
+                if c2 == c or not alive[p][c2] or r not in col:
                     continue
-                for (r, mono), coeff in col.items():
-                    if mono == zero and coeff and alive[p - 1][r]:
-                        return p, r, c
-        return None
+                mono2, coeff2 = col[r]
+                t_coeff = coeff2 / lam
+                for r3, (mono3, coeff3) in pivot.items():
+                    new = col.get(r3, (None, Fraction(0)))[1] - t_coeff * coeff3
+                    if new:
+                        col[r3] = (monomials.mul(mono3, mono2), new)
+                    else:
+                        col.pop(r3, None)
+            alive[p][c] = alive[p - 1][r] = False
+            if p < length:
+                for col in cols[p + 1]:
+                    col.pop(c, None)
 
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        p, r, c = hit
-        lam = cols[p][c][(r, zero)]
-        pivot_col = dict(cols[p][c])
-        # Column operations at level p: clear row r from all other columns.
-        factors = {}
-        for c2, col in enumerate(cols[p]):
-            if c2 == c or not alive[p][c2]:
-                continue
-            row_terms = [(mono, coeff) for (r2, mono), coeff in col.items() if r2 == r]
-            if not row_terms:
-                continue
-            if len(row_terms) > 1:
-                raise ValueError("minimize expects multigraded entries (one term "
-                                 "per matrix position)")
-            mono2, coeff2 = row_terms[0]
-            t_coeff = coeff2 / lam
-            factors[c2] = (t_coeff, mono2)
-            for (r3, mono3), coeff3 in pivot_col.items():
-                key = (r3, monomials.mul(mono3, mono2))
-                new = col.get(key, Fraction(0)) - t_coeff * coeff3
-                if new:
-                    col[key] = new
-                else:
-                    col.pop(key, None)
-        # Row update at level p+1: the row of the cancelled column vanishes.
-        if p + 1 <= length:
-            for col in cols[p + 1]:
-                acc = {}
-                for (r2, mono2), coeff2 in list(col.items()):
-                    if r2 == c:
-                        acc[mono2] = acc.get(mono2, Fraction(0)) + coeff2
-                        del col[(r2, mono2)]
-                for c2, (t_coeff, t_mono) in factors.items():
-                    for (r2, mono2), coeff2 in col.items():
-                        if r2 == c2:
-                            key = monomials.mul(mono2, t_mono)
-                            acc[key] = acc.get(key, Fraction(0)) + t_coeff * coeff2
-                if any(acc.values()):
-                    raise RuntimeError("minimization produced a nonzero cancelled row; "
-                                       "the input was not a complex")
-        alive[p][c] = False
-        alive[p - 1][r] = False
-        for col in cols[p]:
-            for key in [k for k in col if k[0] == r]:
-                del col[key]
-        if p - 1 >= 1:
-            cols[p - 1][r] = {}
-
-    # Compact and re-sort lex-refined per level.
-    new_bases = []
-    remap = []
+    bases, remap = [], []
     for p in range(length + 1):
-        elements = [(i, C.basis(p).elements[i]) for i in range(C.rank(p)) if alive[p][i]]
-        elements.sort(key=lambda pair: pair[1].degree, reverse=True)
-        remap.append({old: new for new, (old, _) in enumerate(elements)})
-        new_bases.append(OrderedBasis(n, (e for _, e in elements)))
-    while len(new_bases) > 1 and len(new_bases[-1]) == 0:
-        new_bases.pop()
-        remap.pop()
+        live = [i for i in range(C.rank(p)) if alive[p][i]]
+        basis, perm = OrderedBasis(n, (C.basis(p).elements[i] for i in live)).sort_lex_refined()
+        bases.append(basis)
+        remap.append({old: perm[k] for k, old in enumerate(live)})
+    while len(bases) > 1 and not bases[-1]:
+        bases.pop()
     diffs = []
-    for p in range(1, len(new_bases)):
-        level = []
-        ordered = sorted(remap[p].items(), key=lambda kv: kv[1])
-        for old, _ in ordered:
-            level.append(ModuleVector(n, {(remap[p - 1][r], mono): coeff
-                                          for (r, mono), coeff in cols[p][old].items()}))
+    for p in range(1, len(bases)):
+        level = [None] * len(bases[p])
+        for old, new in remap[p].items():
+            level[new] = ModuleVector(n, {(remap[p - 1][r], mono): coeff
+                                          for r, (mono, coeff) in cols[p][old].items()})
         diffs.append(level)
-    out = FreeComplex(n, new_bases, diffs)
+    out = FreeComplex(n, bases, diffs)
     if not check_complex(out):
         raise RuntimeError("minimization broke the complex property")
     return out

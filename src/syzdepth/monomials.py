@@ -119,14 +119,8 @@ def minimalize(gens: Iterable[Mono]) -> tuple:
 def minimalize_ordered(gens: Iterable[Mono]) -> tuple:
     """Minimal generators in first-occurrence order of the given sequence."""
     gens = list(gens)
-    out = []
-    for i, u in enumerate(gens):
-        if u in out:
-            continue
-        if any(divides(v, u) and v != u for v in gens):
-            continue
-        out.append(u)
-    return tuple(out)
+    minimal = set(minimalize(gens))
+    return tuple(dict.fromkeys(u for u in gens if u in minimal))
 
 
 class MonomialIdeal:

@@ -32,7 +32,8 @@ from syzdepth.complexes import (
 from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, Slices, multidegree_of
 from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
-from syzdepth.monomials import MonomialIdeal, divides, lcm, lcm_closure, mul, unit
+from syzdepth.monomials import (MonomialIdeal, divides, lcm, lcm_closure, minimalize_ordered,
+                                mul, unit)
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
@@ -377,6 +378,158 @@ def test_minimized_bases_are_lex_refined():
     M = minimize(C)
     for p in range(M.length + 1):
         assert M.basis(p).is_lex_refined()
+
+
+def reference_minimize(C):
+    """minimize as it read when the search for a unit started again at d_1
+    after every cancellation and each row was found by scanning the terms
+    of every column at levels p and p + 1."""
+    n = C.n
+    zero = unit(n)
+    length = C.length
+    cols = [None] + [[dict(col.items()) for col in C.differential(p)]
+                     for p in range(1, length + 1)]
+    alive = [[True] * C.rank(p) for p in range(length + 1)]
+
+    def find_unit():
+        for p in range(1, length + 1):
+            for c, col in enumerate(cols[p]):
+                if not alive[p][c]:
+                    continue
+                for (r, mono), coeff in col.items():
+                    if mono == zero and coeff and alive[p - 1][r]:
+                        return p, r, c
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        p, r, c = hit
+        lam = cols[p][c][(r, zero)]
+        pivot_col = dict(cols[p][c])
+        # Column operations at level p: clear row r from all other columns.
+        factors = {}
+        for c2, col in enumerate(cols[p]):
+            if c2 == c or not alive[p][c2]:
+                continue
+            row_terms = [(mono, coeff) for (r2, mono), coeff in col.items() if r2 == r]
+            if not row_terms:
+                continue
+            if len(row_terms) > 1:
+                raise ValueError("minimize expects multigraded entries (one term "
+                                 "per matrix position)")
+            mono2, coeff2 = row_terms[0]
+            t_coeff = coeff2 / lam
+            factors[c2] = (t_coeff, mono2)
+            for (r3, mono3), coeff3 in pivot_col.items():
+                key = (r3, mul(mono3, mono2))
+                new = col.get(key, Fraction(0)) - t_coeff * coeff3
+                if new:
+                    col[key] = new
+                else:
+                    col.pop(key, None)
+        # Row update at level p+1: the row of the cancelled column vanishes.
+        if p + 1 <= length:
+            for col in cols[p + 1]:
+                acc = {}
+                for (r2, mono2), coeff2 in list(col.items()):
+                    if r2 == c:
+                        acc[mono2] = acc.get(mono2, Fraction(0)) + coeff2
+                        del col[(r2, mono2)]
+                for c2, (t_coeff, t_mono) in factors.items():
+                    for (r2, mono2), coeff2 in col.items():
+                        if r2 == c2:
+                            key = mul(mono2, t_mono)
+                            acc[key] = acc.get(key, Fraction(0)) + t_coeff * coeff2
+                if any(acc.values()):
+                    raise RuntimeError("minimization produced a nonzero cancelled row; "
+                                       "the input was not a complex")
+        alive[p][c] = False
+        alive[p - 1][r] = False
+        for col in cols[p]:
+            for key in [k for k in col if k[0] == r]:
+                del col[key]
+        if p - 1 >= 1:
+            cols[p - 1][r] = {}
+
+    # Compact and re-sort lex-refined per level.
+    new_bases = []
+    remap = []
+    for p in range(length + 1):
+        elements = [(i, C.basis(p).elements[i]) for i in range(C.rank(p)) if alive[p][i]]
+        elements.sort(key=lambda pair: pair[1].degree, reverse=True)
+        remap.append({old: new for new, (old, _) in enumerate(elements)})
+        new_bases.append(OrderedBasis(n, (e for _, e in elements)))
+    while len(new_bases) > 1 and len(new_bases[-1]) == 0:
+        new_bases.pop()
+        remap.pop()
+    diffs = []
+    for p in range(1, len(new_bases)):
+        level = []
+        ordered = sorted(remap[p].items(), key=lambda kv: kv[1])
+        for old, _ in ordered:
+            level.append(ModuleVector(n, {(remap[p - 1][r], mono): coeff
+                                          for (r, mono), coeff in cols[p][old].items()}))
+        diffs.append(level)
+    out = FreeComplex(n, new_bases, diffs)
+    if not check_complex(out):
+        raise RuntimeError("minimization broke the complex property")
+    return out
+
+
+# The path on 7 vertices with the odd-indexed edges x1x2, x3x4, x5x6 first.
+PATH7_ODD_FIRST = [tuple(1 if j in (i, i + 1) else 0 for j in range(7)) for i in (0, 2, 4, 1, 3, 5)]
+
+
+@st.composite
+def minimize_inputs(draw):
+    """Taylor, Eliahou-Kervaire or taylor_step_cone complexes on at most 6
+    generators."""
+    kind = draw(st.sampled_from(["taylor", "ek", "cone"]))
+    if kind == "ek":
+        n = draw(st.integers(1, 3))
+        low = [u for u in itertools.product(range(3), repeat=n) if 1 <= sum(u) <= 2]
+        gens = draw(st.lists(st.sampled_from(low), min_size=1, max_size=2))
+        return eliahou_kervaire(stable_closure(MonomialIdeal(n, gens)))
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                         min_size=1, max_size=6))
+    if kind == "cone":
+        gens = list(minimalize_ordered(gens))
+        if len(gens) >= 2:
+            return taylor_step_cone(gens, n)[0]
+    return taylor_complex(gens, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(minimize_inputs())
+@example(taylor_complex(PATH7_ODD_FIRST, 7))
+@example(taylor_complex([X1, X2, X3], 3))
+def test_minimize_matches_the_rescanning_reference(C):
+    assert complex_json(minimize(C)) == complex_json(reference_minimize(C))
+
+
+def test_minimize_rejects_a_nonzero_composite():
+    # d_1 o d_2 = x.  The unit of d_1 would be cancelled first, and the row
+    # it leaves in d_2 is not zero.
+    C = FreeComplex(1, [OrderedBasis(1, [BasisElement((0,))]),
+                        OrderedBasis(1, [BasisElement((0,))]),
+                        OrderedBasis(1, [BasisElement((1,))])],
+                    [[ModuleVector.generator(1, 0)], [ModuleVector.generator(1, 0, (1,))]])
+    with pytest.raises(RuntimeError, match="the input was not a complex"):
+        minimize(C)
+
+
+def test_minimize_rejects_two_terms_in_one_row():
+    # The second column, 1 + x in row 0, is not multihomogeneous; the unit
+    # of the first column would be cancelled against it.
+    C = FreeComplex(1, [OrderedBasis(1, [BasisElement((0,))]),
+                        OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])],
+                    [[ModuleVector.generator(1, 0),
+                      ModuleVector(1, {(0, (0,)): Fraction(1), (0, (1,)): Fraction(1)})]])
+    with pytest.raises(RuntimeError, match="the input was not a complex"):
+        minimize(C)
 
 
 def test_exactness_examples():

@@ -469,8 +469,10 @@ def minimize(C: FreeComplex) -> FreeComplex:
     resumes at column c of d_p: a new unit in an earlier column would need
     that column to hold a unit in row r, which the search would have met
     first.  So the cancellations come in the order of a search that starts
-    again at d_1 after each one.  Basis degrees survive; each level of the
-    result is re-sorted lex-refined.
+    again at d_1 after each one.  Every column the cursor meets is live: a
+    column of d_p dies as a pivot behind the cursor, or as the row of a
+    cancellation in d_{p+1}, which comes later.  Basis degrees survive;
+    each level of the result is re-sorted lex-refined.
     """
     if not check_complex(C):
         raise RuntimeError("minimization needs d o d = 0 and multihomogeneous "

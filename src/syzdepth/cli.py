@@ -2,20 +2,28 @@
 
 Exit codes: 0 success / all checks pass, 1 a certified check found a
 disagreement, 2 bad input or configuration (such as a malformed ideal
-file, an output file that cannot be written, sdepth's --quotient outside
+file, an output file that cannot be written, a stdout whose reader closed
+it early, as `| head -c 20` does, sdepth's --quotient outside
 --mode exact or --p outside --mode filtration-bound, verify bounds below
 their minimum, or an exact search refused at its point limit or node
 budget), 3 internal error (a RuntimeError raised inside the library, such
 as a failed minimization, a failed lift or a Stanley-depth certificate that
 does not validate, or a MemoryError or RecursionError when a computation
 outgrows the process).
+
+Outputs are written as they are made, by write_output in chunks and by
+verify one report line at a time, so a write can fail midway; it then
+prints one "error: ..." line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -110,17 +118,36 @@ def _dumps(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_output(text: str, path):
-    """Write JSON text, newline-terminated, to the file at path or to stdout."""
-    if path:
-        try:
+@contextlib.contextmanager
+def _output(path):
+    """The output stream: the file at path, opened for writing, or stdout,
+    flushed at the end.  An OSError raised while opening, writing or closing
+    it becomes an InputError (exit 2)."""
+    try:
+        if path:
             with open(path, "w") as fh:
-                fh.write(text)
-                fh.write("\n")
-        except OSError as exc:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
+    except OSError as exc:
+        if path:
             raise InputError(f"cannot write output file {path}: {exc}") from exc
-    else:
-        print(text)
+        # Point stdout's descriptor at os.devnull, so that the interpreter's
+        # last flush of what the failed write left buffered raises nothing at
+        # exit: the recipe for SIGPIPE in the docs of Python's signal module.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InputError(f"cannot write to stdout: {exc}") from exc
+
+
+def write_output(chunks, path):
+    """Write the text chunks in order, then a newline, to the file at path
+    or to stdout."""
+    with _output(path) as out:
+        out.writelines(chunks)
+        out.write("\n")
 
 
 def build_complex(I: MonomialIdeal, method: str, ordered):
@@ -150,7 +177,8 @@ def cmd_resolve(args) -> int:
             exit_code = 1
     # "complex" sorts before every other key, so its text, written straight
     # from the complex, opens the object that _dumps makes of the others.
-    write_output('{\n  "complex": ' + complex_json(emitted, _INDENT) + "," + _dumps(payload)[1:],
+    write_output(itertools.chain(('{\n  "complex": ',), complex_json(emitted, _INDENT),
+                                 ("," + _dumps(payload)[1:],)),
                  args.output)
     return exit_code
 
@@ -165,7 +193,7 @@ def cmd_initial(args) -> int:
         payload = {"p": p, "basis": args.basis,
                    "degrees": [], "components": [],
                    "note": "Z_p vanishes beyond the resolution"}
-        write_output(_dumps(payload), args.output)
+        write_output((_dumps(payload),), args.output)
         return 0
     exit_code = 0
     if args.basis == "boundary" and p >= 1:
@@ -189,7 +217,7 @@ def cmd_initial(args) -> int:
             if not ok:
                 payload["failing_degree"] = list(bad)
                 exit_code = 1
-    write_output(_dumps(payload), args.output)
+    write_output((_dumps(payload),), args.output)
     return exit_code
 
 
@@ -217,7 +245,7 @@ def cmd_sdepth(args) -> int:
         if args.p > C.length - 1:
             payload = {"p": args.p, "sdepth_lower_bound": I.n, "free": True,
                        "note": "Z_p vanishes beyond the resolution"}
-            write_output(_dumps(payload), args.output)
+            write_output((_dumps(payload),), args.output)
             return 0
         ini, _ = lex_refined_initial(C, args.p)
         bound = filtration_lower_bound(ini)
@@ -228,18 +256,19 @@ def cmd_sdepth(args) -> int:
         return 0
     else:
         raise InputError(f"unknown mode {args.mode!r}")
-    write_output(_dumps(payload), args.output)
+    write_output((_dumps(payload),), args.output)
     return 0
 
 
-def _squarefree_partition_json(I: MonomialIdeal) -> str:
-    """The squarefree construction's certificate: sdepth, the cap g, the
-    bound 2s+1 and every interval, once as exponent vectors and once as
-    subsets of [n].
+def _squarefree_partition_json(I: MonomialIdeal):
+    """The squarefree construction's certificate, as an iterator over the
+    chunks of its JSON text: sdepth, the cap g, the bound 2s+1 and every
+    interval, once as exponent vectors and once as subsets of [n].
 
     The text is _dumps of that payload, written straight from the mask
-    pairs: each distinct mask is converted once, and each interval is a
-    fixed template around those strings.
+    pairs.  The check and the partition run before this returns, so an
+    ideal that fails them fails before anything is written; the intervals
+    are converted as their chunks are read.
     """
     if not I.is_squarefree():
         raise InputError("sqfree-construct needs a squarefree ideal")
@@ -247,17 +276,13 @@ def _squarefree_partition_json(I: MonomialIdeal) -> str:
     family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
     pairs = blocks.squarefree_partition(n, family)
     value = min(B.bit_count() for _, B in pairs) if pairs else n
-    # Most intervals are trivial, so most masks occur twice: convert each once.
-    masks = {mask for pair in pairs for mask in pair}
-    degree = _mask_lists(n, masks, lambda i, bit: _ITEM + "01"[bit])
-    subset = _mask_lists(n, masks, lambda i, bit: _ITEM + str(i + 1) if bit else "")
-    parts = [f'{{\n  "bound": {blocks.sqfree_lower_bound(n)},\n  "g": {_dumps([1] * n, _INDENT)},'
-             '\n  "intervals": ']
-    _add_interval_list(parts, pairs, degree)
-    parts.append(f',\n  "sdepth": {value},\n  "subsets": ')
-    _add_interval_list(parts, pairs, subset)
-    parts.append("\n}")
-    return "".join(parts)
+    return itertools.chain(
+        (f'{{\n  "bound": {blocks.sqfree_lower_bound(n)},\n  "g": {_dumps([1] * n, _INDENT)},'
+         '\n  "intervals": ',),
+        _interval_list(n, pairs, lambda i, bit: _ITEM + "01"[bit]),
+        (f',\n  "sdepth": {value},\n  "subsets": ',),
+        _interval_list(n, pairs, lambda i, bit: _ITEM + str(i + 1) if bit else ""),
+        ("\n}",))
 
 
 # In front of a top-level closing bracket, and in front of each item of an
@@ -265,16 +290,24 @@ def _squarefree_partition_json(I: MonomialIdeal) -> str:
 # bracket of such a list sits behind six spaces.
 _INDENT = "\n  "
 _ITEM = ",\n        "
+# Intervals per chunk of the squarefree certificate's text.
+_BATCH = 1024
 
 
-def _mask_lists(n: int, masks, item) -> dict:
-    """mask -> the JSON text of its list of item(i, bit) over the bits i < n,
-    lowest first, where each item's text starts with _ITEM.
+def _interval_list(n: int, pairs, item):
+    """Yield the JSON text of the list of {"a": A, "b": B} over the mask
+    pairs, one level deep, in chunks of _BATCH intervals.  A mask is the
+    list of item(i, bit) over its bits i < n, lowest first, where each
+    item's text starts with _ITEM.
 
-    A per-call table gives, for each 8-bit chunk of the mask, the joined
-    items of each of the chunk's values; a mask's list is its chunks'
-    entries joined, without the first item's comma.
+    A table per 8-bit chunk of the mask gives the joined items of each of
+    the chunk's values; a mask's list is its chunks' entries joined, without
+    the first item's comma.  A trivial interval's list is made once, for
+    both "a" and "b".
     """
+    if not pairs:
+        yield "[]"
+        return
     tables = []
     for low in range(0, n, 8):
         table = [""]
@@ -284,21 +317,20 @@ def _mask_lists(n: int, masks, item) -> dict:
     size = len(tables)
     get = list.__getitem__
     join = "".join
-    return {mask: f"[{join(map(get, tables, mask.to_bytes(size, 'little')))[1:]}\n      ]"
-            for mask in masks}
 
+    def text(mask):
+        return f"[{join(map(get, tables, mask.to_bytes(size, 'little')))[1:]}\n      ]"
 
-def _add_interval_list(parts: list, pairs, text: dict) -> None:
-    """Append the pieces of the JSON list of {"a": text[A], "b": text[B]}
-    over the pairs, one level deep; the pieces share the texts, so nothing
-    is copied until the final join."""
-    if not pairs:
-        parts.append("[]")
-        return
-    parts.append("[")
-    for A, B in pairs:
-        parts += ('\n    {\n      "a": ', text[A], ',\n      "b": ', text[B], "\n    },")
-    parts[-1] = "\n    }" + _INDENT + "]"
+    opener = "["
+    for start in range(0, len(pairs), _BATCH):
+        batch = []
+        for A, B in pairs[start:start + _BATCH]:
+            a = text(A)
+            b = a if A == B else text(B)
+            batch.append(f'\n    {{\n      "a": {a},\n      "b": {b}\n    }}')
+        yield opener + ",".join(batch)
+        opener = ","
+    yield _INDENT + "]"
 
 
 def cmd_partition(args) -> int:
@@ -311,17 +343,10 @@ def cmd_verify(args) -> int:
     job = VerifyJob(theorem=args.theorem, trials=args.trials, seed=args.seed,
                     n_max=args.n_max, m_max=args.m_max, exp_max=args.exp_max)
     reports = []
-    try:
-        out = open(args.output, "w") if args.output else sys.stdout
-    except OSError as exc:
-        raise InputError(f"cannot write output file {args.output}: {exc}") from exc
-    try:
+    with _output(args.output) as out:
         for report in run_verify_job(job):
             reports.append(report)
             print(json.dumps(report, sort_keys=True), file=out)
-    finally:
-        if args.output:
-            out.close()
     return 0 if all_pass(reports) else 1
 
 

@@ -14,7 +14,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import monomials
 from .freemod import (
@@ -626,43 +626,51 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
 # Serialization
 
 
-def complex_json(C: FreeComplex, indent: str = "\n") -> str:
-    """The complex as the JSON text of its ranks, basis degrees and, per
-    differential, a rows x columns matrix whose cells list the terms of that
-    entry as {"coeff": str(c), "monomial": [...]}, in the order the terms
-    have in the column.
+def complex_json(C: FreeComplex, indent: str = "\n") -> Iterator[str]:
+    """Yield the chunks of the complex's JSON text: its ranks, basis degrees
+    and, per differential, a rows x columns matrix whose cells list the
+    terms of that entry as {"coeff": str(c), "monomial": [...]}, in the
+    order the terms have in the column.
 
-    The text is json.dumps(value, indent=2, sort_keys=True) of that value,
-    byte for byte, with indent the newline and indentation in front of the
-    closing brace, as for cli._dumps.  Each column's terms are read once
-    into their cells; each distinct (coeff, monomial) cell is written once,
-    and every empty cell is the constant "[]".
+    The chunks joined are json.dumps(value, indent=2, sort_keys=True) of
+    that value, byte for byte, with indent the newline and indentation in
+    front of the closing brace, as for cli._dumps.  The first chunk holds
+    the degrees, each differential's matrix is one chunk, made when it is
+    read, and the last holds n and the ranks.  Each column's terms are read
+    once into their cells; each distinct (coeff, monomial) cell is written
+    once, and every empty cell is the constant "[]".
     """
     pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
-    cells = {}  # (coeff, monomial) -> the text of a cell with that one term
-    cut = len(pad[4]) + 1  # a cell's closing pad[4] + "]"
-    matrices = []
-    for p in range(1, C.length + 1):
-        grid = [["[]"] * C.rank(p) for _ in range(C.rank(p - 1))]
-        for c, col in enumerate(C.differential(p)):
-            for (pos, mono), coeff in col.items():
-                text = cells.get((coeff, mono))
-                if text is None:
-                    # The str of a Fraction or int needs no JSON escapes.
-                    text = cells[coeff, mono] = (
-                        f'[{pad[5]}{{{pad[6]}"coeff": "{str(coeff)}",{pad[6]}"monomial": '
-                        f'{_json_ints(mono, pad[6])}{pad[5]}}}{pad[4]}]')
-                row = grid[pos]
-                # Only a column that is not multihomogeneous puts two terms
-                # in one cell.
-                row[c] = text if row[c] == "[]" else row[c][:-cut] + "," + text[1:]
-        matrices.append(_json_list([_json_list(row, pad[3]) for row in grid], pad[2]))
     degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])
                for basis in C.bases]
-    return (f'{{{pad[1]}"degrees": {_json_list(degrees, pad[1])},'
-            f'{pad[1]}"differentials": {_json_list(matrices, pad[1])},'
-            f'{pad[1]}"n": {int.__repr__(C.n)},'
-            f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{indent}}}')
+    yield f'{{{pad[1]}"degrees": {_json_list(degrees, pad[1])},{pad[1]}"differentials": '
+    cells = {}  # (coeff, monomial) -> the text of a cell with that one term
+    for p in range(1, C.length + 1):
+        # The matrices form a list one level inside the object.
+        yield ("[" if p == 1 else ",") + pad[2] + _matrix_json(C, p, pad, cells)
+    yield (f'{pad[1] + "]" if C.length else "[]"},'
+           f'{pad[1]}"n": {int.__repr__(C.n)},'
+           f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{indent}}}')
+
+
+def _matrix_json(C: FreeComplex, p: int, pad, cells: dict) -> str:
+    """The JSON text of d_p's matrix, two levels inside complex_json's
+    object; cells caches the text of each one-term cell."""
+    cut = len(pad[4]) + 1  # a cell's closing pad[4] + "]"
+    grid = [["[]"] * C.rank(p) for _ in range(C.rank(p - 1))]
+    for c, col in enumerate(C.differential(p)):
+        for (pos, mono), coeff in col.items():
+            text = cells.get((coeff, mono))
+            if text is None:
+                # The str of a Fraction or int needs no JSON escapes.
+                text = cells[coeff, mono] = (
+                    f'[{pad[5]}{{{pad[6]}"coeff": "{str(coeff)}",{pad[6]}"monomial": '
+                    f'{_json_ints(mono, pad[6])}{pad[5]}}}{pad[4]}]')
+            row = grid[pos]
+            # Only a column that is not multihomogeneous puts two terms in
+            # one cell.
+            row[c] = text if row[c] == "[]" else row[c][:-cut] + "," + text[1:]
+    return _json_list([_json_list(row, pad[3]) for row in grid], pad[2])
 
 
 def _json_list(items, indent: str) -> str:

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -314,6 +317,24 @@ def test_unwritable_output_exits_2(ideal_file, capsys, tmp_path, args):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["partition", "--input", "SQUARES"],
+    ["sdepth", "--input", "SQUARES", "--mode", "sqfree-construct"],
+    ["resolve", "--input", "NONSTABLE", "--method", "ek"],
+], ids=["partition", "sqfree-construct", "resolve-ek"])
+def test_early_failure_writes_no_output_file(ideal_file, capsys, tmp_path, args):
+    # The checks run before the streamed text is read, so before the output
+    # file is opened.
+    inputs = {"SQUARES": ideal_file(SQUARES),
+              "NONSTABLE": ideal_file({"n": 2, "generators": [[0, 1]]}, "nonstable.json")}
+    target = tmp_path / "out.json"
+    code = main([inputs.get(a, a) for a in args] + ["--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
     # A lift that finds no preimage means the library built a complex that is
     # not exact: an internal error, not bad input.  The patched lift asks the
@@ -432,7 +453,7 @@ def test_squarefree_certificate_matches_the_reference_payload(ideal):
     n, gens = ideal
     I = MonomialIdeal(n, monomials.minimalize_ordered(tuple(g) for g in gens))
     expected = json.dumps(reference_squarefree_partition_payload(I), indent=2, sort_keys=True)
-    assert cli._squarefree_partition_json(I) == expected
+    assert "".join(cli._squarefree_partition_json(I)) == expected
 
 
 OTHER_MODE_FLAGS = [
@@ -673,3 +694,65 @@ def test_output_file_holds_the_golden_stdout(tmp_path, name):
     assert out == ""
     with open(path) as fh, open(os.path.join(golden.GOLDEN, name + ".out")) as gh:
         assert (rc, fh.read()) == (golden._exit_codes()[name], gh.read())
+
+
+# A squarefree ideal on 13 variables with 8 supports of size 2-3: its
+# certificate is 3.3 MB, nearly all of it singleton intervals.
+SUPPORTS13 = golden._squarefree(13, [{1, 7, 13}, {7, 8, 9}, {6, 8, 10}, {3, 9}, {2, 3, 10},
+                                     {9, 10, 12}, {2, 5}, {6, 11}])
+# The path on 10 vertices with the odd-indexed edges first: its Taylor
+# complex is 1.4 MB of JSON.
+PATH10_ODD_FIRST = {"n": 10, "generators": [[1 if j in (i, i + 1) else 0 for j in range(10)]
+                                            for i in (0, 2, 4, 6, 8, 1, 3, 5, 7)]}
+
+
+def _traced_peak_and_size(argv, tmp_path):
+    """The tracemalloc peak of main(argv) writing to a file, and that
+    file's size, in bytes."""
+    target = str(tmp_path / "out.json")
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--output", target])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, os.path.getsize(target)
+
+
+def test_partition_peak_stays_below_its_output(ideal_file, tmp_path):
+    # The certificate is written in batches of intervals, never held whole.
+    peak, size = _traced_peak_and_size(["partition", "--input", ideal_file(SUPPORTS13)],
+                                       tmp_path)
+    assert size > 3_000_000
+    assert peak < size
+
+
+def test_resolve_peak_stays_below_two_and_a_half_outputs(ideal_file, tmp_path):
+    # The complex is written one differential at a time; the complex itself
+    # and the largest differential's text are what stay in memory.
+    peak, size = _traced_peak_and_size(["resolve", "--input", ideal_file(PATH10_ODD_FIRST)],
+                                       tmp_path)
+    assert size > 1_000_000
+    assert peak < 2.5 * size
+
+
+@pytest.mark.parametrize("args", [
+    ["partition", "--input", "SUPPORTS13"],
+    # Its 71 KB stream is more than a 64 KB pipe holds.
+    ["verify", "--theorem", "lemma-groebner", "--trials", "500"],
+], ids=["partition", "verify"])
+def test_closed_stdout_exits_2(ideal_file, args):
+    # A reader that stops early, as `| head -c 20` does: one error line, no
+    # traceback and no "Exception ignored" line at interpreter exit.
+    argv = [ideal_file(SUPPORTS13) if a == "SUPPORTS13" else a for a in args]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "syzdepth.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert os.read(proc.stdout.fileno(), 20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1

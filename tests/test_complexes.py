@@ -507,7 +507,7 @@ def minimize_inputs(draw):
 @example(taylor_complex(PATH7_ODD_FIRST, 7))
 @example(taylor_complex([X1, X2, X3], 3))
 def test_minimize_matches_the_rescanning_reference(C):
-    assert complex_json(minimize(C)) == complex_json(reference_minimize(C))
+    assert "".join(complex_json(minimize(C))) == "".join(complex_json(reference_minimize(C)))
 
 
 def test_minimize_rejects_a_nonzero_composite():
@@ -737,7 +737,7 @@ def test_lift_by_groebner_lifts_exactly_the_boundaries(case):
 
 def test_complex_json_roundtrip_shape():
     C = taylor_complex([(1, 0), (0, 1)], 2)
-    data = json.loads(complex_json(C))
+    data = json.loads("".join(complex_json(C)))
     assert data["ranks"] == [1, 2, 1]
     assert data["degrees"][1] == [[0, 1], [1, 0]]
     entry = data["differentials"][0][0][0][0]
@@ -1080,7 +1080,7 @@ LENGTH_ZERO = FreeComplex(3, [OrderedBasis(3, [BasisElement((0, 0, 0))])], [])
 def test_complex_to_jsonable_matches_the_cell_by_cell_reference(C):
     # complex_json at the indent of resolve's payload, and at the top level.
     for indent in (_INDENT, "\n"):
-        assert complex_json(C, indent) == _dumps(reference_complex_to_jsonable(C), indent)
+        assert "".join(complex_json(C, indent)) == _dumps(reference_complex_to_jsonable(C), indent)
 
 
 @settings(max_examples=150, deadline=None)

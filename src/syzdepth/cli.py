@@ -40,7 +40,7 @@ from .groebner import hilbert_slice_check
 from .monomials import MonomialIdeal
 from .stanley import SearchRefused, char_poset, exact_sdepth, filtration_lower_bound
 from .syzygy import boundary_leading_terms, lex_refined_initial, verify_boundary_gb
-from .verify import THEOREMS, VerifyJob, all_pass, run_verify_job
+from .verify import THEOREMS, VerifyJob, run_verify_job
 
 
 class InputError(Exception):
@@ -69,8 +69,11 @@ def load_ideal(path: str) -> MonomialIdeal:
                              "nonnegative integers")
         if not any(g):
             raise InputError("the zero exponent vector is not a valid generator")
-    ordered = monomials.minimalize_ordered(tuple(g) for g in gens)
-    return MonomialIdeal(n, ordered), ordered
+    gens = [tuple(g) for g in gens]
+    I = MonomialIdeal(n, gens)
+    # The minimal generators in first-occurrence order of the file.
+    minimal = set(I.gens)
+    return I, tuple(dict.fromkeys(g for g in gens if g in minimal))
 
 
 def _dumps(value, indent: str = "\n") -> str:
@@ -197,12 +200,15 @@ def cmd_initial(args) -> int:
         return 0
     exit_code = 0
     if args.basis == "boundary" and p >= 1:
-        ini = boundary_leading_terms(C, p)
-        payload = {"p": p, "basis": "boundary", **ini.to_jsonable()}
+        rep = None
         if args.oracle:
             rep = verify_boundary_gb(C, p,
                                      taylor_gens=list(ordered)
                                      if RESOLUTIONS[args.method].taylor_of_input else None)
+        # The oracle's report holds the boundary leading terms it compared.
+        ini = boundary_leading_terms(C, p) if rep is None else rep.boundary
+        payload = {"p": p, "basis": "boundary", **ini.to_jsonable()}
+        if rep is not None:
             payload["oracle_equal"] = rep.equal
             if not rep.equal:
                 exit_code = 1
@@ -342,12 +348,12 @@ def cmd_partition(args) -> int:
 def cmd_verify(args) -> int:
     job = VerifyJob(theorem=args.theorem, trials=args.trials, seed=args.seed,
                     n_max=args.n_max, m_max=args.m_max, exp_max=args.exp_max)
-    reports = []
+    passed = True
     with _output(args.output) as out:
         for report in run_verify_job(job):
-            reports.append(report)
+            passed = passed and report["status"] == "PASS"
             print(json.dumps(report, sort_keys=True), file=out)
-    return 0 if all_pass(reports) else 1
+    return 0 if passed else 1
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -407,10 +413,25 @@ def make_parser() -> argparse.ArgumentParser:
 # Built once per process: the parser depends on no input and parse_args
 # leaves it unchanged, so every call can share it.
 _PARSER = make_parser()
+# The parser of each subcommand, by name.
+_SUBPARSERS = next(action.choices for action in _PARSER._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace of the subcommand that argv names, from that
+    subcommand's parser alone.  Anything else, such as no arguments, -h, an
+    unknown command or an argument the subcommand leaves over, goes through
+    the whole parser, so help and error text stay its own."""
+    if argv and argv[0] in _SUBPARSERS:
+        args, rest = _SUBPARSERS[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

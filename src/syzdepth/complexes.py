@@ -10,6 +10,8 @@ and module-generator degrees, which decides it in every multidegree.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -31,43 +33,68 @@ from .monomials import Mono, MonomialIdeal
 
 
 class FreeComplex:
-    """A chain of free modules F_L -> ... -> F_1 -> F_0 with exact coefficients."""
+    """A chain of free modules F_L -> ... -> F_1 -> F_0 with exact coefficients.
 
-    __slots__ = ("n", "bases", "_diffs")
+    Level p is the basis of F_p and the columns of d_p.  A complex built by
+    _made_on_read makes each level the first time basis, differential or
+    bases reads it and keeps it; length, rank and ranks read no level.
+    """
+
+    __slots__ = ("n", "ranks", "_levels", "_make_level")
 
     def __init__(self, n: int, bases: Sequence[OrderedBasis],
                  differentials: Sequence[Sequence[ModuleVector]]):
-        self.n = n
-        self.bases = tuple(bases)
-        if len(differentials) != max(len(self.bases) - 1, 0):
+        bases = tuple(bases)
+        if len(differentials) != max(len(bases) - 1, 0):
             raise ValueError("need one differential per positive homological degree")
-        diffs = [()]
+        levels = [(bases[0], ())] if bases else []
         for p, cols in enumerate(differentials, start=1):
             cols = tuple(cols)
-            if len(cols) != len(self.bases[p]):
+            if len(cols) != len(bases[p]):
                 raise ValueError(f"differential {p} has {len(cols)} columns, "
-                                 f"expected {len(self.bases[p])}")
-            diffs.append(cols)
-        self._diffs = tuple(diffs)
+                                 f"expected {len(bases[p])}")
+            levels.append((bases[p], cols))
+        self.n = n
+        self.ranks = tuple(map(len, bases))
+        self._levels = levels
+        self._make_level = None
+
+    @classmethod
+    def _made_on_read(cls, n: int, ranks: Sequence[int], make_level):
+        """The complex whose level p is make_level(p), made when first read:
+        the basis of F_p and the columns of d_p, ranks[p] of each (no
+        columns at p = 0)."""
+        C = cls.__new__(cls)
+        C.n = n
+        C.ranks = tuple(ranks)
+        C._levels = [None] * len(C.ranks)
+        C._make_level = make_level
+        return C
+
+    def _make(self, p: int):
+        """Make level p and keep it; a negative p counts from the top, as
+        it does for a list."""
+        level = self._levels[p] = self._make_level(p % len(self._levels))
+        return level
 
     @property
     def length(self) -> int:
-        return len(self.bases) - 1
-
-    def basis(self, p: int) -> OrderedBasis:
-        return self.bases[p]
-
-    def rank(self, p: int) -> int:
-        return len(self.bases[p]) if 0 <= p <= self.length else 0
+        return len(self.ranks) - 1
 
     @property
-    def ranks(self):
-        return tuple(len(b) for b in self.bases)
+    def bases(self):
+        return tuple((level or self._make(p))[0] for p, level in enumerate(self._levels))
+
+    def basis(self, p: int) -> OrderedBasis:
+        return (self._levels[p] or self._make(p))[0]
+
+    def rank(self, p: int) -> int:
+        return self.ranks[p] if 0 <= p <= self.length else 0
 
     def differential(self, p: int):
         """Columns of the map F_p -> F_{p-1}; empty beyond the length."""
         if 1 <= p <= self.length:
-            return self._diffs[p]
+            return (self._levels[p] or self._make(p))[1]
         return ()
 
     def apply(self, p: int, v: ModuleVector) -> ModuleVector:
@@ -105,6 +132,10 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
     each level is in descending order of its masks: two subsets of one size
     are ordered by the largest element of their symmetric difference, and
     so are their masks as ints.  Labels are frozensets of 1-based indices.
+
+    The generators are checked here; each level is made the first time it
+    is read, so a call that reads levels 1 and 2 of many generators builds
+    only those, and the ranks C(m, p) need no level.
     """
     gens = [tuple(u) for u in gens]
     m = len(gens)
@@ -117,30 +148,32 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
         if sum(u) == 0:
             raise ValueError("unit generator: the ideal is the whole ring")
 
-    # The lcm and label of each subset, from those of the subset without its
-    # largest element, a smaller mask.
-    lcms = [monomials.unit(n)]
-    labels = [frozenset()]
-    levels = [[0]] + [[] for _ in range(m)]
-    for F in range(1, 1 << m):
-        top = F.bit_length()
-        rest = F ^ (1 << (top - 1))
-        lcms.append(tuple(map(max, lcms[rest], gens[top - 1])))
-        labels.append(labels[rest] | {top})
-        levels[F.bit_count()].append(F)
-    position = [0] * (1 << m)  # of each subset within its level
-    bases = []
-    for level in levels:
-        level.reverse()
-        for i, F in enumerate(level):
-            position[F] = i
-        bases.append(OrderedBasis(n, [BasisElement(lcms[F], labels[F]) for F in level]))
-
+    # The masks of each size made so far, in descending order, and the lcm,
+    # label and position within its level of each of their subsets, each
+    # from those of the subset without its largest element, one size down.
+    levels = [[0]]
+    lcms = {0: monomials.unit(n)}
+    labels = {0: frozenset()}
+    position = {0: 0}
+    bits = [1 << i for i in reversed(range(m))]
     signs = (Fraction(1), Fraction(-1))
-    diffs = []
-    for level in levels[1:]:
+
+    def make_level(p):
+        while len(levels) <= p:
+            # combinations keeps the descending order of bits, and the masks
+            # come out in descending order.
+            level = list(map(sum, itertools.combinations(bits, len(levels))))
+            for i, F in enumerate(level):
+                top = F.bit_length()
+                rest = F ^ (1 << (top - 1))
+                lcms[F] = tuple(map(max, lcms[rest], gens[top - 1]))
+                labels[F] = labels[rest] | {top}
+                position[F] = i
+            levels.append(level)
+        level = levels[p]
+        basis = OrderedBasis(n, [BasisElement(lcms[F], labels[F]) for F in level])
         cols = []
-        for F in level:
+        for F in level if p else ():
             # One term per face F - {i}, for the elements i of F in
             # increasing order; lcm(F - {i}) divides lcm(F), so the quotient
             # needs no check, and the faces' positions differ.
@@ -155,8 +188,9 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
                 rest ^= low
                 j += 1
             cols.append(ModuleVector.from_terms(n, terms))
-        diffs.append(cols)
-    return FreeComplex(n, bases, diffs)
+        return basis, tuple(cols)
+
+    return FreeComplex._made_on_read(n, [math.comb(m, p) for p in range(m + 1)], make_level)
 
 
 def is_regular_sequence(gens: Sequence[Mono]) -> bool:

@@ -82,10 +82,6 @@ def run_verify_job(job: VerifyJob) -> Iterator[dict]:
         yield report
 
 
-def all_pass(reports) -> bool:
-    return all(r["status"] == "PASS" for r in reports)
-
-
 def _report(theorem, instance, status, witness=None) -> dict:
     return {"theorem": theorem, "instance": instance, "status": status,
             "witness": witness or {}}

@@ -456,6 +456,22 @@ def test_squarefree_certificate_matches_the_reference_payload(ideal):
     assert "".join(cli._squarefree_partition_json(I)) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=8))))
+def test_load_ideal_keeps_the_first_occurrence_order(ideal):
+    n, gens = ideal
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ideal.json")
+        with open(path, "w") as fh:
+            json.dump({"n": n, "generators": gens}, fh)
+        I, ordered = load_ideal(path)
+    expected = monomials.minimalize_ordered(tuple(g) for g in gens)
+    assert ordered == expected
+    assert I == MonomialIdeal(n, expected)
+
+
 OTHER_MODE_FLAGS = [
     (["sdepth", "--mode", "sqfree-construct", "--quotient"], "--quotient needs --mode exact"),
     (["sdepth", "--mode", "filtration-bound", "--p", "1", "--quotient"],
@@ -706,17 +722,23 @@ PATH10_ODD_FIRST = {"n": 10, "generators": [[1 if j in (i, i + 1) else 0 for j i
                                             for i in (0, 2, 4, 6, 8, 1, 3, 5, 7)]}
 
 
-def _traced_peak_and_size(argv, tmp_path):
-    """The tracemalloc peak of main(argv) writing to a file, and that
-    file's size, in bytes."""
-    target = str(tmp_path / "out.json")
+def _traced_peak(argv):
+    """The tracemalloc peak of main(argv), which must exit 0, in bytes."""
     tracemalloc.start()
     try:
-        code = main(argv + ["--output", target])
+        code = main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
+    return peak
+
+
+def _traced_peak_and_size(argv, tmp_path):
+    """The tracemalloc peak of main(argv) writing to a file, and that
+    file's size, in bytes."""
+    target = str(tmp_path / "out.json")
+    peak = _traced_peak(argv + ["--output", target])
     return peak, os.path.getsize(target)
 
 
@@ -756,3 +778,75 @@ def test_closed_stdout_exits_2(ideal_file, args):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1
+
+
+def test_verify_peak_does_not_grow_with_trials(tmp_path):
+    # Only the stream's text grows with the trials, and it is written line
+    # by line.  Each traced call follows an untraced call of 1,000 trials,
+    # which fills the exact search's bounded cache of ideal values and the
+    # interpreter's free lists up to the largest trial, so that both peaks
+    # measure the same working set.
+    def argv(trials):
+        return ["verify", "--theorem", "regular", "--trials", str(trials),
+                "--output", str(tmp_path / "stream")]
+
+    peaks = {}
+    for trials in (100, 1000):
+        assert main(argv(1000)) == 0
+        peaks[trials] = _traced_peak(argv(trials))
+    assert peaks[1000] <= 1.5 * peaks[100]
+
+
+def test_initial_on_a_long_path_makes_two_levels(ideal_file, tmp_path):
+    # The path on 13 variables has 12 generators and a Taylor complex of
+    # 4,096 basis elements; Z_1 needs only F_1, F_2 and d_2.
+    n = 13
+    path = {"n": n, "generators": [[1 if j in (i, i + 1) else 0 for j in range(n)]
+                                   for i in range(n - 1)]}
+    peak = _traced_peak(["initial", "--input", ideal_file(path), "--p", "1",
+                         "--basis", "boundary", "--oracle",
+                         "--output", str(tmp_path / "out.json")])
+    assert peak < 2_000_000
+
+
+# One argv per subcommand that sets every option, and one with abbreviations.
+EVERY_OPTION = [
+    ["resolve", "--input", "a.json", "--method", "ek", "--minimize", "--check",
+     "--output", "o.json"],
+    ["initial", "--input", "a.json", "--method", "koszul", "--p", "2", "--basis", "boundary",
+     "--oracle", "--output", "o.json"],
+    ["sdepth", "--input", "a.json", "--mode", "filtration-bound", "--quotient", "--p", "3",
+     "--output", "o.json"],
+    ["partition", "--input", "a.json", "--output", "o.json"],
+    ["verify", "--theorem", "mainsyz", "--trials", "7", "--seed", "5", "--n-max", "3",
+     "--m-max", "6", "--exp-max", "2", "--output", "o.json"],
+    ["initial", "--inp", "a.json", "--meth", "koszul", "--p=1", "--or"],
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in golden.CASES] + EVERY_OPTION)
+def test_subcommand_parser_gives_the_whole_parsers_namespace(argv):
+    whole = vars(cli._PARSER.parse_args(argv))
+    assert whole.pop("command") == argv[0]
+    assert vars(cli._parse_args(argv)) == whole
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--bogus", "resolve"],
+    *[[command, "--help"] for command in ("resolve", "initial", "sdepth", "partition", "verify")],
+    ["initial", "--input", "a.json"],
+    ["resolve", "--input", "a.json", "--method", "bogus"],
+    ["initial", "--input", "a.json", "--p", "two"],
+    ["verify", "--theorem", "regular", "--trials"],
+    ["partition", "--input", "a.json", "--bogus"],
+    ["resolve", "--input", "a.json", "extra"],
+    ["sdepth", "--input", "a.json", "--p", "1", "--", "--mode"],
+], ids=repr)
+def test_parser_messages_are_the_whole_parsers(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    assert outcome(main) == outcome(cli._PARSER.parse_args)

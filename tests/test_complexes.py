@@ -1,10 +1,12 @@
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -158,6 +160,49 @@ def test_taylor_complex_matches_the_frozenset_reference(case):
         for col, ref in zip(C.differential(p), R.differential(p), strict=True):
             assert list(col.items()) == list(ref.items())
             assert [type(c) for _, c in col.items()] == [type(c) for _, c in ref.items()]
+
+
+def assert_same_basis(C, R, p):
+    assert [(e.degree, e.label) for e in C.basis(p)] == [(e.degree, e.label) for e in R.basis(p)]
+
+
+def assert_same_columns(C, R, p):
+    for col, ref in zip(C.differential(p), R.differential(p), strict=True):
+        assert list(col.items()) == list(ref.items())
+        assert [type(c) for _, c in col.items()] == [type(c) for _, c in ref.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(taylor_inputs(), st.data())
+def test_taylor_levels_are_made_on_first_read(case, data):
+    gens, n = case
+    m = len(gens)
+    R = reference_taylor_complex(gens, n)
+    # Each level makes one OrderedBasis, so the calls count the levels made.
+    with mock.patch("syzdepth.complexes.OrderedBasis", wraps=OrderedBasis) as made:
+        C = taylor_complex(gens, n)
+        assert C.length == m
+        assert C.ranks == tuple(math.comb(m, p) for p in range(m + 1)) == R.ranks
+        assert [C.rank(p) for p in range(-1, m + 2)] == [0, *R.ranks, 0]
+        assert made.call_count == 0
+        reads = data.draw(st.lists(st.tuples(st.integers(0, m),
+                                             st.sampled_from(["basis", "differential"])),
+                                   max_size=2 * (m + 1)))
+        levels = set()
+        for p, accessor in reads:
+            if accessor == "basis":
+                assert_same_basis(C, R, p)
+                levels.add(p)
+            else:
+                assert_same_columns(C, R, p)
+                if p:
+                    levels.add(p)
+            assert made.call_count == len(levels)
+        assert [b.degrees for b in C.bases] == [b.degrees for b in R.bases]
+        assert made.call_count == m + 1
+    for p in range(1, m + 1):
+        assert_same_basis(C, R, p)
+        assert_same_columns(C, R, p)
 
 
 def test_taylor_top_entry():

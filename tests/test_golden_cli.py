@@ -38,6 +38,10 @@ INPUTS = {
     # first: its Taylor complex is far from minimal.
     "path7odd": {"n": 7, "generators": [[1 if j in (i, i + 1) else 0 for j in range(7)]
                                         for i in (0, 2, 4, 1, 3, 5)]},
+    # The path on 21 vertices: CI runs `initial --p 1 --basis boundary
+    # --oracle` on it, which reads 2 of the 21 levels of its Taylor complex.
+    "path21": {"n": 21, "generators": [[1 if j in (i, i + 1) else 0 for j in range(21)]
+                                       for i in range(20)]},
     # Squarefree ideals with large supports, so that their filters stay small,
     # on either side of the 8-bit chunk edges of the mask encoder.
     "wide9": _squarefree(9, [{1, 9}, {2, 8, 9}, {3, 4, 5, 6, 7}]),

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from . import monomials
+from . import linalg, monomials
 from .freemod import (
     BasisElement,
+    DegreeMasks,
     ModuleVector,
     OrderedBasis,
     Slices,
@@ -38,9 +39,11 @@ class FreeComplex:
     Level p is the basis of F_p and the columns of d_p.  A complex built by
     _made_on_read makes each level the first time basis, differential or
     bases reads it and keeps it; length, rank and ranks read no level.
+    _complex is set once check_complex has passed it, and a later check
+    returns at once.
     """
 
-    __slots__ = ("n", "ranks", "_levels", "_make_level")
+    __slots__ = ("n", "ranks", "_levels", "_make_level", "_complex")
 
     def __init__(self, n: int, bases: Sequence[OrderedBasis],
                  differentials: Sequence[Sequence[ModuleVector]]):
@@ -58,6 +61,7 @@ class FreeComplex:
         self.ranks = tuple(map(len, bases))
         self._levels = levels
         self._make_level = None
+        self._complex = False
 
     @classmethod
     def _made_on_read(cls, n: int, ranks: Sequence[int], make_level):
@@ -69,6 +73,7 @@ class FreeComplex:
         C.ranks = tuple(ranks)
         C._levels = [None] * len(C.ranks)
         C._make_level = make_level
+        C._complex = False
         return C
 
     def _make(self, p: int):
@@ -564,30 +569,51 @@ def minimize(C: FreeComplex) -> FreeComplex:
 def check_complex(C: FreeComplex) -> bool:
     """d composed with d vanishes and every column is multihomogeneous.
 
-    d_{p-1}(d_p(e_j)) is summed straight from the columns of d_p and d_{p-1}
-    into one {(position, monomial): c} dict, with no vector built per term.
-    Each integral coefficient is read as an int, its numerator, and the
-    others stay Fractions, so the sums are exact.  The multidegree check of
-    each level comes first.
+    The multidegree check of each level comes first: a nonzero column of
+    d_p has the degree of its basis element e_j, so its term at position r
+    is x^(deg e_j - deg e_r).  Then every term of d_{p-1}(d_p(e_j)) at
+    position s has the monomial x^(deg e_j - deg e_s), and d o d vanishes
+    exactly when the coefficient matrices multiply to zero: the sums run on
+    positions only, with no monomial built.  Each integral coefficient is
+    read as an int and the others stay Fractions, so the sums are exact; no
+    row is scaled to integers, as a scale per column would change the
+    product.  A complex that passes is marked, and checking it again
+    returns True at once.
     """
-    below = None
+    return C._complex or _complex_rows(C) is not None
+
+
+def _scalar_row(col: ModuleVector) -> dict:
+    """The column as {position: coefficient}, each integral coefficient read
+    as an int, its numerator, and the others kept as Fractions."""
+    return {pos: c.numerator if c.denominator == 1 else c for (pos, _), c in col.items()}
+
+
+def _complex_rows(C: FreeComplex):
+    """The check of check_complex, which marks a complex that passes: the
+    columns of d_1..d_L as _scalar_rows, level p at index p - 1, or None
+    when C is not a complex."""
+    rows = []
     for p in range(1, C.length + 1):
+        target, degrees = C.basis(p - 1), C.basis(p).degrees
+        level = []
         for j, col in enumerate(C.differential(p)):
-            if not col.is_zero():
-                d = multidegree_of(col, C.basis(p - 1))
-                if d != C.basis(p).degree(j):
-                    return False
-        cols = [[(key, c.numerator if c.denominator == 1 else c) for key, c in col.items()]
-                for col in C.differential(p)]
-        if below is not None:
-            for col in cols:
+            if not col.is_zero() and multidegree_of(col, target) != degrees[j]:
+                return None
+            level.append(_scalar_row(col))
+        if rows:
+            below = rows[-1]
+            for col in level:
                 image = {}
-                for (pos, mono), coeff in col:
-                    add_multiple(image, below[pos], coeff, mono)
-                if image:
-                    return False
-        below = cols
-    return True
+                for r, coeff in col.items():
+                    for s, c in below[r].items():
+                        old = image.get(s)
+                        image[s] = coeff * c if old is None else old + coeff * c
+                if any(image.values()):
+                    return None
+        rows.append(level)
+    C._complex = True
+    return rows
 
 
 @dataclass
@@ -602,25 +628,47 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     """Degreewise exactness in every multidegree, with the cokernel at level
     zero matching the module generated by module_gens.
 
-    It starts with check_complex, whose d o d sums read integral
-    coefficients as ints.  Every rank is exact: one Slices engine per
-    differential, and one for the module, stores its rows once as integers
-    and hands the active ones to linalg.exact_rank, a fraction-free
-    elimination on sparse rows; ranks are cached per bitmask.  Each slice is
-    fixed by which module-generator and F_1..F_L basis degrees divide the
-    degree, so walking their lcm closure in lex order decides every degree
-    (Gasharov-Peeva-Welker).  Set exhaustive to collect every failing
-    closure degree instead of stopping at the first.
+    It starts with check_complex, whose read of the columns as scalar rows
+    also gives the rows of every rank below; a complex checked before is
+    only read.  The module is one Slices engine, which holds the columns of
+    d_1 too, so that their containment in the module is checked next.
+
+    Each slice is fixed by which module-generator and F_1..F_L basis
+    degrees divide the degree, so walking their lcm closure decides every
+    degree (Gasharov-Peeva-Welker).  The walk goes depth first down the
+    closure's parent tree (monomials.lcm_closure), where a degree is a
+    multiple of its parent and so has every row its parent has.  Per
+    differential it keeps the pivots made on the path from the root and
+    the mask of the rows already reduced, reduces only the others, with
+    linalg.eliminate, and undoes its pivots on the way back up.
+
+    Each rank is reduced only until it meets its upper bound: rank d_1 at
+    a is at most the module's rank at a, as d_1 maps into the module, and
+    rank d_{p+1} at most dim F_{p,a} - rank d_p, as d o d = 0.  A rank that
+    meets its bound equals it; a rank below its bound after every row is a
+    failure at that level, and the rows not reduced wait for the children.
+    So every rank is exact.
+
+    Failures are reported by their lex index in the closure: the first one
+    with degrees_checked its index + 1, or, with exhaustive, every failing
+    closure degree in lex order.  A degree lies after its ancestors in lex
+    order, so once a failure is found, every subtree rooted after it is
+    skipped.
     """
-    if not check_complex(C):
-        return ExactnessReport(False, failures=[(-1, None)])
+    if C._complex:
+        rows = [[_scalar_row(col) for col in C.differential(p)]
+                for p in range(1, C.length + 1)]
+    else:
+        rows = _complex_rows(C)
+        if rows is None:
+            return ExactnessReport(False, failures=[(-1, None)])
     if isinstance(module_gens, MonomialIdeal):
         if len(C.basis(0)) != 1:
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
     module_gens = list(module_gens)
     # The module engine also holds the columns of d_1, for image containment,
-    # so that the rank comparison below is two-sided.
+    # so that the rank of d_1 is at most the module's.
     module = Slices(module_gens + list(C.differential(1)), C.basis(0))
     own = (1 << len(module_gens)) - 1
     for j, col in enumerate(C.differential(1)):
@@ -629,30 +677,68 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
             return ExactnessReport(False, failures=[(0, None)])
 
     length = C.length
-    diffs = [Slices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+    rows = [[linalg.integer_row(row) if Fraction in map(type, row.values()) else row
+             for row in level] for level in rows]
+    masks = [DegreeMasks(list(enumerate(C.basis(p).degrees)), C.n, C.rank(p))
              for p in range(1, length + 1)]
+    pivots = [{} for _ in range(length)]  # per differential, on the path
+    reduced = [0] * length  # per differential, the rows reduced on the path
 
-    def failing_level(module_rank, masks):
-        """First p where the slice at this degree is not exact, or None."""
-        ranks = [diff.rank(mask) for diff, mask in zip(diffs, masks)] + [0]
-        if ranks[0] != module_rank:
-            return 0
-        for p in range(1, length + 1):
-            if ranks[p - 1] + ranks[p] != masks[p - 1].bit_count():
+    def failing_level(a, added):
+        """First level whose slice at a is not exact, or None; each pivot
+        made is appended to added as (level index, leading column)."""
+        bound = module.rank(module.active(a) & own)
+        for p in range(length):
+            active = masks[p].dividing(a)
+            kept = pivots[p]
+            pending = active & ~reduced[p]
+            while pending and len(kept) < bound:
+                low = pending & -pending
+                pending ^= low
+                reduced[p] |= low
+                lead = linalg.eliminate(kept, rows[p][low.bit_length() - 1])
+                if lead is not None:
+                    added.append((p, lead))
+            if len(kept) < bound:
                 return p
-        return None
+            bound = active.bit_count() - len(kept)
+        return length if bound else None
 
-    report = ExactnessReport(True)
-    degrees = module.degrees + [d for diff in diffs for d in diff.degrees]
-    for a in monomials.lcm_closure(degrees, C.n):
-        report.degrees_checked += 1
-        masks = [diff.active(a) for diff in diffs]
-        bad_p = failing_level(module.rank(module.active(a) & own), masks)
+    closure = monomials.lcm_closure(
+        module.degrees + [d for p in range(1, length + 1) for d in C.basis(p).degrees], C.n)
+    index = {a: i for i, a in enumerate(closure)}
+    children = {a: [] for a in closure}
+    for a, parent in closure.items():
+        if parent is not None:
+            children[parent].append(a)
+    failures = []  # (lex index, level, degree)
+    first = len(closure)  # lex index of the first failure found so far
+    # An entry (a, None) visits a; (None, undo) restores a parent's state.
+    stack = [(monomials.unit(C.n), None)]
+    while stack:
+        a, undo = stack.pop()
+        if undo is not None:
+            reduced[:], added = undo
+            for p, lead in added:
+                del pivots[p][lead]
+            continue
+        i = index[a]
+        if i > first and not exhaustive:
+            continue
+        undo = (reduced[:], [])
+        bad_p = failing_level(a, undo[1])
         if bad_p is not None:
-            report.ok = False
-            report.failures.append((bad_p, a))
-            if not exhaustive:
-                return report
+            failures.append((i, bad_p, a))
+            first = min(first, i)
+        stack.append((None, undo))
+        stack.extend((b, None) for b in reversed(children[a]))
+
+    failures.sort()
+    report = ExactnessReport(not failures, degrees_checked=len(closure))
+    if failures and not exhaustive:
+        del failures[1:]
+        report.degrees_checked = failures[0][0] + 1
+    report.failures = [(p, a) for _, p, a in failures]
     return report
 
 

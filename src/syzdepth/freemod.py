@@ -288,10 +288,10 @@ class Slices:
     The vectors whose degree divides a are found by AND-ing per-coordinate
     bitsets.  Each row is stored once, as integers scaled by the lcm of its
     denominators, which changes no rank: rank hands those sparse rows to
-    linalg.exact_rank, the library's one elimination kernel, and caches the
-    answer per bitmask.  Pass degrees to give each vector a degree of its
-    own (a zero vector then still counts as active); otherwise zero vectors
-    have no degree and are never active.  Every slice is fixed by which of
+    linalg.exact_rank, which runs the library's one elimination step, and
+    caches the answer per bitmask.  Pass degrees to give each vector a
+    degree of its own (a zero vector then still counts as active); otherwise
+    zero vectors have no degree and are never active.  Every slice is fixed by which of
     the degrees in self.degrees divide a.
     """
 

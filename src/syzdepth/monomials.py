@@ -86,9 +86,9 @@ def is_squarefree(u: Mono) -> bool:
     return all(e <= 1 for e in u)
 
 
-def lcm_closure(degrees: Iterable[Mono], n: int) -> list:
+def lcm_closure(degrees: Iterable[Mono], n: int) -> dict:
     """The zero degree and the lcm of every nonempty subset of the degrees,
-    deduplicated and sorted lexicographically.
+    each mapped to its parent, with the keys in lexicographic order.
 
     Each degree a has the representative lcm{d : d | a} in the closure, and
     the same degrees divide both, so a property that depends only on which
@@ -96,14 +96,20 @@ def lcm_closure(degrees: Iterable[Mono], n: int) -> list:
 
     The closure is lcm-closed after every step, so a degree already in it
     adds nothing and is skipped.  Degrees are walked by increasing total
-    degree, so a degree that is the lcm of earlier ones (every basis degree
-    of a Taylor complex, after its generators) is always skipped.
+    degree, ties in lex order, so a degree that is the lcm of earlier ones
+    (every basis degree of a Taylor complex, after its generators) is always
+    skipped.  A new degree lcm(c, d) has the parent c it was first made
+    from, a proper divisor of it; the zero degree has the parent None.  So
+    the parents form a tree rooted at zero in which every degree is a
+    multiple of its ancestors, and so comes after them in lex order; the
+    keys and the parents depend only on the set of degrees.
     """
-    closure = {unit(n)}
-    for d in sorted(set(degrees), key=sum):
-        if d not in closure:
-            closure |= {lcm(c, d) for c in closure}
-    return sorted(closure)
+    parents = {unit(n): None}
+    for d in sorted(set(degrees), key=lambda d: (sum(d), d)):
+        if d not in parents:
+            for c in list(parents):
+                parents.setdefault(lcm(c, d), c)
+    return {a: parents[a] for a in sorted(parents)}
 
 
 def minimalize(gens: Iterable[Mono]) -> tuple:

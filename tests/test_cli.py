@@ -6,12 +6,13 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
-from syzdepth import blocks, cli, groebner, monomials
+from syzdepth import blocks, cli, complexes, groebner, monomials
 from syzdepth.cli import InputError, _dumps, load_ideal, main
 from syzdepth.complexes import check_exactness_on_box, minimize, taylor_complex
 from test_complexes import reference_complex_to_jsonable
@@ -57,6 +58,16 @@ def test_resolve_check_certificate(ideal_file, capsys):
     code, data = run_json(["resolve", "--input", ideal_file(SQUARES), "--check"], capsys)
     assert code == 0
     assert data["exactness"] == {"ok": True, "degrees_checked": 7}
+
+
+def test_resolve_minimize_check_checks_two_complexes(ideal_file, capsys):
+    # minimize checks its input and its output; the certificate of that
+    # output reads the columns without checking them a third time.
+    with mock.patch.object(complexes, "_complex_rows", wraps=complexes._complex_rows) as full:
+        code, data = run_json(["resolve", "--input", ideal_file(LCM_TRIANGLE),
+                               "--minimize", "--check"], capsys)
+    assert code == 0 and data["exactness"]["ok"]
+    assert full.call_count == 2
 
 
 def test_resolve_ek_rejects_nonstable(ideal_file, capsys):

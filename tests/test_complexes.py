@@ -31,11 +31,13 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, Slices, multidegree_of
+from syzdepth import complexes, linalg
+from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, Slices, add_multiple,
+                              multidegree_of)
 from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import (MonomialIdeal, divides, lcm, lcm_closure, minimalize_ordered,
-                                mul, unit)
+                                mul, unit, variable)
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
@@ -523,8 +525,82 @@ def reference_minimize(C):
     return out
 
 
+def reference_monomial_check_complex(C):
+    """check_complex as it read when d_{p-1}(d_p(e_j)) was summed into one
+    {(position, monomial): c} dict, monomials and all."""
+    below = None
+    for p in range(1, C.length + 1):
+        for j, col in enumerate(C.differential(p)):
+            if not col.is_zero():
+                d = multidegree_of(col, C.basis(p - 1))
+                if d != C.basis(p).degree(j):
+                    return False
+        cols = [[(key, c.numerator if c.denominator == 1 else c) for key, c in col.items()]
+                for col in C.differential(p)]
+        if below is not None:
+            for col in cols:
+                image = {}
+                for (pos, mono), coeff in col:
+                    add_multiple(image, below[pos], coeff, mono)
+                if image:
+                    return False
+        below = cols
+    return True
+
+
+def reference_exactness(C, module_gens, exhaustive=False):
+    """check_exactness_on_box as it read when it walked the lcm closure in
+    lex order and took every rank in full, one Slices engine per
+    differential, after reference_monomial_check_complex."""
+    if not reference_monomial_check_complex(C):
+        return ExactnessReport(False, failures=[(-1, None)])
+    if isinstance(module_gens, MonomialIdeal):
+        if len(C.basis(0)) != 1:
+            raise ValueError("monomial-ideal comparison expects a rank-one F_0")
+        module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
+    module_gens = list(module_gens)
+    module = Slices(module_gens + list(C.differential(1)), C.basis(0))
+    own = (1 << len(module_gens)) - 1
+    for j, col in enumerate(C.differential(1)):
+        mask = module.active(C.basis(1).degree(j)) & own
+        if module.rank(mask) != module.rank(mask | 1 << (len(module_gens) + j)):
+            return ExactnessReport(False, failures=[(0, None)])
+
+    length = C.length
+    diffs = [Slices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+             for p in range(1, length + 1)]
+
+    def failing_level(module_rank, masks):
+        ranks = [diff.rank(mask) for diff, mask in zip(diffs, masks)] + [0]
+        if ranks[0] != module_rank:
+            return 0
+        for p in range(1, length + 1):
+            if ranks[p - 1] + ranks[p] != masks[p - 1].bit_count():
+                return p
+        return None
+
+    report = ExactnessReport(True)
+    degrees = module.degrees + [d for diff in diffs for d in diff.degrees]
+    for a in sorted(lcm_closure(degrees, C.n)):
+        report.degrees_checked += 1
+        masks = [diff.active(a) for diff in diffs]
+        bad_p = failing_level(module.rank(module.active(a) & own), masks)
+        if bad_p is not None:
+            report.ok = False
+            report.failures.append((bad_p, a))
+            if not exhaustive:
+                return report
+    return report
+
+
+def path_odd_first(n):
+    """The path ideal on n variables with the edges x1x2, x3x4, ... first."""
+    order = list(range(0, n - 1, 2)) + list(range(1, n - 1, 2))
+    return [tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in order]
+
+
 # The path on 7 vertices with the odd-indexed edges x1x2, x3x4, x5x6 first.
-PATH7_ODD_FIRST = [tuple(1 if j in (i, i + 1) else 0 for j in range(7)) for i in (0, 2, 4, 1, 3, 5)]
+PATH7_ODD_FIRST = path_odd_first(7)
 
 
 @st.composite
@@ -1152,3 +1228,176 @@ def test_slice_check_closure_walk_agrees_with_the_box_walk(I, minimized, data):
         box = _covering_box(degrees, I.n)
         assert hilbert_slice_check(gens, initial) == \
             reference_slice_box_walk(gens, initial, box)
+
+
+# ---------------------------------------------------------------------------
+# The scalar d o d check and the bounded walk down the closure tree, against
+# the monomial sum and the lex walk with full ranks they replaced.
+
+
+def _unchecked(C):
+    """The same complex as a new object, which no check has marked."""
+    return FreeComplex(C.n, C.bases, [C.differential(p) for p in range(1, C.length + 1)])
+
+
+def _nonzero_columns(C):
+    return [(p, j) for p in range(1, C.length + 1)
+            for j, col in enumerate(C.differential(p)) if not col.is_zero()]
+
+
+@st.composite
+def certified_complexes(draw):
+    """(complex, ideal): a Taylor, Eliahou-Kervaire, minimized or
+    taylor_step_cone complex and the ideal it should resolve, then possibly
+    one damage: a flipped sign, a column scaled by 1/7 or by 2^61 - 1, a
+    zeroed column, a dropped basis element of the top level, or one
+    generator of the ideal changed."""
+    kind = draw(st.sampled_from(["taylor", "ek", "minimized", "cone"]))
+    if kind == "ek":
+        n = draw(st.integers(1, 3))
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
+                             min_size=1, max_size=3))
+        I = stable_closure(MonomialIdeal(n, gens))
+        C = eliahou_kervaire(I)
+    else:
+        I = draw(ideals())
+        gens = list(I.gens)
+        if kind == "cone" and len(gens) >= 2:
+            C, _ = taylor_step_cone(gens, I.n)
+        else:
+            C = taylor_complex(gens, I.n)
+            if kind == "minimized":
+                C = minimize(C)
+    n = C.n
+    damage = draw(st.sampled_from(["none", "flip", "1/7", "2^61 - 1", "zero", "drop top",
+                                   "module"]))
+    columns = _nonzero_columns(C)
+    if damage in ("flip", "1/7", "2^61 - 1", "zero") and columns:
+        p, j = draw(st.sampled_from(columns))
+        col = C.differential(p)[j]
+        if damage == "flip":
+            first = min(key for key, _ in col.items())
+            col = ModuleVector(n, {key: (-c if key == first else c) for key, c in col.items()})
+        elif damage == "zero":
+            col = ModuleVector(n)
+        else:
+            col = col.scale(Fraction(1, 7) if damage == "1/7" else (1 << 61) - 1)
+        C = _replace_column(C, p, j, col)
+    elif damage == "drop top" and C.length:
+        L = C.length
+        k = draw(st.integers(0, C.rank(L) - 1))
+        elements = C.basis(L).elements
+        cols = C.differential(L)
+        C = FreeComplex(n, C.bases[:L] + (OrderedBasis(n, elements[:k] + elements[k + 1:]),),
+                        [C.differential(q) for q in range(1, L)] + [cols[:k] + cols[k + 1:]])
+    elif damage == "module":
+        gens = list(I.gens)
+        k = draw(st.integers(0, len(gens) - 1))
+        if draw(st.booleans()):
+            gens[k] = mul(gens[k], variable(draw(st.integers(0, n - 1)), n))
+        else:
+            gens[k] = draw(st.tuples(*[st.integers(0, 3)] * n).filter(any))
+        I = MonomialIdeal(n, gens)
+    return C, I
+
+
+PATH9_ODD_FIRST = path_odd_first(9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certified_complexes())
+@example((taylor_complex(PATH9_ODD_FIRST, 9), MonomialIdeal(9, PATH9_ODD_FIRST)))
+@example((_truncated_taylor(), MonomialIdeal(3, TRUNCATED_GENS)))
+@example((_truncated_taylor((1 << 61) - 1), MonomialIdeal(3, TRUNCATED_GENS)))
+@example((taylor_complex([(1, 0)], 2), MonomialIdeal(2, [(1, 0), (0, 9)])))
+def test_closure_tree_walk_agrees_with_the_lex_walk(case):
+    # The same verdict, failures and degrees checked in both modes; the
+    # first call checks the complex and the second only reads it.
+    C, I = case
+    C = _unchecked(C)
+    for exhaustive in (False, True):
+        got = check_exactness_on_box(C, I, exhaustive=exhaustive)
+        ref = reference_exactness(C, I, exhaustive=exhaustive)
+        assert (got.ok, got.failures, got.degrees_checked) == \
+            (ref.ok, ref.failures, ref.degrees_checked)
+
+
+@st.composite
+def checked_complexes(draw):
+    """A complex of certified_complexes, possibly with one more change: a
+    term added to a column at another monomial, so that the column is not
+    multihomogeneous; one term moved to a wrong monomial at its own
+    position; or one level's basis rescaled by fractions, so that the rows
+    mix coefficients read as ints and as Fractions."""
+    C, _ = draw(certified_complexes())
+    n = C.n
+    change = draw(st.sampled_from(["none", "mixed column", "wrong monomial", "rescale"]))
+    columns = _nonzero_columns(C)
+    if change in ("mixed column", "wrong monomial") and columns:
+        p, j = draw(st.sampled_from(columns))
+        terms = dict(C.differential(p)[j].items())
+        pos, mono = draw(st.sampled_from(sorted(terms)))
+        moved = mul(mono, variable(draw(st.integers(0, n - 1)), n))
+        coeff = terms[pos, mono]
+        if change == "wrong monomial":
+            del terms[pos, mono]
+        else:
+            pos = draw(st.integers(0, C.rank(p - 1) - 1))
+            coeff = draw(nonzero_fractions)
+        terms[pos, moved] = terms.get((pos, moved), 0) + coeff
+        C = _replace_column(C, p, j, ModuleVector(n, terms))
+    elif change == "rescale" and C.length:
+        p = draw(st.integers(1, C.length))
+        C = _rescale_basis(C, p, draw(st.lists(nonzero_fractions, min_size=C.rank(p),
+                                               max_size=C.rank(p))))
+    return C
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_complexes())
+@example(KOSZUL3_TWO_THIRDS)
+@example(_rescale_basis(KOSZUL3, 1, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]))
+@example(_replace_column(KOSZUL3, 1, 0, _MIXED_D1))
+@example(_replace_column(KOSZUL3, 2, 0, ModuleVector(3, {(1, X3): Fraction(1),
+                                                         (0, X1): Fraction(-1)})))
+def test_scalar_check_complex_agrees_with_the_monomial_sum(C):
+    C = _unchecked(C)
+    expected = reference_monomial_check_complex(C)
+    assert check_complex(C) == expected
+    # A pass is remembered, a failure is not.
+    assert C._complex == expected
+    assert check_complex(C) == expected
+
+
+def test_check_complex_runs_once_per_complex():
+    C = _unchecked(KOSZUL3)
+    broken = _replace_column(KOSZUL3, 2, 2, _FLIPPED_D2)
+    with mock.patch.object(complexes, "_complex_rows", wraps=complexes._complex_rows) as full:
+        assert check_complex(C) and check_complex(C)
+        assert check_exactness_on_box(C, MonomialIdeal(3, [X1, X2, X3])).ok
+        assert full.call_count == 1
+        assert not check_complex(broken) and not check_complex(broken)
+        assert full.call_count == 3
+        M = minimize(_unchecked(KOSZUL3))
+        assert full.call_count == 5
+        assert check_exactness_on_box(M, MonomialIdeal(3, [X1, X2, X3])).ok
+        assert full.call_count == 5
+
+
+MAXIMAL7 = [variable(i, 7) for i in range(7)]
+
+
+def test_certificate_reduces_under_half_the_rows_of_the_lex_walk(monkeypatch):
+    # On the Taylor complex of the maximal ideal in 7 variables the lex walk
+    # reduces 2,059 rows of the differentials and 462 of the module; the
+    # walk down the closure tree, module included, fewer than 2,059 / 2.
+    calls = []
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate",
+                        lambda pivots, row: calls.append(row) or eliminate(pivots, row))
+    I = MonomialIdeal(7, MAXIMAL7)
+    assert reference_exactness(taylor_complex(MAXIMAL7, 7), I).ok
+    assert len(calls) == 2059 + 462
+    calls.clear()
+    assert check_exactness_on_box(taylor_complex(MAXIMAL7, 7), I).ok
+    assert len(calls) < 2059 / 2

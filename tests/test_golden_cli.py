@@ -38,6 +38,11 @@ INPUTS = {
     # first: its Taylor complex is far from minimal.
     "path7odd": {"n": 7, "generators": [[1 if j in (i, i + 1) else 0 for j in range(7)]
                                         for i in (0, 2, 4, 1, 3, 5)]},
+    # The path on 11 vertices with the odd-indexed edges first: CI runs
+    # `resolve --minimize --check` on it, the certificate of a complex
+    # minimized from a Taylor complex of 2^10 basis elements.
+    "path11odd": {"n": 11, "generators": [[1 if j in (i, i + 1) else 0 for j in range(11)]
+                                          for i in (0, 2, 4, 6, 8, 1, 3, 5, 7, 9)]},
     # The path on 21 vertices: CI runs `initial --p 1 --basis boundary
     # --oracle` on it, which reads 2 of the 21 levels of its Taylor complex.
     "path21": {"n": 21, "generators": [[1 if j in (i, i + 1) else 0 for j in range(21)]

@@ -83,14 +83,20 @@ degree_lists = st.integers(1, 4).flatmap(
 
 @given(degree_lists, st.data())
 def test_lcm_closure_is_the_lcm_of_every_subset(case, data):
-    # The skip of degrees already in the closure loses no lcm, and the
-    # sorted list depends on neither the input order nor duplicates.
+    # The skip of degrees already in the closure loses no lcm; each degree
+    # but zero has a proper divisor in the closure as its parent, so the
+    # parents form a tree rooted at zero; and the sorted degrees and their
+    # parents depend on neither the input order nor duplicates.
     n, degrees = case
     brute = {functools.reduce(lcm, subset, unit(n))
              for k in range(len(degrees) + 1)
              for subset in itertools.combinations(degrees, k)}
     closure = lcm_closure(degrees, n)
-    assert closure == sorted(brute)
+    assert list(closure) == sorted(brute)
+    assert closure[unit(n)] is None
+    for a, parent in closure.items():
+        if a != unit(n):
+            assert parent in closure and parent != a and divides(parent, a)
     extra = data.draw(st.lists(st.sampled_from(degrees), max_size=3)) if degrees else []
     shuffled = data.draw(st.permutations(degrees + extra))
     assert lcm_closure(shuffled, n) == closure

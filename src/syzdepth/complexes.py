@@ -21,13 +21,13 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from . import linalg, monomials
 from .freemod import (
     BasisElement,
-    DegreeMasks,
     ModuleVector,
     OrderedBasis,
     Slices,
     add_multiple,
     leading_term,
     multidegree_of,
+    walk_closure,
 )
 from .groebner import _divide, _tagged_groebner, normal_form
 from .monomials import Mono, MonomialIdeal
@@ -628,119 +628,67 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     """Degreewise exactness in every multidegree, with the cokernel at level
     zero matching the module generated by module_gens.
 
-    It starts with check_complex, whose read of the columns as scalar rows
-    also gives the rows of every rank below; a complex checked before is
-    only read.  The module is one Slices engine, which holds the columns of
-    d_1 too, so that their containment in the module is checked next; its
-    ranks come from Slices.quick_rank, which reads them off the positions,
-    without elimination, for a monomial ideal inside a rank-one F_0.
+    It starts with check_complex; a complex checked before is only read.
+    The containment of d_1's columns in the module comes next: a column of
+    degree a is in the module when adding it to the module's rows active at
+    a leaves their linalg.exact_rank unchanged.
 
     Each slice is fixed by which module-generator and F_1..F_L basis
     degrees divide the degree, so walking their lcm closure decides every
-    degree (Gasharov-Peeva-Welker).  The walk goes depth first down the
-    closure's parent tree (monomials.lcm_closure), where a degree is a
-    multiple of its parent and so has every row its parent has.  Per
-    differential it keeps the pivots made on the path from the root and
-    the mask of the rows already reduced, reduces only the others, with
-    linalg.eliminate, and undoes its pivots on the way back up.
+    degree (Gasharov-Peeva-Welker).  The module and each differential are
+    one Slices engine, and freemod.walk_closure takes them depth first down
+    the closure's parent tree, where a degree has every row its parent has,
+    so each rank reduces only the rows its ancestors did not.
 
-    Each rank is reduced only until it meets its upper bound: rank d_1 at
-    a is at most the module's rank at a, as d_1 maps into the module, and
-    rank d_{p+1} at most dim F_{p,a} - rank d_p, as d o d = 0.  A rank that
-    meets its bound equals it; a rank below its bound after every row is a
-    failure at that level, and the rows not reduced wait for the children.
-    So every rank is exact.
+    Each rank of a differential is reduced only until it meets its upper
+    bound: rank d_1 at a is at most the module's rank at a, as d_1 maps into
+    the module, and rank d_{p+1} at most dim F_{p,a} - rank d_p, as
+    d o d = 0.  A rank that meets its bound equals it; a rank below its
+    bound after every row is a failure at that level, and the rows not
+    reduced wait for the children.  So every rank is exact.
 
     Failures are reported by their lex index in the closure: the first one
     with degrees_checked its index + 1, or, with exhaustive, every failing
-    closure degree in lex order.  A degree lies after its ancestors in lex
-    order, so once a failure is found, every subtree rooted after it is
-    skipped.
+    closure degree in lex order.
     """
-    if C._complex:
-        rows = [[_scalar_row(col) for col in C.differential(p)]
-                for p in range(1, C.length + 1)]
-    else:
-        rows = _complex_rows(C)
-        if rows is None:
-            return ExactnessReport(False, failures=[(-1, None)])
+    if not check_complex(C):
+        return ExactnessReport(False, failures=[(-1, None)])
     if isinstance(module_gens, MonomialIdeal):
         if len(C.basis(0)) != 1:
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
-    module_gens = list(module_gens)
-    # The module engine also holds the columns of d_1, for image containment,
-    # so that the rank of d_1 is at most the module's.
-    module = Slices(module_gens + list(C.differential(1)), C.basis(0))
-    own = (1 << len(module_gens)) - 1
+    module = Slices(module_gens, C.basis(0))
     for j, col in enumerate(C.differential(1)):
-        mask = module.active(C.basis(1).degree(j)) & own
-        if module.quick_rank(mask) != module.quick_rank(mask | 1 << (len(module_gens) + j)):
+        mask = module.active(C.basis(1).degree(j))
+        rows = [row for i, row in enumerate(module.rows) if mask >> i & 1]
+        if linalg.exact_rank(rows) != linalg.exact_rank(rows + [_scalar_row(col)]):
             return ExactnessReport(False, failures=[(0, None)])
 
     length = C.length
-    rows = [[linalg.integer_row(row) if Fraction in map(type, row.values()) else row
-             for row in level] for level in rows]
-    masks = [DegreeMasks(list(enumerate(C.basis(p).degrees)), C.n, C.rank(p))
+    diffs = [Slices(C.differential(p), C.basis(p - 1)) for p in range(1, length + 1)]
+    # A zero column is never active in its engine, but counts in dim F_{p,a}.
+    zeros = [[C.basis(p).degree(j) for j, col in enumerate(C.differential(p)) if col.is_zero()]
              for p in range(1, length + 1)]
-    pivots = [{} for _ in range(length)]  # per differential, on the path
-    reduced = [0] * length  # per differential, the rows reduced on the path
 
-    def failing_level(a, added):
-        """First level whose slice at a is not exact, or None; each pivot
-        made is appended to added as (level index, leading column)."""
-        bound = module.quick_rank(module.active(a) & own)
-        for p in range(length):
-            active = masks[p].dividing(a)
-            kept = pivots[p]
-            pending = active & ~reduced[p]
-            while pending and len(kept) < bound:
-                low = pending & -pending
-                pending ^= low
-                reduced[p] |= low
-                lead = linalg.eliminate(kept, rows[p][low.bit_length() - 1])
-                if lead is not None:
-                    added.append((p, lead))
-            if len(kept) < bound:
+    def failing_level(a):
+        """First level whose slice at a is not exact, or None."""
+        bound = module.reduce(module.active(a))
+        for p, diff in enumerate(diffs):
+            active = diff.active(a)
+            rank = diff.reduce(active, bound)
+            if rank < bound:
                 return p
-            bound = active.bit_count() - len(kept)
+            bound = active.bit_count() - rank
+            for d in zeros[p]:
+                bound += monomials.divides(d, a)
         return length if bound else None
 
-    closure = monomials.lcm_closure(
-        module.degrees + [d for p in range(1, length + 1) for d in C.basis(p).degrees], C.n)
-    index = {a: i for i, a in enumerate(closure)}
-    children = {a: [] for a in closure}
-    for a, parent in closure.items():
-        if parent is not None:
-            children[parent].append(a)
-    failures = []  # (lex index, level, degree)
-    first = len(closure)  # lex index of the first failure found so far
-    # An entry (a, None) visits a; (None, undo) restores a parent's state.
-    stack = [(monomials.unit(C.n), None)]
-    while stack:
-        a, undo = stack.pop()
-        if undo is not None:
-            reduced[:], added = undo
-            for p, lead in added:
-                del pivots[p][lead]
-            continue
-        i = index[a]
-        if i > first and not exhaustive:
-            continue
-        undo = (reduced[:], [])
-        bad_p = failing_level(a, undo[1])
-        if bad_p is not None:
-            failures.append((i, bad_p, a))
-            first = min(first, i)
-        stack.append((None, undo))
-        stack.extend((b, None) for b in reversed(children[a]))
-
-    failures.sort()
-    report = ExactnessReport(not failures, degrees_checked=len(closure))
+    degrees = module.degrees + [d for p in range(1, length + 1) for d in C.basis(p).degrees]
+    failures, size = walk_closure(degrees, C.n, [module] + diffs, failing_level, exhaustive)
+    report = ExactnessReport(not failures, degrees_checked=size)
     if failures and not exhaustive:
-        del failures[1:]
         report.degrees_checked = failures[0][0] + 1
-    report.failures = [(p, a) for _, p, a in failures]
+    report.failures = [(p, a) for _, a, p in failures]
     return report
 
 

@@ -280,68 +280,113 @@ class DegreeMasks:
 
 
 class Slices:
-    """Multidegree slices of the span of multihomogeneous vectors.
+    """Multidegree slices of the span of multihomogeneous vectors, reduced
+    down a chain of degrees.
 
     The degree-a piece of F has one monomial, a / deg e_j, at each basis
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
-    The vectors whose degree divides a are found by AND-ing per-coordinate
-    bitsets.  Each row is stored once, as integers scaled by the lcm of its
-    denominators, which changes no rank: rank hands those sparse rows to
-    linalg.exact_rank, which runs the library's one elimination step, and
-    caches the answer per bitmask.  quick_rank gives the same rank, read off
-    the positions when every chosen row has at most one nonzero entry, as
-    every row of a monomial ideal inside a rank-one F_0 has.  Pass degrees
-    to give each vector a degree of its own (a zero vector then still counts
-    as active); otherwise zero vectors have no degree and are never active.
-    Every slice is fixed by which of the degrees in self.degrees divide a.
+    Each row is stored once, as integers scaled by the lcm of its
+    denominators, which changes no rank, and a DegreeMasks finds the rows
+    whose degree divides a.  A zero vector has no degree and is never
+    active; any other vector that is not multihomogeneous raises ValueError.
+
+    The engine keeps the pivots made on the current path and the mask of
+    the rows already reduced there.  Down a chain of degrees, each a
+    multiple of the one before, reduce(active(a)) reduces each row once,
+    with linalg.eliminate, and mark and undo go back to an earlier point.
     """
 
-    def __init__(self, vectors, basis: OrderedBasis, degrees=None):
-        self._rows = []
-        self._wide = 0  # bitmask of the rows with two or more nonzero entries
-        known = []  # (index, degree) of every vector that has a degree
+    def __init__(self, vectors, basis: OrderedBasis):
+        self.rows = []
+        known = []  # (index, degree) of every nonzero vector
         for i, v in enumerate(vectors):
             d = multidegree_of(v, basis)
             if d is None and not v.is_zero():
                 raise ValueError("slices need multihomogeneous vectors")
-            if degrees is not None:
-                if d is not None and d != degrees[i]:
-                    raise ValueError(f"vector {i} does not have degree {degrees[i]}")
-                d = degrees[i]
-            self._rows.append(linalg.integer_row({pos: c for (pos, _), c in v.items()}))
-            if len(self._rows[-1]) > 1:
-                self._wide |= 1 << i
+            self.rows.append(linalg.integer_row({pos: c for (pos, _), c in v.items()}))
             if d is not None:
                 known.append((i, d))
         self.degrees = [d for _, d in known]
-        self._masks = DegreeMasks(known, basis.n, len(self._rows))
-        self._ranks = {}
+        self._masks = DegreeMasks(known, basis.n, len(self.rows))
+        self._positions = len(basis)
+        self.pivots = {}
+        self._reduced = 0  # bitmask of the rows reduced on the path
+        self._made = []  # leading columns of the pivots, in the order made
 
     def active(self, a: Mono) -> int:
         """Bitmask of the vectors whose degree divides a."""
         return self._masks.dividing(a)
 
-    def rank(self, mask: int) -> int:
-        """Exact rank of the chosen vectors."""
-        if mask not in self._ranks:
-            rows = self._rows
-            self._ranks[mask] = linalg.exact_rank([rows[i] for i in _bits(mask)])
-        return self._ranks[mask]
+    def reduce(self, active: int, bound: Optional[int] = None) -> int:
+        """Reduce the rows of the mask active(a) not reduced yet, until there
+        are bound pivots, and return the number of pivots.  Down a chain of
+        degrees that ends at a, that is the rank of the slice at a if it is
+        below bound, and at least bound otherwise; the rows left wait for a
+        later call.  The default bound is the number of basis positions,
+        which no rank exceeds."""
+        if bound is None:
+            bound = self._positions
+        pivots, rows, made = self.pivots, self.rows, self._made
+        pending = active & ~self._reduced
+        while pending and len(pivots) < bound:
+            low = pending & -pending
+            pending ^= low
+            self._reduced |= low
+            lead = linalg.eliminate(pivots, rows[low.bit_length() - 1])
+            if lead is not None:
+                made.append(lead)
+        return len(pivots)
 
-    def quick_rank(self, mask: int) -> int:
-        """rank(mask), without elimination when no chosen row has two or more
-        nonzero entries: each distinct position of such rows adds one."""
-        if mask & self._wide:
-            return self.rank(mask)
-        if mask not in self._ranks:
-            rows = self._rows
-            self._ranks[mask] = len({pos for i in _bits(mask) for pos in rows[i]})
-        return self._ranks[mask]
+    def mark(self):
+        """The point to which undo goes back."""
+        return self._reduced, len(self._made)
+
+    def undo(self, mark) -> None:
+        """Drop the pivots made, and forget the rows reduced, since mark."""
+        self._reduced, size = mark
+        while len(self._made) > size:
+            del self.pivots[self._made.pop()]
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def walk_closure(degrees, n: int, engines, visit, exhaustive: bool = False):
+    """Visit every degree of the lcm closure of degrees depth first down
+    its parent tree (monomials.lcm_closure), in which each degree is a
+    multiple of its parent, so each engine's reduce sees a chain of
+    degrees; each engine is marked before a visit and undone once the
+    visited degree's subtree is done.
+
+    visit(a) returns None where a passes.  Returns (failures, size): the
+    (lex index, degree, visit's value) triples of the failing degrees in lex
+    order and the size of the closure.  A degree lies after its ancestors
+    in lex order, so once a failure is found, every subtree rooted after it
+    is skipped and only the first failure is kept, unless exhaustive.
+    """
+    closure = monomials.lcm_closure(degrees, n)
+    index = {a: i for i, a in enumerate(closure)}
+    children = {a: [] for a in closure}
+    for a, parent in closure.items():
+        if parent is not None:
+            children[parent].append(a)
+    failures = []
+    first = len(closure)  # lex index of the first failure found so far
+    # An entry (a, None) visits a; (None, marks) undoes the engines.
+    stack = [(monomials.unit(n), None)]
+    while stack:
+        a, marks = stack.pop()
+        if marks is not None:
+            for engine, mark in zip(engines, marks):
+                engine.undo(mark)
+            continue
+        i = index[a]
+        if i > first and not exhaustive:
+            continue
+        marks = [engine.mark() for engine in engines]
+        failure = visit(a)
+        if failure is not None:
+            failures.append((i, a, failure))
+            first = min(first, i)
+        stack.append((None, marks))
+        stack.extend((b, None) for b in reversed(children[a]))
+    failures.sort()
+    return (failures if exhaustive else failures[:1]), len(closure)

@@ -30,6 +30,7 @@ from .freemod import (
     add_multiple,
     leading_term,
     term_key,
+    walk_closure,
 )
 from .monomials import MonomialIdeal
 
@@ -244,22 +245,24 @@ def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> In
 
 def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule):
     """Graded dimensions of the span of gens and of the initial module agree
-    in every multidegree.  Returns (ok, first failing degree).
+    in every multidegree.  Returns (ok, first failing degree in lex order).
 
-    Both sides are ranks of one slice engine each; the initial module enters
-    through its generators u e_j, which are unit rows, so Slices.quick_rank
-    reads its ranks off their positions.  Both ranks are fixed
-    by which generator degrees divide the degree, so the walk covers the lcm
-    closure of those degrees in lex order.
+    Both sides are one Slices engine each: the generators, and the initial
+    module's generators u e_j, which are unit rows.  Both ranks are fixed by
+    which generator degrees divide the degree, so freemod.walk_closure
+    takes both engines down the lcm closure of those degrees.
     """
+    n = initial.basis.n
     span = Slices(gens, initial.basis)
-    monomial = Slices([ModuleVector.generator(initial.basis.n, j, u)
+    monomial = Slices([ModuleVector.generator(n, j, u)
                        for j, ideal in enumerate(initial.components) for u in ideal.gens],
                       initial.basis)
-    for a in monomials.lcm_closure(span.degrees + monomial.degrees, initial.basis.n):
-        if span.quick_rank(span.active(a)) != monomial.quick_rank(monomial.active(a)):
-            return False, a
-    return True, None
+
+    def differs(a):
+        return True if span.reduce(span.active(a)) != monomial.reduce(monomial.active(a)) else None
+
+    failures, _ = walk_closure(span.degrees + monomial.degrees, n, [span, monomial], differs)
+    return (False, failures[0][1]) if failures else (True, None)
 
 
 def is_squarefree_module(initial: InitialModule) -> bool:

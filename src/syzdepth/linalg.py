@@ -3,9 +3,9 @@
 Rows are sparse, dicts {column: value} of ints or Fractions with no zero
 values.  eliminate reduces one integer row against a dict of pivots, each
 row on its leading (smallest) column, and is the library's only kernel:
-exact_rank runs it over a list of rows, and the exactness certificate
-(complexes.check_exactness_on_box) over the rows of each differential down
-the lcm-closure tree, keeping its pivots.  A lift that division cannot find
+exact_rank runs it over a list of rows, and freemod.Slices over the rows
+active down the lcm-closure tree, keeping its pivots, for the exactness
+certificate and the Hilbert-slice check.  A lift that division cannot find
 goes through a Groebner basis instead (complexes.lift_through).
 """
 

@@ -56,6 +56,9 @@ class VerifyJob:
             # One variable gives principal ideals only, and the runner
             # redraws until it has two generators.
             raise ValueError("--n-max must be at least 2 for lemma-groebner")
+        if self.theorem in ("sqfree-stde", "squarefree") and self.n_max < 2:
+            # The runners draw 2 to n_max variables.
+            raise ValueError(f"--n-max must be at least 2 for {self.theorem}")
 
 
 def taylor_step_cone(gens, n):
@@ -197,7 +200,7 @@ def _run_regular(rng, job) -> dict:
 
 
 def _run_sqfree_stde(rng, job) -> dict:
-    n = rng.randint(2, max(2, job.n_max))
+    n = rng.randint(2, job.n_max)
     I = random_monomial_ideal(rng, n, job.m_max, 1, squarefree=True, n=n)
     instance = ideal_instance(I)
     family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
@@ -222,7 +225,7 @@ def _run_sqfree_stde(rng, job) -> dict:
 
 
 def _run_squarefree(rng, job) -> dict:
-    n = rng.randint(2, max(2, job.n_max))
+    n = rng.randint(2, job.n_max)
     I = random_monomial_ideal(rng, n, job.m_max, 1, squarefree=True, n=n)
     instance = ideal_instance(I)
     d = min(sum(g) for g in I.gens) - 1

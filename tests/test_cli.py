@@ -298,6 +298,10 @@ BAD_VERIFY_BOUNDS = [
     (["--exp-max", "-1"], "--exp-max must be at least 1"),
     (["--theorem", "lemma-groebner", "--n-max", "1"],
      "--n-max must be at least 2 for lemma-groebner"),
+    (["--theorem", "sqfree-stde", "--n-max", "1"],
+     "--n-max must be at least 2 for sqfree-stde"),
+    (["--theorem", "squarefree", "--n-max", "1"],
+     "--n-max must be at least 2 for squarefree"),
 ]
 
 

@@ -32,14 +32,15 @@ from syzdepth.complexes import (
     taylor_complex,
 )
 from syzdepth import complexes, linalg
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, Slices, add_multiple,
-                              multidegree_of)
+from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, add_multiple, multidegree_of
 from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import (MonomialIdeal, divides, lcm, lcm_closure, minimalize_ordered,
                                 mul, unit, variable)
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
+
+from reference_slices import RankSlices
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -277,7 +278,7 @@ def test_cone_syzygy_dimension_identity():
     from syzdepth.verify import taylor_step_cone
 
     def dimension(gens, a, basis):
-        slices = Slices(gens, basis)
+        slices = RankSlices(gens, basis)
         return slices.rank(slices.active(a))
 
     for gens, n in [([(2, 0), (1, 1), (0, 2)], 2),
@@ -550,7 +551,7 @@ def reference_monomial_check_complex(C):
 
 def reference_exactness(C, module_gens, exhaustive=False):
     """check_exactness_on_box as it read when it walked the lcm closure in
-    lex order and took every rank in full, one Slices engine per
+    lex order and took every rank in full, one RankSlices engine per
     differential, after reference_monomial_check_complex."""
     if not reference_monomial_check_complex(C):
         return ExactnessReport(False, failures=[(-1, None)])
@@ -559,7 +560,7 @@ def reference_exactness(C, module_gens, exhaustive=False):
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
     module_gens = list(module_gens)
-    module = Slices(module_gens + list(C.differential(1)), C.basis(0))
+    module = RankSlices(module_gens + list(C.differential(1)), C.basis(0))
     own = (1 << len(module_gens)) - 1
     for j, col in enumerate(C.differential(1)):
         mask = module.active(C.basis(1).degree(j)) & own
@@ -567,7 +568,7 @@ def reference_exactness(C, module_gens, exhaustive=False):
             return ExactnessReport(False, failures=[(0, None)])
 
     length = C.length
-    diffs = [Slices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+    diffs = [RankSlices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
              for p in range(1, length + 1)]
 
     def failing_level(module_rank, masks):
@@ -830,7 +831,7 @@ def _in_image(C, p, z, a):
     """Oracle: z of degree a is in the image of d_p exactly when adding it
     to the degree-a slice of the columns leaves the rank unchanged."""
     columns = list(C.differential(p))
-    slices = Slices(columns + [z], C.basis(p - 1), list(C.basis(p).degrees) + [a])
+    slices = RankSlices(columns + [z], C.basis(p - 1), list(C.basis(p).degrees) + [a])
     mask = slices.active(a)
     return slices.rank(mask) == slices.rank(mask & ~(1 << len(columns)))
 
@@ -887,7 +888,7 @@ def reference_box_walk(C, module_gens, box, exhaustive=False):
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
     module_gens = list(module_gens)
-    module = Slices(module_gens + list(C.differential(1)), C.basis(0))
+    module = RankSlices(module_gens + list(C.differential(1)), C.basis(0))
     own = (1 << len(module_gens)) - 1
     for j, col in enumerate(C.differential(1)):
         mask = module.active(C.basis(1).degree(j)) & own
@@ -895,7 +896,7 @@ def reference_box_walk(C, module_gens, box, exhaustive=False):
             return ExactnessReport(False, failures=[(0, None)])
 
     length = C.length
-    diffs = [Slices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+    diffs = [RankSlices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
              for p in range(1, length + 1)]
 
     def failing_level(module_rank, masks):
@@ -921,10 +922,10 @@ def reference_box_walk(C, module_gens, box, exhaustive=False):
 
 
 def reference_slice_box_walk(gens, initial, box):
-    span = Slices(gens, initial.basis)
-    monomial = Slices([ModuleVector.generator(initial.basis.n, j, u)
-                       for j, ideal in enumerate(initial.components) for u in ideal.gens],
-                      initial.basis)
+    span = RankSlices(gens, initial.basis)
+    monomial = RankSlices([ModuleVector.generator(initial.basis.n, j, u)
+                           for j, ideal in enumerate(initial.components) for u in ideal.gens],
+                          initial.basis)
     for a in itertools.product(*(range(b + 1) for b in box)):
         if span.rank(span.active(a)) != monomial.rank(monomial.active(a)):
             return False, a
@@ -1220,6 +1221,21 @@ def test_slice_check_closure_walk_agrees_with_the_box_walk(I, minimized, data):
         dropped = MonomialIdeal(I.n, ideal.gens[:k] + ideal.gens[k + 1:])
         variants.append(InitialModule(ini.basis, ini.components[:j] + (dropped,)
                                       + ini.components[j + 1:]))
+    # Over-claimed: a generator added to a component, a minimal generator
+    # divided by one of its variables or any monomial, so that the initial
+    # module is larger than the span in some degree.
+    j = data.draw(st.integers(0, len(ini.basis) - 1))
+    ideal = ini.components[j]
+    divisible = [u for u in ideal.gens if any(u)]
+    if divisible and data.draw(st.booleans()):
+        u = data.draw(st.sampled_from(divisible))
+        i = data.draw(st.sampled_from([i for i, e in enumerate(u) if e]))
+        added = tuple(e - (k == i) for k, e in enumerate(u))
+    else:
+        added = data.draw(st.tuples(*[st.integers(0, 3)] * I.n))
+    variants.append(InitialModule(ini.basis, ini.components[:j]
+                                  + (MonomialIdeal(I.n, ideal.gens + (added,)),)
+                                  + ini.components[j + 1:]))
     assert hilbert_slice_check(gens, ini) == (True, None)
     for initial in variants:
         degrees = [multidegree_of(g, ini.basis) for g in gens if not g.is_zero()]
@@ -1245,14 +1261,26 @@ def _nonzero_columns(C):
             for j, col in enumerate(C.differential(p)) if not col.is_zero()]
 
 
+def _doubled(C):
+    """The direct sum C + C: each level's basis twice, the columns of the
+    second copy moved to the second copy's positions."""
+    bases = [OrderedBasis(C.n, basis.elements * 2) for basis in C.bases]
+    return FreeComplex(C.n, bases, [
+        list(C.differential(p)) + [col.map_positions(C.rank(p - 1)) for col in C.differential(p)]
+        for p in range(1, C.length + 1)])
+
+
 @st.composite
 def certified_complexes(draw):
-    """(complex, ideal): a Taylor, Eliahou-Kervaire, minimized or
-    taylor_step_cone complex and the ideal it should resolve, then possibly
-    one damage: a flipped sign, a column scaled by 1/7 or by 2^61 - 1, a
-    zeroed column, a dropped basis element of the top level, or one
-    generator of the ideal changed."""
-    kind = draw(st.sampled_from(["taylor", "ek", "minimized", "cone"]))
+    """(complex, module): a Taylor, Eliahou-Kervaire, minimized or
+    taylor_step_cone complex and the ideal it should resolve, or the Taylor
+    complex T of an ideal I doubled, T + T, and the module I + I given by
+    the vectors u e_0 + c u e_1 and u e_1 for u in I, so that some rows have
+    two entries; then possibly one damage: a flipped sign, a column scaled
+    by 1/7 or by 2^61 - 1, a zeroed column, a dropped basis element of the
+    top level, or one generator of the module changed, or dropped from the
+    vectors."""
+    kind = draw(st.sampled_from(["taylor", "ek", "minimized", "cone", "doubled"]))
     if kind == "ek":
         n = draw(st.integers(1, 3))
         gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
@@ -1268,6 +1296,13 @@ def certified_complexes(draw):
             C = taylor_complex(gens, I.n)
             if kind == "minimized":
                 C = minimize(C)
+            elif kind == "doubled":
+                C = _doubled(C)
+                module = []
+                for u in gens:
+                    module.append(ModuleVector(I.n, {(0, u): Fraction(1),
+                                                     (1, u): draw(nonzero_fractions)}))
+                    module.append(ModuleVector.generator(I.n, 1, u))
     n = C.n
     damage = draw(st.sampled_from(["none", "flip", "1/7", "2^61 - 1", "zero", "drop top",
                                    "module"]))
@@ -1290,6 +1325,8 @@ def certified_complexes(draw):
         cols = C.differential(L)
         C = FreeComplex(n, C.bases[:L] + (OrderedBasis(n, elements[:k] + elements[k + 1:]),),
                         [C.differential(q) for q in range(1, L)] + [cols[:k] + cols[k + 1:]])
+    elif damage == "module" and kind == "doubled":
+        del module[draw(st.integers(0, len(module) - 1))]
     elif damage == "module":
         gens = list(I.gens)
         k = draw(st.integers(0, len(gens) - 1))
@@ -1298,7 +1335,7 @@ def certified_complexes(draw):
         else:
             gens[k] = draw(st.tuples(*[st.integers(0, 3)] * n).filter(any))
         I = MonomialIdeal(n, gens)
-    return C, I
+    return C, (module if kind == "doubled" else I)
 
 
 PATH9_ODD_FIRST = path_odd_first(9)

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -105,10 +104,11 @@ def test_slices_reject_mixed_vectors():
     b = basis_of((0, 0))
     gens = [ModuleVector(2, {(0, (1, 0)): Fraction(1)}),
             ModuleVector(2, {(0, (0, 1)): Fraction(1)})]
-    slices = Slices(gens, b)
     # x2*(x1 e) and x1*(x2 e) are the same coordinate vector.
-    assert slices.rank(slices.active((1, 1))) == _brute_rank([[1], [1]]) == 1
-    assert slices.rank(slices.active((0, 0))) == 0
+    slices = Slices(gens, b)
+    assert slices.reduce(slices.active((1, 1))) == _brute_rank([[1], [1]]) == 1
+    slices = Slices(gens, b)
+    assert slices.reduce(slices.active((0, 0))) == 0
     mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (0, (0, 0)): Fraction(1)})
     with pytest.raises(ValueError, match="multihomogeneous"):
         Slices([mixed], b)
@@ -229,8 +229,7 @@ def test_slice_rank_matches_coordinate_rank(pairs, a):
     coords = sorted({key for w in multiples for key, _ in w.items()})
     expected = _brute_rank([[w.coefficient(*key) for key in coords] for w in multiples])
     slices = Slices(vectors, basis)
-    mask = slices.active(a)
-    assert slices.rank(mask) == expected
+    assert slices.reduce(slices.active(a)) == expected
 
 
 # Single terms c u e_j, c a nonzero int or Fraction, at any of the three
@@ -241,20 +240,53 @@ single_terms = st.builds(
     coeffs.filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool))
 
 
-@settings(max_examples=300)
-@given(st.lists(single_terms | st.just(ModuleVector(2, {}))
+# Two single terms summed; most sums have two degrees.
+two_terms = st.tuples(single_terms, single_terms).map(lambda pair: pair[0] + pair[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(single_terms | st.just(ModuleVector(2, {})) | two_terms
                 | multihomogeneous_vectors().map(lambda pair: pair[0]), max_size=8),
        st.data())
-def test_quick_rank_matches_exact_rank(vectors, data):
-    # Chosen rows with at most one entry each are never eliminated.
-    slices = Slices(vectors, basis_of((1, 0), (0, 1), (0, 0)))
-    mask = data.draw(st.integers(0, (1 << len(vectors)) - 1))
-    chosen = [vectors[i] for i in range(len(vectors)) if mask >> i & 1]
-    rows = [{pos: c for (pos, _), c in v.items()} for v in chosen]
-    with mock.patch.object(linalg, "exact_rank", wraps=linalg.exact_rank) as exact_rank:
-        rank = slices.quick_rank(mask)
-    assert rank == linalg.exact_rank(rows)
-    assert exact_rank.called == any(len(row) > 1 for row in rows)
+def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
+    # A walk down and back up a chain of degrees, each a multiple of the one
+    # before: at every step the pivot count is the exact rank of the active
+    # rows, or at least a bound it met, and undo restores the count of the
+    # step above.  Zero vectors are never active; a mixed vector is refused.
+    basis = basis_of((1, 0), (0, 1), (0, 0))
+    degrees = [multidegree_of(v, basis) for v in vectors]
+    if any(d is None and not v.is_zero() for v, d in zip(vectors, degrees)):
+        with pytest.raises(ValueError, match="multihomogeneous"):
+            Slices(vectors, basis)
+        return
+    slices = Slices(vectors, basis)
+    rows = [{pos: c for (pos, _), c in v.items()} for v in vectors]
+    chain = []  # (degree, mark before its reduce, pivot count after)
+    a = (0, 0)
+    for _ in range(data.draw(st.integers(1, 10))):
+        if len(chain) > 1 and data.draw(st.booleans()):
+            k = data.draw(st.integers(1, len(chain) - 1))
+            slices.undo(chain[k][1])
+            del chain[k:]
+            a = chain[-1][0]
+            assert len(slices.pivots) == chain[-1][2]
+            continue
+        if chain:
+            a = tuple(t + data.draw(st.integers(0, 2)) for t in a)
+        active = [i for i, d in enumerate(degrees)
+                  if d is not None and all(x <= y for x, y in zip(d, a))]
+        mask = slices.active(a)
+        assert mask == sum(1 << i for i in active)
+        rank = linalg.exact_rank([rows[i] for i in active])
+        bound = data.draw(st.none() | st.integers(0, 4))
+        mark = slices.mark()
+        if bound is None:
+            count = slices.reduce(mask)
+            assert count == rank
+        else:
+            count = slices.reduce(mask, bound)
+            assert count <= rank and min(count, bound) == min(rank, bound)
+        chain.append((a, mark, count))
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), monos, coeffs), max_size=5),

@@ -15,16 +15,7 @@ outgrows the process), 143 (128 + SIGTERM) the program was sent SIGTERM, as
 Outputs are written as they are made, by write_output in chunks and by
 verify one report line at a time, so a write can fail midway; it then
 prints one "error: ..." line and exits 2.  An --output file is written in
-place, without truncating it first, and cut at the end of what was
-written, also when the call fails or is sent SIGTERM: it then holds
-exactly the bytes written, never a tail of an older file.  A process
-ended by another signal, such as SIGKILL or SIGHUP, or by a crash of the
-interpreter runs no cut, so the file can then keep the old text after
-the new, or all of the old text when nothing was flushed yet.  Truncating a file to zero and writing it
-again makes ext4 allocate its blocks at close; in place, rewriting a file
-that already exists saves that, a sixth to a third of the median call's
-time in the benchmark's workloads, which rewrite each output file.  A call
-that creates its output file saves nothing (see _output).
+place and cut at the end of what was written (see _output).
 """
 
 from __future__ import annotations
@@ -153,14 +144,13 @@ def _output(path):
     SIGTERM into SystemExit, so the cut runs then too; after another
     signal that ends the process, such as SIGKILL or SIGHUP, or a crash of
     the interpreter nothing runs, and the old text can remain behind the
-    new, or whole.  A character device or FIFO, such as
-    /dev/null or /dev/stdout on a pipe, is never cut.  Truncating a file to
+    new, or whole.  A character device or FIFO, such as /dev/null or
+    /dev/stdout on a pipe, is never cut.  Truncating a file that exists to
     zero and writing it again, or renaming a new file over it, makes ext4
-    (auto_da_alloc) allocate its blocks at close: rewriting a 3 KB file
-    took about seven times as long that way as in place.  Only a file that
-    exists already gains, as a new file is not truncated either way.
-    Unlink and create would replace the inode; in place, the file keeps its
-    mode and hard links, and /dev/stdout keeps working.
+    (auto_da_alloc) allocate its blocks at close: rewriting a 3 KB file took
+    about seven times as long that way as in place.  Unlink and create
+    would replace the inode; in place, the file keeps its mode and hard
+    links, and /dev/stdout keeps working.
     """
     try:
         if path:

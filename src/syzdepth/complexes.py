@@ -27,6 +27,7 @@ from .freemod import (
     add_multiple,
     leading_term,
     multidegree_of,
+    scalar_rows,
     walk_closure,
 )
 from .groebner import _divide, _tagged_groebner, normal_form
@@ -234,10 +235,7 @@ class ChainMap:
             if len(cols) != G.rank(i):
                 raise ValueError(f"phi_{i} has {len(cols)} columns, expected {G.rank(i)}")
             for j, col in enumerate(cols):
-                if col.is_zero():
-                    continue
-                d = multidegree_of(col, F.basis(i))
-                if d != G.basis(i).degree(j):
+                if not col.is_zero() and multidegree_of(col, F.basis(i)) != G.basis(i).degree(j):
                     raise ValueError(f"phi_{i} does not preserve the multidegree of "
                                      f"basis element {j}")
         for i in range(1, G.length + 1):
@@ -499,45 +497,44 @@ def is_minimal(C: FreeComplex) -> bool:
 def minimize(C: FreeComplex) -> FreeComplex:
     """Cancel unit entries until every entry lies in the maximal ideal.
 
-    Each column of d_p is a dict {row: (monomial, coeff)}, one term per row
-    as the input is a complex, which is checked first.  A unit lam in row r
-    of column c is cancelled by the Schur complement: every other live
-    column with an entry in row r loses (entry / lam) times column c, which
-    clears its row r.  Then column c leaves d_p, column r leaves d_{p-1},
-    and row c leaves d_{p+1}, where d o d = 0 has made it zero.  The search
-    resumes at column c of d_p: a new unit in an earlier column would need
-    that column to hold a unit in row r, which the search would have met
-    first.  So the cancellations come in the order of a search that starts
-    again at d_1 after each one.  Every column the cursor meets is live: a
-    column of d_p dies as a pivot behind the cursor, or as the row of a
-    cancellation in d_{p+1}, which comes later.  Basis degrees survive;
-    each level of the result is re-sorted lex-refined.
+    Each column of d_p is a copy of check_complex's scalar row {row: coeff},
+    whose entry in row r has the monomial deg e_c / deg e_r, a unit when the
+    degrees are equal; the result's monomials are made at the end.  A unit
+    lam in row r of column c is cancelled by the Schur complement: every
+    other live column with an entry in row r loses (entry / lam) times
+    column c, which clears its row r.  Then column c leaves d_p, column r
+    leaves d_{p-1}, and row c leaves d_{p+1}, where d o d = 0 has made it
+    zero.  The search resumes at column c of d_p: a new unit in an earlier
+    column would need that column to hold a unit in row r, which the search
+    would have met first.  So the cancellations come in the order of a
+    search that starts again at d_1 after each one.  Every column the cursor
+    meets is live: a column of d_p dies as a pivot behind the cursor, or as
+    the row of a cancellation in d_{p+1}, which comes later.  Basis degrees
+    survive; each level of the result is re-sorted lex-refined.
     """
-    if not check_complex(C):
+    rows = _read_rows(C)
+    if rows is None:
         raise RuntimeError("minimization needs d o d = 0 and multihomogeneous "
                            "columns; the input was not a complex")
-    n = C.n
-    zero = monomials.unit(n)
-    length = C.length
-    cols = [None] + [[{r: (mono, coeff) for (r, mono), coeff in col.items()}
-                      for col in C.differential(p)] for p in range(1, length + 1)]
+    cols, n, length = [None] + rows, C.n, C.length
+    degrees = [C.basis(p).degrees for p in range(length + 1)]
     alive = [[True] * C.rank(p) for p in range(length + 1)]
     for p in range(1, length + 1):
+        source, target = degrees[p], degrees[p - 1]
         for c, pivot in enumerate(cols[p]):
-            r = next((r for r, (mono, coeff) in pivot.items() if mono == zero and coeff),
-                     None)
+            r = next((r for r in pivot if target[r] == source[c]), None)
             if r is None:
                 continue
-            lam = pivot[r][1]
+            lam = pivot[r]  # an int or a Fraction: 1 / lam is taken as a Fraction
+            inverse = lam if lam in (1, -1) else 1 / Fraction(lam)
             for c2, col in enumerate(cols[p]):
                 if c2 == c or not alive[p][c2] or r not in col:
                     continue
-                mono2, coeff2 = col[r]
-                t_coeff = coeff2 / lam
-                for r3, (mono3, coeff3) in pivot.items():
-                    new = col.get(r3, (None, Fraction(0)))[1] - t_coeff * coeff3
+                t_coeff = col[r] * inverse
+                for r3, coeff3 in pivot.items():
+                    new = col.get(r3, 0) - t_coeff * coeff3
                     if new:
-                        col[r3] = (monomials.mul(mono3, mono2), new)
+                        col[r3] = new
                     else:
                         col.pop(r3, None)
             alive[p][c] = alive[p - 1][r] = False
@@ -553,12 +550,15 @@ def minimize(C: FreeComplex) -> FreeComplex:
         remap.append({old: perm[k] for k, old in enumerate(live)})
     while len(bases) > 1 and not bases[-1]:
         bases.pop()
+    units = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries
     diffs = []
     for p in range(1, len(bases)):
         level = [None] * len(bases[p])
         for old, new in remap[p].items():
-            level[new] = ModuleVector(n, {(remap[p - 1][r], mono): coeff
-                                          for r, (mono, coeff) in cols[p][old].items()})
+            level[new] = ModuleVector.from_terms(n, {
+                (remap[p - 1][r], tuple(map(operator.sub, degrees[p][old], degrees[p - 1][r]))):
+                    c if type(c) is Fraction else units.get(c) or Fraction(c)
+                for r, c in cols[p][old].items()})
         diffs.append(level)
     out = FreeComplex(n, bases, diffs)
     if not check_complex(out):
@@ -581,6 +581,13 @@ def check_complex(C: FreeComplex) -> bool:
     returns True at once.
     """
     return C._complex or _complex_rows(C) is not None
+
+
+def _read_rows(C: FreeComplex):
+    """check_complex's rows of C, or None; a complex it has marked is only read."""
+    if not C._complex:
+        return _complex_rows(C)
+    return [list(map(_scalar_row, C.differential(p))) for p in range(1, C.length + 1)]
 
 
 def _scalar_row(col: ModuleVector) -> dict:
@@ -628,47 +635,47 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     """Degreewise exactness in every multidegree, with the cokernel at level
     zero matching the module generated by module_gens.
 
-    It starts with check_complex; a complex checked before is only read.
-    The containment of d_1's columns in the module comes next: a column of
-    degree a is in the module when adding it to the module's rows active at
-    a leaves their linalg.exact_rank unchanged.
+    It starts with check_complex, whose rows are read again if it passed C
+    before.  The containment of d_1's columns in the module comes next: a
+    column of degree a is in the module when adding it to the module's rows
+    active at a leaves their linalg.exact_rank unchanged.
 
     Each slice is fixed by which module-generator and F_1..F_L basis
     degrees divide the degree, so walking their lcm closure decides every
-    degree (Gasharov-Peeva-Welker).  The module and each differential are
-    one Slices engine, and freemod.walk_closure takes them depth first down
-    the closure's parent tree, where a degree has every row its parent has,
-    so each rank reduces only the rows its ancestors did not.
+    degree (Gasharov-Peeva-Welker).  The module and each differential, its
+    rows with their basis degrees, are one Slices engine each, and
+    freemod.walk_closure takes them depth first down the closure's parent
+    tree, where a degree has every row its parent has, so each rank reduces
+    only the rows its ancestors did not.
 
     Each rank of a differential is reduced only until it meets its upper
     bound: rank d_1 at a is at most the module's rank at a, as d_1 maps into
-    the module, and rank d_{p+1} at most dim F_{p,a} - rank d_p, as
-    d o d = 0.  A rank that meets its bound equals it; a rank below its
-    bound after every row is a failure at that level, and the rows not
-    reduced wait for the children.  So every rank is exact.
+    the module, and rank d_{p+1} at most dim F_{p,a} - rank d_p, the active
+    rows of d_p less its rank, as d o d = 0.  A rank that meets its bound
+    equals it; a rank below its bound after every row is a failure at that
+    level, and the rows not reduced wait for the children.  So every rank
+    is exact.
 
     Failures are reported by their lex index in the closure: the first one
     with degrees_checked its index + 1, or, with exhaustive, every failing
     closure degree in lex order.
     """
-    if not check_complex(C):
+    rows = _read_rows(C)
+    if rows is None:
         return ExactnessReport(False, failures=[(-1, None)])
     if isinstance(module_gens, MonomialIdeal):
         if len(C.basis(0)) != 1:
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
-    module = Slices(module_gens, C.basis(0))
-    for j, col in enumerate(C.differential(1)):
+    module = Slices(*scalar_rows(module_gens, C.basis(0)), C.basis(0))
+    for j, row in enumerate(rows[0] if rows else ()):
         mask = module.active(C.basis(1).degree(j))
-        rows = [row for i, row in enumerate(module.rows) if mask >> i & 1]
-        if linalg.exact_rank(rows) != linalg.exact_rank(rows + [_scalar_row(col)]):
+        chosen = [r for i, r in enumerate(module.rows) if mask >> i & 1]
+        if linalg.exact_rank(chosen) != linalg.exact_rank(chosen + [row]):
             return ExactnessReport(False, failures=[(0, None)])
 
-    length = C.length
-    diffs = [Slices(C.differential(p), C.basis(p - 1)) for p in range(1, length + 1)]
-    # A zero column is never active in its engine, but counts in dim F_{p,a}.
-    zeros = [[C.basis(p).degree(j) for j, col in enumerate(C.differential(p)) if col.is_zero()]
-             for p in range(1, length + 1)]
+    diffs = [Slices(level, C.basis(p).degrees, C.basis(p - 1))
+             for p, level in enumerate(rows, start=1)]
 
     def failing_level(a):
         """First level whose slice at a is not exact, or None."""
@@ -679,11 +686,9 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
             if rank < bound:
                 return p
             bound = active.bit_count() - rank
-            for d in zeros[p]:
-                bound += monomials.divides(d, a)
-        return length if bound else None
+        return len(diffs) if bound else None
 
-    degrees = module.degrees + [d for p in range(1, length + 1) for d in C.basis(p).degrees]
+    degrees = module.degrees + [d for diff in diffs for d in diff.degrees]
     failures, size = walk_closure(degrees, C.n, [module] + diffs, failing_level, exhaustive)
     report = ExactnessReport(not failures, degrees_checked=size)
     if failures and not exhaustive:

@@ -279,6 +279,16 @@ class DegreeMasks:
         return mask
 
 
+def scalar_rows(vectors, basis: OrderedBasis):
+    """The scalar rows {position: coefficient} of the vectors and their
+    degrees, None for a zero vector; a mixed vector raises ValueError."""
+    vectors = list(vectors)
+    degrees = [multidegree_of(v, basis) for v in vectors]
+    if any(d is None and not v.is_zero() for v, d in zip(vectors, degrees)):
+        raise ValueError("slices need multihomogeneous vectors")
+    return [{pos: c for (pos, _), c in v.items()} for v in vectors], degrees
+
+
 class Slices:
     """Multidegree slices of the span of multihomogeneous vectors, reduced
     down a chain of degrees.
@@ -286,10 +296,10 @@ class Slices:
     The degree-a piece of F has one monomial, a / deg e_j, at each basis
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
-    Each row is stored once, as integers scaled by the lcm of its
-    denominators, which changes no rank, and a DegreeMasks finds the rows
-    whose degree divides a.  A zero vector has no degree and is never
-    active; any other vector that is not multihomogeneous raises ValueError.
+    The engine takes those rows and their degrees, as scalar_rows or a
+    checked complex gives them.  Each row is stored once, as integers scaled
+    by the lcm of its denominators, which changes no rank, and a DegreeMasks
+    finds the rows whose degree divides a.  A degree of None is never active.
 
     The engine keeps the pivots made on the current path and the mask of
     the rows already reduced there.  Down a chain of degrees, each a
@@ -297,16 +307,9 @@ class Slices:
     with linalg.eliminate, and mark and undo go back to an earlier point.
     """
 
-    def __init__(self, vectors, basis: OrderedBasis):
-        self.rows = []
-        known = []  # (index, degree) of every nonzero vector
-        for i, v in enumerate(vectors):
-            d = multidegree_of(v, basis)
-            if d is None and not v.is_zero():
-                raise ValueError("slices need multihomogeneous vectors")
-            self.rows.append(linalg.integer_row({pos: c for (pos, _), c in v.items()}))
-            if d is not None:
-                known.append((i, d))
+    def __init__(self, rows, degrees, basis: OrderedBasis):
+        self.rows = list(map(linalg.integer_row, rows))
+        known = [(i, d) for i, d in enumerate(degrees) if d is not None]
         self.degrees = [d for _, d in known]
         self._masks = DegreeMasks(known, basis.n, len(self.rows))
         self._positions = len(basis)
@@ -315,7 +318,7 @@ class Slices:
         self._made = []  # leading columns of the pivots, in the order made
 
     def active(self, a: Mono) -> int:
-        """Bitmask of the vectors whose degree divides a."""
+        """Bitmask of the rows whose degree divides a."""
         return self._masks.dividing(a)
 
     def reduce(self, active: int, bound: Optional[int] = None) -> int:

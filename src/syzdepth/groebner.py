@@ -29,6 +29,7 @@ from .freemod import (
     Term,
     add_multiple,
     leading_term,
+    scalar_rows,
     term_key,
     walk_closure,
 )
@@ -252,16 +253,16 @@ def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule):
     which generator degrees divide the degree, so freemod.walk_closure
     takes both engines down the lcm closure of those degrees.
     """
-    n = initial.basis.n
-    span = Slices(gens, initial.basis)
-    monomial = Slices([ModuleVector.generator(n, j, u)
-                       for j, ideal in enumerate(initial.components) for u in ideal.gens],
-                      initial.basis)
+    basis = initial.basis
+    units = [ModuleVector.generator(basis.n, j, u)
+             for j, ideal in enumerate(initial.components) for u in ideal.gens]
+    span = Slices(*scalar_rows(gens, basis), basis)
+    monomial = Slices(*scalar_rows(units, basis), basis)
 
     def differs(a):
         return True if span.reduce(span.active(a)) != monomial.reduce(monomial.active(a)) else None
 
-    failures, _ = walk_closure(span.degrees + monomial.degrees, n, [span, monomial], differs)
+    failures, _ = walk_closure(span.degrees + monomial.degrees, basis.n, [span, monomial], differs)
     return (False, failures[0][1]) if failures else (True, None)
 
 

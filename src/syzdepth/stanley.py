@@ -41,7 +41,8 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
     """Characteristic poset of I/J below the cap g.
 
     The default cap is the componentwise maximum of all generator exponents,
-    which is the smallest valid choice.
+    which is the smallest valid choice.  The points are those of the boxes
+    [u, g] of I's generators u that J does not contain.
     """
     n = I.n
     if J is not None:
@@ -59,11 +60,9 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
         for u in I.gens + (J.gens if J is not None else ()):
             if monomials.divide(g, u) is None:
                 raise ValueError(f"cap {g} does not dominate generator {u}")
-    points = []
-    for a in itertools.product(*(range(e + 1) for e in g)):
-        if I.contains(a) and (J is None or not J.contains(a)):
-            points.append(a)
-    return CharPoset(n, g, frozenset(points))
+    top = [e + 1 for e in g]
+    points = (a for u in I.gens for a in itertools.product(*map(range, u, top)))
+    return CharPoset(n, g, frozenset(a for a in points if J is None or not J.contains(a)))
 
 
 def interval_value(iv: Interval, g: Mono) -> int:
@@ -91,7 +90,7 @@ def validate_partition(P: CharPoset, intervals: Sequence[Interval]) -> None:
                 raise ValueError(f"point {pt} is covered twice")
             seen.add(pt)
     if seen != P.points:
-        missing = next(iter(P.points - seen))
+        missing = min(P.points - seen)
         raise ValueError(f"point {missing} is not covered")
 
 

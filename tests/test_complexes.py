@@ -31,7 +31,7 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth import complexes, linalg
+from syzdepth import complexes, freemod, linalg
 from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, add_multiple, multidegree_of
 from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
@@ -604,6 +604,17 @@ def path_odd_first(n):
 PATH7_ODD_FIRST = path_odd_first(7)
 
 
+def _rescale_basis(C, p, factors):
+    """The same complex after e_k in F_p becomes e_k / factors[k]: column k
+    of d_p is scaled by factors[k], and row k of d_{p+1} divided by it."""
+    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs[p - 1] = [col.scale(f) for col, f in zip(diffs[p - 1], factors)]
+    if p < C.length:
+        diffs[p] = [ModuleVector(C.n, {(k, mono): c / factors[k] for (k, mono), c in col.items()})
+                    for col in diffs[p]]
+    return FreeComplex(C.n, C.bases, diffs)
+
+
 @st.composite
 def minimize_inputs(draw):
     """Taylor, Eliahou-Kervaire or taylor_step_cone complexes on at most 6
@@ -628,6 +639,14 @@ def minimize_inputs(draw):
 @given(minimize_inputs())
 @example(taylor_complex(PATH7_ODD_FIRST, 7))
 @example(taylor_complex([X1, X2, X3], 3))
+# Two basis elements of F_4, then of F_3, rescaled by 3 and 1/7: units of
+# -3 and -1/7 in d_4 and of -1/3 and 7 in d_5, then of 3 in d_3 and 7 in
+# d_4.  Each unit other than 1 and -1 must be inverted as a Fraction: with
+# 1 / 7 as a float, both minimized complexes differ from the reference.
+@example(_rescale_basis(taylor_complex(PATH7_ODD_FIRST, 7), 4,
+                        [{13: 3, 14: Fraction(1, 7)}.get(k, 1) for k in range(15)]))
+@example(_rescale_basis(taylor_complex(PATH7_ODD_FIRST, 7), 3,
+                        [{13: 3, 7: Fraction(1, 7)}.get(k, 1) for k in range(20)]))
 def test_minimize_matches_the_rescanning_reference(C):
     assert "".join(complex_json(minimize(C))) == "".join(complex_json(reference_minimize(C)))
 
@@ -1078,17 +1097,6 @@ def _scale_level(C, p, factor):
 KOSZUL3_TWO_THIRDS = _scale_level(KOSZUL3, 2, Fraction(2, 3))
 
 
-def _rescale_basis(C, p, factors):
-    """The same complex after e_k in F_p becomes e_k / factors[k]: column k
-    of d_p is scaled by factors[k], and row k of d_{p+1} divided by it."""
-    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
-    diffs[p - 1] = [col.scale(f) for col, f in zip(diffs[p - 1], factors)]
-    if p < C.length:
-        diffs[p] = [ModuleVector(C.n, {(k, mono): c / factors[k] for (k, mono), c in col.items()})
-                    for col in diffs[p]]
-    return FreeComplex(C.n, C.bases, diffs)
-
-
 def test_check_complex_on_non_integral_coefficients():
     # d_2 with its columns scaled by 2/3 still composes to zero with d_1 and
     # d_3, and the complex stays exact; one entry moved by 1/7 breaks d o d.
@@ -1419,6 +1427,19 @@ def test_check_complex_runs_once_per_complex():
         assert full.call_count == 5
         assert check_exactness_on_box(M, MonomialIdeal(3, [X1, X2, X3])).ok
         assert full.call_count == 5
+
+
+def test_certificate_finds_each_column_degree_once():
+    # check_complex finds the degree of each nonzero column, and the engines
+    # of the differentials take the basis degrees, so only the module
+    # generators' degrees are found again.
+    C = _unchecked(taylor_complex(PATH7_ODD_FIRST, 7))
+    I = MonomialIdeal(7, PATH7_ODD_FIRST)
+    counter = mock.Mock(wraps=multidegree_of)
+    with mock.patch.object(freemod, "multidegree_of", counter), \
+            mock.patch.object(complexes, "multidegree_of", counter):
+        assert check_exactness_on_box(C, I).ok
+    assert counter.call_count == len(_nonzero_columns(C)) + len(I.gens) == 63 + 6
 
 
 MAXIMAL7 = [variable(i, 7) for i in range(7)]

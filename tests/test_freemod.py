@@ -13,6 +13,7 @@ from syzdepth.freemod import (
     Slices,
     leading_term,
     multidegree_of,
+    scalar_rows,
 )
 from syzdepth.monomials import unit
 
@@ -105,13 +106,13 @@ def test_slices_reject_mixed_vectors():
     gens = [ModuleVector(2, {(0, (1, 0)): Fraction(1)}),
             ModuleVector(2, {(0, (0, 1)): Fraction(1)})]
     # x2*(x1 e) and x1*(x2 e) are the same coordinate vector.
-    slices = Slices(gens, b)
+    slices = Slices(*scalar_rows(gens, b), b)
     assert slices.reduce(slices.active((1, 1))) == _brute_rank([[1], [1]]) == 1
-    slices = Slices(gens, b)
+    slices = Slices(*scalar_rows(gens, b), b)
     assert slices.reduce(slices.active((0, 0))) == 0
     mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (0, (0, 0)): Fraction(1)})
     with pytest.raises(ValueError, match="multihomogeneous"):
-        Slices([mixed], b)
+        scalar_rows([mixed], b)
 
 
 coeffs = st.integers(-3, 3)
@@ -228,7 +229,7 @@ def test_slice_rank_matches_coordinate_rank(pairs, a):
             multiples.append(v.scale(1, tuple(y - x for x, y in zip(d, a))))
     coords = sorted({key for w in multiples for key, _ in w.items()})
     expected = _brute_rank([[w.coefficient(*key) for key in coords] for w in multiples])
-    slices = Slices(vectors, basis)
+    slices = Slices(*scalar_rows(vectors, basis), basis)
     assert slices.reduce(slices.active(a)) == expected
 
 
@@ -253,14 +254,19 @@ def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
     # before: at every step the pivot count is the exact rank of the active
     # rows, or at least a bound it met, and undo restores the count of the
     # step above.  Zero vectors are never active; a mixed vector is refused.
+    # Zero rows given a degree, as a checked complex gives its zero columns,
+    # are active where their degree divides a and add nothing to the rank.
     basis = basis_of((1, 0), (0, 1), (0, 0))
     degrees = [multidegree_of(v, basis) for v in vectors]
     if any(d is None and not v.is_zero() for v, d in zip(vectors, degrees)):
         with pytest.raises(ValueError, match="multihomogeneous"):
-            Slices(vectors, basis)
+            scalar_rows(vectors, basis)
         return
-    slices = Slices(vectors, basis)
-    rows = [{pos: c for (pos, _), c in v.items()} for v in vectors]
+    zeros = data.draw(st.lists(monos, max_size=3))
+    vector_rows, vector_degrees = scalar_rows(vectors, basis)
+    slices = Slices(vector_rows + [{}] * len(zeros), vector_degrees + zeros, basis)
+    rows = [{pos: c for (pos, _), c in v.items()} for v in vectors] + [{}] * len(zeros)
+    degrees += zeros
     chain = []  # (degree, mark before its reduce, pivot count after)
     a = (0, 0)
     for _ in range(data.draw(st.integers(1, 10))):

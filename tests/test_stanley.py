@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -315,9 +316,9 @@ def test_exact_sdepth_starts_at_the_bound_above_every_point():
 
 
 @st.composite
-def small_posets(draw):
+def small_modules(draw):
     """Ideals I, quotients S/I and I/J with J inside I (n <= 4, exponents
-    <= 2 in I), under the default cap or a larger one."""
+    <= 2 in I), as the pair (I, J), J None for an ideal."""
     n = draw(st.sampled_from([1, 2, 3, 4]))
     mono = st.tuples(*[st.sampled_from([0, 1, 2])] * n)
     gens = draw(st.lists(mono.filter(any), min_size=1, max_size=4))
@@ -331,10 +332,45 @@ def small_posets(draw):
         J = MonomialIdeal(n, [tuple(a + b for a, b in zip(draw(st.sampled_from(I.gens)),
                                                           draw(shifts)))
                               for _ in range(draw(st.integers(1, 3)))])
+    return I, J
+
+
+@st.composite
+def small_posets(draw):
+    """The posets of small_modules, under the default cap or a larger one."""
+    I, J = draw(small_modules())
     P = char_poset(I, J)
     if draw(st.booleans()):
         P = char_poset(I, J, tuple(e + draw(st.integers(0, 1)) for e in P.cap))
     return P
+
+
+def reference_char_poset(I, J, g):
+    """The points of char_poset as it found them, by testing every point of
+    the box of g for membership in I and not in J."""
+    return frozenset(a for a in itertools.product(*(range(e + 1) for e in g))
+                     if I.contains(a) and (J is None or not J.contains(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_modules(), st.data())
+def test_char_poset_matches_the_box_walk(module, data):
+    # The points of the generators' boxes that J does not contain, under
+    # the default cap and under a cap raised by 0 or 1 in each coordinate.
+    I, J = module
+    P = char_poset(I, J)
+    raised = char_poset(I, J, tuple(e + data.draw(st.integers(0, 1)) for e in P.cap))
+    for Q in (P, raised):
+        assert Q.points == reference_char_poset(I, J, Q.cap)
+
+
+def test_char_poset_of_a_wide_cap_skips_the_box():
+    # Three planes of 301^2 points in a box of 301^3 points, found without
+    # a membership test: the box walk made 27.3 million of them.
+    gens = [(300, 0, 0), (0, 300, 0), (0, 0, 300)]
+    with mock.patch.object(MonomialIdeal, "contains", side_effect=AssertionError):
+        P = char_poset(MonomialIdeal(3, gens))
+    assert P.size == 3 * 301 ** 2 - 3 * 301 + 1 == 270901
 
 
 @settings(max_examples=150, deadline=None)

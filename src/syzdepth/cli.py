@@ -42,7 +42,7 @@ from .complexes import (
 )
 from .groebner import hilbert_slice_check
 from .monomials import Mono, MonomialIdeal
-from .stanley import SearchRefused, char_poset, exact_sdepth, filtration_lower_bound
+from .stanley import SearchRefused, char_poset_under_limit, exact_sdepth, filtration_lower_bound
 from .syzygy import boundary_leading_terms, lex_refined_initial, verify_boundary_gb
 from .verify import THEOREMS, VerifyJob, run_verify_job
 
@@ -275,9 +275,10 @@ def cmd_sdepth(args) -> int:
         raise InputError("--p needs --mode filtration-bound")
     I, ordered = load_ideal(args.input)
     if args.mode == "exact":
-        poset = char_poset(MonomialIdeal(I.n, [monomials.unit(I.n)]), I) \
-            if args.quotient else char_poset(I)
+        # S/I is the unit ideal over I.
+        ideals = (MonomialIdeal(I.n, [monomials.unit(I.n)]), I) if args.quotient else (I,)
         try:
+            poset = char_poset_under_limit(*ideals)
             result = exact_sdepth(poset)
         except SearchRefused as exc:
             raise InputError(f"{exc}; use the filtration or squarefree lower bounds "

@@ -1,11 +1,12 @@
 """Multigraded free complexes: Taylor, mapping cones, Eliahou-Kervaire.
 
-A complex stores one ordered basis per homological degree and the columns of
-each differential as module vectors.  Homological degree 0 is the target free
-module; for an ideal I the complex of the sequence u_1..u_m has F_0 = S and
-the p-th syzygy module Z_p is the image of the (p+1)-st differential, so
-Z_0 = I.  Exactness is certified degreewise on the lcm closure of the basis
-and module-generator degrees, which decides it in every multidegree.
+A complex stores one ordered basis per homological degree and the scalar
+rows of each differential; the columns as module vectors are a view made on
+read.  Homological degree 0 is the target free module; for an ideal I the
+complex of the sequence u_1..u_m has F_0 = S and the p-th syzygy module Z_p
+is the image of the (p+1)-st differential, so Z_0 = I.  Exactness is
+certified degreewise on the lcm closure of the basis and module-generator
+degrees, which decides it in every multidegree.
 """
 
 from __future__ import annotations
@@ -37,50 +38,55 @@ from .monomials import Mono, MonomialIdeal
 class FreeComplex:
     """A chain of free modules F_L -> ... -> F_1 -> F_0 with exact coefficients.
 
-    Level p is the basis of F_p and the columns of d_p.  A complex built by
-    _made_on_read makes each level the first time basis, differential or
-    bases reads it and keeps it; length, rank and ranks read no level.
-    _complex is set once check_complex has passed it, and a later check
-    returns at once.
+    Level p is the basis of F_p and the scalar rows of d_p: per column, a
+    dict {row: coefficient} of nonzero entries, ints where integral, whose
+    entry c in row r is the term c x^(deg e_j - deg e_r) of the column of
+    e_j, as in a cellular resolution (Bayer-Sturmfels; Miller-Sturmfels,
+    Ch. 4).  differential(p), the columns as ModuleVectors, is a view made
+    from the rows when first read.  Taylor, minimize and the cone step
+    write rows through _made_on_read, which makes each level when basis,
+    differential or bases first reads it; length, rank and ranks read no
+    level.  The constructor is the one entry point for ModuleVector
+    columns, kept as the view; check_complex reads their rows, and marks
+    (_complex) a complex that passes, so that a later check returns at once.
     """
 
-    __slots__ = ("n", "ranks", "_levels", "_make_level", "_complex")
+    __slots__ = ("n", "ranks", "_levels", "_views", "_make_level", "_complex")
 
     def __init__(self, n: int, bases: Sequence[OrderedBasis],
                  differentials: Sequence[Sequence[ModuleVector]]):
         bases = tuple(bases)
         if len(differentials) != max(len(bases) - 1, 0):
             raise ValueError("need one differential per positive homological degree")
-        levels = [(bases[0], ())] if bases else []
+        self._views = {}
         for p, cols in enumerate(differentials, start=1):
-            cols = tuple(cols)
+            cols = self._views[p] = tuple(cols)
             if len(cols) != len(bases[p]):
                 raise ValueError(f"differential {p} has {len(cols)} columns, "
                                  f"expected {len(bases[p])}")
-            levels.append((bases[p], cols))
         self.n = n
         self.ranks = tuple(map(len, bases))
-        self._levels = levels
+        # No rows until check_complex reads them from the columns.
+        self._levels = [(basis, None) for basis in bases]
         self._make_level = None
         self._complex = False
 
     @classmethod
     def _made_on_read(cls, n: int, ranks: Sequence[int], make_level):
         """The complex whose level p is make_level(p), made when first read:
-        the basis of F_p and the columns of d_p, ranks[p] of each (no
-        columns at p = 0)."""
-        C = cls.__new__(cls)
-        C.n = n
+        the basis of F_p and the rows of d_p, ranks[p] of each; d_0 is the
+        zero map, one empty row per basis element."""
+        C = cls(n, (), ())
         C.ranks = tuple(ranks)
         C._levels = [None] * len(C.ranks)
         C._make_level = make_level
-        C._complex = False
         return C
 
-    def _make(self, p: int):
-        """Make level p and keep it; a negative p counts from the top, as
-        it does for a list."""
-        level = self._levels[p] = self._make_level(p % len(self._levels))
+    def _level(self, p: int):
+        """Level p, made on first read; a negative p counts from the top."""
+        level = self._levels[p]
+        if level is None:
+            level = self._levels[p] = self._make_level(p % len(self._levels))
         return level
 
     @property
@@ -89,19 +95,26 @@ class FreeComplex:
 
     @property
     def bases(self):
-        return tuple((level or self._make(p))[0] for p, level in enumerate(self._levels))
+        return tuple(self.basis(p) for p in range(len(self.ranks)))
 
     def basis(self, p: int) -> OrderedBasis:
-        return (self._levels[p] or self._make(p))[0]
+        return self._level(p)[0]
 
     def rank(self, p: int) -> int:
         return self.ranks[p] if 0 <= p <= self.length else 0
 
     def differential(self, p: int):
         """Columns of the map F_p -> F_{p-1}; empty beyond the length."""
-        if 1 <= p <= self.length:
-            return (self._levels[p] or self._make(p))[1]
-        return ()
+        if not 1 <= p <= self.length:
+            return ()
+        view = self._views.get(p)
+        if view is None:
+            basis, rows = self._level(p)
+            target = self.basis(p - 1).degrees
+            view = self._views[p] = tuple(ModuleVector.from_terms(self.n, {
+                (r, tuple(map(operator.sub, d, target[r]))): _UNITS.get(c) or Fraction(c)
+                for r, c in row.items()}) for row, d in zip(rows, basis.degrees))
+        return view
 
     def apply(self, p: int, v: ModuleVector) -> ModuleVector:
         """Image of v in F_p under the p-th differential."""
@@ -111,17 +124,15 @@ class FreeComplex:
         return f"FreeComplex(n={self.n}, ranks={self.ranks})"
 
 
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries of views
+
+
 def apply_columns(columns, v: ModuleVector, n: int) -> ModuleVector:
     """Image of v under the map sending e_j to columns[j]."""
-    return ModuleVector(n, _image_terms(columns, v))
-
-
-def _image_terms(columns, v: ModuleVector) -> dict:
-    """The terms of apply_columns, summed in one dict with zeros dropped."""
     out = {}
     for (pos, mono), coeff in v.items():
         add_multiple(out, columns[pos].items(), coeff, mono)
-    return out
+    return ModuleVector(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,6 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
     labels = {0: frozenset()}
     position = {0: 0}
     bits = [1 << i for i in reversed(range(m))]
-    signs = (Fraction(1), Fraction(-1))
 
     def make_level(p):
         while len(levels) <= p:
@@ -178,23 +188,14 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
             levels.append(level)
         level = levels[p]
         basis = OrderedBasis(n, [BasisElement(lcms[F], labels[F]) for F in level])
-        cols = []
-        for F in level if p else ():
-            # One term per face F - {i}, for the elements i of F in
-            # increasing order; lcm(F - {i}) divides lcm(F), so the quotient
-            # needs no check, and the faces' positions differ.
-            degree = lcms[F]
-            terms = {}
-            rest = F
-            j = 0
-            while rest:
-                low = rest & -rest
-                face = F ^ low
-                terms[position[face], tuple(map(operator.sub, degree, lcms[face]))] = signs[j & 1]
-                rest ^= low
-                j += 1
-            cols.append(ModuleVector.from_terms(n, terms))
-        return basis, tuple(cols)
+        rows = []
+        for F in level:
+            # One entry per face F - {i}, for the elements i of F in
+            # increasing order with alternating signs from 1; lcm(F - {i})
+            # divides lcm(F), and the faces' positions differ.
+            faces = [F ^ bit for bit in reversed(bits) if F & bit]
+            rows.append({position[face]: -1 if j & 1 else 1 for j, face in enumerate(faces)})
+        return basis, rows
 
     return FreeComplex._made_on_read(n, [math.comb(m, p) for p in range(m + 1)], make_level)
 
@@ -434,10 +435,10 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
         raise ValueError("expected a rank-one module in homological degree 0")
     n = F.n
     T = taylor_complex(colon_gens, n)
-    G = FreeComplex(n, [OrderedBasis(n, (BasisElement(monomials.mul(e.degree, u), e.label)
-                                         for e in basis))
-                        for basis in T.bases],
-                    [T.differential(p) for p in range(1, T.length + 1)])
+    # A degree shift changes no row, so G is T's rows on shifted bases.
+    G = FreeComplex._made_on_read(n, T.ranks, lambda p: (
+        OrderedBasis(n, (BasisElement(monomials.mul(e.degree, u), e.label) for e in T.basis(p))),
+        T._level(p)[1]))
     phi_columns = [[ModuleVector(n, {(0, u): Fraction(1)})]]
     for i in range(1, G.length + 1):
         phi_columns.append([lift_through(F, i, apply_columns(phi_columns[i - 1], col, n))
@@ -497,30 +498,31 @@ def is_minimal(C: FreeComplex) -> bool:
 def minimize(C: FreeComplex) -> FreeComplex:
     """Cancel unit entries until every entry lies in the maximal ideal.
 
-    Each column of d_p is a copy of check_complex's scalar row {row: coeff},
-    whose entry in row r has the monomial deg e_c / deg e_r, a unit when the
-    degrees are equal; the result's monomials are made at the end.  A unit
-    lam in row r of column c is cancelled by the Schur complement: every
-    other live column with an entry in row r loses (entry / lam) times
-    column c, which clears its row r.  Then column c leaves d_p, column r
-    leaves d_{p-1}, and row c leaves d_{p+1}, where d o d = 0 has made it
-    zero.  The search resumes at column c of d_p: a new unit in an earlier
-    column would need that column to hold a unit in row r, which the search
-    would have met first.  So the cancellations come in the order of a
-    search that starts again at d_1 after each one.  Every column the cursor
-    meets is live: a column of d_p dies as a pivot behind the cursor, or as
-    the row of a cancellation in d_{p+1}, which comes later.  Basis degrees
-    survive; each level of the result is re-sorted lex-refined.
+    It runs on copies of check_complex's rows of C: the entry in row r of
+    column c of d_p has the monomial deg e_c / deg e_r, a unit when the
+    degrees are equal.  A unit lam in row r of column c is cancelled by the
+    Schur complement: every other live column with an entry in row r loses
+    (entry / lam) times column c, which clears its row r.  Then column c
+    leaves d_p, column r leaves d_{p-1}, and row c leaves d_{p+1}, where
+    d o d = 0 has made it zero.  The search resumes at column c of d_p: a
+    new unit in an earlier column would need that column to hold a unit in
+    row r, which the search would have met first.  So the cancellations come
+    in the order of a search that starts again at d_1 after each one.  Every
+    column the cursor meets is live: a column of d_p dies as a pivot behind
+    the cursor, or as the row of a cancellation in d_{p+1}, which comes
+    later.  Basis degrees survive; each level of the result is re-sorted
+    lex-refined, and its rows renumbered.
     """
     rows = _read_rows(C)
     if rows is None:
         raise RuntimeError("minimization needs d o d = 0 and multihomogeneous "
                            "columns; the input was not a complex")
-    cols, n, length = [None] + rows, C.n, C.length
-    degrees = [C.basis(p).degrees for p in range(length + 1)]
+    # The rows are C's own, so the cancellations run on copies; d_0 is zero.
+    cols = [[{}] * C.rank(0)] + [list(map(dict, level)) for level in rows]
+    n, length = C.n, C.length
     alive = [[True] * C.rank(p) for p in range(length + 1)]
     for p in range(1, length + 1):
-        source, target = degrees[p], degrees[p - 1]
+        source, target = C.basis(p).degrees, C.basis(p - 1).degrees
         for c, pivot in enumerate(cols[p]):
             r = next((r for r in pivot if target[r] == source[c]), None)
             if r is None:
@@ -542,25 +544,20 @@ def minimize(C: FreeComplex) -> FreeComplex:
                 for col in cols[p + 1]:
                     col.pop(c, None)
 
-    bases, remap = [], []
+    levels, remap = [], []
     for p in range(length + 1):
         live = [i for i in range(C.rank(p)) if alive[p][i]]
         basis, perm = OrderedBasis(n, (C.basis(p).elements[i] for i in live)).sort_lex_refined()
-        bases.append(basis)
         remap.append({old: perm[k] for k, old in enumerate(live)})
-    while len(bases) > 1 and not bases[-1]:
-        bases.pop()
-    units = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries
-    diffs = []
-    for p in range(1, len(bases)):
-        level = [None] * len(bases[p])
+        rows = [None] * len(basis)
         for old, new in remap[p].items():
-            level[new] = ModuleVector.from_terms(n, {
-                (remap[p - 1][r], tuple(map(operator.sub, degrees[p][old], degrees[p - 1][r]))):
-                    c if type(c) is Fraction else units.get(c) or Fraction(c)
-                for r, c in cols[p][old].items()})
-        diffs.append(level)
-    out = FreeComplex(n, bases, diffs)
+            # An integral entry is kept as an int, as check_complex reads it.
+            rows[new] = {remap[p - 1][r]: c.numerator if c.denominator == 1 else c
+                         for r, c in cols[p][old].items()}
+        levels.append((basis, rows))
+    while len(levels) > 1 and not levels[-1][0]:
+        levels.pop()
+    out = FreeComplex._made_on_read(n, [len(basis) for basis, _ in levels], levels.__getitem__)
     if not check_complex(out):
         raise RuntimeError("minimization broke the complex property")
     return out
@@ -569,56 +566,56 @@ def minimize(C: FreeComplex) -> FreeComplex:
 def check_complex(C: FreeComplex) -> bool:
     """d composed with d vanishes and every column is multihomogeneous.
 
-    The multidegree check of each level comes first: a nonzero column of
-    d_p has the degree of its basis element e_j, so its term at position r
-    is x^(deg e_j - deg e_r).  Then every term of d_{p-1}(d_p(e_j)) at
-    position s has the monomial x^(deg e_j - deg e_s), and d o d vanishes
-    exactly when the coefficient matrices multiply to zero: the sums run on
-    positions only, with no monomial built.  Each integral coefficient is
-    read as an int and the others stay Fractions, so the sums are exact; no
-    row is scaled to integers, as a scale per column would change the
-    product.  A complex that passes is marked, and checking it again
-    returns True at once.
+    Two tests run on the rows of each level.  First, every entry's row
+    degree divides its column degree, so the entry in row r of the column of
+    e_j is a term x^(deg e_j - deg e_r); columns given to the constructor are
+    read by scalar_rows, and a nonzero one must have the degree of its basis
+    element.  Then every term of d_{p-1}(d_p(e_j)) at position s has the
+    monomial x^(deg e_j - deg e_s), and d o d vanishes exactly when the
+    coefficient matrices multiply to zero: the sums run on positions only,
+    with no monomial built.  Each integral coefficient is an int and the
+    others are Fractions, so the sums are exact; no row is scaled to
+    integers, as a scale per column would change the product.  A complex
+    that passes is marked, and checking it again returns True at once.
     """
     return C._complex or _complex_rows(C) is not None
 
 
 def _read_rows(C: FreeComplex):
-    """check_complex's rows of C, or None; a complex it has marked is only read."""
+    """check_complex's rows of C, or None; a complex it has marked keeps them."""
     if not C._complex:
         return _complex_rows(C)
-    return [list(map(_scalar_row, C.differential(p))) for p in range(1, C.length + 1)]
-
-
-def _scalar_row(col: ModuleVector) -> dict:
-    """The column as {position: coefficient}, each integral coefficient read
-    as an int, its numerator, and the others kept as Fractions."""
-    return {pos: c.numerator if c.denominator == 1 else c for (pos, _), c in col.items()}
+    return [C._level(p)[1] for p in range(1, C.length + 1)]
 
 
 def _complex_rows(C: FreeComplex):
     """The check of check_complex, which marks a complex that passes: the
-    columns of d_1..d_L as _scalar_rows, level p at index p - 1, or None
-    when C is not a complex."""
-    rows = []
+    rows of d_1..d_L, level p at index p - 1, or None when C is not a
+    complex.  A level keeps the rows read from its columns once they pass."""
+    rows, below = [], [{}] * C.rank(0)  # d_0 is zero
     for p in range(1, C.length + 1):
-        target, degrees = C.basis(p - 1), C.basis(p).degrees
-        level = []
-        for j, col in enumerate(C.differential(p)):
-            if not col.is_zero() and multidegree_of(col, target) != degrees[j]:
+        (basis, level), tops = C._level(p), C.basis(p - 1).degrees
+        if level is None:
+            try:
+                level, found = scalar_rows(C.differential(p), C.basis(p - 1))
+            except ValueError:  # a column that is not multihomogeneous
                 return None
-            level.append(_scalar_row(col))
-        if rows:
-            below = rows[-1]
-            for col in level:
-                image = {}
-                for r, coeff in col.items():
-                    for s, c in below[r].items():
-                        old = image.get(s)
-                        image[s] = coeff * c if old is None else old + coeff * c
-                if any(image.values()):
-                    return None
+            if any(d not in (None, e) for d, e in zip(found, basis.degrees)):
+                return None
+            C._levels[p] = (basis, level)
+        for row, degree in zip(level, basis.degrees):
+            if not all(all(map(operator.le, tops[r], degree)) for r in row):
+                return None
+        for col in level:
+            image = {}
+            for r, coeff in col.items():
+                for s, c in below[r].items():
+                    old = image.get(s)
+                    image[s] = coeff * c if old is None else old + coeff * c
+            if any(image.values()):
+                return None
         rows.append(level)
+        below = level
     C._complex = True
     return rows
 
@@ -635,7 +632,7 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     """Degreewise exactness in every multidegree, with the cokernel at level
     zero matching the module generated by module_gens.
 
-    It starts with check_complex, whose rows are read again if it passed C
+    It starts with check_complex, whose rows C keeps if it passed C
     before.  The containment of d_1's columns in the module comes next: a
     column of degree a is in the module when adding it to the module's rows
     active at a leaves their linalg.exact_rank unchanged.

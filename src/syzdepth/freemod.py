@@ -280,13 +280,15 @@ class DegreeMasks:
 
 
 def scalar_rows(vectors, basis: OrderedBasis):
-    """The scalar rows {position: coefficient} of the vectors and their
-    degrees, None for a zero vector; a mixed vector raises ValueError."""
+    """The scalar rows {position: coefficient} of the vectors, integral
+    coefficients read as ints, and their degrees, None for a zero vector; a
+    mixed vector raises ValueError."""
     vectors = list(vectors)
     degrees = [multidegree_of(v, basis) for v in vectors]
     if any(d is None and not v.is_zero() for v, d in zip(vectors, degrees)):
         raise ValueError("slices need multihomogeneous vectors")
-    return [{pos: c for (pos, _), c in v.items()} for v in vectors], degrees
+    return [{pos: c.numerator if c.denominator == 1 else c for (pos, _), c in v.items()}
+            for v in vectors], degrees
 
 
 class Slices:

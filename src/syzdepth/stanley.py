@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -52,9 +53,7 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
             if not I.contains(u):
                 raise ValueError(f"J is not contained in I: generator {u}")
     if g is None:
-        g = I.lcm_exponent()
-        if J is not None:
-            g = monomials.lcm(g, J.lcm_exponent())
+        g = _default_cap(I, J)
     else:
         g = tuple(g)
         for u in I.gens + (J.gens if J is not None else ()):
@@ -63,6 +62,41 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
     top = [e + 1 for e in g]
     points = (a for u in I.gens for a in itertools.product(*map(range, u, top)))
     return CharPoset(n, g, frozenset(a for a in points if J is None or not J.contains(a)))
+
+
+def _default_cap(I: MonomialIdeal, J: Optional[MonomialIdeal]) -> Mono:
+    g = I.lcm_exponent()
+    return g if J is None else monomials.lcm(g, J.lcm_exponent())
+
+
+def poset_size(I: MonomialIdeal, J: Optional[MonomialIdeal] = None) -> int:
+    """len(char_poset(I, J).points) for J inside I, with no point listed.
+
+    Under the default cap g, which dominates every generator, the points of
+    I/J are those of the box of g outside J less those outside I; J = None
+    has no generator.  outside(gens, k) counts the points of the box of g's
+    first k coordinates that none of gens, cut to those coordinates,
+    divides: none when one of them is zero, the box less the points above a
+    single one, and otherwise the sum over slabs of the box cut on
+    coordinate k at the generators' exponents there, as every point of the
+    slab from one cut up to the next is divided by the same generators,
+    those at or below the cut.
+    """
+    g = _default_cap(I, J)
+
+    def outside(gens: set, k: int) -> int:
+        box = math.prod([e + 1 for e in g[:k]])
+        if (0,) * k in gens:
+            return 0
+        if len(gens) < 2:
+            return box - sum(math.prod([e - a + 1 for a, e in zip(u, g)]) for u in gens)
+        cuts = sorted({u[-1] for u in gens}) + [g[k - 1] + 1]
+        count = cuts[0] * (box // (g[k - 1] + 1))
+        for low, high in zip(cuts, cuts[1:]):
+            count += (high - low) * outside({u[:-1] for u in gens if u[-1] <= low}, k - 1)
+        return count
+
+    return outside(set(() if J is None else J.gens), I.n) - outside(set(I.gens), I.n)
 
 
 def interval_value(iv: Interval, g: Mono) -> int:
@@ -105,6 +139,21 @@ class SearchRefused(ValueError):
     """The exact search refused a poset at the point limit or the node budget."""
 
 
+def check_point_limit(size: int) -> None:
+    """Refuse a poset of size points above POINT_LIMIT."""
+    if size > POINT_LIMIT:
+        raise SearchRefused(f"poset has {size} points, above the limit {POINT_LIMIT}")
+
+
+def char_poset_under_limit(I: MonomialIdeal, J: Optional[MonomialIdeal] = None) -> CharPoset:
+    """char_poset(I, J) for J inside I, refused above POINT_LIMIT points
+    before any point is listed: a poset whose cap's box holds more points
+    is counted first."""
+    if math.prod(e + 1 for e in _default_cap(I, J)) > POINT_LIMIT:
+        check_point_limit(poset_size(I, J))
+    return char_poset(I, J)
+
+
 class SdepthResult(NamedTuple):
     value: int
     partition: tuple  # tuple of Interval
@@ -126,8 +175,7 @@ def exact_sdepth(P: CharPoset) -> SdepthResult:
     visits more than SEARCH_NODE_LIMIT nodes, or a poset above POINT_LIMIT,
     raises SearchRefused.
     """
-    if P.size > POINT_LIMIT:
-        raise SearchRefused(f"poset has {P.size} points, above the limit {POINT_LIMIT}")
+    check_point_limit(P.size)
     if not P.points:
         return SdepthResult(P.n, ())
     tops = _CandidateTops(P)

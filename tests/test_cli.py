@@ -397,6 +397,20 @@ def test_exact_point_limit_exits_2(ideal_file, capsys):
     assert "above the limit" in captured.err
 
 
+def test_exact_quotient_is_refused_before_its_points_are_listed(ideal_file, capsys):
+    # S/I of (x1^300, x2^300, x3^300) is the 300^3 points below (300, 300, 300)
+    # that no generator divides.  They are counted, so no membership test runs;
+    # listing them would make 27.3 million.
+    cap = {"n": 3, "generators": [[300, 0, 0], [0, 300, 0], [0, 0, 300]]}
+    with mock.patch.object(MonomialIdeal, "contains", side_effect=AssertionError):
+        code = main(["sdepth", "--input", ideal_file(cap), "--mode", "exact", "--quotient"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: poset has 27000000 points, above the limit 512; use the "
+                            "filtration or squarefree lower bounds instead\n")
+
+
 # ---------------------------------------------------------------------------
 # The output writer, and CLI calls on edge-case ideals
 

@@ -199,7 +199,7 @@ def test_taylor_levels_are_made_on_first_read(case, data):
             else:
                 assert_same_columns(C, R, p)
                 if p:
-                    levels.add(p)
+                    levels.update((p - 1, p))
             assert made.call_count == len(levels)
         assert [b.degrees for b in C.bases] == [b.degrees for b in R.bases]
         assert made.call_count == m + 1
@@ -671,6 +671,69 @@ def test_minimize_rejects_two_terms_in_one_row():
                       ModuleVector(1, {(0, (0,)): Fraction(1), (0, (1,)): Fraction(1)})]])
     with pytest.raises(RuntimeError, match="the input was not a complex"):
         minimize(C)
+
+
+def _typed_rows(rows):
+    """Each level's rows as lists of (row, coefficient, type), in dict order."""
+    return [[[(r, c, type(c)) for r, c in row.items()] for row in level] for level in rows]
+
+
+def _view_items(C):
+    return [[list(col.items()) for col in C.differential(p)] for p in range(1, C.length + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(minimize_inputs())
+@example(taylor_complex(PATH7_ODD_FIRST, 7))
+@example(_rescale_basis(taylor_complex(PATH7_ODD_FIRST, 7), 4,
+                        [{13: 3, 14: Fraction(1, 7)}.get(k, 1) for k in range(15)]))
+def test_minimize_leaves_its_input_unchanged(C):
+    # A checked complex keeps its rows, and minimize cancels on copies of
+    # them: its input reads the same after it, and a second call gives the
+    # same complex.
+    rows = _typed_rows(complexes._read_rows(C))
+    views, text = _view_items(C), "".join(complex_json(C))
+    first = "".join(complex_json(minimize(C)))
+    assert _typed_rows(complexes._read_rows(C)) == rows
+    assert _view_items(C) == views
+    assert "".join(complex_json(C)) == text
+    assert "".join(complex_json(minimize(C))) == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(minimize_inputs(), st.booleans())
+@example(taylor_complex(PATH7_ODD_FIRST, 7), True)
+@example(_rescale_basis(taylor_complex(PATH7_ODD_FIRST, 7), 4,
+                        [{13: 3, 14: Fraction(1, 7)}.get(k, 1) for k in range(15)]), True)
+def test_rows_read_back_through_the_view_and_the_constructor(C, minimized):
+    # rows -> view -> FreeComplex(n, bases, views) -> rows is the identity,
+    # the order of the entries and their int and Fraction types included.
+    if minimized:
+        C = minimize(C)
+    rows = complexes._read_rows(C)
+    views = [C.differential(p) for p in range(1, C.length + 1)]
+    assert _typed_rows(complexes._read_rows(FreeComplex(C.n, C.bases, views))) == \
+        _typed_rows(rows)
+
+
+def test_check_complex_tests_that_row_degrees_divide_column_degrees():
+    # Levels 0..2 of the Taylor complex of x1, x2, x3, with the entry of d_2
+    # in row e_1 of the column of e_12 moved to row e_3.  d_1 o d_2 still
+    # sums to zero on positions, as every column of d_1 is 1 in F_0's one
+    # row, but x3 does not divide x1 x2: the column would need x3^-1.
+    T = taylor_complex([X1, X2, X3], 3)
+    position = {e.label: i for p in (1, 2) for i, e in enumerate(T.basis(p))}
+    moved = [dict(row) for row in T._level(2)[1]]
+    column = moved[position[frozenset({1, 2})]]
+    column[position[frozenset({3})]] = column.pop(position[frozenset({1})])
+    levels = [T._level(0), T._level(1), (T.basis(2), moved)]
+    C = FreeComplex._made_on_read(3, T.ranks[:3], levels.__getitem__)
+    assert check_complex(FreeComplex._made_on_read(3, T.ranks[:3],
+                                                   [T._level(p) for p in range(3)].__getitem__))
+    assert not check_complex(C)
+    with pytest.raises(RuntimeError, match="the input was not a complex"):
+        minimize(C)
+    assert check_exactness_on_box(C, MonomialIdeal(3, [X1, X2, X3])).failures == [(-1, None)]
 
 
 def test_exactness_examples():

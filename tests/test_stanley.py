@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from syzdepth import stanley
 from syzdepth.complexes import syzygy_generators, taylor_complex
 from syzdepth.groebner import initial_module
 from syzdepth.syzygy import lex_refined_initial
@@ -11,13 +12,16 @@ from syzdepth.monomials import MonomialIdeal, unit
 from syzdepth.stanley import (
     CharPoset,
     Interval,
+    SearchRefused,
     char_poset,
+    char_poset_under_limit,
     exact_sdepth,
     filtration_lower_bound,
     ideal_sdepth,
     interval_points,
     interval_value,
     partition_to_decomposition,
+    poset_size,
     validate_partition,
     verify_decomposition,
 )
@@ -371,6 +375,33 @@ def test_char_poset_of_a_wide_cap_skips_the_box():
     with mock.patch.object(MonomialIdeal, "contains", side_effect=AssertionError):
         P = char_poset(MonomialIdeal(3, gens))
     assert P.size == 3 * 301 ** 2 - 3 * 301 + 1 == 270901
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_modules())
+@example((MonomialIdeal(3, [unit(3)]), MonomialIdeal(3, [(9, 0, 0), (0, 9, 0), (0, 0, 9)])))
+@example((MonomialIdeal(3, [(4, 1, 0), (0, 3, 2), (2, 0, 5)]),
+          MonomialIdeal(3, [(4, 3, 2), (6, 1, 1), (2, 2, 5)])))
+@example((MonomialIdeal(2, [(1, 1)]), MonomialIdeal(2, [(1, 1)])))
+def test_poset_size_counts_the_points_of_char_poset(module):
+    I, J = module
+    assert poset_size(I, J) == len(char_poset(I, J).points)
+
+
+def test_char_poset_under_limit_counts_only_a_box_above_the_limit():
+    S = MonomialIdeal(2, [unit(2)])
+    with mock.patch.object(stanley, "poset_size", wraps=poset_size) as count:
+        # A box of 301^2 points holding a poset of one point is counted.
+        thin = MonomialIdeal(2, [(300, 300)])
+        assert char_poset_under_limit(thin) == char_poset(thin)
+        assert count.call_count == 1
+        # A box of 12 points holds no poset above the limit.
+        small = MonomialIdeal(2, [(2, 1), (0, 3)])
+        assert char_poset_under_limit(S, small) == char_poset(S, small)
+        assert count.call_count == 1
+    with mock.patch.object(MonomialIdeal, "contains", side_effect=AssertionError), \
+            pytest.raises(SearchRefused, match="^poset has 600 points, above the limit 512$"):
+        char_poset_under_limit(S, MonomialIdeal(2, [(2, 0), (0, 300)]))
 
 
 @settings(max_examples=150, deadline=None)

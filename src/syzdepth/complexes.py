@@ -1,12 +1,12 @@
 """Multigraded free complexes: Taylor, mapping cones, Eliahou-Kervaire.
 
 A complex stores one ordered basis per homological degree and the scalar
-rows of each differential; the columns as module vectors are a view made on
-read.  Homological degree 0 is the target free module; for an ideal I the
-complex of the sequence u_1..u_m has F_0 = S and the p-th syzygy module Z_p
-is the image of the (p+1)-st differential, so Z_0 = I.  Exactness is
-certified degreewise on the lcm closure of the basis and module-generator
-degrees, which decides it in every multidegree.
+rows of each differential, mapping cones included; the columns as module
+vectors are a view.  Homological degree 0 is the target free module; for
+an ideal I the complex of the sequence u_1..u_m has F_0 = S and the p-th
+syzygy module Z_p is the image of the (p+1)-st differential, so Z_0 = I.
+Exactness is certified degreewise on the lcm closure of the basis and
+module-generator degrees, which decides it in every multidegree.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .freemod import (
     leading_term,
     multidegree_of,
     scalar_rows,
+    unit_rows,
     walk_closure,
 )
 from .groebner import _divide, _tagged_groebner, normal_form
@@ -42,13 +43,13 @@ class FreeComplex:
     dict {row: coefficient} of nonzero entries, ints where integral, whose
     entry c in row r is the term c x^(deg e_j - deg e_r) of the column of
     e_j, as in a cellular resolution (Bayer-Sturmfels; Miller-Sturmfels,
-    Ch. 4).  differential(p), the columns as ModuleVectors, is a view made
-    from the rows when first read.  Taylor, minimize and the cone step
-    write rows through _made_on_read, which makes each level when basis,
-    differential or bases first reads it; length, rank and ranks read no
-    level.  The constructor is the one entry point for ModuleVector
-    columns, kept as the view; check_complex reads their rows, and marks
-    (_complex) a complex that passes, so that a later check returns at once.
+    Ch. 4).  The constructor reads its ModuleVector columns into rows by
+    scalar_rows and keeps the columns as the view; it refuses (ValueError)
+    a column that is not multihomogeneous of its basis element's degree.
+    Taylor, minimize and mapping_cone write rows through _made_on_read,
+    which makes each level when first read; their view, differential(p), is
+    made from the rows when first read.  check_complex marks (_complex) a
+    complex that passes, so that a later check returns at once.
     """
 
     __slots__ = ("n", "ranks", "_levels", "_views", "_make_level", "_complex")
@@ -59,15 +60,23 @@ class FreeComplex:
         if len(differentials) != max(len(bases) - 1, 0):
             raise ValueError("need one differential per positive homological degree")
         self._views = {}
+        self._levels = [(bases[0], [{}] * len(bases[0]))] if bases else []  # d_0 is zero
         for p, cols in enumerate(differentials, start=1):
             cols = self._views[p] = tuple(cols)
             if len(cols) != len(bases[p]):
                 raise ValueError(f"differential {p} has {len(cols)} columns, "
                                  f"expected {len(bases[p])}")
+            try:
+                rows, found = scalar_rows(cols, bases[p - 1])
+            except ValueError as err:
+                raise ValueError(f"differential {p}: {err}") from None
+            for j, (d, e) in enumerate(zip(found, bases[p].degrees)):
+                if d not in (None, e):
+                    raise ValueError(f"differential {p}: column {j} has degree {d}, "
+                                     f"not the degree {e} of its basis element")
+            self._levels.append((bases[p], rows))
         self.n = n
         self.ranks = tuple(map(len, bases))
-        # No rows until check_complex reads them from the columns.
-        self._levels = [(basis, None) for basis in bases]
         self._make_level = None
         self._complex = False
 
@@ -249,35 +258,32 @@ class ChainMap:
 
 
 def mapping_cone(phi: ChainMap) -> FreeComplex:
-    """Cone of phi: G -> F, with C_i = G_{i-1} (+) F_i and the G part first."""
+    """Cone of phi: G -> F, with C_i = G_{i-1} (+) F_i and the G part first.
+
+    The row of e in G_{i-1} lists -d^G(e) and then phi(e), the entry order
+    of the column -d^G(e) + phi(e), and the row of e in F_i lists d^F(e)."""
     phi.validate()
     G, F = phi.source, phi.target
     n = F.n
-    length = max(G.length + 1, F.length)
-    bases = []
-    for i in range(length + 1):
-        elems = []
+    levels = []
+    for i in range(max(G.length + 1, F.length) + 1):
+        shift = G.rank(i - 2)  # the positions of G_{i-2}, first in C_{i-1}
+        elements, rows = [], []
         if 1 <= i <= G.length + 1:
-            for e in G.basis(i - 1):
-                elems.append(BasisElement(e.degree, ("G", e.label)))
+            basis, below = G._level(i - 1)
+            elements += [BasisElement(e.degree, ("G", e.label)) for e in basis]
+            for g_row, col in zip(below, phi.columns[i - 1]):
+                row = {r: -c for r, c in g_row.items()}
+                # phi is validated, so its columns are multihomogeneous.
+                row.update((pos + shift, c.numerator if c.denominator == 1 else c)
+                           for (pos, _), c in col.items())
+                rows.append(row)
         if i <= F.length:
-            for e in F.basis(i):
-                elems.append(BasisElement(e.degree, ("F", e.label)))
-        bases.append(OrderedBasis(n, elems))
-
-    diffs = []
-    for i in range(1, length + 1):
-        g_rank_target = G.rank(i - 2)
-        cols = []
-        for j in range(G.rank(i - 1)):
-            col = phi.columns[i - 1][j].map_positions(g_rank_target)
-            if i >= 2:
-                col = -G.differential(i - 1)[j] + col
-            cols.append(col)
-        for column in F.differential(i):
-            cols.append(column.map_positions(g_rank_target))
-        diffs.append(cols)
-    return FreeComplex(n, bases, diffs)
+            basis, below = F._level(i)
+            elements += [BasisElement(e.degree, ("F", e.label)) for e in basis]
+            rows += [{r + shift: c for r, c in f_row.items()} for f_row in below]
+        levels.append((OrderedBasis(n, elements), rows))
+    return FreeComplex._made_on_read(n, [len(basis) for basis, _ in levels], levels.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +490,18 @@ def syzygy_generators(C: FreeComplex, p: int):
     return list(C.differential(p + 1))
 
 
+def _unit_row(row: dict, degree: Mono, target) -> Optional[int]:
+    """The first row r of the column, in entry order, whose degree target[r]
+    is the column's degree, so that its entry is a unit; or None."""
+    return next((r for r in row if target[r] == degree), None)
+
+
 def is_minimal(C: FreeComplex) -> bool:
-    """No differential entry has a nonzero constant term."""
-    zero = monomials.unit(C.n)
+    """No differential entry is a unit, read from the rows."""
     for p in range(1, C.length + 1):
-        for col in C.differential(p):
-            for (_, mono), coeff in col.items():
-                if mono == zero and coeff:
-                    return False
+        (basis, rows), target = C._level(p), C.basis(p - 1).degrees
+        if any(_unit_row(row, d, target) is not None for row, d in zip(rows, basis.degrees)):
+            return False
     return True
 
 
@@ -524,7 +534,7 @@ def minimize(C: FreeComplex) -> FreeComplex:
     for p in range(1, length + 1):
         source, target = C.basis(p).degrees, C.basis(p - 1).degrees
         for c, pivot in enumerate(cols[p]):
-            r = next((r for r in pivot if target[r] == source[c]), None)
+            r = _unit_row(pivot, source[c], target)
             if r is None:
                 continue
             lam = pivot[r]  # an int or a Fraction: 1 / lam is taken as a Fraction
@@ -568,44 +578,34 @@ def check_complex(C: FreeComplex) -> bool:
 
     Two tests run on the rows of each level.  First, every entry's row
     degree divides its column degree, so the entry in row r of the column of
-    e_j is a term x^(deg e_j - deg e_r); columns given to the constructor are
-    read by scalar_rows, and a nonzero one must have the degree of its basis
-    element.  Then every term of d_{p-1}(d_p(e_j)) at position s has the
-    monomial x^(deg e_j - deg e_s), and d o d vanishes exactly when the
-    coefficient matrices multiply to zero: the sums run on positions only,
-    with no monomial built.  Each integral coefficient is an int and the
-    others are Fractions, so the sums are exact; no row is scaled to
+    e_j is a term x^(deg e_j - deg e_r), as the constructor makes sure of
+    for its columns.  Then every term of d_{p-1}(d_p(e_j)) at position s
+    has the monomial x^(deg e_j - deg e_s), and d o d vanishes exactly when
+    the coefficient matrices multiply to zero: the sums run on positions
+    only, with no monomial built.  Each integral coefficient is an int and
+    the others are Fractions, so the sums are exact; no row is scaled to
     integers, as a scale per column would change the product.  A complex
     that passes is marked, and checking it again returns True at once.
     """
-    return C._complex or _complex_rows(C) is not None
+    return C._complex or _check_rows(C)
 
 
 def _read_rows(C: FreeComplex):
-    """check_complex's rows of C, or None; a complex it has marked keeps them."""
-    if not C._complex:
-        return _complex_rows(C)
+    """The rows of d_1..d_L, level p at index p - 1, once check_complex has
+    passed C, or None when C is not a complex."""
+    if not check_complex(C):
+        return None
     return [C._level(p)[1] for p in range(1, C.length + 1)]
 
 
-def _complex_rows(C: FreeComplex):
-    """The check of check_complex, which marks a complex that passes: the
-    rows of d_1..d_L, level p at index p - 1, or None when C is not a
-    complex.  A level keeps the rows read from its columns once they pass."""
-    rows, below = [], [{}] * C.rank(0)  # d_0 is zero
+def _check_rows(C: FreeComplex) -> bool:
+    """The check of check_complex, which marks a complex that passes."""
+    below = [{}] * C.rank(0)  # d_0 is zero
     for p in range(1, C.length + 1):
         (basis, level), tops = C._level(p), C.basis(p - 1).degrees
-        if level is None:
-            try:
-                level, found = scalar_rows(C.differential(p), C.basis(p - 1))
-            except ValueError:  # a column that is not multihomogeneous
-                return None
-            if any(d not in (None, e) for d, e in zip(found, basis.degrees)):
-                return None
-            C._levels[p] = (basis, level)
         for row, degree in zip(level, basis.degrees):
             if not all(all(map(operator.le, tops[r], degree)) for r in row):
-                return None
+                return False
         for col in level:
             image = {}
             for r, coeff in col.items():
@@ -613,11 +613,10 @@ def _complex_rows(C: FreeComplex):
                     old = image.get(s)
                     image[s] = coeff * c if old is None else old + coeff * c
             if any(image.values()):
-                return None
-        rows.append(level)
+                return False
         below = level
     C._complex = True
-    return rows
+    return True
 
 
 @dataclass
@@ -663,8 +662,9 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     if isinstance(module_gens, MonomialIdeal):
         if len(C.basis(0)) != 1:
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
-        module_gens = [ModuleVector.generator(C.n, 0, u) for u in module_gens.gens]
-    module = Slices(*scalar_rows(module_gens, C.basis(0)), C.basis(0))
+        module = Slices(*unit_rows(((0, u) for u in module_gens.gens), C.basis(0)), C.basis(0))
+    else:
+        module = Slices(*scalar_rows(module_gens, C.basis(0)), C.basis(0))
     for j, row in enumerate(rows[0] if rows else ()):
         mask = module.active(C.basis(1).degree(j))
         chosen = [r for i, r in enumerate(module.rows) if mask >> i & 1]
@@ -700,17 +700,18 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
 
 def complex_json(C: FreeComplex, indent: str = "\n") -> Iterator[str]:
     """Yield the chunks of the complex's JSON text: its ranks, basis degrees
-    and, per differential, a rows x columns matrix whose cells list the
-    terms of that entry as {"coeff": str(c), "monomial": [...]}, in the
-    order the terms have in the column.
+    and, per differential, a rows x columns matrix whose cell in row r and
+    column c lists the one term of that entry, if any, as
+    {"coeff": str(c), "monomial": deg e_c - deg e_r}.
 
     The chunks joined are json.dumps(value, indent=2, sort_keys=True) of
     that value, byte for byte, with indent the newline and indentation in
     front of the closing brace, as for cli._dumps.  The first chunk holds
     the degrees, each differential's matrix is one chunk, made when it is
-    read, and the last holds n and the ranks.  Each column's terms are read
-    once into their cells; each distinct (coeff, monomial) cell is written
-    once, and every empty cell is the constant "[]".
+    read, and the last holds n and the ranks.  Each matrix is written from
+    the rows and the basis degrees, with no view made; each distinct
+    (coeff, monomial) cell is written once, and every empty cell is the
+    constant "[]".
     """
     pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
     degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])
@@ -728,20 +729,18 @@ def complex_json(C: FreeComplex, indent: str = "\n") -> Iterator[str]:
 def _matrix_json(C: FreeComplex, p: int, pad, cells: dict) -> str:
     """The JSON text of d_p's matrix, two levels inside complex_json's
     object; cells caches the text of each one-term cell."""
-    cut = len(pad[4]) + 1  # a cell's closing pad[4] + "]"
-    grid = [["[]"] * C.rank(p) for _ in range(C.rank(p - 1))]
-    for c, col in enumerate(C.differential(p)):
-        for (pos, mono), coeff in col.items():
+    (basis, rows), target = C._level(p), C.basis(p - 1).degrees
+    grid = [["[]"] * len(rows) for _ in target]
+    for c, (row, degree) in enumerate(zip(rows, basis.degrees)):
+        for r, coeff in row.items():
+            mono = tuple(map(operator.sub, degree, target[r]))
             text = cells.get((coeff, mono))
             if text is None:
                 # The str of a Fraction or int needs no JSON escapes.
                 text = cells[coeff, mono] = (
                     f'[{pad[5]}{{{pad[6]}"coeff": "{str(coeff)}",{pad[6]}"monomial": '
                     f'{_json_ints(mono, pad[6])}{pad[5]}}}{pad[4]}]')
-            row = grid[pos]
-            # Only a column that is not multihomogeneous puts two terms in
-            # one cell.
-            row[c] = text if row[c] == "[]" else row[c][:-cut] + "," + text[1:]
+            grid[r][c] = text
     return _json_list([_json_list(row, pad[3]) for row in grid], pad[2])
 
 

@@ -282,13 +282,24 @@ class DegreeMasks:
 def scalar_rows(vectors, basis: OrderedBasis):
     """The scalar rows {position: coefficient} of the vectors, integral
     coefficients read as ints, and their degrees, None for a zero vector; a
-    mixed vector raises ValueError."""
+    mixed vector raises ValueError naming its index as a column."""
     vectors = list(vectors)
     degrees = [multidegree_of(v, basis) for v in vectors]
-    if any(d is None and not v.is_zero() for v, d in zip(vectors, degrees)):
-        raise ValueError("slices need multihomogeneous vectors")
+    for j, (v, d) in enumerate(zip(vectors, degrees)):
+        if d is None and not v.is_zero():
+            raise ValueError(f"column {j} is not multihomogeneous")
     return [{pos: c.numerator if c.denominator == 1 else c for (pos, _), c in v.items()}
             for v in vectors], degrees
+
+
+def unit_rows(generators, basis: OrderedBasis):
+    """The scalar rows and degrees of the vectors u e_j, for the (j, u)
+    pairs of generators: {j: 1} at degree u deg e_j, with no vector made."""
+    rows, degrees = [], []
+    for j, u in generators:
+        rows.append({j: 1})
+        degrees.append(monomials.mul(u, basis.degree(j)))
+    return rows, degrees
 
 
 class Slices:
@@ -298,8 +309,8 @@ class Slices:
     The degree-a piece of F has one monomial, a / deg e_j, at each basis
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
-    The engine takes those rows and their degrees, as scalar_rows or a
-    checked complex gives them.  Each row is stored once, as integers scaled
+    The engine takes those rows and their degrees, as scalar_rows, unit_rows
+    or a complex gives them.  Each row is stored once, as integers scaled
     by the lcm of its denominators, which changes no rank, and a DegreeMasks
     finds the rows whose degree divides a.  A degree of None is never active.
 

@@ -31,6 +31,7 @@ from .freemod import (
     leading_term,
     scalar_rows,
     term_key,
+    unit_rows,
     walk_closure,
 )
 from .monomials import MonomialIdeal
@@ -249,15 +250,15 @@ def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule):
     in every multidegree.  Returns (ok, first failing degree in lex order).
 
     Both sides are one Slices engine each: the generators, and the initial
-    module's generators u e_j, which are unit rows.  Both ranks are fixed by
-    which generator degrees divide the degree, so freemod.walk_closure
-    takes both engines down the lcm closure of those degrees.
+    module's generators u e_j, which are unit rows {j: 1} at degree
+    u deg e_j.  Both ranks are fixed by which generator degrees divide the
+    degree, so freemod.walk_closure takes both engines down the lcm closure
+    of those degrees.
     """
     basis = initial.basis
-    units = [ModuleVector.generator(basis.n, j, u)
-             for j, ideal in enumerate(initial.components) for u in ideal.gens]
     span = Slices(*scalar_rows(gens, basis), basis)
-    monomial = Slices(*scalar_rows(units, basis), basis)
+    monomial = Slices(*unit_rows(((j, u) for j, ideal in enumerate(initial.components)
+                                  for u in ideal.gens), basis), basis)
 
     def differs(a):
         return True if span.reduce(span.active(a)) != monomial.reduce(monomial.active(a)) else None

@@ -64,8 +64,8 @@ def test_resolve_check_certificate(ideal_file, capsys):
 
 def test_resolve_minimize_check_checks_two_complexes(ideal_file, capsys):
     # minimize checks its input and its output; the certificate of that
-    # output reads the columns without checking them a third time.
-    with mock.patch.object(complexes, "_complex_rows", wraps=complexes._complex_rows) as full:
+    # output reads the rows without checking them a third time.
+    with mock.patch.object(complexes, "_check_rows", wraps=complexes._check_rows) as full:
         code, data = run_json(["resolve", "--input", ideal_file(LCM_TRIANGLE),
                                "--minimize", "--check"], capsys)
     assert code == 0 and data["exactness"]["ok"]

@@ -662,17 +662,6 @@ def test_minimize_rejects_a_nonzero_composite():
         minimize(C)
 
 
-def test_minimize_rejects_two_terms_in_one_row():
-    # The second column, 1 + x in row 0, is not multihomogeneous; the unit
-    # of the first column would be cancelled against it.
-    C = FreeComplex(1, [OrderedBasis(1, [BasisElement((0,))]),
-                        OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])],
-                    [[ModuleVector.generator(1, 0),
-                      ModuleVector(1, {(0, (0,)): Fraction(1), (0, (1,)): Fraction(1)})]])
-    with pytest.raises(RuntimeError, match="the input was not a complex"):
-        minimize(C)
-
-
 def _typed_rows(rows):
     """Each level's rows as lists of (row, coefficient, type), in dict order."""
     return [[[(r, c, type(c)) for r, c in row.items()] for row in level] for level in rows]
@@ -700,14 +689,23 @@ def test_minimize_leaves_its_input_unchanged(C):
     assert "".join(complex_json(minimize(C))) == first
 
 
+MAXIMAL3_SQUARED = MonomialIdeal(3, [u for u in itertools.product(range(3), repeat=3)
+                                     if sum(u) == 2])
+
+
 @settings(max_examples=80, deadline=None)
 @given(minimize_inputs(), st.booleans())
 @example(taylor_complex(PATH7_ODD_FIRST, 7), True)
 @example(_rescale_basis(taylor_complex(PATH7_ODD_FIRST, 7), 4,
                         [{13: 3, 14: Fraction(1, 7)}.get(k, 1) for k in range(15)]), True)
+@example(eliahou_kervaire(MAXIMAL3_SQUARED), False)
+@example(taylor_step_cone(PATH7_ODD_FIRST, 7)[0], False)
+@example(taylor_step_cone(PATH7_ODD_FIRST, 7)[0], True)
 def test_rows_read_back_through_the_view_and_the_constructor(C, minimized):
     # rows -> view -> FreeComplex(n, bases, views) -> rows is the identity,
-    # the order of the entries and their int and Fraction types included.
+    # the order of the entries and their int and Fraction types included;
+    # Eliahou-Kervaire and taylor_step_cone complexes are mapping cones,
+    # whose rows mapping_cone writes.
     if minimized:
         C = minimize(C)
     rows = complexes._read_rows(C)
@@ -1132,7 +1130,6 @@ _MIXED_D1 = ModuleVector(3, {(0, X3): Fraction(1), (0, X1): Fraction(1)})
 @given(damaged_complexes())
 @example((KOSZUL3, MonomialIdeal(3, [X1, X2, X3])))
 @example((_replace_column(KOSZUL3, 2, 2, _FLIPPED_D2), MonomialIdeal(3, [X1, X2, X3])))
-@example((_replace_column(KOSZUL3, 1, 0, _MIXED_D1), MonomialIdeal(3, [X1, X2, X3])))
 def test_check_complex_agrees_with_the_vector_reference(case):
     # Same verdict as composing through vectors, and apply_columns gives the
     # reference image term for term, in the same order.
@@ -1145,10 +1142,50 @@ def test_check_complex_agrees_with_the_vector_reference(case):
 
 
 def test_check_complex_rejects_a_flipped_sign_and_a_mixed_column():
+    # A mixed column no longer reaches check_complex: the constructor
+    # refuses it.
     assert check_complex(KOSZUL3)
     assert not check_complex(_replace_column(KOSZUL3, 2, 2, _FLIPPED_D2))
     assert multidegree_of(_MIXED_D1, KOSZUL3.basis(0)) is None
-    assert not check_complex(_replace_column(KOSZUL3, 1, 0, _MIXED_D1))
+    with pytest.raises(ValueError, match="^differential 1: column 0 is not multihomogeneous$"):
+        _replace_column(KOSZUL3, 1, 0, _MIXED_D1)
+
+
+# Columns the constructor refuses, each with its message: 1 + x in row 0,
+# whose unit minimize would once have cancelled against the first column;
+# x3 e_2 - x1 e_1 in d_2, of degrees x2 x3 and x1 x3; a column with three
+# terms that once put two of them in one cell of complex_json; and a
+# multihomogeneous column of the wrong degree.
+REFUSED_COLUMNS = {
+    "two-terms-in-one-row": (
+        lambda: FreeComplex(1, [OrderedBasis(1, [BasisElement((0,))]),
+                                OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])],
+                            [[ModuleVector.generator(1, 0),
+                              ModuleVector(1, {(0, (0,)): Fraction(1),
+                                               (0, (1,)): Fraction(1)})]]),
+        "differential 1: column 1 is not multihomogeneous"),
+    "mixed-d2": (lambda: _replace_column(KOSZUL3, 2, 0, ModuleVector(
+        3, {(1, X3): Fraction(1), (0, X1): Fraction(-1)})),
+                 "differential 2: column 0 is not multihomogeneous"),
+    "two-terms-in-one-cell": (
+        lambda: FreeComplex(2, [OrderedBasis(2, [BasisElement((0, 0))]),
+                                OrderedBasis(2, [BasisElement((1, 1))] * 2)],
+                            [[ModuleVector(2, {(0, (1, 1)): Fraction(-3, 4)}),
+                              ModuleVector(2, {(0, (2, 0)): Fraction(1),
+                                               (0, (1, 1)): Fraction(-3, 4),
+                                               (0, (0, 1)): Fraction(5)})]]),
+        "differential 1: column 1 is not multihomogeneous"),
+    "wrong-degree": (lambda: _replace_column(KOSZUL3, 1, 0, ModuleVector.generator(3, 0, X1)),
+                     "differential 1: column 0 has degree (1, 0, 0), not the degree "
+                     "(0, 0, 1) of its basis element"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_COLUMNS)
+def test_constructor_refuses_a_column_off_its_degree(case):
+    build, message = REFUSED_COLUMNS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _scale_level(C, p, factor):
@@ -1250,14 +1287,8 @@ def serialised_complexes(draw):
     return C
 
 
-# A column that is not multihomogeneous puts two terms in one cell; a level
-# of rank zero gives rows without cells, and a complex of length zero no
-# differentials.
-TWO_TERM_CELL = FreeComplex(
-    2, [OrderedBasis(2, [BasisElement((0, 0))]), OrderedBasis(2, [BasisElement((1, 1))] * 2)],
-    [[ModuleVector(2, {(0, (1, 1)): Fraction(-3, 4)}),
-      ModuleVector(2, {(0, (2, 0)): Fraction(1), (0, (1, 1)): Fraction(-3, 4),
-                       (0, (0, 1)): Fraction(5)})]])
+# A level of rank zero gives rows without cells, and a complex of length
+# zero no differentials.
 EMPTY_LEVEL = FreeComplex(
     1, [OrderedBasis(1, [BasisElement((0,)), BasisElement((1,))]), OrderedBasis(1, [])], [[]])
 LENGTH_ZERO = FreeComplex(3, [OrderedBasis(3, [BasisElement((0, 0, 0))])], [])
@@ -1267,13 +1298,35 @@ LENGTH_ZERO = FreeComplex(3, [OrderedBasis(3, [BasisElement((0, 0, 0))])], [])
 @given(serialised_complexes())
 @example(KOSZUL3_TWO_THIRDS)
 @example(taylor_complex([(2, 1)], 2))
-@example(TWO_TERM_CELL)
 @example(EMPTY_LEVEL)
 @example(LENGTH_ZERO)
 def test_complex_to_jsonable_matches_the_cell_by_cell_reference(C):
     # complex_json at the indent of resolve's payload, and at the top level.
     for indent in (_INDENT, "\n"):
         assert "".join(complex_json(C, indent)) == _dumps(reference_complex_to_jsonable(C), indent)
+
+
+def reference_is_minimal(C):
+    """is_minimal as it read the view: no entry has a nonzero constant term."""
+    zero = unit(C.n)
+    for p in range(1, C.length + 1):
+        for col in C.differential(p):
+            for (_, mono), coeff in col.items():
+                if mono == zero and coeff:
+                    return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(serialised_complexes())
+@example(taylor_complex(PATH7_ODD_FIRST, 7))
+@example(minimize(taylor_complex(PATH7_ODD_FIRST, 7)))
+@example(taylor_step_cone(PATH7_ODD_FIRST, 7)[0])
+@example(EMPTY_LEVEL)
+@example(LENGTH_ZERO)
+def test_is_minimal_reads_the_rows_as_the_view_reads(C):
+    # The rows are read first, so no view is made for is_minimal.
+    assert is_minimal(C) == reference_is_minimal(C)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1432,29 +1485,11 @@ def test_closure_tree_walk_agrees_with_the_lex_walk(case):
 
 @st.composite
 def checked_complexes(draw):
-    """A complex of certified_complexes, possibly with one more change: a
-    term added to a column at another monomial, so that the column is not
-    multihomogeneous; one term moved to a wrong monomial at its own
-    position; or one level's basis rescaled by fractions, so that the rows
-    mix coefficients read as ints and as Fractions."""
+    """A complex of certified_complexes, possibly with one level's basis
+    rescaled by fractions, so that the rows mix coefficients read as ints
+    and as Fractions."""
     C, _ = draw(certified_complexes())
-    n = C.n
-    change = draw(st.sampled_from(["none", "mixed column", "wrong monomial", "rescale"]))
-    columns = _nonzero_columns(C)
-    if change in ("mixed column", "wrong monomial") and columns:
-        p, j = draw(st.sampled_from(columns))
-        terms = dict(C.differential(p)[j].items())
-        pos, mono = draw(st.sampled_from(sorted(terms)))
-        moved = mul(mono, variable(draw(st.integers(0, n - 1)), n))
-        coeff = terms[pos, mono]
-        if change == "wrong monomial":
-            del terms[pos, mono]
-        else:
-            pos = draw(st.integers(0, C.rank(p - 1) - 1))
-            coeff = draw(nonzero_fractions)
-        terms[pos, moved] = terms.get((pos, moved), 0) + coeff
-        C = _replace_column(C, p, j, ModuleVector(n, terms))
-    elif change == "rescale" and C.length:
+    if C.length and draw(st.booleans()):
         p = draw(st.integers(1, C.length))
         C = _rescale_basis(C, p, draw(st.lists(nonzero_fractions, min_size=C.rank(p),
                                                max_size=C.rank(p))))
@@ -1465,9 +1500,6 @@ def checked_complexes(draw):
 @given(checked_complexes())
 @example(KOSZUL3_TWO_THIRDS)
 @example(_rescale_basis(KOSZUL3, 1, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]))
-@example(_replace_column(KOSZUL3, 1, 0, _MIXED_D1))
-@example(_replace_column(KOSZUL3, 2, 0, ModuleVector(3, {(1, X3): Fraction(1),
-                                                         (0, X1): Fraction(-1)})))
 def test_scalar_check_complex_agrees_with_the_monomial_sum(C):
     C = _unchecked(C)
     expected = reference_monomial_check_complex(C)
@@ -1477,10 +1509,45 @@ def test_scalar_check_complex_agrees_with_the_monomial_sum(C):
     assert check_complex(C) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(certified_complexes(), st.sampled_from(["mixed column", "wrong monomial"]), st.data())
+def test_constructor_refuses_exactly_the_columns_off_their_degree(case, change, data):
+    # A term added to a column at another monomial and position, which in
+    # general leaves it not multihomogeneous, or one term moved to a wrong
+    # monomial at its own position, which leaves it mixed or of the wrong
+    # degree: the constructor refuses the column exactly when its degree,
+    # found on the vector, is not its basis element's, and a complex it
+    # builds is checked as the monomial sum checks it.
+    C, _ = case
+    n, columns = C.n, _nonzero_columns(C)
+    if not columns:
+        return
+    p, j = data.draw(st.sampled_from(columns))
+    terms = dict(C.differential(p)[j].items())
+    pos, mono = data.draw(st.sampled_from(sorted(terms)))
+    moved = mul(mono, variable(data.draw(st.integers(0, n - 1)), n))
+    coeff = terms[pos, mono]
+    if change == "wrong monomial":
+        del terms[pos, mono]
+    else:
+        pos = data.draw(st.integers(0, C.rank(p - 1) - 1))
+        coeff = data.draw(nonzero_fractions)
+    terms[pos, moved] = terms.get((pos, moved), 0) + coeff
+    column = ModuleVector(n, terms)
+    degree = multidegree_of(column, C.basis(p - 1))
+    if column.is_zero() or degree == C.basis(p).degree(j):
+        D = _replace_column(C, p, j, column)
+        assert check_complex(D) == reference_monomial_check_complex(D)
+        return
+    found = "is not multihomogeneous" if degree is None else f"has degree {degree}"
+    with pytest.raises(ValueError, match=f"^differential {p}: column {j} {re.escape(found)}"):
+        _replace_column(C, p, j, column)
+
+
 def test_check_complex_runs_once_per_complex():
     C = _unchecked(KOSZUL3)
     broken = _replace_column(KOSZUL3, 2, 2, _FLIPPED_D2)
-    with mock.patch.object(complexes, "_complex_rows", wraps=complexes._complex_rows) as full:
+    with mock.patch.object(complexes, "_check_rows", wraps=complexes._check_rows) as full:
         assert check_complex(C) and check_complex(C)
         assert check_exactness_on_box(C, MonomialIdeal(3, [X1, X2, X3])).ok
         assert full.call_count == 1
@@ -1493,16 +1560,22 @@ def test_check_complex_runs_once_per_complex():
 
 
 def test_certificate_finds_each_column_degree_once():
-    # check_complex finds the degree of each nonzero column, and the engines
-    # of the differentials take the basis degrees, so only the module
-    # generators' degrees are found again.
-    C = _unchecked(taylor_complex(PATH7_ODD_FIRST, 7))
+    # The constructor finds the degree of each column, check_complex and the
+    # engines of the differentials take the basis degrees, and the module
+    # generators' degrees are found once more when they are given as
+    # vectors; an ideal's generators u e_0 are unit rows at degree u.
+    T = taylor_complex(PATH7_ODD_FIRST, 7)
     I = MonomialIdeal(7, PATH7_ODD_FIRST)
+    vectors = [ModuleVector.generator(7, 0, u) for u in I.gens]
     counter = mock.Mock(wraps=multidegree_of)
     with mock.patch.object(freemod, "multidegree_of", counter), \
             mock.patch.object(complexes, "multidegree_of", counter):
-        assert check_exactness_on_box(C, I).ok
-    assert counter.call_count == len(_nonzero_columns(C)) + len(I.gens) == 63 + 6
+        C = _unchecked(T)
+        assert check_exactness_on_box(C, vectors).ok
+        assert counter.call_count == len(_nonzero_columns(C)) + len(I.gens) == 63 + 6
+        counter.reset_mock()
+        assert check_exactness_on_box(_unchecked(T), I).ok
+    assert counter.call_count == 63
 
 
 MAXIMAL7 = [variable(i, 7) for i in range(7)]

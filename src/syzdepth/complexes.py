@@ -22,17 +22,19 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from . import linalg, monomials
 from .freemod import (
     BasisElement,
+    DegreeMasks,
     ModuleVector,
     OrderedBasis,
     Slices,
     add_multiple,
     leading_term,
     multidegree_of,
+    row_vectors,
     scalar_rows,
     unit_rows,
     walk_closure,
 )
-from .groebner import _divide, _tagged_groebner, normal_form
+from .groebner import _tagged_groebner, normal_form
 from .monomials import Mono, MonomialIdeal
 
 
@@ -63,18 +65,8 @@ class FreeComplex:
         self._levels = [(bases[0], [{}] * len(bases[0]))] if bases else []  # d_0 is zero
         for p, cols in enumerate(differentials, start=1):
             cols = self._views[p] = tuple(cols)
-            if len(cols) != len(bases[p]):
-                raise ValueError(f"differential {p} has {len(cols)} columns, "
-                                 f"expected {len(bases[p])}")
-            try:
-                rows, found = scalar_rows(cols, bases[p - 1])
-            except ValueError as err:
-                raise ValueError(f"differential {p}: {err}") from None
-            for j, (d, e) in enumerate(zip(found, bases[p].degrees)):
-                if d not in (None, e):
-                    raise ValueError(f"differential {p}: column {j} has degree {d}, "
-                                     f"not the degree {e} of its basis element")
-            self._levels.append((bases[p], rows))
+            self._levels.append((bases[p], _read_columns(f"differential {p}", cols,
+                                                         bases[p], bases[p - 1])))
         self.n = n
         self.ranks = tuple(map(len, bases))
         self._make_level = None
@@ -119,29 +111,35 @@ class FreeComplex:
         view = self._views.get(p)
         if view is None:
             basis, rows = self._level(p)
-            target = self.basis(p - 1).degrees
-            view = self._views[p] = tuple(ModuleVector.from_terms(self.n, {
-                (r, tuple(map(operator.sub, d, target[r]))): _UNITS.get(c) or Fraction(c)
-                for r, c in row.items()}) for row, d in zip(rows, basis.degrees))
+            view = self._views[p] = tuple(row_vectors(rows, basis.degrees, self.basis(p - 1)))
         return view
 
     def apply(self, p: int, v: ModuleVector) -> ModuleVector:
         """Image of v in F_p under the p-th differential."""
-        return apply_columns(self.differential(p), v, self.n)
+        columns, out = self.differential(p), {}
+        for (pos, mono), coeff in v.items():
+            add_multiple(out, columns[pos].items(), coeff, mono)
+        return ModuleVector(self.n, out)
 
     def __repr__(self):
         return f"FreeComplex(n={self.n}, ranks={self.ranks})"
 
 
-_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries of views
-
-
-def apply_columns(columns, v: ModuleVector, n: int) -> ModuleVector:
-    """Image of v under the map sending e_j to columns[j]."""
-    out = {}
-    for (pos, mono), coeff in v.items():
-        add_multiple(out, columns[pos].items(), coeff, mono)
-    return ModuleVector(n, out)
+def _read_columns(name: str, columns, source: OrderedBasis, target: OrderedBasis) -> list:
+    """The rows of the columns of the map name from source to target, read by
+    scalar_rows; ValueError names the map and the column that is off the
+    degree of its basis element or has a position outside target."""
+    if len(columns) != len(source):
+        raise ValueError(f"{name} has {len(columns)} columns, expected {len(source)}")
+    try:
+        rows, found = scalar_rows(columns, target)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+    for j, (d, e) in enumerate(zip(found, source.degrees)):
+        if d not in (None, e):
+            raise ValueError(f"{name}: column {j} has degree {d}, "
+                             f"not the degree {e} of its basis element")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -223,47 +221,60 @@ def is_regular_sequence(gens: Sequence[Mono]) -> bool:
 # Mapping cones
 
 
-@dataclass
 class ChainMap:
-    """A degree-0 multigraded chain map between complexes, stored columnwise."""
+    """A degree-0 multigraded chain map phi: G -> F, stored as scalar rows:
+    rows[i] holds phi_i's columns as FreeComplex holds d_p's, i = 0..G.length.
+    The constructor reads ModuleVector columns, one sequence per level, as
+    FreeComplex's does (_read_columns); mapping_cone tests commutation."""
 
-    source: FreeComplex
-    target: FreeComplex
-    columns: Sequence[Sequence[ModuleVector]]  # columns of phi_i for i = 0..len(source)
+    __slots__ = ("source", "target", "rows")
 
-    def apply(self, i: int, v: ModuleVector) -> ModuleVector:
-        cols = self.columns[i] if i < len(self.columns) else ()
-        return apply_columns(cols, v, self.source.n)
-
-    def validate(self) -> None:
-        G, F = self.source, self.target
-        if len(self.columns) < G.length + 1:
+    def __init__(self, source: FreeComplex, target: FreeComplex,
+                 columns: Sequence[Sequence[ModuleVector]]):
+        G, F = source, target
+        if len(columns) < G.length + 1:
             raise ValueError("chain map must provide columns for every level of "
                              "the source complex")
-        for i in range(G.length + 1):
-            cols = self.columns[i]
-            if len(cols) != G.rank(i):
-                raise ValueError(f"phi_{i} has {len(cols)} columns, expected {G.rank(i)}")
-            for j, col in enumerate(cols):
-                if not col.is_zero() and multidegree_of(col, F.basis(i)) != G.basis(i).degree(j):
-                    raise ValueError(f"phi_{i} does not preserve the multidegree of "
-                                     f"basis element {j}")
-        for i in range(1, G.length + 1):
-            for j in range(G.rank(i)):
-                left = F.apply(i, self.columns[i][j]) if i <= F.length else ModuleVector(F.n)
-                right = self.apply(i - 1, G.differential(i)[j])
-                if left != right:
-                    raise ValueError(f"chain map does not commute at homological "
-                                     f"degree {i}, basis element {j}")
+        self.source, self.target = G, F
+        # Past F's length, F_i is zero: no position lies in it.
+        self.rows = [_read_columns(f"phi_{i}", tuple(columns[i]), G.basis(i),
+                                   F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
+                     for i in range(G.length + 1)]
+
+    @classmethod
+    def _of_rows(cls, source: FreeComplex, target: FreeComplex, rows) -> "ChainMap":
+        phi = cls.__new__(cls)
+        phi.source, phi.target, phi.rows = source, target, rows
+        return phi
+
+
+def _compose(row: dict, below) -> dict:
+    """The row of the image of the column row under the map with the columns
+    below; for multihomogeneous maps the sum runs on positions only."""
+    image = {}
+    for r, coeff in row.items():
+        linalg.add_scaled(image, coeff, below[r])
+    return image
 
 
 def mapping_cone(phi: ChainMap) -> FreeComplex:
-    """Cone of phi: G -> F, with C_i = G_{i-1} (+) F_i and the G part first.
-
-    The row of e in G_{i-1} lists -d^G(e) and then phi(e), the entry order
-    of the column -d^G(e) + phi(e), and the row of e in F_i lists d^F(e)."""
-    phi.validate()
+    """Cone of phi: G -> F, with C_i = G_{i-1} (+) F_i and the G part first
+    (_cone); ValueError unless d^F phi_i = phi_{i-1} d^G on the rows."""
     G, F = phi.source, phi.target
+    for i in range(1, G.length + 1):
+        # phi_i's rows are empty past F's length, and so is d^F phi_i.
+        below = F._level(i)[1] if i <= F.length else ()
+        for j, g_row in enumerate(G._level(i)[1]):
+            if _compose(phi.rows[i][j], below) != _compose(g_row, phi.rows[i - 1]):
+                raise ValueError(f"chain map does not commute at homological "
+                                 f"degree {i}, basis element {j}")
+    return _cone(G, F, phi.rows)
+
+
+def _cone(G: FreeComplex, F: FreeComplex, phi_rows) -> FreeComplex:
+    """The cone of the chain map with the rows phi_rows.  The row of e in
+    G_{i-1} lists -d^G(e) and then phi(e), the entry order of the column
+    -d^G(e) + phi(e), and the row of e in F_i lists d^F(e)."""
     n = F.n
     levels = []
     for i in range(max(G.length + 1, F.length) + 1):
@@ -272,11 +283,9 @@ def mapping_cone(phi: ChainMap) -> FreeComplex:
         if 1 <= i <= G.length + 1:
             basis, below = G._level(i - 1)
             elements += [BasisElement(e.degree, ("G", e.label)) for e in basis]
-            for g_row, col in zip(below, phi.columns[i - 1]):
+            for g_row, phi_row in zip(below, phi_rows[i - 1]):
                 row = {r: -c for r, c in g_row.items()}
-                # phi is validated, so its columns are multihomogeneous.
-                row.update((pos + shift, c.numerator if c.denominator == 1 else c)
-                           for (pos, _), c in col.items())
+                row.update((r + shift, c) for r, c in phi_row.items())
                 rows.append(row)
         if i <= F.length:
             basis, below = F._level(i)
@@ -361,24 +370,61 @@ def stable_order(I: MonomialIdeal) -> tuple:
 
 
 def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    """A preimage w with d_p(w) = z, by division against the columns.
+    """A preimage w with d_p(w) = z, by _Lifter; ValueError unless z is
+    multihomogeneous, and RuntimeError if no preimage exists."""
+    try:
+        (row,), (a,) = scalar_rows([z], C.basis(p - 1))
+    except ValueError:
+        raise ValueError(f"can only lift multihomogeneous elements of F_{p - 1}") from None
+    if a is None:
+        return ModuleVector(C.n)
+    return row_vectors([_Lifter(C, p).lift(row, a)], [a], C.basis(p))[0]
 
-    When the boundaries of F_p's generators form a Groebner basis of their
-    span, as they do for Eliahou-Kervaire and the resolutions of the paper's
-    second theorem, the division leaves no remainder.  Otherwise the lift
-    divides z by a Groebner basis of the tagged columns (_lift_by_groebner);
-    it raises RuntimeError if no preimage exists.
+
+class _Lifter:
+    """Preimages under d_p by division of scalar rows, filed once per d_p.
+
+    Each nonzero column is filed under its smallest row, in column order.
+    A row z of degree a is lifted by reducing the smallest row r left in it
+    by the first column filed under r that is active at a, deg e_c | a
+    (a DegreeMasks over F_p's degrees), and recording its quotient.  That
+    is normal_form's division of z by the columns as vectors: a leading
+    term sits at the smallest position, and x^(deg e_c - deg e_r) divides
+    x^(a - deg e_r) exactly when deg e_c | a.  Each column is used at most
+    once, as r only grows.  When the boundaries of F_p's generators form a
+    Groebner basis, as for Eliahou-Kervaire and the resolutions of the
+    paper's second theorem, no remainder is left; otherwise z goes to
+    _lift_by_groebner, which divides it by a Groebner basis of the tagged
+    columns.
     """
-    n = C.n
-    if z.is_zero():
-        return ModuleVector(n)
-    columns = C.differential(p)
-    nonzero = [j for j, col in enumerate(columns) if not col.is_zero()]
-    divisors = [(columns[j], leading_term(columns[j])) for j in nonzero]
-    quotient, rem = _divide(z, divisors)
-    if not rem.is_zero():
-        return _lift_by_groebner(C, p, z)
-    return ModuleVector(n, {(nonzero[i], mono): c for (i, mono), c in quotient.items()})
+
+    def __init__(self, C: FreeComplex, p: int):
+        self.complex, self.p = C, p
+        # Past C's length, d_p has no column.
+        basis, self.columns = C._level(p) if p <= C.length else (OrderedBasis(C.n, ()), ())
+        self._filed = {}
+        for c, column in enumerate(self.columns):
+            if column:
+                self._filed.setdefault(min(column), []).append(c)
+        self._masks = DegreeMasks(list(enumerate(basis.degrees)), C.n, len(basis))
+
+    def lift(self, z: dict, a: Mono) -> dict:
+        """The row w with d_p(w) = z of degree a, ints where integral; a
+        quotient by an entry other than 1 or -1 is taken as a Fraction."""
+        active, rem, w = self._masks.dividing(a), dict(z), {}
+        while rem:
+            r = min(rem)
+            c = next((c for c in self._filed.get(r, ()) if active >> c & 1), None)
+            if c is None:
+                C, p = self.complex, self.p
+                w = _lift_by_groebner(C, p, row_vectors([z], [a], C.basis(p - 1))[0])
+                return scalar_rows([w], C.basis(p))[0][0]
+            column = self.columns[c]
+            x, lead = rem[r], column[r]
+            q = x if lead == 1 else -x if lead == -1 else Fraction(x) / lead
+            w[c] = q.numerator if q.denominator == 1 else q
+            linalg.add_scaled(rem, -q, column)  # clears row r
+        return w
 
 
 def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
@@ -434,8 +480,10 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
 
     G is the Taylor complex of colon_gens, the generators of (J : u) when F
     resolves S/J, with every degree shifted by u.  phi_0 sends G_0 to u times
-    the one basis element of F_0; each higher phi_i is lifted through the
-    differentials of F.  Returns (cone, phi).
+    the one basis element of F_0; each higher phi_i lifts (_Lifter) the rows
+    of phi_{i-1} d^G (_compose) through d^F_i.  The lifts are exact, so phi
+    commutes, and the cone is written from the rows with no second test
+    (_cone).  Returns (cone, phi).
     """
     if F.rank(0) != 1:
         raise ValueError("expected a rank-one module in homological degree 0")
@@ -445,12 +493,12 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
     G = FreeComplex._made_on_read(n, T.ranks, lambda p: (
         OrderedBasis(n, (BasisElement(monomials.mul(e.degree, u), e.label) for e in T.basis(p))),
         T._level(p)[1]))
-    phi_columns = [[ModuleVector(n, {(0, u): Fraction(1)})]]
+    phi_rows = [[{0: 1}]]
     for i in range(1, G.length + 1):
-        phi_columns.append([lift_through(F, i, apply_columns(phi_columns[i - 1], col, n))
-                            for col in G.differential(i)])
-    phi = ChainMap(G, F, phi_columns)
-    return mapping_cone(phi), phi
+        (basis, rows), lifter = G._level(i), _Lifter(F, i)
+        phi_rows.append([lifter.lift(_compose(row, phi_rows[i - 1]), d)
+                         for row, d in zip(rows, basis.degrees)])
+    return _cone(G, F, phi_rows), ChainMap._of_rows(G, F, phi_rows)
 
 
 class Resolution(NamedTuple):
@@ -542,13 +590,7 @@ def minimize(C: FreeComplex) -> FreeComplex:
             for c2, col in enumerate(cols[p]):
                 if c2 == c or not alive[p][c2] or r not in col:
                     continue
-                t_coeff = col[r] * inverse
-                for r3, coeff3 in pivot.items():
-                    new = col.get(r3, 0) - t_coeff * coeff3
-                    if new:
-                        col[r3] = new
-                    else:
-                        col.pop(r3, None)
+                linalg.add_scaled(col, -col[r] * inverse, pivot)
             alive[p][c] = alive[p - 1][r] = False
             if p < length:
                 for col in cols[p + 1]:
@@ -606,14 +648,8 @@ def _check_rows(C: FreeComplex) -> bool:
         for row, degree in zip(level, basis.degrees):
             if not all(all(map(operator.le, tops[r], degree)) for r in row):
                 return False
-        for col in level:
-            image = {}
-            for r, coeff in col.items():
-                for s, c in below[r].items():
-                    old = image.get(s)
-                    image[s] = coeff * c if old is None else old + coeff * c
-            if any(image.values()):
-                return False
+        if any(_compose(col, below) for col in level):
+            return False
         below = level
     C._complex = True
     return True

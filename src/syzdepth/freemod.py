@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Any, Iterable, NamedTuple, Optional
 
 from . import linalg, monomials
@@ -282,14 +282,31 @@ class DegreeMasks:
 def scalar_rows(vectors, basis: OrderedBasis):
     """The scalar rows {position: coefficient} of the vectors, integral
     coefficients read as ints, and their degrees, None for a zero vector; a
-    mixed vector raises ValueError naming its index as a column."""
-    vectors = list(vectors)
-    degrees = [multidegree_of(v, basis) for v in vectors]
-    for j, (v, d) in enumerate(zip(vectors, degrees)):
-        if d is None and not v.is_zero():
+    vector with a position outside the basis, or a mixed one, raises
+    ValueError naming its index as a column.  row_vectors is the inverse."""
+    vectors, degrees, rank = list(vectors), [], len(basis)
+    for j, v in enumerate(vectors):
+        outside = next((pos for (pos, _), _ in v.items() if not 0 <= pos < rank), None)
+        if outside is not None:
+            raise ValueError(f"column {j} has position {outside}, outside a basis "
+                             f"of rank {rank}")
+        degrees.append(multidegree_of(v, basis))
+        if degrees[-1] is None and not v.is_zero():
             raise ValueError(f"column {j} is not multihomogeneous")
     return [{pos: c.numerator if c.denominator == 1 else c for (pos, _), c in v.items()}
             for v in vectors], degrees
+
+
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries
+
+
+def row_vectors(rows, degrees, basis: OrderedBasis) -> list:
+    """The vectors of the rows at their degrees, the inverse of scalar_rows:
+    the entry c in row r of degree d is the term c x^(d - deg e_r)."""
+    targets = basis.degrees
+    return [ModuleVector.from_terms(basis.n, {
+        (r, tuple(map(sub, d, targets[r]))): _UNITS.get(c) or Fraction(c)
+        for r, c in row.items()}) for row, d in zip(rows, degrees)]
 
 
 def unit_rows(generators, basis: OrderedBasis):

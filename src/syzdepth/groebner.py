@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import monomials
 from .freemod import (
@@ -79,25 +79,10 @@ def normal_form(v: ModuleVector, reducers: Sequence) -> ModuleVector:
 
     reducers is a sequence of (vector, leading term) pairs, tried in order.
     """
-    return ModuleVector(v.n, _reduce(dict(v.items()), _bucketed(reducers)))
-
-
-def _divide(v: ModuleVector, reducers: Sequence):
-    """The division of normal_form, returning (quotient, remainder).
-
-    The quotient maps (reducer index, monomial) to a coefficient c, so that v
-    is the sum of c * x^monomial * reducer over its entries plus the remainder.
-    """
-    quotient = {}
-    tail = _reduce(dict(v.items()), _bucketed(reducers), quotient)
-    return quotient, ModuleVector(v.n, tail)
-
-
-def _bucketed(reducers: Sequence) -> dict:
     buckets = {}
     for i, (g, lt) in enumerate(reducers):
         _add_reducer(buckets, i, g, lt)
-    return buckets
+    return ModuleVector(v.n, _reduce(dict(v.items()), buckets))
 
 
 def _add_reducer(buckets: dict, index: int, g: ModuleVector, lt: Term) -> tuple:
@@ -110,10 +95,9 @@ def _add_reducer(buckets: dict, index: int, g: ModuleVector, lt: Term) -> tuple:
     return entry
 
 
-def _reduce(rem: dict, buckets: dict, quotient: Optional[dict] = None) -> dict:
+def _reduce(rem: dict, buckets: dict) -> dict:
     """Divide the terms rem, in place, by the bucketed reducers; return the
-    remainder terms in the order they were found, and record the quotient
-    when a dict is passed for it.
+    remainder terms in the order they were found.
 
     Each step takes the leading term of rem and the first reducer of its
     position whose leading monomial divides it.  The reducer's leading term
@@ -124,7 +108,7 @@ def _reduce(rem: dict, buckets: dict, quotient: Optional[dict] = None) -> dict:
         lead = max(rem, key=term_key)
         c = rem.pop(lead)
         pos, mono = lead
-        for i, lm, lc, rest in buckets.get(pos, ()):
+        for _, lm, lc, rest in buckets.get(pos, ()):
             if all(map(le, lm, mono)):
                 break
         else:
@@ -132,9 +116,6 @@ def _reduce(rem: dict, buckets: dict, quotient: Optional[dict] = None) -> dict:
             continue
         shift = tuple(map(sub, mono, lm))
         coeff = c if lc == 1 else c / lc
-        if quotient is not None:
-            old = quotient.get((i, shift))
-            quotient[(i, shift)] = coeff if old is None else old + coeff
         add_multiple(rem, rest, -coeff, shift)
     return tail
 

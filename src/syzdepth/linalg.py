@@ -5,8 +5,9 @@ values.  eliminate reduces one integer row against a dict of pivots, each
 row on its leading (smallest) column, and is the library's only kernel:
 exact_rank runs it over a list of rows, and freemod.Slices over the rows
 active down the lcm-closure tree, keeping its pivots, for the exactness
-certificate and the Hilbert-slice check.  A lift that division cannot find
-goes through a Groebner basis instead (complexes.lift_through).
+certificate and the Hilbert-slice check.  Its update, add_scaled, also
+composes, lifts (complexes._Lifter, a division of rows by columns; a lift it
+cannot find goes through a Groebner basis) and minimizes complexes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ def integer_row(row: dict) -> dict:
     if scale == 1:
         return {c: x.numerator for c, x in row.items()}
     return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+
+
+def add_scaled(row: dict, q, other: dict) -> None:
+    """row += q * other, in place, with zero entries dropped."""
+    for c, x in other.items():
+        y = row.get(c, 0) + q * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
 
 
 def eliminate(pivots: dict, row: dict):
@@ -51,12 +62,7 @@ def eliminate(pivots: dict, row: dict):
         a, b = head // g, b // g
         if a != 1:
             rest = {c: a * x for c, x in rest.items()}
-        for c, x in tail.items():
-            y = rest.get(c, 0) - b * x
-            if y:
-                rest[c] = y
-            else:
-                del rest[c]
+        add_scaled(rest, -b, tail)
         content = gcd(*rest.values())
         if content > 1:
             rest = {c: x // content for c, x in rest.items()}

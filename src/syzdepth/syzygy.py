@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from . import groebner, monomials
-from .complexes import ChainMap, FreeComplex, lift_through, syzygy_generators
-from .freemod import ModuleVector, OrderedBasis, leading_term
+from .complexes import ChainMap, FreeComplex, _compose, _Lifter, syzygy_generators
+from .freemod import ModuleVector, OrderedBasis, leading_term, row_vectors, scalar_rows
 from .groebner import (
     GroebnerBasis,
     InitialModule,
@@ -115,23 +115,28 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
                     cone: FreeComplex, i: int, oracle: Optional[InitialModule] = None):
     """Groebner basis of Z_i(cone) from bases of Z_i(F) and Z_{i-1}(G).
 
-    Elements of gbF embed into the F part; elements of gbG are lifted to
-    cycles of the cone through the cone differential.  The result is checked
-    against the Buchberger oracle ini(Z_i(cone)), computed here unless the
-    caller passes it, and returned as a list of module vectors.
+    Elements of gbF embed into the F part; an element z of gbG becomes the
+    cycle z - w, w the lift of phi_{i-1}(z) through d^F_i, all on scalar
+    rows.  The result is checked against the Buchberger oracle
+    ini(Z_i(cone)), computed here unless the caller passes it, and returned
+    as a list of module vectors.
     """
     if i < 1:
         raise ValueError("composition applies to syzygy modules Z_i with i >= 1")
     G, F = phi.source, phi.target
     offset = G.rank(i - 1)
-    composed = [v.map_positions(offset) for v in gbF.generators]
-    for z in gbG.generators:
-        w = lift_through(F, i, -phi.apply(i - 1, z))
-        composed.append(z + w.map_positions(offset))
-    for v in composed:
-        if not cone.apply(i, v).is_zero():
-            raise RuntimeError("composed element is not a cycle; the cone input "
-                               "does not match the chain map")
+    f_rows, f_degrees = scalar_rows(gbF.generators, gbF.basis)
+    g_rows, g_degrees = scalar_rows(gbG.generators, gbG.basis)
+    composed = [{r + offset: c for r, c in row.items()} for row in f_rows]
+    lifter = _Lifter(F, i)
+    for z, a in zip(g_rows, g_degrees):
+        w = lifter.lift(_compose(z, phi.rows[i - 1]), a)
+        composed.append({**z, **{r + offset: -c for r, c in w.items()}})
+    below = cone._level(i)[1]
+    if any(_compose(row, below) for row in composed):
+        raise RuntimeError("composed element is not a cycle; the cone input "
+                           "does not match the chain map")
+    composed = row_vectors(composed, f_degrees + g_degrees, cone.basis(i))
     claimed = monomial_module_from_terms(cone.basis(i), [leading_term(v) for v in composed])
     if oracle is None:
         oracle = initial_module(syzygy_generators(cone, i), cone.basis(i))

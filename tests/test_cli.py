@@ -354,14 +354,18 @@ def test_early_failure_writes_no_output_file(ideal_file, capsys, tmp_path, args)
 
 def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
     # A lift that finds no preimage means the library built a complex that is
-    # not exact: an internal error, not bad input.  The patched lift asks the
-    # Groebner fallback for the basis element e_0 itself, which no image
-    # reaches.
+    # not exact: an internal error, not bad input.  The patched lift of the
+    # cone step asks the Groebner fallback for the basis element e_0 itself,
+    # which no image reaches.
     from syzdepth import complexes
     from syzdepth.freemod import ModuleVector
 
-    monkeypatch.setattr(complexes, "lift_through", lambda C, p, z: complexes._lift_by_groebner(
-        C, p, ModuleVector.generator(C.n, 0, C.basis(p - 1).degree(0))))
+    def lift(lifter, z, a):
+        C, p = lifter.complex, lifter.p
+        return complexes._lift_by_groebner(
+            C, p, ModuleVector.generator(C.n, 0, C.basis(p - 1).degree(0)))
+
+    monkeypatch.setattr(complexes._Lifter, "lift", lift)
     code = main(["resolve", "--input", ideal_file(SQUARES), "--method", "ek"])
     captured = capsys.readouterr()
     assert code == 3

@@ -19,10 +19,12 @@ from syzdepth.complexes import (
     FreeComplex,
     check_complex,
     check_exactness_on_box,
+    comparison_cone,
     complex_json,
     eliahou_kervaire,
     is_minimal,
     is_stable,
+    lift_through,
     linear_quotients,
     mapping_cone,
     minimize,
@@ -40,6 +42,8 @@ from syzdepth.monomials import (MonomialIdeal, divides, lcm, lcm_closure, minima
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
+from reference_cones import (_divide, reference_comparison_cone, reference_lift_through,
+                             reference_taylor_step_cone)
 from reference_slices import RankSlices
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -310,6 +314,40 @@ def test_noncommuting_chain_map_rejected():
                           [ModuleVector(n, {(0, (1,)): Fraction(2)})]])
     with pytest.raises(ValueError, match="commute"):
         mapping_cone(bad)
+
+
+B0, B1, B2 = (OrderedBasis(1, [BasisElement((d,))]) for d in range(3))
+X = ModuleVector.generator(1, 0, (1,))  # x e_0
+
+
+# Columns with a position outside the basis they map into, each with its
+# message: past the rank and negative in a differential, where the first
+# raised IndexError and the second wrapped to the last basis element; a
+# phi_0 column at position 3 of a rank-1 F_0; and a nonzero phi_1 where F
+# has no level 1.  mapping_cone raised IndexError on both chain maps.
+OUTSIDE_THE_BASIS = {
+    "past-the-rank": (
+        lambda: FreeComplex(1, [B0, B1], [[ModuleVector(1, {(1, (1,)): 1})]]),
+        "differential 1: column 0 has position 1, outside a basis of rank 1"),
+    "negative": (
+        lambda: FreeComplex(1, [B0, B1], [[ModuleVector(1, {(-1, (1,)): 1})]]),
+        "differential 1: column 0 has position -1, outside a basis of rank 1"),
+    "phi-past-the-rank": (
+        lambda: mapping_cone(ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []),
+                                      [[ModuleVector(1, {(3, (1,)): 1})]])),
+        "phi_0: column 0 has position 3, outside a basis of rank 1"),
+    "phi-past-the-length": (
+        lambda: mapping_cone(ChainMap(FreeComplex(1, [B1, B2], [[X]]), FreeComplex(1, [B0], []),
+                                      [[X], [ModuleVector.generator(1, 0, (2,))]])),
+        "phi_1: column 0 has position 0, outside a basis of rank 0"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_THE_BASIS)
+def test_a_position_outside_the_target_basis_is_refused(case):
+    build, message = OUTSIDE_THE_BASIS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_linear_quotients_examples():
@@ -714,6 +752,81 @@ def test_rows_read_back_through_the_view_and_the_constructor(C, minimized):
         _typed_rows(rows)
 
 
+def eliahou_kervaire_steps(I):
+    """The (F, colon generators, u) of each comparison_cone step of
+    eliahou_kervaire(I), each F the cone of the steps before."""
+    n, gens = I.n, stable_order(I)
+    F = taylor_complex(gens[:1], n)
+    for u, variables in zip(gens[1:], linear_quotients(gens, n).variable_sets):
+        colon = [variable(i, n) for i in sorted(variables)]
+        yield F, colon, u
+        F, _ = comparison_cone(F, colon, u)
+
+
+@st.composite
+def cone_steps(draw):
+    """(F, colon generators, u) triples: the last step of the Taylor step
+    cone of a drawn sequence (n <= 4, m <= 5, exponents <= 3), or every
+    Eliahou-Kervaire step of the stable closure of a drawn ideal (n <= 4,
+    at most 3 generators, exponents <= 2)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
+                             min_size=1, max_size=3))
+        return list(eliahou_kervaire_steps(stable_closure(MonomialIdeal(n, gens))))
+    gens = list(minimalize_ordered(draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                                                 min_size=2, max_size=5))))
+    return [taylor_step(gens, n)] if len(gens) >= 2 else []
+
+
+def taylor_step(gens, n):
+    """The (F, colon generators, u) of verify.taylor_step_cone(gens, n)."""
+    last = gens[-1]
+    return (taylor_complex(gens[:-1], n),
+            [tuple(a - min(a, b) for a, b in zip(u, last)) for u in gens[:-1]], last)
+
+
+def _levels(C):
+    return [(C.basis(p), C._level(p)[1]) for p in range(C.length + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_steps())
+@example(list(eliahou_kervaire_steps(MAXIMAL3_SQUARED)))
+@example([taylor_step(PATH7_ODD_FIRST, 7)])
+def test_comparison_cone_matches_the_column_reference(steps):
+    # The row-built cone and phi against the parent's column path, the order
+    # of the entries and their int and Fraction types included; the public
+    # path, mapping_cone of a ChainMap of the reference's columns, gives
+    # the same rows.
+    for F, colon, u in steps:
+        cone, phi = comparison_cone(F, colon, u)
+        ref_cone, ref_phi = reference_comparison_cone(F, colon, u)
+        assert cone.ranks == ref_cone.ranks
+        assert [b for b, _ in _levels(cone)] == [b for b, _ in _levels(ref_cone)]
+        assert _typed_rows(r for _, r in _levels(cone)) == \
+            _typed_rows(r for _, r in _levels(ref_cone))
+        G = phi.source
+        assert _typed_rows(phi.rows) == _typed_rows(
+            freemod.scalar_rows(cols, F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))[0]
+            for i, cols in enumerate(ref_phi.columns))
+        public = mapping_cone(ChainMap(G, F, ref_phi.columns))
+        assert _typed_rows(r for _, r in _levels(public)) == \
+            _typed_rows(r for _, r in _levels(ref_cone))
+
+
+def test_eliahou_kervaire_makes_no_view(monkeypatch):
+    # The cone steps compose, lift and write rows: no column is read as a
+    # ModuleVector.
+    def refuse(C, p):
+        raise AssertionError("a view was made")
+
+    monkeypatch.setattr(FreeComplex, "differential", refuse)
+    assert eliahou_kervaire(MonomialIdeal(4, [u for u in itertools.product(range(3), repeat=4)
+                                               if sum(u) == 2])).ranks == (1, 10, 20, 15, 4)
+    assert taylor_step_cone(PATH7_ODD_FIRST, 7)[0].ranks == taylor_complex(PATH7_ODD_FIRST, 7).ranks
+
+
 def test_check_complex_tests_that_row_degrees_divide_column_degrees():
     # Levels 0..2 of the Taylor complex of x1, x2, x3, with the entry of d_2
     # in row e_1 of the column of e_12 moved to row e_3.  d_1 o d_2 still
@@ -863,7 +976,6 @@ def _fallback_case():
 def test_lift_through_uses_the_groebner_fallback(monkeypatch):
     from syzdepth import complexes
     from syzdepth.freemod import leading_term
-    from syzdepth.groebner import _divide
 
     C, p, z, a = _fallback_case()
     divisors = [(col, leading_term(col)) for col in C.differential(p) if not col.is_zero()]
@@ -935,6 +1047,32 @@ def test_lift_by_groebner_lifts_exactly_the_boundaries(case):
         with pytest.raises(RuntimeError, match=f"lifting failed at homological degree {p}: "
                            "the complex is not exact there"):
             _lift_by_groebner(C, p, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lift_cases())
+@example(_fallback_case() + (True,))
+def test_lift_through_matches_the_column_reference(case):
+    # Term for term against the parent's lift_through, fallback included; an
+    # element outside the image fails in both.
+    C, p, z, a, _ = case
+    if _in_image(C, p, z, a) or z.is_zero():
+        assert list(lift_through(C, p, z).items()) == \
+            list(reference_lift_through(C, p, z).items())
+    else:
+        with pytest.raises(RuntimeError, match="lifting failed"):
+            lift_through(C, p, z)
+
+
+def test_lift_through_refuses_a_mixed_element():
+    # x1^2 x3 e_0 + x1 x2 x3 e_0 divides exactly by the columns x1^2 x3 and
+    # x1 x2 of d_1, and was once lifted; it is not multihomogeneous.
+    C = taylor_complex([(2, 0, 1), (1, 1, 0), (0, 2, 1)], 3)
+    mixed = ModuleVector.generator(3, 0, (2, 0, 1)) + ModuleVector.generator(3, 0, (1, 1, 1))
+    assert _divide(mixed, [(col, freemod.leading_term(col))
+                           for col in C.differential(1)])[1].is_zero()
+    with pytest.raises(ValueError, match="^can only lift multihomogeneous elements of F_0$"):
+        lift_through(C, 1, mixed)
 
 
 def test_complex_json_roundtrip_shape():

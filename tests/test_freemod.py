@@ -13,6 +13,7 @@ from syzdepth.freemod import (
     Slices,
     leading_term,
     multidegree_of,
+    row_vectors,
     scalar_rows,
 )
 from syzdepth.monomials import unit
@@ -145,6 +146,27 @@ def test_multihomogeneous_vector_has_one_term_per_position(pair):
         t = leading_term(v)
         assert t.position == min(positions)
         assert t.monomial == tuple(a - b for a, b in zip(d, basis.degree(t.position)))
+
+
+@pytest.mark.parametrize("position", [2, -1])
+def test_scalar_rows_refuse_a_position_outside_the_basis(position):
+    # A position past the rank once raised IndexError from multidegree_of,
+    # and a negative one wrapped to the last basis element.
+    b = basis_of((0, 0), (1, 0))
+    vectors = [ModuleVector.generator(2, 0), ModuleVector.generator(2, position, (0, 1))]
+    with pytest.raises(ValueError, match=f"^column 1 has position {position}, "
+                                         "outside a basis of rank 2$"):
+        scalar_rows(vectors, b)
+
+
+@given(st.lists(multihomogeneous_vectors(), max_size=4))
+def test_row_vectors_invert_scalar_rows(pairs):
+    # Term for term, in the same order, every coefficient a Fraction.
+    basis = pairs[0][1] if pairs else basis_of((0, 0))
+    vectors = [v for v, _ in pairs]
+    back = row_vectors(*scalar_rows(vectors, basis), basis)
+    assert [list(v.items()) for v in back] == [list(v.items()) for v in vectors]
+    assert all(type(c) is Fraction for v in back for _, c in v.items())
 
 
 @given(st.integers(1, 5).flatmap(lambda c: st.lists(

@@ -8,9 +8,9 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, leading_term
+from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, leading_term, scalar_rows
+from syzdepth import complexes
 from syzdepth.groebner import (
-    _divide,
     _spair_loop,
     buchberger,
     hilbert_slice_check,
@@ -24,6 +24,8 @@ from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, minimalize_ordered
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
+
+from reference_cones import reference_taylor_step_cone
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -359,25 +361,26 @@ def test_spair_loop_matches_the_sorted_list_kernel(case):
 
 @st.composite
 def division_cases(draw):
-    """(vector, reducers) pairs from a seeded random ideal (n <= 4, m <= 5,
-    exponents <= 3): the inputs lift_through gets while the Taylor step cone
-    is built and while compose_cone_gb lifts, and each column of a Taylor or
-    minimised differential divided by the other columns, some of them scaled
-    by 5/3 so that leading coefficients are not 1."""
+    """(lifts, divisions) from a seeded random ideal (n <= 4, m <= 5,
+    exponents <= 3).  lifts are the (F, i, z) that the Taylor step cone
+    lifts through d^F_i while it is built and that compose_cone_gb lifts,
+    read from the reference cone's vector columns; divisions are (vector,
+    reducers) pairs, each column of a Taylor or minimised differential
+    divided by the other columns, some of them scaled by 5/3 so that leading
+    coefficients are not 1."""
     I = random_monomial_ideal(trial_rng(draw(st.integers(0, 10**6)), 0), 4, 5, 3, min_gens=2)
     n, gens = I.n, list(I.gens)
     assume(len(gens) >= 2)
-    cases = []
-    _, phi = taylor_step_cone(gens, n)
+    _, phi = reference_taylor_step_cone(gens, n)
     G, F = phi.source, phi.target
+    lifts = []
     for i in range(1, min(G.length, F.length) + 1):
-        divisors = [(col, leading_term(col)) for col in F.differential(i) if not col.is_zero()]
         targets = [phi.apply(i - 1, G.apply(i, ModuleVector.generator(n, k)))
                    for k in range(G.rank(i))]
-        if i + 1 <= G.length:
-            targets += [-phi.apply(i, z) for z in
-                        buchberger(list(G.differential(i + 1)), G.basis(i)).generators]
-        cases += [(z, divisors) for z in targets if not z.is_zero()]
+        targets += [-phi.apply(i - 1, z) for z in
+                    buchberger(list(G.differential(i)), G.basis(i - 1)).generators]
+        lifts += [(F, i, z) for z in targets if not z.is_zero()]
+    divisions = []
     C = taylor_complex(gens, n)
     if draw(st.booleans()):
         C = minimize(C)
@@ -385,16 +388,29 @@ def division_cases(draw):
         columns = [col if k % 2 else col.scale(Fraction(5, 3))
                    for k, col in enumerate(C.differential(p)) if not col.is_zero()]
         for k, col in enumerate(columns):
-            cases.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]]))
-    return cases
+            divisions.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]]))
+    return lifts, divisions
 
 
 @settings(max_examples=60, deadline=None)
 @given(division_cases())
 def test_divide_matches_the_linear_scan_kernel(cases):
-    for v, reducers in cases:
-        quotient, rem = _divide(v, reducers)
-        expected_quotient, expected_rem = _reference_divide(v, reducers)
-        assert list(quotient.items()) == list(expected_quotient.items())
-        assert list(rem.items()) == list(expected_rem.items())
-        assert all(type(c) is Fraction for c in quotient.values())
+    # The lifter's quotients are the linear scan's, entry order included,
+    # with the monomial a - deg e_c of column c, ints where integral; and
+    # normal_form's remainder is the linear scan's.
+    lifts, divisions = cases
+    for F, i, z in lifts:
+        columns = F.differential(i)
+        nonzero = [j for j, col in enumerate(columns) if not col.is_zero()]
+        expected_quotient, expected_rem = _reference_divide(
+            z, [(columns[j], leading_term(columns[j])) for j in nonzero])
+        assert expected_rem.is_zero()
+        (row,), (a,) = scalar_rows([z], F.basis(i - 1))
+        w = complexes._Lifter(F, i).lift(row, a)
+        assert list(w.items()) == [(nonzero[k], c) for (k, _), c in expected_quotient.items()]
+        assert all(mono == tuple(x - y for x, y in zip(a, F.basis(i).degree(nonzero[k])))
+                   for k, mono in expected_quotient)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in w.values())
+    for v, reducers in divisions:
+        assert list(normal_form(v, reducers).items()) == \
+            list(_reference_divide(v, reducers)[1].items())

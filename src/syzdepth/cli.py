@@ -256,10 +256,10 @@ def cmd_initial(args) -> int:
     else:
         # Z_0 is spanned by the columns of d_1 inside F_0, which has one basis
         # element, so there the boundary basis is the lex-refined one.
-        ini, gens = lex_refined_initial(C, p)
+        ini, (rows, degrees) = lex_refined_initial(C, p)
         payload = {"p": p, "basis": args.basis, **ini.to_jsonable()}
         if args.oracle:
-            ok, bad = hilbert_slice_check(gens, ini)
+            ok, bad = hilbert_slice_check(rows, degrees, ini)
             payload["oracle_equal"] = ok
             if not ok:
                 payload["failing_degree"] = list(bad)

@@ -26,15 +26,13 @@ from .freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
-    add_multiple,
-    leading_term,
-    multidegree_of,
+    read_columns,
     row_vectors,
     scalar_rows,
     unit_rows,
     walk_closure,
 )
-from .groebner import _tagged_groebner, normal_form
+from .groebner import _tagged_groebner
 from .monomials import Mono, MonomialIdeal
 
 
@@ -65,8 +63,8 @@ class FreeComplex:
         self._levels = [(bases[0], [{}] * len(bases[0]))] if bases else []  # d_0 is zero
         for p, cols in enumerate(differentials, start=1):
             cols = self._views[p] = tuple(cols)
-            self._levels.append((bases[p], _read_columns(f"differential {p}", cols,
-                                                         bases[p], bases[p - 1])))
+            self._levels.append((bases[p], read_columns(f"differential {p}", cols,
+                                                        bases[p], bases[p - 1])))
         self.n = n
         self.ranks = tuple(map(len, bases))
         self._make_level = None
@@ -115,31 +113,14 @@ class FreeComplex:
         return view
 
     def apply(self, p: int, v: ModuleVector) -> ModuleVector:
-        """Image of v in F_p under the p-th differential."""
-        columns, out = self.differential(p), {}
-        for (pos, mono), coeff in v.items():
-            add_multiple(out, columns[pos].items(), coeff, mono)
-        return ModuleVector(self.n, out)
+        """Image of v in F_{p-1} under the p-th differential."""
+        columns = self.differential(p)
+        return ModuleVector(self.n, [((r, monomials.mul(mono, m)), coeff * c)
+                                     for (pos, mono), coeff in v.items()
+                                     for (r, m), c in columns[pos].items()])
 
     def __repr__(self):
         return f"FreeComplex(n={self.n}, ranks={self.ranks})"
-
-
-def _read_columns(name: str, columns, source: OrderedBasis, target: OrderedBasis) -> list:
-    """The rows of the columns of the map name from source to target, read by
-    scalar_rows; ValueError names the map and the column that is off the
-    degree of its basis element or has a position outside target."""
-    if len(columns) != len(source):
-        raise ValueError(f"{name} has {len(columns)} columns, expected {len(source)}")
-    try:
-        rows, found = scalar_rows(columns, target)
-    except ValueError as err:
-        raise ValueError(f"{name}: {err}") from None
-    for j, (d, e) in enumerate(zip(found, source.degrees)):
-        if d not in (None, e):
-            raise ValueError(f"{name}: column {j} has degree {d}, "
-                             f"not the degree {e} of its basis element")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +206,7 @@ class ChainMap:
     """A degree-0 multigraded chain map phi: G -> F, stored as scalar rows:
     rows[i] holds phi_i's columns as FreeComplex holds d_p's, i = 0..G.length.
     The constructor reads ModuleVector columns, one sequence per level, as
-    FreeComplex's does (_read_columns); mapping_cone tests commutation."""
+    FreeComplex's does (freemod.read_columns); mapping_cone tests commutation."""
 
     __slots__ = ("source", "target", "rows")
 
@@ -237,8 +218,8 @@ class ChainMap:
                              "the source complex")
         self.source, self.target = G, F
         # Past F's length, F_i is zero: no position lies in it.
-        self.rows = [_read_columns(f"phi_{i}", tuple(columns[i]), G.basis(i),
-                                   F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
+        self.rows = [read_columns(f"phi_{i}", tuple(columns[i]), G.basis(i),
+                                  F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
                      for i in range(G.length + 1)]
 
     @classmethod
@@ -388,14 +369,14 @@ class _Lifter:
     A row z of degree a is lifted by reducing the smallest row r left in it
     by the first column filed under r that is active at a, deg e_c | a
     (a DegreeMasks over F_p's degrees), and recording its quotient.  That
-    is normal_form's division of z by the columns as vectors: a leading
-    term sits at the smallest position, and x^(deg e_c - deg e_r) divides
-    x^(a - deg e_r) exactly when deg e_c | a.  Each column is used at most
-    once, as r only grows.  When the boundaries of F_p's generators form a
-    Groebner basis, as for Eliahou-Kervaire and the resolutions of the
-    paper's second theorem, no remainder is left; otherwise z goes to
-    _lift_by_groebner, which divides it by a Groebner basis of the tagged
-    columns.
+    is the division of z by the columns as vectors, as groebner divides
+    rows: a leading term sits at the smallest position, and
+    x^(deg e_c - deg e_r) divides x^(a - deg e_r) exactly when deg e_c | a.
+    Each column is used at most once, as r only grows.  When the boundaries
+    of F_p's generators form a Groebner basis, as for Eliahou-Kervaire and
+    the resolutions of the paper's second theorem, no remainder is left;
+    otherwise z goes to _lift_by_groebner, which divides it by a Groebner
+    basis of the tagged columns.
     """
 
     def __init__(self, C: FreeComplex, p: int):
@@ -428,23 +409,25 @@ class _Lifter:
 
 
 def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    """A preimage of the multihomogeneous z from the tagged Groebner basis.
+    """A preimage of the multihomogeneous z from the tagged Groebner basis
+    of d_p's rows.
 
     Each basis element is d_p(w) + w with w at the tag positions, which rank
-    below every target position.  So z is a boundary exactly when its normal
-    form has no target term, and then z - (normal form) = d_p(w) + w with
-    w = -(normal form).
+    below every target position.  So z is a boundary exactly when its
+    remainder has no target entry, and then z - (remainder) = d_p(w) + w
+    with w = -(remainder).
     """
     target = C.basis(p - 1)
-    if multidegree_of(z, target) is None:
+    (row,), (a,) = scalar_rows([z], target)
+    if a is None:
         raise ValueError("can only lift multihomogeneous elements")
-    gb = _tagged_groebner(C.differential(p), C.basis(p), target)
+    gb = _tagged_groebner(C._level(p)[1], C.basis(p), target)
     r = len(target)
-    rem = normal_form(z, [(g, leading_term(g)) for g in gb.generators])
-    if any(pos < r for (pos, _), _ in rem.items()):
+    rem = gb.remainder(row, a)
+    if min(rem, default=r) < r:
         raise RuntimeError(f"lifting failed at homological degree {p}: "
                            "the complex is not exact there")
-    return (-rem).map_positions(-r)
+    return row_vectors([{pos - r: -c for pos, c in rem.items()}], [a], C.basis(p))[0]
 
 
 def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:
@@ -536,6 +519,16 @@ def syzygy_generators(C: FreeComplex, p: int):
     if p < 1:
         raise ValueError("syzygy index must be at least 1 (Z_0 is the module itself)")
     return list(C.differential(p + 1))
+
+
+def syzygy_rows(C: FreeComplex, p: int):
+    """The scalar rows of d_{p+1} and their degrees, None for a zero row, as
+    scalar_rows reads syzygy_generators; at p = 0 they generate the resolved
+    submodule, and beyond the length there are none.  The rows are C's own."""
+    if p >= C.length:
+        return [], []
+    basis, rows = C._level(p + 1)
+    return rows, [d if row else None for row, d in zip(rows, basis.degrees)]
 
 
 def _unit_row(row: dict, degree: Mono, target) -> Optional[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 from typing import Any, Iterable, NamedTuple, Optional
 
 from . import linalg, monomials
@@ -160,22 +160,10 @@ class ModuleVector:
         return self + (-other)
 
     def scale(self, coeff, monomial: Optional[Mono] = None) -> "ModuleVector":
-        """Multiply by coeff * x^monomial; by 1 or -1 the coefficients are
-        copied or negated, not multiplied."""
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
-        if not coeff:
-            return ModuleVector(self.n)
-        items = self._terms.items()
-        if monomial is not None and any(monomial):
-            items = [((pos, monomials.mul(mono, monomial)), c) for (pos, mono), c in items]
-        if coeff == 1:
-            terms = dict(items)
-        elif coeff == -1:
-            terms = {k: -c for k, c in items}
-        else:
-            terms = {k: c * coeff for k, c in items}
-        return ModuleVector.from_terms(self.n, terms)
+        """Multiply by coeff * x^monomial."""
+        shift = monomial if monomial is not None else monomials.unit(self.n)
+        return ModuleVector(self.n, {(pos, monomials.mul(mono, shift)): c * coeff
+                                     for (pos, mono), c in self._terms.items()})
 
     def map_positions(self, shift) -> "ModuleVector":
         """Relabel positions through a callable or an offset int."""
@@ -185,32 +173,6 @@ class ModuleVector:
 
     def coefficient(self, position: int, monomial: Mono) -> Fraction:
         return self._terms.get((position, monomial), Fraction(0))
-
-
-def add_multiple(terms: dict, items, coeff, shift: Mono) -> None:
-    """terms += coeff * x^shift * items, in place, with zero sums dropped.
-
-    terms maps (position, monomial) to a coefficient, and items is a
-    sequence of such pairs.  A coeff of 1 or -1 adds or subtracts the item
-    coefficients, ints or Fractions, as they are, without multiplying.  A
-    missing key starts from c, -c or c * coeff, not from 0 + ..., which
-    would send every new Fraction through its reflected operator.
-    """
-    moved = any(shift)
-    sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
-    for (pos, mono), c in items:
-        key = (pos, tuple(map(add, mono, shift))) if moved else (pos, mono)
-        old = terms.get(key)
-        if sign > 0:
-            new = c if old is None else old + c
-        elif sign < 0:
-            new = -c if old is None else old - c
-        else:
-            new = c * coeff if old is None else old + c * coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
 
 
 def leading_term(v: ModuleVector) -> Term:
@@ -295,6 +257,23 @@ def scalar_rows(vectors, basis: OrderedBasis):
             raise ValueError(f"column {j} is not multihomogeneous")
     return [{pos: c.numerator if c.denominator == 1 else c for (pos, _), c in v.items()}
             for v in vectors], degrees
+
+
+def read_columns(name: str, columns, source: OrderedBasis, target: OrderedBasis) -> list:
+    """The rows of the columns of the map name from source to target, read by
+    scalar_rows; ValueError names the map and the column that is off the
+    degree of its basis element or has a position outside target."""
+    if len(columns) != len(source):
+        raise ValueError(f"{name} has {len(columns)} columns, expected {len(source)}")
+    try:
+        rows, found = scalar_rows(columns, target)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+    for j, (d, e) in enumerate(zip(found, source.degrees)):
+        if d not in (None, e):
+            raise ValueError(f"{name}: column {j} has degree {d}, "
+                             f"not the degree {e} of its basis element")
+    return rows
 
 
 _UNITS = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries

@@ -5,11 +5,13 @@ initial modules of syzygy modules are computed here from generators alone,
 with no reference to how the generators arose.  The term order is the one
 of freemod, read on the ordered basis passed in.
 
-The S-pair loop keeps its pairs in a heap keyed once, when a pair is
-pushed, by the multidegree of its lcm.  Division reduces one term dict in
-place against reducers bucketed by leading position, each bucket in the
-given order, so the first divisor found is the first in the whole list.
-Arithmetic is exact throughout; multiplying by 1 or -1 copies or negates.
+A multihomogeneous element has one term x^(d - deg e_j) at each position j
+of its scalar row {j: coefficient} at its degree d, so the engine runs on
+the (rows, degrees, basis) triple of freemod.Slices and of every
+FreeComplex level.  Elements are monic and filed by leading (smallest)
+position in the order made, and x^(d_k - deg e_r) divides x^(d - deg e_r)
+exactly when d_k | d.  Arithmetic is exact: a quotient by an entry other
+than 1 or -1 is a Fraction, integral values kept as ints.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from fractions import Fraction
 from operator import le, sub
 from typing import Iterable, Sequence
 
-from . import monomials
+from . import linalg, monomials
 from .freemod import (
     BasisElement,
     ModuleVector,
     OrderedBasis,
     Slices,
     Term,
-    add_multiple,
-    leading_term,
+    read_columns,
+    row_vectors,
     scalar_rows,
-    term_key,
     unit_rows,
     walk_closure,
 )
@@ -39,11 +40,26 @@ from .monomials import MonomialIdeal
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    generators: tuple
+    """A reduced Groebner basis as monic scalar rows and their degrees on the
+    basis; generators, its module vectors, are made from them when read."""
+
+    rows: tuple
+    degrees: tuple
     basis: OrderedBasis
 
+    @property
+    def generators(self) -> tuple:
+        return tuple(row_vectors(self.rows, self.degrees, self.basis))
+
     def leading_terms(self):
-        return [leading_term(g) for g in self.generators]
+        return leading_terms_of_rows(self.rows, self.degrees, self.basis)
+
+    def remainder(self, row: dict, degree) -> dict:
+        """The remainder of the row of the degree on division by the basis."""
+        filed = {}
+        for index, element in enumerate(zip(self.rows, self.degrees)):
+            _file(filed, index, *element)
+        return _reduce(dict(row), degree, filed)
 
 
 @dataclass(frozen=True)
@@ -74,146 +90,148 @@ class InitialModule:
         }
 
 
-def normal_form(v: ModuleVector, reducers: Sequence) -> ModuleVector:
-    """Full remainder of v on division by the reducers.
-
-    reducers is a sequence of (vector, leading term) pairs, tried in order.
-    """
-    buckets = {}
-    for i, (g, lt) in enumerate(reducers):
-        _add_reducer(buckets, i, g, lt)
-    return ModuleVector(v.n, _reduce(dict(v.items()), buckets))
-
-
-def _add_reducer(buckets: dict, index: int, g: ModuleVector, lt: Term) -> tuple:
-    """File reducer g under its leading position, after the earlier ones, as
-    the entry (index, leading monomial, leading coefficient, other terms),
-    which is returned."""
-    lead = (lt.position, lt.monomial)
-    entry = (index, lt.monomial, lt.coeff, [(key, c) for key, c in g.items() if key != lead])
-    buckets.setdefault(lt.position, []).append(entry)
-    return entry
+def leading_terms_of_rows(rows, degrees, basis: OrderedBasis) -> list:
+    """The leading terms of the nonzero rows at their degrees: the entry c
+    at the smallest position r of a row of degree d is the term
+    c x^(d - deg e_r)."""
+    targets, terms = basis.degrees, []
+    for row, d in zip(rows, degrees):
+        if row:
+            r = min(row)
+            terms.append(Term(Fraction(row[r]), tuple(map(sub, d, targets[r])), r))
+    return terms
 
 
-def _reduce(rem: dict, buckets: dict) -> dict:
-    """Divide the terms rem, in place, by the bucketed reducers; return the
-    remainder terms in the order they were found.
+def _monic(row: dict) -> dict:
+    """The row divided by its leading entry: as it is by 1, negated by -1,
+    and otherwise by Fraction quotients, integral values kept as ints."""
+    lead = row[min(row)]
+    if lead == 1:
+        return row
+    if lead == -1:
+        return {r: -c for r, c in row.items()}
+    quotients = ((r, Fraction(c) / lead) for r, c in row.items())
+    return {r: q.numerator if q.denominator == 1 else q for r, q in quotients}
 
-    Each step takes the leading term of rem and the first reducer of its
-    position whose leading monomial divides it.  The reducer's leading term
-    cancels it exactly, so it is popped and the other terms are subtracted.
-    """
+
+def _file(filed: dict, index: int, row: dict, degree) -> tuple:
+    """File the monic row of the degree under its leading position, after
+    the earlier ones, as (index, degree, the other entries); returns the
+    position and that entry."""
+    r = min(row)
+    entry = (index, degree, {k: c for k, c in row.items() if k != r})
+    filed.setdefault(r, []).append(entry)
+    return r, entry
+
+
+def _reduce(rem: dict, degree, filed: dict) -> dict:
+    """Divide the row rem of the degree, in place, by the filed elements;
+    return the remainder entries in the order they were found.  Each step
+    pops the smallest position r left and subtracts that many times the
+    other entries, all past r, of the first element filed under r whose
+    degree divides the degree, as its leading 1 cancels the popped entry."""
     tail = {}
     while rem:
-        lead = max(rem, key=term_key)
-        c = rem.pop(lead)
-        pos, mono = lead
-        for _, lm, lc, rest in buckets.get(pos, ()):
-            if all(map(le, lm, mono)):
+        r = min(rem)
+        c = rem.pop(r)
+        for _, d, rest in filed.get(r, ()):
+            if all(map(le, d, degree)):
                 break
         else:
-            tail[lead] = c
+            tail[r] = c
             continue
-        shift = tuple(map(sub, mono, lm))
-        coeff = c if lc == 1 else c / lc
-        add_multiple(rem, rest, -coeff, shift)
+        linalg.add_scaled(rem, -c, rest)
     return tail
 
 
 def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBasis:
-    """The unique reduced Groebner basis of the submodule generated by gens:
-    the S-pair loop, minimalisation, then inter-reduction of the tails."""
-    kept = _minimal(_spair_loop(gens, basis))
-    # Inter-reduce tails for the unique reduced basis, keyed by leading term.
-    n = basis.n
-    reduced = {}
-    for i, (g, lt) in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        head = ModuleVector(n, {(lt.position, lt.monomial): Fraction(1)})
-        tail = normal_form(g - head, others)
-        reduced[(lt.position, lt.monomial)] = head + tail
-    ordered = sorted(reduced, key=term_key, reverse=True)
-    return GroebnerBasis(tuple(reduced[key] for key in ordered), basis)
+    """The unique reduced Groebner basis of the submodule generated by gens,
+    read by freemod.scalar_rows, which refuses (ValueError) a generator that
+    is not multihomogeneous or has a position outside the basis."""
+    return buchberger_rows(*scalar_rows(gens, basis), basis)
 
 
-def _spair_loop(gens: Iterable[ModuleVector], basis: OrderedBasis) -> list:
-    """A Groebner basis of the submodule generated by gens, as a list of
-    (monic vector, leading term) pairs.
+def buchberger_rows(rows, degrees, basis: OrderedBasis) -> GroebnerBasis:
+    """buchberger on scalar rows and their degrees: the S-pair loop,
+    minimalisation, then inter-reduction of the tails against the kept
+    elements, filed once, as a tail lies past its own leading position.
+    The rows are sorted by leading term, largest first."""
+    filed = {}
+    kept = _minimal(_spair_loop(rows, degrees, basis))
+    entries = [_file(filed, index, *element) for index, element in enumerate(kept)]
+    reduced = sorted(((r, d, {r: 1, **_reduce(dict(rest), d, filed)})
+                      for r, (_, d, rest) in entries),
+                     key=lambda element: (-element[0], element[1]), reverse=True)
+    return GroebnerBasis(tuple(row for _, _, row in reduced),
+                         tuple(d for _, d, _ in reduced), basis)
 
-    Pairs wait in a heap keyed by the multidegree of their lcm (total degree
-    first, then lex, then the two indices); each key is computed once, when
-    the pair is pushed, and no two are equal.  Every new element is fully
-    reduced against the earlier ones, bucketed by leading position.  The
-    product criterion is applied only to pairs whose elements both live in a
-    single basis position; for genuine module elements it is unsound and is
-    not used.
+
+def _spair_loop(rows, degrees, basis: OrderedBasis) -> list:
+    """A Groebner basis of the submodule generated by the rows, as a list of
+    (monic row, degree) pairs; an empty row is skipped.
+
+    Pairs of elements filed under one position r wait in a heap keyed once
+    by the lcm l of their degrees (total degree, lex, then the two indices).
+    The S-pair, the difference of the rows without their leading entries at
+    degree l, is fully reduced against the elements so far.  The product
+    criterion, gcd(d_i - deg e_r, d_j - deg e_r) = 0, is applied only when
+    both rows have a single entry; for module elements it is unsound.
     """
-    elements = []  # list of (vector, leading term)
-    entries = []  # the reducer entry of each element
-    single = []  # whether each element lives in a single basis position
-    buckets = {}  # leading position -> reducer entries, by index
-    queue = []  # heap of (total degree, degree, i, j)
+    elements, entries, filed, queue = [], [], {}, []
+    targets = basis.degrees
 
-    def add_element(v):
-        lt = leading_term(v)
-        v = v.scale(lt.coeff ** -1)
-        lt = Term(Fraction(1), lt.monomial, lt.position)
-        index = len(elements)
-        degree = basis.degree(lt.position)
-        for i, lm, _, _ in buckets.get(lt.position, ()):
-            d = monomials.mul(monomials.lcm(lm, lt.monomial), degree)
-            heapq.heappush(queue, (sum(d), d, i, index))
-        elements.append((v, lt))
-        entries.append(_add_reducer(buckets, index, v, lt))
-        single.append(len({pos for (pos, _), _ in v.items()}) == 1)
+    def add(row, degree):
+        row, index = _monic(row), len(elements)
+        for i, d, _ in filed.get(min(row), ()):
+            l = tuple(map(max, d, degree))
+            heapq.heappush(queue, (sum(l), l, i, index))
+        elements.append((row, degree))
+        entries.append(_file(filed, index, row, degree))
 
-    for g in gens:
-        if g is not None and not g.is_zero():
-            add_element(g)
+    for row, d in zip(rows, degrees):
+        if row:
+            add(row, d)
 
     while queue:
-        _, _, i, j = heapq.heappop(queue)
-        _, lm_i, _, rest_i = entries[i]
-        _, lm_j, _, rest_j = entries[j]
-        if single[i] and single[j] and not any(map(min, lm_i, lm_j)):
+        _, l, i, j = heapq.heappop(queue)
+        r, (_, d_i, rest_i) = entries[i]
+        _, (_, d_j, rest_j) = entries[j]
+        if not rest_i and not rest_j and tuple(map(min, d_i, d_j)) == targets[r]:
             continue
-        # The S-pair x^(l/lm_i) v_i - x^(l/lm_j) v_j; the monic leading
-        # terms cancel, so only the other terms enter it.
-        l = monomials.lcm(lm_i, lm_j)
-        s = {}
-        add_multiple(s, rest_i, 1, monomials.divide(l, lm_i))
-        add_multiple(s, rest_j, -1, monomials.divide(l, lm_j))
-        tail = _reduce(s, buckets)
+        s = dict(rest_i)
+        linalg.add_scaled(s, -1, rest_j)
+        tail = _reduce(s, l, filed)
         if tail:
-            add_element(ModuleVector(basis.n, tail))
+            add(tail, l)
     return elements
 
 
 def _minimal(elements: list) -> list:
     """The elements whose leading term no other one divides (of equal
-    leading terms the earliest): a minimal Groebner basis."""
-    kept = []
-    for idx, (g, lt) in enumerate(elements):
-        redundant = False
-        for idx2, (_, lt2) in enumerate(elements):
-            if idx2 == idx:
-                continue
-            if lt2.position == lt.position and monomials.divides(lt2.monomial, lt.monomial):
-                if monomials.divides(lt.monomial, lt2.monomial) and idx2 > idx:
-                    continue  # equal leading terms: keep the earliest
-                redundant = True
-                break
-        if not redundant:
-            kept.append((g, lt))
-    return kept
+    leading terms the earliest): a minimal Groebner basis.  An element is
+    compared only with those of its leading position."""
+    leads = [min(row) for row, _ in elements]
+    filed = {}
+    for index, (r, (_, d)) in enumerate(zip(leads, elements)):
+        filed.setdefault(r, []).append((index, d))
+    return [(row, d) for index, (r, (row, d)) in enumerate(zip(leads, elements))
+            if not any(k != index and all(map(le, e, d)) and (e != d or k < index)
+                       for k, e in filed[r])]
 
 
 def initial_module(gens: Iterable[ModuleVector], basis: OrderedBasis) -> InitialModule:
-    """Minimal generators of ini(M) per basis position: the leading terms of
+    """Minimal generators of ini(M) per basis position, read as buchberger
+    reads gens."""
+    return initial_module_rows(*scalar_rows(gens, basis), basis)
+
+
+def initial_module_rows(rows, degrees, basis: OrderedBasis) -> InitialModule:
+    """initial_module on scalar rows and their degrees: the leading terms of
     a minimal Groebner basis, which are those of the reduced one, so the
     tails are never inter-reduced."""
-    kept = _minimal(_spair_loop(gens, basis))
-    return monomial_module_from_terms(basis, [lt for _, lt in kept])
+    kept = _minimal(_spair_loop(rows, degrees, basis))
+    return monomial_module_from_terms(basis, leading_terms_of_rows(
+        [row for row, _ in kept], [d for _, d in kept], basis))
 
 
 def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:
@@ -226,8 +244,9 @@ def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> In
     return InitialModule(basis, components)
 
 
-def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule):
-    """Graded dimensions of the span of gens and of the initial module agree
+def hilbert_slice_check(rows, degrees, initial: InitialModule):
+    """Graded dimensions of the span of the generators, given as scalar rows
+    and their degrees (None for a zero row), and of the initial module agree
     in every multidegree.  Returns (ok, first failing degree in lex order).
 
     Both sides are one Slices engine each: the generators, and the initial
@@ -237,7 +256,7 @@ def hilbert_slice_check(gens: Sequence[ModuleVector], initial: InitialModule):
     of those degrees.
     """
     basis = initial.basis
-    span = Slices(*scalar_rows(gens, basis), basis)
+    span = Slices(rows, degrees, basis)
     monomial = Slices(*unit_rows(((j, u) for j, ideal in enumerate(initial.components)
                                   for u in ideal.gens), basis), basis)
 
@@ -262,32 +281,33 @@ def kernel_generators(columns: Sequence[ModuleVector], source_basis: OrderedBasi
                       target_basis: OrderedBasis):
     """Generators of the kernel of the map sending e_j to columns[j].
 
-    The elements of the tagged Groebner basis (_tagged_groebner) with no
-    target part are kernel elements, and their tag parts form a Groebner
-    basis of the kernel under the source POT order.
+    The columns are read by freemod.read_columns, which refuses one off the
+    degree of its basis element or with a position outside the target.  The
+    elements of the tagged Groebner basis (_tagged_groebner) with no target
+    part are kernel elements, and their tag parts form a Groebner basis of
+    the kernel under the source POT order.
     """
-    gb = _tagged_groebner(columns, source_basis, target_basis)
+    rows = read_columns("the map", columns, source_basis, target_basis)
+    gb = _tagged_groebner(rows, source_basis, target_basis)
     r = len(target_basis)
-    kernel = []
-    for g in gb.generators:
-        if all(pos >= r for (pos, _), _ in g.items()):
-            kernel.append(g.map_positions(-r))
-    return kernel
+    kernel = [({pos - r: c for pos, c in row.items()}, d)
+              for row, d in zip(gb.rows, gb.degrees) if min(row) >= r]
+    return row_vectors([row for row, _ in kernel], [d for _, d in kernel], source_basis)
 
 
-def _tagged_groebner(columns: Sequence[ModuleVector], source_basis: OrderedBasis,
-                    target_basis: OrderedBasis) -> GroebnerBasis:
-    """The tag-module trick: the reduced Groebner basis of the columns, each
-    extended by a tag term e_(r+j) recording its source position j.
+def _tagged_groebner(rows, source_basis: OrderedBasis,
+                     target_basis: OrderedBasis) -> GroebnerBasis:
+    """The tag-module trick: the reduced Groebner basis of the rows of a
+    map's columns, each extended by a tag entry 1 at r + j recording its
+    source position j, at the degree of e_j.
 
     The extended basis is the target basis (r positions) followed by the
     source basis, so the target positions rank above the tags.  Every
     element of the tagged module is d(w) + w with w read at the tags.
     """
-    n = target_basis.n
     r = len(target_basis)
-    extended = OrderedBasis(n, list(target_basis.elements)
+    extended = OrderedBasis(target_basis.n, list(target_basis.elements)
                             + [BasisElement(e.degree, ("tag", e.label))
                                for e in source_basis.elements])
-    tagged = [col + ModuleVector.generator(n, r + j) for j, col in enumerate(columns)]
-    return buchberger(tagged, extended)
+    tagged = [{**row, r + j: 1} for j, row in enumerate(rows)]
+    return buchberger_rows(tagged, source_basis.degrees, extended)

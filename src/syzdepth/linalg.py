@@ -6,8 +6,8 @@ row on its leading (smallest) column, and is the library's only kernel:
 exact_rank runs it over a list of rows, and freemod.Slices over the rows
 active down the lcm-closure tree, keeping its pivots, for the exactness
 certificate and the Hilbert-slice check.  Its update, add_scaled, also
-composes, lifts (complexes._Lifter, a division of rows by columns; a lift it
-cannot find goes through a Groebner basis) and minimizes complexes.
+composes, lifts (complexes._Lifter) and minimizes complexes, and forms the
+S-pairs and divisions of groebner's Buchberger algorithm on scalar rows.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ def _mismatch(u: Mono, v: Mono) -> ValueError:
 
 
 def check_monomial(u: Mono) -> Mono:
-    if any(e < 0 for e in u):
+    """u, unless an exponent is negative (reported first) or at the cap."""
+    if min(u, default=0) < 0:
         raise ValueError(f"negative exponent in monomial {u}")
-    if any(e >= EXPONENT_CAP for e in u):
+    if max(u, default=0) >= EXPONENT_CAP:
         raise ValueError(f"exponent overflow in {u}")
     return u
 

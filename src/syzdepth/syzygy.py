@@ -11,13 +11,15 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from . import groebner, monomials
-from .complexes import ChainMap, FreeComplex, _compose, _Lifter, syzygy_generators
-from .freemod import ModuleVector, OrderedBasis, leading_term, row_vectors, scalar_rows
+from .complexes import ChainMap, FreeComplex, _compose, _Lifter, syzygy_rows
+from .freemod import ModuleVector, OrderedBasis, row_vectors
 from .groebner import (
     GroebnerBasis,
     InitialModule,
     initial_module,
+    initial_module_rows,
     kernel_generators,
+    leading_terms_of_rows,
     monomial_module_from_terms,
 )
 from .monomials import Mono, MonomialIdeal
@@ -61,8 +63,8 @@ def taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdea
 def boundary_leading_terms(C: FreeComplex, p: int) -> InitialModule:
     """Monomial module spanned by the leading terms of the (p+1)-boundaries,
     taken under the complex's own basis order at level p."""
-    terms = [leading_term(col) for col in C.differential(p + 1) if not col.is_zero()]
-    return monomial_module_from_terms(C.basis(p), terms)
+    basis = C.basis(p)
+    return monomial_module_from_terms(basis, leading_terms_of_rows(*syzygy_rows(C, p), basis))
 
 
 @dataclass
@@ -98,9 +100,8 @@ def verify_boundary_gb(C: FreeComplex, p: int,
     """
     if p < 1:
         raise ValueError("boundary Groebner bases are checked for p >= 1")
-    gens = syzygy_generators(C, p)
     boundary = boundary_leading_terms(C, p)
-    oracle = initial_module(gens, C.basis(p))
+    oracle = initial_module_rows(*syzygy_rows(C, p), C.basis(p))
     closed = None
     if taylor_gens is not None:
         components = []
@@ -116,34 +117,33 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
     """Groebner basis of Z_i(cone) from bases of Z_i(F) and Z_{i-1}(G).
 
     Elements of gbF embed into the F part; an element z of gbG becomes the
-    cycle z - w, w the lift of phi_{i-1}(z) through d^F_i, all on scalar
-    rows.  The result is checked against the Buchberger oracle
-    ini(Z_i(cone)), computed here unless the caller passes it, and returned
-    as a list of module vectors.
+    cycle z - w, w the lift of phi_{i-1}(z) through d^F_i, all on the
+    bases' scalar rows.  The result is checked against the Buchberger
+    oracle ini(Z_i(cone)), computed here from the cone's rows unless the
+    caller passes it, and returned as a list of module vectors.
     """
     if i < 1:
         raise ValueError("composition applies to syzygy modules Z_i with i >= 1")
     G, F = phi.source, phi.target
     offset = G.rank(i - 1)
-    f_rows, f_degrees = scalar_rows(gbF.generators, gbF.basis)
-    g_rows, g_degrees = scalar_rows(gbG.generators, gbG.basis)
-    composed = [{r + offset: c for r, c in row.items()} for row in f_rows]
+    composed = [{r + offset: c for r, c in row.items()} for row in gbF.rows]
     lifter = _Lifter(F, i)
-    for z, a in zip(g_rows, g_degrees):
+    for z, a in zip(gbG.rows, gbG.degrees):
         w = lifter.lift(_compose(z, phi.rows[i - 1]), a)
         composed.append({**z, **{r + offset: -c for r, c in w.items()}})
     below = cone._level(i)[1]
     if any(_compose(row, below) for row in composed):
         raise RuntimeError("composed element is not a cycle; the cone input "
                            "does not match the chain map")
-    composed = row_vectors(composed, f_degrees + g_degrees, cone.basis(i))
-    claimed = monomial_module_from_terms(cone.basis(i), [leading_term(v) for v in composed])
+    degrees = gbF.degrees + gbG.degrees
+    claimed = monomial_module_from_terms(cone.basis(i), leading_terms_of_rows(
+        composed, degrees, cone.basis(i)))
     if oracle is None:
-        oracle = initial_module(syzygy_generators(cone, i), cone.basis(i))
+        oracle = initial_module_rows(*syzygy_rows(cone, i), cone.basis(i))
     if claimed.components != oracle.components:
         raise RuntimeError("composed set is not a Groebner basis of the cone "
                            f"syzygy module at i={i}")
-    return composed
+    return row_vectors(composed, degrees, cone.basis(i))
 
 
 def lex_refined_initial(C: FreeComplex, p: int):
@@ -151,11 +151,13 @@ def lex_refined_initial(C: FreeComplex, p: int):
 
     Z_p is generated by the columns of the (p+1)-st differential; at p = 0
     these are the columns of d_1, which generate the resolved submodule.
-    Returns (initial module, generators moved to the reordered basis).
+    Returns (initial module, (rows, degrees)): the generators' rows, moved
+    to the reordered basis, and their degrees, None for a zero row.
     """
     basis, perm = C.basis(p).sort_lex_refined()
-    gens = [v.map_positions(lambda pos: perm[pos]) for v in C.differential(p + 1)]
-    return groebner.initial_module(gens, basis), gens
+    rows, degrees = syzygy_rows(C, p)
+    rows = [{perm[r]: c for r, c in row.items()} for row in rows]
+    return groebner.initial_module_rows(rows, degrees, basis), (rows, degrees)
 
 
 def offending_generator(initial: InitialModule, k: int):

@@ -15,10 +15,15 @@ from .complexes import (
     eliahou_kervaire,
     is_minimal,
     minimize,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
 )
-from .groebner import buchberger, initial_module, is_squarefree_module, monomial_module_from_terms
+from .groebner import (
+    buchberger_rows,
+    initial_module_rows,
+    is_squarefree_module,
+    monomial_module_from_terms,
+)
 from .instances import (
     ideal_instance,
     random_monomial_ideal,
@@ -137,12 +142,12 @@ def _run_lemma_groebner(rng, job) -> dict:
     cone, phi = taylor_step_cone(gens, I.n)
     G, F = phi.source, phi.target
     for i in range(1, cone.length + 1):
-        ini_c = initial_module(syzygy_generators(cone, i), cone.basis(i))
+        ini_c = initial_module_rows(*syzygy_rows(cone, i), cone.basis(i))
         # Z_{i-1}(G) is generated by the columns of the i-th differential of G
         # (at i = 1 these generate the resolved colon module itself).
-        gbG = (buchberger(list(G.differential(i)), G.basis(i - 1))
+        gbG = (buchberger_rows(*syzygy_rows(G, i - 1), G.basis(i - 1))
                if i <= G.length else None)
-        gbF = (buchberger(syzygy_generators(F, i), F.basis(i))
+        gbF = (buchberger_rows(*syzygy_rows(F, i), F.basis(i))
                if i <= F.length else None)
         g_components = (
             monomial_module_from_terms(gbG.basis, gbG.leading_terms()).components
@@ -187,10 +192,10 @@ def _run_regular(rng, job) -> dict:
     m = len(gens)
     C = taylor_complex(gens, n)
     for p in range(1, m + 1):
-        gens_p = syzygy_generators(C, p)
-        if not gens_p:
+        rows, degrees = syzygy_rows(C, p)
+        if not rows:
             continue
-        ini = initial_module(gens_p, C.basis(p))
+        ini = initial_module_rows(rows, degrees, C.basis(p))
         bound = filtration_lower_bound(ini)
         required = n - (m - p) // 2
         if not bound.free and bound.value < required:

@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 
 from syzdepth import monomials
 from syzdepth.complexes import FreeComplex, _lift_by_groebner, taylor_complex
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, add_multiple,
-                              leading_term, multidegree_of, term_key)
-from syzdepth.groebner import _add_reducer
+from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, leading_term,
+                              multidegree_of, term_key)
 from syzdepth.monomials import Mono
+
+from reference_groebner import _add_reducer, add_multiple
 
 
 def _divide(v: ModuleVector, reducers: Sequence):

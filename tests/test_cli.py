@@ -116,20 +116,44 @@ def test_initial_beyond_length(ideal_file, capsys):
 def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypatch, basis):
     # At p = 0 both bases check the emitted module against the span of the
     # columns of d_1; dropping a generator must be caught, not passed over.
-    real = groebner.initial_module
+    # The lex path hands the rows of d_1 to the row form of initial_module.
+    real = groebner.initial_module_rows
 
-    def damaged(gens, order):
-        ini = real(gens, order)
+    def damaged(rows, degrees, order):
+        ini = real(rows, degrees, order)
         first = ini.components[0]
         return InitialModule(ini.basis, (MonomialIdeal(first.n, first.gens[1:]),)
                              + ini.components[1:])
 
-    monkeypatch.setattr(groebner, "initial_module", damaged)
+    monkeypatch.setattr(groebner, "initial_module_rows", damaged)
     code, data = run_json(["initial", "--input", ideal_file(LCM_TRIANGLE), "--p", "0",
                            "--basis", basis, "--oracle"], capsys)
     assert code == 1
     assert data["oracle_equal"] is False
     assert data["failing_degree"]
+
+
+@pytest.mark.parametrize("args", [
+    ["initial", "--input", "LCM_TRIANGLE", "--p", "1", "--basis", "boundary", "--oracle"],
+    ["initial", "--input", "SQUARES", "--p", "1", "--method", "ek", "--basis", "boundary",
+     "--oracle"],
+    ["initial", "--input", "LCM_TRIANGLE", "--p", "1", "--basis", "lex", "--oracle"],
+    ["initial", "--input", "LCM_TRIANGLE", "--p", "0", "--basis", "boundary", "--oracle"],
+] + [["verify", "--theorem", theorem, "--trials", "6", "--n-max", "5", "--m-max", "6",
+      "--exp-max", "3"] for theorem in ("theorem-main", "boundary-gb", "lemma-groebner",
+                                        "mainsyz")],
+    ids=["boundary", "boundary-ek", "lex", "p0", "theorem-main", "boundary-gb",
+         "lemma-groebner", "mainsyz"])
+def test_oracles_and_benchmark_streams_make_no_view(ideal_file, capsys, monkeypatch, args):
+    # Buchberger, the oracles and the verify streams read the complexes'
+    # rows; a differential(p) view would be a module vector per column.
+    def no_view(C, p):
+        raise AssertionError(f"a view of differential {p} was made")
+
+    monkeypatch.setattr(complexes.FreeComplex, "differential", no_view)
+    inputs = {"LCM_TRIANGLE": LCM_TRIANGLE, "SQUARES": SQUARES}
+    argv = [ideal_file(inputs[a]) if a in inputs else a for a in args]
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_sdepth_exact(ideal_file, capsys):

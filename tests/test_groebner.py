@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from syzdepth.complexes import (
@@ -8,23 +9,23 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, leading_term, scalar_rows
-from syzdepth import complexes
+from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, leading_term,
+                              multidegree_of, row_vectors, scalar_rows)
+from syzdepth import complexes, groebner
 from syzdepth.groebner import (
-    _spair_loop,
     buchberger,
     hilbert_slice_check,
     initial_module,
     is_squarefree_module,
     kernel_generators,
     monomial_module_from_terms,
-    normal_form,
 )
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, minimalize_ordered
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
+import reference_groebner
 from reference_cones import reference_taylor_step_cone
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -43,7 +44,7 @@ def test_buchberger_monomial_input_passthrough():
 
 
 def test_buchberger_single_generator():
-    basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
+    basis = OrderedBasis(2, [BasisElement((0, 1)), BasisElement((1, 0))])
     v = ModuleVector(2, {(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(4)})
     gb = buchberger([v], basis)
     assert len(gb.generators) == 1
@@ -52,19 +53,19 @@ def test_buchberger_single_generator():
 
 def test_buchberger_koszul_z1():
     K = taylor_complex([X1, X2, X3], 3)
-    ini, gens = lex_refined_initial(K, 1)
-    gb = buchberger(gens, ini.basis)
+    ini, (rows, degrees) = lex_refined_initial(K, 1)
+    gb = buchberger(row_vectors(rows, degrees, ini.basis), ini.basis)
     lts = {(t.position, t.monomial) for t in gb.leading_terms()}
     assert lts == {(0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1))}
 
 
 def test_initial_module_koszul_z1():
     K = taylor_complex([X1, X2, X3], 3)
-    ini, gens = lex_refined_initial(K, 1)
+    ini, (rows, degrees) = lex_refined_initial(K, 1)
     assert ini.components[0].gens == ((0, 0, 1), (0, 1, 0))
     assert ini.components[1].gens == ((0, 0, 1),)
     assert ini.components[2].is_zero()
-    ok, bad = hilbert_slice_check(gens, ini)
+    ok, bad = hilbert_slice_check(rows, degrees, ini)
     assert ok, bad
 
 
@@ -87,22 +88,59 @@ def test_initial_module_of_monomial_generators():
 
 
 def test_product_criterion_not_applied_across_positions():
-    # f = x e1 + y e2, g = y e1 + x e2: the S-vector leaves (y^2 - x^2) e2,
+    # f = x e1 + e2 and g = y e1 + e3, with deg e2 = x and deg e3 = y: the
+    # leading monomials are coprime, yet the S-vector y e2 - x e3 survives,
     # which a naive coprimality skip would miss.
-    basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
-    f = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 1)): Fraction(1)})
-    g = ModuleVector(2, {(0, (0, 1)): Fraction(1), (1, (1, 0)): Fraction(1)})
+    basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((1, 0)),
+                             BasisElement((0, 1))])
+    f = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)})
+    g = ModuleVector(2, {(0, (0, 1)): Fraction(1), (2, (0, 0)): Fraction(1)})
     ini = initial_module([f, g], basis)
     assert ini.components[0].gens == ((0, 1), (1, 0))
-    assert ini.components[1].gens == ((2, 0),)
+    assert ini.components[1].gens == ((0, 1),)
+    assert ini.components[2].is_zero()
+
+
+def test_a_generator_that_is_not_multihomogeneous_is_refused():
+    # x e1 + y e2 on two basis elements of degree 0 has two degrees.
+    basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
+    mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 1)): Fraction(1)})
+    for engine in (buchberger, initial_module):
+        with pytest.raises(ValueError, match="column 0 is not multihomogeneous"):
+            engine([mixed], basis)
+
+
+RANK_ONE = OrderedBasis(2, [BasisElement((0, 0))])
+
+
+def test_initial_module_refuses_a_position_below_the_basis():
+    with pytest.raises(ValueError, match="column 0 has position -1, outside a basis of rank 1"):
+        initial_module([ModuleVector(2, {(-1, (1, 0)): 1})], RANK_ONE)
+
+
+def test_buchberger_refuses_a_position_below_the_basis():
+    with pytest.raises(ValueError, match="column 0 has position -1, outside a basis of rank 1"):
+        buchberger([ModuleVector(2, {(-1, (1, 0)): 1})], RANK_ONE)
+
+
+def test_kernel_generators_refuses_a_column_below_the_target():
+    source = OrderedBasis(2, [BasisElement((1, 0))])
+    with pytest.raises(ValueError, match="column 0 has position -1, outside a basis of rank 1"):
+        kernel_generators([ModuleVector(2, {(-1, (1, 0)): 1})], source, RANK_ONE)
+
+
+def test_initial_module_refuses_a_position_past_the_basis():
+    gens = [ModuleVector(2, {(0, (1, 0)): 1}), ModuleVector(2, {(1, (0, 1)): 1})]
+    with pytest.raises(ValueError, match="column 1 has position 1, outside a basis of rank 1"):
+        initial_module(gens, RANK_ONE)
 
 
 def test_hilbert_slice_check_fault_injection():
     K = taylor_complex([X1, X2, X3], 3)
-    ini, gens = lex_refined_initial(K, 1)
+    ini, (rows, degrees) = lex_refined_initial(K, 1)
     damaged = type(ini)(ini.basis, (MonomialIdeal(3, [(0, 0, 1)]),) + ini.components[1:])
-    assert hilbert_slice_check(gens, damaged) == (False, (1, 1, 0))
-    assert hilbert_slice_check([], type(ini)(ini.basis, tuple(
+    assert hilbert_slice_check(rows, degrees, damaged) == (False, (1, 1, 0))
+    assert hilbert_slice_check([], [], type(ini)(ini.basis, tuple(
         MonomialIdeal(3, []) for _ in range(3))))[0]
 
 
@@ -194,27 +232,35 @@ def test_squarefree_initial_modules_of_squarefree_ideals():
 
 
 def test_normal_form_remainder_irreducible():
-    basis = OrderedBasis(2, [BasisElement((0, 0))])
-    divisor = ModuleVector(2, {(0, (1, 0)): Fraction(1)})
-    v = ModuleVector(2, {(0, (2, 1)): Fraction(1), (0, (0, 3)): Fraction(2)})
-    rem = normal_form(v, [(divisor, leading_term(divisor))])
-    assert rem == ModuleVector(2, {(0, (0, 3)): Fraction(2)})
+    # x^2 y e1 + 2 y e2 at degree x^2 y, with deg e2 = x^2, divided by x e1:
+    # the remainder 2 y e2 has no divisor.
+    divisor = {0: 1}
+    filed = {}
+    groebner._file(filed, 0, divisor, (1, 0))
+    assert groebner._reduce({0: 1, 1: 2}, (2, 1), filed) == {1: 2}
+    assert groebner._reduce({1: 2}, (2, 1), filed) == {1: 2}
 
 
 def test_spair_loop_elements_are_monic_fractions():
-    # Each element is scaled by the reciprocal of its leading coefficient,
-    # whatever its sign and size, and every coefficient stays a Fraction.
+    # Each element is divided by its leading entry, whatever its sign and
+    # size: a leading 1 leaves the row as it is, and every other entry is
+    # an exact quotient, an int where integral and a Fraction otherwise.
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((1, 0))])
     gens = [ModuleVector(2, {(0, (2, 0)): Fraction(-3, 2), (1, (1, 0)): Fraction(1)}),
             ModuleVector(2, {(0, (1, 1)): Fraction(5), (1, (0, 1)): Fraction(-1, 7)}),
-            ModuleVector(2, {(1, (0, 2)): Fraction(-1, 7)})]
-    elements = _spair_loop(gens, basis)
-    for (v, lt), g in zip(elements, gens):
-        assert v == g.scale(Fraction(1) / leading_term(g).coeff)
-    for v, lt in elements:
-        assert lt.coeff == 1 and type(lt.coeff) is Fraction
-        assert leading_term(v).coeff == 1
-        assert all(type(c) is Fraction for _, c in v.items())
+            ModuleVector(2, {(1, (0, 2)): Fraction(-1, 7)}),
+            ModuleVector(2, {(0, (1, 2)): Fraction(1), (1, (0, 2)): Fraction(3)})]
+    rows, degrees = scalar_rows(gens, basis)
+    elements = groebner._spair_loop(rows, degrees, basis)
+    for (row, d), g, given in zip(elements, gens, rows):
+        lead = leading_term(g)
+        assert d == multidegree_of(g, basis)
+        assert row == {pos: c / lead.coeff for (pos, _), c in g.items()}
+        assert list(row) == [pos for (pos, _), _ in g.items()]
+        assert row is given or lead.coeff != 1
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in row.values())
+    assert len(elements) > len(gens)
+    assert all(row[min(row)] == 1 for row, _ in elements)
 
 
 def test_kernel_generators_koszul():
@@ -315,6 +361,23 @@ def _term_lists(elements):
     return [(list(v.items()), lt) for v, lt in elements]
 
 
+def _typed(vectors):
+    """The terms of each vector in order, with their coefficient types."""
+    return [[(key, c, type(c)) for key, c in v.items()] for v in vectors]
+
+
+def _reference_kernel(columns, source, target):
+    """kernel_generators on the vector engine: the tagged reduced basis's
+    elements with no target part, moved to the source positions."""
+    r = len(target)
+    extended = OrderedBasis(target.n, list(target.elements)
+                            + [BasisElement(e.degree, ("tag", e.label)) for e in source])
+    tagged = [col + ModuleVector.generator(target.n, r + j) for j, col in enumerate(columns)]
+    gb = reference_groebner.buchberger(tagged, extended)
+    return [g.map_positions(-r) for g in gb.generators
+            if all(pos >= r for (pos, _), _ in g.items())]
+
+
 @st.composite
 def spair_loop_inputs(draw):
     """(generators, basis) from a seeded random ideal (n <= 4, m <= 5,
@@ -354,9 +417,34 @@ def spair_loop_inputs(draw):
 @example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
           taylor_complex([X1, X2, X3], 3).basis(1)))
 def test_spair_loop_matches_the_sorted_list_kernel(case):
+    # The row engine's elements are the sorted list kernel's, as rows with
+    # their degrees, entry order included.
     gens, basis = case
-    assert _term_lists(_spair_loop(gens, basis)) == \
-        _term_lists(_reference_spair_loop(gens, basis))
+    expected = [(row, d) for v, _ in _reference_spair_loop(gens, basis)
+                for (row,), (d,) in [scalar_rows([v], basis)]]
+    elements = groebner._spair_loop(*scalar_rows(gens, basis), basis)
+    assert [(list(row.items()), d) for row, d in elements] == \
+        [(list(row.items()), d) for row, d in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spair_loop_inputs())
+@example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
+          taylor_complex([X1, X2, X3], 3).basis(1)))
+def test_row_engine_matches_the_vector_engine(case):
+    # buchberger's reduced basis is the vector engine's term for term, entry
+    # order and Fraction coefficients included; so are initial_module and
+    # the kernel of the map sending e_j to the j-th generator, each e_j
+    # taken at its generator's degree (or 0 for a zero generator).
+    gens, basis = case
+    gb, expected = buchberger(gens, basis), reference_groebner.buchberger(gens, basis)
+    assert _typed(gb.generators) == _typed(expected.generators)
+    assert gb.leading_terms() == expected.leading_terms()
+    assert initial_module(gens, basis) == reference_groebner.initial_module(gens, basis)
+    source = OrderedBasis(basis.n, [BasisElement(multidegree_of(g, basis) or (0,) * basis.n)
+                                    for g in gens])
+    assert _typed(kernel_generators(gens, source, basis)) == \
+        _typed(_reference_kernel(gens, source, basis))
 
 
 @st.composite
@@ -365,9 +453,9 @@ def division_cases(draw):
     exponents <= 3).  lifts are the (F, i, z) that the Taylor step cone
     lifts through d^F_i while it is built and that compose_cone_gb lifts,
     read from the reference cone's vector columns; divisions are (vector,
-    reducers) pairs, each column of a Taylor or minimised differential
-    divided by the other columns, some of them scaled by 5/3 so that leading
-    coefficients are not 1."""
+    reducers, basis) triples, each column of a Taylor or minimised
+    differential divided by the other columns, some of them scaled by 5/3
+    so that leading coefficients are not 1, on the basis of F_(p-1)."""
     I = random_monomial_ideal(trial_rng(draw(st.integers(0, 10**6)), 0), 4, 5, 3, min_gens=2)
     n, gens = I.n, list(I.gens)
     assume(len(gens) >= 2)
@@ -388,7 +476,8 @@ def division_cases(draw):
         columns = [col if k % 2 else col.scale(Fraction(5, 3))
                    for k, col in enumerate(C.differential(p)) if not col.is_zero()]
         for k, col in enumerate(columns):
-            divisions.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]]))
+            divisions.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]],
+                              C.basis(p - 1)))
     return lifts, divisions
 
 
@@ -397,7 +486,8 @@ def division_cases(draw):
 def test_divide_matches_the_linear_scan_kernel(cases):
     # The lifter's quotients are the linear scan's, entry order included,
     # with the monomial a - deg e_c of column c, ints where integral; and
-    # normal_form's remainder is the linear scan's.
+    # the remainder of the row division by the reducers, made monic and
+    # filed in order, is the linear scan's.
     lifts, divisions = cases
     for F, i, z in lifts:
         columns = F.differential(i)
@@ -411,6 +501,11 @@ def test_divide_matches_the_linear_scan_kernel(cases):
         assert all(mono == tuple(x - y for x, y in zip(a, F.basis(i).degree(nonzero[k])))
                    for k, mono in expected_quotient)
         assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in w.values())
-    for v, reducers in divisions:
-        assert list(normal_form(v, reducers).items()) == \
-            list(_reference_divide(v, reducers)[1].items())
+    for v, reducers, basis in divisions:
+        filed = {}
+        for k, (g, _) in enumerate(reducers):
+            (row,), (d,) = scalar_rows([g], basis)
+            groebner._file(filed, k, groebner._monic(row), d)
+        (row,), (a,) = scalar_rows([v], basis)
+        (expected,), _ = scalar_rows([_reference_divide(v, reducers)[1]], basis)
+        assert list(groebner._reduce(row, a, filed).items()) == list(expected.items())

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from syzdepth.monomials import (
+    EXPONENT_CAP,
     MonomialIdeal,
+    check_monomial,
     divide,
     divides,
     gcd,
@@ -19,6 +21,22 @@ from syzdepth.monomials import (
 )
 
 monos = st.tuples(*(st.integers(0, 4) for _ in range(3)))
+
+
+def test_check_monomial_messages_and_their_precedence():
+    assert check_monomial(()) == ()
+    assert MonomialIdeal(0, [()]).gens == ((),)
+    assert check_monomial((0, EXPONENT_CAP - 1)) == (0, EXPONENT_CAP - 1)
+    with pytest.raises(ValueError, match=r"^negative exponent in monomial \(1, -1\)$"):
+        check_monomial((1, -1))
+    with pytest.raises(ValueError, match=r"^exponent overflow in \(0, 2147483648\)$"):
+        check_monomial((0, EXPONENT_CAP))
+    # A negative exponent is reported first, wherever the overflow sits.
+    for u in ((EXPONENT_CAP, -1), (-1, EXPONENT_CAP)):
+        with pytest.raises(ValueError, match="^negative exponent"):
+            check_monomial(u)
+        with pytest.raises(ValueError, match="^negative exponent"):
+            MonomialIdeal(2, [u])
 
 
 def test_lcm_examples():

@@ -6,7 +6,7 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import leading_term
+from syzdepth.freemod import leading_term, row_vectors
 from syzdepth.groebner import buchberger, initial_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
@@ -52,7 +52,8 @@ def test_boundary_terms_under_lex_refined_basis():
     # Re-sorting the Taylor basis of (x1^2, x1x2, x2^2) lex-refined changes the
     # boundary leading terms; they still generate the initial module.
     C = taylor_complex(SQUARES, 2)
-    oracle, gens = lex_refined_initial(C, 1)
+    oracle, (rows, degrees) = lex_refined_initial(C, 1)
+    gens = row_vectors(rows, degrees, oracle.basis)
     lts = {(t.position, t.monomial) for t in map(leading_term, gens)}
     assert lts == {(0, (0, 1)), (0, (0, 2)), (1, (0, 1))}
     from syzdepth.groebner import monomial_module_from_terms

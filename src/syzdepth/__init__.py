@@ -6,8 +6,6 @@ from .freemod import (
     BasisElement,
     ModuleVector,
     OrderedBasis,
-    Term,
-    leading_term,
     multidegree_of,
 )
 from .complexes import (

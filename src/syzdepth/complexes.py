@@ -112,13 +112,6 @@ class FreeComplex:
             view = self._views[p] = tuple(row_vectors(rows, basis.degrees, self.basis(p - 1)))
         return view
 
-    def apply(self, p: int, v: ModuleVector) -> ModuleVector:
-        """Image of v in F_{p-1} under the p-th differential."""
-        columns = self.differential(p)
-        return ModuleVector(self.n, [((r, monomials.mul(mono, m)), coeff * c)
-                                     for (pos, mono), coeff in v.items()
-                                     for (r, m), c in columns[pos].items()])
-
     def __repr__(self):
         return f"FreeComplex(n={self.n}, ranks={self.ranks})"
 
@@ -350,18 +343,6 @@ def stable_order(I: MonomialIdeal) -> tuple:
     return tuple(sorted(by_lex_desc, key=sum))
 
 
-def lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    """A preimage w with d_p(w) = z, by _Lifter; ValueError unless z is
-    multihomogeneous, and RuntimeError if no preimage exists."""
-    try:
-        (row,), (a,) = scalar_rows([z], C.basis(p - 1))
-    except ValueError:
-        raise ValueError(f"can only lift multihomogeneous elements of F_{p - 1}") from None
-    if a is None:
-        return ModuleVector(C.n)
-    return row_vectors([_Lifter(C, p).lift(row, a)], [a], C.basis(p))[0]
-
-
 class _Lifter:
     """Preimages under d_p by division of scalar rows, filed once per d_p.
 
@@ -375,8 +356,9 @@ class _Lifter:
     Each column is used at most once, as r only grows.  When the boundaries
     of F_p's generators form a Groebner basis, as for Eliahou-Kervaire and
     the resolutions of the paper's second theorem, no remainder is left;
-    otherwise z goes to _lift_by_groebner, which divides it by a Groebner
-    basis of the tagged columns.
+    otherwise the row z at a goes to _lift_by_groebner, which divides it by
+    a Groebner basis of the tagged columns.  Either way the lift is a row
+    on F_p's basis, and no module vector is made.
     """
 
     def __init__(self, C: FreeComplex, p: int):
@@ -397,9 +379,7 @@ class _Lifter:
             r = min(rem)
             c = next((c for c in self._filed.get(r, ()) if active >> c & 1), None)
             if c is None:
-                C, p = self.complex, self.p
-                w = _lift_by_groebner(C, p, row_vectors([z], [a], C.basis(p - 1))[0])
-                return scalar_rows([w], C.basis(p))[0][0]
+                return _lift_by_groebner(self.complex, self.p, z, a)
             column = self.columns[c]
             x, lead = rem[r], column[r]
             q = x if lead == 1 else -x if lead == -1 else Fraction(x) / lead
@@ -408,9 +388,9 @@ class _Lifter:
         return w
 
 
-def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
-    """A preimage of the multihomogeneous z from the tagged Groebner basis
-    of d_p's rows.
+def _lift_by_groebner(C: FreeComplex, p: int, z: dict, a: Mono) -> dict:
+    """A preimage under d_p of the row z of degree a, from the tagged
+    Groebner basis of d_p's rows, as a row, ints where integral.
 
     Each basis element is d_p(w) + w with w at the tag positions, which rank
     below every target position.  So z is a boundary exactly when its
@@ -418,16 +398,13 @@ def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
     with w = -(remainder).
     """
     target = C.basis(p - 1)
-    (row,), (a,) = scalar_rows([z], target)
-    if a is None:
-        raise ValueError("can only lift multihomogeneous elements")
     gb = _tagged_groebner(C._level(p)[1], C.basis(p), target)
     r = len(target)
-    rem = gb.remainder(row, a)
+    rem = gb.remainder(z, a)
     if min(rem, default=r) < r:
         raise RuntimeError(f"lifting failed at homological degree {p}: "
                            "the complex is not exact there")
-    return row_vectors([{pos - r: -c for pos, c in rem.items()}], [a], C.basis(p))[0]
+    return {pos - r: -c.numerator if c.denominator == 1 else -c for pos, c in rem.items()}
 
 
 def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:

@@ -1,11 +1,14 @@
 """Free multigraded modules with ordered bases and the position-over-lex order.
 
-An element of a free module is a normalized sum of terms (coefficient,
-monomial, basis position).  The term order is fixed: it compares basis
+The library's element form is the scalar row: a multihomogeneous element of
+degree d has at most one term per basis position, x^(d - deg e_j) at
+position j, so it is the dict {position: coefficient} of its nonzero
+entries, ints where integral, read at d.  The term order compares basis
 positions first (position 0 is the largest basis element), then monomials
-lexicographically.  A multihomogeneous element has at most one term per
-position, x^(d - deg e_j) at position j, so its leading term is fixed by the
-basis ordering alone.
+lexicographically, so a row's leading term sits at its smallest position.
+A ModuleVector, a normalized sum of terms (coefficient, monomial, basis
+position), is the input and view form: scalar_rows reads vectors into rows
+and row_vectors makes vectors from rows.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, Optional
 
 from . import linalg, monomials
 from .monomials import Mono
@@ -78,20 +81,10 @@ class OrderedBasis:
         return basis, tuple(perm)
 
 
-class Term(NamedTuple):
-    coeff: Fraction
-    monomial: Mono
-    position: int
-
-
-def term_key(key):
-    """Sort key of a (position, monomial) pair under position over lex."""
-    position, monomial = key
-    return (-position, monomial)
-
-
 class ModuleVector:
-    """Normalized term sum; zero is the empty sum."""
+    """Normalized term sum, keyed by (position, monomial), with Fraction
+    coefficients; zero is the empty sum.  It is read into scalar rows by
+    scalar_rows and made from them by row_vectors."""
 
     __slots__ = ("n", "_terms")
 
@@ -111,12 +104,6 @@ class ModuleVector:
                         self._terms[(pos, mono)] = new
                     elif cur is not None:
                         del self._terms[(pos, mono)]
-
-    @classmethod
-    def generator(cls, n: int, position: int, monomial: Optional[Mono] = None,
-                  coeff=1) -> "ModuleVector":
-        mono = tuple(monomial) if monomial is not None else monomials.unit(n)
-        return cls(n, {(position, mono): Fraction(coeff)})
 
     @classmethod
     def from_terms(cls, n: int, terms: dict) -> "ModuleVector":
@@ -141,45 +128,6 @@ class ModuleVector:
 
     def __repr__(self):
         return f"ModuleVector({self._terms})"
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            old = out.get(key)
-            new = c if old is None else old + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return ModuleVector.from_terms(self.n, out)
-
-    def __neg__(self):
-        return ModuleVector.from_terms(self.n, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff, monomial: Optional[Mono] = None) -> "ModuleVector":
-        """Multiply by coeff * x^monomial."""
-        shift = monomial if monomial is not None else monomials.unit(self.n)
-        return ModuleVector(self.n, {(pos, monomials.mul(mono, shift)): c * coeff
-                                     for (pos, mono), c in self._terms.items()})
-
-    def map_positions(self, shift) -> "ModuleVector":
-        """Relabel positions through a callable or an offset int."""
-        fn = (lambda p: p + shift) if isinstance(shift, int) else shift
-        return ModuleVector.from_terms(
-            self.n, {(fn(pos), mono): c for (pos, mono), c in self._terms.items()})
-
-    def coefficient(self, position: int, monomial: Mono) -> Fraction:
-        return self._terms.get((position, monomial), Fraction(0))
-
-
-def leading_term(v: ModuleVector) -> Term:
-    if v.is_zero():
-        raise ValueError("zero vector has no leading term")
-    pos, mono = max(v._terms, key=term_key)
-    return Term(v._terms[(pos, mono)], mono, pos)
 
 
 def multidegree_of(v: ModuleVector, basis: OrderedBasis) -> Optional[Mono]:

@@ -28,7 +28,6 @@ from .freemod import (
     ModuleVector,
     OrderedBasis,
     Slices,
-    Term,
     read_columns,
     row_vectors,
     scalar_rows,
@@ -50,9 +49,6 @@ class GroebnerBasis:
     @property
     def generators(self) -> tuple:
         return tuple(row_vectors(self.rows, self.degrees, self.basis))
-
-    def leading_terms(self):
-        return leading_terms_of_rows(self.rows, self.degrees, self.basis)
 
     def remainder(self, row: dict, degree) -> dict:
         """The remainder of the row of the degree on division by the basis."""
@@ -88,18 +84,6 @@ class InitialModule:
             "degrees": [list(d) for d in self.basis.degrees],
             "components": [[list(g) for g in c.gens] for c in self.components],
         }
-
-
-def leading_terms_of_rows(rows, degrees, basis: OrderedBasis) -> list:
-    """The leading terms of the nonzero rows at their degrees: the entry c
-    at the smallest position r of a row of degree d is the term
-    c x^(d - deg e_r)."""
-    targets, terms = basis.degrees, []
-    for row, d in zip(rows, degrees):
-        if row:
-            r = min(row)
-            terms.append(Term(Fraction(row[r]), tuple(map(sub, d, targets[r])), r))
-    return terms
 
 
 def _monic(row: dict) -> dict:
@@ -230,18 +214,20 @@ def initial_module_rows(rows, degrees, basis: OrderedBasis) -> InitialModule:
     a minimal Groebner basis, which are those of the reduced one, so the
     tails are never inter-reduced."""
     kept = _minimal(_spair_loop(rows, degrees, basis))
-    return monomial_module_from_terms(basis, leading_terms_of_rows(
-        [row for row, _ in kept], [d for _, d in kept], basis))
+    return leading_module([row for row, _ in kept], [d for _, d in kept], basis)
 
 
-def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:
-    """The monomial module generated by the terms, one ideal per basis position."""
-    per_position = {}
-    for t in terms:
-        per_position.setdefault(t.position, []).append(t.monomial)
-    components = tuple(MonomialIdeal(basis.n, per_position.get(j, []))
-                       for j in range(len(basis)))
-    return InitialModule(basis, components)
+def leading_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
+    """The monomial module generated by the leading terms of the nonzero
+    rows at their degrees, one ideal per basis position: a row of degree d
+    leads at its smallest position r with the monomial x^(d - deg e_r)."""
+    targets, per_position = basis.degrees, {}
+    for row, d in zip(rows, degrees):
+        if row:
+            r = min(row)
+            per_position.setdefault(r, []).append(tuple(map(sub, d, targets[r])))
+    return InitialModule(basis, tuple(MonomialIdeal(basis.n, per_position.get(j, []))
+                                      for j in range(len(basis))))
 
 
 def hilbert_slice_check(rows, degrees, initial: InitialModule):
@@ -279,20 +265,27 @@ def is_squarefree_module(initial: InitialModule) -> bool:
 
 def kernel_generators(columns: Sequence[ModuleVector], source_basis: OrderedBasis,
                       target_basis: OrderedBasis):
-    """Generators of the kernel of the map sending e_j to columns[j].
+    """Generators of the kernel of the map sending e_j to columns[j], as
+    kernel_rows gives them.  The columns are read by freemod.read_columns,
+    which refuses one off the degree of its basis element or with a
+    position outside the target."""
+    return kernel_rows(read_columns("the map", columns, source_basis, target_basis),
+                       source_basis, target_basis)
 
-    The columns are read by freemod.read_columns, which refuses one off the
-    degree of its basis element or with a position outside the target.  The
-    elements of the tagged Groebner basis (_tagged_groebner) with no target
-    part are kernel elements, and their tag parts form a Groebner basis of
-    the kernel under the source POT order.
+
+def kernel_rows(rows, source_basis: OrderedBasis, target_basis: OrderedBasis):
+    """kernel_generators on the rows of the map's columns: the rows of the
+    kernel's generators on the source basis and their degrees.
+
+    The elements of the tagged Groebner basis (_tagged_groebner) with no
+    target part are kernel elements, and their tag parts form a Groebner
+    basis of the kernel under the source POT order.
     """
-    rows = read_columns("the map", columns, source_basis, target_basis)
     gb = _tagged_groebner(rows, source_basis, target_basis)
     r = len(target_basis)
     kernel = [({pos - r: c for pos, c in row.items()}, d)
               for row, d in zip(gb.rows, gb.degrees) if min(row) >= r]
-    return row_vectors([row for row, _ in kernel], [d for _, d in kernel], source_basis)
+    return [row for row, _ in kernel], [d for _, d in kernel]
 
 
 def _tagged_groebner(rows, source_basis: OrderedBasis,

@@ -12,15 +12,13 @@ from typing import Any, Optional, Sequence
 
 from . import groebner, monomials
 from .complexes import ChainMap, FreeComplex, _compose, _Lifter, syzygy_rows
-from .freemod import ModuleVector, OrderedBasis, row_vectors
+from .freemod import ModuleVector, OrderedBasis, read_columns
 from .groebner import (
     GroebnerBasis,
     InitialModule,
-    initial_module,
     initial_module_rows,
-    kernel_generators,
-    leading_terms_of_rows,
-    monomial_module_from_terms,
+    kernel_rows,
+    leading_module,
 )
 from .monomials import Mono, MonomialIdeal
 
@@ -63,8 +61,7 @@ def taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdea
 def boundary_leading_terms(C: FreeComplex, p: int) -> InitialModule:
     """Monomial module spanned by the leading terms of the (p+1)-boundaries,
     taken under the complex's own basis order at level p."""
-    basis = C.basis(p)
-    return monomial_module_from_terms(basis, leading_terms_of_rows(*syzygy_rows(C, p), basis))
+    return leading_module(*syzygy_rows(C, p), C.basis(p))
 
 
 @dataclass
@@ -120,7 +117,8 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
     cycle z - w, w the lift of phi_{i-1}(z) through d^F_i, all on the
     bases' scalar rows.  The result is checked against the Buchberger
     oracle ini(Z_i(cone)), computed here from the cone's rows unless the
-    caller passes it, and returned as a list of module vectors.
+    caller passes it, and returned as (rows, degrees) on the cone's basis
+    of C_i: gbF's elements first, then gbG's.
     """
     if i < 1:
         raise ValueError("composition applies to syzygy modules Z_i with i >= 1")
@@ -136,14 +134,13 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
         raise RuntimeError("composed element is not a cycle; the cone input "
                            "does not match the chain map")
     degrees = gbF.degrees + gbG.degrees
-    claimed = monomial_module_from_terms(cone.basis(i), leading_terms_of_rows(
-        composed, degrees, cone.basis(i)))
+    claimed = leading_module(composed, degrees, cone.basis(i))
     if oracle is None:
         oracle = initial_module_rows(*syzygy_rows(cone, i), cone.basis(i))
     if claimed.components != oracle.components:
         raise RuntimeError("composed set is not a Groebner basis of the cone "
                            f"syzygy module at i={i}")
-    return row_vectors(composed, degrees, cone.basis(i))
+    return composed, degrees
 
 
 def lex_refined_initial(C: FreeComplex, p: int):
@@ -194,23 +191,27 @@ def verify_gunnar_step(columns: Sequence[ModuleVector], source_basis: OrderedBas
                        instance: Any = None) -> TheoremReport:
     """Kernel counterpart of the image hypothesis: if ini of the image avoids
     x_1..x_{p-1} under a lex-refined target basis, ini of the kernel avoids
-    x_1..x_p under a lex-refined source basis."""
+    x_1..x_p under a lex-refined source basis.  The columns are read by
+    freemod.read_columns, which refuses (ValueError) a column count other
+    than the source rank and a column off its source degree or with a
+    position outside the target, before any position is moved."""
+    rows = read_columns("the map", columns, source_basis, target_basis)
     G_basis, G_perm = target_basis.sort_lex_refined()
     F_basis, F_perm = source_basis.sort_lex_refined()
-    cols = [None] * len(columns)
-    for j, col in enumerate(columns):
-        cols[F_perm[j]] = col.map_positions(lambda pos: G_perm[pos])
-    image_ini = initial_module([c for c in cols if not c.is_zero()], G_basis)
+    moved = [None] * len(rows)
+    for j, row in enumerate(rows):
+        moved[F_perm[j]] = {G_perm[r]: c for r, c in row.items()}
+    image_ini = initial_module_rows(moved, F_basis.degrees, G_basis)
     bad = offending_generator(image_ini, max(p - 1, 0))
     if bad is not None:
         raise ValueError(f"hypothesis fails: ini of the image has generator "
                          f"{bad[1]} at position {bad[0]} meeting x_1..x_{p-1}")
-    kernel = kernel_generators(cols, F_basis, G_basis)
+    kernel, degrees = kernel_rows(moved, F_basis, G_basis)
     witness: dict = {"kernel_size": len(kernel)}
     if not kernel:
         witness["note"] = "injective map; the kernel statement is vacuous"
         return TheoremReport("gunnar-step", instance, p, "PASS", witness)
-    kernel_ini = initial_module(kernel, F_basis)
+    kernel_ini = initial_module_rows(kernel, degrees, F_basis)
     witness["components"] = kernel_ini.to_jsonable()
     bad = offending_generator(kernel_ini, min(p, source_basis.n))
     if bad is not None:

@@ -22,7 +22,7 @@ from .groebner import (
     buchberger_rows,
     initial_module_rows,
     is_squarefree_module,
-    monomial_module_from_terms,
+    leading_module,
 )
 from .instances import (
     ideal_instance,
@@ -150,11 +150,11 @@ def _run_lemma_groebner(rng, job) -> dict:
         gbF = (buchberger_rows(*syzygy_rows(F, i), F.basis(i))
                if i <= F.length else None)
         g_components = (
-            monomial_module_from_terms(gbG.basis, gbG.leading_terms()).components
+            leading_module(gbG.rows, gbG.degrees, gbG.basis).components
             if gbG is not None
             else tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1))))
         f_components = (
-            monomial_module_from_terms(gbF.basis, gbF.leading_terms()).components
+            leading_module(gbF.rows, gbF.degrees, gbF.basis).components
             if gbF is not None else ())
         expected = g_components + f_components
         if ini_c.components != expected:

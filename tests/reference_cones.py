@@ -7,6 +7,9 @@ ModuleVector columns: every phi_i lifted by lift_through, whose division by
 d_p's columns was groebner._divide (the division of normal_form, recording
 its quotient), then ChainMap.validate composing d^F phi and phi d^G as
 vectors, and mapping_cone reading phi's vector columns into the cone's rows.
+complexes._lift_by_groebner is kept as it read when it took and returned
+vectors, and FreeComplex.apply, the image of a vector under d_p, is
+apply_columns on the complex's columns.
 """
 
 from dataclasses import dataclass
@@ -15,12 +18,13 @@ from operator import le, sub
 from typing import Optional, Sequence
 
 from syzdepth import monomials
-from syzdepth.complexes import FreeComplex, _lift_by_groebner, taylor_complex
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, leading_term,
-                              multidegree_of, term_key)
+from syzdepth.complexes import FreeComplex, taylor_complex
+from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
+                              row_vectors, scalar_rows)
+from syzdepth.groebner import _tagged_groebner
 from syzdepth.monomials import Mono
 
-from reference_groebner import _add_reducer, add_multiple
+from reference_groebner import _add_reducer, add_multiple, leading_term, term_key
 
 
 def _divide(v: ModuleVector, reducers: Sequence):
@@ -100,7 +104,8 @@ class ReferenceChainMap:
                                      f"basis element {j}")
         for i in range(1, G.length + 1):
             for j in range(G.rank(i)):
-                left = F.apply(i, self.columns[i][j]) if i <= F.length else ModuleVector(F.n)
+                left = (apply_columns(F.differential(i), self.columns[i][j], F.n)
+                        if i <= F.length else ModuleVector(F.n))
                 right = self.apply(i - 1, G.differential(i)[j])
                 if left != right:
                     raise ValueError(f"chain map does not commute at homological "
@@ -134,6 +139,28 @@ def reference_mapping_cone(phi: ReferenceChainMap) -> FreeComplex:
             rows += [{r + shift: c for r, c in f_row.items()} for f_row in below]
         levels.append((OrderedBasis(n, elements), rows))
     return FreeComplex._made_on_read(n, [len(basis) for basis, _ in levels], levels.__getitem__)
+
+
+def _lift_by_groebner(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:
+    """A preimage of the multihomogeneous z from the tagged Groebner basis
+    of d_p's rows.
+
+    Each basis element is d_p(w) + w with w at the tag positions, which rank
+    below every target position.  So z is a boundary exactly when its
+    remainder has no target entry, and then z - (remainder) = d_p(w) + w
+    with w = -(remainder).
+    """
+    target = C.basis(p - 1)
+    (row,), (a,) = scalar_rows([z], target)
+    if a is None:
+        raise ValueError("can only lift multihomogeneous elements")
+    gb = _tagged_groebner(C._level(p)[1], C.basis(p), target)
+    r = len(target)
+    rem = gb.remainder(row, a)
+    if min(rem, default=r) < r:
+        raise RuntimeError(f"lifting failed at homological degree {p}: "
+                           "the complex is not exact there")
+    return row_vectors([{pos - r: -c for pos, c in rem.items()}], [a], C.basis(p))[0]
 
 
 def reference_lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVector:

@@ -6,7 +6,12 @@ buchberger, _spair_loop, _minimal and initial_module as they read when
 Buchberger's algorithm divided ModuleVectors of tuple monomials and
 Fraction coefficients: term dicts keyed by (position, monomial), the
 largest term found by term_key, and every element scaled to a monic
-Fraction vector; and freemod.add_multiple, their update of a term dict.
+Fraction vector; freemod.add_multiple, their update of a term dict; and
+the vector term order they read, freemod.Term, term_key and leading_term,
+with groebner.monomial_module_from_terms, from before rows became the
+library's element form.  Where the engine once called ModuleVector's
+scale, + or -, it builds the same vector with the constructor, whose
+normalising loop sums the terms in the same order.
 """
 
 from __future__ import annotations
@@ -15,18 +20,41 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from syzdepth import monomials
-from syzdepth.freemod import (
-    ModuleVector,
-    OrderedBasis,
-    Term,
-    leading_term,
-    term_key,
-)
-from syzdepth.groebner import InitialModule, monomial_module_from_terms
-from syzdepth.monomials import Mono
+from syzdepth.freemod import ModuleVector, OrderedBasis
+from syzdepth.groebner import InitialModule
+from syzdepth.monomials import Mono, MonomialIdeal
+
+
+class Term(NamedTuple):
+    coeff: Fraction
+    monomial: Mono
+    position: int
+
+
+def term_key(key):
+    """Sort key of a (position, monomial) pair under position over lex."""
+    position, monomial = key
+    return (-position, monomial)
+
+
+def leading_term(v: ModuleVector) -> Term:
+    if v.is_zero():
+        raise ValueError("zero vector has no leading term")
+    pos, mono = max(v._terms, key=term_key)
+    return Term(v._terms[(pos, mono)], mono, pos)
+
+
+def monomial_module_from_terms(basis: OrderedBasis, terms: Iterable[Term]) -> InitialModule:
+    """The monomial module generated by the terms, one ideal per basis position."""
+    per_position = {}
+    for t in terms:
+        per_position.setdefault(t.position, []).append(t.monomial)
+    components = tuple(MonomialIdeal(basis.n, per_position.get(j, []))
+                       for j in range(len(basis)))
+    return InitialModule(basis, components)
 
 
 def add_multiple(terms: dict, items, coeff, shift: Mono) -> None:
@@ -120,8 +148,9 @@ def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBas
     for i, (g, lt) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
         head = ModuleVector(n, {(lt.position, lt.monomial): Fraction(1)})
-        tail = normal_form(g - head, others)
-        reduced[(lt.position, lt.monomial)] = head + tail
+        tail = normal_form(ModuleVector(n, [*g.items(), *((k, -c) for k, c in head.items())]),
+                           others)
+        reduced[(lt.position, lt.monomial)] = ModuleVector(n, [*head.items(), *tail.items()])
     ordered = sorted(reduced, key=term_key, reverse=True)
     return GroebnerBasis(tuple(reduced[key] for key in ordered), basis)
 
@@ -146,7 +175,7 @@ def _spair_loop(gens: Iterable[ModuleVector], basis: OrderedBasis) -> list:
 
     def add_element(v):
         lt = leading_term(v)
-        v = v.scale(lt.coeff ** -1)
+        v = ModuleVector(v.n, {key: c * lt.coeff ** -1 for key, c in v.items()})
         lt = Term(Fraction(1), lt.monomial, lt.position)
         index = len(elements)
         degree = basis.degree(lt.position)

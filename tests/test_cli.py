@@ -382,12 +382,10 @@ def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
     # cone step asks the Groebner fallback for the basis element e_0 itself,
     # which no image reaches.
     from syzdepth import complexes
-    from syzdepth.freemod import ModuleVector
 
     def lift(lifter, z, a):
         C, p = lifter.complex, lifter.p
-        return complexes._lift_by_groebner(
-            C, p, ModuleVector.generator(C.n, 0, C.basis(p - 1).degree(0)))
+        return complexes._lift_by_groebner(C, p, {0: 1}, C.basis(p - 1).degree(0))
 
     monkeypatch.setattr(complexes._Lifter, "lift", lift)
     code = main(["resolve", "--input", ideal_file(SQUARES), "--method", "ek"])

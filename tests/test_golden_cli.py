@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from syzdepth import freemod
 from syzdepth.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -144,6 +145,20 @@ def test_golden_output(name, argv):
         expected = fh.read()
     assert rc == _exit_codes()[name]
     assert out == expected
+
+
+def _no_module_vector(*args, **kwargs):
+    raise AssertionError("a ModuleVector was built")
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_output_builds_no_module_vector(name, argv, monkeypatch):
+    # Rows are the library's element form: every case writes its golden
+    # output with no ModuleVector made, neither by the constructor nor by
+    # from_terms.
+    monkeypatch.setattr(freemod.ModuleVector, "__init__", _no_module_vector)
+    monkeypatch.setattr(freemod.ModuleVector, "from_terms", classmethod(_no_module_vector))
+    test_golden_output(name, argv)
 
 
 def record():

@@ -9,8 +9,8 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, leading_term,
-                              multidegree_of, row_vectors, scalar_rows)
+from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
+                              row_vectors, scalar_rows)
 from syzdepth import complexes, groebner
 from syzdepth.groebner import (
     buchberger,
@@ -18,7 +18,7 @@ from syzdepth.groebner import (
     initial_module,
     is_squarefree_module,
     kernel_generators,
-    monomial_module_from_terms,
+    leading_module,
 )
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, minimalize_ordered
@@ -26,9 +26,21 @@ from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
 import reference_groebner
-from reference_cones import reference_taylor_step_cone
+from reference_cones import apply_columns, reference_taylor_step_cone
+from reference_groebner import leading_term
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _moved(v, perm):
+    """The vector v with each position pos moved to perm(pos)."""
+    return ModuleVector(v.n, {(perm(pos), mono): c for (pos, mono), c in v.items()})
+
+
+def _tagged(columns, r):
+    """Each column plus the tag e_(r + j), j its index, at the unit monomial."""
+    return [ModuleVector(col.n, [*col.items(), ((r + j, (0,) * col.n), 1)])
+            for j, col in enumerate(columns)]
 
 
 def test_buchberger_monomial_input_passthrough():
@@ -37,7 +49,7 @@ def test_buchberger_monomial_input_passthrough():
             ModuleVector(2, {(0, (1, 1)): Fraction(1)}),
             ModuleVector(2, {(0, (2, 1)): Fraction(1)})]
     gb = buchberger(gens, basis)
-    lts = {(t.position, t.monomial) for t in gb.leading_terms()}
+    lts = {(t.position, t.monomial) for t in map(leading_term, gb.generators)}
     assert lts == {(0, (2, 0)), (0, (1, 1))}
     for g in gb.generators:
         assert len(g) == 1  # monomial module: reduced basis is monomial
@@ -48,14 +60,14 @@ def test_buchberger_single_generator():
     v = ModuleVector(2, {(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(4)})
     gb = buchberger([v], basis)
     assert len(gb.generators) == 1
-    assert gb.generators[0] == v.scale(Fraction(1, 2))
+    assert gb.generators[0] == _reference_scale(v, Fraction(1, 2), (0, 0))
 
 
 def test_buchberger_koszul_z1():
     K = taylor_complex([X1, X2, X3], 3)
     ini, (rows, degrees) = lex_refined_initial(K, 1)
     gb = buchberger(row_vectors(rows, degrees, ini.basis), ini.basis)
-    lts = {(t.position, t.monomial) for t in gb.leading_terms()}
+    lts = {(t.position, t.monomial) for t in map(leading_term, gb.generators)}
     assert lts == {(0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1))}
 
 
@@ -188,7 +200,7 @@ def syzygy_generators_on_bases(draw):
     columns = list(C.differential(p + 1))
     if draw(st.booleans()):
         basis, perm = C.basis(p).sort_lex_refined()
-        return [v.map_positions(lambda pos: perm[pos]) for v in columns], basis
+        return [_moved(v, perm.__getitem__) for v in columns], basis
     return columns, C.basis(p)
 
 
@@ -202,7 +214,8 @@ def test_initial_module_is_the_reduced_basis_leading_terms(case):
     # initial_module stops at a minimal Groebner basis; its leading terms
     # are those of the reduced basis buchberger returns.
     gens, basis = case
-    expected = monomial_module_from_terms(basis, buchberger(gens, basis).leading_terms())
+    gb = buchberger(gens, basis)
+    expected = leading_module(gb.rows, gb.degrees, basis)
     assert initial_module(gens, basis) == expected
 
 
@@ -266,19 +279,18 @@ def test_spair_loop_elements_are_monic_fractions():
 def test_kernel_generators_koszul():
     K = taylor_complex([X1, X2, X3], 3)
     cols = list(K.differential(1))
-    kernel = kernel_generators(cols, K.basis(1), K.basis(0))
+    rows, degrees = kernel_generators(cols, K.basis(1), K.basis(0))
     # The kernel of d_1 is Z_1, spanned by the Koszul relations.
-    assert len(kernel) == 3
-    for v in kernel:
-        image = K.apply(1, v)
-        assert image.is_zero()
+    assert len(rows) == 3
+    for v in row_vectors(rows, degrees, K.basis(1)):
+        assert apply_columns(cols, v, 3).is_zero()
 
 
 def test_kernel_of_injective_map_is_empty():
     basis0 = OrderedBasis(2, [BasisElement((0, 0))])
     basis1 = OrderedBasis(2, [BasisElement((1, 0))])
     cols = [ModuleVector(2, {(0, (1, 0)): Fraction(1)})]
-    assert kernel_generators(cols, basis1, basis0) == []
+    assert kernel_generators(cols, basis1, basis0) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +319,12 @@ def _reference_divide(v, reducers):
                     hit = (i, g, t.coeff / lt.coeff, mono)
                     break
         if hit is None:
-            tail = tail + ModuleVector(n, {(t.position, t.monomial): t.coeff})
-            rem = rem - ModuleVector(n, {(t.position, t.monomial): t.coeff})
+            tail = ModuleVector(n, [*tail.items(), ((t.position, t.monomial), t.coeff)])
+            rem = ModuleVector(n, [*rem.items(), ((t.position, t.monomial), -t.coeff)])
         else:
             i, g, coeff, mono = hit
             quotient[(i, mono)] = quotient.get((i, mono), 0) + coeff
-            rem = rem - _reference_scale(g, coeff, mono)
+            rem = ModuleVector(n, [*rem.items(), *_reference_scale(g, -coeff, mono).items()])
     return quotient, tail
 
 
@@ -349,8 +361,9 @@ def _reference_spair_loop(gens, basis):
                 and single(f) and single(g)):
             continue
         l = tuple(map(max, lt_f.monomial, lt_g.monomial))
-        s = (_reference_scale(f, 1, tuple(a - b for a, b in zip(l, lt_f.monomial)))
-             - _reference_scale(g, 1, tuple(a - b for a, b in zip(l, lt_g.monomial))))
+        s = ModuleVector(basis.n, [
+            *_reference_scale(f, 1, tuple(a - b for a, b in zip(l, lt_f.monomial))).items(),
+            *_reference_scale(g, -1, tuple(a - b for a, b in zip(l, lt_g.monomial))).items()])
         rem = _reference_divide(s, elements)[1]
         if not rem.is_zero():
             add_element(rem)
@@ -372,9 +385,8 @@ def _reference_kernel(columns, source, target):
     r = len(target)
     extended = OrderedBasis(target.n, list(target.elements)
                             + [BasisElement(e.degree, ("tag", e.label)) for e in source])
-    tagged = [col + ModuleVector.generator(target.n, r + j) for j, col in enumerate(columns)]
-    gb = reference_groebner.buchberger(tagged, extended)
-    return [g.map_positions(-r) for g in gb.generators
+    gb = reference_groebner.buchberger(_tagged(columns, r), extended)
+    return [_moved(g, lambda pos: pos - r) for g in gb.generators
             if all(pos >= r for (pos, _), _ in g.items())]
 
 
@@ -402,14 +414,15 @@ def spair_loop_inputs(draw):
     how = draw(st.sampled_from(["as-is", "lex-refined", "tagged"]))
     if how == "lex-refined":
         basis, perm = basis.sort_lex_refined()
-        columns = [v.map_positions(lambda pos: perm[pos]) for v in columns]
+        columns = [_moved(v, perm.__getitem__) for v in columns]
     elif how == "tagged":
         r = len(basis)
         source = C.basis(p + 1)
         basis = OrderedBasis(n, list(basis.elements)
                              + [BasisElement(e.degree, ("tag", e.label)) for e in source])
-        columns = [col + ModuleVector.generator(n, r + j) for j, col in enumerate(columns)]
-    return columns[:1] + [columns[0].scale(Fraction(-3, 2))] + columns[1:], basis
+        columns = _tagged(columns, r)
+    scaled = _reference_scale(columns[0], Fraction(-3, 2), (0,) * n)
+    return columns[:1] + [scaled] + columns[1:], basis
 
 
 @settings(max_examples=100, deadline=None)
@@ -439,11 +452,12 @@ def test_row_engine_matches_the_vector_engine(case):
     gens, basis = case
     gb, expected = buchberger(gens, basis), reference_groebner.buchberger(gens, basis)
     assert _typed(gb.generators) == _typed(expected.generators)
-    assert gb.leading_terms() == expected.leading_terms()
+    assert leading_module(gb.rows, gb.degrees, basis) == \
+        reference_groebner.monomial_module_from_terms(basis, expected.leading_terms())
     assert initial_module(gens, basis) == reference_groebner.initial_module(gens, basis)
     source = OrderedBasis(basis.n, [BasisElement(multidegree_of(g, basis) or (0,) * basis.n)
                                     for g in gens])
-    assert _typed(kernel_generators(gens, source, basis)) == \
+    assert _typed(row_vectors(*kernel_generators(gens, source, basis), source)) == \
         _typed(_reference_kernel(gens, source, basis))
 
 
@@ -463,9 +477,8 @@ def division_cases(draw):
     G, F = phi.source, phi.target
     lifts = []
     for i in range(1, min(G.length, F.length) + 1):
-        targets = [phi.apply(i - 1, G.apply(i, ModuleVector.generator(n, k)))
-                   for k in range(G.rank(i))]
-        targets += [-phi.apply(i - 1, z) for z in
+        targets = [phi.apply(i - 1, col) for col in G.differential(i)]
+        targets += [_reference_scale(phi.apply(i - 1, z), -1, (0,) * n) for z in
                     buchberger(list(G.differential(i)), G.basis(i - 1)).generators]
         lifts += [(F, i, z) for z in targets if not z.is_zero()]
     divisions = []
@@ -473,7 +486,7 @@ def division_cases(draw):
     if draw(st.booleans()):
         C = minimize(C)
     for p in range(1, C.length + 1):
-        columns = [col if k % 2 else col.scale(Fraction(5, 3))
+        columns = [col if k % 2 else _reference_scale(col, Fraction(5, 3), (0,) * n)
                    for k, col in enumerate(C.differential(p)) if not col.is_zero()]
         for k, col in enumerate(columns):
             divisions.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]],

@@ -6,8 +6,8 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth.freemod import leading_term, row_vectors
-from syzdepth.groebner import buchberger, initial_module
+from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, row_vectors
+from syzdepth.groebner import buchberger, initial_module, leading_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
     compose_cone_gb,
@@ -18,6 +18,9 @@ from syzdepth.syzygy import (
     verify_theorem_main,
 )
 from syzdepth.verify import taylor_step_cone
+
+from reference_cones import apply_columns
+from reference_groebner import leading_term
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 SQUARES = [(2, 0), (1, 1), (0, 2)]
@@ -56,10 +59,7 @@ def test_boundary_terms_under_lex_refined_basis():
     gens = row_vectors(rows, degrees, oracle.basis)
     lts = {(t.position, t.monomial) for t in map(leading_term, gens)}
     assert lts == {(0, (0, 1)), (0, (0, 2)), (1, (0, 1))}
-    from syzdepth.groebner import monomial_module_from_terms
-
-    claimed = monomial_module_from_terms(oracle.basis, [leading_term(g) for g in gens])
-    assert claimed.components == oracle.components
+    assert leading_module(rows, degrees, oracle.basis).components == oracle.components
 
 
 def test_compose_cone_gb_trivial_and_small():
@@ -67,12 +67,12 @@ def test_compose_cone_gb_trivial_and_small():
     F, G = phi.target, phi.source
     gbF = buchberger(syzygy_generators(F, 1), F.basis(1))
     gbG = buchberger(list(G.differential(1)), G.basis(0))
-    composed = compose_cone_gb(gbF, gbG, phi, cone, 1)
+    rows, degrees = compose_cone_gb(gbF, gbG, phi, cone, 1)
     # F has a single generator, so Z_1(F) = 0 and everything lifts from G.
     assert len(gbF.generators) == 0
-    assert len(composed) == len(gbG.generators)
-    for v in composed:
-        assert cone.apply(1, v).is_zero()
+    assert len(rows) == len(gbG.generators)
+    for v in row_vectors(rows, degrees, cone.basis(1)):
+        assert apply_columns(cone.differential(1), v, 2).is_zero()
 
 
 def test_compose_cone_gb_direct_sum_identity():
@@ -82,8 +82,8 @@ def test_compose_cone_gb_direct_sum_identity():
     for i in range(1, cone.length):
         gbF = buchberger(syzygy_generators(F, i), F.basis(i))
         gbG = buchberger(list(G.differential(i)), G.basis(i - 1))
-        composed = compose_cone_gb(gbF, gbG, phi, cone, i)
-        assert composed  # certified inside compose_cone_gb
+        rows, _ = compose_cone_gb(gbF, gbG, phi, cone, i)
+        assert rows  # certified inside compose_cone_gb
 
 
 def test_compose_cone_gb_checks_against_the_oracle_it_is_given():
@@ -147,3 +147,24 @@ def test_gunnar_step_rejects_bad_hypothesis():
     K = taylor_complex([X1, X2, X3], 3)
     with pytest.raises(ValueError, match="hypothesis"):
         verify_gunnar_step(list(K.differential(1)), K.basis(1), K.basis(0), 2)
+
+
+# Two target basis elements of degree 0 and one source element of degree x1.
+GUNNAR_TARGET = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
+GUNNAR_SOURCE = OrderedBasis(2, [BasisElement((1, 0))])
+
+
+def test_gunnar_step_refuses_a_position_below_the_target():
+    # The column x1 at position -1 once wrapped, through the lex-refined
+    # relabelling, to the last target position, and the step passed.
+    columns = [ModuleVector(2, {(-1, (1, 0)): 1})]
+    with pytest.raises(ValueError, match="^the map: column 0 has position -1, "
+                                         "outside a basis of rank 2$"):
+        verify_gunnar_step(columns, GUNNAR_SOURCE, GUNNAR_TARGET, 1)
+
+
+def test_gunnar_step_refuses_more_columns_than_the_source_rank():
+    # A second column once raised IndexError from the relabelling.
+    columns = [ModuleVector(2, {(0, (1, 0)): 1}), ModuleVector(2, {(1, (1, 0)): 1})]
+    with pytest.raises(ValueError, match="^the map has 2 columns, expected 1$"):
+        verify_gunnar_step(columns, GUNNAR_SOURCE, GUNNAR_TARGET, 1)

@@ -16,13 +16,11 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg, monomials
 from .freemod import (
     BasisElement,
-    DegreeMasks,
     ModuleVector,
     OrderedBasis,
     Slices,
@@ -32,7 +30,7 @@ from .freemod import (
     unit_rows,
     walk_closure,
 )
-from .groebner import _tagged_groebner
+from .groebner import _file, _monic, _reduce, _tagged_groebner
 from .monomials import Mono, MonomialIdeal
 
 
@@ -82,10 +80,12 @@ class FreeComplex:
         return C
 
     def _level(self, p: int):
-        """Level p, made on first read; a negative p counts from the top."""
+        """Level p, made on first read; ValueError unless 0 <= p <= length."""
+        if not 0 <= p < len(self._levels):
+            raise ValueError(f"homological degree {p} is outside 0..{self.length}")
         level = self._levels[p]
         if level is None:
-            level = self._levels[p] = self._make_level(p % len(self._levels))
+            level = self._levels[p] = self._make_level(p)
         return level
 
     @property
@@ -344,48 +344,35 @@ def stable_order(I: MonomialIdeal) -> tuple:
 
 
 class _Lifter:
-    """Preimages under d_p by division of scalar rows, filed once per d_p.
+    """Preimages under d_p by the Groebner division of groebner's _reduce.
 
-    Each nonzero column is filed under its smallest row, in column order.
-    A row z of degree a is lifted by reducing the smallest row r left in it
-    by the first column filed under r that is active at a, deg e_c | a
-    (a DegreeMasks over F_p's degrees), and recording its quotient.  That
-    is the division of z by the columns as vectors, as groebner divides
-    rows: a leading term sits at the smallest position, and
-    x^(deg e_c - deg e_r) divides x^(a - deg e_r) exactly when deg e_c | a.
-    Each column is used at most once, as r only grows.  When the boundaries
-    of F_p's generators form a Groebner basis, as for Eliahou-Kervaire and
-    the resolutions of the paper's second theorem, no remainder is left;
-    otherwise the row z at a goes to _lift_by_groebner, which divides it by
-    a Groebner basis of the tagged columns.  Either way the lift is a row
-    on F_p's basis, and no module vector is made.
+    d_p's nonzero columns are filed monic once, in column order, and their
+    leading entries kept; a row z of degree a is divided by them, and each
+    recorded quotient over its column's leading entry is an entry of the
+    lift.  When the boundaries of F_p's generators form a Groebner basis,
+    as for Eliahou-Kervaire and the resolutions of the paper's second
+    theorem, no remainder is left; otherwise the row z at a goes to
+    _lift_by_groebner, which divides it by a Groebner basis of the tagged
+    columns.  Either way the lift is a row on F_p's basis, and no module
+    vector is made.
     """
 
     def __init__(self, C: FreeComplex, p: int):
         self.complex, self.p = C, p
         # Past C's length, d_p has no column.
-        basis, self.columns = C._level(p) if p <= C.length else (OrderedBasis(C.n, ()), ())
-        self._filed = {}
-        for c, column in enumerate(self.columns):
+        basis, columns = C._level(p) if p <= C.length else (OrderedBasis(C.n, ()), ())
+        self._filed, self._leads = {}, {}
+        for c, (column, d) in enumerate(zip(columns, basis.degrees)):
             if column:
-                self._filed.setdefault(min(column), []).append(c)
-        self._masks = DegreeMasks(list(enumerate(basis.degrees)), C.n, len(basis))
+                r, _ = _file(self._filed, c, _monic(column), d)
+                self._leads[c] = column[r]
 
     def lift(self, z: dict, a: Mono) -> dict:
-        """The row w with d_p(w) = z of degree a, ints where integral; a
-        quotient by an entry other than 1 or -1 is taken as a Fraction."""
-        active, rem, w = self._masks.dividing(a), dict(z), {}
-        while rem:
-            r = min(rem)
-            c = next((c for c in self._filed.get(r, ()) if active >> c & 1), None)
-            if c is None:
-                return _lift_by_groebner(self.complex, self.p, z, a)
-            column = self.columns[c]
-            x, lead = rem[r], column[r]
-            q = x if lead == 1 else -x if lead == -1 else Fraction(x) / lead
-            w[c] = q.numerator if q.denominator == 1 else q
-            linalg.add_scaled(rem, -q, column)  # clears row r
-        return w
+        """The row w with d_p(w) = z of degree a, ints where integral."""
+        quotients = {}
+        if _reduce(dict(z), a, self._filed, quotients):
+            return _lift_by_groebner(self.complex, self.p, z, a)
+        return {c: linalg.quotient(q, self._leads[c]) for c, q in quotients.items()}
 
 
 def _lift_by_groebner(C: FreeComplex, p: int, z: dict, a: Mono) -> dict:
@@ -395,16 +382,18 @@ def _lift_by_groebner(C: FreeComplex, p: int, z: dict, a: Mono) -> dict:
     Each basis element is d_p(w) + w with w at the tag positions, which rank
     below every target position.  So z is a boundary exactly when its
     remainder has no target entry, and then z - (remainder) = d_p(w) + w
-    with w = -(remainder).
+    with w = -(remainder).  Past C's length d_p is zero, and r = inf makes
+    every entry of z a target entry.
     """
-    target = C.basis(p - 1)
-    gb = _tagged_groebner(C._level(p)[1], C.basis(p), target)
-    r = len(target)
-    rem = gb.remainder(z, a)
+    rem, r = z, math.inf
+    if p <= C.length:
+        target = C.basis(p - 1)
+        r = len(target)
+        rem = _tagged_groebner(C._level(p)[1], C.basis(p), target).remainder(z, a)
     if min(rem, default=r) < r:
         raise RuntimeError(f"lifting failed at homological degree {p}: "
                            "the complex is not exact there")
-    return {pos - r: -c.numerator if c.denominator == 1 else -c for pos, c in rem.items()}
+    return {pos - r: linalg.quotient(c, -1) for pos, c in rem.items()}
 
 
 def eliahou_kervaire(I: MonomialIdeal) -> FreeComplex:
@@ -555,12 +544,11 @@ def minimize(C: FreeComplex) -> FreeComplex:
             r = _unit_row(pivot, source[c], target)
             if r is None:
                 continue
-            lam = pivot[r]  # an int or a Fraction: 1 / lam is taken as a Fraction
-            inverse = lam if lam in (1, -1) else 1 / Fraction(lam)
+            lam = pivot[r]
             for c2, col in enumerate(cols[p]):
                 if c2 == c or not alive[p][c2] or r not in col:
                     continue
-                linalg.add_scaled(col, -col[r] * inverse, pivot)
+                linalg.add_scaled(col, -linalg.quotient(col[r], lam), pivot)
             alive[p][c] = alive[p - 1][r] = False
             if p < length:
                 for col in cols[p + 1]:
@@ -574,7 +562,7 @@ def minimize(C: FreeComplex) -> FreeComplex:
         rows = [None] * len(basis)
         for old, new in remap[p].items():
             # An integral entry is kept as an int, as check_complex reads it.
-            rows[new] = {remap[p - 1][r]: c.numerator if c.denominator == 1 else c
+            rows[new] = {remap[p - 1][r]: linalg.quotient(c)
                          for r, c in cols[p][old].items()}
         levels.append((basis, rows))
     while len(levels) > 1 and not levels[-1][0]:

@@ -203,8 +203,7 @@ def scalar_rows(vectors, basis: OrderedBasis):
         degrees.append(multidegree_of(v, basis))
         if degrees[-1] is None and not v.is_zero():
             raise ValueError(f"column {j} is not multihomogeneous")
-    return [{pos: c.numerator if c.denominator == 1 else c for (pos, _), c in v.items()}
-            for v in vectors], degrees
+    return [{pos: linalg.quotient(c) for (pos, _), c in v.items()} for v in vectors], degrees
 
 
 def read_columns(name: str, columns, source: OrderedBasis, target: OrderedBasis) -> list:

@@ -10,15 +10,15 @@ of its scalar row {j: coefficient} at its degree d, so the engine runs on
 the (rows, degrees, basis) triple of freemod.Slices and of every
 FreeComplex level.  Elements are monic and filed by leading (smallest)
 position in the order made, and x^(d_k - deg e_r) divides x^(d - deg e_r)
-exactly when d_k | d.  Arithmetic is exact: a quotient by an entry other
-than 1 or -1 is a Fraction, integral values kept as ints.
+exactly when d_k | d.  _reduce is the library's one division of rows, for
+Buchberger and for the lifts through a differential (complexes._Lifter),
+which ask it for the quotients; linalg.quotient takes every quotient.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import le, sub
 from typing import Iterable, Sequence
 
@@ -88,42 +88,47 @@ class InitialModule:
 
 def _monic(row: dict) -> dict:
     """The row divided by its leading entry: as it is by 1, negated by -1,
-    and otherwise by Fraction quotients, integral values kept as ints."""
+    and otherwise entry by entry by linalg.quotient."""
     lead = row[min(row)]
     if lead == 1:
         return row
     if lead == -1:
         return {r: -c for r, c in row.items()}
-    quotients = ((r, Fraction(c) / lead) for r, c in row.items())
-    return {r: q.numerator if q.denominator == 1 else q for r, q in quotients}
+    return {r: linalg.quotient(c, lead) for r, c in row.items()}
 
 
 def _file(filed: dict, index: int, row: dict, degree) -> tuple:
     """File the monic row of the degree under its leading position, after
     the earlier ones, as (index, degree, the other entries); returns the
     position and that entry."""
-    r = min(row)
-    entry = (index, degree, {k: c for k, c in row.items() if k != r})
+    r, rest = min(row), dict(row)
+    del rest[r]
+    entry = (index, degree, rest)
     filed.setdefault(r, []).append(entry)
     return r, entry
 
 
-def _reduce(rem: dict, degree, filed: dict) -> dict:
+def _reduce(rem: dict, degree, filed: dict, quotients: dict = None) -> dict:
     """Divide the row rem of the degree, in place, by the filed elements;
     return the remainder entries in the order they were found.  Each step
     pops the smallest position r left and subtracts that many times the
     other entries, all past r, of the first element filed under r whose
-    degree divides the degree, as its leading 1 cancels the popped entry."""
+    degree divides the degree, as its leading 1 cancels the popped entry.
+    Given quotients, each step records its multiple there under the
+    element's index, in step order; as r only grows, no element is used
+    twice, and the row is the sum of quotient * element and remainder."""
     tail = {}
     while rem:
         r = min(rem)
         c = rem.pop(r)
-        for _, d, rest in filed.get(r, ()):
+        for index, d, rest in filed.get(r, ()):
             if all(map(le, d, degree)):
                 break
         else:
             tail[r] = c
             continue
+        if quotients is not None:
+            quotients[index] = c
         linalg.add_scaled(rem, -c, rest)
     return tail
 

@@ -6,8 +6,8 @@ row on its leading (smallest) column, and is the library's only kernel:
 exact_rank runs it over a list of rows, and freemod.Slices over the rows
 active down the lcm-closure tree, keeping its pivots, for the exactness
 certificate and the Hilbert-slice check.  Its update, add_scaled, also
-composes, lifts (complexes._Lifter) and minimizes complexes, and forms the
-S-pairs and divisions of groebner's Buchberger algorithm on scalar rows.
+composes and minimizes complexes and runs groebner's one row division.
+quotient is the library's one exact division, so the field is known here.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ def integer_row(row: dict) -> dict:
     if scale == 1:
         return {c: x.numerator for c, x in row.items()}
     return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+
+
+def quotient(x, y=1):
+    """x / y exactly: an int where integral, a Fraction otherwise, so that
+    quotient(x) reads an integral Fraction back as an int."""
+    q = x * y if y in (1, -1) else Fraction(x) / y
+    return q.numerator if q.denominator == 1 else q
 
 
 def add_scaled(row: dict, q, other: dict) -> None:

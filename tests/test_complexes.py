@@ -968,6 +968,20 @@ def test_lift_by_slice():
         _lift_by_groebner(C, 1, {0: 1}, (1, 0, 0))
 
 
+def test_a_lift_above_the_top_level_fails_as_not_exact():
+    # F has no level 1, so no nonzero row is a boundary there: the lift of
+    # the cone step, and its fallback, report the complex as not exact.
+    from syzdepth.complexes import _lift_by_groebner
+
+    F = FreeComplex(2, [OrderedBasis(2, [BasisElement((0, 0))])], [])
+    message = "lifting failed at homological degree 1: the complex is not exact there"
+    with pytest.raises(RuntimeError, match=message):
+        comparison_cone(F, [(1, 0)], (0, 1))
+    with pytest.raises(RuntimeError, match=message):
+        _lift_by_groebner(F, 1, {0: 1}, (1, 1))
+    assert complexes._Lifter(F, 1).lift({}, (1, 1)) == {}
+
+
 def _fallback_case():
     """(C, p, z, a): a boundary z of degree a, as a row, whose division by
     the columns of the minimized d_p leaves a remainder.  z is the boundary

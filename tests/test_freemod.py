@@ -248,6 +248,20 @@ def test_integer_row_scales_by_the_lcm_of_the_denominators():
     assert linalg.integer_row({0: Fraction(7), 1: -1}) == {0: 7, 1: -1}
 
 
+@pytest.mark.parametrize("x, y, expected", [
+    (6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0), (5, 1, 5), (5, -1, -5),
+    (3, 6, Fraction(1, 2)), (3, -6, Fraction(-1, 2)), (2, Fraction(2, 3), 3),
+    (Fraction(3, 2), Fraction(1, 2), 3), (Fraction(1, 2), 3, Fraction(1, 6)),
+    (Fraction(4, 2), 1, 2), (Fraction(4, 2), -1, -2), (Fraction(1, 2), 1, Fraction(1, 2)),
+    (Fraction(1, 2), -1, Fraction(-1, 2)), (Fraction(-5), 1, -5),
+])
+def test_quotient_is_an_int_where_integral_and_a_fraction_otherwise(x, y, expected):
+    q = linalg.quotient(x, y)
+    assert q == expected and type(q) is type(expected)
+    if y == 1:
+        assert linalg.quotient(x) == expected and type(linalg.quotient(x)) is type(expected)
+
+
 @given(st.lists(multihomogeneous_vectors(), max_size=4),
        st.tuples(st.integers(0, 4), st.integers(0, 4)))
 def test_slice_rank_matches_coordinate_rank(pairs, a):

@@ -1,9 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from syzdepth.complexes import (
+    eliahou_kervaire,
     is_minimal,
     minimize,
     syzygy_generators,
@@ -11,7 +13,7 @@ from syzdepth.complexes import (
 )
 from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
                               row_vectors, scalar_rows)
-from syzdepth import complexes, groebner
+from syzdepth import complexes, groebner, linalg
 from syzdepth.groebner import (
     buchberger,
     hilbert_slice_check,
@@ -20,7 +22,7 @@ from syzdepth.groebner import (
     kernel_generators,
     leading_module,
 )
-from syzdepth.instances import random_monomial_ideal, trial_rng
+from syzdepth.instances import random_monomial_ideal, random_stable_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, minimalize_ordered
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
@@ -438,6 +440,95 @@ def test_spair_loop_matches_the_sorted_list_kernel(case):
     elements = groebner._spair_loop(*scalar_rows(gens, basis), basis)
     assert [(list(row.items()), d) for row, d in elements] == \
         [(list(row.items()), d) for row, d in expected]
+
+
+class _SetOnce(dict):
+    """A dict that refuses to set a key twice."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, f"element {key} used twice"
+        super().__setitem__(key, value)
+
+
+def _divided(z, a, filed):
+    """_reduce on a copy of the row z of degree a, checked as a division:
+    z is the sum of each recorded quotient times its monic filed element,
+    whose degree divides a and which is used at most once, plus the
+    remainder, and no element filed under a remainder position divides a.
+    Returns (quotients, remainder)."""
+    elements = {i: (r, d, rest) for r, entries in filed.items() for i, d, rest in entries}
+    quotients = _SetOnce()
+    tail = groebner._reduce(dict(z), a, filed, quotients)
+    total = dict(tail)
+    for i, q in quotients.items():
+        r, d, rest = elements[i]
+        assert all(map(operator.le, d, a))
+        linalg.add_scaled(total, q, {r: 1, **rest})
+    assert total == z
+    for r in tail:
+        assert not any(all(map(operator.le, d, a)) for _, d, _ in filed.get(r, ()))
+    return quotients, tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(spair_loop_inputs(), st.data())
+def test_reduce_divides_by_the_filed_elements(case, data):
+    # Each input row is divided by the first k elements of the S-pair loop's
+    # Groebner basis, filed in order; by all of them, no remainder is left.
+    gens, basis = case
+    rows, degrees = scalar_rows(gens, basis)
+    elements = groebner._spair_loop(rows, degrees, basis)
+    k = data.draw(st.integers(0, len(elements)))
+    filed = {}
+    for index, (row, d) in enumerate(elements[:k]):
+        groebner._file(filed, index, row, d)
+    for z, a in zip(rows, degrees):
+        if z:
+            _, tail = _divided(z, a, filed)
+            assert k < len(elements) or not tail
+
+
+@st.composite
+def lifter_divisions(draw):
+    """(complex, p, z, a, ek): a Taylor complex of a seeded random ideal or
+    the Eliahou-Kervaire complex of a seeded stable ideal, n <= 4, a level
+    p >= 1, and a boundary z of degree a = deg e_c for a column c of d_p: a
+    combination, small nonzero coefficients drawn, of the columns of d_p
+    whose degrees divide a."""
+    seed = draw(st.integers(0, 10**6))
+    ek = draw(st.booleans())
+    if ek:
+        I = random_stable_ideal(trial_rng(seed, 0), 4, 4, 3)
+        assume(not I.is_unit())
+        C = eliahou_kervaire(I)
+    else:
+        I = random_monomial_ideal(trial_rng(seed, 0), 4, 5, 3)
+        C = taylor_complex(list(I.gens), I.n)
+    assume(C.length >= 1)
+    p = draw(st.integers(1, C.length))
+    basis, columns = C._level(p)
+    a = basis.degree(draw(st.integers(0, len(basis) - 1)))
+    z = {}
+    for column, d in zip(columns, basis.degrees):
+        if all(map(operator.le, d, a)):
+            linalg.add_scaled(z, draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)])), column)
+    return C, p, z, a, ek
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifter_divisions())
+def test_reduce_divides_by_the_lifter_filing(case):
+    # The lifter's filing of d_p's columns divides the boundary z as
+    # Buchberger's does; the boundaries of Eliahou-Kervaire's generators
+    # form a Groebner basis, so there no remainder is left, and the lift is
+    # each quotient over its column's leading entry.
+    C, p, z, a, ek = case
+    lifter = complexes._Lifter(C, p)
+    quotients, tail = _divided(z, a, lifter._filed)
+    assert not (ek and tail)
+    if not tail:
+        assert lifter.lift(z, a) == {c: Fraction(q) / lifter._leads[c]
+                                     for c, q in quotients.items()}
 
 
 @settings(max_examples=100, deadline=None)

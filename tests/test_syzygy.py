@@ -10,6 +10,7 @@ from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, row_vecto
 from syzdepth.groebner import buchberger, initial_module, leading_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
+    boundary_leading_terms,
     compose_cone_gb,
     lex_refined_initial,
     taylor_initial_component,
@@ -168,3 +169,17 @@ def test_gunnar_step_refuses_more_columns_than_the_source_rank():
     columns = [ModuleVector(2, {(0, (1, 0)): 1}), ModuleVector(2, {(1, (1, 0)): 1})]
     with pytest.raises(ValueError, match="^the map has 2 columns, expected 1$"):
         verify_gunnar_step(columns, GUNNAR_SOURCE, GUNNAR_TARGET, 1)
+
+
+def test_a_level_outside_the_complex_is_refused():
+    # A negative level once read the top level: at p = -1, the module on the
+    # basis of degree (1, 1) of the Taylor complex of (x1, x2).
+    C = taylor_complex([(1, 0), (0, 1)], 2)
+    assert C.basis(C.length).degrees == ((1, 1),)
+    message = r"homological degree -1 is outside 0\.\.2"
+    with pytest.raises(ValueError, match=message):
+        lex_refined_initial(C, -1)
+    with pytest.raises(ValueError, match=message):
+        boundary_leading_terms(C, -1)
+    with pytest.raises(ValueError, match=r"homological degree 3 is outside 0\.\.2"):
+        verify_boundary_gb(C, C.length + 1)

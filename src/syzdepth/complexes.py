@@ -30,7 +30,7 @@ from .freemod import (
     unit_rows,
     walk_closure,
 )
-from .groebner import _file, _monic, _reduce, _tagged_groebner
+from .groebner import _file, _reduce, _tagged_groebner
 from .monomials import Mono, MonomialIdeal
 
 
@@ -364,7 +364,7 @@ class _Lifter:
         self._filed, self._leads = {}, {}
         for c, (column, d) in enumerate(zip(columns, basis.degrees)):
             if column:
-                r, _ = _file(self._filed, c, _monic(column), d)
+                r, _ = _file(self._filed, c, linalg.monic(column), d)
                 self._leads[c] = column[r]
 
     def lift(self, z: dict, a: Mono) -> dict:

@@ -63,10 +63,6 @@ class OrderedBasis:
     def degrees(self):
         return tuple(e.degree for e in self.elements)
 
-    def is_lex_refined(self) -> bool:
-        degs = self.degrees
-        return all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
-
     def sort_lex_refined(self):
         """Stable sort with lexicographically largest degrees first.
 
@@ -253,9 +249,9 @@ class Slices:
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
     The engine takes those rows and their degrees, as scalar_rows, unit_rows
-    or a complex gives them.  Each row is stored once, as integers scaled
-    by the lcm of its denominators, which changes no rank, and a DegreeMasks
-    finds the rows whose degree divides a.  A degree of None is never active.
+    or a complex gives them, and keeps the rows as they are, as
+    linalg.eliminate modifies none.  A DegreeMasks finds the rows whose
+    degree divides a.  A degree of None is never active.
 
     The engine keeps the pivots made on the current path and the mask of
     the rows already reduced there.  Down a chain of degrees, each a
@@ -264,7 +260,7 @@ class Slices:
     """
 
     def __init__(self, rows, degrees, basis: OrderedBasis):
-        self.rows = list(map(linalg.integer_row, rows))
+        self.rows = list(rows)
         known = [(i, d) for i, d in enumerate(degrees) if d is not None]
         self.degrees = [d for _, d in known]
         self._masks = DegreeMasks(known, basis.n, len(self.rows))

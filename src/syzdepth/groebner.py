@@ -8,11 +8,13 @@ of freemod, read on the ordered basis passed in.
 A multihomogeneous element has one term x^(d - deg e_j) at each position j
 of its scalar row {j: coefficient} at its degree d, so the engine runs on
 the (rows, degrees, basis) triple of freemod.Slices and of every
-FreeComplex level.  Elements are monic and filed by leading (smallest)
-position in the order made, and x^(d_k - deg e_r) divides x^(d - deg e_r)
-exactly when d_k | d.  _reduce is the library's one division of rows, for
-Buchberger and for the lifts through a differential (complexes._Lifter),
-which ask it for the quotients; linalg.quotient takes every quotient.
+FreeComplex level.  Elements are made monic by linalg.monic and filed by
+leading (smallest) position in the order made, and x^(d_k - deg e_r)
+divides x^(d - deg e_r) exactly when d_k | d.  _reduce is the library's
+one division of rows, for Buchberger and for the lifts through a
+differential (complexes._Lifter), which ask it for the quotients.  Its
+update, linalg.add_scaled, and linalg.monic are the two operations of the
+rank engine linalg.eliminate too, so the field is known in linalg alone.
 """
 
 from __future__ import annotations
@@ -84,17 +86,6 @@ class InitialModule:
             "degrees": [list(d) for d in self.basis.degrees],
             "components": [[list(g) for g in c.gens] for c in self.components],
         }
-
-
-def _monic(row: dict) -> dict:
-    """The row divided by its leading entry: as it is by 1, negated by -1,
-    and otherwise entry by entry by linalg.quotient."""
-    lead = row[min(row)]
-    if lead == 1:
-        return row
-    if lead == -1:
-        return {r: -c for r, c in row.items()}
-    return {r: linalg.quotient(c, lead) for r, c in row.items()}
 
 
 def _file(filed: dict, index: int, row: dict, degree) -> tuple:
@@ -170,7 +161,7 @@ def _spair_loop(rows, degrees, basis: OrderedBasis) -> list:
     targets = basis.degrees
 
     def add(row, degree):
-        row, index = _monic(row), len(elements)
+        row, index = linalg.monic(row), len(elements)
         for i, d, _ in filed.get(min(row), ()):
             l = tuple(map(max, d, degree))
             heapq.heappush(queue, (sum(l), l, i, index))

@@ -1,15 +1,64 @@
 """The slice engine the references of the exactness certificate and of the
 Hilbert-slice oracle are written against: every rank taken in full with
-linalg.exact_rank and cached per bitmask of chosen vectors.
+the fraction-free elimination below and cached per bitmask of chosen
+vectors.
 
 This is freemod.Slices as it read before it became the one engine that
 reduces down a chain of degrees, without its quick_rank, which no
-reference calls.
+reference calls.  integer_row and eliminate are linalg's as they read
+before linalg.eliminate reduced against monic pivots, so the references
+share no rank kernel with the library.
 """
 
-from syzdepth import linalg
+from math import gcd, lcm
+
 from syzdepth.freemod import DegreeMasks, OrderedBasis, multidegree_of
+from syzdepth.linalg import add_scaled
 from syzdepth.monomials import Mono
+
+
+def integer_row(row: dict) -> dict:
+    """The sparse row scaled by the lcm of its denominators; rank is unchanged.
+
+    Ints and Fractions both carry numerator and denominator, so a row whose
+    denominators are all 1 is read off its numerators.
+    """
+    scale = lcm(*[x.denominator for x in row.values()])
+    if scale == 1:
+        return {c: x.numerator for c, x in row.items()}
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+
+
+def eliminate(pivots: dict, row: dict):
+    """Reduce the integer row against the pivots, fraction-free; returns the
+    leading column of the new pivot it leaves, or None if it reduces to zero.
+
+    pivots maps a leading column to (leading entry, the other entries).  The
+    row is split into its leading (smallest) column's entry B and the rest.
+    While a pivot (A, pivot rest) sits at that column, the row becomes
+    (A / g) * rest - (B / g) * (pivot rest), with g = gcd(A, B), divided by
+    its content.  A row left nonzero becomes the pivot of its leading
+    column.  Neither the row nor any pivot is modified.
+    """
+    while row:
+        lead = min(row)
+        rest = dict(row)
+        b = rest.pop(lead)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = (b, rest)
+            return lead
+        head, tail = pivot
+        g = gcd(head, b)
+        a, b = head // g, b // g
+        if a != 1:
+            rest = {c: a * x for c, x in rest.items()}
+        add_scaled(rest, -b, tail)
+        content = gcd(*rest.values())
+        if content > 1:
+            rest = {c: x // content for c, x in rest.items()}
+        row = rest
+    return None
 
 
 class RankSlices:
@@ -20,9 +69,9 @@ class RankSlices:
     scalar row position -> coefficient to the slice at a, whatever a is.
     The vectors whose degree divides a are found by AND-ing per-coordinate
     bitsets.  Each row is stored once, as integers scaled by the lcm of its
-    denominators, which changes no rank: rank hands those sparse rows to
-    linalg.exact_rank, which runs the library's one elimination step, and
-    caches the answer per bitmask.  Pass degrees to give each vector a
+    denominators, which changes no rank: rank eliminates those sparse rows
+    with the fraction-free eliminate above and caches the answer per
+    bitmask.  Pass degrees to give each vector a
     degree of its own (a zero vector then still counts as active); otherwise
     zero vectors have no degree and are never active.  Every slice is fixed
     by which of the degrees in self.degrees divide a.
@@ -39,7 +88,7 @@ class RankSlices:
                 if d is not None and d != degrees[i]:
                     raise ValueError(f"vector {i} does not have degree {degrees[i]}")
                 d = degrees[i]
-            self._rows.append(linalg.integer_row({pos: c for (pos, _), c in v.items()}))
+            self._rows.append(integer_row({pos: c for (pos, _), c in v.items()}))
             if d is not None:
                 known.append((i, d))
         self.degrees = [d for _, d in known]
@@ -53,8 +102,10 @@ class RankSlices:
     def rank(self, mask: int) -> int:
         """Exact rank of the chosen vectors."""
         if mask not in self._ranks:
-            rows = self._rows
-            self._ranks[mask] = linalg.exact_rank([rows[i] for i in _bits(mask)])
+            pivots = {}
+            for i in _bits(mask):
+                eliminate(pivots, self._rows[i])
+            self._ranks[mask] = len(pivots)
         return self._ranks[mask]
 
 

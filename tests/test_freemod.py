@@ -18,6 +18,7 @@ from syzdepth.freemod import (
 from syzdepth.groebner import leading_module
 from syzdepth.monomials import MonomialIdeal
 
+import reference_slices
 from reference_groebner import leading_term
 
 
@@ -232,8 +233,8 @@ def test_exact_rank_on_large_fractional_and_dependent_rows(case):
     # The sparse rows list their columns in a drawn order, so that the
     # leading column need not be the first key, and exact_rank leaves them
     # as they were.  Examples: the second row reduces to {2: 1, 1: -1},
-    # whose leading column is not its first key; 2 * (1, 1) - (2, 2)
-    # needs the multiply by the pivot; the lcm 6 makes both rows (3, 2).
+    # whose leading column is not its first key; (2, 2) is stored monic as
+    # (1, 1), which the second row cancels; so is (1/2, 1/3), as (1, 2/3).
     rows, order = case
     sparse = [{c: row[c] for c in order if row[c]} for row in rows]
     before = [list(row.items()) for row in sparse]
@@ -241,11 +242,26 @@ def test_exact_rank_on_large_fractional_and_dependent_rows(case):
     assert [list(row.items()) for row in sparse] == before
 
 
-def test_integer_row_scales_by_the_lcm_of_the_denominators():
-    row = {3: Fraction(1, 4), 0: Fraction(5, 6), 1: 2, 2: Fraction(-4, 1)}
-    assert linalg.integer_row(row) == {3: 3, 0: 10, 1: 24, 2: -48}
-    assert [type(x) for x in linalg.integer_row(row).values()] == [int] * 4
-    assert linalg.integer_row({0: Fraction(7), 1: -1}) == {0: 7, 1: -1}
+@given(dependent_rows())
+@example(([[2, 3], [4, 6], [1, 0]], [0, 1]))
+@example(([[Fraction(-1, 2), 1, 0], [1, -1, 3]], [2, 0, 1]))
+def test_monic_pivots_lead_where_the_fraction_free_pivots_do(case):
+    # The span of the rows so far fixes the leading columns of its echelon
+    # form, and Slices.undo deletes pivots by them: after each row, the
+    # monic kernel and the fraction-free one it replaced (kept in
+    # reference_slices) hold pivots under the same columns, and each pivot
+    # is monic.  Examples: a leading entry 2, then a row that reduces to
+    # zero; a leading entry -1/2, then a row that leaves a pivot at column
+    # 1, which is not its first key.
+    rows, order = case
+    pivots, reference = {}, {}
+    for row in rows:
+        sparse = {c: row[c] for c in order if row[c]}
+        lead = linalg.eliminate(pivots, sparse)
+        assert lead == reference_slices.eliminate(reference,
+                                                  reference_slices.integer_row(sparse))
+        assert pivots.keys() == reference.keys()
+        assert all(min(pivot) == c and pivot[c] == 1 for c, pivot in pivots.items())
 
 
 @pytest.mark.parametrize("x, y, expected", [
@@ -314,7 +330,9 @@ def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
         return
     zeros = data.draw(st.lists(monos, max_size=3))
     vector_rows, vector_degrees = scalar_rows(vectors, basis)
-    slices = Slices(vector_rows + [{}] * len(zeros), vector_degrees + zeros, basis)
+    given_rows = vector_rows + [{}] * len(zeros)
+    before = [list(row.items()) for row in given_rows]
+    slices = Slices(given_rows, vector_degrees + zeros, basis)
     rows = [{pos: c for (pos, _), c in v.items()} for v in vectors] + [{}] * len(zeros)
     degrees += zeros
     chain = []  # (degree, mark before its reduce, pivot count after)
@@ -343,6 +361,8 @@ def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
             count = slices.reduce(mask, bound)
             assert count <= rank and min(count, bound) == min(rank, bound)
         chain.append((a, mark, count))
+    # The engine keeps the rows it is given and modifies none of them.
+    assert [list(row.items()) for row in given_rows] == before
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), monos, coeffs), min_size=1, max_size=5),

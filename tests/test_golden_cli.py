@@ -44,6 +44,12 @@ INPUTS = {
     # minimized from a Taylor complex of 2^10 basis elements.
     "path11odd": {"n": 11, "generators": [[1 if j in (i, i + 1) else 0 for j in range(11)]
                                           for i in (0, 2, 4, 6, 8, 1, 3, 5, 7, 9)]},
+    # The Stanley-Reisner ideal of the 6-vertex real projective plane: its
+    # minimized certificate is the first input found whose slice elimination
+    # meets a pivot with a leading entry other than 1 or -1.  CI runs
+    # `resolve --minimize --check` on it.
+    "rp2": _squarefree(6, [{1, 2, 4}, {1, 2, 5}, {1, 3, 5}, {1, 3, 6}, {1, 4, 6},
+                           {2, 3, 4}, {2, 3, 6}, {2, 5, 6}, {3, 4, 5}, {4, 5, 6}]),
     # The path on 21 vertices: CI runs `initial --p 1 --basis boundary
     # --oracle` on it, which reads 2 of the 21 levels of its Taylor complex.
     "path21": {"n": 21, "generators": [[1 if j in (i, i + 1) else 0 for j in range(21)]
@@ -68,6 +74,8 @@ def _cases():
          ["resolve", "--input", "mixed", "--minimize", "--check"]),
         ("resolve-minimize-check-path7odd",
          ["resolve", "--input", "path7odd", "--minimize", "--check"]),
+        ("resolve-minimize-check-rp2",
+         ["resolve", "--input", "rp2", "--minimize", "--check"]),
         ("resolve-ek", ["resolve", "--input", "stable", "--method", "ek", "--check"]),
         ("resolve-ek-nonstable", ["resolve", "--input", "triangle", "--method", "ek"]),
         ("resolve-koszul-maximal3", ["resolve", "--input", "maximal3", "--method", "koszul"]),

@@ -609,7 +609,7 @@ def test_divide_matches_the_linear_scan_kernel(cases):
         filed = {}
         for k, (g, _) in enumerate(reducers):
             (row,), (d,) = scalar_rows([g], basis)
-            groebner._file(filed, k, groebner._monic(row), d)
+            groebner._file(filed, k, linalg.monic(row), d)
         (row,), (a,) = scalar_rows([v], basis)
         (expected,), _ = scalar_rows([_reference_divide(v, reducers)[1]], basis)
         assert list(groebner._reduce(row, a, filed).items()) == list(expected.items())

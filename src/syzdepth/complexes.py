@@ -28,7 +28,6 @@ from .freemod import (
     row_vectors,
     scalar_rows,
     unit_rows,
-    walk_closure,
 )
 from .groebner import _file, _reduce, _tagged_groebner
 from .monomials import Mono, MonomialIdeal
@@ -632,11 +631,11 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
 
     Each slice is fixed by which module-generator and F_1..F_L basis
     degrees divide the degree, so walking their lcm closure decides every
-    degree (Gasharov-Peeva-Welker).  The module and each differential, its
-    rows with their basis degrees, are one Slices engine each, and
-    freemod.walk_closure takes them depth first down the closure's parent
-    tree, where a degree has every row its parent has, so each rank reduces
-    only the rows its ancestors did not.
+    degree (Gasharov-Peeva-Welker).  The module, block 0, and each d_p, its
+    rows with F_p's degrees, block p, are the blocks of one Slices engine,
+    whose walk goes depth first down the closure's parent tree, where a
+    degree has every row its parent has, so each rank reduces only the
+    rows its ancestors did not.
 
     Each rank of a differential is reduced only until it meets its upper
     bound: rank d_1 at a is at most the module's rank at a, as d_1 maps into
@@ -656,31 +655,29 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     if isinstance(module_gens, MonomialIdeal):
         if len(C.basis(0)) != 1:
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
-        module = Slices(*unit_rows(((0, u) for u in module_gens.gens), C.basis(0)), C.basis(0))
+        module = unit_rows(((0, u) for u in module_gens.gens), C.basis(0))
     else:
-        module = Slices(*scalar_rows(module_gens, C.basis(0)), C.basis(0))
+        module = scalar_rows(module_gens, C.basis(0))
+    engine = Slices([(*module, len(C.basis(0)))]
+                    + [(level, C.basis(p).degrees, len(C.basis(p - 1)))
+                       for p, level in enumerate(rows, start=1)], C.n)
     for j, row in enumerate(rows[0] if rows else ()):
-        mask = module.active(C.basis(1).degree(j))
-        chosen = [r for i, r in enumerate(module.rows) if mask >> i & 1]
+        mask = engine.active(C.basis(1).degree(j))
+        chosen = [r for i, r in enumerate(module[0]) if mask >> i & 1]
         if linalg.exact_rank(chosen) != linalg.exact_rank(chosen + [row]):
             return ExactnessReport(False, failures=[(0, None)])
 
-    diffs = [Slices(level, C.basis(p).degrees, C.basis(p - 1))
-             for p, level in enumerate(rows, start=1)]
-
-    def failing_level(a):
+    def failing_level(a, active):
         """First level whose slice at a is not exact, or None."""
-        bound = module.reduce(module.active(a))
-        for p, diff in enumerate(diffs):
-            active = diff.active(a)
-            rank = diff.reduce(active, bound)
+        bound = engine.rank(0, active)
+        for p in range(1, len(rows) + 1):
+            rank = engine.rank(p, active, bound)
             if rank < bound:
-                return p
-            bound = active.bit_count() - rank
-        return len(diffs) if bound else None
+                return p - 1
+            bound = (active & engine.blocks[p][0]).bit_count() - rank
+        return len(rows) if bound else None
 
-    degrees = module.degrees + [d for diff in diffs for d in diff.degrees]
-    failures, size = walk_closure(degrees, C.n, [module] + diffs, failing_level, exhaustive)
+    failures, size = engine.walk(failing_level, exhaustive)
     report = ExactnessReport(not failures, degrees_checked=size)
     if failures and not exhaustive:
         report.degrees_checked = failures[0][0] + 1

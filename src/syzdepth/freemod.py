@@ -31,7 +31,7 @@ class BasisElement:
 class OrderedBasis:
     """An ordered multihomogeneous basis; the sequence order is the module order."""
 
-    __slots__ = ("n", "elements")
+    __slots__ = ("n", "elements", "degrees")
 
     def __init__(self, n: int, elements: Iterable[BasisElement]):
         self.n = n
@@ -39,6 +39,7 @@ class OrderedBasis:
         for e in self.elements:
             if len(e.degree) != n:
                 raise ValueError(f"basis degree {e.degree} does not have length {n}")
+        self.degrees = tuple(e.degree for e in self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -57,11 +58,7 @@ class OrderedBasis:
         return f"OrderedBasis(n={self.n}, degrees={[e.degree for e in self.elements]})"
 
     def degree(self, position: int) -> Mono:
-        return self.elements[position].degree
-
-    @property
-    def degrees(self):
-        return tuple(e.degree for e in self.elements)
+        return self.degrees[position]
 
     def sort_lex_refined(self):
         """Stable sort with lexicographically largest degrees first.
@@ -242,55 +239,62 @@ def unit_rows(generators, basis: OrderedBasis):
 
 
 class Slices:
-    """Multidegree slices of the span of multihomogeneous vectors, reduced
-    down a chain of degrees.
+    """Multidegree slices of the spans of families of multihomogeneous
+    vectors, reduced down a chain of degrees.
 
     The degree-a piece of F has one monomial, a / deg e_j, at each basis
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
-    The engine takes those rows and their degrees, as scalar_rows, unit_rows
-    or a complex gives them, and keeps the rows as they are, as
-    linalg.eliminate modifies none.  A DegreeMasks finds the rows whose
-    degree divides a.  A degree of None is never active.
+    Each family is a block (rows, degrees, target rank), the rows kept as
+    scalar_rows, unit_rows or a complex gives them, as linalg.eliminate
+    modifies none, and the target rank that of their free module.  One
+    DegreeMasks, block k's rows at its own bit offset, finds the rows whose
+    degree divides a; a degree of None is never active.
 
-    The engine keeps the pivots made on the current path and the mask of
-    the rows already reduced there.  Down a chain of degrees, each a
-    multiple of the one before, reduce(active(a)) reduces each row once,
-    with linalg.eliminate, and mark and undo go back to an earlier point.
+    Down a chain of degrees, each a multiple of the one before,
+    rank(k, active(a)) reduces each row of block k once with
+    linalg.eliminate, into block k's pivots; one mask of the rows reduced
+    and one list of the pivots made serve mark and undo for every block.
     """
 
-    def __init__(self, rows, degrees, basis: OrderedBasis):
-        self.rows = list(rows)
-        known = [(i, d) for i, d in enumerate(degrees) if d is not None]
+    def __init__(self, blocks, n: int):
+        self.n = n
+        self.rows, known = [], []
+        self.blocks = []  # per block: (bitmask of its rows, target rank)
+        for rows, degrees, rank in blocks:
+            start = len(self.rows)
+            self.rows.extend(rows)
+            known.extend((start + i, d) for i, d in enumerate(degrees) if d is not None)
+            self.blocks.append(((1 << len(self.rows)) - (1 << start), rank))
         self.degrees = [d for _, d in known]
-        self._masks = DegreeMasks(known, basis.n, len(self.rows))
-        self._positions = len(basis)
-        self.pivots = {}
+        self._masks = DegreeMasks(known, n, len(self.rows))
+        self.pivots = [{} for _ in self.blocks]
         self._reduced = 0  # bitmask of the rows reduced on the path
-        self._made = []  # leading columns of the pivots, in the order made
+        self._made = []  # (block, leading column) of the pivots, in the order made
 
     def active(self, a: Mono) -> int:
         """Bitmask of the rows whose degree divides a."""
         return self._masks.dividing(a)
 
-    def reduce(self, active: int, bound: Optional[int] = None) -> int:
-        """Reduce the rows of the mask active(a) not reduced yet, until there
-        are bound pivots, and return the number of pivots.  Down a chain of
-        degrees that ends at a, that is the rank of the slice at a if it is
-        below bound, and at least bound otherwise; the rows left wait for a
-        later call.  The default bound is the number of basis positions,
-        which no rank exceeds."""
+    def rank(self, k: int, active: int, bound: Optional[int] = None) -> int:
+        """Reduce the rows of block k in the mask active(a) not reduced yet,
+        until the block has bound pivots, and return its number of pivots.
+        Down a chain of degrees that ends at a, that is the rank of block
+        k's slice at a if it is below bound, and at least bound otherwise;
+        the rows left wait for a later call.  The default bound is the
+        block's target rank, which no rank exceeds."""
+        block, top = self.blocks[k]
         if bound is None:
-            bound = self._positions
-        pivots, rows, made = self.pivots, self.rows, self._made
-        pending = active & ~self._reduced
+            bound = top
+        pivots, rows, made = self.pivots[k], self.rows, self._made
+        pending = active & block & ~self._reduced
         while pending and len(pivots) < bound:
             low = pending & -pending
             pending ^= low
             self._reduced |= low
             lead = linalg.eliminate(pivots, rows[low.bit_length() - 1])
             if lead is not None:
-                made.append(lead)
+                made.append((k, lead))
         return len(pivots)
 
     def mark(self):
@@ -301,47 +305,44 @@ class Slices:
         """Drop the pivots made, and forget the rows reduced, since mark."""
         self._reduced, size = mark
         while len(self._made) > size:
-            del self.pivots[self._made.pop()]
+            k, lead = self._made.pop()
+            del self.pivots[k][lead]
 
+    def walk(self, visit, exhaustive: bool = False):
+        """Visit every degree a of the lcm closure of the engine's degrees
+        as visit(a, active(a)), depth first down monomials.lcm_closure's
+        parent tree, where each degree is a multiple of its parent, so the
+        ranks see chains of degrees; the engine is marked before a visit and
+        undone once the visited degree's subtree is done.
 
-def walk_closure(degrees, n: int, engines, visit, exhaustive: bool = False):
-    """Visit every degree of the lcm closure of degrees depth first down
-    its parent tree (monomials.lcm_closure), in which each degree is a
-    multiple of its parent, so each engine's reduce sees a chain of
-    degrees; each engine is marked before a visit and undone once the
-    visited degree's subtree is done.
-
-    visit(a) returns None where a passes.  Returns (failures, size): the
-    (lex index, degree, visit's value) triples of the failing degrees in lex
-    order and the size of the closure.  A degree lies after its ancestors
-    in lex order, so once a failure is found, every subtree rooted after it
-    is skipped and only the first failure is kept, unless exhaustive.
-    """
-    closure = monomials.lcm_closure(degrees, n)
-    index = {a: i for i, a in enumerate(closure)}
-    children = {a: [] for a in closure}
-    for a, parent in closure.items():
-        if parent is not None:
-            children[parent].append(a)
-    failures = []
-    first = len(closure)  # lex index of the first failure found so far
-    # An entry (a, None) visits a; (None, marks) undoes the engines.
-    stack = [(monomials.unit(n), None)]
-    while stack:
-        a, marks = stack.pop()
-        if marks is not None:
-            for engine, mark in zip(engines, marks):
-                engine.undo(mark)
-            continue
-        i = index[a]
-        if i > first and not exhaustive:
-            continue
-        marks = [engine.mark() for engine in engines]
-        failure = visit(a)
-        if failure is not None:
-            failures.append((i, a, failure))
-            first = min(first, i)
-        stack.append((None, marks))
-        stack.extend((b, None) for b in reversed(children[a]))
-    failures.sort()
-    return (failures if exhaustive else failures[:1]), len(closure)
+        visit returns None where a passes.  Returns (failures, size): the
+        (lex index, degree, visit's value) triples of the failing degrees in
+        lex order and the closure's size.  A degree lies after its ancestors
+        in lex order, so once a failure is found, every subtree rooted after
+        it is skipped and only the first failure is kept, unless exhaustive.
+        """
+        closure = monomials.lcm_closure(self.degrees, self.n)
+        children = {a: [] for a in closure}  # (lex index, degree) pairs
+        for i, (a, parent) in enumerate(closure.items()):
+            if parent is not None:
+                children[parent].append((i, a))
+        failures = []
+        first = len(closure)  # lex index of the first failure found so far
+        # An entry (i, a, None) visits a, of lex index i; (None, None, mark) undoes.
+        stack = [(0, monomials.unit(self.n), None)]
+        while stack:
+            i, a, mark = stack.pop()
+            if mark is not None:
+                self.undo(mark)
+                continue
+            if i > first and not exhaustive:
+                continue
+            mark = self.mark()
+            failure = visit(a, self.active(a))
+            if failure is not None:
+                failures.append((i, a, failure))
+                first = min(first, i)
+            stack.append((None, None, mark))
+            stack.extend((j, b, None) for j, b in reversed(children[a]))
+        failures.sort()
+        return (failures if exhaustive else failures[:1]), len(closure)

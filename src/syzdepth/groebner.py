@@ -7,14 +7,15 @@ of freemod, read on the ordered basis passed in.
 
 A multihomogeneous element has one term x^(d - deg e_j) at each position j
 of its scalar row {j: coefficient} at its degree d, so the engine runs on
-the (rows, degrees, basis) triple of freemod.Slices and of every
-FreeComplex level.  Elements are made monic by linalg.monic and filed by
-leading (smallest) position in the order made, and x^(d_k - deg e_r)
-divides x^(d - deg e_r) exactly when d_k | d.  _reduce is the library's
-one division of rows, for Buchberger and for the lifts through a
-differential (complexes._Lifter), which ask it for the quotients.  Its
-update, linalg.add_scaled, and linalg.monic are the two operations of the
-rank engine linalg.eliminate too, so the field is known in linalg alone.
+the (rows, degrees, basis) triple of every FreeComplex level, which is a
+freemod.Slices block with the basis's rank in place of the basis.
+Elements are made monic by linalg.monic and filed by leading (smallest)
+position in the order made, and x^(d_k - deg e_r) divides x^(d - deg e_r)
+exactly when d_k | d.  _reduce is the library's one division of rows, for
+Buchberger and for the lifts through a differential (complexes._Lifter),
+which ask it for the quotients.  Its update, linalg.add_scaled, and
+linalg.monic are the two operations of the rank engine linalg.eliminate
+too, so the field is known in linalg alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .freemod import (
     row_vectors,
     scalar_rows,
     unit_rows,
-    walk_closure,
 )
 from .monomials import MonomialIdeal
 
@@ -231,21 +231,21 @@ def hilbert_slice_check(rows, degrees, initial: InitialModule):
     and their degrees (None for a zero row), and of the initial module agree
     in every multidegree.  Returns (ok, first failing degree in lex order).
 
-    Both sides are one Slices engine each: the generators, and the initial
-    module's generators u e_j, which are unit rows {j: 1} at degree
+    Both sides are blocks of one Slices engine: the generators, and the
+    initial module's generators u e_j, which are unit rows {j: 1} at degree
     u deg e_j.  Both ranks are fixed by which generator degrees divide the
-    degree, so freemod.walk_closure takes both engines down the lcm closure
-    of those degrees.
+    degree, so the engine's walk takes both blocks down the lcm closure of
+    those degrees.
     """
     basis = initial.basis
-    span = Slices(rows, degrees, basis)
-    monomial = Slices(*unit_rows(((j, u) for j, ideal in enumerate(initial.components)
-                                  for u in ideal.gens), basis), basis)
+    monomial = unit_rows(((j, u) for j, ideal in enumerate(initial.components)
+                          for u in ideal.gens), basis)
+    engine = Slices([(rows, degrees, len(basis)), (*monomial, len(basis))], basis.n)
 
-    def differs(a):
-        return True if span.reduce(span.active(a)) != monomial.reduce(monomial.active(a)) else None
+    def differs(a, active):
+        return True if engine.rank(0, active) != engine.rank(1, active) else None
 
-    failures, _ = walk_closure(span.degrees + monomial.degrees, basis.n, [span, monomial], differs)
+    failures, _ = engine.walk(differs)
     return (False, failures[0][1]) if failures else (True, None)
 
 

@@ -4,13 +4,13 @@ Rows are sparse, dicts {column: value} of ints or Fractions with no zero
 values.  eliminate reduces one row against a dict of monic pivots, each
 row on its leading (smallest) column, and is the library's only kernel:
 exact_rank runs it over a list of rows, and freemod.Slices over the rows
-active down the lcm-closure tree, keeping its pivots, for the exactness
-certificate and the Hilbert-slice check.  Its two operations are
-groebner's too: monic makes a pivot, as it makes each Buchberger element
-and each column the lifter files, and add_scaled cancels a leading entry,
-as it runs groebner's one row division and composes and minimizes
-complexes.  quotient is the library's one exact division, so quotient and
-add_scaled alone know the field.
+active down the lcm-closure tree, keeping one pivot dict per block, for
+the exactness certificate and the Hilbert-slice check.  Its two
+operations are groebner's too: monic makes a pivot, as it makes each
+Buchberger element and each column the lifter files, and add_scaled
+cancels a leading entry, as it runs groebner's one row division and
+composes and minimizes complexes.  quotient is the library's one exact
+division, so quotient and add_scaled alone know the field.
 """
 
 from __future__ import annotations

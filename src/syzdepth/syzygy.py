@@ -97,8 +97,9 @@ def verify_boundary_gb(C: FreeComplex, p: int,
     """
     if p < 1:
         raise ValueError("boundary Groebner bases are checked for p >= 1")
-    boundary = boundary_leading_terms(C, p)
-    oracle = initial_module_rows(*syzygy_rows(C, p), C.basis(p))
+    rows, degrees = syzygy_rows(C, p)
+    boundary = leading_module(rows, degrees, C.basis(p))
+    oracle = initial_module_rows(rows, degrees, C.basis(p))
     closed = None
     if taylor_gens is not None:
         components = []

@@ -32,7 +32,7 @@ from syzdepth.complexes import (
     syzygy_generators,
     taylor_complex,
 )
-from syzdepth import complexes, freemod, linalg
+from syzdepth import complexes, freemod, groebner, linalg
 from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
                               row_vectors, scalar_rows)
 from syzdepth.groebner import InitialModule, hilbert_slice_check
@@ -1757,3 +1757,28 @@ def test_certificate_reduces_under_half_the_rows_of_the_lex_walk(monkeypatch):
     calls.clear()
     assert check_exactness_on_box(taylor_complex(MAXIMAL7, 7), I).ok
     assert len(calls) < 2059 / 2
+
+
+def test_each_check_walks_one_engine(monkeypatch):
+    # The certificate files the module and every differential, and the
+    # Hilbert-slice check the span and the initial module, as the blocks of
+    # one freemod.Slices; the lists record the block count of each engine.
+    built = []
+
+    class Counted(freemod.Slices):
+        def __init__(self, blocks, n):
+            blocks = list(blocks)
+            built.append(len(blocks))
+            super().__init__(blocks, n)
+
+    monkeypatch.setattr(complexes, "Slices", Counted)
+    monkeypatch.setattr(groebner, "Slices", Counted)
+    gens = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    C = taylor_complex(gens, 3)
+    assert check_exactness_on_box(C, MonomialIdeal(3, gens)).ok
+    assert built == [C.length + 1]
+    built.clear()
+    rows, degrees = complexes.syzygy_rows(C, 1)
+    ini = groebner.initial_module_rows(rows, degrees, C.basis(1))
+    assert hilbert_slice_check(rows, degrees, ini) == (True, None)
+    assert built == [2]

@@ -117,10 +117,10 @@ def test_slices_reject_mixed_vectors():
     gens = [ModuleVector(2, {(0, (1, 0)): Fraction(1)}),
             ModuleVector(2, {(0, (0, 1)): Fraction(1)})]
     # x2*(x1 e) and x1*(x2 e) are the same coordinate vector.
-    slices = Slices(*scalar_rows(gens, b), b)
-    assert slices.reduce(slices.active((1, 1))) == _brute_rank([[1], [1]]) == 1
-    slices = Slices(*scalar_rows(gens, b), b)
-    assert slices.reduce(slices.active((0, 0))) == 0
+    slices = Slices([(*scalar_rows(gens, b), len(b))], b.n)
+    assert slices.rank(0, slices.active((1, 1))) == _brute_rank([[1], [1]]) == 1
+    slices = Slices([(*scalar_rows(gens, b), len(b))], b.n)
+    assert slices.rank(0, slices.active((0, 0))) == 0
     mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (0, (0, 0)): Fraction(1)})
     with pytest.raises(ValueError, match="multihomogeneous"):
         scalar_rows([mixed], b)
@@ -294,8 +294,8 @@ def test_slice_rank_matches_coordinate_rank(pairs, a):
                               for (pos, mono), c in v.items()})
     coords = sorted({key for w in multiples for key in w})
     expected = _brute_rank([[w.get(key, 0) for key in coords] for w in multiples])
-    slices = Slices(*scalar_rows(vectors, basis), basis)
-    assert slices.reduce(slices.active(a)) == expected
+    slices = Slices([(*scalar_rows(vectors, basis), len(basis))], basis.n)
+    assert slices.rank(0, slices.active(a)) == expected
 
 
 # Single terms c u e_j, c a nonzero int or Fraction, at any of the three
@@ -332,7 +332,7 @@ def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
     vector_rows, vector_degrees = scalar_rows(vectors, basis)
     given_rows = vector_rows + [{}] * len(zeros)
     before = [list(row.items()) for row in given_rows]
-    slices = Slices(given_rows, vector_degrees + zeros, basis)
+    slices = Slices([(given_rows, vector_degrees + zeros, len(basis))], basis.n)
     rows = [{pos: c for (pos, _), c in v.items()} for v in vectors] + [{}] * len(zeros)
     degrees += zeros
     chain = []  # (degree, mark before its reduce, pivot count after)
@@ -343,7 +343,7 @@ def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
             slices.undo(chain[k][1])
             del chain[k:]
             a = chain[-1][0]
-            assert len(slices.pivots) == chain[-1][2]
+            assert len(slices.pivots[0]) == chain[-1][2]
             continue
         if chain:
             a = tuple(t + data.draw(st.integers(0, 2)) for t in a)
@@ -355,14 +355,71 @@ def test_slices_down_a_chain_with_undo_match_exact_rank(vectors, data):
         bound = data.draw(st.none() | st.integers(0, 4))
         mark = slices.mark()
         if bound is None:
-            count = slices.reduce(mask)
+            count = slices.rank(0, mask)
             assert count == rank
         else:
-            count = slices.reduce(mask, bound)
+            count = slices.rank(0, mask, bound)
             assert count <= rank and min(count, bound) == min(rank, bound)
         chain.append((a, mark, count))
     # The engine keeps the rows it is given and modifies none of them.
     assert [list(row.items()) for row in given_rows] == before
+
+
+# A row of a block on up to three positions, ints and Fractions, possibly
+# zero, at a degree in two variables or at None.
+block_rows = st.tuples(
+    st.dictionaries(st.integers(0, 2), coeffs.filter(bool)
+                    | st.fractions(-3, 3, max_denominator=4).filter(bool), max_size=3),
+    st.none() | monos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(block_rows, max_size=5), min_size=1, max_size=4),
+       st.lists(st.none() | st.integers(0, 3), min_size=4, max_size=4),
+       st.integers(0, 2), st.booleans())
+def test_one_block_engine_walks_as_one_engine_per_block(blocks, bounds, residue,
+                                                        exhaustive):
+    # The reference is the per-family engine: one reference_slices.Slices
+    # per block, all taken down the closure by reference_slices.walk_closure.
+    # At each degree, each block is first reduced up to a drawn bound, then
+    # in full; a degree fails where the blocks' total rank is the drawn
+    # residue mod 3, so that the skipping after a first failure is walked
+    # too.  Both engines visit the same degrees in the same order, with the
+    # same counts, and return the same failures and closure size.
+    basis = basis_of((0, 0), (0, 0), (0, 0))
+    families = [([row for row, _ in block], [d for _, d in block]) for block in blocks]
+    before = [[list(row.items()) for row in rows] for rows, _ in families]
+    engine = Slices([(rows, degrees, len(basis)) for rows, degrees in families], basis.n)
+    references = [reference_slices.Slices(rows, degrees, basis) for rows, degrees in families]
+    seen = {"engine": [], "reference": []}  # (degree, per-block counts) per visit
+
+    def record(side, a, counts):
+        seen[side].append((a, counts))
+        return True if sum(rank for _, rank in counts) % 3 == residue else None
+
+    def visit(a, active):
+        counts = []
+        for k, (rows, degrees) in enumerate(families):
+            bounded = engine.rank(k, active, bounds[k])
+            rank = engine.rank(k, active)
+            chosen = [row for row, d in zip(rows, degrees)
+                      if d is not None and all(x <= y for x, y in zip(d, a))]
+            assert rank == linalg.exact_rank(chosen)
+            counts.append((bounded, rank))
+        return record("engine", a, counts)
+
+    def reference_visit(a):
+        return record("reference", a, [(ref.reduce(ref.active(a), bounds[k]),
+                                        ref.reduce(ref.active(a)))
+                                       for k, ref in enumerate(references)])
+
+    degrees = [d for ref in references for d in ref.degrees]
+    assert engine.walk(visit, exhaustive) == reference_slices.walk_closure(
+        degrees, basis.n, references, reference_visit, exhaustive)
+    assert seen["engine"] == seen["reference"]
+    # The walk undoes every pivot it made, and modifies no row.
+    assert engine.pivots == [{} for _ in blocks] and engine.mark() == (0, 0)
+    assert [[list(row.items()) for row in rows] for rows, _ in families] == before
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), monos, coeffs), min_size=1, max_size=5),

@@ -9,7 +9,7 @@ from syzdepth import (
     MonomialIdeal,
     initial_module,
     lex_refined_initial,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
     taylor_initial_component,
     verify_boundary_gb,
@@ -27,15 +27,15 @@ def show(title, ini):
 
 gens = [(2, 0), (1, 1), (0, 2)]
 C = taylor_complex(gens, 2)
-Z1 = syzygy_generators(C, 1)
+rows, degrees = syzygy_rows(C, 1)
 print("First syzygies of (x1^2, x1x2, x2^2), as Taylor boundaries:")
-for v in Z1:
-    print("  ", dict(v.items()))
+for row, degree in zip(rows, degrees):
+    print("  ", row, "at", degree)
 print()
 
 # Under the complex's own (iterated) basis order the boundary leading terms
 # already generate the initial module; the closed form agrees.
-ini_taylor = initial_module(Z1, C.basis(1))
+ini_taylor = initial_module(rows, degrees, C.basis(1))
 show("ini(Z_1) under the Taylor basis order:", ini_taylor)
 rep = verify_boundary_gb(C, 1, taylor_gens=gens)
 print("boundary terms = oracle = closed form:", rep.equal)

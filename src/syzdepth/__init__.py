@@ -2,12 +2,7 @@
 Stanley depth, computed and certified in exact rational arithmetic."""
 
 from .monomials import MonomialIdeal, divide, is_squarefree, lcm, support
-from .freemod import (
-    BasisElement,
-    ModuleVector,
-    OrderedBasis,
-    multidegree_of,
-)
+from .freemod import BasisElement, OrderedBasis
 from .complexes import (
     ChainMap,
     FreeComplex,
@@ -21,7 +16,7 @@ from .complexes import (
     minimize,
     stable_closure,
     stable_order,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
 )
 from .groebner import (

@@ -1,10 +1,10 @@
 """Multigraded free complexes: Taylor, mapping cones, Eliahou-Kervaire.
 
 A complex stores one ordered basis per homological degree and the scalar
-rows of each differential, mapping cones included; the columns as module
-vectors are a view.  Homological degree 0 is the target free module; for
-an ideal I the complex of the sequence u_1..u_m has F_0 = S and the p-th
-syzygy module Z_p is the image of the (p+1)-st differential, so Z_0 = I.
+rows of each differential, mapping cones included.  Homological degree 0
+is the target free module; for an ideal I the complex of the sequence
+u_1..u_m has F_0 = S and the p-th syzygy module Z_p is the image of the
+(p+1)-st differential, so Z_0 = I.
 Exactness is certified degreewise on the lcm closure of the basis and
 module-generator degrees, which decides it in every multidegree.
 """
@@ -19,16 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg, monomials
-from .freemod import (
-    BasisElement,
-    ModuleVector,
-    OrderedBasis,
-    Slices,
-    read_columns,
-    row_vectors,
-    scalar_rows,
-    unit_rows,
-)
+from .freemod import BasisElement, OrderedBasis, Slices, check_rows, unit_rows
 from .groebner import _file, _reduce, _tagged_groebner
 from .monomials import Mono, MonomialIdeal
 
@@ -40,28 +31,24 @@ class FreeComplex:
     dict {row: coefficient} of nonzero entries, ints where integral, whose
     entry c in row r is the term c x^(deg e_j - deg e_r) of the column of
     e_j, as in a cellular resolution (Bayer-Sturmfels; Miller-Sturmfels,
-    Ch. 4).  The constructor reads its ModuleVector columns into rows by
-    scalar_rows and keeps the columns as the view; it refuses (ValueError)
-    a column that is not multihomogeneous of its basis element's degree.
-    Taylor, minimize and mapping_cone write rows through _made_on_read,
-    which makes each level when first read; their view, differential(p), is
-    made from the rows when first read.  check_complex marks (_complex) a
-    complex that passes, so that a later check returns at once.
+    Ch. 4).  The constructor takes one list of rows per positive
+    homological degree, checked by freemod.check_rows against the degrees of
+    F_p's basis, and keeps copies.  Taylor, minimize and mapping_cone write
+    rows through _made_on_read, which makes each level when first read.
+    check_complex marks (_complex) a complex that passes, so that a later
+    check returns at once.
     """
 
-    __slots__ = ("n", "ranks", "_levels", "_views", "_make_level", "_complex")
+    __slots__ = ("n", "ranks", "_levels", "_make_level", "_complex")
 
-    def __init__(self, n: int, bases: Sequence[OrderedBasis],
-                 differentials: Sequence[Sequence[ModuleVector]]):
+    def __init__(self, n: int, bases: Sequence[OrderedBasis], rows: Sequence[Sequence[dict]]):
         bases = tuple(bases)
-        if len(differentials) != max(len(bases) - 1, 0):
+        if len(rows) != max(len(bases) - 1, 0):
             raise ValueError("need one differential per positive homological degree")
-        self._views = {}
         self._levels = [(bases[0], [{}] * len(bases[0]))] if bases else []  # d_0 is zero
-        for p, cols in enumerate(differentials, start=1):
-            cols = self._views[p] = tuple(cols)
-            self._levels.append((bases[p], read_columns(f"differential {p}", cols,
-                                                        bases[p], bases[p - 1])))
+        for p, level in enumerate(rows, start=1):
+            check_rows(f"differential {p}", level, bases[p].degrees, bases[p - 1])
+            self._levels.append((bases[p], list(map(dict, level))))
         self.n = n
         self.ranks = tuple(map(len, bases))
         self._make_level = None
@@ -100,16 +87,6 @@ class FreeComplex:
 
     def rank(self, p: int) -> int:
         return self.ranks[p] if 0 <= p <= self.length else 0
-
-    def differential(self, p: int):
-        """Columns of the map F_p -> F_{p-1}; empty beyond the length."""
-        if not 1 <= p <= self.length:
-            return ()
-        view = self._views.get(p)
-        if view is None:
-            basis, rows = self._level(p)
-            view = self._views[p] = tuple(row_vectors(rows, basis.degrees, self.basis(p - 1)))
-        return view
 
     def __repr__(self):
         return f"FreeComplex(n={self.n}, ranks={self.ranks})"
@@ -197,28 +174,22 @@ def is_regular_sequence(gens: Sequence[Mono]) -> bool:
 class ChainMap:
     """A degree-0 multigraded chain map phi: G -> F, stored as scalar rows:
     rows[i] holds phi_i's columns as FreeComplex holds d_p's, i = 0..G.length.
-    The constructor reads ModuleVector columns, one sequence per level, as
-    FreeComplex's does (freemod.read_columns); mapping_cone tests commutation."""
+    The constructor checks each level as FreeComplex's does; mapping_cone
+    tests commutation."""
 
     __slots__ = ("source", "target", "rows")
 
-    def __init__(self, source: FreeComplex, target: FreeComplex,
-                 columns: Sequence[Sequence[ModuleVector]]):
+    def __init__(self, source: FreeComplex, target: FreeComplex, rows: Sequence[Sequence[dict]]):
         G, F = source, target
-        if len(columns) < G.length + 1:
-            raise ValueError("chain map must provide columns for every level of "
-                             "the source complex")
-        self.source, self.target = G, F
-        # Past F's length, F_i is zero: no position lies in it.
-        self.rows = [read_columns(f"phi_{i}", tuple(columns[i]), G.basis(i),
-                                  F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
-                     for i in range(G.length + 1)]
-
-    @classmethod
-    def _of_rows(cls, source: FreeComplex, target: FreeComplex, rows) -> "ChainMap":
-        phi = cls.__new__(cls)
-        phi.source, phi.target, phi.rows = source, target, rows
-        return phi
+        if len(rows) != G.length + 1:
+            raise ValueError(f"chain map has {len(rows)} levels, expected one per level "
+                             f"0..{G.length} of the source complex")
+        self.source, self.target, self.rows = G, F, []
+        for i, level in enumerate(rows):
+            # Past F's length, F_i is zero: no position lies in it.
+            check_rows(f"phi_{i}", level, G.basis(i).degrees,
+                       F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
+            self.rows.append(list(level))
 
 
 def _compose(row: dict, below) -> dict:
@@ -352,8 +323,7 @@ class _Lifter:
     as for Eliahou-Kervaire and the resolutions of the paper's second
     theorem, no remainder is left; otherwise the row z at a goes to
     _lift_by_groebner, which divides it by a Groebner basis of the tagged
-    columns.  Either way the lift is a row on F_p's basis, and no module
-    vector is made.
+    columns.  Either way the lift is a row on F_p's basis.
     """
 
     def __init__(self, C: FreeComplex, p: int):
@@ -446,7 +416,7 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
         (basis, rows), lifter = G._level(i), _Lifter(F, i)
         phi_rows.append([lifter.lift(_compose(row, phi_rows[i - 1]), d)
                          for row, d in zip(rows, basis.degrees)])
-    return _cone(G, F, phi_rows), ChainMap._of_rows(G, F, phi_rows)
+    return _cone(G, F, phi_rows), ChainMap(G, F, phi_rows)
 
 
 class Resolution(NamedTuple):
@@ -479,17 +449,10 @@ RESOLUTIONS = {
 # Syzygies, minimization, verification
 
 
-def syzygy_generators(C: FreeComplex, p: int):
-    """Generators of Z_p: the columns of the (p+1)-st differential."""
-    if p < 1:
-        raise ValueError("syzygy index must be at least 1 (Z_0 is the module itself)")
-    return list(C.differential(p + 1))
-
-
 def syzygy_rows(C: FreeComplex, p: int):
-    """The scalar rows of d_{p+1} and their degrees, None for a zero row, as
-    scalar_rows reads syzygy_generators; at p = 0 they generate the resolved
-    submodule, and beyond the length there are none.  The rows are C's own."""
+    """Generators of Z_p: the scalar rows of d_{p+1} and their degrees, None
+    for a zero row; at p = 0 they generate the resolved submodule, and
+    beyond the length there are none.  The rows are C's own."""
     if p >= C.length:
         return [], []
     basis, rows = C._level(p + 1)
@@ -619,10 +582,12 @@ class ExactnessReport:
     degrees_checked: int = 0
 
 
-def check_exactness_on_box(C: FreeComplex, module_gens, *,
+def check_exactness_on_box(C: FreeComplex, module, *,
                            exhaustive: bool = False) -> ExactnessReport:
     """Degreewise exactness in every multidegree, with the cokernel at level
-    zero matching the module generated by module_gens.
+    zero matching the module: a MonomialIdeal, for a rank-one F_0, or the
+    (rows, degrees) pair of its generators on F_0, which
+    freemod.check_rows guards.
 
     It starts with check_complex, whose rows C keeps if it passed C
     before.  The containment of d_1's columns in the module comes next: a
@@ -652,12 +617,12 @@ def check_exactness_on_box(C: FreeComplex, module_gens, *,
     rows = _read_rows(C)
     if rows is None:
         return ExactnessReport(False, failures=[(-1, None)])
-    if isinstance(module_gens, MonomialIdeal):
+    if isinstance(module, MonomialIdeal):
         if len(C.basis(0)) != 1:
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
-        module = unit_rows(((0, u) for u in module_gens.gens), C.basis(0))
+        module = unit_rows(((0, u) for u in module.gens), C.basis(0))
     else:
-        module = scalar_rows(module_gens, C.basis(0))
+        check_rows("the module", *module, C.basis(0))
     engine = Slices([(*module, len(C.basis(0)))]
                     + [(level, C.basis(p).degrees, len(C.basis(p - 1)))
                        for p, level in enumerate(rows, start=1)], C.n)
@@ -700,9 +665,8 @@ def complex_json(C: FreeComplex, indent: str = "\n") -> Iterator[str]:
     front of the closing brace, as for cli._dumps.  The first chunk holds
     the degrees, each differential's matrix is one chunk, made when it is
     read, and the last holds n and the ranks.  Each matrix is written from
-    the rows and the basis degrees, with no view made; each distinct
-    (coeff, monomial) cell is written once, and every empty cell is the
-    constant "[]".
+    the rows and the basis degrees; each distinct (coeff, monomial) cell is
+    written once, and every empty cell is the constant "[]".
     """
     pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
     degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])

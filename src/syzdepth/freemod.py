@@ -6,16 +6,14 @@ position j, so it is the dict {position: coefficient} of its nonzero
 entries, ints where integral, read at d.  The term order compares basis
 positions first (position 0 is the largest basis element), then monomials
 lexicographically, so a row's leading term sits at its smallest position.
-A ModuleVector, a normalized sum of terms (coefficient, monomial, basis
-position), is the input and view form: scalar_rows reads vectors into rows
-and row_vectors makes vectors from rows.
+Every public entry point takes and returns rows, and check_rows guards
+the rows it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import sub
+from operator import le
 from typing import Any, Iterable, Optional
 
 from . import linalg, monomials
@@ -74,67 +72,6 @@ class OrderedBasis:
         return basis, tuple(perm)
 
 
-class ModuleVector:
-    """Normalized term sum, keyed by (position, monomial), with Fraction
-    coefficients; zero is the empty sum.  It is read into scalar rows by
-    scalar_rows and made from them by row_vectors."""
-
-    __slots__ = ("n", "_terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self._terms = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if coeff:
-                    pos, mono = key
-                    cur = self._terms.get((pos, mono))
-                    if cur is not None:
-                        new = cur + coeff
-                    else:
-                        new = coeff if type(coeff) is Fraction else Fraction(coeff)
-                    if new:
-                        self._terms[(pos, mono)] = new
-                    elif cur is not None:
-                        del self._terms[(pos, mono)]
-
-    @classmethod
-    def from_terms(cls, n: int, terms: dict) -> "ModuleVector":
-        """The vector with the term dict terms, taken as it is, without the
-        normalising loop: every coefficient must be a nonzero Fraction."""
-        v = cls(n)
-        v._terms = terms
-        return v
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self):
-        return self._terms.items()
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleVector) and self.n == other.n
-                and self._terms == other._terms)
-
-    def __repr__(self):
-        return f"ModuleVector({self._terms})"
-
-
-def multidegree_of(v: ModuleVector, basis: OrderedBasis) -> Optional[Mono]:
-    """The common multidegree of all terms, or None (zero and mixed vectors)."""
-    degree = None
-    for (pos, mono), _ in v.items():
-        d = monomials.mul(mono, basis.degree(pos))
-        if degree is None:
-            degree = d
-        elif degree != d:
-            return None
-    return degree
-
-
 class DegreeMasks:
     """Bitmasks over indexed exponent vectors, bit i standing for vector i.
 
@@ -182,55 +119,36 @@ class DegreeMasks:
         return mask
 
 
-def scalar_rows(vectors, basis: OrderedBasis):
-    """The scalar rows {position: coefficient} of the vectors, integral
-    coefficients read as ints, and their degrees, None for a zero vector; a
-    vector with a position outside the basis, or a mixed one, raises
-    ValueError naming its index as a column.  row_vectors is the inverse."""
-    vectors, degrees, rank = list(vectors), [], len(basis)
-    for j, v in enumerate(vectors):
-        outside = next((pos for (pos, _), _ in v.items() if not 0 <= pos < rank), None)
-        if outside is not None:
-            raise ValueError(f"column {j} has position {outside}, outside a basis "
-                             f"of rank {rank}")
-        degrees.append(multidegree_of(v, basis))
-        if degrees[-1] is None and not v.is_zero():
-            raise ValueError(f"column {j} is not multihomogeneous")
-    return [{pos: linalg.quotient(c) for (pos, _), c in v.items()} for v in vectors], degrees
-
-
-def read_columns(name: str, columns, source: OrderedBasis, target: OrderedBasis) -> list:
-    """The rows of the columns of the map name from source to target, read by
-    scalar_rows; ValueError names the map and the column that is off the
-    degree of its basis element or has a position outside target."""
-    if len(columns) != len(source):
-        raise ValueError(f"{name} has {len(columns)} columns, expected {len(source)}")
-    try:
-        rows, found = scalar_rows(columns, target)
-    except ValueError as err:
-        raise ValueError(f"{name}: {err}") from None
-    for j, (d, e) in enumerate(zip(found, source.degrees)):
-        if d not in (None, e):
-            raise ValueError(f"{name}: column {j} has degree {d}, "
-                             f"not the degree {e} of its basis element")
-    return rows
-
-
-_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction for all ±1 entries
-
-
-def row_vectors(rows, degrees, basis: OrderedBasis) -> list:
-    """The vectors of the rows at their degrees, the inverse of scalar_rows:
-    the entry c in row r of degree d is the term c x^(d - deg e_r)."""
-    targets = basis.degrees
-    return [ModuleVector.from_terms(basis.n, {
-        (r, tuple(map(sub, d, targets[r]))): _UNITS.get(c) or Fraction(c)
-        for r, c in row.items()}) for row, d in zip(rows, degrees)]
+def check_rows(name: str, rows, degrees, target: OrderedBasis) -> None:
+    """Refuse (ValueError, naming the map name and the column) rows that are
+    not the columns of a map into target whose column j has degree
+    degrees[j]: a count other than len(degrees), a position outside target,
+    an entry whose position's degree does not divide the column's (a zero
+    column may have degree None), or a coefficient that
+    linalg.are_coefficients refuses.  A row is passed whole first, and only
+    a row that fails is read entry by entry, to name its first fault."""
+    if len(rows) != len(degrees):
+        raise ValueError(f"{name} has {len(rows)} columns, expected {len(degrees)}")
+    targets, rank = target.degrees, len(target)
+    for j, (row, d) in enumerate(zip(rows, degrees)):
+        if row and not (d is not None and linalg.are_coefficients(row.values())
+                        and all(type(r) is int and 0 <= r < rank and all(map(le, targets[r], d))
+                                for r in row)):
+            for r, c in row.items():
+                if not (type(r) is int and 0 <= r < rank):
+                    raise ValueError(f"{name}: column {j} has position {r}, outside a "
+                                     f"basis of rank {rank}")
+                if d is None or not all(map(le, targets[r], d)):
+                    raise ValueError(f"{name}: column {j} has degree {d}, which the degree "
+                                     f"{targets[r]} of position {r} does not divide")
+                if not linalg.are_coefficients((c,)):
+                    raise ValueError(f"{name}: column {j} has coefficient {c!r} at "
+                                     f"position {r}, not a nonzero int or Fraction")
 
 
 def unit_rows(generators, basis: OrderedBasis):
-    """The scalar rows and degrees of the vectors u e_j, for the (j, u)
-    pairs of generators: {j: 1} at degree u deg e_j, with no vector made."""
+    """The scalar rows and degrees of the elements u e_j, for the (j, u)
+    pairs of generators: {j: 1} at degree u deg e_j."""
     rows, degrees = [], []
     for j, u in generators:
         rows.append({j: 1})
@@ -246,7 +164,7 @@ class Slices:
     position j with deg e_j | a, so a vector of degree d | a contributes the
     scalar row position -> coefficient to the slice at a, whatever a is.
     Each family is a block (rows, degrees, target rank), the rows kept as
-    scalar_rows, unit_rows or a complex gives them, as linalg.eliminate
+    the caller, unit_rows or a complex gives them, as linalg.eliminate
     modifies none, and the target rank that of their free module.  One
     DegreeMasks, block k's rows at its own bit offset, finds the rows whose
     degree divides a; a degree of None is never active.

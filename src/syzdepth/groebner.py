@@ -23,34 +23,20 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import le, sub
-from typing import Iterable, Sequence
 
 from . import linalg, monomials
-from .freemod import (
-    BasisElement,
-    ModuleVector,
-    OrderedBasis,
-    Slices,
-    read_columns,
-    row_vectors,
-    scalar_rows,
-    unit_rows,
-)
+from .freemod import BasisElement, OrderedBasis, Slices, check_rows, unit_rows
 from .monomials import MonomialIdeal
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis as monic scalar rows and their degrees on the
-    basis; generators, its module vectors, are made from them when read."""
+    basis."""
 
     rows: tuple
     degrees: tuple
     basis: OrderedBasis
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(row_vectors(self.rows, self.degrees, self.basis))
 
     def remainder(self, row: dict, degree) -> dict:
         """The remainder of the row of the degree on division by the basis."""
@@ -124,18 +110,14 @@ def _reduce(rem: dict, degree, filed: dict, quotients: dict = None) -> dict:
     return tail
 
 
-def buchberger(gens: Iterable[ModuleVector], basis: OrderedBasis) -> GroebnerBasis:
-    """The unique reduced Groebner basis of the submodule generated by gens,
-    read by freemod.scalar_rows, which refuses (ValueError) a generator that
-    is not multihomogeneous or has a position outside the basis."""
-    return buchberger_rows(*scalar_rows(gens, basis), basis)
-
-
-def buchberger_rows(rows, degrees, basis: OrderedBasis) -> GroebnerBasis:
-    """buchberger on scalar rows and their degrees: the S-pair loop,
-    minimalisation, then inter-reduction of the tails against the kept
-    elements, filed once, as a tail lies past its own leading position.
-    The rows are sorted by leading term, largest first."""
+def buchberger(rows, degrees, basis: OrderedBasis) -> GroebnerBasis:
+    """The unique reduced Groebner basis of the submodule generated by the
+    scalar rows at their degrees (None for a zero row), which
+    freemod.check_rows guards: the S-pair loop, minimalisation, then
+    inter-reduction of the tails against the kept elements, filed once, as
+    a tail lies past its own leading position.  The rows are sorted by
+    leading term, largest first."""
+    check_rows("the generators", rows, degrees, basis)
     filed = {}
     kept = _minimal(_spair_loop(rows, degrees, basis))
     entries = [_file(filed, index, *element) for index, element in enumerate(kept)]
@@ -199,16 +181,12 @@ def _minimal(elements: list) -> list:
                        for k, e in filed[r])]
 
 
-def initial_module(gens: Iterable[ModuleVector], basis: OrderedBasis) -> InitialModule:
-    """Minimal generators of ini(M) per basis position, read as buchberger
-    reads gens."""
-    return initial_module_rows(*scalar_rows(gens, basis), basis)
-
-
-def initial_module_rows(rows, degrees, basis: OrderedBasis) -> InitialModule:
-    """initial_module on scalar rows and their degrees: the leading terms of
-    a minimal Groebner basis, which are those of the reduced one, so the
-    tails are never inter-reduced."""
+def initial_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
+    """Minimal generators of ini(M) per basis position, for the submodule M
+    generated by the rows, given as buchberger takes them: the leading
+    terms of a minimal Groebner basis, which are those of the reduced one,
+    so the tails are never inter-reduced."""
+    check_rows("the generators", rows, degrees, basis)
     kept = _minimal(_spair_loop(rows, degrees, basis))
     return leading_module([row for row, _ in kept], [d for _, d in kept], basis)
 
@@ -227,9 +205,9 @@ def leading_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
 
 
 def hilbert_slice_check(rows, degrees, initial: InitialModule):
-    """Graded dimensions of the span of the generators, given as scalar rows
-    and their degrees (None for a zero row), and of the initial module agree
-    in every multidegree.  Returns (ok, first failing degree in lex order).
+    """Graded dimensions of the span of the generators, given as buchberger
+    takes them, and of the initial module agree in every multidegree.
+    Returns (ok, first failing degree in lex order).
 
     Both sides are blocks of one Slices engine: the generators, and the
     initial module's generators u e_j, which are unit rows {j: 1} at degree
@@ -238,6 +216,7 @@ def hilbert_slice_check(rows, degrees, initial: InitialModule):
     those degrees.
     """
     basis = initial.basis
+    check_rows("the generators", rows, degrees, basis)
     monomial = unit_rows(((j, u) for j, ideal in enumerate(initial.components)
                           for u in ideal.gens), basis)
     engine = Slices([(rows, degrees, len(basis)), (*monomial, len(basis))], basis.n)
@@ -259,24 +238,17 @@ def is_squarefree_module(initial: InitialModule) -> bool:
     return True
 
 
-def kernel_generators(columns: Sequence[ModuleVector], source_basis: OrderedBasis,
-                      target_basis: OrderedBasis):
-    """Generators of the kernel of the map sending e_j to columns[j], as
-    kernel_rows gives them.  The columns are read by freemod.read_columns,
-    which refuses one off the degree of its basis element or with a
-    position outside the target."""
-    return kernel_rows(read_columns("the map", columns, source_basis, target_basis),
-                       source_basis, target_basis)
-
-
-def kernel_rows(rows, source_basis: OrderedBasis, target_basis: OrderedBasis):
-    """kernel_generators on the rows of the map's columns: the rows of the
-    kernel's generators on the source basis and their degrees.
+def kernel_generators(rows, source_basis: OrderedBasis, target_basis: OrderedBasis):
+    """Generators of the kernel of the map sending e_j to the element with
+    the scalar row rows[j] at the degree of e_j, which freemod.check_rows
+    guards: the rows of the kernel's generators on the source basis and
+    their degrees.
 
     The elements of the tagged Groebner basis (_tagged_groebner) with no
     target part are kernel elements, and their tag parts form a Groebner
     basis of the kernel under the source POT order.
     """
+    check_rows("the map", rows, source_basis.degrees, target_basis)
     gb = _tagged_groebner(rows, source_basis, target_basis)
     r = len(target_basis)
     kernel = [({pos - r: c for pos, c in row.items()}, d)
@@ -299,4 +271,4 @@ def _tagged_groebner(rows, source_basis: OrderedBasis,
                             + [BasisElement(e.degree, ("tag", e.label))
                                for e in source_basis.elements])
     tagged = [{**row, r + j: 1} for j, row in enumerate(rows)]
-    return buchberger_rows(tagged, source_basis.degrees, extended)
+    return buchberger(tagged, source_basis.degrees, extended)

@@ -301,7 +301,7 @@ def ideal_sdepth(I: MonomialIdeal) -> int:
 # Keyed on the ideal alone, as the search's limits are constants.
 @functools.lru_cache(maxsize=1024)
 def _searched_ideal_sdepth(n: int, gens: tuple) -> int:
-    return exact_sdepth(char_poset(MonomialIdeal(n, gens))).value
+    return exact_sdepth(char_poset_under_limit(MonomialIdeal(n, gens))).value
 
 
 class FiltrationBound(NamedTuple):

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from . import groebner, monomials
+from . import monomials
 from .complexes import ChainMap, FreeComplex, _compose, _Lifter, syzygy_rows
-from .freemod import ModuleVector, OrderedBasis, read_columns
+from .freemod import OrderedBasis, check_rows
 from .groebner import (
     GroebnerBasis,
     InitialModule,
-    initial_module_rows,
-    kernel_rows,
+    initial_module,
+    kernel_generators,
     leading_module,
 )
 from .monomials import Mono, MonomialIdeal
@@ -99,7 +99,7 @@ def verify_boundary_gb(C: FreeComplex, p: int,
         raise ValueError("boundary Groebner bases are checked for p >= 1")
     rows, degrees = syzygy_rows(C, p)
     boundary = leading_module(rows, degrees, C.basis(p))
-    oracle = initial_module_rows(rows, degrees, C.basis(p))
+    oracle = initial_module(rows, degrees, C.basis(p))
     closed = None
     if taylor_gens is not None:
         components = []
@@ -137,7 +137,7 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
     degrees = gbF.degrees + gbG.degrees
     claimed = leading_module(composed, degrees, cone.basis(i))
     if oracle is None:
-        oracle = initial_module_rows(*syzygy_rows(cone, i), cone.basis(i))
+        oracle = initial_module(*syzygy_rows(cone, i), cone.basis(i))
     if claimed.components != oracle.components:
         raise RuntimeError("composed set is not a Groebner basis of the cone "
                            f"syzygy module at i={i}")
@@ -155,7 +155,7 @@ def lex_refined_initial(C: FreeComplex, p: int):
     basis, perm = C.basis(p).sort_lex_refined()
     rows, degrees = syzygy_rows(C, p)
     rows = [{perm[r]: c for r, c in row.items()} for row in rows]
-    return groebner.initial_module_rows(rows, degrees, basis), (rows, degrees)
+    return initial_module(rows, degrees, basis), (rows, degrees)
 
 
 def offending_generator(initial: InitialModule, k: int):
@@ -187,32 +187,31 @@ def verify_theorem_main(C: FreeComplex, p: int, instance: Any = None) -> Theorem
     return TheoremReport("theorem-main", instance, p, "PASS", witness)
 
 
-def verify_gunnar_step(columns: Sequence[ModuleVector], source_basis: OrderedBasis,
-                       target_basis: OrderedBasis, p: int,
-                       instance: Any = None) -> TheoremReport:
+def verify_gunnar_step(rows, source_basis: OrderedBasis, target_basis: OrderedBasis,
+                       p: int, instance: Any = None) -> TheoremReport:
     """Kernel counterpart of the image hypothesis: if ini of the image avoids
     x_1..x_{p-1} under a lex-refined target basis, ini of the kernel avoids
-    x_1..x_p under a lex-refined source basis.  The columns are read by
-    freemod.read_columns, which refuses (ValueError) a column count other
-    than the source rank and a column off its source degree or with a
-    position outside the target, before any position is moved."""
-    rows = read_columns("the map", columns, source_basis, target_basis)
+    x_1..x_p under a lex-refined source basis.  The map sends e_j to the
+    row rows[j], as kernel_generators reads it; freemod.check_rows refuses
+    (ValueError) rows that are not such a map before any position is
+    moved."""
+    check_rows("the map", rows, source_basis.degrees, target_basis)
     G_basis, G_perm = target_basis.sort_lex_refined()
     F_basis, F_perm = source_basis.sort_lex_refined()
     moved = [None] * len(rows)
     for j, row in enumerate(rows):
         moved[F_perm[j]] = {G_perm[r]: c for r, c in row.items()}
-    image_ini = initial_module_rows(moved, F_basis.degrees, G_basis)
+    image_ini = initial_module(moved, F_basis.degrees, G_basis)
     bad = offending_generator(image_ini, max(p - 1, 0))
     if bad is not None:
         raise ValueError(f"hypothesis fails: ini of the image has generator "
                          f"{bad[1]} at position {bad[0]} meeting x_1..x_{p-1}")
-    kernel, degrees = kernel_rows(moved, F_basis, G_basis)
+    kernel, degrees = kernel_generators(moved, F_basis, G_basis)
     witness: dict = {"kernel_size": len(kernel)}
     if not kernel:
         witness["note"] = "injective map; the kernel statement is vacuous"
         return TheoremReport("gunnar-step", instance, p, "PASS", witness)
-    kernel_ini = initial_module_rows(kernel, degrees, F_basis)
+    kernel_ini = initial_module(kernel, degrees, F_basis)
     witness["components"] = kernel_ini.to_jsonable()
     bad = offending_generator(kernel_ini, min(p, source_basis.n))
     if bad is not None:

@@ -19,8 +19,8 @@ from .complexes import (
     taylor_complex,
 )
 from .groebner import (
-    buchberger_rows,
-    initial_module_rows,
+    buchberger,
+    initial_module,
     is_squarefree_module,
     leading_module,
 )
@@ -142,12 +142,12 @@ def _run_lemma_groebner(rng, job) -> dict:
     cone, phi = taylor_step_cone(gens, I.n)
     G, F = phi.source, phi.target
     for i in range(1, cone.length + 1):
-        ini_c = initial_module_rows(*syzygy_rows(cone, i), cone.basis(i))
+        ini_c = initial_module(*syzygy_rows(cone, i), cone.basis(i))
         # Z_{i-1}(G) is generated by the columns of the i-th differential of G
         # (at i = 1 these generate the resolved colon module itself).
-        gbG = (buchberger_rows(*syzygy_rows(G, i - 1), G.basis(i - 1))
+        gbG = (buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1))
                if i <= G.length else None)
-        gbF = (buchberger_rows(*syzygy_rows(F, i), F.basis(i))
+        gbF = (buchberger(*syzygy_rows(F, i), F.basis(i))
                if i <= F.length else None)
         g_components = (
             leading_module(gbG.rows, gbG.degrees, gbG.basis).components
@@ -195,7 +195,7 @@ def _run_regular(rng, job) -> dict:
         rows, degrees = syzygy_rows(C, p)
         if not rows:
             continue
-        ini = initial_module_rows(rows, degrees, C.basis(p))
+        ini = initial_module(rows, degrees, C.basis(p))
         bound = filtration_lower_bound(ini)
         required = n - (m - p) // 2
         if not bound.free and bound.value < required:

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import pytest
 
 from syzdepth import stanley
@@ -18,3 +21,26 @@ def search_limit(monkeypatch):
 
     yield set_limit
     stanley._searched_ideal_sdepth.cache_clear()
+
+
+# The modules that may call the Fraction constructor: linalg, for
+# coefficients, blocks, for densities, and fractions' own arithmetic.
+FRACTION_MAKERS = {"fractions", "syzdepth.linalg", "syzdepth.blocks"}
+
+
+@pytest.fixture
+def fractions_only_from_linalg(monkeypatch):
+    """Fail the test where any other module calls the Fraction constructor.
+
+    The vector form of module elements made a Fraction of every
+    coefficient, in freemod; with rows the only element form, linalg alone
+    makes coefficients.
+    """
+    real_new = Fraction.__new__
+
+    def watched_new(cls, *args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__")
+        assert caller in FRACTION_MAKERS, f"{caller} made a Fraction"
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", watched_new)

@@ -9,7 +9,8 @@ its quotient), then ChainMap.validate composing d^F phi and phi d^G as
 vectors, and mapping_cone reading phi's vector columns into the cone's rows.
 complexes._lift_by_groebner is kept as it read when it took and returned
 vectors, and FreeComplex.apply, the image of a vector under d_p, is
-apply_columns on the complex's columns.
+apply_columns on the complex's columns, differential(C, p) in
+reference_vectors.
 """
 
 from dataclasses import dataclass
@@ -19,12 +20,13 @@ from typing import Optional, Sequence
 
 from syzdepth import monomials
 from syzdepth.complexes import FreeComplex, taylor_complex
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
-                              row_vectors, scalar_rows)
+from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth.groebner import _tagged_groebner
 from syzdepth.monomials import Mono
 
 from reference_groebner import _add_reducer, add_multiple, leading_term, term_key
+from reference_vectors import (ModuleVector, differential, multidegree_of, row_vectors,
+                               scalar_rows)
 
 
 def _divide(v: ModuleVector, reducers: Sequence):
@@ -104,9 +106,9 @@ class ReferenceChainMap:
                                      f"basis element {j}")
         for i in range(1, G.length + 1):
             for j in range(G.rank(i)):
-                left = (apply_columns(F.differential(i), self.columns[i][j], F.n)
+                left = (apply_columns(differential(F, i), self.columns[i][j], F.n)
                         if i <= F.length else ModuleVector(F.n))
-                right = self.apply(i - 1, G.differential(i)[j])
+                right = self.apply(i - 1, differential(G, i)[j])
                 if left != right:
                     raise ValueError(f"chain map does not commute at homological "
                                      f"degree {i}, basis element {j}")
@@ -168,7 +170,7 @@ def reference_lift_through(C: FreeComplex, p: int, z: ModuleVector) -> ModuleVec
     n = C.n
     if z.is_zero():
         return ModuleVector(n)
-    columns = C.differential(p)
+    columns = differential(C, p)
     nonzero = [j for j, col in enumerate(columns) if not col.is_zero()]
     divisors = [(columns[j], leading_term(columns[j])) for j in nonzero]
     quotient, rem = _divide(z, divisors)
@@ -191,7 +193,7 @@ def reference_comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mon
     for i in range(1, G.length + 1):
         phi_columns.append([reference_lift_through(F, i,
                                                    apply_columns(phi_columns[i - 1], col, n))
-                            for col in G.differential(i)])
+                            for col in differential(G, i)])
     phi = ReferenceChainMap(G, F, phi_columns)
     return reference_mapping_cone(phi), phi
 

@@ -23,9 +23,11 @@ from operator import add, le, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from syzdepth import monomials
-from syzdepth.freemod import ModuleVector, OrderedBasis
+from syzdepth.freemod import OrderedBasis
 from syzdepth.groebner import InitialModule
 from syzdepth.monomials import Mono, MonomialIdeal
+
+from reference_vectors import ModuleVector
 
 
 class Term(NamedTuple):

@@ -20,9 +20,11 @@ from math import gcd, lcm
 from typing import Optional
 
 from syzdepth import linalg, monomials
-from syzdepth.freemod import DegreeMasks, OrderedBasis, multidegree_of
+from syzdepth.freemod import DegreeMasks, OrderedBasis
 from syzdepth.linalg import add_scaled
 from syzdepth.monomials import Mono
+
+from reference_vectors import multidegree_of
 
 
 def integer_row(row: dict) -> dict:

@@ -29,7 +29,7 @@ from syzdepth.complexes import (
     eliahou_kervaire,
     is_stable,
     minimize,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
 )
 from syzdepth.groebner import buchberger, initial_module, is_squarefree_module
@@ -135,21 +135,21 @@ def test_criterion_04_cone_groebner_composition():
         cone, phi = taylor_step_cone(list(I.gens), I.n)
         G, F = phi.source, phi.target
         for i in range(1, cone.length + 1):
-            ini_c = initial_module(syzygy_generators(cone, i), cone.basis(i))
+            ini_c = initial_module(*syzygy_rows(cone, i), cone.basis(i))
             g_parts = ()
             if G.rank(i - 1):
                 if i <= G.length:
-                    g_parts = initial_module(list(G.differential(i)), G.basis(i - 1)).components
+                    g_parts = initial_module(*syzygy_rows(G, i - 1), G.basis(i - 1)).components
                 else:
                     g_parts = tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1)))
             f_parts = ()
             if F.rank(i):
-                f_parts = initial_module(syzygy_generators(F, i), F.basis(i)).components
+                f_parts = initial_module(*syzygy_rows(F, i), F.basis(i)).components
             assert ini_c.components == tuple(g_parts) + tuple(f_parts), (I, i)
             if i <= F.length:
-                gbF = buchberger(syzygy_generators(F, i), F.basis(i))
-                gbG = buchberger(list(G.differential(i)), G.basis(i - 1)) \
-                    if i <= G.length else buchberger([], cone.basis(i))
+                gbF = buchberger(*syzygy_rows(F, i), F.basis(i))
+                gbG = buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1)) \
+                    if i <= G.length else buchberger([], [], cone.basis(i))
                 compose_cone_gb(gbF, gbG, phi, cone, i)  # raises unless certified
     announce(4, True, time.time() - t0, "50 cones")
 
@@ -207,14 +207,14 @@ def test_criterion_07_regular_sequences():
         m = len(gens)
         C = taylor_complex(gens, n)
         for p in range(1, m + 1):
-            gens_p = syzygy_generators(C, p)
-            if not gens_p:
+            rows, degrees = syzygy_rows(C, p)
+            if not rows:
                 continue
-            ini = initial_module(gens_p, C.basis(p))
+            ini = initial_module(rows, degrees, C.basis(p))
             bound = filtration_lower_bound(ini)
             assert bound.free or bound.value >= n - (m - p) // 2, (gens, p)
         # Z_1 components are truncated regular sequences; Shen's formula is exact.
-        ini1 = initial_module(syzygy_generators(C, 1), C.basis(1))
+        ini1 = initial_module(*syzygy_rows(C, 1), C.basis(1))
         for j, component in ini1.nonzero_components():
             k = len(component.gens)
             assert ideal_sdepth(component) == n - k // 2, (gens, j)

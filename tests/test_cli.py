@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
-from syzdepth import blocks, cli, complexes, groebner, monomials
+from syzdepth import blocks, cli, complexes, groebner, monomials, syzygy
 from syzdepth.cli import InputError, _dumps, load_ideal, main
-from syzdepth.complexes import check_exactness_on_box, minimize, taylor_complex
+from syzdepth.complexes import check_exactness_on_box, minimize, syzygy_rows, taylor_complex
 from test_complexes import reference_complex_to_jsonable
 from syzdepth.groebner import InitialModule
 from syzdepth.monomials import MonomialIdeal
@@ -116,8 +116,8 @@ def test_initial_beyond_length(ideal_file, capsys):
 def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypatch, basis):
     # At p = 0 both bases check the emitted module against the span of the
     # columns of d_1; dropping a generator must be caught, not passed over.
-    # The lex path hands the rows of d_1 to the row form of initial_module.
-    real = groebner.initial_module_rows
+    # The lex path hands the rows of d_1 to initial_module.
+    real = groebner.initial_module
 
     def damaged(rows, degrees, order):
         ini = real(rows, degrees, order)
@@ -125,7 +125,7 @@ def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypa
         return InitialModule(ini.basis, (MonomialIdeal(first.n, first.gens[1:]),)
                              + ini.components[1:])
 
-    monkeypatch.setattr(groebner, "initial_module_rows", damaged)
+    monkeypatch.setattr(syzygy, "initial_module", damaged)
     code, data = run_json(["initial", "--input", ideal_file(LCM_TRIANGLE), "--p", "0",
                            "--basis", basis, "--oracle"], capsys)
     assert code == 1
@@ -144,13 +144,11 @@ def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypa
                                         "mainsyz")],
     ids=["boundary", "boundary-ek", "lex", "p0", "theorem-main", "boundary-gb",
          "lemma-groebner", "mainsyz"])
-def test_oracles_and_benchmark_streams_make_no_view(ideal_file, capsys, monkeypatch, args):
+def test_oracles_and_benchmark_streams_make_no_view(ideal_file, capsys, args,
+                                                    fractions_only_from_linalg):
     # Buchberger, the oracles and the verify streams read the complexes'
-    # rows; a differential(p) view would be a module vector per column.
-    def no_view(C, p):
-        raise AssertionError(f"a view of differential {p} was made")
-
-    monkeypatch.setattr(complexes.FreeComplex, "differential", no_view)
+    # rows; a view of a differential would be a module vector per column,
+    # with a Fraction made outside linalg for each coefficient.
     inputs = {"LCM_TRIANGLE": LCM_TRIANGLE, "SQUARES": SQUARES}
     argv = [ideal_file(inputs[a]) if a in inputs else a for a in args]
     assert main(argv) == 0, capsys.readouterr().err
@@ -217,7 +215,7 @@ def test_resolve_check_certifies_the_minimized_complex(ideal_file, capsys, monke
     def truncated(C):
         M = minimize(C)
         return FreeComplex(M.n, M.bases[:-1],
-                           [M.differential(p) for p in range(1, M.length)])
+                           [syzygy_rows(M, p - 1)[0] for p in range(1, M.length)])
 
     monkeypatch.setattr(cli, "minimize", truncated)
     path = ideal_file(LCM_TRIANGLE)
@@ -576,6 +574,28 @@ def test_filtration_bound_refusal_names_the_component(ideal_file, capsys, search
     assert captured.err == ("error: the filtration bound needs the exact Stanley depth of "
                             "the component at position 0, and its search was refused: "
                             "the exact search visited more than 3 nodes\n")
+
+
+def test_filtration_bound_refuses_a_component_before_its_points_are_listed(ideal_file,
+                                                                           capsys):
+    # ini(Z_1) of (x1^2000, x2^2000, x3^2000, x1x2x3) has a component whose
+    # poset has 4,000,002 points.  They are counted, not listed: listing
+    # them took 390 MB.
+    cap = {"n": 3, "generators": [[2000, 0, 0], [0, 2000, 0], [0, 0, 2000], [1, 1, 1]]}
+    argv = ["sdepth", "--input", ideal_file(cap), "--mode", "filtration-bound", "--p", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the filtration bound needs the exact Stanley depth of "
+                            "the component at position 0, and its search was refused: "
+                            "poset has 4000002 points, above the limit 512\n")
+    assert peak < 4_000_000
 
 
 def run_cli(argv):

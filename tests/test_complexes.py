@@ -29,12 +29,11 @@ from syzdepth.complexes import (
     minimize,
     stable_closure,
     stable_order,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
 )
 from syzdepth import complexes, freemod, groebner, linalg
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
-                              row_vectors, scalar_rows)
+from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
 from syzdepth.monomials import (MonomialIdeal, divides, lcm, lcm_closure, minimalize_ordered,
@@ -47,6 +46,8 @@ from reference_cones import (_divide, apply_columns, reference_comparison_cone,
 from reference_groebner import add_multiple, leading_term
 import reference_slices
 from reference_slices import RankSlices
+from reference_vectors import (ModuleVector, complex_of, differential, multidegree_of,
+                               row_vectors, scalar_rows)
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -65,7 +66,7 @@ def test_taylor_single_generator():
     C = taylor_complex([(2, 0)], 2)
     assert C.ranks == (1, 1)
     assert C.basis(1).degrees == ((2, 0),)
-    col = C.differential(1)[0]
+    col = differential(C, 1)[0]
     assert col == ModuleVector(2, {(0, (2, 0)): Fraction(1)})
 
 
@@ -74,7 +75,7 @@ def test_taylor_regular_sequence_is_koszul():
     K = koszul([X1, X2, X3], 3)
     assert T.ranks == (1, 3, 3, 1)
     for p in range(1, 4):
-        assert T.differential(p) == K.differential(p)
+        assert differential(T, p) == differential(K, p)
     assert is_minimal(T)
 
 
@@ -129,7 +130,7 @@ def reference_taylor_complex(gens, n):
                 terms.append(((below[face], quotient), signs[j % 2]))
             cols.append(ModuleVector(n, terms))
         diffs.append(cols)
-    return FreeComplex(n, bases, diffs)
+    return complex_of(n, bases, diffs)
 
 
 def test_descending_masks_follow_the_cone_order():
@@ -171,7 +172,7 @@ def test_taylor_complex_matches_the_frozenset_reference(case):
             [(e.degree, e.label) for e in R.basis(p)]
         assert all(type(e.label) is frozenset for e in C.basis(p))
     for p in range(1, C.length + 1):
-        for col, ref in zip(C.differential(p), R.differential(p), strict=True):
+        for col, ref in zip(differential(C, p), differential(R, p), strict=True):
             assert list(col.items()) == list(ref.items())
             assert [type(c) for _, c in col.items()] == [type(c) for _, c in ref.items()]
 
@@ -181,7 +182,7 @@ def assert_same_basis(C, R, p):
 
 
 def assert_same_columns(C, R, p):
-    for col, ref in zip(C.differential(p), R.differential(p), strict=True):
+    for col, ref in zip(differential(C, p), differential(R, p), strict=True):
         assert list(col.items()) == list(ref.items())
         assert [type(c) for _, c in col.items()] == [type(c) for _, c in ref.items()]
 
@@ -223,7 +224,7 @@ def test_taylor_top_entry():
     # lcm({1,2,3})/lcm({1,2}) = 1 for x1x2, x2x3, x1x3: a unit entry.
     C = taylor_complex([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
     positions = {e.label: i for i, e in enumerate(C.basis(2))}
-    col = C.differential(3)[0]
+    col = differential(C, 3)[0]
     assert dict(col.items())[positions[frozenset({1, 2})], (0, 0, 0)] == 1
 
 
@@ -234,7 +235,7 @@ def test_koszul_warns_on_irregular():
 
 def test_koszul_signs():
     C = koszul([(1, 0), (0, 1)], 2)
-    col = C.differential(2)[0]
+    col = differential(C, 2)[0]
     labels = {e.label: i for i, e in enumerate(C.basis(1))}
     # d(e_12) = x1 e_2 - x2 e_1 with the printed sign convention.
     terms = dict(col.items())
@@ -253,7 +254,7 @@ def test_smallest_mapping_cone():
     n = 2
     F = FreeComplex(n, [OrderedBasis(n, [BasisElement((0, 0))])], [])
     G = FreeComplex(n, [OrderedBasis(n, [BasisElement((1, 1))])], [])
-    phi = ChainMap(G, F, [[ModuleVector(n, {(0, (1, 1)): Fraction(1)})]])
+    phi = ChainMap(G, F, [[{0: 1}]])
     C = mapping_cone(phi)
     assert C.ranks == (1, 1)
     assert C.basis(1).degrees == ((1, 1),)
@@ -268,9 +269,9 @@ def test_cone_reproduces_taylor_for_two_generators():
     T = taylor_complex(gens, 2)
     assert cone.ranks == T.ranks
     assert [b.degrees for b in cone.bases] == [b.degrees for b in T.bases]
-    assert cone.differential(1) == T.differential(1)
+    assert differential(cone, 1) == differential(T, 1)
     # Level two agrees up to the sign of the cone's shifted basis element.
-    assert cone.differential(2)[0] == _scaled(T.differential(2)[0], -1)
+    assert differential(cone, 2)[0] == _scaled(differential(T, 2)[0], -1)
 
 
 def test_cone_differential_squares_to_zero():
@@ -300,9 +301,9 @@ def test_cone_syzygy_dimension_identity():
         box = [1 + max(e.degree[i] for basis in cone.bases for e in basis)
                for i in range(n)]
         for i in range(1, cone.length + 1):
-            zc = syzygy_generators(cone, i)
-            zf = syzygy_generators(F, i) if i <= F.length else []
-            zg = list(G.differential(i)) if i <= G.length else []
+            zc = list(differential(cone, i + 1))
+            zf = list(differential(F, i + 1))
+            zg = list(differential(G, i)) if i <= G.length else []
             for a in itertools.product(*(range(b + 1) for b in box)):
                 left = dimension(zc, a, cone.basis(i)) if zc else 0
                 right = (dimension(zf, a, F.basis(i)) if zf else 0) + \
@@ -313,19 +314,16 @@ def test_cone_syzygy_dimension_identity():
 def test_noncommuting_chain_map_rejected():
     n = 1
     F = FreeComplex(n, [OrderedBasis(n, [BasisElement((0,))]),
-                        OrderedBasis(n, [BasisElement((1,))])],
-                    [[ModuleVector(n, {(0, (1,)): Fraction(1)})]])
+                        OrderedBasis(n, [BasisElement((1,))])], [[{0: 1}]])
     G = FreeComplex(n, [OrderedBasis(n, [BasisElement((1,))]),
-                        OrderedBasis(n, [BasisElement((2,))])],
-                    [[ModuleVector(n, {(0, (1,)): Fraction(1)})]])
-    bad = ChainMap(G, F, [[ModuleVector(n, {(0, (1,)): Fraction(1)})],
-                          [ModuleVector(n, {(0, (1,)): Fraction(2)})]])
+                        OrderedBasis(n, [BasisElement((2,))])], [[{0: 1}]])
+    bad = ChainMap(G, F, [[{0: 1}], [{0: 2}]])
     with pytest.raises(ValueError, match="commute"):
         mapping_cone(bad)
 
 
 B0, B1, B2 = (OrderedBasis(1, [BasisElement((d,))]) for d in range(3))
-X = ModuleVector(1, {(0, (1,)): 1})  # x e_0
+X = {0: 1}  # x e_0, the row of a column of degree x into B0 or of x^2 into B1
 
 
 # Columns with a position outside the basis they map into, each with its
@@ -335,19 +333,35 @@ X = ModuleVector(1, {(0, (1,)): 1})  # x e_0
 # has no level 1.  mapping_cone raised IndexError on both chain maps.
 OUTSIDE_THE_BASIS = {
     "past-the-rank": (
-        lambda: FreeComplex(1, [B0, B1], [[ModuleVector(1, {(1, (1,)): 1})]]),
+        lambda: FreeComplex(1, [B0, B1], [[{1: 1}]]),
         "differential 1: column 0 has position 1, outside a basis of rank 1"),
     "negative": (
-        lambda: FreeComplex(1, [B0, B1], [[ModuleVector(1, {(-1, (1,)): 1})]]),
+        lambda: FreeComplex(1, [B0, B1], [[{-1: 1}]]),
         "differential 1: column 0 has position -1, outside a basis of rank 1"),
     "phi-past-the-rank": (
         lambda: mapping_cone(ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []),
-                                      [[ModuleVector(1, {(3, (1,)): 1})]])),
+                                      [[{3: 1}]])),
         "phi_0: column 0 has position 3, outside a basis of rank 1"),
     "phi-past-the-length": (
         lambda: mapping_cone(ChainMap(FreeComplex(1, [B1, B2], [[X]]), FreeComplex(1, [B0], []),
-                                      [[X], [ModuleVector(1, {(0, (2,)): 1})]])),
+                                      [[X], [{0: 1}]])),
         "phi_1: column 0 has position 0, outside a basis of rank 0"),
+    # A chain map needs one level per level of its source, no more or fewer.
+    "phi-too-few-levels": (
+        lambda: ChainMap(FreeComplex(1, [B1, B2], [[X]]), FreeComplex(1, [B0], []), [[X]]),
+        "chain map has 1 levels, expected one per level 0..1 of the source complex"),
+    "phi-too-many-levels": (
+        lambda: ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []), [[X], []]),
+        "chain map has 2 levels, expected one per level 0..0 of the source complex"),
+    "phi-too-many-columns": (
+        lambda: ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []), [[X, X]]),
+        "phi_0 has 2 columns, expected 1"),
+    "too-few-levels": (
+        lambda: FreeComplex(1, [B0, B1], []),
+        "need one differential per positive homological degree"),
+    "too-few-columns": (
+        lambda: FreeComplex(1, [B0, B1], [[]]),
+        "differential 1 has 0 columns, expected 1"),
 }
 
 
@@ -435,20 +449,19 @@ def test_ek_rejects_nonstable():
 
 
 def test_syzygy_generators_examples():
+    # syzygy_rows gives the generators of Z_p: the Koszul relations
+    # x_i e_j - x_j e_i of degree x_i x_j at p = 1, the ideal's generators
+    # at p = 0, and nothing beyond the length.
     K = taylor_complex([X1, X2, X3], 3)
-    Z1 = syzygy_generators(K, 1)
     labels = {e.label: i for i, e in enumerate(K.basis(1))}
     expected = set()
     for (i, j) in [(1, 2), (1, 3), (2, 3)]:
-        v = ModuleVector(3, {
-            (labels[frozenset({j})], tuple(1 if k == i - 1 else 0 for k in range(3))): Fraction(1),
-            (labels[frozenset({i})], tuple(1 if k == j - 1 else 0 for k in range(3))): Fraction(-1),
-        })
-        expected.add(frozenset(v.items()))
-    assert {frozenset(v.items()) for v in Z1} == expected
-    assert syzygy_generators(K, 3) == []
-    with pytest.raises(ValueError):
-        syzygy_generators(K, 0)
+        row = {labels[frozenset({j})]: 1, labels[frozenset({i})]: -1}
+        expected.add((frozenset(row.items()), tuple(int(k in (i - 1, j - 1)) for k in range(3))))
+    rows, degrees = syzygy_rows(K, 1)
+    assert {(frozenset(row.items()), d) for row, d in zip(rows, degrees)} == expected
+    assert syzygy_rows(K, 0) == ([{0: 1}] * 3, [X3, X2, X1])
+    assert syzygy_rows(K, 3) == ([], [])
 
 
 def test_minimize_examples():
@@ -489,7 +502,7 @@ def reference_minimize(C):
     n = C.n
     zero = unit(n)
     length = C.length
-    cols = [None] + [[dict(col.items()) for col in C.differential(p)]
+    cols = [None] + [[dict(col.items()) for col in differential(C, p)]
                      for p in range(1, length + 1)]
     alive = [[True] * C.rank(p) for p in range(length + 1)]
 
@@ -574,7 +587,7 @@ def reference_minimize(C):
             level.append(ModuleVector(n, {(remap[p - 1][r], mono): coeff
                                           for (r, mono), coeff in cols[p][old].items()}))
         diffs.append(level)
-    out = FreeComplex(n, new_bases, diffs)
+    out = complex_of(n, new_bases, diffs)
     if not check_complex(out):
         raise RuntimeError("minimization broke the complex property")
     return out
@@ -585,13 +598,13 @@ def reference_monomial_check_complex(C):
     {(position, monomial): c} dict, monomials and all."""
     below = None
     for p in range(1, C.length + 1):
-        for j, col in enumerate(C.differential(p)):
+        for j, col in enumerate(differential(C, p)):
             if not col.is_zero():
                 d = multidegree_of(col, C.basis(p - 1))
                 if d != C.basis(p).degree(j):
                     return False
         cols = [[(key, c.numerator if c.denominator == 1 else c) for key, c in col.items()]
-                for col in C.differential(p)]
+                for col in differential(C, p)]
         if below is not None:
             for col in cols:
                 image = {}
@@ -614,15 +627,15 @@ def reference_exactness(C, module_gens, exhaustive=False):
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector(C.n, {(0, u): 1}) for u in module_gens.gens]
     module_gens = list(module_gens)
-    module = RankSlices(module_gens + list(C.differential(1)), C.basis(0))
+    module = RankSlices(module_gens + list(differential(C, 1)), C.basis(0))
     own = (1 << len(module_gens)) - 1
-    for j, col in enumerate(C.differential(1)):
+    for j, col in enumerate(differential(C, 1)):
         mask = module.active(C.basis(1).degree(j)) & own
         if module.rank(mask) != module.rank(mask | 1 << (len(module_gens) + j)):
             return ExactnessReport(False, failures=[(0, None)])
 
     length = C.length
-    diffs = [RankSlices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+    diffs = [RankSlices(differential(C, p), C.basis(p - 1), C.basis(p).degrees)
              for p in range(1, length + 1)]
 
     def failing_level(module_rank, masks):
@@ -661,12 +674,12 @@ PATH7_ODD_FIRST = path_odd_first(7)
 def _rescale_basis(C, p, factors):
     """The same complex after e_k in F_p becomes e_k / factors[k]: column k
     of d_p is scaled by factors[k], and row k of d_{p+1} divided by it."""
-    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs = [list(differential(C, q)) for q in range(1, C.length + 1)]
     diffs[p - 1] = [_scaled(col, f) for col, f in zip(diffs[p - 1], factors)]
     if p < C.length:
         diffs[p] = [ModuleVector(C.n, {(k, mono): c / factors[k] for (k, mono), c in col.items()})
                     for col in diffs[p]]
-    return FreeComplex(C.n, C.bases, diffs)
+    return complex_of(C.n, C.bases, diffs)
 
 
 @st.composite
@@ -711,7 +724,7 @@ def test_minimize_rejects_a_nonzero_composite():
     C = FreeComplex(1, [OrderedBasis(1, [BasisElement((0,))]),
                         OrderedBasis(1, [BasisElement((0,))]),
                         OrderedBasis(1, [BasisElement((1,))])],
-                    [[ModuleVector(1, {(0, (0,)): 1})], [ModuleVector(1, {(0, (1,)): 1})]])
+                    [[{0: 1}], [{0: 1}]])
     with pytest.raises(RuntimeError, match="the input was not a complex"):
         minimize(C)
 
@@ -722,7 +735,7 @@ def _typed_rows(rows):
 
 
 def _view_items(C):
-    return [[list(col.items()) for col in C.differential(p)] for p in range(1, C.length + 1)]
+    return [[list(col.items()) for col in differential(C, p)] for p in range(1, C.length + 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,16 +769,21 @@ MAXIMAL3_SQUARED = MonomialIdeal(3, [u for u in itertools.product(range(3), repe
 @example(taylor_step_cone(PATH7_ODD_FIRST, 7)[0], False)
 @example(taylor_step_cone(PATH7_ODD_FIRST, 7)[0], True)
 def test_rows_read_back_through_the_view_and_the_constructor(C, minimized):
-    # rows -> view -> FreeComplex(n, bases, views) -> rows is the identity,
-    # the order of the entries and their int and Fraction types included;
+    # rows -> FreeComplex(n, bases, rows) -> rows is the identity, and so
+    # is rows -> the reference's vector view -> complex_of -> rows, the
+    # order of the entries and their int and Fraction types included;
     # Eliahou-Kervaire and taylor_step_cone complexes are mapping cones,
-    # whose rows mapping_cone writes.
+    # whose rows mapping_cone writes.  The constructor keeps copies.
     if minimized:
         C = minimize(C)
     rows = complexes._read_rows(C)
-    views = [C.differential(p) for p in range(1, C.length + 1)]
-    assert _typed_rows(complexes._read_rows(FreeComplex(C.n, C.bases, views))) == \
+    views = [differential(C, p) for p in range(1, C.length + 1)]
+    assert _typed_rows(complexes._read_rows(complex_of(C.n, C.bases, views))) == \
         _typed_rows(rows)
+    D = FreeComplex(C.n, C.bases, rows)
+    assert _typed_rows(complexes._read_rows(D)) == _typed_rows(rows)
+    assert not any(a is b for p in range(1, C.length + 1)
+                   for a, b in zip(D._level(p)[1], C._level(p)[1]))
 
 
 def eliahou_kervaire_steps(I):
@@ -823,21 +841,18 @@ def test_comparison_cone_matches_the_column_reference(steps):
         assert _typed_rows(r for _, r in _levels(cone)) == \
             _typed_rows(r for _, r in _levels(ref_cone))
         G = phi.source
-        assert _typed_rows(phi.rows) == _typed_rows(
-            freemod.scalar_rows(cols, F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))[0]
-            for i, cols in enumerate(ref_phi.columns))
-        public = mapping_cone(ChainMap(G, F, ref_phi.columns))
+        ref_rows = [scalar_rows(cols, F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))[0]
+                    for i, cols in enumerate(ref_phi.columns)]
+        assert _typed_rows(phi.rows) == _typed_rows(ref_rows)
+        public = mapping_cone(ChainMap(G, F, ref_rows))
         assert _typed_rows(r for _, r in _levels(public)) == \
             _typed_rows(r for _, r in _levels(ref_cone))
 
 
-def test_eliahou_kervaire_makes_no_view(monkeypatch):
+def test_eliahou_kervaire_makes_no_view(fractions_only_from_linalg):
     # The cone steps compose, lift and write rows: no column is read as a
-    # ModuleVector.
-    def refuse(C, p):
-        raise AssertionError("a view was made")
-
-    monkeypatch.setattr(FreeComplex, "differential", refuse)
+    # module vector, which would make a Fraction of each coefficient
+    # outside linalg.
     assert eliahou_kervaire(MonomialIdeal(4, [u for u in itertools.product(range(3), repeat=4)
                                                if sum(u) == 2])).ranks == (1, 10, 20, 15, 4)
     assert taylor_step_cone(PATH7_ODD_FIRST, 7)[0].ranks == taylor_complex(PATH7_ODD_FIRST, 7).ranks
@@ -876,10 +891,10 @@ def test_exactness_detects_corrupted_sign():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
     K = taylor_complex([(1, 0), (0, 1)], 2)
     # Flip one sign inside d_2: x1 e2 + x2 e1 no longer maps onto the syzygy.
-    col = K.differential(2)[0]
+    col = differential(K, 2)[0]
     flipped = ModuleVector(2, {key: (c if key[0] == 0 else -c)
                                for key, c in col.items()})
-    broken = FreeComplex(2, K.bases, [K.differential(1), [flipped]])
+    broken = complex_of(2, K.bases, [differential(K, 1), [flipped]])
     report = check_exactness_on_box(broken, I)
     assert not report.ok
     assert report.failures
@@ -893,9 +908,9 @@ def _truncated_taylor(scale=1):
     of F_2, with every column of d_1 scaled."""
     C = taylor_complex(TRUNCATED_GENS, 3)
     F2 = OrderedBasis(3, C.basis(2).elements[1:])
-    return FreeComplex(3, [C.basis(0), C.basis(1), F2],
-                       [[_scaled(col, scale) for col in C.differential(1)],
-                        C.differential(2)[1:]])
+    return complex_of(3, [C.basis(0), C.basis(1), F2],
+                      [[_scaled(col, scale) for col in differential(C, 1)],
+                       differential(C, 2)[1:]])
 
 
 def _truncated_taylor_report(scale=1):
@@ -927,10 +942,8 @@ def test_exactness_module_rank_is_exact():
     P = (1 << 61) - 1
     F0 = OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])
     F1 = OrderedBasis(1, [BasisElement((1,))])
-    D = FreeComplex(1, [F0, F1], [[ModuleVector(1, {(0, (1,)): Fraction(1)})]])
-    module = [ModuleVector(1, {(0, (1,)): Fraction(1)}),
-              ModuleVector(1, {(1, (1,)): Fraction(P)})]
-    report = check_exactness_on_box(D, module)
+    D = FreeComplex(1, [F0, F1], [[{0: 1}]])
+    report = check_exactness_on_box(D, ([{0: 1}, {1: P}], [(1,), (1,)]))
     assert not report.ok
     assert report.failures == [(0, (1,))]
 
@@ -939,8 +952,8 @@ def test_exactness_confirms_modular_failures_exactly():
     # Scaling d_2 by P kills it mod P; the exact ranks clear the degree.
     P = (1 << 61) - 1
     K = taylor_complex([(1, 0), (0, 1)], 2)
-    scaled = FreeComplex(2, K.bases, [K.differential(1),
-                                      [_scaled(K.differential(2)[0], P)]])
+    scaled = complex_of(2, K.bases, [differential(K, 1),
+                                     [_scaled(differential(K, 2)[0], P)]])
     report = check_exactness_on_box(scaled, MonomialIdeal(2, [(1, 0), (0, 1)]))
     assert report.ok and report.degrees_checked == 4
 
@@ -949,17 +962,27 @@ def test_exactness_is_checked_beyond_the_complex_degrees():
     # The Taylor complex of x has cokernel S/(x), not S/(x, y^9); the only
     # witness lies above every basis degree, at the module generator y^9.
     C = taylor_complex([(1, 0)], 2)
-    module = [ModuleVector(2, {(0, (1, 0)): 1}), ModuleVector(2, {(0, (0, 9)): 1})]
-    report = check_exactness_on_box(C, module)
+    report = check_exactness_on_box(C, ([{0: 1}, {0: 1}], [(1, 0), (0, 9)]))
     assert not report.ok
     assert report.failures == [(0, (0, 9))]
+
+
+@pytest.mark.parametrize("module, message", [
+    (([{0: 1}], [(1, 0), (0, 9)]), "the module has 1 columns, expected 2"),
+    (([{1: 1}], [(1, 0)]), "the module: column 0 has position 1, outside a basis of rank 1"),
+    (([{0: 2.0}], [(1, 0)]),
+     "the module: column 0 has coefficient 2.0 at position 0, not a nonzero int or Fraction"),
+], ids=["count", "position", "float"])
+def test_exactness_refuses_module_rows_that_are_no_module(module, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_exactness_on_box(taylor_complex([(1, 0)], 2), module)
 
 
 def _image_row(C, p, w, a):
     """The row of d_p(w), for the row w of degree a, by apply_columns on the
     vector of w and d_p's columns."""
     v = row_vectors([w], [a], C.basis(p))[0]
-    (row,), _ = scalar_rows([apply_columns(C.differential(p), v, C.n)], C.basis(p - 1))
+    (row,), _ = scalar_rows([apply_columns(differential(C, p), v, C.n)], C.basis(p - 1))
     return row
 
 
@@ -1004,7 +1027,7 @@ def test_lift_through_uses_the_groebner_fallback(monkeypatch):
     # The division of z by d_p's columns leaves a remainder, so the lifter
     # hands the row z to the fallback, once.
     C, p, z, a = _fallback_case()
-    divisors = [(col, leading_term(col)) for col in C.differential(p) if not col.is_zero()]
+    divisors = [(col, leading_term(col)) for col in differential(C, p) if not col.is_zero()]
     assert not _divide(row_vectors([z], [a], C.basis(p - 1))[0], divisors)[1].is_zero()
     calls = []
     fallback = complexes._lift_by_groebner
@@ -1046,7 +1069,7 @@ def _in_image(C, p, z, a):
     """Oracle: the row z of degree a is in the image of d_p exactly when
     adding its vector to the degree-a slice of the columns leaves the rank
     unchanged."""
-    columns = list(C.differential(p))
+    columns = list(differential(C, p))
     slices = RankSlices(columns + row_vectors([z], [a], C.basis(p - 1)), C.basis(p - 1),
                         list(C.basis(p).degrees) + [a])
     mask = slices.active(a)
@@ -1125,15 +1148,15 @@ def reference_box_walk(C, module_gens, box, exhaustive=False):
             raise ValueError("monomial-ideal comparison expects a rank-one F_0")
         module_gens = [ModuleVector(C.n, {(0, u): 1}) for u in module_gens.gens]
     module_gens = list(module_gens)
-    module = RankSlices(module_gens + list(C.differential(1)), C.basis(0))
+    module = RankSlices(module_gens + list(differential(C, 1)), C.basis(0))
     own = (1 << len(module_gens)) - 1
-    for j, col in enumerate(C.differential(1)):
+    for j, col in enumerate(differential(C, 1)):
         mask = module.active(C.basis(1).degree(j)) & own
         if module.rank(mask) != module.rank(mask | 1 << (len(module_gens) + j)):
             return ExactnessReport(False, failures=[(0, None)])
 
     length = C.length
-    diffs = [RankSlices(C.differential(p), C.basis(p - 1), C.basis(p).degrees)
+    diffs = [RankSlices(differential(C, p), C.basis(p - 1), C.basis(p).degrees)
              for p in range(1, length + 1)]
 
     def failing_level(module_rank, masks):
@@ -1179,9 +1202,9 @@ def _covering_box(degrees, n):
 
 
 def _replace_column(C, p, j, column):
-    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs = [list(differential(C, q)) for q in range(1, C.length + 1)]
     diffs[p - 1][j] = column
-    return FreeComplex(C.n, C.bases, diffs)
+    return complex_of(C.n, C.bases, diffs)
 
 
 @st.composite
@@ -1208,14 +1231,14 @@ def damaged_complexes(draw):
         k = draw(st.integers(0, C.rank(p) - 1))
         elements = C.basis(p).elements
         top = OrderedBasis(n, elements[:k] + elements[k + 1:])
-        cols = C.differential(p)
-        C = FreeComplex(n, C.bases[:p] + (top,),
-                        [C.differential(q) for q in range(1, p)] + [cols[:k] + cols[k + 1:]])
+        cols = differential(C, p)
+        C = complex_of(n, C.bases[:p] + (top,),
+                       [differential(C, q) for q in range(1, p)] + [cols[:k] + cols[k + 1:]])
     damage = draw(st.sampled_from(["none", "scale 0", "scale 2", "flip"]))
     p = draw(st.integers(1, C.length))
     if damage != "none" and C.rank(p):
         j = draw(st.integers(0, C.rank(p) - 1))
-        col = C.differential(p)[j]
+        col = differential(C, p)[j]
         if damage == "flip":
             first = min(key for key, _ in col.items())
             col = ModuleVector(n, {key: (-c if key == first else c) for key, c in col.items()})
@@ -1262,15 +1285,15 @@ def _reference_apply(columns, v, n):
 def reference_check_complex(C):
     """check_complex with d_{p-1}(d_p(e_j)) built by vector arithmetic."""
     for p in range(1, C.length + 1):
-        for j, col in enumerate(C.differential(p)):
+        for j, col in enumerate(differential(C, p)):
             if not col.is_zero() and \
                     multidegree_of(col, C.basis(p - 1)) != C.basis(p).degree(j):
                 return False
         if p >= 2:
             for j in range(C.rank(p)):
                 image = _reference_apply(
-                    C.differential(p - 1),
-                    _reference_apply(C.differential(p), ModuleVector(C.n, {(j, unit(C.n)): 1}),
+                    differential(C, p - 1),
+                    _reference_apply(differential(C, p), ModuleVector(C.n, {(j, unit(C.n)): 1}),
                                      C.n),
                     C.n)
                 if not image.is_zero():
@@ -1280,8 +1303,7 @@ def reference_check_complex(C):
 
 KOSZUL3 = taylor_complex([X1, X2, X3], 3)
 _FLIPPED_D2 = ModuleVector(3, {key: (-c if k == 0 else c)
-                               for k, (key, c) in enumerate(KOSZUL3.differential(2)[2].items())})
-_MIXED_D1 = ModuleVector(3, {(0, X3): Fraction(1), (0, X1): Fraction(1)})
+                               for k, (key, c) in enumerate(differential(KOSZUL3, 2)[2].items())})
 
 
 @settings(max_examples=200, deadline=None)
@@ -1294,48 +1316,46 @@ def test_check_complex_agrees_with_the_vector_reference(case):
     C, _ = case
     assert check_complex(C) == reference_check_complex(C)
     for p in range(2, C.length + 1):
-        for col in C.differential(p):
-            assert list(apply_columns(C.differential(p - 1), col, C.n).items()) == \
-                list(_reference_apply(C.differential(p - 1), col, C.n).items())
+        for col in differential(C, p):
+            assert list(apply_columns(differential(C, p - 1), col, C.n).items()) == \
+                list(_reference_apply(differential(C, p - 1), col, C.n).items())
+
+
+def _with_row(C, p, j, row):
+    """C with the row of column j of d_p replaced."""
+    rows = [list(C._level(q)[1]) for q in range(1, C.length + 1)]
+    rows[p - 1][j] = row
+    return FreeComplex(C.n, C.bases, rows)
 
 
 def test_check_complex_rejects_a_flipped_sign_and_a_mixed_column():
-    # A mixed column no longer reaches check_complex: the constructor
-    # refuses it.
+    # A mixed column cannot be written as a row; its row form, an entry at
+    # a position whose degree does not divide the column's, never reaches
+    # check_complex: the constructor refuses it.  Column 0 of d_2 has
+    # degree x2x3, and position 2 of F_1 degree x1.
     assert check_complex(KOSZUL3)
     assert not check_complex(_replace_column(KOSZUL3, 2, 2, _FLIPPED_D2))
-    assert multidegree_of(_MIXED_D1, KOSZUL3.basis(0)) is None
-    with pytest.raises(ValueError, match="^differential 1: column 0 is not multihomogeneous$"):
-        _replace_column(KOSZUL3, 1, 0, _MIXED_D1)
+    assert KOSZUL3.basis(2).degree(0) == (0, 1, 1) and KOSZUL3.basis(1).degree(2) == X1
+    with pytest.raises(ValueError, match=r"^differential 2: column 0 has degree \(0, 1, 1\), "
+                                         r"which the degree \(1, 0, 0\) of position 2 "
+                                         "does not divide$"):
+        _with_row(KOSZUL3, 2, 0, {**KOSZUL3._level(2)[1][0], 2: 1})
 
 
-# Columns the constructor refuses, each with its message: 1 + x in row 0,
-# whose unit minimize would once have cancelled against the first column;
-# x3 e_2 - x1 e_1 in d_2, of degrees x2 x3 and x1 x3; a column with three
-# terms that once put two of them in one cell of complex_json; and a
-# multihomogeneous column of the wrong degree.
+# Columns the constructor refuses, each with its message: x3 e_2 - x1 e_1
+# in d_2, of degrees x2 x3 and x1 x3, written as the row of column 0, of
+# degree x2 x3, with an entry at e_1 of degree x1; a zero entry, which
+# minimize would divide by; and a float entry, which is not exact.
 REFUSED_COLUMNS = {
-    "two-terms-in-one-row": (
-        lambda: FreeComplex(1, [OrderedBasis(1, [BasisElement((0,))]),
-                                OrderedBasis(1, [BasisElement((0,)), BasisElement((0,))])],
-                            [[ModuleVector(1, {(0, (0,)): 1}),
-                              ModuleVector(1, {(0, (0,)): Fraction(1),
-                                               (0, (1,)): Fraction(1)})]]),
-        "differential 1: column 1 is not multihomogeneous"),
-    "mixed-d2": (lambda: _replace_column(KOSZUL3, 2, 0, ModuleVector(
-        3, {(1, X3): Fraction(1), (0, X1): Fraction(-1)})),
-                 "differential 2: column 0 is not multihomogeneous"),
-    "two-terms-in-one-cell": (
-        lambda: FreeComplex(2, [OrderedBasis(2, [BasisElement((0, 0))]),
-                                OrderedBasis(2, [BasisElement((1, 1))] * 2)],
-                            [[ModuleVector(2, {(0, (1, 1)): Fraction(-3, 4)}),
-                              ModuleVector(2, {(0, (2, 0)): Fraction(1),
-                                               (0, (1, 1)): Fraction(-3, 4),
-                                               (0, (0, 1)): Fraction(5)})]]),
-        "differential 1: column 1 is not multihomogeneous"),
-    "wrong-degree": (lambda: _replace_column(KOSZUL3, 1, 0, ModuleVector(3, {(0, X1): 1})),
-                     "differential 1: column 0 has degree (1, 0, 0), not the degree "
-                     "(0, 0, 1) of its basis element"),
+    "mixed-d2": (lambda: _with_row(KOSZUL3, 2, 0, {0: 1, 2: -1}),
+                 "differential 2: column 0 has degree (0, 1, 1), which the degree "
+                 "(1, 0, 0) of position 2 does not divide"),
+    "zero-entry": (lambda: _with_row(KOSZUL3, 1, 1, {0: 0}),
+                   "differential 1: column 1 has coefficient 0 at position 0, "
+                   "not a nonzero int or Fraction"),
+    "float-entry": (lambda: _with_row(KOSZUL3, 3, 0, {0: 1, 1: -1.0, 2: 1}),
+                    "differential 3: column 0 has coefficient -1.0 at position 1, "
+                    "not a nonzero int or Fraction"),
 }
 
 
@@ -1347,9 +1367,9 @@ def test_constructor_refuses_a_column_off_its_degree(case):
 
 
 def _scale_level(C, p, factor):
-    diffs = [list(C.differential(q)) for q in range(1, C.length + 1)]
+    diffs = [list(differential(C, q)) for q in range(1, C.length + 1)]
     diffs[p - 1] = [_scaled(col, factor) for col in diffs[p - 1]]
-    return FreeComplex(C.n, C.bases, diffs)
+    return complex_of(C.n, C.bases, diffs)
 
 
 KOSZUL3_TWO_THIRDS = _scale_level(KOSZUL3, 2, Fraction(2, 3))
@@ -1359,11 +1379,11 @@ def test_check_complex_on_non_integral_coefficients():
     # d_2 with its columns scaled by 2/3 still composes to zero with d_1 and
     # d_3, and the complex stays exact; one entry moved by 1/7 breaks d o d.
     C = KOSZUL3_TWO_THIRDS
-    assert {c for col in C.differential(2) for _, c in col.items()} == \
+    assert {c for col in differential(C, 2) for _, c in col.items()} == \
         {Fraction(2, 3), Fraction(-2, 3)}
     assert check_complex(C) and reference_check_complex(C)
     assert check_exactness_on_box(C, MonomialIdeal(3, [X1, X2, X3])).ok
-    col = C.differential(2)[0]
+    col = differential(C, 2)[0]
     key, c = next(iter(col.items()))
     damaged = _replace_column(C, 2, 0, ModuleVector(3, {**dict(col.items()),
                                                         key: c + Fraction(1, 7)}))
@@ -1391,7 +1411,7 @@ def test_check_complex_agrees_with_the_vector_reference_on_fractions(case, resca
         C = _rescale_basis(C, p, data.draw(factors))
     elif C.rank(p):
         j = data.draw(st.integers(0, C.rank(p) - 1))
-        C = _replace_column(C, p, j, _scaled(C.differential(p)[j], data.draw(nonzero_fractions)))
+        C = _replace_column(C, p, j, _scaled(differential(C, p)[j], data.draw(nonzero_fractions)))
     assert check_complex(C) == reference_check_complex(C)
 
 
@@ -1405,7 +1425,7 @@ def reference_complex_to_jsonable(C):
             row = []
             for c in range(C.rank(p)):
                 entry = [{"coeff": str(coeff), "monomial": list(mono)}
-                         for (pos, mono), coeff in C.differential(p)[c].items()
+                         for (pos, mono), coeff in differential(C, p)[c].items()
                          if pos == r]
                 row.append(entry)
             matrix.append(row)
@@ -1441,7 +1461,7 @@ def serialised_complexes(draw):
         p = draw(st.integers(1, C.length))
         if C.rank(p):
             j = draw(st.integers(0, C.rank(p) - 1))
-            C = _replace_column(C, p, j, _scaled(C.differential(p)[j], draw(nonzero_fractions)))
+            C = _replace_column(C, p, j, _scaled(differential(C, p)[j], draw(nonzero_fractions)))
     return C
 
 
@@ -1468,7 +1488,7 @@ def reference_is_minimal(C):
     """is_minimal as it read the view: no entry has a nonzero constant term."""
     zero = unit(C.n)
     for p in range(1, C.length + 1):
-        for col in C.differential(p):
+        for col in differential(C, p):
             for (_, mono), coeff in col.items():
                 if mono == zero and coeff:
                     return False
@@ -1536,22 +1556,22 @@ def test_slice_check_closure_walk_agrees_with_the_box_walk(I, minimized, data):
 
 def _unchecked(C):
     """The same complex as a new object, which no check has marked."""
-    return FreeComplex(C.n, C.bases, [C.differential(p) for p in range(1, C.length + 1)])
+    return FreeComplex(C.n, C.bases, [C._level(p)[1] for p in range(1, C.length + 1)])
 
 
 def _nonzero_columns(C):
     return [(p, j) for p in range(1, C.length + 1)
-            for j, col in enumerate(C.differential(p)) if not col.is_zero()]
+            for j, col in enumerate(differential(C, p)) if not col.is_zero()]
 
 
 def _doubled(C):
     """The direct sum C + C: each level's basis twice, the columns of the
     second copy moved to the second copy's positions."""
     bases = [OrderedBasis(C.n, basis.elements * 2) for basis in C.bases]
-    return FreeComplex(C.n, bases, [
-        list(C.differential(p)) + [ModuleVector(C.n, {(pos + C.rank(p - 1), mono): c
+    return complex_of(C.n, bases, [
+        list(differential(C, p)) + [ModuleVector(C.n, {(pos + C.rank(p - 1), mono): c
                                                       for (pos, mono), c in col.items()})
-                                   for col in C.differential(p)]
+                                   for col in differential(C, p)]
         for p in range(1, C.length + 1)])
 
 
@@ -1594,7 +1614,7 @@ def certified_complexes(draw):
     columns = _nonzero_columns(C)
     if damage in ("flip", "1/7", "2^61 - 1", "zero") and columns:
         p, j = draw(st.sampled_from(columns))
-        col = C.differential(p)[j]
+        col = differential(C, p)[j]
         if damage == "flip":
             first = min(key for key, _ in col.items())
             col = ModuleVector(n, {key: (-c if key == first else c) for key, c in col.items()})
@@ -1607,9 +1627,9 @@ def certified_complexes(draw):
         L = C.length
         k = draw(st.integers(0, C.rank(L) - 1))
         elements = C.basis(L).elements
-        cols = C.differential(L)
-        C = FreeComplex(n, C.bases[:L] + (OrderedBasis(n, elements[:k] + elements[k + 1:]),),
-                        [C.differential(q) for q in range(1, L)] + [cols[:k] + cols[k + 1:]])
+        cols = differential(C, L)
+        C = complex_of(n, C.bases[:L] + (OrderedBasis(n, elements[:k] + elements[k + 1:]),),
+                       [differential(C, q) for q in range(1, L)] + [cols[:k] + cols[k + 1:]])
     elif damage == "module" and kind == "doubled":
         del module[draw(st.integers(0, len(module) - 1))]
     elif damage == "module":
@@ -1634,11 +1654,13 @@ PATH9_ODD_FIRST = path_odd_first(9)
 @example((taylor_complex([(1, 0)], 2), MonomialIdeal(2, [(1, 0), (0, 9)])))
 def test_closure_tree_walk_agrees_with_the_lex_walk(case):
     # The same verdict, failures and degrees checked in both modes; the
-    # first call checks the complex and the second only reads it.
+    # first call checks the complex and the second only reads it.  The
+    # library takes a module given by vectors as their rows.
     C, I = case
     C = _unchecked(C)
+    module = I if isinstance(I, MonomialIdeal) else scalar_rows(I, C.basis(0))
     for exhaustive in (False, True):
-        got = check_exactness_on_box(C, I, exhaustive=exhaustive)
+        got = check_exactness_on_box(C, module, exhaustive=exhaustive)
         ref = reference_exactness(C, I, exhaustive=exhaustive)
         assert (got.ok, got.failures, got.degrees_checked) == \
             (ref.ok, ref.failures, ref.degrees_checked)
@@ -1671,38 +1693,31 @@ def test_scalar_check_complex_agrees_with_the_monomial_sum(C):
 
 
 @settings(max_examples=150, deadline=None)
-@given(certified_complexes(), st.sampled_from(["mixed column", "wrong monomial"]), st.data())
-def test_constructor_refuses_exactly_the_columns_off_their_degree(case, change, data):
-    # A term added to a column at another monomial and position, which in
-    # general leaves it not multihomogeneous, or one term moved to a wrong
-    # monomial at its own position, which leaves it mixed or of the wrong
-    # degree: the constructor refuses the column exactly when its degree,
-    # found on the vector, is not its basis element's, and a complex it
-    # builds is checked as the monomial sum checks it.
+@given(certified_complexes(), st.data())
+def test_constructor_refuses_exactly_the_columns_off_their_degree(case, data):
+    # An entry added to the row of a column at any position, which the
+    # column's degree need not allow: the constructor refuses the row
+    # exactly when that position's degree does not divide the column's,
+    # and a complex it builds is checked as the monomial sum checks it.
     C, _ = case
-    n, columns = C.n, _nonzero_columns(C)
+    columns = [(p, j) for p in range(1, C.length + 1) for j in range(C.rank(p))
+               if C.rank(p - 1)]
     if not columns:
         return
     p, j = data.draw(st.sampled_from(columns))
-    terms = dict(C.differential(p)[j].items())
-    pos, mono = data.draw(st.sampled_from(sorted(terms)))
-    moved = mul(mono, variable(data.draw(st.integers(0, n - 1)), n))
-    coeff = terms[pos, mono]
-    if change == "wrong monomial":
-        del terms[pos, mono]
-    else:
-        pos = data.draw(st.integers(0, C.rank(p - 1) - 1))
-        coeff = data.draw(nonzero_fractions)
-    terms[pos, moved] = terms.get((pos, moved), 0) + coeff
-    column = ModuleVector(n, terms)
-    degree = multidegree_of(column, C.basis(p - 1))
-    if column.is_zero() or degree == C.basis(p).degree(j):
-        D = _replace_column(C, p, j, column)
+    row = dict(C._level(p)[1][j])
+    pos = data.draw(st.integers(0, C.rank(p - 1) - 1))
+    linalg.add_scaled(row, data.draw(nonzero_fractions), {pos: 1})
+    degree, target = C.basis(p).degree(j), C.basis(p - 1).degree(pos)
+    if divides(target, degree) or pos not in row:
+        D = _with_row(C, p, j, row)
         assert check_complex(D) == reference_monomial_check_complex(D)
         return
-    found = "is not multihomogeneous" if degree is None else f"has degree {degree}"
-    with pytest.raises(ValueError, match=f"^differential {p}: column {j} {re.escape(found)}"):
-        _replace_column(C, p, j, column)
+    with pytest.raises(ValueError, match=f"^differential {p}: column {j} has degree "
+                                         f"{re.escape(str(degree))}, which the degree "
+                                         f"{re.escape(str(target))} of position {pos} "
+                                         "does not divide$"):
+        _with_row(C, p, j, row)
 
 
 def test_check_complex_runs_once_per_complex():
@@ -1721,21 +1736,21 @@ def test_check_complex_runs_once_per_complex():
 
 
 def test_certificate_finds_each_column_degree_once():
-    # The constructor finds the degree of each column, check_complex and the
-    # engines of the differentials take the basis degrees, and the module
-    # generators' degrees are found once more when they are given as
-    # vectors; an ideal's generators u e_0 are unit rows at degree u.
+    # The constructor checks each level's rows against the basis degrees,
+    # once, check_complex and the engines of the differentials take those
+    # degrees, and the module's rows are checked once more when they are
+    # given as rows; an ideal's generators u e_0 are unit rows at degree u.
     T = taylor_complex(PATH7_ODD_FIRST, 7)
     I = MonomialIdeal(7, PATH7_ODD_FIRST)
-    vectors = [ModuleVector(7, {(0, u): 1}) for u in I.gens]
-    counter = mock.Mock(wraps=multidegree_of)
-    with mock.patch.object(freemod, "multidegree_of", counter):
+    module = ([{0: 1}] * len(I.gens), list(I.gens))
+    with mock.patch.object(complexes, "check_rows", wraps=complexes.check_rows) as counter:
         C = _unchecked(T)
-        assert check_exactness_on_box(C, vectors).ok
-        assert counter.call_count == len(_nonzero_columns(C)) + len(I.gens) == 63 + 6
+        assert check_exactness_on_box(C, module).ok
+        assert [call.args[0] for call in counter.call_args_list] == \
+            [f"differential {p}" for p in range(1, 7)] + ["the module"]
         counter.reset_mock()
         assert check_exactness_on_box(_unchecked(T), I).ok
-    assert counter.call_count == 63
+    assert counter.call_count == 6
 
 
 MAXIMAL7 = [variable(i, 7) for i in range(7)]
@@ -1779,6 +1794,6 @@ def test_each_check_walks_one_engine(monkeypatch):
     assert built == [C.length + 1]
     built.clear()
     rows, degrees = complexes.syzygy_rows(C, 1)
-    ini = groebner.initial_module_rows(rows, degrees, C.basis(1))
+    ini = groebner.initial_module(rows, degrees, C.basis(1))
     assert hilbert_slice_check(rows, degrees, ini) == (True, None)
     assert built == [2]

@@ -5,21 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from syzdepth import linalg
 
-from syzdepth.freemod import (
-    BasisElement,
-    DegreeMasks,
-    ModuleVector,
-    OrderedBasis,
-    Slices,
-    multidegree_of,
-    row_vectors,
-    scalar_rows,
-)
+from syzdepth.freemod import BasisElement, DegreeMasks, OrderedBasis, Slices, check_rows
 from syzdepth.groebner import leading_module
 from syzdepth.monomials import MonomialIdeal
 
 import reference_slices
 from reference_groebner import leading_term
+from reference_vectors import ModuleVector, multidegree_of, row_vectors, scalar_rows
 
 
 def basis_of(*degrees):
@@ -169,6 +161,46 @@ def test_scalar_rows_refuse_a_position_outside_the_basis(position):
     with pytest.raises(ValueError, match=f"^column 1 has position {position}, "
                                          "outside a basis of rank 2$"):
         scalar_rows(vectors, b)
+
+
+SOURCE = basis_of((1, 0), (1, 1))  # deg e_1 = x1, deg e_2 = x1x2
+TARGET = basis_of((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("rows, degrees, message", [
+    ([{0: 1}], SOURCE.degrees, " has 1 columns, expected 2"),
+    ([{0: 1}, {0: 1}, {}], SOURCE.degrees, " has 3 columns, expected 2"),
+    ([{0: 1}, {2: 1}], SOURCE.degrees, ": column 1 has position 2, outside a basis of rank 2"),
+    ([{-1: 1}, {}], SOURCE.degrees, ": column 0 has position -1, outside a basis of rank 2"),
+    ([{0: 1}, {(0, (1, 1)): 1}], SOURCE.degrees,
+     r": column 1 has position \(0, \(1, 1\)\), outside a basis of rank 2"),
+    ([{0: 1}, {1: 1}], [(1, 0), (0, 1)],
+     r": column 1 has degree \(0, 1\), which the degree \(1, 0\) of position 1 does not divide"),
+    ([{0: 1}, {1: 1}], [(1, 0), None],
+     r": column 1 has degree None, which the degree \(1, 0\) of position 1 does not divide"),
+    ([{0: 1, 1: 0}, {}], SOURCE.degrees,
+     ": column 0 has coefficient 0 at position 1, not a nonzero int or Fraction"),
+    ([{0: 1}, {1: 0.5}], SOURCE.degrees,
+     ": column 1 has coefficient 0.5 at position 1, not a nonzero int or Fraction"),
+], ids=["too-few", "too-many", "position-past", "position-below", "vector-key",
+        "off-degree", "no-degree", "zero", "float"])
+def test_check_rows_names_the_map_and_the_column(rows, degrees, message):
+    with pytest.raises(ValueError, match=f"^the map{message}$"):
+        check_rows("the map", rows, degrees, TARGET)
+
+
+@given(st.lists(st.tuples(st.dictionaries(st.integers(0, 1), coeffs.filter(bool)
+                                          | st.fractions(-3, 3, max_denominator=4).filter(bool),
+                                          max_size=2),
+                          st.tuples(st.integers(1, 3), st.integers(0, 2))), max_size=4))
+def test_check_rows_passes_every_element_and_keeps_the_rows(columns):
+    # Nonzero ints and Fractions at degrees that every target degree
+    # divides, zero rows at no degree: check_rows passes them untouched.
+    rows = [row for row, _ in columns]
+    degrees = [d if row else None for row, d in columns]
+    before = [list(row.items()) for row in rows]
+    assert check_rows("the map", rows, degrees, TARGET) is None
+    assert [list(row.items()) for row in rows] == before
 
 
 @given(st.lists(multihomogeneous_vectors(), max_size=4))

@@ -16,7 +16,6 @@ import sys
 
 import pytest
 
-from syzdepth import freemod
 from syzdepth.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -155,17 +154,11 @@ def test_golden_output(name, argv):
     assert out == expected
 
 
-def _no_module_vector(*args, **kwargs):
-    raise AssertionError("a ModuleVector was built")
-
-
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_golden_output_builds_no_module_vector(name, argv, monkeypatch):
-    # Rows are the library's element form: every case writes its golden
-    # output with no ModuleVector made, neither by the constructor nor by
-    # from_terms.
-    monkeypatch.setattr(freemod.ModuleVector, "__init__", _no_module_vector)
-    monkeypatch.setattr(freemod.ModuleVector, "from_terms", classmethod(_no_module_vector))
+def test_golden_output_builds_no_module_vector(name, argv, fractions_only_from_linalg):
+    # Rows are the library's only element form: every case writes its
+    # golden output with no Fraction made outside linalg and blocks, as a
+    # module vector made one of each coefficient.
     test_golden_output(name, argv)
 
 

@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,10 @@ from syzdepth.complexes import (
     eliahou_kervaire,
     is_minimal,
     minimize,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
 )
-from syzdepth.freemod import (BasisElement, ModuleVector, OrderedBasis, multidegree_of,
-                              row_vectors, scalar_rows)
+from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth import complexes, groebner, linalg
 from syzdepth.groebner import (
     buchberger,
@@ -30,6 +30,7 @@ from syzdepth.verify import taylor_step_cone
 import reference_groebner
 from reference_cones import apply_columns, reference_taylor_step_cone
 from reference_groebner import leading_term
+from reference_vectors import ModuleVector, differential, multidegree_of, row_vectors, scalar_rows
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -45,31 +46,31 @@ def _tagged(columns, r):
             for j, col in enumerate(columns)]
 
 
+def _vectors(gb):
+    """The elements of the Groebner basis as vectors."""
+    return row_vectors(gb.rows, gb.degrees, gb.basis)
+
+
 def test_buchberger_monomial_input_passthrough():
+    # 3 x1^2, x1x2 and x1^2x2 on a rank-one module of degree 0.
     basis = OrderedBasis(2, [BasisElement((0, 0))])
-    gens = [ModuleVector(2, {(0, (2, 0)): Fraction(3)}),
-            ModuleVector(2, {(0, (1, 1)): Fraction(1)}),
-            ModuleVector(2, {(0, (2, 1)): Fraction(1)})]
-    gb = buchberger(gens, basis)
-    lts = {(t.position, t.monomial) for t in map(leading_term, gb.generators)}
-    assert lts == {(0, (2, 0)), (0, (1, 1))}
-    for g in gb.generators:
-        assert len(g) == 1  # monomial module: reduced basis is monomial
+    gb = buchberger([{0: 3}, {0: 1}, {0: 1}], [(2, 0), (1, 1), (2, 1)], basis)
+    assert leading_module(gb.rows, gb.degrees, basis).components[0].gens == ((1, 1), (2, 0))
+    assert gb.rows == ({0: 1}, {0: 1})  # monomial module: reduced basis is monomial
 
 
 def test_buchberger_single_generator():
+    # 2 x1 e1 + 4 x2 e2, deg e1 = x2 and deg e2 = x1, made monic.
     basis = OrderedBasis(2, [BasisElement((0, 1)), BasisElement((1, 0))])
-    v = ModuleVector(2, {(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(4)})
-    gb = buchberger([v], basis)
-    assert len(gb.generators) == 1
-    assert gb.generators[0] == _reference_scale(v, Fraction(1, 2), (0, 0))
+    gb = buchberger([{0: 2, 1: 4}], [(1, 1)], basis)
+    assert (gb.rows, gb.degrees) == (({0: 1, 1: 2},), ((1, 1),))
 
 
 def test_buchberger_koszul_z1():
     K = taylor_complex([X1, X2, X3], 3)
     ini, (rows, degrees) = lex_refined_initial(K, 1)
-    gb = buchberger(row_vectors(rows, degrees, ini.basis), ini.basis)
-    lts = {(t.position, t.monomial) for t in map(leading_term, gb.generators)}
+    gb = buchberger(rows, degrees, ini.basis)
+    lts = {(t.position, t.monomial) for t in map(leading_term, _vectors(gb))}
     assert lts == {(0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1))}
 
 
@@ -85,7 +86,7 @@ def test_initial_module_koszul_z1():
 
 def test_initial_module_taylor_order():
     C = taylor_complex([(2, 0), (1, 1), (0, 2)], 2)
-    ini = initial_module(syzygy_generators(C, 1), C.basis(1))
+    ini = initial_module(*syzygy_rows(C, 1), C.basis(1))
     by_label = {C.basis(1).elements[j].label: c for j, c in enumerate(ini.components)}
     assert by_label[frozenset({3})].gens == ((1, 0),)
     assert by_label[frozenset({2})].gens == ((1, 0),)
@@ -94,9 +95,8 @@ def test_initial_module_taylor_order():
 
 def test_initial_module_of_monomial_generators():
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((1, 0))])
-    gens = [ModuleVector(2, {(0, (0, 2)): Fraction(1)}),
-            ModuleVector(2, {(1, (1, 0)): Fraction(5)})]
-    ini = initial_module(gens, basis)
+    # x2^2 e1 and 5 x1 e2.
+    ini = initial_module([{0: 1}, {1: 5}], [(0, 2), (2, 0)], basis)
     assert ini.components[0].gens == ((0, 2),)
     assert ini.components[1].gens == ((1, 0),)
 
@@ -107,21 +107,24 @@ def test_product_criterion_not_applied_across_positions():
     # which a naive coprimality skip would miss.
     basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((1, 0)),
                              BasisElement((0, 1))])
-    f = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)})
-    g = ModuleVector(2, {(0, (0, 1)): Fraction(1), (2, (0, 0)): Fraction(1)})
-    ini = initial_module([f, g], basis)
+    ini = initial_module([{0: 1, 1: 1}, {0: 1, 2: 1}], [(1, 0), (0, 1)], basis)
     assert ini.components[0].gens == ((0, 1), (1, 0))
     assert ini.components[1].gens == ((0, 1),)
     assert ini.components[2].is_zero()
 
 
 def test_a_generator_that_is_not_multihomogeneous_is_refused():
-    # x e1 + y e2 on two basis elements of degree 0 has two degrees.
-    basis = OrderedBasis(2, [BasisElement((0, 0)), BasisElement((0, 0))])
-    mixed = ModuleVector(2, {(0, (1, 0)): Fraction(1), (1, (0, 1)): Fraction(1)})
+    # The row {e1: 1, e2: 1} at degree x1, with deg e1 = x1 and deg e2 = x2,
+    # would need the term x1/x2 e2: no element has that row at that degree,
+    # and none has entries but no degree.
+    basis = OrderedBasis(2, [BasisElement((1, 0)), BasisElement((0, 1))])
     for engine in (buchberger, initial_module):
-        with pytest.raises(ValueError, match="column 0 is not multihomogeneous"):
-            engine([mixed], basis)
+        with pytest.raises(ValueError, match=r"^the generators: column 0 has degree \(1, 0\), "
+                                             r"which the degree \(0, 1\) of position 1 "
+                                             "does not divide$"):
+            engine([{0: 1, 1: 1}], [(1, 0)], basis)
+        with pytest.raises(ValueError, match="^the generators: column 1 has degree None"):
+            engine([{}, {0: 1}], [None, None], basis)
 
 
 RANK_ONE = OrderedBasis(2, [BasisElement((0, 0))])
@@ -129,24 +132,44 @@ RANK_ONE = OrderedBasis(2, [BasisElement((0, 0))])
 
 def test_initial_module_refuses_a_position_below_the_basis():
     with pytest.raises(ValueError, match="column 0 has position -1, outside a basis of rank 1"):
-        initial_module([ModuleVector(2, {(-1, (1, 0)): 1})], RANK_ONE)
+        initial_module([{-1: 1}], [(1, 0)], RANK_ONE)
 
 
 def test_buchberger_refuses_a_position_below_the_basis():
     with pytest.raises(ValueError, match="column 0 has position -1, outside a basis of rank 1"):
-        buchberger([ModuleVector(2, {(-1, (1, 0)): 1})], RANK_ONE)
+        buchberger([{-1: 1}], [(1, 0)], RANK_ONE)
 
 
 def test_kernel_generators_refuses_a_column_below_the_target():
     source = OrderedBasis(2, [BasisElement((1, 0))])
     with pytest.raises(ValueError, match="column 0 has position -1, outside a basis of rank 1"):
-        kernel_generators([ModuleVector(2, {(-1, (1, 0)): 1})], source, RANK_ONE)
+        kernel_generators([{-1: 1}], source, RANK_ONE)
 
 
 def test_initial_module_refuses_a_position_past_the_basis():
-    gens = [ModuleVector(2, {(0, (1, 0)): 1}), ModuleVector(2, {(1, (0, 1)): 1})]
     with pytest.raises(ValueError, match="column 1 has position 1, outside a basis of rank 1"):
-        initial_module(gens, RANK_ONE)
+        initial_module([{0: 1}, {1: 1}], [(1, 0), (0, 1)], RANK_ONE)
+
+
+@pytest.mark.parametrize("coeff", [0, 0.5, "1", Fraction(0)],
+                         ids=["zero", "float", "str", "zero-fraction"])
+@pytest.mark.parametrize("engine", ["buchberger", "initial_module", "kernel_generators",
+                                    "hilbert_slice_check"])
+def test_every_row_engine_refuses_a_zero_or_inexact_coefficient(engine, coeff):
+    # A zero leading entry would be divided by, and a float is not exact.
+    source = OrderedBasis(2, [BasisElement((1, 0)), BasisElement((0, 1))])
+    rows, degrees = [{0: 1}, {0: coeff}], [(1, 0), (0, 1)]
+    calls = {
+        "buchberger": lambda: buchberger(rows, degrees, RANK_ONE),
+        "initial_module": lambda: initial_module(rows, degrees, RANK_ONE),
+        "kernel_generators": lambda: kernel_generators(rows, source, RANK_ONE),
+        "hilbert_slice_check": lambda: hilbert_slice_check(
+            rows, degrees, initial_module([{0: 1}], [(1, 0)], RANK_ONE)),
+    }
+    name = "the map" if engine == "kernel_generators" else "the generators"
+    with pytest.raises(ValueError, match=f"^{name}: column 1 has coefficient {re.escape(repr(coeff))} "
+                                         "at position 0, not a nonzero int or Fraction$"):
+        calls[engine]()
 
 
 def test_hilbert_slice_check_fault_injection():
@@ -199,7 +222,7 @@ def syzygy_generators_on_bases(draw):
         if kind == "minimized":
             C = minimize(C)
     p = draw(st.integers(1, C.length - 1)) if C.length >= 2 else 0
-    columns = list(C.differential(p + 1))
+    columns = list(differential(C, p + 1))
     if draw(st.booleans()):
         basis, perm = C.basis(p).sort_lex_refined()
         return [_moved(v, perm.__getitem__) for v in columns], basis
@@ -208,17 +231,17 @@ def syzygy_generators_on_bases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(syzygy_generators_on_bases())
-@example((list(taylor_complex([X1, X2, X3], 3).differential(2)),
+@example((list(differential(taylor_complex([X1, X2, X3], 3), 2)),
           taylor_complex([X1, X2, X3], 3).basis(1)))
-@example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
+@example((list(differential(taylor_complex([X1, X2, X3], 3), 2)) * 2,
           taylor_complex([X1, X2, X3], 3).basis(1)))
 def test_initial_module_is_the_reduced_basis_leading_terms(case):
     # initial_module stops at a minimal Groebner basis; its leading terms
     # are those of the reduced basis buchberger returns.
     gens, basis = case
-    gb = buchberger(gens, basis)
+    gb = buchberger(*scalar_rows(gens, basis), basis)
     expected = leading_module(gb.rows, gb.degrees, basis)
-    assert initial_module(gens, basis) == expected
+    assert initial_module(*scalar_rows(gens, basis), basis) == expected
 
 
 def test_is_squarefree_module():
@@ -280,19 +303,17 @@ def test_spair_loop_elements_are_monic_fractions():
 
 def test_kernel_generators_koszul():
     K = taylor_complex([X1, X2, X3], 3)
-    cols = list(K.differential(1))
-    rows, degrees = kernel_generators(cols, K.basis(1), K.basis(0))
+    rows, degrees = kernel_generators(K._level(1)[1], K.basis(1), K.basis(0))
     # The kernel of d_1 is Z_1, spanned by the Koszul relations.
     assert len(rows) == 3
     for v in row_vectors(rows, degrees, K.basis(1)):
-        assert apply_columns(cols, v, 3).is_zero()
+        assert apply_columns(differential(K, 1), v, 3).is_zero()
 
 
 def test_kernel_of_injective_map_is_empty():
     basis0 = OrderedBasis(2, [BasisElement((0, 0))])
     basis1 = OrderedBasis(2, [BasisElement((1, 0))])
-    cols = [ModuleVector(2, {(0, (1, 0)): Fraction(1)})]
-    assert kernel_generators(cols, basis1, basis0) == ([], [])
+    assert kernel_generators([{0: 1}], basis1, basis0) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +432,7 @@ def spair_loop_inputs(draw):
         if kind == "minimized":
             C = minimize(C)
     p = draw(st.integers(0, C.length - 1))
-    columns = list(C.differential(p + 1))
+    columns = list(differential(C, p + 1))
     basis = C.basis(p)
     how = draw(st.sampled_from(["as-is", "lex-refined", "tagged"]))
     if how == "lex-refined":
@@ -429,7 +450,7 @@ def spair_loop_inputs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(spair_loop_inputs())
-@example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
+@example((list(differential(taylor_complex([X1, X2, X3], 3), 2)) * 2,
           taylor_complex([X1, X2, X3], 3).basis(1)))
 def test_spair_loop_matches_the_sorted_list_kernel(case):
     # The row engine's elements are the sorted list kernel's, as rows with
@@ -533,7 +554,7 @@ def test_reduce_divides_by_the_lifter_filing(case):
 
 @settings(max_examples=100, deadline=None)
 @given(spair_loop_inputs())
-@example((list(taylor_complex([X1, X2, X3], 3).differential(2)) * 2,
+@example((list(differential(taylor_complex([X1, X2, X3], 3), 2)) * 2,
           taylor_complex([X1, X2, X3], 3).basis(1)))
 def test_row_engine_matches_the_vector_engine(case):
     # buchberger's reduced basis is the vector engine's term for term, entry
@@ -541,14 +562,14 @@ def test_row_engine_matches_the_vector_engine(case):
     # the kernel of the map sending e_j to the j-th generator, each e_j
     # taken at its generator's degree (or 0 for a zero generator).
     gens, basis = case
-    gb, expected = buchberger(gens, basis), reference_groebner.buchberger(gens, basis)
-    assert _typed(gb.generators) == _typed(expected.generators)
+    rows, degrees = scalar_rows(gens, basis)
+    gb, expected = buchberger(rows, degrees, basis), reference_groebner.buchberger(gens, basis)
+    assert _typed(_vectors(gb)) == _typed(expected.generators)
     assert leading_module(gb.rows, gb.degrees, basis) == \
         reference_groebner.monomial_module_from_terms(basis, expected.leading_terms())
-    assert initial_module(gens, basis) == reference_groebner.initial_module(gens, basis)
-    source = OrderedBasis(basis.n, [BasisElement(multidegree_of(g, basis) or (0,) * basis.n)
-                                    for g in gens])
-    assert _typed(row_vectors(*kernel_generators(gens, source, basis), source)) == \
+    assert initial_module(rows, degrees, basis) == reference_groebner.initial_module(gens, basis)
+    source = OrderedBasis(basis.n, [BasisElement(d or (0,) * basis.n) for d in degrees])
+    assert _typed(row_vectors(*kernel_generators(rows, source, basis), source)) == \
         _typed(_reference_kernel(gens, source, basis))
 
 
@@ -568,9 +589,9 @@ def division_cases(draw):
     G, F = phi.source, phi.target
     lifts = []
     for i in range(1, min(G.length, F.length) + 1):
-        targets = [phi.apply(i - 1, col) for col in G.differential(i)]
+        targets = [phi.apply(i - 1, col) for col in differential(G, i)]
         targets += [_reference_scale(phi.apply(i - 1, z), -1, (0,) * n) for z in
-                    buchberger(list(G.differential(i)), G.basis(i - 1)).generators]
+                    _vectors(buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1)))]
         lifts += [(F, i, z) for z in targets if not z.is_zero()]
     divisions = []
     C = taylor_complex(gens, n)
@@ -578,7 +599,7 @@ def division_cases(draw):
         C = minimize(C)
     for p in range(1, C.length + 1):
         columns = [col if k % 2 else _reference_scale(col, Fraction(5, 3), (0,) * n)
-                   for k, col in enumerate(C.differential(p)) if not col.is_zero()]
+                   for k, col in enumerate(differential(C, p)) if not col.is_zero()]
         for k, col in enumerate(columns):
             divisions.append((col, [(g, leading_term(g)) for g in columns[:k] + columns[k + 1:]],
                               C.basis(p - 1)))
@@ -594,7 +615,7 @@ def test_divide_matches_the_linear_scan_kernel(cases):
     # filed in order, is the linear scan's.
     lifts, divisions = cases
     for F, i, z in lifts:
-        columns = F.differential(i)
+        columns = differential(F, i)
         nonzero = [j for j, col in enumerate(columns) if not col.is_zero()]
         expected_quotient, expected_rem = _reference_divide(
             z, [(columns[j], leading_term(columns[j])) for j in nonzero])

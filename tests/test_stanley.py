@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from syzdepth import stanley
-from syzdepth.complexes import syzygy_generators, taylor_complex
+from syzdepth.complexes import syzygy_rows, taylor_complex
 from syzdepth.groebner import initial_module
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.monomials import MonomialIdeal, unit
@@ -150,7 +150,7 @@ def test_filtration_bound_regular_sequence_components():
     n, m = 4, 3
     C = taylor_complex(gens, n)
     for p in range(1, m):
-        ini = initial_module(syzygy_generators(C, p), C.basis(p))
+        ini = initial_module(*syzygy_rows(C, p), C.basis(p))
         bound = filtration_lower_bound(ini)
         assert bound.value >= n - (m - p) // 2
 
@@ -216,7 +216,7 @@ def test_filtration_bound_below_exact_sdepth():
     # The filtration bound never exceeds the exact Stanley depth of the
     # syzygy components it is built from (it is their minimum).
     K = taylor_complex([(1, 0), (0, 1)], 2)
-    ini = initial_module(syzygy_generators(K, 1), K.basis(1))
+    ini = initial_module(*syzygy_rows(K, 1), K.basis(1))
     bound = filtration_lower_bound(ini)
     values = [ideal_sdepth(c) for _, c in ini.nonzero_components()]
     assert bound.value == min(values)

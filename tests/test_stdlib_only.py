@@ -34,3 +34,36 @@ def test_module_imports_only_the_standard_library(name):
 
 def test_every_module_is_parsed():
     assert "cli.py" in MODULES and "complexes.py" in MODULES
+
+
+def _parsed(name):
+    with open(os.path.join(PACKAGE, name)) as fh:
+        return ast.parse(fh.read(), filename=name)
+
+
+def _names_defined_or_imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[-1]
+                yield alias.name.split(".")[-1]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_defines_or_imports_a_module_vector(name):
+    # Rows are the library's only element form; the vector form lives in
+    # tests/reference_vectors.py, as the reference the engines are checked
+    # against.
+    assert "ModuleVector" not in set(_names_defined_or_imported(_parsed(name)))
+
+
+def test_only_linalg_and_blocks_import_fractions():
+    # linalg alone makes coefficients; blocks uses Fractions for the
+    # densities of its schedule, not for coefficients.
+    importers = sorted(name for name in MODULES
+                       if "fractions" in set(_imported_roots(_parsed(name))))
+    assert importers == ["blocks.py", "linalg.py"]

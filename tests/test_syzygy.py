@@ -3,10 +3,10 @@ import pytest
 from syzdepth.complexes import (
     eliahou_kervaire,
     minimize,
-    syzygy_generators,
+    syzygy_rows,
     taylor_complex,
 )
-from syzdepth.freemod import BasisElement, ModuleVector, OrderedBasis, row_vectors
+from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth.groebner import buchberger, initial_module, leading_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
@@ -22,6 +22,7 @@ from syzdepth.verify import taylor_step_cone
 
 from reference_cones import apply_columns
 from reference_groebner import leading_term
+from reference_vectors import differential, row_vectors
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 SQUARES = [(2, 0), (1, 1), (0, 2)]
@@ -66,14 +67,14 @@ def test_boundary_terms_under_lex_refined_basis():
 def test_compose_cone_gb_trivial_and_small():
     cone, phi = taylor_step_cone([(2, 0), (0, 2)], 2)
     F, G = phi.target, phi.source
-    gbF = buchberger(syzygy_generators(F, 1), F.basis(1))
-    gbG = buchberger(list(G.differential(1)), G.basis(0))
+    gbF = buchberger(*syzygy_rows(F, 1), F.basis(1))
+    gbG = buchberger(*syzygy_rows(G, 0), G.basis(0))
     rows, degrees = compose_cone_gb(gbF, gbG, phi, cone, 1)
     # F has a single generator, so Z_1(F) = 0 and everything lifts from G.
-    assert len(gbF.generators) == 0
-    assert len(rows) == len(gbG.generators)
+    assert len(gbF.rows) == 0
+    assert len(rows) == len(gbG.rows)
     for v in row_vectors(rows, degrees, cone.basis(1)):
-        assert apply_columns(cone.differential(1), v, 2).is_zero()
+        assert apply_columns(differential(cone, 1), v, 2).is_zero()
 
 
 def test_compose_cone_gb_direct_sum_identity():
@@ -81,8 +82,8 @@ def test_compose_cone_gb_direct_sum_identity():
     cone, phi = taylor_step_cone(gens, 2)
     F, G = phi.target, phi.source
     for i in range(1, cone.length):
-        gbF = buchberger(syzygy_generators(F, i), F.basis(i))
-        gbG = buchberger(list(G.differential(i)), G.basis(i - 1))
+        gbF = buchberger(*syzygy_rows(F, i), F.basis(i))
+        gbG = buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1))
         rows, _ = compose_cone_gb(gbF, gbG, phi, cone, i)
         assert rows  # certified inside compose_cone_gb
 
@@ -91,9 +92,9 @@ def test_compose_cone_gb_checks_against_the_oracle_it_is_given():
     gens = [(2, 0), (1, 1), (0, 2)]
     cone, phi = taylor_step_cone(gens, 2)
     F, G = phi.target, phi.source
-    gbF = buchberger(syzygy_generators(F, 1), F.basis(1))
-    gbG = buchberger(list(G.differential(1)), G.basis(0))
-    oracle = initial_module(syzygy_generators(cone, 1), cone.basis(1))
+    gbF = buchberger(*syzygy_rows(F, 1), F.basis(1))
+    gbG = buchberger(*syzygy_rows(G, 0), G.basis(0))
+    oracle = initial_module(*syzygy_rows(cone, 1), cone.basis(1))
     assert compose_cone_gb(gbF, gbG, phi, cone, 1, oracle=oracle) == \
         compose_cone_gb(gbF, gbG, phi, cone, 1)
     damaged = type(oracle)(oracle.basis, (MonomialIdeal(2, [(0, 1)]),)
@@ -127,19 +128,19 @@ def test_theorem_main_p0_vacuous():
 
 def test_gunnar_step_koszul():
     K = taylor_complex([X1, X2, X3], 3)
-    rep = verify_gunnar_step(list(K.differential(1)), K.basis(1), K.basis(0), 1)
+    rep = verify_gunnar_step(syzygy_rows(K, 0)[0], K.basis(1), K.basis(0), 1)
     assert rep.passed and rep.witness["kernel_size"] == 3
 
 
 def test_gunnar_step_injective():
     C = taylor_complex([(2, 0)], 2)
-    rep = verify_gunnar_step(list(C.differential(1)), C.basis(1), C.basis(0), 1)
+    rep = verify_gunnar_step(syzygy_rows(C, 0)[0], C.basis(1), C.basis(0), 1)
     assert rep.passed and "vacuous" in rep.witness["note"]
 
 
 def test_gunnar_step_taylor_squares():
     C = taylor_complex(SQUARES, 2)
-    rep = verify_gunnar_step(list(C.differential(1)), C.basis(1), C.basis(0), 1)
+    rep = verify_gunnar_step(syzygy_rows(C, 0)[0], C.basis(1), C.basis(0), 1)
     assert rep.passed
 
 
@@ -147,7 +148,7 @@ def test_gunnar_step_rejects_bad_hypothesis():
     # Image initial module meets x1, so the p=2 hypothesis fails.
     K = taylor_complex([X1, X2, X3], 3)
     with pytest.raises(ValueError, match="hypothesis"):
-        verify_gunnar_step(list(K.differential(1)), K.basis(1), K.basis(0), 2)
+        verify_gunnar_step(syzygy_rows(K, 0)[0], K.basis(1), K.basis(0), 2)
 
 
 # Two target basis elements of degree 0 and one source element of degree x1.
@@ -158,17 +159,24 @@ GUNNAR_SOURCE = OrderedBasis(2, [BasisElement((1, 0))])
 def test_gunnar_step_refuses_a_position_below_the_target():
     # The column x1 at position -1 once wrapped, through the lex-refined
     # relabelling, to the last target position, and the step passed.
-    columns = [ModuleVector(2, {(-1, (1, 0)): 1})]
     with pytest.raises(ValueError, match="^the map: column 0 has position -1, "
                                          "outside a basis of rank 2$"):
-        verify_gunnar_step(columns, GUNNAR_SOURCE, GUNNAR_TARGET, 1)
+        verify_gunnar_step([{-1: 1}], GUNNAR_SOURCE, GUNNAR_TARGET, 1)
 
 
 def test_gunnar_step_refuses_more_columns_than_the_source_rank():
     # A second column once raised IndexError from the relabelling.
-    columns = [ModuleVector(2, {(0, (1, 0)): 1}), ModuleVector(2, {(1, (1, 0)): 1})]
     with pytest.raises(ValueError, match="^the map has 2 columns, expected 1$"):
-        verify_gunnar_step(columns, GUNNAR_SOURCE, GUNNAR_TARGET, 1)
+        verify_gunnar_step([{0: 1}, {1: 1}], GUNNAR_SOURCE, GUNNAR_TARGET, 1)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{0: 1, 1: 0}], "coefficient 0 at position 1, not a nonzero int or Fraction"),
+    ([{0: 1.0}], "coefficient 1.0 at position 0, not a nonzero int or Fraction"),
+], ids=["zero", "float"])
+def test_gunnar_step_refuses_a_zero_or_float_coefficient(rows, message):
+    with pytest.raises(ValueError, match=f"^the map: column 0 has {message}$"):
+        verify_gunnar_step(rows, GUNNAR_SOURCE, GUNNAR_TARGET, 1)
 
 
 def test_a_level_outside_the_complex_is_refused():

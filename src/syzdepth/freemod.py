@@ -122,15 +122,18 @@ class DegreeMasks:
 def check_rows(name: str, rows, degrees, target: OrderedBasis) -> None:
     """Refuse (ValueError, naming the map name and the column) rows that are
     not the columns of a map into target whose column j has degree
-    degrees[j]: a count other than len(degrees), a position outside target,
-    an entry whose position's degree does not divide the column's (a zero
-    column may have degree None), or a coefficient that
+    degrees[j]: a count other than len(degrees), a degree not in target.n
+    variables, a position outside target, an entry whose position's degree
+    does not divide the column's (a zero column may have degree None), or a
+    coefficient that
     linalg.are_coefficients refuses.  A row is passed whole first, and only
     a row that fails is read entry by entry, to name its first fault."""
     if len(rows) != len(degrees):
         raise ValueError(f"{name} has {len(rows)} columns, expected {len(degrees)}")
     targets, rank = target.degrees, len(target)
     for j, (row, d) in enumerate(zip(rows, degrees)):
+        if d is not None and len(d) != target.n:
+            raise ValueError(f"{name}: column {j} has degree {d}, not of length {target.n}")
         if row and not (d is not None and linalg.are_coefficients(row.values())
                         and all(type(r) is int and 0 <= r < rank and all(map(le, targets[r], d))
                                 for r in row)):

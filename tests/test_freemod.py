@@ -178,12 +178,14 @@ TARGET = basis_of((0, 0), (1, 0))
      r": column 1 has degree \(0, 1\), which the degree \(1, 0\) of position 1 does not divide"),
     ([{0: 1}, {1: 1}], [(1, 0), None],
      r": column 1 has degree None, which the degree \(1, 0\) of position 1 does not divide"),
+    ([{0: 1}, {}], [(1,), (0, 1)], r": column 0 has degree \(1,\), not of length 2"),
+    ([{0: 1}, {}], [(1, 0), (0, 1, 0)], r": column 1 has degree \(0, 1, 0\), not of length 2"),
     ([{0: 1, 1: 0}, {}], SOURCE.degrees,
      ": column 0 has coefficient 0 at position 1, not a nonzero int or Fraction"),
     ([{0: 1}, {1: 0.5}], SOURCE.degrees,
      ": column 1 has coefficient 0.5 at position 1, not a nonzero int or Fraction"),
 ], ids=["too-few", "too-many", "position-past", "position-below", "vector-key",
-        "off-degree", "no-degree", "zero", "float"])
+        "off-degree", "no-degree", "short-degree", "long-degree-of-a-zero-row", "zero", "float"])
 def test_check_rows_names_the_map_and_the_column(rows, degrees, message):
     with pytest.raises(ValueError, match=f"^the map{message}$"):
         check_rows("the map", rows, degrees, TARGET)

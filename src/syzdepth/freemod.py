@@ -125,28 +125,23 @@ def check_rows(name: str, rows, degrees, target: OrderedBasis) -> None:
     degrees[j]: a count other than len(degrees), a degree not in target.n
     variables, a position outside target, an entry whose position's degree
     does not divide the column's (a zero column may have degree None), or a
-    coefficient that
-    linalg.are_coefficients refuses.  A row is passed whole first, and only
-    a row that fails is read entry by entry, to name its first fault."""
+    coefficient that is zero or not of one of linalg.EXACT_TYPES."""
     if len(rows) != len(degrees):
         raise ValueError(f"{name} has {len(rows)} columns, expected {len(degrees)}")
-    targets, rank = target.degrees, len(target)
+    targets, rank, exact = target.degrees, len(target), linalg.EXACT_TYPES
     for j, (row, d) in enumerate(zip(rows, degrees)):
         if d is not None and len(d) != target.n:
             raise ValueError(f"{name}: column {j} has degree {d}, not of length {target.n}")
-        if row and not (d is not None and linalg.are_coefficients(row.values())
-                        and all(type(r) is int and 0 <= r < rank and all(map(le, targets[r], d))
-                                for r in row)):
-            for r, c in row.items():
-                if not (type(r) is int and 0 <= r < rank):
-                    raise ValueError(f"{name}: column {j} has position {r}, outside a "
-                                     f"basis of rank {rank}")
-                if d is None or not all(map(le, targets[r], d)):
-                    raise ValueError(f"{name}: column {j} has degree {d}, which the degree "
-                                     f"{targets[r]} of position {r} does not divide")
-                if not linalg.are_coefficients((c,)):
-                    raise ValueError(f"{name}: column {j} has coefficient {c!r} at "
-                                     f"position {r}, not a nonzero int or Fraction")
+        for r, c in row.items():
+            if not (type(r) is int and 0 <= r < rank):
+                raise ValueError(f"{name}: column {j} has position {r}, outside a basis "
+                                 f"of rank {rank}")
+            if d is None or not all(map(le, targets[r], d)):
+                raise ValueError(f"{name}: column {j} has degree {d}, which the degree "
+                                 f"{targets[r]} of position {r} does not divide")
+            if type(c) not in exact or not c:
+                raise ValueError(f"{name}: column {j} has coefficient {c!r} at position "
+                                 f"{r}, not a nonzero int or Fraction")
 
 
 def unit_rows(generators, basis: OrderedBasis):

@@ -11,7 +11,7 @@ Buchberger element and each column the lifter files, and add_scaled
 cancels a leading entry, as it runs groebner's one row division and
 composes and minimizes complexes.  quotient is the library's one exact
 division, so quotient and add_scaled alone know the field, and
-are_coefficients says which values a row may hold.
+EXACT_TYPES says which values a row may hold.
 """
 
 from __future__ import annotations
@@ -26,15 +26,9 @@ def quotient(x, y=1):
     return q.numerator if q.denominator == 1 else q
 
 
-_EXACT = {int, Fraction}
-
-
-def are_coefficients(values) -> bool:
-    """Every value of the collection values, such as a row's values(),
-    which it reads twice, may be an entry of a row: a nonzero int or
-    Fraction.  A float would lose exactness, and a zero entry would be
-    divided by in monic."""
-    return 0 not in values and {*map(type, values)} <= _EXACT
+# The types of a row's values, each of which must also be nonzero: a float
+# would lose exactness, and a zero entry would be divided by in monic.
+EXACT_TYPES = frozenset({int, Fraction})
 
 
 def add_scaled(row: dict, q, other: dict) -> None:

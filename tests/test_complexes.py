@@ -1503,7 +1503,7 @@ def reference_is_minimal(C):
 @example(EMPTY_LEVEL)
 @example(LENGTH_ZERO)
 def test_is_minimal_reads_the_rows_as_the_view_reads(C):
-    # The rows are read first, so no view is made for is_minimal.
+    # is_minimal reads the rows; the reference reads them as vectors.
     assert is_minimal(C) == reference_is_minimal(C)
 
 

@@ -10,6 +10,9 @@ Block structures take subsets of [n] as sets of ints.  Order filters and
 their interval partitions are int bitmasks, bit i standing for x_{i+1},
 which is element i+1 of [n]: the subset {1, 3} is 0b101.  lifted_f keeps
 the set interface and the partition converts at that one call.
+
+An integral density is held as an int, so the sweep and the axiom check
+compare ints; only a non-integral one stays a Fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .stanley import Interval
@@ -33,7 +35,7 @@ class Block:
 class BlockStructure:
     n: int
     A: frozenset
-    delta: Fraction
+    delta: int | Fraction  # an int whenever the density is integral
     blocks: tuple
 
     def gaps(self) -> frozenset:
@@ -47,7 +49,7 @@ class BlockStructure:
         return frozenset((block.B, block.G) for block in self.blocks)
 
 
-def _delta_range_check(n: int, A, delta: Fraction) -> None:
+def _delta_range_check(n: int, A, delta) -> None:
     if not A:
         raise ValueError("A must be nonempty")
     if not all(1 <= x <= n for x in A):
@@ -56,7 +58,7 @@ def _delta_range_check(n: int, A, delta: Fraction) -> None:
         raise ValueError(f"density {delta} outside [1, (n-1)/|A|] for |A|={len(A)}, n={n}")
 
 
-def _sweep(n: int, A: frozenset, delta: Fraction, start: int):
+def _sweep(n: int, A: frozenset, delta, start: int):
     """Deterministic clockwise sweep from a candidate anchor; None on misfit.
 
     A block grows while the proper-prefix inequality |P|+1 <= delta*|P&A|
@@ -137,10 +139,13 @@ def block_structure(n: int, A: Iterable, delta) -> BlockStructure:
     """The unique block structure of A at density delta.
 
     Found by sweeping clockwise from each element of A in turn; the axioms
-    are re-checked on the result before it is returned.
+    are re-checked on the result before it is returned.  An integral
+    density is normalised to an int, so that the sweep runs on ints.
     """
     A = frozenset(A)
     delta = Fraction(delta)
+    if delta.denominator == 1:
+        delta = delta.numerator
     _delta_range_check(n, A, delta)
     for start in sorted(A):
         blocks = _sweep(n, A, delta, start)
@@ -152,34 +157,6 @@ def block_structure(n: int, A: Iterable, delta) -> BlockStructure:
             return structure
     raise RuntimeError(f"no block structure found for n={n}, A={sorted(A)}, "
                        f"delta={delta}; this should be impossible in range")
-
-
-def enumerate_block_structures(n: int, A: Iterable, delta) -> list:
-    """All axiom-satisfying structures, by brute force over anchor sets and
-    block endpoints.  Used to confirm uniqueness at small n."""
-    A = frozenset(A)
-    delta = Fraction(delta)
-    _delta_range_check(n, A, delta)
-    found = {}
-    anchors_pool = sorted(A)
-    for k in range(1, len(anchors_pool) + 1):
-        for anchors in itertools.combinations(anchors_pool, k):
-            spans = []
-            for idx, start in enumerate(anchors):
-                nxt = anchors[(idx + 1) % k]
-                length = (nxt - start) % n or n
-                spans.append(length)
-            for cut in itertools.product(*(range(1, span + 1) for span in spans)):
-                blocks = []
-                for idx, start in enumerate(anchors):
-                    b = tuple((start - 1 + t) % n + 1 for t in range(cut[idx]))
-                    g = tuple((start - 1 + cut[idx] + t) % n + 1
-                              for t in range(spans[idx] - cut[idx]))
-                    blocks.append(Block(b, g))
-                structure = BlockStructure(n, A, delta, tuple(blocks))
-                if not check_block_axioms(structure):
-                    found[structure.as_set()] = structure
-    return list(found.values())
 
 
 def f_delta(n: int, A: Iterable, delta) -> frozenset:
@@ -205,7 +182,7 @@ def lifted_f(n: int, A: Iterable, s: int) -> frozenset:
         return A
     big_n = n * s + n + s
     padded = A | frozenset(range(n + 1, 2 * n - a + 1))
-    image = f_delta(big_n, padded, Fraction(s + 1))
+    image = f_delta(big_n, padded, s + 1)
     result = frozenset(x for x in image if x <= n)
     if len(result) != a + s:
         raise RuntimeError(f"lifted image has size {len(result)}, expected {a + s}")
@@ -282,9 +259,60 @@ def _upset(base: int, free: int) -> list:
         sub = (sub - 1) & free
 
 
+# A family gets a membership table, one byte per subset of [n], only when
+# 2^n is at most this many times its size.  The table's partition walks all
+# 2^n subsets at about a sixth of the per-set code's cost per member, so it
+# wins while the family fills more than about a fifth of the cube.  A filter
+# of a few large supports in a large n, such as (x1...x38) in n = 40, is far
+# sparser, and only the per-set code can hold it.
+_TABLE_RATIO = 4
+
+
+def _membership_table(n: int, family: set) -> Optional[bytearray]:
+    """Byte S is 1 exactly for the members S of the family, or None where
+    the family is too sparse for a table of 2^n bytes or has a mask outside
+    [0, 2^n), which must not index it (a bytearray takes -1 as its last)."""
+    if not family or (1 << n) > _TABLE_RATIO * len(family):
+        return None
+    if min(family) < 0 or max(family) >> n:
+        return None
+    table = bytearray(1 << n)
+    for S in family:
+        table[S] = 1
+    return table
+
+
+def _table_violation(n: int, table: bytearray) -> Optional[tuple]:
+    """The (member, superset) pair of the least bit i, then the least
+    member S without i, for which S | 2^i is missing; None when up-closed.
+
+    Read as one int, the table has byte S at bit 8 * S, so shifting the
+    members without bit i up by 2^i bytes sets the bytes of their
+    one-element extensions by i; n passes test all extensions at once.
+    """
+    members = int.from_bytes(table, "little")
+    for i in range(n):
+        step = 1 << i
+        without_i = int.from_bytes((b"\x01" * step + bytes(step)) * (len(table) >> (i + 1)),
+                                   "little")
+        missing = ((members & without_i) << (8 * step)) & ~members
+        if missing:
+            superset = ((missing & -missing).bit_length() - 1) >> 3
+            return (superset - step, superset)
+    return None
+
+
 def is_order_filter(n: int, sets) -> Optional[tuple]:
     """None when up-closed; otherwise a violating (member, superset) pair."""
     family = set(sets)
+    table = _membership_table(n, family)
+    if table is not None:
+        return _table_violation(n, table)
+    return _set_violation(n, family)
+
+
+def _set_violation(n: int, family: set) -> Optional[tuple]:
+    """is_order_filter set by set: each member's one-element extensions."""
     full = (1 << n) - 1
     for S in family:
         free = full & ~S
@@ -324,20 +352,25 @@ def squarefree_partition(n: int, filter_sets) -> list:
     covers every uncovered a-set A, in lexicographic order, by the interval
     up to lifted_f(n, A, sigma(a)); whatever survives the r stages becomes a
     trivial interval, by size and then lexicographically.  Disjointness is
-    asserted while covering.
+    asserted while covering.  A dense filter is checked and partitioned on
+    its membership table (see _TABLE_RATIO), a sparse one set by set; both
+    give the same pairs in the same order.
     """
     family = set(filter_sets)
     if not family:
         return []
     if max(family) >> n:
         raise ValueError(f"the filter has a set outside [{n}]")
-    bad = is_order_filter(n, family)
+    table = _membership_table(n, family)
+    bad = _set_violation(n, family) if table is None else _table_violation(n, table)
     if bad is not None:
         raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
                          f"{mask_elements(bad[1])} is not")
     if 0 in family:
         raise ValueError("the filter contains the empty set (unit ideal)")
     schedule = sigma_schedule(_largest_s(n + 1))
+    if table is not None:
+        return _partition_on_table(n, table, schedule)
     by_size = [[] for _ in range(n + 1)]
     for S in family:
         by_size[S.bit_count()].append(S)
@@ -361,6 +394,46 @@ def squarefree_partition(n: int, filter_sets) -> list:
             out.append((A, top))
     for size in by_size:
         out.extend((B, B) for B in sorted(size, key=key) if B not in covered)
+    return out
+
+
+def _lex_masks(bits: list, size: int):
+    """The unions of `size` of the given bits, in lexicographic order of
+    their elements when the bits ascend."""
+    return map(sum, itertools.combinations(bits, size))
+
+
+def _partition_on_table(n: int, table: bytearray, schedule: SigmaSchedule) -> list:
+    """squarefree_partition's stages on the filter's membership table.
+
+    Each size class is read in lexicographic order from combinations of
+    the bits, kept where the table is 1; covering a set sets its byte to 0,
+    so the bytes left at 1 after the stages are the trivial intervals.
+    """
+    bits = [1 << i for i in range(n)]
+
+    def uncovered(size):
+        masks, probes = itertools.tee(_lex_masks(bits, size))
+        return itertools.compress(masks, map(table.__getitem__, probes))
+
+    out = []
+    for a in range(1, schedule.r + 1):
+        for A in uncovered(a):
+            top = subset_mask(lifted_f(n, mask_elements(A), schedule(a)))
+            members = _upset(A, top & ~A)
+            if not all(map(table.__getitem__, members)):
+                # The first clash in the order of growing extensions of A.
+                free = [bit for bit in bits if bit & top & ~A]
+                clash = next(A | E for size in range(len(free) + 1)
+                             for E in _lex_masks(free, size) if not table[A | E])
+                raise RuntimeError(f"stage {a} interval [{mask_elements(A)}, "
+                                   f"{mask_elements(top)}] meets the cover at "
+                                   f"{mask_elements(clash)}")
+            for C in members:
+                table[C] = 0
+            out.append((A, top))
+    for size in range(1, n + 1):
+        out.extend((B, B) for B in uncovered(size))
     return out
 
 
@@ -390,11 +463,6 @@ def sqfree_lower_bound(n: int) -> int:
     return 2 * _largest_s(n + 1) + 1
 
 
-def sqfree_lower_bound_closed_form(n: int) -> int:
-    """Integer-arithmetic evaluation of the printed square-root formula."""
-    return 2 * ((isqrt(8 * n + 9) + 1) // 4) - 1
-
-
 def syzygy_sqfree_bound(n: int, d: int, p: int) -> int:
     """2s+1+d+p for the largest s with (2s+1)(s+1) <= n+1-d-p."""
     if p < 1:
@@ -406,6 +474,3 @@ def syzygy_sqfree_bound(n: int, d: int, p: int) -> int:
         raise ValueError(f"need n+1-d-p >= 1, got {budget}")
     return 2 * _largest_s(budget) + 1 + d + p
 
-
-def syzygy_sqfree_bound_closed_form(n: int, d: int, p: int) -> int:
-    return 2 * ((isqrt(8 * (n - d - p) + 9) + 1) // 4) + d + p - 1

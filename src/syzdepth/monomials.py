@@ -123,13 +123,6 @@ def minimalize(gens: Iterable[Mono]) -> tuple:
     return tuple(out)
 
 
-def minimalize_ordered(gens: Iterable[Mono]) -> tuple:
-    """Minimal generators in first-occurrence order of the given sequence."""
-    gens = list(gens)
-    minimal = set(minimalize(gens))
-    return tuple(dict.fromkeys(u for u in gens if u in minimal))
-
-
 class MonomialIdeal:
     """A monomial ideal, stored through its unique minimal generating set."""
 

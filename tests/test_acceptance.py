@@ -13,10 +13,8 @@ import pytest
 from syzdepth.blocks import (
     block_structure,
     check_block_axioms,
-    enumerate_block_structures,
     filter_of_supports,
     sqfree_lower_bound,
-    sqfree_lower_bound_closed_form,
     squarefree_partition,
     subset_mask,
     support_mask,
@@ -48,6 +46,8 @@ from syzdepth.stanley import (
 )
 from syzdepth.syzygy import lex_refined_initial, verify_boundary_gb, verify_theorem_main
 from syzdepth.verify import taylor_step_cone
+
+from reference_blocks import enumerate_block_structures, sqfree_lower_bound_closed_form
 
 CORPUS_SEED = 1729
 CORPUS_SIZE = 200

@@ -12,7 +12,6 @@ from syzdepth.blocks import (
     _largest_s,
     block_structure,
     check_block_axioms,
-    enumerate_block_structures,
     f_delta,
     filter_of_supports,
     is_order_filter,
@@ -20,16 +19,18 @@ from syzdepth.blocks import (
     mask_elements,
     sigma_schedule,
     sqfree_lower_bound,
-    sqfree_lower_bound_closed_form,
     squarefree_partition,
     subset_mask,
     subset_to_degree,
     syzygy_sqfree_bound,
-    syzygy_sqfree_bound_closed_form,
     to_interval_partition,
 )
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.stanley import char_poset, exact_sdepth, validate_partition
+
+from reference_blocks import (enumerate_block_structures, reference_block_structure,
+                              reference_lifted_f, sqfree_lower_bound_closed_form,
+                              syzygy_sqfree_bound_closed_form)
 
 
 def all_subsets(n, nonempty=True):
@@ -351,3 +352,124 @@ def test_clash_is_reported_like_the_reference(monkeypatch):
         reference_squarefree_partition(6, {as_set(S) for S in all_subsets(6)})
     assert str(info.value) == str(ref_info.value) == \
         "stage 1 interval [[2], [1, 2, 3, 4, 5, 6]] meets the cover at [1, 2]"
+
+
+def test_clash_is_reported_like_the_reference_set_by_set(monkeypatch):
+    # The filter of [6] above gets the membership table; the same clash on
+    # the per-set code, with the table switched off.
+    monkeypatch.setattr(blocks, "_TABLE_RATIO", 0)
+    test_clash_is_reported_like_the_reference(monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The membership table against the per-set code, on both sides of its guard.
+
+
+def _violations(n, family):
+    """Every (member, one-element extension) pair with the extension
+    missing, by brute force over the members and the bits of [n]."""
+    return {(S, S | 1 << i) for S in family for i in range(n)
+            if not S >> i & 1 and S | 1 << i not in family}
+
+
+@st.composite
+def families_near_filters(draw):
+    """n <= 10, a filter of drawn supports, perhaps with some of its members
+    dropped (so that it may fail to be a filter at several pairs), and
+    perhaps one stray mask: 2^n or above, or negative."""
+    n, gens = draw(squarefree_supports())
+    if draw(st.booleans()):
+        gens = gens + [0]  # every subset, the empty one included
+    family = filter_of_supports(n, gens)
+    dropped = draw(st.lists(st.sampled_from(sorted(family)), max_size=3))
+    family -= set(dropped)
+    stray = draw(st.one_of(st.none(), st.integers(1 << n, 1 << (n + 2)), st.integers(-8, -1)))
+    return n, family, stray
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_near_filters())
+@example((10, filter_of_supports(10, [0b0011111111]), None))             # per-set side
+@example((10, filter_of_supports(10, [0b1]), None))                      # table side
+@example((10, filter_of_supports(10, [0b1]) - {0b11}, None))             # table, refused
+@example((10, filter_of_supports(10, [0b0011111111]) - {0b0111111111}, None))
+@example((10, filter_of_supports(10, [0b1, 0]), None))                   # empty set
+@example((4, filter_of_supports(4, [0b1]), 1 << 4))
+@example((4, filter_of_supports(4, [0b1]), -1))
+@example((2, {0b01}, -1))  # a table indexed at -1 would mark 0b11 a member
+def test_membership_table_matches_the_per_set_code(case):
+    n, family, stray = case
+    if stray is not None:
+        family = family | {stray}
+    # The guard: a table only for masks in [0, 2^n) and a dense family.
+    dense = bool(family) and (1 << n) <= blocks._TABLE_RATIO * len(family)
+    in_range = stray is None or 0 <= stray < 1 << n
+    assert (blocks._membership_table(n, family) is not None) == (dense and in_range)
+
+    bad = is_order_filter(n, family)
+    violations = _violations(n, family)
+    assert (bad is None) == (not violations)
+    assert bad is None or bad in violations
+    if stray is None or stray >= 0:
+        reference = reference_is_order_filter(n, {as_set(S) for S in family})
+        assert (bad is None) == (reference is None)
+
+    if stray is not None:
+        if stray > 0:
+            assert rejection(squarefree_partition, n, family) == \
+                f"the filter has a set outside [{n}]"
+        return  # a negative mask beside sets of [n] is the per-set code's alone
+    ref_family = {as_set(S) for S in family}
+    try:
+        expected = reference_squarefree_partition(n, ref_family)
+    except ValueError as error:
+        message = rejection(squarefree_partition, n, family)
+        if str(error).startswith("not an order filter: "):
+            # The reference names the pair its set order meets first.
+            assert message in {f"not an order filter: {mask_elements(S)} is in but "
+                               f"{mask_elements(T)} is not" for S, T in violations}
+        else:
+            assert message == str(error)
+        return
+    assert [(as_set(A), as_set(B)) for A, B in squarefree_partition(n, family)] == expected
+
+
+def test_a_negative_mask_never_indexes_the_table():
+    # bytearray takes -1 as its last byte, 0b11 here.
+    assert is_order_filter(2, [-1, 0b01]) == (0b01, 0b11)
+    assert is_order_filter(3, [-2, 0b111]) == (-2, -1)
+    with pytest.raises(ValueError, match=r"outside \[3\]"):
+        squarefree_partition(3, [-1, -5])
+
+
+# ---------------------------------------------------------------------------
+# Integral densities run on ints and give the Fraction answer.
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), min_size=1, max_size=n - 1))))
+def test_integral_density_gives_the_fraction_structure(case):
+    n, A = case
+    for k in range(1, (n - 1) // len(A) + 1):
+        structure = block_structure(n, A, k)
+        assert type(structure.delta) is int
+        assert structure == block_structure(n, A, Fraction(k))
+        reference = reference_block_structure(n, A, Fraction(k))
+        assert (structure.blocks, structure.gaps()) == (reference.blocks, reference.gaps())
+        assert type(reference.delta) is Fraction
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(1, n), min_size=1, max_size=n), st.integers(0, n))))
+@example((14, {1}, 6))
+@example((14, {3, 9}, 3))
+def test_lifted_f_matches_the_fraction_reference(case):
+    n, A, s = case
+    a = len(A)
+    if n < a * s + a + s:
+        with pytest.raises(ValueError, match="as"):
+            lifted_f(n, A, s)
+        return
+    assert lifted_f(n, A, s) == reference_lifted_f(n, A, s)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
-from syzdepth import blocks, cli, complexes, groebner, monomials, syzygy
+from syzdepth import blocks, cli, complexes, groebner, stanley, syzygy
 from syzdepth.cli import InputError, _dumps, load_ideal, main
 from syzdepth.complexes import check_exactness_on_box, minimize, syzygy_rows, taylor_complex
 from test_complexes import reference_complex_to_jsonable
+from reference_monomials import minimalize_ordered
 from syzdepth.groebner import InitialModule
 from syzdepth.monomials import MonomialIdeal
 
@@ -506,7 +508,7 @@ def _edges(n, pairs):
 @example((17, golden.INPUTS["wide17"]["generators"]))
 def test_squarefree_certificate_matches_the_reference_payload(ideal):
     n, gens = ideal
-    I = MonomialIdeal(n, monomials.minimalize_ordered(tuple(g) for g in gens))
+    I = MonomialIdeal(n, minimalize_ordered(tuple(g) for g in gens))
     expected = json.dumps(reference_squarefree_partition_payload(I), indent=2, sort_keys=True)
     assert "".join(cli._squarefree_partition_json(I)) == expected
 
@@ -522,7 +524,7 @@ def test_load_ideal_keeps_the_first_occurrence_order(ideal):
         with open(path, "w") as fh:
             json.dump({"n": n, "generators": gens}, fh)
         I, ordered = load_ideal(path)
-    expected = monomials.minimalize_ordered(tuple(g) for g in gens)
+    expected = minimalize_ordered(tuple(g) for g in gens)
     assert ordered == expected
     assert I == MonomialIdeal(n, expected)
 
@@ -890,6 +892,14 @@ def test_partition_peak_stays_below_its_output(ideal_file, tmp_path):
     assert peak < size
 
 
+def test_sparse_filter_in_forty_variables_stays_small(tmp_path):
+    # (x1...x38) in 40 variables has a filter of 4 sets; a membership table
+    # of that filter would take 2^40 bytes.
+    path = os.path.join(golden.GOLDEN, "inputs", "sparse40.json")
+    peak = _traced_peak(["partition", "--input", path, "--output", str(tmp_path / "out.json")])
+    assert peak < 1_000_000
+
+
 def test_resolve_peak_stays_below_two_and_a_half_outputs(ideal_file, tmp_path):
     # The complex is written one differential at a time; the complex itself
     # and the largest differential's text are what stay in memory.
@@ -952,11 +962,15 @@ def test_verify_peak_does_not_grow_with_trials(tmp_path):
     # by line.  Each traced call follows an untraced call of 1,000 trials,
     # which fills the exact search's bounded cache of ideal values and the
     # interpreter's free lists up to the largest trial, so that both peaks
-    # measure the same working set.
+    # measure the same working set.  What tracemalloc sees of a call depends
+    # on the collector's state and the free lists that earlier tests leave,
+    # so the test starts from an empty cache and a full collection.
     def argv(trials):
         return ["verify", "--theorem", "regular", "--trials", str(trials),
                 "--output", str(tmp_path / "stream")]
 
+    stanley._searched_ideal_sdepth.cache_clear()
+    gc.collect()
     peaks = {}
     for trials in (100, 1000):
         assert main(argv(1000)) == 0

@@ -36,14 +36,14 @@ from syzdepth import complexes, freemod, groebner, linalg
 from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth.groebner import InitialModule, hilbert_slice_check
 from syzdepth.instances import random_monomial_ideal, trial_rng
-from syzdepth.monomials import (MonomialIdeal, divides, lcm, lcm_closure, minimalize_ordered,
-                                mul, unit, variable)
+from syzdepth.monomials import MonomialIdeal, divides, lcm, lcm_closure, mul, unit, variable
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
 from reference_cones import (_divide, apply_columns, reference_comparison_cone,
                              reference_lift_through)
 from reference_groebner import add_multiple, leading_term
+from reference_monomials import minimalize_ordered
 import reference_slices
 from reference_slices import RankSlices
 from reference_vectors import (ModuleVector, complex_of, differential, multidegree_of,

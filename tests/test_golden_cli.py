@@ -62,6 +62,9 @@ INPUTS = {
     "wide17": _squarefree(17, [set(range(1, 14)) | {17}, set(range(6, 18)) | {1},
                                {1, 2, 4, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
                                set(range(3, 17))]),
+    # (x1...x38) in 40 variables: a filter of 4 sets in a cube of 2^40, which
+    # only the per-set code of the squarefree partition can hold.
+    "sparse40": _squarefree(40, [set(range(1, 39))]),
 }
 
 
@@ -105,6 +108,7 @@ def _cases():
              ["sdepth", "--input", name, "--mode", "sqfree-construct"]),
             (f"partition-{name}", ["partition", "--input", name]),
         ]
+    cases.append(("partition-sparse40", ["partition", "--input", "sparse40"]))
     for name in ("path4", "mixed"):
         for p in (1, 2, 3):
             cases.append((f"sdepth-filtration-{name}-p{p}",

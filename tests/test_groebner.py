@@ -23,13 +23,14 @@ from syzdepth.groebner import (
     leading_module,
 )
 from syzdepth.instances import random_monomial_ideal, random_stable_ideal, trial_rng
-from syzdepth.monomials import MonomialIdeal, minimalize_ordered
+from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone
 
 import reference_groebner
 from reference_cones import apply_columns, reference_taylor_step_cone
 from reference_groebner import leading_term
+from reference_monomials import minimalize_ordered
 from reference_vectors import ModuleVector, differential, multidegree_of, row_vectors, scalar_rows
 
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)

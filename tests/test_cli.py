@@ -403,8 +403,6 @@ def test_lifting_failure_exits_3(ideal_file, capsys, monkeypatch):
 def test_exact_search_failure_exits_3(ideal_file, capsys, monkeypatch, search, message):
     # A certificate that fails validation, or a search that finds none, is a
     # fault of the search; only the point limit is a refusal of the input.
-    from syzdepth import stanley
-
     monkeypatch.setattr(stanley, "_feasible_partition", search)
     code = main(["sdepth", "--input", ideal_file(LCM_TRIANGLE), "--mode", "exact"])
     captured = capsys.readouterr()

@@ -220,7 +220,10 @@ def subset_mask(elements: Iterable) -> int:
 
 
 def mask_elements(mask: int) -> list:
-    """The elements of [n] in a bitmask, in increasing order."""
+    """The elements of [n] in a bitmask, in increasing order.  A negative
+    mask, which has infinitely many bits set, raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"a negative mask has no finite list of elements: {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -268,13 +271,21 @@ def _upset(base: int, free: int) -> list:
 _TABLE_RATIO = 4
 
 
+def _cube_family(n: int, sets) -> set:
+    """The masks as a set, each checked to lie in [0, 2^n), the subsets of
+    [n]; a mask outside raises ValueError.  A negative mask must never
+    index a membership table: a bytearray takes -1 as its last byte."""
+    family = set(sets)
+    if family and (min(family) < 0 or max(family) >> n):
+        raise ValueError(f"the filter has a set outside [{n}]")
+    return family
+
+
 def _membership_table(n: int, family: set) -> Optional[bytearray]:
-    """Byte S is 1 exactly for the members S of the family, or None where
-    the family is too sparse for a table of 2^n bytes or has a mask outside
-    [0, 2^n), which must not index it (a bytearray takes -1 as its last)."""
+    """Byte S is 1 exactly for the members S of a family of subsets of [n]
+    (see _cube_family), or None where the family is too sparse for a table
+    of 2^n bytes."""
     if not family or (1 << n) > _TABLE_RATIO * len(family):
-        return None
-    if min(family) < 0 or max(family) >> n:
         return None
     table = bytearray(1 << n)
     for S in family:
@@ -303,8 +314,9 @@ def _table_violation(n: int, table: bytearray) -> Optional[tuple]:
 
 
 def is_order_filter(n: int, sets) -> Optional[tuple]:
-    """None when up-closed; otherwise a violating (member, superset) pair."""
-    family = set(sets)
+    """None when up-closed; otherwise a violating (member, superset) pair.
+    A mask outside [0, 2^n) raises ValueError."""
+    family = _cube_family(n, sets)
     table = _membership_table(n, family)
     if table is not None:
         return _table_violation(n, table)
@@ -354,13 +366,12 @@ def squarefree_partition(n: int, filter_sets) -> list:
     trivial interval, by size and then lexicographically.  Disjointness is
     asserted while covering.  A dense filter is checked and partitioned on
     its membership table (see _TABLE_RATIO), a sparse one set by set; both
-    give the same pairs in the same order.
+    give the same pairs in the same order.  A mask outside [0, 2^n) raises
+    ValueError.
     """
-    family = set(filter_sets)
+    family = _cube_family(n, filter_sets)
     if not family:
         return []
-    if max(family) >> n:
-        raise ValueError(f"the filter has a set outside [{n}]")
     table = _membership_table(n, family)
     bad = _set_violation(n, family) if table is None else _table_violation(n, table)
     if bad is not None:

@@ -460,12 +460,93 @@ _SUBPARSERS = next(action.choices for action in _PARSER._actions
                    if isinstance(action, argparse._SubParsersAction))
 
 
+def _option_table(parser: argparse.ArgumentParser):
+    """The parser's plain options, its namespace defaults and its required
+    actions, read from the actions that add_argument made:
+    ({option string: entry}, {dest: default}, [action]).
+
+    The options are the store actions that take one value and the
+    store_true flags, each as the entry (action, dest, flag, const, type,
+    choices); any other action, such as -h, is left out, so a token naming
+    it is not in the table.  The defaults are set as argparse sets them:
+    each action's default, in order, then set_defaults' values, the first
+    for each dest.  This holds while make_parser adds no mutually exclusive
+    group and no string default with a type, which argparse would convert
+    at the end of a parse; test_cli checks the table against argparse.
+    """
+    options = {}
+    defaults = {}
+    for action in parser._actions:
+        if (type(action) is argparse._StoreAction and action.nargs is None
+                or type(action) is argparse._StoreTrueAction):
+            entry = (action, action.dest, action.nargs == 0, action.const, action.type,
+                     action.choices)
+            options.update(dict.fromkeys(action.option_strings, entry))
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, [action for action in parser._actions if action.required]
+
+
+# Built once per process, beside the parsers: each subcommand's option table.
+_TABLES = {name: _option_table(parser) for name, parser in _SUBPARSERS.items()}
+
+
+def _parse_by_table(table, tokens) -> argparse.Namespace | None:
+    """The namespace that the subcommand's parser gives the tokens, or None
+    where the table cannot tell it without argparse.
+
+    Each token must be an exact option string of the table, a store
+    action's followed by a value that does not start with "-" and passes
+    the action's type and choices, and every required action must be
+    given; repeated options keep their last value, as in argparse.
+    """
+    options, defaults, required = table
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(defaults)
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        entry = options.get(token)
+        if entry is None:
+            return None
+        action, dest, flag, const, value_type, choices = entry
+        if flag:  # store_true
+            values[dest] = const
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            if value_type is not None:
+                try:
+                    value = value_type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None  # the errors that argparse words
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        seen.add(action)
+    if not seen.issuperset(required):
+        return None
+    return args
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """The namespace of the subcommand that argv names, from that
-    subcommand's parser alone.  Anything else, such as no arguments, -h, an
-    unknown command or an argument the subcommand leaves over, goes through
-    the whole parser, so help and error text stay its own."""
+    """The namespace of the subcommand that argv names, as its parser gives
+    it.
+
+    A well-formed argv is read through the subcommand's option table (see
+    _option_table and _parse_by_table), with no argparse parse.  Any other
+    argv, such as an abbreviation, --opt=value, a missing or bad value, -h
+    or --, goes to the subcommand's parser; and no arguments, an unknown
+    command or an argument the subcommand leaves over go through the whole
+    parser, so help and error text and exit 2 stay argparse's own."""
     if argv and argv[0] in _SUBPARSERS:
+        args = _parse_by_table(_TABLES[argv[0]], argv[1:])
+        if args is not None:
+            return args
         args, rest = _SUBPARSERS[argv[0]].parse_known_args(argv[1:])
         if not rest:
             return args
@@ -477,6 +558,12 @@ def _terminate(signum, frame):
 
 
 def main(argv=None) -> int:
+    """Run the subcommand that argv (a list of strings; sys.argv[1:] when
+    None) names, and return its exit code (see the module docstring).
+
+    The arguments are parsed by _parse_args: a well-formed argv through the
+    subcommand's option table, anything else through argparse, which
+    prints its help or error text and raises SystemExit (code 0 or 2)."""
     if argv is None:
         # Run as a program (`python -m syzdepth.cli` or the `syzdepth`
         # script): SIGTERM raises SystemExit, so that _output flushes and

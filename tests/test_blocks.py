@@ -400,25 +400,23 @@ def families_near_filters(draw):
 def test_membership_table_matches_the_per_set_code(case):
     n, family, stray = case
     if stray is not None:
+        # A mask outside [0, 2^n) is refused before any table is built.
         family = family | {stray}
-    # The guard: a table only for masks in [0, 2^n) and a dense family.
+        assert rejection(is_order_filter, n, family) == f"the filter has a set outside [{n}]"
+        assert rejection(squarefree_partition, n, family) == \
+            f"the filter has a set outside [{n}]"
+        return
+    # The guard: a table only for a dense family.
     dense = bool(family) and (1 << n) <= blocks._TABLE_RATIO * len(family)
-    in_range = stray is None or 0 <= stray < 1 << n
-    assert (blocks._membership_table(n, family) is not None) == (dense and in_range)
+    assert (blocks._membership_table(n, family) is not None) == dense
 
     bad = is_order_filter(n, family)
     violations = _violations(n, family)
     assert (bad is None) == (not violations)
     assert bad is None or bad in violations
-    if stray is None or stray >= 0:
-        reference = reference_is_order_filter(n, {as_set(S) for S in family})
-        assert (bad is None) == (reference is None)
+    reference = reference_is_order_filter(n, {as_set(S) for S in family})
+    assert (bad is None) == (reference is None)
 
-    if stray is not None:
-        if stray > 0:
-            assert rejection(squarefree_partition, n, family) == \
-                f"the filter has a set outside [{n}]"
-        return  # a negative mask beside sets of [n] is the per-set code's alone
     ref_family = {as_set(S) for S in family}
     try:
         expected = reference_squarefree_partition(n, ref_family)
@@ -436,10 +434,21 @@ def test_membership_table_matches_the_per_set_code(case):
 
 def test_a_negative_mask_never_indexes_the_table():
     # bytearray takes -1 as its last byte, 0b11 here.
-    assert is_order_filter(2, [-1, 0b01]) == (0b01, 0b11)
-    assert is_order_filter(3, [-2, 0b111]) == (-2, -1)
-    with pytest.raises(ValueError, match=r"outside \[3\]"):
-        squarefree_partition(3, [-1, -5])
+    for n, family in ((2, [-1, 0b01]), (3, [-2, 0b111]), (3, [-1, -5])):
+        for check in (is_order_filter, squarefree_partition):
+            with pytest.raises(ValueError, match=rf"^the filter has a set outside \[{n}\]$"):
+                check(n, family)
+
+
+def test_a_negative_mask_is_refused():
+    # The family {-1, [3]} in n = 3: -1 is no subset of [3], and has no
+    # finite list of elements.  mask_elements comes last, as a list of the
+    # bits of -1 would never end.
+    family = {-1, 0b111}
+    for check in (is_order_filter, squarefree_partition):
+        assert rejection(check, 3, family) == "the filter has a set outside [3]"
+    with pytest.raises(ValueError, match="negative mask"):
+        mask_elements(-1)
 
 
 # ---------------------------------------------------------------------------

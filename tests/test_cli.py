@@ -1029,3 +1029,123 @@ def test_parser_messages_are_the_whole_parsers(capsys, argv):
         return info.value.code, captured.out, captured.err
 
     assert outcome(main) == outcome(cli._PARSER.parse_args)
+
+
+# Token groups for one subcommand's argv, drawn from its parser's options:
+# an exact option with a good value, an abbreviation, --opt=value, an odd
+# or bad value, a value left out, and tokens that are no option.
+ODD_VALUES = ["-1", "", "two", "--output"]
+
+
+def _good_value(action):
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 99).map(str)
+    return st.sampled_from(["a.json", "out dir/o.json", "x=y"])
+
+
+@st.composite
+def _token_group(draw, command):
+    actions = [action for action in cli._SUBPARSERS[command]._actions
+               if action.option_strings and action.dest != "help"]
+    action = draw(st.sampled_from(actions))
+    option = action.option_strings[0]
+    flag = action.nargs == 0
+    value = draw(_good_value(action)) if not flag else None
+    kind = draw(st.sampled_from(["exact", "exact", "exact", "abbreviation", "equals",
+                                 "odd", "bad choice", "missing", "other"]))
+    if kind == "abbreviation":
+        short = option[:draw(st.integers(3, len(option) - 1))] if len(option) > 3 else option
+        return [short] if flag else [short, value]
+    if kind == "equals":
+        return [f"{option}={value or ''}"]
+    if kind == "odd" and not flag:
+        return [option, draw(st.sampled_from(ODD_VALUES))]
+    if kind == "bad choice" and action.choices is not None:
+        return [option, "bogus"]
+    if kind == "missing" and not flag:
+        return [option]
+    if kind == "other":
+        return [draw(st.sampled_from(["--", "extra", "-h", "--help", "-x", "--bogus"]))]
+    return [option] if flag else [option, value]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A subcommand and its tokens: its required options with good values,
+    unless dropped, and drawn groups, shuffled and joined."""
+    command = draw(st.sampled_from(sorted(cli._SUBPARSERS)))
+    groups = []
+    if draw(st.integers(0, 4)):
+        groups += [[action.option_strings[0], draw(_good_value(action))]
+                   for action in cli._SUBPARSERS[command]._actions if action.required]
+    groups += draw(st.lists(_token_group(command), max_size=8))
+    groups = draw(st.permutations(groups))
+    return [command] + [token for group in groups for token in group]
+
+
+def _parse_outcome(parse, argv):
+    """The namespace a parse gives, without command, or the exit code and
+    the text it writes to stdout and stderr before it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            namespace = vars(parse(argv))
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    namespace.pop("command", None)
+    return "namespace", namespace, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(subcommand_argv())
+@example(["verify", "--theorem", "mainsyz", "--trials", "2", "--trials", "3"])
+@example(["resolve", "--input", "a.json", "--check", "--check", "--minimize"])
+@example(["initial", "--input", "", "--p", "-1"])
+@example(["initial", "--input", "a.json", "--p", "two"])
+@example(["resolve", "--input", "--output"])
+@example(["sdepth", "--input", "a.json", "--mode", "bogus"])
+@example(["partition", "--input"])
+@example(["partition", "--input", "a.json", "--", "extra"])
+@example(["verify", "-h"])
+@example(["verify", "--theo=mainsyz", "--tri=5", "--seed=3", "--m-m=5"])
+def test_table_parse_gives_the_whole_parsers_outcome(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
+# One argv shaped like each kind of benchmark operation, with --input and
+# --output as the benchmark passes them.
+BENCH_SHAPED = [
+    ["resolve", "--method", "taylor", "--check", "--minimize",
+     "--input", "in/0000.json", "--output", "out/00000.json"],
+    ["resolve", "--method", "ek", "--check", "--input", "in/0001.json", "--output", "out/00001.json"],
+    ["initial", "--method", "taylor", "--p", "2", "--basis", "lex", "--oracle",
+     "--input", "in/0002.json", "--output", "out/00002.json"],
+    ["initial", "--method", "taylor", "--p", "1", "--basis", "boundary", "--oracle",
+     "--input", "in/0002.json", "--output", "out/00003.json"],
+    ["sdepth", "--mode", "exact", "--quotient", "--input", "in/0003.json",
+     "--output", "out/00004.json"],
+    ["sdepth", "--mode", "filtration-bound", "--p", "1", "--input", "in/0003.json",
+     "--output", "out/00005.json"],
+    ["sdepth", "--mode", "sqfree-construct", "--input", "in/0004.json",
+     "--output", "out/00006.json"],
+    ["partition", "--input", "in/0005.json", "--output", "out/00007.json"],
+    *[["verify", "--theorem", theorem, "--trials", "1", "--seed", "1234", "--n-max", "5",
+       "--m-max", "6", "--exp-max", "3", "--output", "out/00008.json"]
+      for theorem in ("theorem-main", "boundary-gb", "lemma-groebner", "mainsyz")],
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in golden.CASES] + BENCH_SHAPED, ids=repr)
+def test_well_formed_argv_parses_without_argparse(monkeypatch, argv):
+    whole = vars(cli._PARSER.parse_args(argv))
+    assert whole.pop("command") == argv[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed argv went to argparse")
+
+    for parser in cli._SUBPARSERS.values():
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert vars(cli._parse_args(argv)) == whole

@@ -40,7 +40,7 @@ from .complexes import (
     minimize,
     taylor_complex,
 )
-from .groebner import hilbert_slice_check
+from .groebner import _hilbert_slice_check
 from .monomials import Mono, MonomialIdeal
 from .stanley import SearchRefused, char_poset_under_limit, exact_sdepth, filtration_lower_bound
 from .syzygy import boundary_leading_terms, lex_refined_initial, verify_boundary_gb
@@ -54,7 +54,9 @@ class InputError(Exception):
 def load_ideal(path: str) -> tuple[MonomialIdeal, tuple[Mono, ...]]:
     """The ideal of the JSON file at path, and its minimal generators in the
     order in which they first occur in the file.  A file that cannot be read
-    or does not describe an ideal raises InputError."""
+    or does not describe an ideal raises InputError.  This is the one check
+    of the generators, monomials.EXPONENT_CAP included, so the ideal is
+    made unchecked."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -77,7 +79,10 @@ def load_ideal(path: str) -> tuple[MonomialIdeal, tuple[Mono, ...]]:
         if not any(g):
             raise InputError("the zero exponent vector is not a valid generator")
     gens = [tuple(g) for g in gens]
-    I = MonomialIdeal(n, gens)
+    for g in gens:
+        if max(g) >= monomials.EXPONENT_CAP:
+            raise InputError(f"exponent overflow in {g}")
+    I = MonomialIdeal._made(n, gens)
     # The minimal generators in first-occurrence order of the file.
     minimal = set(I.gens)
     return I, tuple(dict.fromkeys(g for g in gens if g in minimal))
@@ -259,7 +264,8 @@ def cmd_initial(args) -> int:
         ini, (rows, degrees) = lex_refined_initial(C, p)
         payload = {"p": p, "basis": args.basis, **ini.to_jsonable()}
         if args.oracle:
-            ok, bad = hilbert_slice_check(rows, degrees, ini)
+            # The rows are the complex's own, moved to the reordered basis.
+            ok, bad = _hilbert_slice_check(rows, degrees, ini)
             payload["oracle_equal"] = ok
             if not ok:
                 payload["failing_degree"] = list(bad)
@@ -276,7 +282,7 @@ def cmd_sdepth(args) -> int:
     I, ordered = load_ideal(args.input)
     if args.mode == "exact":
         # S/I is the unit ideal over I.
-        ideals = (MonomialIdeal(I.n, [monomials.unit(I.n)]), I) if args.quotient else (I,)
+        ideals = (MonomialIdeal._made(I.n, [monomials.unit(I.n)]), I) if args.quotient else (I,)
         try:
             poset = char_poset_under_limit(*ideals)
             result = exact_sdepth(poset)

@@ -34,7 +34,8 @@ class FreeComplex:
     Ch. 4).  The constructor takes one list of rows per positive
     homological degree, checked by freemod.check_rows against the degrees of
     F_p's basis, and keeps copies.  Taylor, minimize and mapping_cone write
-    rows through _made_on_read, which makes each level when first read.
+    rows through _made_on_read, which makes each level when first read and
+    checks nothing, as their rows and bases are made from checked ones.
     check_complex marks (_complex) a complex that passes, so that a later
     check returns at once.
     """
@@ -144,7 +145,7 @@ def taylor_complex(gens: Sequence[Mono], n: int) -> FreeComplex:
                 position[F] = i
             levels.append(level)
         level = levels[p]
-        basis = OrderedBasis(n, [BasisElement(lcms[F], labels[F]) for F in level])
+        basis = OrderedBasis._made(n, [BasisElement(lcms[F], labels[F]) for F in level])
         rows = []
         for F in level:
             # One entry per face F - {i}, for the elements i of F in
@@ -174,8 +175,9 @@ def is_regular_sequence(gens: Sequence[Mono]) -> bool:
 class ChainMap:
     """A degree-0 multigraded chain map phi: G -> F, stored as scalar rows:
     rows[i] holds phi_i's columns as FreeComplex holds d_p's, i = 0..G.length.
-    The constructor checks each level as FreeComplex's does; mapping_cone
-    tests commutation."""
+    The constructor checks each level as FreeComplex's does, and _made,
+    for rows the library lifted, checks nothing; mapping_cone tests
+    commutation."""
 
     __slots__ = ("source", "target", "rows")
 
@@ -190,6 +192,14 @@ class ChainMap:
             check_rows(f"phi_{i}", level, G.basis(i).degrees,
                        F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
             self.rows.append(list(level))
+
+    @classmethod
+    def _made(cls, source: FreeComplex, target: FreeComplex, rows: list) -> "ChainMap":
+        """The chain map of library-made rows, one list per level of source,
+        kept as given."""
+        phi = object.__new__(cls)
+        phi.source, phi.target, phi.rows = source, target, rows
+        return phi
 
 
 def _compose(row: dict, below) -> dict:
@@ -235,7 +245,7 @@ def _cone(G: FreeComplex, F: FreeComplex, phi_rows) -> FreeComplex:
             basis, below = F._level(i)
             elements += [BasisElement(e.degree, ("F", e.label)) for e in basis]
             rows += [{r + shift: c for r, c in f_row.items()} for f_row in below]
-        levels.append((OrderedBasis(n, elements), rows))
+        levels.append((OrderedBasis._made(n, elements), rows))
     return FreeComplex._made_on_read(n, [len(basis) for basis, _ in levels], levels.__getitem__)
 
 
@@ -260,7 +270,7 @@ def linear_quotients(gens: Sequence[Mono], n: int) -> LinearQuotients:
         raise ValueError("generators must be ordered by weakly increasing degree")
     sets = []
     for j in range(1, len(gens)):
-        colon = MonomialIdeal(n, gens[:j]).colon(gens[j])
+        colon = MonomialIdeal._made(n, gens[:j]).colon(gens[j])
         if any(sum(g) != 1 for g in colon.gens):
             return LinearQuotients(None, j)
         sets.append(frozenset(g.index(1) for g in colon.gens))
@@ -304,7 +314,7 @@ def stable_closure(I: MonomialIdeal) -> MonomialIdeal:
                 if not any(monomials.divides(g, v) for g in gens):
                     gens.add(v)
                     changed = True
-    return MonomialIdeal(I.n, gens)
+    return MonomialIdeal._made(I.n, gens)
 
 
 def stable_order(I: MonomialIdeal) -> tuple:
@@ -329,7 +339,7 @@ class _Lifter:
     def __init__(self, C: FreeComplex, p: int):
         self.complex, self.p = C, p
         # Past C's length, d_p has no column.
-        basis, columns = C._level(p) if p <= C.length else (OrderedBasis(C.n, ()), ())
+        basis, columns = C._level(p) if p <= C.length else (OrderedBasis._made(C.n, ()), ())
         self._filed, self._leads = {}, {}
         for c, (column, d) in enumerate(zip(columns, basis.degrees)):
             if column:
@@ -401,7 +411,8 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
     the one basis element of F_0; each higher phi_i lifts (_Lifter) the rows
     of phi_{i-1} d^G (_compose) through d^F_i.  The lifts are exact, so phi
     commutes, and the cone is written from the rows with no second test
-    (_cone).  Returns (cone, phi).
+    (_cone).  Returns (cone, phi), with phi made from the rows unchecked
+    (ChainMap._made), as are the shifted bases of G.
     """
     if F.rank(0) != 1:
         raise ValueError("expected a rank-one module in homological degree 0")
@@ -409,14 +420,15 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
     T = taylor_complex(colon_gens, n)
     # A degree shift changes no row, so G is T's rows on shifted bases.
     G = FreeComplex._made_on_read(n, T.ranks, lambda p: (
-        OrderedBasis(n, (BasisElement(monomials.mul(e.degree, u), e.label) for e in T.basis(p))),
+        OrderedBasis._made(n, (BasisElement(monomials.mul(e.degree, u), e.label)
+                               for e in T.basis(p))),
         T._level(p)[1]))
     phi_rows = [[{0: 1}]]
     for i in range(1, G.length + 1):
         (basis, rows), lifter = G._level(i), _Lifter(F, i)
         phi_rows.append([lifter.lift(_compose(row, phi_rows[i - 1]), d)
                          for row, d in zip(rows, basis.degrees)])
-    return _cone(G, F, phi_rows), ChainMap(G, F, phi_rows)
+    return _cone(G, F, phi_rows), ChainMap._made(G, F, phi_rows)
 
 
 class Resolution(NamedTuple):
@@ -519,7 +531,8 @@ def minimize(C: FreeComplex) -> FreeComplex:
     levels, remap = [], []
     for p in range(length + 1):
         live = [i for i in range(C.rank(p)) if alive[p][i]]
-        basis, perm = OrderedBasis(n, (C.basis(p).elements[i] for i in live)).sort_lex_refined()
+        live_basis = OrderedBasis._made(n, (C.basis(p).elements[i] for i in live))
+        basis, perm = live_basis.sort_lex_refined()
         remap.append({old: perm[k] for k, old in enumerate(live)})
         rows = [None] * len(basis)
         for old, new in remap[p].items():

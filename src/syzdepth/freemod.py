@@ -12,6 +12,7 @@ the rows it is given.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import le
 from typing import Any, Iterable, Optional
@@ -27,7 +28,11 @@ class BasisElement:
 
 
 class OrderedBasis:
-    """An ordered multihomogeneous basis; the sequence order is the module order."""
+    """An ordered multihomogeneous basis; the sequence order is the module order.
+
+    The constructor checks that every degree has length n; _made takes
+    elements the library made, and checks nothing.
+    """
 
     __slots__ = ("n", "elements", "degrees")
 
@@ -38,6 +43,15 @@ class OrderedBasis:
             if len(e.degree) != n:
                 raise ValueError(f"basis degree {e.degree} does not have length {n}")
         self.degrees = tuple(e.degree for e in self.elements)
+
+    @classmethod
+    def _made(cls, n: int, elements: Iterable[BasisElement]) -> "OrderedBasis":
+        """The basis of library-made elements, whose degrees have length n."""
+        basis = object.__new__(cls)
+        basis.n = n
+        basis.elements = tuple(elements)
+        basis.degrees = tuple(e.degree for e in basis.elements)
+        return basis
 
     def __len__(self):
         return len(self.elements)
@@ -68,54 +82,60 @@ class OrderedBasis:
         perm = [0] * len(order)
         for new, old in enumerate(order):
             perm[old] = new
-        basis = OrderedBasis(self.n, (self.elements[i] for i in order))
+        basis = OrderedBasis._made(self.n, (self.elements[i] for i in order))
         return basis, tuple(perm)
 
 
 class DegreeMasks:
     """Bitmasks over indexed exponent vectors, bit i standing for vector i.
 
-    at_most[k][t] holds the vectors whose k-th coordinate is at most t, so
-    the vectors in a box are an AND of one prefix mask per coordinate.
-    degrees is a sequence of (index, exponent vector) pairs, and size the
-    number of bits of the full mask.
+    Per coordinate k, the distinct values of the vectors' k-th coordinates
+    in increasing order, and their prefix masks: prefix j holds the vectors
+    whose k-th coordinate is one of the first j values.  So the vectors
+    whose k-th coordinate is at most t are one prefix mask, found by
+    bisection, and the vectors in a box are an AND of one per coordinate.
+    The tables hold one mask per distinct value, however large the
+    exponents are.  degrees is a sequence of (index, exponent vector)
+    pairs, and size the number of bits of the full mask.
     """
 
     def __init__(self, degrees, n: int, size: int):
         self.full = (1 << size) - 1
-        self.at_most = []
-        for k in range(n):
-            below = [0] * (max((d[k] for _, d in degrees), default=0) + 1)
-            for i, d in degrees:
-                below[d[k]] |= 1 << i
-            for t in range(1, len(below)):
-                below[t] |= below[t - 1]
-            self.at_most.append(below)
-        # A coordinate at or past its table's top keeps every vector that
-        # has a degree, the top's mask; the tables never change, so each
-        # top index and the mask's complement are stored once.
-        self._known = 0
+        self._known = 0  # the vectors that have a degree
         for i, _ in degrees:
             self._known |= 1 << i
-        self._unknown = self.full & ~self._known
-        self._tables = [(below, len(below) - 1) for below in self.at_most]
+        # Per coordinate (values, prefixes, top): a coordinate at or past
+        # the top, the largest value, keeps every vector that has a degree.
+        self._tables = []
+        for k in range(n):
+            by_value = {}
+            for i, d in degrees:
+                by_value[d[k]] = by_value.get(d[k], 0) | 1 << i
+            values, prefixes = sorted(by_value), [0]
+            for t in values:
+                prefixes.append(prefixes[-1] | by_value[t])
+            self._tables.append((values, prefixes, values[-1] if values else 0))
+
+    def at_most(self, k: int, t: int) -> int:
+        """Bitmask of the vectors whose k-th coordinate is at most t."""
+        values, prefixes, _ = self._tables[k]
+        return prefixes[bisect_right(values, t)]
 
     def dividing(self, a: Mono) -> int:
         """Bitmask of the vectors that divide a."""
         mask = self._known
-        for (below, top), t in zip(self._tables, a):
+        for (values, prefixes, top), t in zip(self._tables, a):
             if t < top:
-                mask &= below[t]
+                mask &= prefixes[bisect_right(values, t)]
         return mask
 
     def multiples(self, a: Mono) -> int:
-        """Bitmask of the vectors that a divides."""
+        """Bitmask of the vectors that a divides: per coordinate, those
+        whose value there is not below a's."""
         mask = self.full
-        for (below, top), t in zip(self._tables, a):
-            if t > top:
-                mask &= self._unknown
-            elif t > 0:
-                mask &= ~below[t - 1]
+        for (values, prefixes, _), t in zip(self._tables, a):
+            if t > 0:
+                mask &= ~prefixes[bisect_left(values, t)]
         return mask
 
 

@@ -16,6 +16,13 @@ Buchberger and for the lifts through a differential (complexes._Lifter),
 which ask it for the quotients.  Its update, linalg.add_scaled, and
 linalg.monic are the two operations of the rank engine linalg.eliminate
 too, so the field is known in linalg alone.
+
+Each public name that takes rows (buchberger, initial_module,
+leading_module, hilbert_slice_check, kernel_generators) checks them once with
+freemod.check_rows and runs its engine, the same name behind an
+underscore.  The library calls the engines on the rows of its complexes,
+which the FreeComplex constructor checked or the library wrote, and on
+rows it made from those, so no row is checked twice.
 """
 
 from __future__ import annotations
@@ -113,11 +120,17 @@ def _reduce(rem: dict, degree, filed: dict, quotients: dict = None) -> dict:
 def buchberger(rows, degrees, basis: OrderedBasis) -> GroebnerBasis:
     """The unique reduced Groebner basis of the submodule generated by the
     scalar rows at their degrees (None for a zero row), which
-    freemod.check_rows guards: the S-pair loop, minimalisation, then
-    inter-reduction of the tails against the kept elements, filed once, as
-    a tail lies past its own leading position.  The rows are sorted by
-    leading term, largest first."""
+    freemod.check_rows guards before _buchberger runs."""
     check_rows("the generators", rows, degrees, basis)
+    return _buchberger(rows, degrees, basis)
+
+
+def _buchberger(rows, degrees, basis: OrderedBasis) -> GroebnerBasis:
+    """buchberger's engine, on rows that are the columns of a map into the
+    basis: the S-pair loop, minimalisation, then inter-reduction of the
+    tails against the kept elements, filed once, as a tail lies past its
+    own leading position.  The rows are sorted by leading term, largest
+    first."""
     filed = {}
     kept = _minimal(_spair_loop(rows, degrees, basis))
     entries = [_file(filed, index, *element) for index, element in enumerate(kept)]
@@ -183,31 +196,53 @@ def _minimal(elements: list) -> list:
 
 def initial_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
     """Minimal generators of ini(M) per basis position, for the submodule M
-    generated by the rows, given as buchberger takes them: the leading
-    terms of a minimal Groebner basis, which are those of the reduced one,
-    so the tails are never inter-reduced."""
+    generated by the rows, given as buchberger takes them and checked as it
+    checks them before _initial_module runs."""
     check_rows("the generators", rows, degrees, basis)
+    return _initial_module(rows, degrees, basis)
+
+
+def _initial_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
+    """initial_module's engine: the leading terms of a minimal Groebner
+    basis, which are those of the reduced one, so the tails are never
+    inter-reduced."""
     kept = _minimal(_spair_loop(rows, degrees, basis))
-    return leading_module([row for row, _ in kept], [d for _, d in kept], basis)
+    return _leading_module([row for row, _ in kept], [d for _, d in kept], basis)
 
 
 def leading_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
     """The monomial module generated by the leading terms of the nonzero
-    rows at their degrees, one ideal per basis position: a row of degree d
-    leads at its smallest position r with the monomial x^(d - deg e_r)."""
+    rows at their degrees, given and checked as buchberger takes them, one
+    ideal per basis position, from _leading_module."""
+    check_rows("the rows", rows, degrees, basis)
+    return _leading_module(rows, degrees, basis)
+
+
+def _leading_module(rows, degrees, basis: OrderedBasis) -> InitialModule:
+    """leading_module's engine: a row of degree d leads at its smallest
+    position r with the monomial x^(d - deg e_r), which the rows' degrees
+    make a monomial, so each position's ideal is made unchecked."""
     targets, per_position = basis.degrees, {}
     for row, d in zip(rows, degrees):
         if row:
             r = min(row)
             per_position.setdefault(r, []).append(tuple(map(sub, d, targets[r])))
-    return InitialModule(basis, tuple(MonomialIdeal(basis.n, per_position.get(j, []))
+    return InitialModule(basis, tuple(MonomialIdeal._made(basis.n, per_position.get(j, ()))
                                       for j in range(len(basis))))
 
 
 def hilbert_slice_check(rows, degrees, initial: InitialModule):
-    """Graded dimensions of the span of the generators, given as buchberger
-    takes them, and of the initial module agree in every multidegree.
-    Returns (ok, first failing degree in lex order).
+    """Graded dimensions of the span of the generators, given and checked as
+    buchberger takes them, and of the initial module agree in every
+    multidegree.  Returns (ok, first failing degree in lex order), from
+    _hilbert_slice_check.
+    """
+    check_rows("the generators", rows, degrees, initial.basis)
+    return _hilbert_slice_check(rows, degrees, initial)
+
+
+def _hilbert_slice_check(rows, degrees, initial: InitialModule):
+    """hilbert_slice_check's engine.
 
     Both sides are blocks of one Slices engine: the generators, and the
     initial module's generators u e_j, which are unit rows {j: 1} at degree
@@ -216,7 +251,6 @@ def hilbert_slice_check(rows, degrees, initial: InitialModule):
     those degrees.
     """
     basis = initial.basis
-    check_rows("the generators", rows, degrees, basis)
     monomial = unit_rows(((j, u) for j, ideal in enumerate(initial.components)
                           for u in ideal.gens), basis)
     engine = Slices([(rows, degrees, len(basis)), (*monomial, len(basis))], basis.n)
@@ -241,14 +275,19 @@ def is_squarefree_module(initial: InitialModule) -> bool:
 def kernel_generators(rows, source_basis: OrderedBasis, target_basis: OrderedBasis):
     """Generators of the kernel of the map sending e_j to the element with
     the scalar row rows[j] at the degree of e_j, which freemod.check_rows
-    guards: the rows of the kernel's generators on the source basis and
-    their degrees.
+    guards before _kernel_generators runs: the rows of the kernel's
+    generators on the source basis and their degrees."""
+    check_rows("the map", rows, source_basis.degrees, target_basis)
+    return _kernel_generators(rows, source_basis, target_basis)
+
+
+def _kernel_generators(rows, source_basis: OrderedBasis, target_basis: OrderedBasis):
+    """kernel_generators' engine.
 
     The elements of the tagged Groebner basis (_tagged_groebner) with no
     target part are kernel elements, and their tag parts form a Groebner
     basis of the kernel under the source POT order.
     """
-    check_rows("the map", rows, source_basis.degrees, target_basis)
     gb = _tagged_groebner(rows, source_basis, target_basis)
     r = len(target_basis)
     kernel = [({pos - r: c for pos, c in row.items()}, d)
@@ -267,8 +306,8 @@ def _tagged_groebner(rows, source_basis: OrderedBasis,
     element of the tagged module is d(w) + w with w read at the tags.
     """
     r = len(target_basis)
-    extended = OrderedBasis(target_basis.n, list(target_basis.elements)
-                            + [BasisElement(e.degree, ("tag", e.label))
-                               for e in source_basis.elements])
+    extended = OrderedBasis._made(target_basis.n, list(target_basis.elements)
+                                  + [BasisElement(e.degree, ("tag", e.label))
+                                     for e in source_basis.elements])
     tagged = [{**row, r + j: 1} for j, row in enumerate(rows)]
-    return buchberger(tagged, source_basis.degrees, extended)
+    return _buchberger(tagged, source_basis.degrees, extended)

@@ -21,7 +21,8 @@ def random_monomial_ideal(rng: random.Random, n_max: int = 4, m_max: int = 5,
                           exp_max: int = 3, squarefree: bool = False,
                           min_gens: int = 1, n: Optional[int] = None) -> MonomialIdeal:
     """Uniform exponents in [0, exp_max], zero vectors rejected, generators
-    deduplicated and minimalized."""
+    deduplicated and minimalized; the draws are length n, nonnegative and
+    below the cap, so the ideal is made unchecked."""
     if n is None:
         n = rng.randint(1, n_max)
     m = rng.randint(min_gens, max(min_gens, m_max))
@@ -33,9 +34,9 @@ def random_monomial_ideal(rng: random.Random, n_max: int = 4, m_max: int = 5,
         u = tuple(rng.randint(0, cap) for _ in range(n))
         if any(u):
             gens.append(u)
-    ideal = MonomialIdeal(n, gens)
+    ideal = MonomialIdeal._made(n, gens)
     if ideal.is_zero():
-        return MonomialIdeal(n, [tuple(1 if i == 0 else 0 for i in range(n))])
+        return MonomialIdeal._made(n, [tuple(1 if i == 0 else 0 for i in range(n))])
     return ideal
 
 

@@ -124,7 +124,12 @@ def minimalize(gens: Iterable[Mono]) -> tuple:
 
 
 class MonomialIdeal:
-    """A monomial ideal, stored through its unique minimal generating set."""
+    """A monomial ideal, stored through its unique minimal generating set.
+
+    The constructor is the check for generators from outside: each must
+    have length n and pass check_monomial.  _made takes generators the
+    library made from checked ones, and checks nothing.
+    """
 
     __slots__ = ("n", "gens")
 
@@ -136,6 +141,16 @@ class MonomialIdeal:
                 raise ValueError(f"generator {g} does not have length {n}")
             check_monomial(g)
         self.gens = minimalize(gens)
+
+    @classmethod
+    def _made(cls, n: int, gens: Iterable[Mono]) -> "MonomialIdeal":
+        """The ideal of library-made generators, tuples of length n with
+        exponents in range: minimalized, at once when there is at most one."""
+        ideal = object.__new__(cls)
+        ideal.n = n
+        gens = tuple(gens)
+        ideal.gens = gens if len(gens) < 2 else minimalize(gens)
+        return ideal
 
     def __eq__(self, other):
         return (
@@ -161,8 +176,7 @@ class MonomialIdeal:
 
     def colon(self, v: Mono) -> "MonomialIdeal":
         """The colon ideal (self : v), via u/gcd(u, v) over the generators."""
-        quotients = [divide(lcm(g, v), v) for g in self.gens]
-        return MonomialIdeal(self.n, quotients)
+        return MonomialIdeal._made(self.n, [divide(lcm(g, v), v) for g in self.gens])
 
     def lcm_exponent(self) -> Mono:
         """Componentwise max of the generator exponents (zero vector if none)."""

@@ -208,19 +208,24 @@ class _CandidateTops(dict):
         self.points = sorted(P.points)
         self.cap = P.cap
         self.masks = DegreeMasks(list(enumerate(self.points)), P.n, len(self.points))
-        # Each prefix table padded with its last mask up to the cap, so that
-        # every coordinate a top can take indexes it directly.
-        self._below = [below + below[-1:] * (hi + 1 - len(below))
-                       for below, hi in zip(self.masks.at_most, self.cap)]
+        # Per coordinate, its least value over the points and the masks of
+        # the points at most t there, for t from that value up to the cap:
+        # every value a top can take from a point.  A table is as long as
+        # the walk of the tops from the point with that least value.
+        self._below = []
+        for k, hi in enumerate(self.cap):
+            low = min(a[k] for a in self.points)
+            self._below.append((low, [self.masks.at_most(k, t) for t in range(low, hi + 1)]))
 
     def __missing__(self, i):
         a = self.points[i]
         # (top so far, bitmask, value, size), extended one coordinate at a time
         partial = [((), self.masks.multiples(a), 0, 1)]
-        for lo, hi, below in zip(a, self.cap, self._below):
-            partial = [(b + (t,), mask & below[t],
+        for lo, hi, (low, below) in zip(a, self.cap, self._below):
+            steps = list(zip(range(lo, hi + 1), below[lo - low:]))  # (t, at most t)
+            partial = [(b + (t,), mask & at_most,
                         value + (t == hi), size * (t - lo + 1))
-                       for b, mask, value, size in partial for t in range(lo, hi + 1)]
+                       for b, mask, value, size in partial for t, at_most in steps]
         found = [(value, Interval(a, b), mask) for b, mask, value, size in partial
                  if mask.bit_count() == size]
         found.sort(key=lambda entry: (-entry[0], entry[1].top))
@@ -301,7 +306,7 @@ def ideal_sdepth(I: MonomialIdeal) -> int:
 # Keyed on the ideal alone, as the search's limits are constants.
 @functools.lru_cache(maxsize=1024)
 def _searched_ideal_sdepth(n: int, gens: tuple) -> int:
-    return exact_sdepth(char_poset_under_limit(MonomialIdeal(n, gens))).value
+    return exact_sdepth(char_poset_under_limit(MonomialIdeal._made(n, gens))).value
 
 
 class FiltrationBound(NamedTuple):

@@ -3,6 +3,9 @@
 Covers the Taylor closed form for syzygy initial modules, the boundary
 Groebner basis property, composition of Groebner bases through mapping
 cones, and the vanishing of early variables under lex-refined bases.
+The checks run groebner's engines on the rows of the complexes they are
+given, which the complexes' constructors checked or the library wrote;
+verify_gunnar_step, which takes rows from outside, checks them once.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from .freemod import OrderedBasis, check_rows
 from .groebner import (
     GroebnerBasis,
     InitialModule,
-    initial_module,
-    kernel_generators,
-    leading_module,
+    _initial_module,
+    _kernel_generators,
+    _leading_module,
 )
 from .monomials import Mono, MonomialIdeal
 
@@ -55,13 +58,13 @@ def taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdea
     for i in range(1, min(F)):
         lcm_Fi = monomials.lcm(lcm_F, gens[i - 1])
         quotients.append(monomials.divide(lcm_Fi, lcm_F))
-    return MonomialIdeal(n, quotients)
+    return MonomialIdeal._made(n, quotients)
 
 
 def boundary_leading_terms(C: FreeComplex, p: int) -> InitialModule:
     """Monomial module spanned by the leading terms of the (p+1)-boundaries,
     taken under the complex's own basis order at level p."""
-    return leading_module(*syzygy_rows(C, p), C.basis(p))
+    return _leading_module(*syzygy_rows(C, p), C.basis(p))
 
 
 @dataclass
@@ -98,14 +101,14 @@ def verify_boundary_gb(C: FreeComplex, p: int,
     if p < 1:
         raise ValueError("boundary Groebner bases are checked for p >= 1")
     rows, degrees = syzygy_rows(C, p)
-    boundary = leading_module(rows, degrees, C.basis(p))
-    oracle = initial_module(rows, degrees, C.basis(p))
+    boundary = _leading_module(rows, degrees, C.basis(p))
+    oracle = _initial_module(rows, degrees, C.basis(p))
     closed = None
     if taylor_gens is not None:
         components = []
         for e in C.basis(p):
             components.append(taylor_initial_component(taylor_gens, e.label)
-                              if e.label else MonomialIdeal(C.n, []))
+                              if e.label else MonomialIdeal._made(C.n, ()))
         closed = InitialModule(C.basis(p), tuple(components))
     return BoundaryGBReport(p, boundary, oracle, closed)
 
@@ -135,9 +138,9 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
         raise RuntimeError("composed element is not a cycle; the cone input "
                            "does not match the chain map")
     degrees = gbF.degrees + gbG.degrees
-    claimed = leading_module(composed, degrees, cone.basis(i))
+    claimed = _leading_module(composed, degrees, cone.basis(i))
     if oracle is None:
-        oracle = initial_module(*syzygy_rows(cone, i), cone.basis(i))
+        oracle = _initial_module(*syzygy_rows(cone, i), cone.basis(i))
     if claimed.components != oracle.components:
         raise RuntimeError("composed set is not a Groebner basis of the cone "
                            f"syzygy module at i={i}")
@@ -155,7 +158,7 @@ def lex_refined_initial(C: FreeComplex, p: int):
     basis, perm = C.basis(p).sort_lex_refined()
     rows, degrees = syzygy_rows(C, p)
     rows = [{perm[r]: c for r, c in row.items()} for row in rows]
-    return initial_module(rows, degrees, basis), (rows, degrees)
+    return _initial_module(rows, degrees, basis), (rows, degrees)
 
 
 def offending_generator(initial: InitialModule, k: int):
@@ -194,24 +197,24 @@ def verify_gunnar_step(rows, source_basis: OrderedBasis, target_basis: OrderedBa
     x_1..x_p under a lex-refined source basis.  The map sends e_j to the
     row rows[j], as kernel_generators reads it; freemod.check_rows refuses
     (ValueError) rows that are not such a map before any position is
-    moved."""
+    moved, and the engines run on the moved rows unchecked."""
     check_rows("the map", rows, source_basis.degrees, target_basis)
     G_basis, G_perm = target_basis.sort_lex_refined()
     F_basis, F_perm = source_basis.sort_lex_refined()
     moved = [None] * len(rows)
     for j, row in enumerate(rows):
         moved[F_perm[j]] = {G_perm[r]: c for r, c in row.items()}
-    image_ini = initial_module(moved, F_basis.degrees, G_basis)
+    image_ini = _initial_module(moved, F_basis.degrees, G_basis)
     bad = offending_generator(image_ini, max(p - 1, 0))
     if bad is not None:
         raise ValueError(f"hypothesis fails: ini of the image has generator "
                          f"{bad[1]} at position {bad[0]} meeting x_1..x_{p-1}")
-    kernel, degrees = kernel_generators(moved, F_basis, G_basis)
+    kernel, degrees = _kernel_generators(moved, F_basis, G_basis)
     witness: dict = {"kernel_size": len(kernel)}
     if not kernel:
         witness["note"] = "injective map; the kernel statement is vacuous"
         return TheoremReport("gunnar-step", instance, p, "PASS", witness)
-    kernel_ini = initial_module(kernel, degrees, F_basis)
+    kernel_ini = _initial_module(kernel, degrees, F_basis)
     witness["components"] = kernel_ini.to_jsonable()
     bad = offending_generator(kernel_ini, min(p, source_basis.n))
     if bad is not None:

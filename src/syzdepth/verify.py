@@ -1,7 +1,9 @@
 """Randomized and exhaustive verification harness for the library's theorems.
 
 Each job draws seeded instances, runs the relevant certified check and emits
-one report per instance; reports embed the instance for replay.
+one report per instance; reports embed the instance for replay.  The
+runners call groebner's engines on the rows of the complexes they build,
+which the library wrote, so no trial checks a row.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from .complexes import (
     taylor_complex,
 )
 from .groebner import (
-    buchberger,
-    initial_module,
+    _buchberger,
+    _initial_module,
+    _leading_module,
     is_squarefree_module,
-    leading_module,
 )
 from .instances import (
     ideal_instance,
@@ -57,6 +59,10 @@ class VerifyJob:
                             ("--exp-max", self.exp_max)):
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1")
+        if self.exp_max >= monomials.EXPONENT_CAP:
+            # Exponents are drawn up to exp_max, and the ideals made of them
+            # are not checked again.
+            raise ValueError(f"--exp-max must be below {monomials.EXPONENT_CAP}")
         if self.theorem == "lemma-groebner" and self.n_max < 2:
             # One variable gives principal ideals only, and the runner
             # redraws until it has two generators.
@@ -142,19 +148,19 @@ def _run_lemma_groebner(rng, job) -> dict:
     cone, phi = taylor_step_cone(gens, I.n)
     G, F = phi.source, phi.target
     for i in range(1, cone.length + 1):
-        ini_c = initial_module(*syzygy_rows(cone, i), cone.basis(i))
+        ini_c = _initial_module(*syzygy_rows(cone, i), cone.basis(i))
         # Z_{i-1}(G) is generated by the columns of the i-th differential of G
         # (at i = 1 these generate the resolved colon module itself).
-        gbG = (buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1))
+        gbG = (_buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1))
                if i <= G.length else None)
-        gbF = (buchberger(*syzygy_rows(F, i), F.basis(i))
+        gbF = (_buchberger(*syzygy_rows(F, i), F.basis(i))
                if i <= F.length else None)
         g_components = (
-            leading_module(gbG.rows, gbG.degrees, gbG.basis).components
+            _leading_module(gbG.rows, gbG.degrees, gbG.basis).components
             if gbG is not None
-            else tuple(MonomialIdeal(I.n, []) for _ in range(G.rank(i - 1))))
+            else tuple(MonomialIdeal._made(I.n, ()) for _ in range(G.rank(i - 1))))
         f_components = (
-            leading_module(gbF.rows, gbF.degrees, gbF.basis).components
+            _leading_module(gbF.rows, gbF.degrees, gbF.basis).components
             if gbF is not None else ())
         expected = g_components + f_components
         if ini_c.components != expected:
@@ -195,7 +201,7 @@ def _run_regular(rng, job) -> dict:
         rows, degrees = syzygy_rows(C, p)
         if not rows:
             continue
-        ini = initial_module(rows, degrees, C.basis(p))
+        ini = _initial_module(rows, degrees, C.basis(p))
         bound = filtration_lower_bound(ini)
         required = n - (m - p) // 2
         if not bound.free and bound.value < required:

@@ -118,8 +118,8 @@ def test_initial_beyond_length(ideal_file, capsys):
 def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypatch, basis):
     # At p = 0 both bases check the emitted module against the span of the
     # columns of d_1; dropping a generator must be caught, not passed over.
-    # The lex path hands the rows of d_1 to initial_module.
-    real = groebner.initial_module
+    # The lex path hands the rows of d_1 to initial_module's engine.
+    real = groebner._initial_module
 
     def damaged(rows, degrees, order):
         ini = real(rows, degrees, order)
@@ -127,7 +127,7 @@ def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypa
         return InitialModule(ini.basis, (MonomialIdeal(first.n, first.gens[1:]),)
                              + ini.components[1:])
 
-    monkeypatch.setattr(syzygy, "initial_module", damaged)
+    monkeypatch.setattr(syzygy, "_initial_module", damaged)
     code, data = run_json(["initial", "--input", ideal_file(LCM_TRIANGLE), "--p", "0",
                            "--basis", basis, "--oracle"], capsys)
     assert code == 1
@@ -320,6 +320,7 @@ BAD_VERIFY_BOUNDS = [
     (["--m-max", "0"], "--m-max must be at least 1"),
     (["--exp-max", "0"], "--exp-max must be at least 1"),
     (["--exp-max", "-1"], "--exp-max must be at least 1"),
+    (["--exp-max", "2147483648"], "--exp-max must be below 2147483648"),
     (["--theorem", "lemma-groebner", "--n-max", "1"],
      "--n-max must be at least 2 for lemma-groebner"),
     (["--theorem", "sqfree-stde", "--n-max", "1"],
@@ -974,6 +975,49 @@ def test_verify_peak_does_not_grow_with_trials(tmp_path):
         assert main(argv(1000)) == 0
         peaks[trials] = _traced_peak(argv(trials))
     assert peaks[1000] <= 1.5 * peaks[100]
+
+
+# (x1 x2^E, x1^3) with E = 2^31 - 1, the largest exponent below the cap; its
+# lcm closure has 4 degrees.  A table per exponent value up to E would hold
+# 2^31 entries for x2.
+LARGEST_EXPONENT = {"n": 2, "generators": [[1, 2**31 - 1], [3, 0]]}
+
+
+@pytest.mark.parametrize("args", [["resolve", "--check"],
+                                  ["initial", "--p", "1", "--basis", "lex", "--oracle"]],
+                         ids=["resolve", "initial"])
+def test_certificates_of_the_largest_exponent_stay_small(ideal_file, tmp_path, args):
+    out = tmp_path / "out.json"
+    peak = _traced_peak(args + ["--input", ideal_file(LARGEST_EXPONENT), "--output", str(out)])
+    data = json.loads(out.read_text())
+    if args[0] == "resolve":
+        assert data["exactness"] == {"degrees_checked": 4, "ok": True}
+    else:
+        assert data["oracle_equal"] is True
+    assert peak < 200_000
+
+
+def test_exact_sdepth_of_one_far_point_stays_small(ideal_file, tmp_path):
+    # The poset of (x1^E) has the single point E, and the search's tables
+    # run from the points' least value up to the cap, not from 0.
+    out = tmp_path / "out.json"
+    peak = _traced_peak(["sdepth", "--input", ideal_file({"n": 1, "generators": [[2**31 - 1]]}),
+                         "--output", str(out)])
+    assert json.loads(out.read_text())["sdepth"] == 1
+    assert peak < 200_000
+
+
+@pytest.mark.parametrize("command", [["resolve"], ["initial", "--p", "1"], ["sdepth"],
+                                     ["partition"]], ids=lambda command: command[0])
+def test_an_exponent_at_the_cap_is_refused(ideal_file, capsys, command):
+    # load_ideal is the one check of the generators, and the ideal it makes
+    # is not checked again.
+    code = main(command + ["--input", ideal_file({"n": 2,
+                                                  "generators": [[2**31, 0], [0, 1]]})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: exponent overflow in (2147483648, 0)\n"
 
 
 def test_initial_on_a_long_path_makes_two_levels(ideal_file, tmp_path):

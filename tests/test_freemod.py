@@ -469,18 +469,33 @@ def test_leading_term_is_multiplicative(raw, m):
     assert tm.monomial == tuple(a + b for a, b in zip(t.monomial, m))
 
 
-def reference_dividing(masks, a):
+def clamping_tables(known, n):
+    """The prefix tables DegreeMasks kept when it indexed them by every
+    value from 0 to each coordinate's largest: below[t] holds the vectors
+    whose coordinate is at most t."""
+    tables = []
+    for k in range(n):
+        below = [0] * (max((d[k] for _, d in known), default=0) + 1)
+        for i, d in known:
+            below[d[k]] |= 1 << i
+        for t in range(1, len(below)):
+            below[t] |= below[t - 1]
+        tables.append(below)
+    return tables
+
+
+def reference_dividing(full, tables, a):
     """DegreeMasks.dividing as it read when it clamped every coordinate."""
-    mask = masks.full
-    for below, t in zip(masks.at_most, a):
+    mask = full
+    for below, t in zip(tables, a):
         mask &= below[min(t, len(below) - 1)]
     return mask
 
 
-def reference_multiples(masks, a):
+def reference_multiples(full, tables, a):
     """DegreeMasks.multiples as it read when it clamped every coordinate."""
-    mask = masks.full
-    for below, t in zip(masks.at_most, a):
+    mask = full
+    for below, t in zip(tables, a):
         if t > 0:
             mask &= ~below[min(t - 1, len(below) - 1)]
     return mask
@@ -494,9 +509,12 @@ def test_degree_masks_match_the_clamping_reference(data):
     n = data.draw(st.integers(1, 4))
     degrees = data.draw(st.lists(st.none() | st.tuples(*[st.integers(0, 3)] * n),
                                  max_size=12))
-    masks = DegreeMasks([(i, d) for i, d in enumerate(degrees) if d is not None],
-                        n, len(degrees))
+    known = [(i, d) for i, d in enumerate(degrees) if d is not None]
+    masks = DegreeMasks(known, n, len(degrees))
+    full, tables = (1 << len(degrees)) - 1, clamping_tables(known, n)
     queries = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=8))
     for a in queries + [(0,) * n]:
-        assert masks.dividing(a) == reference_dividing(masks, a)
-        assert masks.multiples(a) == reference_multiples(masks, a)
+        assert masks.dividing(a) == reference_dividing(full, tables, a)
+        assert masks.multiples(a) == reference_multiples(full, tables, a)
+        for k, t in enumerate(a):
+            assert masks.at_most(k, t) == tables[k][min(t, len(tables[k]) - 1)]

@@ -1,13 +1,18 @@
+import sys
+
 import pytest
 
+from syzdepth import freemod
 from syzdepth.complexes import (
+    FreeComplex,
+    comparison_cone,
     eliahou_kervaire,
     minimize,
     syzygy_rows,
     taylor_complex,
 )
 from syzdepth.freemod import BasisElement, OrderedBasis
-from syzdepth.groebner import buchberger, initial_module, leading_module
+from syzdepth.groebner import buchberger, initial_module, kernel_generators, leading_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
     boundary_leading_terms,
@@ -18,7 +23,7 @@ from syzdepth.syzygy import (
     verify_gunnar_step,
     verify_theorem_main,
 )
-from syzdepth.verify import taylor_step_cone
+from syzdepth.verify import THEOREMS, VerifyJob, run_verify_job, taylor_step_cone
 
 from reference_cones import apply_columns
 from reference_groebner import leading_term
@@ -191,3 +196,75 @@ def test_a_level_outside_the_complex_is_refused():
         boundary_leading_terms(C, -1)
     with pytest.raises(ValueError, match=r"homological degree 3 is outside 0\.\.2"):
         verify_boundary_gb(C, C.length + 1)
+
+
+# ---------------------------------------------------------------------------
+# One check per public input: the library's own rows are not checked again.
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The names of the check_rows calls made while the test runs, through
+    every syzdepth module that holds check_rows."""
+    names, real = [], freemod.check_rows
+
+    def counted(name, *args):
+        names.append(name)
+        return real(name, *args)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("syzdepth")]:
+        if getattr(module, "check_rows", None) is real:
+            monkeypatch.setattr(module, "check_rows", counted)
+    return names
+
+
+def test_kernel_generators_checks_its_map_once(checks):
+    K = taylor_complex([X1, X2, X3], 3)
+    kernel, _ = kernel_generators(syzygy_rows(K, 0)[0], K.basis(1), K.basis(0))
+    assert len(kernel) == 3
+    assert checks == ["the map"]
+
+
+def test_gunnar_step_checks_its_map_once(checks):
+    K = taylor_complex([X1, X2, X3], 3)
+    assert verify_gunnar_step(syzygy_rows(K, 0)[0], K.basis(1), K.basis(0), 1).passed
+    assert checks == ["the map"]
+
+
+def test_leading_module_checks_its_rows_once(checks):
+    # The parent made the leading monomial (-1, 0) of this row and refused
+    # it in the ideal's constructor; the rows' check now refuses the row.
+    basis = OrderedBasis(2, [BasisElement((1, 0))])
+    assert leading_module([{0: 1}], [(1, 1)], basis).components[0].gens == ((0, 1),)
+    assert checks == ["the rows"]
+    with pytest.raises(ValueError, match=r"^the rows: column 0 has degree \(0, 0\), which "
+                                         r"the degree \(1, 0\) of position 0 does not divide$"):
+        leading_module([{0: 1}], [(0, 0)], basis)
+
+
+def test_comparison_cone_checks_nothing(checks):
+    # The cone of the last Taylor step of the squares, read at every level,
+    # and its chain map.
+    F = taylor_complex(SQUARES[:2], 2)
+    cone, phi = comparison_cone(F, [(1, 0)], SQUARES[2])
+    assert [len(level) for level in phi.rows] == [1, 1]
+    assert [cone.basis(p).degrees for p in range(cone.length + 1)] == [
+        ((0, 0),), ((0, 2), (1, 1), (2, 0)), ((1, 2), (2, 1))]
+    assert [syzygy_rows(cone, p) for p in range(cone.length)]
+    assert checks == []
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_a_verify_trial_checks_nothing(checks, theorem):
+    job = VerifyJob(theorem, trials=3, seed=1, n_max=4, m_max=4, exp_max=2)
+    assert [report["status"] for report in run_verify_job(job)] == ["PASS"] * 3
+    assert checks == []
+
+
+def test_a_complex_from_outside_checks_each_level_once(checks):
+    K = taylor_complex([X1, X2, X3], 3)
+    rows = [syzygy_rows(K, p)[0] for p in range(K.length)]
+    C = FreeComplex(3, K.bases, rows)
+    assert checks == ["differential 1", "differential 2", "differential 3"]
+    assert verify_boundary_gb(C, 1).equal and lex_refined_initial(C, 2)
+    assert len(checks) == 3

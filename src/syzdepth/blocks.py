@@ -317,14 +317,15 @@ def is_order_filter(n: int, sets) -> Optional[tuple]:
     """None when up-closed; otherwise a violating (member, superset) pair.
     A mask outside [0, 2^n) raises ValueError."""
     family = _cube_family(n, sets)
-    table = _membership_table(n, family)
+    return _violation(n, family, _membership_table(n, family))
+
+
+def _violation(n: int, family: set, table: Optional[bytearray]) -> Optional[tuple]:
+    """is_order_filter on the family's membership table where it has one
+    (see _table_violation), else set by set: each member's one-element
+    extensions."""
     if table is not None:
         return _table_violation(n, table)
-    return _set_violation(n, family)
-
-
-def _set_violation(n: int, family: set) -> Optional[tuple]:
-    """is_order_filter set by set: each member's one-element extensions."""
     full = (1 << n) - 1
     for S in family:
         free = full & ~S
@@ -366,14 +367,14 @@ def squarefree_partition(n: int, filter_sets) -> list:
     trivial interval, by size and then lexicographically.  Disjointness is
     asserted while covering.  A dense filter is checked and partitioned on
     its membership table (see _TABLE_RATIO), a sparse one set by set; both
-    give the same pairs in the same order.  A mask outside [0, 2^n) raises
-    ValueError.
+    run the same _stages and give the same pairs in the same order.  A mask
+    outside [0, 2^n) raises ValueError.
     """
     family = _cube_family(n, filter_sets)
     if not family:
         return []
     table = _membership_table(n, family)
-    bad = _set_violation(n, family) if table is None else _table_violation(n, table)
+    bad = _violation(n, family, table)
     if bad is not None:
         raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
                          f"{mask_elements(bad[1])} is not")
@@ -381,31 +382,26 @@ def squarefree_partition(n: int, filter_sets) -> list:
         raise ValueError("the filter contains the empty set (unit ideal)")
     schedule = sigma_schedule(_largest_s(n + 1))
     if table is not None:
-        return _partition_on_table(n, table, schedule)
+        # Each size class from combinations of the bits, kept where its
+        # byte is 1; covering a set sets its byte to 0.
+        bits = [1 << i for i in range(n)]
+
+        def uncovered(size):
+            masks, probes = itertools.tee(_lex_masks(bits, size))
+            return itertools.compress(masks, map(table.__getitem__, probes))
+
+        def cover(members):
+            for C in members:
+                table[C] = 0
+
+        return _stages(n, schedule, uncovered, table.__getitem__, cover)
+    # Each size class sorted once, kept while in the family; covering a set
+    # removes it from the family.
     by_size = [[] for _ in range(n + 1)]
-    for S in family:
+    for S in sorted(family, key=_lex_key(n)):
         by_size[S.bit_count()].append(S)
-    key = _lex_key(n)
-    covered = set()
-    out = []
-    for a in range(1, schedule.r + 1):
-        for A in sorted(by_size[a], key=key):
-            if A in covered:
-                continue
-            top = subset_mask(lifted_f(n, mask_elements(A), schedule(a)))
-            members = _upset(A, top & ~A)
-            if not covered.isdisjoint(members):
-                # The first clash in the order of growing extensions of A.
-                clash = min((C for C in members if C in covered),
-                            key=lambda C: (C.bit_count(), key(C & ~A)))
-                raise RuntimeError(f"stage {a} interval [{mask_elements(A)}, "
-                                   f"{mask_elements(top)}] meets the cover at "
-                                   f"{mask_elements(clash)}")
-            covered.update(members)
-            out.append((A, top))
-    for size in by_size:
-        out.extend((B, B) for B in sorted(size, key=key) if B not in covered)
-    return out
+    return _stages(n, schedule, lambda size: filter(family.__contains__, by_size[size]),
+                   family.__contains__, family.difference_update)
 
 
 def _lex_masks(bits: list, size: int):
@@ -414,34 +410,27 @@ def _lex_masks(bits: list, size: int):
     return map(sum, itertools.combinations(bits, size))
 
 
-def _partition_on_table(n: int, table: bytearray, schedule: SigmaSchedule) -> list:
-    """squarefree_partition's stages on the filter's membership table.
-
-    Each size class is read in lexicographic order from combinations of
-    the bits, kept where the table is 1; covering a set sets its byte to 0,
-    so the bytes left at 1 after the stages are the trivial intervals.
+def _stages(n: int, schedule: SigmaSchedule, uncovered, present, cover) -> list:
+    """squarefree_partition's stages and trivial intervals on one membership
+    form of the filter: uncovered(size) iterates over the members of that
+    size not yet covered, in lexicographic order, reading the form as it
+    goes; present(C) is true while the member C is uncovered; cover(members)
+    marks the members covered.
     """
-    bits = [1 << i for i in range(n)]
-
-    def uncovered(size):
-        masks, probes = itertools.tee(_lex_masks(bits, size))
-        return itertools.compress(masks, map(table.__getitem__, probes))
-
     out = []
     for a in range(1, schedule.r + 1):
         for A in uncovered(a):
             top = subset_mask(lifted_f(n, mask_elements(A), schedule(a)))
             members = _upset(A, top & ~A)
-            if not all(map(table.__getitem__, members)):
+            if not all(map(present, members)):
                 # The first clash in the order of growing extensions of A.
-                free = [bit for bit in bits if bit & top & ~A]
+                free = [1 << (x - 1) for x in mask_elements(top & ~A)]
                 clash = next(A | E for size in range(len(free) + 1)
-                             for E in _lex_masks(free, size) if not table[A | E])
+                             for E in _lex_masks(free, size) if not present(A | E))
                 raise RuntimeError(f"stage {a} interval [{mask_elements(A)}, "
                                    f"{mask_elements(top)}] meets the cover at "
                                    f"{mask_elements(clash)}")
-            for C in members:
-                table[C] = 0
+            cover(members)
             out.append((A, top))
     for size in range(1, n + 1):
         out.extend((B, B) for B in uncovered(size))

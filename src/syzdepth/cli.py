@@ -404,108 +404,96 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+# The grammar: for each subcommand, its handler, its help text and its
+# options, each as its option string and its add_argument keywords.  Every
+# option stores one value or is a store_true flag.
+_INPUT = ("--input", {"required": True})
+_METHOD = ("--method", {"choices": list(RESOLUTIONS), "default": "taylor"})
+_OUTPUT = ("--output", {})
+_COMMANDS = {
+    "resolve": (cmd_resolve, "construct a free resolution", [
+        _INPUT, _METHOD, ("--minimize", {"action": "store_true"}),
+        ("--check", {"action": "store_true", "help": "certify exactness in every multidegree"}),
+        _OUTPUT]),
+    "initial": (cmd_initial, "initial module of a syzygy module", [
+        _INPUT, _METHOD, ("--p", {"type": int, "required": True}),
+        ("--basis", {"choices": ["lex", "boundary"], "default": "lex"}),
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check the initial module: Buchberger for --basis "
+                              "boundary at p >= 1, the Hilbert-slice check otherwise"}),
+        _OUTPUT]),
+    "sdepth": (cmd_sdepth, "Stanley depth, exact or bounded", [
+        _INPUT,
+        ("--mode", {"choices": ["exact", "filtration-bound", "sqfree-construct"],
+                    "default": "exact"}),
+        ("--quotient", {"action": "store_true",
+                        "help": "work with S/I instead of I (exact mode)"}),
+        ("--p", {"type": int, "help": "syzygy index (filtration-bound mode)"}),
+        _OUTPUT]),
+    "partition": (cmd_partition, "constructive squarefree interval partition",
+                  [_INPUT, _OUTPUT]),
+    "verify": (cmd_verify, "randomized theorem verification", [
+        ("--theorem", {"choices": list(THEOREMS), "required": True}),
+        ("--trials", {"type": int, "default": 20}), ("--seed", {"type": int, "default": 0}),
+        ("--n-max", {"type": int, "default": 4}), ("--m-max", {"type": int, "default": 4}),
+        ("--exp-max", {"type": int, "default": 3}), _OUTPUT]),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the grammar _COMMANDS, for help, errors and
+    abbreviations."""
     parser = argparse.ArgumentParser(
         prog="syzdepth",
         description="Resolutions of monomial ideals, syzygy initial modules, "
                     "and Stanley depth, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("resolve", help="construct a free resolution")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=list(RESOLUTIONS), default="taylor")
-    p.add_argument("--minimize", action="store_true")
-    p.add_argument("--check", action="store_true",
-                   help="certify exactness in every multidegree")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("initial", help="initial module of a syzygy module")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=list(RESOLUTIONS), default="taylor")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--basis", choices=["lex", "boundary"], default="lex")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check the initial module: Buchberger for --basis "
-                        "boundary at p >= 1, the Hilbert-slice check otherwise")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_initial)
-
-    p = sub.add_parser("sdepth", help="Stanley depth, exact or bounded")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["exact", "filtration-bound", "sqfree-construct"],
-                   default="exact")
-    p.add_argument("--quotient", action="store_true",
-                   help="work with S/I instead of I (exact mode)")
-    p.add_argument("--p", type=int, help="syzygy index (filtration-bound mode)")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_sdepth)
-
-    p = sub.add_parser("partition", help="constructive squarefree interval partition")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("verify", help="randomized theorem verification")
-    p.add_argument("--theorem", choices=list(THEOREMS), required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--exp-max", type=int, default=3)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 # Built once per process: the parser depends on no input and parse_args
 # leaves it unchanged, so every call can share it.
 _PARSER = make_parser()
-# The parser of each subcommand, by name.
-_SUBPARSERS = next(action.choices for action in _PARSER._actions
-                   if isinstance(action, argparse._SubParsersAction))
 
 
-def _option_table(parser: argparse.ArgumentParser):
-    """The parser's plain options, its namespace defaults and its required
-    actions, read from the actions that add_argument made:
-    ({option string: entry}, {dest: default}, [action]).
+def _option_table(name: str):
+    """The subcommand's exact options, its namespace defaults and its
+    required dests, read from _COMMANDS: ({option string: entry}, {dest:
+    default}, {dest}).
 
-    The options are the store actions that take one value and the
-    store_true flags, each as the entry (action, dest, flag, const, type,
-    choices); any other action, such as -h, is left out, so a token naming
-    it is not in the table.  The defaults are set as argparse sets them:
-    each action's default, in order, then set_defaults' values, the first
-    for each dest.  This holds while make_parser adds no mutually exclusive
-    group and no string default with a type, which argparse would convert
-    at the end of a parse; test_cli checks the table against argparse.
+    Each entry is (dest, flag, type, choices), flag true for a store_true
+    flag.  The defaults are those of the whole parser's namespace for the
+    subcommand: command, each option's default and the handler as func.
     """
-    options = {}
-    defaults = {}
-    for action in parser._actions:
-        if (type(action) is argparse._StoreAction and action.nargs is None
-                or type(action) is argparse._StoreTrueAction):
-            entry = (action, action.dest, action.nargs == 0, action.const, action.type,
-                     action.choices)
-            options.update(dict.fromkeys(action.option_strings, entry))
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, defaults, [action for action in parser._actions if action.required]
+    func, _, options = _COMMANDS[name]
+    table, defaults, required = {}, {"command": name}, set()
+    for option, keywords in options:
+        dest = option[2:].replace("-", "_")
+        flag = keywords.get("action") == "store_true"
+        table[option] = (dest, flag, keywords.get("type"), keywords.get("choices"))
+        defaults[dest] = keywords.get("default", False if flag else None)
+        if keywords.get("required"):
+            required.add(dest)
+    defaults["func"] = func
+    return table, defaults, required
 
 
-# Built once per process, beside the parsers: each subcommand's option table.
-_TABLES = {name: _option_table(parser) for name, parser in _SUBPARSERS.items()}
+# Built once per process, beside the parser: each subcommand's option table.
+_TABLES = {name: _option_table(name) for name in _COMMANDS}
 
 
 def _parse_by_table(table, tokens) -> argparse.Namespace | None:
-    """The namespace that the subcommand's parser gives the tokens, or None
-    where the table cannot tell it without argparse.
+    """The namespace that the whole parser gives the subcommand and its
+    tokens, or None where the table cannot tell it without argparse.
 
-    Each token must be an exact option string of the table, a store
-    action's followed by a value that does not start with "-" and passes
-    the action's type and choices, and every required action must be
+    Each token must be an exact option string of the table, a stored
+    option's followed by a value that does not start with "-" and passes
+    the option's type and choices, and every required option must be
     given; repeated options keep their last value, as in argparse.
     """
     options, defaults, required = table
@@ -518,9 +506,9 @@ def _parse_by_table(table, tokens) -> argparse.Namespace | None:
         entry = options.get(token)
         if entry is None:
             return None
-        action, dest, flag, const, value_type, choices = entry
-        if flag:  # store_true
-            values[dest] = const
+        dest, flag, value_type, choices = entry
+        if flag:
+            values[dest] = True
         else:
             value = next(tokens, "-")
             if value.startswith("-"):
@@ -533,28 +521,23 @@ def _parse_by_table(table, tokens) -> argparse.Namespace | None:
             if choices is not None and value not in choices:
                 return None
             values[dest] = value
-        seen.add(action)
+        seen.add(dest)
     if not seen.issuperset(required):
         return None
     return args
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The namespace of the subcommand that argv names, as its parser gives
-    it.
+    """The namespace that the whole parser gives argv.
 
-    A well-formed argv is read through the subcommand's option table (see
+    A well-formed argv is read through its subcommand's option table (see
     _option_table and _parse_by_table), with no argparse parse.  Any other
-    argv, such as an abbreviation, --opt=value, a missing or bad value, -h
-    or --, goes to the subcommand's parser; and no arguments, an unknown
-    command or an argument the subcommand leaves over go through the whole
-    parser, so help and error text and exit 2 stay argparse's own."""
-    if argv and argv[0] in _SUBPARSERS:
+    argv, such as no arguments, an unknown command, an abbreviation,
+    --opt=value, a missing or bad value, -h or --, goes to the whole parser,
+    so help and error text and exit 2 stay argparse's own."""
+    if argv and argv[0] in _TABLES:
         args = _parse_by_table(_TABLES[argv[0]], argv[1:])
         if args is not None:
-            return args
-        args, rest = _SUBPARSERS[argv[0]].parse_known_args(argv[1:])
-        if not rest:
             return args
     return _PARSER.parse_args(argv)
 
@@ -567,7 +550,7 @@ def main(argv=None) -> int:
     """Run the subcommand that argv (a list of strings; sys.argv[1:] when
     None) names, and return its exit code (see the module docstring).
 
-    The arguments are parsed by _parse_args: a well-formed argv through the
+    The arguments are parsed by _parse_args: a well-formed argv through its
     subcommand's option table, anything else through argparse, which
     prints its help or error text and raises SystemExit (code 0 or 2)."""
     if argv is None:

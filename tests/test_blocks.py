@@ -339,19 +339,34 @@ def test_supports_outside_n_generate_nothing():
         assert {as_set(S) for S in filter_of_supports(n, gens)} == expected
 
 
+def _clash_messages(monkeypatch, lifted):
+    """The RuntimeError texts of the partition and of the reference on the
+    filter of all subsets of [6], with lifted in place of lifted_f."""
+    monkeypatch.setattr(blocks, "lifted_f", lifted)
+    monkeypatch.setattr(sys.modules[__name__], "lifted_f", lifted)
+    with pytest.raises(RuntimeError) as info:
+        squarefree_partition(6, all_subsets(6))
+    with pytest.raises(RuntimeError) as ref_info:
+        reference_squarefree_partition(6, {as_set(S) for S in all_subsets(6)})
+    return str(info.value), str(ref_info.value)
+
+
 def test_clash_is_reported_like_the_reference(monkeypatch):
     # With every top equal to [n], the second stage interval meets the first.
     def whole(n, A, s):
         return frozenset(range(1, n + 1))
 
-    monkeypatch.setattr(blocks, "lifted_f", whole)
-    monkeypatch.setattr(sys.modules[__name__], "lifted_f", whole)
-    with pytest.raises(RuntimeError) as info:
-        squarefree_partition(6, all_subsets(6))
-    with pytest.raises(RuntimeError) as ref_info:
-        reference_squarefree_partition(6, {as_set(S) for S in all_subsets(6)})
-    assert str(info.value) == str(ref_info.value) == \
-        "stage 1 interval [[2], [1, 2, 3, 4, 5, 6]] meets the cover at [1, 2]"
+    message = "stage 1 interval [[2], [1, 2, 3, 4, 5, 6]] meets the cover at [1, 2]"
+    assert _clash_messages(monkeypatch, whole) == (message, message)
+
+    # Stage 1 covers each singleton alone; at stage 2, [12, 12345] covers
+    # 1234 and 12345, so [34, 12345] first meets the cover at a two-element
+    # extension of 34, past its one-element extensions 134, 234 and 345.
+    def wide_at_12_and_34(n, A, s):
+        return frozenset(range(1, 6)) if set(A) in ({1, 2}, {3, 4}) else frozenset(A)
+
+    message = "stage 2 interval [[3, 4], [1, 2, 3, 4, 5]] meets the cover at [1, 2, 3, 4]"
+    assert _clash_messages(monkeypatch, wide_at_12_and_34) == (message, message)
 
 
 def test_clash_is_reported_like_the_reference_set_by_set(monkeypatch):

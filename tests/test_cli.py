@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -1050,7 +1051,7 @@ EVERY_OPTION = [
 @pytest.mark.parametrize("argv", [argv for _, argv in golden.CASES] + EVERY_OPTION)
 def test_subcommand_parser_gives_the_whole_parsers_namespace(argv):
     whole = vars(cli._PARSER.parse_args(argv))
-    assert whole.pop("command") == argv[0]
+    assert whole["command"] == argv[0]
     assert vars(cli._parse_args(argv)) == whole
 
 
@@ -1075,6 +1076,12 @@ def test_parser_messages_are_the_whole_parsers(capsys, argv):
     assert outcome(main) == outcome(cli._PARSER.parse_args)
 
 
+# The whole parser's subcommand parsers, by name, read from argparse here,
+# so that the strategies below do not depend on cli's grammar table.
+SUBPARSERS = next(action.choices for action in cli._PARSER._actions
+                  if isinstance(action, argparse._SubParsersAction))
+
+
 # Token groups for one subcommand's argv, drawn from its parser's options:
 # an exact option with a good value, an abbreviation, --opt=value, an odd
 # or bad value, a value left out, and tokens that are no option.
@@ -1091,7 +1098,7 @@ def _good_value(action):
 
 @st.composite
 def _token_group(draw, command):
-    actions = [action for action in cli._SUBPARSERS[command]._actions
+    actions = [action for action in SUBPARSERS[command]._actions
                if action.option_strings and action.dest != "help"]
     action = draw(st.sampled_from(actions))
     option = action.option_strings[0]
@@ -1119,26 +1126,25 @@ def _token_group(draw, command):
 def subcommand_argv(draw):
     """A subcommand and its tokens: its required options with good values,
     unless dropped, and drawn groups, shuffled and joined."""
-    command = draw(st.sampled_from(sorted(cli._SUBPARSERS)))
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
     groups = []
     if draw(st.integers(0, 4)):
         groups += [[action.option_strings[0], draw(_good_value(action))]
-                   for action in cli._SUBPARSERS[command]._actions if action.required]
+                   for action in SUBPARSERS[command]._actions if action.required]
     groups += draw(st.lists(_token_group(command), max_size=8))
     groups = draw(st.permutations(groups))
     return [command] + [token for group in groups for token in group]
 
 
 def _parse_outcome(parse, argv):
-    """The namespace a parse gives, without command, or the exit code and
-    the text it writes to stdout and stderr before it exits."""
+    """The namespace a parse gives, or the exit code and the text it writes
+    to stdout and stderr before it exits."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             namespace = vars(parse(argv))
     except SystemExit as exc:
         return "exit", exc.code, out.getvalue(), err.getvalue()
-    namespace.pop("command", None)
     return "namespace", namespace, out.getvalue(), err.getvalue()
 
 
@@ -1184,12 +1190,11 @@ BENCH_SHAPED = [
 @pytest.mark.parametrize("argv", [argv for _, argv in golden.CASES] + BENCH_SHAPED, ids=repr)
 def test_well_formed_argv_parses_without_argparse(monkeypatch, argv):
     whole = vars(cli._PARSER.parse_args(argv))
-    assert whole.pop("command") == argv[0]
+    assert whole["command"] == argv[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a well-formed argv went to argparse")
 
-    for parser in cli._SUBPARSERS.values():
-        monkeypatch.setattr(parser, "parse_known_args", refuse)
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    # Every argparse parse, of any parser, runs parse_known_args.
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert vars(cli._parse_args(argv)) == whole

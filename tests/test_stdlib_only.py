@@ -1,7 +1,8 @@
 """The runtime depends on the standard library alone.
 
 Every import in every module under src/syzdepth must name a standard-library
-module or be relative to the package.
+module or be relative to the package, and the CLI reads no private name of
+argparse.
 """
 
 import ast
@@ -67,3 +68,23 @@ def test_only_linalg_and_blocks_import_fractions():
     importers = sorted(name for name in MODULES
                        if "fractions" in set(_imported_roots(_parsed(name))))
     assert importers == ["blocks.py", "linalg.py"]
+
+
+def _private_attributes(tree):
+    """(object, attribute) for every use of an attribute named _x, dunder
+    names left out."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))):
+            yield ast.unparse(node.value), node.attr
+
+
+def test_cli_reads_no_private_argparse_name():
+    # The grammar is one table in cli, which builds argparse's parsers from
+    # it; nothing is read back out of them.
+    tree = _parsed("cli.py")
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "argparse"
+                for alias in node.names}
+    assert not {name for name in imported if name.startswith("_")}
+    assert set(_private_attributes(tree)) == {("MonomialIdeal", "_made")}

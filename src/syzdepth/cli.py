@@ -22,24 +22,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
+import operator
 import os
 import signal
 import stat
 import sys
 import warnings
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import blocks, monomials
-from .complexes import (
-    RESOLUTIONS,
-    check_exactness_on_box,
-    complex_json,
-    minimize,
-    taylor_complex,
-)
+from .complexes import RESOLUTIONS, check_exactness_on_box, minimize, syzygy_rows, taylor_complex
 from .groebner import _hilbert_slice_check
 from .monomials import Mono, MonomialIdeal
 from .stanley import SearchRefused, char_poset_under_limit, exact_sdepth, filtration_lower_bound
@@ -78,10 +73,7 @@ def load_ideal(path: str) -> tuple[MonomialIdeal, tuple[Mono, ...]]:
                              "nonnegative integers")
         if not any(g):
             raise InputError("the zero exponent vector is not a valid generator")
-    gens = [tuple(g) for g in gens]
-    for g in gens:
-        if max(g) >= monomials.EXPONENT_CAP:
-            raise InputError(f"exponent overflow in {g}")
+    gens = [monomials.check_monomial(tuple(g)) for g in gens]
     I = MonomialIdeal._made(n, gens)
     # The minimal generators in first-occurrence order of the file.
     minimal = set(I.gens)
@@ -97,14 +89,9 @@ def _dumps(value, indent: str = "\n") -> str:
     and indentation in front of the value's closing bracket.
     """
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
         if set(map(type, value)) == {int}:  # bool is a subclass of int, not int
-            body = ("," + inner).join(map(int.__repr__, value))
-        else:
-            body = ("," + inner).join([_dumps(x, inner) for x in value])
-        return "[" + inner + body + indent + "]"
+            return _json_ints(value, indent)
+        return _json_list([_dumps(x, indent + "  ") for x in value], indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -131,6 +118,80 @@ def _dumps(value, indent: str = "\n") -> str:
             return "-Infinity"
         return float.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_list(texts, indent: str) -> str:
+    """The JSON list of the item texts, an iterable of nonempty strings, its
+    closing bracket behind indent."""
+    inner = indent + "  "
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + indent + "]" if body else "[]"
+
+
+def _json_ints(values, indent: str) -> str:
+    return _json_list(map(int.__repr__, values), indent)
+
+
+def _object_chunks(fields: dict, indent: str = "\n") -> Iterator[str]:
+    """Yield the chunks of _dumps(fields, indent), for a nonempty dict whose
+    values are JSON values or iterators: an iterator is read as the chunks
+    of its value's text, at the indentation of a field, and streamed."""
+    inner = indent + "  "
+    opener = "{" + inner
+    for key in sorted(fields):
+        value = fields[key]
+        yield opener + encode_basestring_ascii(key) + ": "
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield _dumps(value, inner)
+        opener = "," + inner
+    yield indent + "}"
+
+
+def complex_json(C, indent: str = "\n") -> Iterator[str]:
+    """Yield the chunks of the complex's JSON text: its ranks, basis degrees
+    and, per differential, a rows x columns matrix whose cell in row r and
+    column c lists the one term of that entry, if any, as
+    {"coeff": str(c), "monomial": deg e_c - deg e_r}.
+
+    The chunks joined are _dumps of that value at indent, byte for byte.
+    The first chunk holds the degrees, each differential's matrix is one
+    chunk, made when it is read, and the last holds n and the ranks.  Each
+    matrix is written from the rows of syzygy_rows and the basis degrees;
+    each distinct (coeff, monomial) cell is written once, and every empty
+    cell is the constant "[]".
+    """
+    pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
+    degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])
+               for basis in C.bases]
+    yield f'{{{pad[1]}"degrees": {_json_list(degrees, pad[1])},{pad[1]}"differentials": '
+    cells = {}  # (coeff, monomial) -> the text of a cell with that one term
+    for p in range(1, C.length + 1):
+        # The matrices form a list one level inside the object.
+        yield (("[" if p == 1 else ",") + pad[2]
+               + _matrix_json(*syzygy_rows(C, p - 1), C.basis(p - 1).degrees, pad, cells))
+    yield (f'{pad[1] + "]" if C.length else "[]"},'
+           f'{pad[1]}"n": {int.__repr__(C.n)},'
+           f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{indent}}}')
+
+
+def _matrix_json(rows, degrees, target, pad, cells: dict) -> str:
+    """The JSON text of the matrix of the rows, at their degrees, into the
+    basis of degrees target, two levels inside complex_json's object; cells
+    caches the text of each one-term cell."""
+    grid = [["[]"] * len(rows) for _ in target]
+    for c, (row, degree) in enumerate(zip(rows, degrees)):
+        for r, coeff in row.items():
+            mono = tuple(map(operator.sub, degree, target[r]))
+            text = cells.get((coeff, mono))
+            if text is None:
+                # The str of a Fraction or int needs no JSON escapes.
+                text = cells[coeff, mono] = (
+                    f'[{pad[5]}{{{pad[6]}"coeff": "{str(coeff)}",{pad[6]}"monomial": '
+                    f'{_json_ints(mono, pad[6])}{pad[5]}}}{pad[4]}]')
+            grid[r][c] = text
+    return _json_list([_json_list(row, pad[3]) for row in grid], pad[2])
 
 
 @contextlib.contextmanager
@@ -214,7 +275,7 @@ def cmd_resolve(args) -> int:
     I, ordered = load_ideal(args.input)
     C = build_complex(I, args.method, ordered)
     emitted = minimize(C) if args.minimize else C
-    payload = {"method": args.method}
+    payload = {"complex": complex_json(emitted, _INDENT), "method": args.method}
     if args.minimize:
         payload["rank_table"] = {"original": list(C.ranks),
                                  "minimized": list(emitted.ranks)}
@@ -224,11 +285,7 @@ def cmd_resolve(args) -> int:
         payload["exactness"] = {"ok": report.ok, "degrees_checked": report.degrees_checked}
         if not report.ok:
             exit_code = 1
-    # "complex" sorts before every other key, so its text, written straight
-    # from the complex, opens the object that _dumps makes of the others.
-    write_output(itertools.chain(('{\n  "complex": ',), complex_json(emitted, _INDENT),
-                                 ("," + _dumps(payload)[1:],)),
-                 args.output)
+    write_output(_object_chunks(payload), args.output)
     return exit_code
 
 
@@ -238,14 +295,12 @@ def cmd_initial(args) -> int:
     p = args.p
     if p < 0:
         raise InputError("p must be nonnegative")
+    exit_code = 0
     if p > C.length - 1:
         payload = {"p": p, "basis": args.basis,
                    "degrees": [], "components": [],
                    "note": "Z_p vanishes beyond the resolution"}
-        write_output((_dumps(payload),), args.output)
-        return 0
-    exit_code = 0
-    if args.basis == "boundary" and p >= 1:
+    elif args.basis == "boundary" and p >= 1:
         rep = None
         if args.oracle:
             rep = verify_boundary_gb(C, p,
@@ -279,6 +334,8 @@ def cmd_sdepth(args) -> int:
         raise InputError("--quotient needs --mode exact")
     if args.p is not None and args.mode != "filtration-bound":
         raise InputError("--p needs --mode filtration-bound")
+    if args.mode == "sqfree-construct":
+        return cmd_partition(args)  # the same certificate
     I, ordered = load_ideal(args.input)
     if args.mode == "exact":
         # S/I is the unit ideal over I.
@@ -292,24 +349,18 @@ def cmd_sdepth(args) -> int:
         payload = {"sdepth": result.value, "g": list(poset.cap),
                    "intervals": [{"a": list(iv.bottom), "b": list(iv.top)}
                                  for iv in result.partition]}
-    elif args.mode == "filtration-bound":
+    else:  # filtration-bound, the one --mode choice left
         if args.p is None or args.p < 1:
             raise InputError("filtration-bound mode needs --p at least 1")
         C = taylor_complex(list(ordered), I.n)
         if args.p > C.length - 1:
             payload = {"p": args.p, "sdepth_lower_bound": I.n, "free": True,
                        "note": "Z_p vanishes beyond the resolution"}
-            write_output((_dumps(payload),), args.output)
-            return 0
-        ini, _ = lex_refined_initial(C, args.p)
-        bound = filtration_lower_bound(ini)
-        payload = {"p": args.p, "sdepth_lower_bound": bound.value,
-                   "free": bound.free, "components": ini.to_jsonable()}
-    elif args.mode == "sqfree-construct":
-        write_output(_squarefree_partition_json(I), args.output)
-        return 0
-    else:
-        raise InputError(f"unknown mode {args.mode!r}")
+        else:
+            ini, _ = lex_refined_initial(C, args.p)
+            bound = filtration_lower_bound(ini)
+            payload = {"p": args.p, "sdepth_lower_bound": bound.value,
+                       "free": bound.free, "components": ini.to_jsonable()}
     write_output((_dumps(payload),), args.output)
     return 0
 
@@ -319,10 +370,10 @@ def _squarefree_partition_json(I: MonomialIdeal):
     chunks of its JSON text: sdepth, the cap g, the bound 2s+1 and every
     interval, once as exponent vectors and once as subsets of [n].
 
-    The text is _dumps of that payload, written straight from the mask
-    pairs.  The check and the partition run before this returns, so an
-    ideal that fails them fails before anything is written; the intervals
-    are converted as their chunks are read.
+    The two interval lists are written straight from the mask pairs.  The
+    check and the partition run before this returns, so an ideal that fails
+    them fails before anything is written; the intervals are converted as
+    their chunks are read.
     """
     if not I.is_squarefree():
         raise InputError("sqfree-construct needs a squarefree ideal")
@@ -330,13 +381,10 @@ def _squarefree_partition_json(I: MonomialIdeal):
     family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
     pairs = blocks.squarefree_partition(n, family)
     value = min(B.bit_count() for _, B in pairs) if pairs else n
-    return itertools.chain(
-        (f'{{\n  "bound": {blocks.sqfree_lower_bound(n)},\n  "g": {_dumps([1] * n, _INDENT)},'
-         '\n  "intervals": ',),
-        _interval_list(n, pairs, lambda i, bit: _ITEM + "01"[bit]),
-        (f',\n  "sdepth": {value},\n  "subsets": ',),
-        _interval_list(n, pairs, lambda i, bit: _ITEM + str(i + 1) if bit else ""),
-        ("\n}",))
+    return _object_chunks({
+        "bound": blocks.sqfree_lower_bound(n), "g": [1] * n, "sdepth": value,
+        "intervals": _interval_list(n, pairs, lambda i, bit: _ITEM + "01"[bit]),
+        "subsets": _interval_list(n, pairs, lambda i, bit: _ITEM + str(i + 1) if bit else "")})
 
 
 # In front of a top-level closing bracket, and in front of each item of an

@@ -7,6 +7,8 @@ u_1..u_m has F_0 = S and the p-th syzygy module Z_p is the image of the
 (p+1)-st differential, so Z_0 = I.
 Exactness is certified degreewise on the lcm closure of the basis and
 module-generator degrees, which decides it in every multidegree.
+The module writes no JSON: cli writes a complex's text from its public
+reads, the bases, length, ranks and syzygy_rows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import linalg, monomials
 from .freemod import BasisElement, OrderedBasis, Slices, check_rows, unit_rows
@@ -263,8 +265,9 @@ class LinearQuotients(NamedTuple):
 
 
 def linear_quotients(gens: Sequence[Mono], n: int) -> LinearQuotients:
-    """Successive colon ideals (u_1..u_j):(u_{j+1}), when all variable-generated."""
-    gens = [tuple(u) for u in gens]
+    """Successive colon ideals (u_1..u_j):(u_{j+1}), when all variable-generated.
+    Each generator must pass check_monomial."""
+    gens = [monomials.check_monomial(tuple(u)) for u in gens]
     degrees = [sum(u) for u in gens]
     if any(degrees[i] > degrees[i + 1] for i in range(len(gens) - 1)):
         raise ValueError("generators must be ordered by weakly increasing degree")
@@ -662,63 +665,3 @@ def check_exactness_on_box(C: FreeComplex, module, *,
     report.failures = [(p, a) for _, a, p in failures]
     return report
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def complex_json(C: FreeComplex, indent: str = "\n") -> Iterator[str]:
-    """Yield the chunks of the complex's JSON text: its ranks, basis degrees
-    and, per differential, a rows x columns matrix whose cell in row r and
-    column c lists the one term of that entry, if any, as
-    {"coeff": str(c), "monomial": deg e_c - deg e_r}.
-
-    The chunks joined are json.dumps(value, indent=2, sort_keys=True) of
-    that value, byte for byte, with indent the newline and indentation in
-    front of the closing brace, as for cli._dumps.  The first chunk holds
-    the degrees, each differential's matrix is one chunk, made when it is
-    read, and the last holds n and the ranks.  Each matrix is written from
-    the rows and the basis degrees; each distinct (coeff, monomial) cell is
-    written once, and every empty cell is the constant "[]".
-    """
-    pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
-    degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])
-               for basis in C.bases]
-    yield f'{{{pad[1]}"degrees": {_json_list(degrees, pad[1])},{pad[1]}"differentials": '
-    cells = {}  # (coeff, monomial) -> the text of a cell with that one term
-    for p in range(1, C.length + 1):
-        # The matrices form a list one level inside the object.
-        yield ("[" if p == 1 else ",") + pad[2] + _matrix_json(C, p, pad, cells)
-    yield (f'{pad[1] + "]" if C.length else "[]"},'
-           f'{pad[1]}"n": {int.__repr__(C.n)},'
-           f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{indent}}}')
-
-
-def _matrix_json(C: FreeComplex, p: int, pad, cells: dict) -> str:
-    """The JSON text of d_p's matrix, two levels inside complex_json's
-    object; cells caches the text of each one-term cell."""
-    (basis, rows), target = C._level(p), C.basis(p - 1).degrees
-    grid = [["[]"] * len(rows) for _ in target]
-    for c, (row, degree) in enumerate(zip(rows, basis.degrees)):
-        for r, coeff in row.items():
-            mono = tuple(map(operator.sub, degree, target[r]))
-            text = cells.get((coeff, mono))
-            if text is None:
-                # The str of a Fraction or int needs no JSON escapes.
-                text = cells[coeff, mono] = (
-                    f'[{pad[5]}{{{pad[6]}"coeff": "{str(coeff)}",{pad[6]}"monomial": '
-                    f'{_json_ints(mono, pad[6])}{pad[5]}}}{pad[4]}]')
-            grid[r][c] = text
-    return _json_list([_json_list(row, pad[3]) for row in grid], pad[2])
-
-
-def _json_list(items, indent: str) -> str:
-    """The JSON list of the item texts, its closing bracket behind indent."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
-
-
-def _json_ints(values, indent: str) -> str:
-    return _json_list(list(map(int.__repr__, values)), indent)

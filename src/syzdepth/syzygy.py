@@ -46,8 +46,14 @@ class TheoremReport:
 def taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdeal:
     """The component of ini(Z_p) on the Taylor basis element e_F.
 
-    Generated by the quotients lcm(F + i)/lcm(F) over i < min(F).
+    Generated by the quotients lcm(F + i)/lcm(F) over i < min(F).  Each
+    generator must pass check_monomial.
     """
+    return _taylor_initial_component([monomials.check_monomial(tuple(u)) for u in gens], F)
+
+
+def _taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdeal:
+    """taylor_initial_component of generators that are not checked again."""
     if not F:
         raise ValueError("F must be a nonempty subset of the generator indices")
     n = len(gens[0])
@@ -107,7 +113,7 @@ def verify_boundary_gb(C: FreeComplex, p: int,
     if taylor_gens is not None:
         components = []
         for e in C.basis(p):
-            components.append(taylor_initial_component(taylor_gens, e.label)
+            components.append(_taylor_initial_component(taylor_gens, e.label)
                               if e.label else MonomialIdeal._made(C.n, ()))
         closed = InitialModule(C.basis(p), tuple(components))
     return BoundaryGBReport(p, boundary, oracle, closed)

@@ -101,6 +101,15 @@ def _report(theorem, instance, status, witness=None) -> dict:
             "witness": witness or {}}
 
 
+def _bound_failure(theorem, instance, p, ini, required):
+    """The FAIL report when ini(Z_p) is not free and its filtration bound is
+    below required, else None."""
+    bound = filtration_lower_bound(ini)
+    if not bound.free and bound.value < required:
+        return _report(theorem, instance, "FAIL",
+                       {"p": p, "bound": bound.value, "required": required})
+
+
 def _run_theorem_main(rng, job) -> dict:
     I = random_monomial_ideal(rng, job.n_max, job.m_max, job.exp_max)
     instance = ideal_instance(I)
@@ -184,10 +193,8 @@ def _run_mainsyz(rng, job) -> dict:
         if minimized.rank(p + 1) == 0:
             continue  # Z_p is zero or free in the minimal resolution
         ini, _ = lex_refined_initial(C, p)
-        bound = filtration_lower_bound(ini)
-        if not bound.free and bound.value < p + 1:
-            return _report("mainsyz", instance, "FAIL",
-                           {"p": p, "bound": bound.value, "required": p + 1})
+        if failure := _bound_failure("mainsyz", instance, p, ini, p + 1):
+            return failure
     return _report("mainsyz", instance, "PASS")
 
 
@@ -202,11 +209,8 @@ def _run_regular(rng, job) -> dict:
         if not rows:
             continue
         ini = _initial_module(rows, degrees, C.basis(p))
-        bound = filtration_lower_bound(ini)
-        required = n - (m - p) // 2
-        if not bound.free and bound.value < required:
-            return _report("regular", instance, "FAIL",
-                           {"p": p, "bound": bound.value, "required": required})
+        if failure := _bound_failure("regular", instance, p, ini, n - (m - p) // 2):
+            return failure
     return _report("regular", instance, "PASS")
 
 
@@ -250,11 +254,9 @@ def _run_squarefree(rng, job) -> dict:
         if not is_squarefree_module(ini):
             return _report("squarefree", instance, "FAIL",
                            {"p": p, "reason": "initial module not squarefree"})
-        bound = filtration_lower_bound(ini)
         required = blocks.syzygy_sqfree_bound(n, d, p)
-        if not bound.free and bound.value < required:
-            return _report("squarefree", instance, "FAIL",
-                           {"p": p, "bound": bound.value, "required": required})
+        if failure := _bound_failure("squarefree", instance, p, ini, required):
+            return failure
     return _report("squarefree", instance, "PASS")
 
 

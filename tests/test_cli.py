@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import test_golden_cli as golden
 from syzdepth import blocks, cli, complexes, groebner, stanley, syzygy
-from syzdepth.cli import InputError, _dumps, load_ideal, main
+from syzdepth.cli import InputError, _dumps, _object_chunks, load_ideal, main
 from syzdepth.complexes import check_exactness_on_box, minimize, syzygy_rows, taylor_complex
 from test_complexes import reference_complex_to_jsonable
 from reference_monomials import minimalize_ordered
@@ -459,6 +459,23 @@ json_values = st.recursive(
 @example(["\"\\\n\t\x00\x7f", "é", "\u2603", "\U0001f600"])
 def test_dumps_matches_json(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.text(), json_values, min_size=1), st.integers(0, 3), st.data())
+def test_object_chunks_match_dumps(fields, depth, data):
+    # Some values are given as iterators over their text, cut anywhere into
+    # chunks, empty ones included, as resolve's complex and the squarefree
+    # certificate's interval lists are.
+    indent = "\n" + "  " * depth
+    given_fields = {}
+    for key, value in fields.items():
+        if data.draw(st.booleans()):
+            text = _dumps(value, indent + "  ")
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=4)))
+            value = iter([text[i:j] for i, j in zip([0] + cuts, cuts + [len(text)])])
+        given_fields[key] = value
+    assert "".join(_object_chunks(given_fields, indent)) == _dumps(fields, indent)
 
 
 # The payload builder that the squarefree certificate encoder replaced, kept

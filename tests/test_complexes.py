@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syzdepth.cli import _INDENT, _dumps
+from syzdepth.cli import _INDENT, _dumps, complex_json
 from syzdepth.complexes import (
     RESOLUTIONS,
     ChainMap,
@@ -20,7 +20,6 @@ from syzdepth.complexes import (
     check_complex,
     check_exactness_on_box,
     comparison_cone,
-    complex_json,
     eliahou_kervaire,
     is_minimal,
     is_stable,
@@ -384,6 +383,11 @@ def test_linear_quotients_examples():
 def test_linear_quotients_requires_sorted_degrees():
     with pytest.raises(ValueError, match="degree"):
         linear_quotients([(1, 1), (1, 0)], 2)
+
+
+def test_linear_quotients_refuses_an_exponent_at_the_cap():
+    with pytest.raises(ValueError, match=r"^exponent overflow in \(2147483648, 1\)$"):
+        linear_quotients([(1, 0), (2**31, 1)], 2)
 
 
 def test_is_stable_examples():

@@ -88,3 +88,14 @@ def test_cli_reads_no_private_argparse_name():
                 for alias in node.names}
     assert not {name for name in imported if name.startswith("_")}
     assert set(_private_attributes(tree)) == {("MonomialIdeal", "_made")}
+
+
+def test_only_cli_defines_a_json_writer():
+    # The JSON layout is written in cli alone: _dumps, the list joiners, the
+    # streamed-object writer and the writers of the complex and the
+    # squarefree certificate.
+    writers = [(name, node.name) for name in MODULES for node in ast.walk(_parsed(name))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and (node.name.endswith("_json") or node.name in ("_json_list", "_json_ints"))]
+    assert [writer for writer in writers if writer[0] != "cli.py"] == []
+    assert [writer for writer in writers if writer[1] == "_json_list"] == [("cli.py", "_json_list")]

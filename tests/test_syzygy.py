@@ -43,6 +43,11 @@ def test_taylor_initial_component_examples():
         taylor_initial_component(SQUARES, frozenset())
 
 
+def test_taylor_initial_component_refuses_an_exponent_at_the_cap():
+    with pytest.raises(ValueError, match=r"^exponent overflow in \(2147483648, 0\)$"):
+        taylor_initial_component([(2**31, 0), (0, 1)], frozenset({2}))
+
+
 def test_boundary_gb_taylor_three_way():
     for gens, n in [(SQUARES, 2), ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3),
                     ([X1, X2, X3], 3)]:

@@ -4,7 +4,6 @@ Stanley depth, computed and certified in exact rational arithmetic."""
 from .monomials import MonomialIdeal, divide, is_squarefree, lcm, support
 from .freemod import BasisElement, OrderedBasis
 from .complexes import (
-    ChainMap,
     FreeComplex,
     check_complex,
     check_exactness_on_box,
@@ -12,7 +11,6 @@ from .complexes import (
     is_minimal,
     is_stable,
     linear_quotients,
-    mapping_cone,
     minimize,
     stable_closure,
     stable_order,
@@ -27,6 +25,7 @@ from .groebner import (
     initial_module,
     is_squarefree_module,
     kernel_generators,
+    leading_module,
 )
 from .syzygy import (
     compose_cone_gb,
@@ -43,7 +42,6 @@ from .stanley import (
     exact_sdepth,
     filtration_lower_bound,
     ideal_sdepth,
-    interval_value,
     partition_to_decomposition,
     validate_partition,
     verify_decomposition,
@@ -52,6 +50,7 @@ from .blocks import (
     BlockStructure,
     block_structure,
     f_delta,
+    is_order_filter,
     lifted_f,
     sigma_schedule,
     sqfree_lower_bound,

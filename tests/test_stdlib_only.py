@@ -2,10 +2,12 @@
 
 Every import in every module under src/syzdepth must name a standard-library
 module or be relative to the package, and the CLI reads no private name of
-argparse.
+argparse.  The same AST reads keep dead names out: every definition under
+src/syzdepth is read by the package or a demo, or exported by syzdepth.
 """
 
 import ast
+import collections
 import os
 import sys
 
@@ -99,3 +101,45 @@ def test_only_cli_defines_a_json_writer():
                and (node.name.endswith("_json") or node.name in ("_json_list", "_json_ints"))]
     assert [writer for writer in writers if writer[0] != "cli.py"] == []
     assert [writer for writer in writers if writer[1] == "_json_list"] == [("cli.py", "_json_list")]
+
+
+DEMOS = os.path.join(os.path.dirname(PACKAGE), os.pardir, "demos")
+
+
+def _loads(tree):
+    """Every name read in the tree, as a name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and their classes' methods,
+    dunders left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, functions)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_definition_is_read_or_exported():
+    # A name the package and the demos never read, and syzdepth does not
+    # export, has no caller but the tests: it is dead.  A read inside the
+    # definition itself, a recursion, does not count.
+    trees = {name: _parsed(name) for name in MODULES}
+    for name in sorted(os.listdir(DEMOS)):
+        if name.endswith(".py"):
+            with open(os.path.join(DEMOS, name)) as fh:
+                trees[name] = ast.parse(fh.read(), filename=name)
+    reads = collections.Counter(read for tree in trees.values() for read in _loads(tree))
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = [f"{name}: {node.name}" for name in MODULES for node in _definitions(trees[name])
+            if node.name not in exported
+            and reads[node.name] == sum(read == node.name for read in _loads(node))]
+    assert dead == []

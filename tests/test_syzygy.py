@@ -113,6 +113,24 @@ def test_compose_cone_gb_checks_against_the_oracle_it_is_given():
         compose_cone_gb(gbF, gbG, phi, cone, 1, oracle=damaged)
 
 
+@pytest.mark.parametrize("gens", [SQUARES, [(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 0, 1)]])
+def test_compose_cone_gb_refuses_a_damaged_chain_map(gens):
+    # phi is not checked, so the cycle test and the lifts are its guard: one
+    # coefficient of phi_{i-1} scaled by -2 is refused at every level.
+    cone, phi = taylor_step_cone(gens, len(gens[0]))
+    F, G = phi.target, phi.source
+    for i in range(1, F.length + 1):
+        gbF = buchberger(*syzygy_rows(F, i), F.basis(i))
+        gbG = buchberger(*syzygy_rows(G, i - 1), G.basis(i - 1))
+        rows = [list(level) for level in phi.rows]
+        j = next(j for j, row in enumerate(rows[i - 1]) if row)
+        r = next(iter(rows[i - 1][j]))
+        rows[i - 1][j] = {**rows[i - 1][j], r: -2 * rows[i - 1][j][r]}
+        with pytest.raises(RuntimeError, match="not a cycle|lifting failed"):
+            compose_cone_gb(gbF, gbG, phi._replace(rows=rows), cone, i)
+        assert compose_cone_gb(gbF, gbG, phi, cone, i)
+
+
 def test_theorem_main_koszul():
     K = taylor_complex([X1, X2, X3], 3)
     for p in range(0, 4):

@@ -247,6 +247,17 @@ def test_koszul_ranks_binomial():
     assert is_minimal(C2)
 
 
+def test_smallest_mapping_cone():
+    # _cone, the one cone writer, on the one-level map S(-xy) -> S.
+    n = 2
+    F = FreeComplex(n, [OrderedBasis(n, [BasisElement((0, 0))])], [])
+    G = FreeComplex(n, [OrderedBasis(n, [BasisElement((1, 1))])], [])
+    C = complexes._cone(G, F, [[{0: 1}]])
+    assert C.ranks == (1, 1)
+    assert C.basis(1).degrees == ((1, 1),)
+    assert check_complex(C)
+
+
 def test_cone_reproduces_taylor_for_two_generators():
     from syzdepth.verify import taylor_step_cone
 
@@ -295,6 +306,46 @@ def test_cone_syzygy_dimension_identity():
                 right = (dimension(zf, a, F.basis(i)) if zf else 0) + \
                         (dimension(zg, a, G.basis(i - 1)) if zg else 0)
                 assert left == right, (gens, i, a)
+
+
+def _commutes(phi):
+    """d^F_i phi_i = phi_{i-1} d^G_i on every column, i = 1..G.length."""
+    G, F = phi.source, phi.target
+    for i in range(1, G.length + 1):
+        d_F = F._level(i)[1] if i <= F.length else []
+        for g_row, phi_row in zip(G._level(i)[1], phi.rows[i]):
+            if complexes._compose(phi_row, d_F) != complexes._compose(g_row, phi.rows[i - 1]):
+                return False
+    return True
+
+
+def test_noncommuting_chain_map_rejected():
+    # comparison_cone's phi for (x) : x over S/(x) is G = S(-1) <- S(-2) into
+    # F = S <- S(-1), phi_0 = phi_1 = 1.  ChainMap checks nothing, so a phi_1
+    # of 2, which does not commute, is refused by check_complex on its cone.
+    n = 1
+    F = FreeComplex(n, [OrderedBasis(n, [BasisElement((0,))]),
+                        OrderedBasis(n, [BasisElement((1,))])], [[{0: 1}]])
+    cone, phi = comparison_cone(F, [(1,)], (1,))
+    G = phi.source
+    assert [basis.degrees for basis in G.bases] == [((1,),), ((2,),)]
+    assert phi.rows == [[{0: 1}], [{0: 1}]]
+    assert _commutes(phi) and check_complex(cone)
+    bad = phi._replace(rows=[[{0: 1}], [{0: 2}]])
+    assert not _commutes(bad)
+    assert not check_complex(complexes._cone(G, F, bad.rows))
+
+
+@pytest.mark.parametrize("gens", [[(2, 0), (1, 1), (0, 2)],
+                                  [(1, 1, 0), (0, 1, 1), (1, 0, 1)],
+                                  [(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 0, 1)]])
+def test_comparison_cone_phi_commutes(gens):
+    # Nothing checks comparison_cone's phi at run time: the lifts must make
+    # it a chain map at every level of every Taylor step.
+    for m in range(2, len(gens) + 1):
+        cone, phi = taylor_step_cone(gens[:m], len(gens[0]))
+        assert _commutes(phi), (gens, m)
+        assert check_complex(cone)
 
 
 B0, B1 = (OrderedBasis(1, [BasisElement((d,))]) for d in range(2))

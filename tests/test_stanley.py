@@ -51,6 +51,17 @@ def interval_value(iv, g):
     return sum(map(int.__eq__, iv.top, g))
 
 
+def test_interval_value_examples():
+    # The local oracle, and the variables of the summand that
+    # partition_to_decomposition writes for the interval, as many as it counts.
+    for iv, g, value in [(Interval((1, 0, 0), (1, 0, 1)), (1, 1, 1), 2),
+                         (Interval((0, 0, 0), (1, 1, 1)), (1, 1, 1), 3),
+                         (Interval((1, 0), (1, 1)), (2, 1), 1)]:
+        assert interval_value(iv, g) == value
+        [(anchor, Z)] = partition_to_decomposition(CharPoset(len(g), g, frozenset()), [iv])
+        assert anchor == iv.bottom and len(Z) == value
+
+
 def test_exact_sdepth_maximal_ideals():
     for n in range(1, 5):
         result = exact_sdepth(char_poset(maximal_ideal(n)))

@@ -113,7 +113,8 @@ def test_compose_cone_gb_checks_against_the_oracle_it_is_given():
         compose_cone_gb(gbF, gbG, phi, cone, 1, oracle=damaged)
 
 
-@pytest.mark.parametrize("gens", [SQUARES, [(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 0, 1)]])
+@pytest.mark.parametrize("gens", [SQUARES, [X1, X2, X3],
+                                  [(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 0, 1)]])
 def test_compose_cone_gb_refuses_a_damaged_chain_map(gens):
     # phi is not checked, so the cycle test and the lifts are its guard: one
     # coefficient of phi_{i-1} scaled by -2 is refused at every level.

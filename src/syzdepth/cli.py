@@ -132,37 +132,36 @@ def _json_ints(values, indent: str) -> str:
     return _json_list(map(int.__repr__, values), indent)
 
 
-def _object_chunks(fields: dict, indent: str = "\n") -> Iterator[str]:
-    """Yield the chunks of _dumps(fields, indent), for a nonempty dict whose
-    values are JSON values or iterators: an iterator is read as the chunks
-    of its value's text, at the indentation of a field, and streamed."""
-    inner = indent + "  "
-    opener = "{" + inner
+def _object_chunks(fields: dict) -> Iterator[str]:
+    """Yield the chunks of _dumps(fields), for a nonempty dict whose values
+    are JSON values or iterators: an iterator is read as the chunks of its
+    value's text, at the indentation of a field, and streamed."""
+    opener = "{" + _INDENT
     for key in sorted(fields):
         value = fields[key]
         yield opener + encode_basestring_ascii(key) + ": "
         if isinstance(value, Iterator):
             yield from value
         else:
-            yield _dumps(value, inner)
-        opener = "," + inner
-    yield indent + "}"
+            yield _dumps(value, _INDENT)
+        opener = "," + _INDENT
+    yield "\n}"
 
 
-def complex_json(C, indent: str = "\n") -> Iterator[str]:
+def complex_json(C) -> Iterator[str]:
     """Yield the chunks of the complex's JSON text: its ranks, basis degrees
     and, per differential, a rows x columns matrix whose cell in row r and
     column c lists the one term of that entry, if any, as
     {"coeff": str(c), "monomial": deg e_c - deg e_r}.
 
-    The chunks joined are _dumps of that value at indent, byte for byte.
-    The first chunk holds the degrees, each differential's matrix is one
-    chunk, made when it is read, and the last holds n and the ranks.  Each
-    matrix is written from the rows of syzygy_rows and the basis degrees;
-    each distinct (coeff, monomial) cell is written once, and every empty
-    cell is the constant "[]".
+    The chunks joined are _dumps of that value at _INDENT, one level inside
+    resolve's payload, byte for byte.  The first chunk holds the degrees,
+    each differential's matrix is one chunk, made when it is read, and the
+    last holds n and the ranks.  Each matrix is written from the rows of
+    syzygy_rows and the basis degrees; each distinct (coeff, monomial) cell
+    is written once, and every empty cell is the constant "[]".
     """
-    pad = [indent + "  " * k for k in range(8)]  # pad[k]: k levels inside
+    pad = [_INDENT + "  " * k for k in range(8)]  # pad[k]: k levels inside
     degrees = [_json_list([_json_ints(e.degree, pad[3]) for e in basis], pad[2])
                for basis in C.bases]
     yield f'{{{pad[1]}"degrees": {_json_list(degrees, pad[1])},{pad[1]}"differentials": '
@@ -173,7 +172,7 @@ def complex_json(C, indent: str = "\n") -> Iterator[str]:
                + _matrix_json(*syzygy_rows(C, p - 1), C.basis(p - 1).degrees, pad, cells))
     yield (f'{pad[1] + "]" if C.length else "[]"},'
            f'{pad[1]}"n": {int.__repr__(C.n)},'
-           f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{indent}}}')
+           f'{pad[1]}"ranks": {_json_ints(C.ranks, pad[1])}{pad[0]}}}')
 
 
 def _matrix_json(rows, degrees, target, pad, cells: dict) -> str:
@@ -275,7 +274,7 @@ def cmd_resolve(args) -> int:
     I, ordered = load_ideal(args.input)
     C = build_complex(I, args.method, ordered)
     emitted = minimize(C) if args.minimize else C
-    payload = {"complex": complex_json(emitted, _INDENT), "method": args.method}
+    payload = {"complex": complex_json(emitted), "method": args.method}
     if args.minimize:
         payload["rank_table"] = {"original": list(C.ranks),
                                  "minimized": list(emitted.ranks)}
@@ -387,9 +386,10 @@ def _squarefree_partition_json(I: MonomialIdeal):
         "subsets": _interval_list(n, pairs, lambda i, bit: _ITEM + str(i + 1) if bit else "")})
 
 
-# In front of a top-level closing bracket, and in front of each item of an
-# int list three levels deep, such as "a" of an interval; the closing
-# bracket of such a list sits behind six spaces.
+# _INDENT goes in front of each field of a top-level object and of the
+# closing bracket of a field's value; _ITEM in front of each item of an int
+# list three levels deep, such as "a" of an interval, whose closing bracket
+# sits behind six spaces.
 _INDENT = "\n  "
 _ITEM = ",\n        "
 # Intervals per chunk of the squarefree certificate's text.

@@ -565,8 +565,7 @@ class ExactnessReport:
     degrees_checked: int = 0
 
 
-def check_exactness_on_box(C: FreeComplex, module, *,
-                           exhaustive: bool = False) -> ExactnessReport:
+def check_exactness_on_box(C: FreeComplex, module) -> ExactnessReport:
     """Degreewise exactness in every multidegree, with the cokernel at level
     zero matching the module: a MonomialIdeal, for a rank-one F_0, or the
     (rows, degrees) pair of its generators on F_0, which
@@ -593,9 +592,8 @@ def check_exactness_on_box(C: FreeComplex, module, *,
     level, and the rows not reduced wait for the children.  So every rank
     is exact.
 
-    Failures are reported by their lex index in the closure: the first one
-    with degrees_checked its index + 1, or, with exhaustive, every failing
-    closure degree in lex order.
+    The first failing closure degree in lex order is the one reported,
+    with degrees_checked its lex index + 1.
     """
     rows = _read_rows(C)
     if rows is None:
@@ -625,10 +623,9 @@ def check_exactness_on_box(C: FreeComplex, module, *,
             bound = (active & engine.blocks[p][0]).bit_count() - rank
         return len(rows) if bound else None
 
-    failures, size = engine.walk(failing_level, exhaustive)
-    report = ExactnessReport(not failures, degrees_checked=size)
-    if failures and not exhaustive:
-        report.degrees_checked = failures[0][0] + 1
-    report.failures = [(p, a) for _, a, p in failures]
-    return report
+    failure, size = engine.walk(failing_level)
+    if failure is None:
+        return ExactnessReport(True, degrees_checked=size)
+    i, a, p = failure
+    return ExactnessReport(False, failures=[(p, a)], degrees_checked=i + 1)
 

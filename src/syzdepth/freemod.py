@@ -244,26 +244,27 @@ class Slices:
             k, lead = self._made.pop()
             del self.pivots[k][lead]
 
-    def walk(self, visit, exhaustive: bool = False):
+    def walk(self, visit):
         """Visit every degree a of the lcm closure of the engine's degrees
         as visit(a, active(a)), depth first down monomials.lcm_closure's
         parent tree, where each degree is a multiple of its parent, so the
         ranks see chains of degrees; the engine is marked before a visit and
         undone once the visited degree's subtree is done.
 
-        visit returns None where a passes.  Returns (failures, size): the
-        (lex index, degree, visit's value) triples of the failing degrees in
-        lex order and the closure's size.  A degree lies after its ancestors
-        in lex order, so once a failure is found, every subtree rooted after
-        it is skipped and only the first failure is kept, unless exhaustive.
+        visit returns None where a passes.  Returns (failure, size): the
+        (lex index, degree, visit's value) triple of the first failing
+        degree in lex order, or None, and the closure's size.  A degree
+        lies after its ancestors in lex order, so once a failure is found,
+        every subtree rooted after it is skipped, and a failure found later
+        lies before it.
         """
         closure = monomials.lcm_closure(self.degrees, self.n)
         children = {a: [] for a in closure}  # (lex index, degree) pairs
         for i, (a, parent) in enumerate(closure.items()):
             if parent is not None:
                 children[parent].append((i, a))
-        failures = []
-        first = len(closure)  # lex index of the first failure found so far
+        failure = None
+        first = len(closure)  # lex index of the failure kept
         # An entry (i, a, None) visits a, of lex index i; (None, None, mark) undoes.
         stack = [(0, monomials.unit(self.n), None)]
         while stack:
@@ -271,14 +272,12 @@ class Slices:
             if mark is not None:
                 self.undo(mark)
                 continue
-            if i > first and not exhaustive:
+            if i > first:
                 continue
             mark = self.mark()
-            failure = visit(a, self.active(a))
-            if failure is not None:
-                failures.append((i, a, failure))
-                first = min(first, i)
+            value = visit(a, self.active(a))
+            if value is not None:
+                failure, first = (i, a, value), i
             stack.append((None, None, mark))
             stack.extend((j, b, None) for j, b in reversed(children[a]))
-        failures.sort()
-        return (failures if exhaustive else failures[:1]), len(closure)
+        return failure, len(closure)

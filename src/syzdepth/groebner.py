@@ -65,9 +65,6 @@ class InitialModule:
                 and self.basis.degrees == other.basis.degrees
                 and self.components == other.components)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     def nonzero_components(self):
         return [(j, c) for j, c in enumerate(self.components) if not c.is_zero()]
 
@@ -255,8 +252,8 @@ def _hilbert_slice_check(rows, degrees, initial: InitialModule):
     def differs(a, active):
         return True if engine.rank(0, active) != engine.rank(1, active) else None
 
-    failures, _ = engine.walk(differs)
-    return (False, failures[0][1]) if failures else (True, None)
+    failure, _ = engine.walk(differs)
+    return (True, None) if failure is None else (False, failure[1])
 
 
 def is_squarefree_module(initial: InitialModule) -> bool:

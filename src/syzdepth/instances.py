@@ -17,8 +17,8 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def random_monomial_ideal(rng: random.Random, n_max: int = 4, m_max: int = 5,
-                          exp_max: int = 3, squarefree: bool = False,
+def random_monomial_ideal(rng: random.Random, n_max: int, m_max: int,
+                          exp_max: int, squarefree: bool = False,
                           min_gens: int = 1, n: Optional[int] = None) -> MonomialIdeal:
     """Uniform exponents in [0, exp_max], zero vectors rejected, generators
     deduplicated and minimalized; the draws are length n, nonnegative and
@@ -40,14 +40,13 @@ def random_monomial_ideal(rng: random.Random, n_max: int = 4, m_max: int = 5,
     return ideal
 
 
-def random_stable_ideal(rng: random.Random, n_max: int = 4, m_max: int = 4,
-                        exp_max: int = 3) -> MonomialIdeal:
+def random_stable_ideal(rng: random.Random, n_max: int, m_max: int,
+                        exp_max: int) -> MonomialIdeal:
     base = random_monomial_ideal(rng, n_max, m_max, exp_max)
     return stable_closure(base)
 
 
-def random_regular_sequence(rng: random.Random, n_max: int = 5, m_max: int = 3,
-                            exp_max: int = 3):
+def random_regular_sequence(rng: random.Random, n_max: int, m_max: int, exp_max: int):
     """Monomials with pairwise disjoint supports; returns (n, gens)."""
     n = rng.randint(2, n_max)
     m = rng.randint(1, min(m_max, n))

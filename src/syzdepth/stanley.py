@@ -276,7 +276,10 @@ def _feasible_partition(tops, d: int):
         failed.add(covered)
         return None
 
-    partition = search(0)
+    try:
+        partition = search(0)
+    finally:
+        del search  # it holds itself through its cell
     tops.nodes += nodes
     return partition
 
@@ -355,17 +358,12 @@ def partition_to_decomposition(P: CharPoset, intervals: Sequence[Interval]):
 
 
 def verify_decomposition(decomposition, I: MonomialIdeal,
-                         J: Optional[MonomialIdeal] = None,
-                         box: Optional[Mono] = None):
-    """Each degree of the box must be covered exactly once iff it lies in I/J.
+                         J: Optional[MonomialIdeal] = None):
+    """Each degree of the box up to the default cap plus one in every
+    coordinate must be covered exactly once iff it lies in I/J.
 
     Returns (ok, first bad degree)."""
-    if box is None:
-        g = I.lcm_exponent()
-        if J is not None:
-            g = monomials.lcm(g, J.lcm_exponent())
-        box = tuple(e + 1 for e in g)
-    for a in itertools.product(*(range(b + 1) for b in box)):
+    for a in itertools.product(*(range(e + 2) for e in _default_cap(I, J))):
         expected = 1 if I.contains(a) and (J is None or not J.contains(a)) else 0
         covering = 0
         for e, Z in decomposition:

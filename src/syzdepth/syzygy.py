@@ -13,7 +13,7 @@ certifies what it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import monomials
 from .complexes import ChainMap, FreeComplex, _compose, _Lifter, syzygy_rows
@@ -31,7 +31,6 @@ from .monomials import Mono, MonomialIdeal
 @dataclass
 class TheoremReport:
     theorem: str
-    instance: Any
     p: int
     status: str  # "PASS" or "FAIL"
     witness: dict = field(default_factory=dict)
@@ -41,8 +40,8 @@ class TheoremReport:
         return self.status == "PASS"
 
     def to_jsonable(self) -> dict:
-        return {"theorem": self.theorem, "instance": self.instance, "p": self.p,
-                "status": self.status, "witness": self.witness}
+        return {"theorem": self.theorem, "p": self.p, "status": self.status,
+                "witness": self.witness}
 
 
 def taylor_initial_component(gens: Sequence[Mono], F: frozenset) -> MonomialIdeal:
@@ -180,14 +179,14 @@ def offending_generator(initial: InitialModule, k: int):
     return None
 
 
-def verify_theorem_main(C: FreeComplex, p: int, instance: Any = None) -> TheoremReport:
+def verify_theorem_main(C: FreeComplex, p: int) -> TheoremReport:
     """With a lex-refined basis of F_p, the oracle-computed ini(Z_p) must be
     generated away from x_1..x_p.  Z_0 is the resolved module itself, where
     the statement is vacuous."""
     witness: dict = {}
     if p > C.length:
         witness["note"] = "Z_p = 0 beyond the length of the complex"
-        return TheoremReport("theorem-main", instance, p, "PASS", witness)
+        return TheoremReport("theorem-main", p, "PASS", witness)
     if p == 0:
         witness["note"] = ("Z_0 is the resolved submodule of F_0; no variables "
                            "are required to vanish at p=0")
@@ -196,12 +195,12 @@ def verify_theorem_main(C: FreeComplex, p: int, instance: Any = None) -> Theorem
     bad = offending_generator(ini, min(p, C.n))
     if bad is not None:
         witness["offender"] = {"position": bad[0], "generator": list(bad[1])}
-        return TheoremReport("theorem-main", instance, p, "FAIL", witness)
-    return TheoremReport("theorem-main", instance, p, "PASS", witness)
+        return TheoremReport("theorem-main", p, "FAIL", witness)
+    return TheoremReport("theorem-main", p, "PASS", witness)
 
 
 def verify_gunnar_step(rows, source_basis: OrderedBasis, target_basis: OrderedBasis,
-                       p: int, instance: Any = None) -> TheoremReport:
+                       p: int) -> TheoremReport:
     """Kernel counterpart of the image hypothesis: if ini of the image avoids
     x_1..x_{p-1} under a lex-refined target basis, ini of the kernel avoids
     x_1..x_p under a lex-refined source basis.  The map sends e_j to the
@@ -223,11 +222,11 @@ def verify_gunnar_step(rows, source_basis: OrderedBasis, target_basis: OrderedBa
     witness: dict = {"kernel_size": len(kernel)}
     if not kernel:
         witness["note"] = "injective map; the kernel statement is vacuous"
-        return TheoremReport("gunnar-step", instance, p, "PASS", witness)
+        return TheoremReport("gunnar-step", p, "PASS", witness)
     kernel_ini = _initial_module(kernel, degrees, F_basis)
     witness["components"] = kernel_ini.to_jsonable()
     bad = offending_generator(kernel_ini, min(p, source_basis.n))
     if bad is not None:
         witness["offender"] = {"position": bad[0], "generator": list(bad[1])}
-        return TheoremReport("gunnar-step", instance, p, "FAIL", witness)
-    return TheoremReport("gunnar-step", instance, p, "PASS", witness)
+        return TheoremReport("gunnar-step", p, "FAIL", witness)
+    return TheoremReport("gunnar-step", p, "PASS", witness)

@@ -37,10 +37,6 @@ from .monomials import MonomialIdeal
 from .stanley import char_poset, exact_sdepth, filtration_lower_bound, validate_partition
 from .syzygy import compose_cone_gb, lex_refined_initial, verify_boundary_gb, verify_theorem_main
 
-THEOREMS = ("theorem-main", "boundary-gb", "mainsyz", "regular",
-            "sqfree-stde", "squarefree", "lemma-groebner")
-
-
 @dataclass
 class VerifyJob:
     """One verify run; cli's grammar holds the defaults of its fields."""
@@ -123,10 +119,10 @@ def _run_theorem_main(rng, job) -> dict:
         complexes.append(("minimized", minimize(C)))
     for tag, cx in complexes:
         for p in range(0, I.n + 1):
-            rep = verify_theorem_main(cx, p, instance)
+            rep = verify_theorem_main(cx, p)
             if not rep.passed:
                 return _report("theorem-main", instance, "FAIL",
-                               {"complex": tag, **rep.to_jsonable()})
+                               {"complex": tag, "instance": instance, **rep.to_jsonable()})
     return _report("theorem-main", instance, "PASS")
 
 
@@ -265,9 +261,10 @@ def _run_squarefree(rng, job) -> dict:
 _RUNNERS = {
     "theorem-main": _run_theorem_main,
     "boundary-gb": _run_boundary_gb,
-    "lemma-groebner": _run_lemma_groebner,
     "mainsyz": _run_mainsyz,
     "regular": _run_regular,
     "sqfree-stde": _run_sqfree_stde,
     "squarefree": _run_squarefree,
+    "lemma-groebner": _run_lemma_groebner,
 }
+THEOREMS = tuple(_RUNNERS)

@@ -96,7 +96,7 @@ def test_criterion_02_theorem_main(corpus, minimized):
     for (I, C), M in zip(corpus, minimized):
         for cx in (C, M):
             for p in range(0, I.n + 1):
-                rep = verify_theorem_main(cx, p, instance=None)
+                rep = verify_theorem_main(cx, p)
                 assert rep.passed, (I, p, rep.to_jsonable())
                 checked += 1
     announce(2, True, time.time() - t0, f"{checked} (complex, p) pairs")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from unittest import mock
 
@@ -99,6 +100,29 @@ def test_exact_search_node_budget_spans_every_target(search_limit):
     search_limit("SEARCH_NODE_LIMIT", 1523)
     with pytest.raises(ValueError, match="more than 1523 nodes"):
         exact_sdepth(P)
+
+
+def test_exact_search_leaves_no_reference_cycle(search_limit):
+    # With the collector off, reference counts alone must free what the
+    # search made: its memo of failures and its partial partitions, after an
+    # answer and after a refusal.  gc.collect() counts what they leave.
+    P = char_poset(maximal_ideal(6))
+    refused = char_poset(maximal_ideal(5))
+    gc.collect()
+    gc.disable()
+    try:
+        assert exact_sdepth(P).value == 3
+        assert gc.collect() == 0
+        search_limit("SEARCH_NODE_LIMIT", 50)
+        try:
+            exact_sdepth(refused)
+        except SearchRefused:
+            pass
+        else:
+            pytest.fail("the search was not refused at 50 nodes")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ideal_sdepth_cache_respects_point_limit(search_limit):

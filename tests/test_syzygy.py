@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from syzdepth import freemod
+from syzdepth import freemod, verify
 from syzdepth.complexes import (
     FreeComplex,
     comparison_cone,
@@ -15,6 +15,7 @@ from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth.groebner import buchberger, initial_module, kernel_generators, leading_module
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import (
+    TheoremReport,
     boundary_leading_terms,
     compose_cone_gb,
     lex_refined_initial,
@@ -283,6 +284,19 @@ def test_a_verify_trial_checks_nothing(checks, theorem):
     job = VerifyJob(theorem, trials=3, seed=1, n_max=4, m_max=4, exp_max=2)
     assert [report["status"] for report in run_verify_job(job)] == ["PASS"] * 3
     assert checks == []
+
+
+def test_a_failed_theorem_main_trial_embeds_the_report_with_its_instance(monkeypatch):
+    # The theorem holds, so a failing check is put in its place.  The
+    # trial's witness is the failing report, the trial's instance included.
+    monkeypatch.setattr(verify, "verify_theorem_main",
+                        lambda C, p: TheoremReport("theorem-main", p, "FAIL", {"offender": 1}))
+    job = VerifyJob("theorem-main", trials=1, seed=0, n_max=3, m_max=3, exp_max=2)
+    [report] = run_verify_job(job)
+    assert report["status"] == "FAIL"
+    assert report["witness"] == {"complex": "taylor", "instance": report["instance"],
+                                 "theorem": "theorem-main", "p": 0, "status": "FAIL",
+                                 "witness": {"offender": 1}}
 
 
 def test_a_complex_from_outside_checks_each_level_once(checks):

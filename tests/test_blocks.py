@@ -299,6 +299,16 @@ def squarefree_supports(draw):
     return n, draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
 
 
+@st.composite
+def dense_supports(draw):
+    """n <= 12 and support masks of one to three elements: a filter that
+    fills a quarter of the cube or more, held as a membership table."""
+    n = draw(st.integers(1, 12))
+    support = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n)).map(
+        lambda elements: sum(1 << i for i in elements))
+    return n, draw(st.lists(support, min_size=1, max_size=6))
+
+
 def rejection(partition, n, family):
     with pytest.raises(ValueError) as info:
         partition(n, family)
@@ -306,7 +316,7 @@ def rejection(partition, n, family):
 
 
 @settings(max_examples=80, deadline=None)
-@given(squarefree_supports(), st.data())
+@given(st.one_of(squarefree_supports(), dense_supports()), st.data())
 @example((1, [0b1]), None)
 @example((7, [0b1111111]), None)
 @example((10, [0b1111111111, 0b1, 0b110]), None)
@@ -409,6 +419,12 @@ def families_near_filters(draw):
 @example((10, filter_of_supports(10, [0b1]) - {0b11}, None))             # table, refused
 @example((10, filter_of_supports(10, [0b0011111111]) - {0b0111111111}, None))
 @example((10, filter_of_supports(10, [0b1, 0]), None))                   # empty set
+@example((9, filter_of_supports(9, [0b11, 0b110000100]), None))        # dense, n = 9..12
+@example((10, filter_of_supports(10, [0b101, 0b1001000000, 0b110]), None))
+@example((11, filter_of_supports(11, [0b111, 0b10000100000, 0b1100010000]), None))
+@example((12, filter_of_supports(12, [0b11, 0b100010001000, 0b11100000]) - {0b10011},
+          None))                                                         # dense, refused
+@example((12, filter_of_supports(12, [0b110, 0b100000001001, 0b10100000000]), None))
 @example((4, filter_of_supports(4, [0b1]), 1 << 4))
 @example((4, filter_of_supports(4, [0b1]), -1))
 @example((2, {0b01}, -1))  # a table indexed at -1 would mark 0b11 a member

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -500,6 +501,18 @@ def reference_squarefree_partition_payload(I: MonomialIdeal) -> dict:
     }
 
 
+# A squarefree ideal on 13 variables with 8 supports of size 2-3: its
+# certificate is 3.3 MB, nearly all of it singleton intervals.
+SUPPORTS13 = golden._squarefree(13, [{1, 7, 13}, {7, 8, 9}, {6, 8, 10}, {3, 9}, {2, 3, 10},
+                                     {9, 10, 12}, {2, 5}, {6, 11}])
+# Dense filters in 12 and 14 variables, from supports of two to four
+# elements: their certificates are written from membership tables of two
+# 8-bit chunks, and the supports of two elements give stage intervals.
+DENSE12 = golden._squarefree(12, [{1, 5, 9}, {2, 6}, {3, 10, 11}, {4, 8, 12}, {7, 11}])
+DENSE14 = golden._squarefree(14, [{1, 2, 3, 4}, {5, 6, 7}, {8, 9, 10}, {11, 12, 13, 14},
+                                  {2, 7, 12}, {3, 14}])
+
+
 # Squarefree ideals on up to 18 variables whose supports each miss at most
 # four variables, so that every filter has at most 4 * 16 sets.
 wide_squarefree_ideals = st.integers(1, 18).flatmap(lambda n: st.tuples(
@@ -520,6 +533,9 @@ def _edges(n, pairs):
 @example((7, _edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1)])))
 @example((8, _edges(8, [(i,) for i in range(1, 9)])))
 @example((9, golden.INPUTS["wide9"]["generators"]))
+@example((12, DENSE12["generators"]))
+@example((13, SUPPORTS13["generators"]))
+@example((14, DENSE14["generators"]))
 @example((16, golden.INPUTS["wide16"]["generators"]))
 @example((17, golden.INPUTS["wide17"]["generators"]))
 def test_squarefree_certificate_matches_the_reference_payload(ideal):
@@ -870,10 +886,6 @@ def test_output_file_keeps_the_mode_and_hard_links_of_open(ideal_file, capsys, t
     assert capsys.readouterr() == ("", "")
 
 
-# A squarefree ideal on 13 variables with 8 supports of size 2-3: its
-# certificate is 3.3 MB, nearly all of it singleton intervals.
-SUPPORTS13 = golden._squarefree(13, [{1, 7, 13}, {7, 8, 9}, {6, 8, 10}, {3, 9}, {2, 3, 10},
-                                     {9, 10, 12}, {2, 5}, {6, 11}])
 # The path on 10 vertices with the odd-indexed edges first: its Taylor
 # complex is 1.4 MB of JSON.
 PATH10_ODD_FIRST = {"n": 10, "generators": [[1 if j in (i, i + 1) else 0 for j in range(10)]
@@ -906,6 +918,16 @@ def test_partition_peak_stays_below_its_output(ideal_file, tmp_path):
                                        tmp_path)
     assert size > 3_000_000
     assert peak < size
+
+
+def test_dense_certificate_in_thirteen_variables_is_pinned(ideal_file, tmp_path):
+    # No golden output reaches a membership table past n = 9; this pins the
+    # 3.3 MB certificate of SUPPORTS13 byte for byte.
+    target = tmp_path / "out.json"
+    assert main(["partition", "--input", ideal_file(SUPPORTS13), "--output", str(target)]) == 0
+    text = target.read_bytes()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (
+        3_279_194, "e6d197aea47e38b4c495f626fde1f5a00b08e829693191c4203b012bf8e23fd0")
 
 
 def test_sparse_filter_in_forty_variables_stays_small(tmp_path):

@@ -9,7 +9,9 @@ filters, stage by cardinality, with a schedule of densities.
 Block structures take subsets of [n] as sets of ints.  Order filters and
 their interval partitions are int bitmasks, bit i standing for x_{i+1},
 which is element i+1 of [n]: the subset {1, 3} is 0b101.  lifted_f keeps
-the set interface and the partition converts at that one call.
+the set interface and the partition converts at that one call.  A dense
+filter is a membership table of 2^n bytes instead of a set of masks, and
+squarefree_certificate builds it straight from the filter's supports.
 
 An integral density is held as an int, so the sweep and the axiom check
 compare ints; only a non-integral one stays a Fraction.
@@ -18,6 +20,7 @@ compare ints; only a non-integral one stays a Fraction.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -237,16 +240,6 @@ def support_mask(degree) -> int:
     return mask
 
 
-def _lex_key(n: int):
-    """Sort key for masks of one size: ascending keys list the subsets in
-    lexicographic order of their sorted elements.  Two sets of one size
-    first differ at the least element of their symmetric difference, and
-    the set holding it comes first; the key is the complement written
-    least element first, where that set reads 0."""
-    full = (1 << n) - 1
-    return lambda mask: f"{full ^ mask:0{n}b}"[::-1]
-
-
 def _upset(base: int, free: int) -> list:
     """base | sub for every submask sub of free."""
     out = []
@@ -265,6 +258,13 @@ def _upset(base: int, free: int) -> list:
 # of a few large supports in a large n, such as (x1...x38) in n = 40, is far
 # sparser, and only the per-set code can hold it.
 _TABLE_RATIO = 4
+
+# _REVERSED[b] is the byte b with its eight bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+class _FilterTable(bytearray):
+    """A membership table that squarefree_certificate built up-closed."""
 
 
 def _cube_family(n: int, sets) -> set:
@@ -289,6 +289,11 @@ def _membership_table(n: int, family: set) -> Optional[bytearray]:
     return table
 
 
+def _without_bit(n: int, i: int) -> int:
+    """The int whose byte S is 1 exactly for the subsets S of [n] without i."""
+    return int.from_bytes((b"\x01" * (1 << i) + bytes(1 << i)) * (1 << (n - i - 1)), "little")
+
+
 def _table_violation(n: int, table: bytearray) -> Optional[tuple]:
     """The (member, superset) pair of the least bit i, then the least
     member S without i, for which S | 2^i is missing; None when up-closed.
@@ -300,9 +305,7 @@ def _table_violation(n: int, table: bytearray) -> Optional[tuple]:
     members = int.from_bytes(table, "little")
     for i in range(n):
         step = 1 << i
-        without_i = int.from_bytes((b"\x01" * step + bytes(step)) * (len(table) >> (i + 1)),
-                                   "little")
-        missing = ((members & without_i) << (8 * step)) & ~members
+        missing = ((members & _without_bit(n, i)) << (8 * step)) & ~members
         if missing:
             superset = ((missing & -missing).bit_length() - 1) >> 3
             return (superset - step, superset)
@@ -354,6 +357,24 @@ def _largest_s(budget: int) -> int:
     return s
 
 
+def squarefree_certificate(n: int, supports: Iterable) -> tuple:
+    """squarefree_partition of filter_of_supports(n, supports), and the least
+    size of a top (n if there is none).  Where the supports' up-sets, counted
+    with overlaps, hold 2^n / _TABLE_RATIO sets or more, the filter is made
+    as a membership table, by n shift-or passes over the table read as one
+    int (see _table_violation); otherwise as a set."""
+    full = (1 << n) - 1
+    supports = [g for g in supports if not g & ~full]
+    if _TABLE_RATIO * sum(1 << (n - g.bit_count()) for g in supports) < 1 << n:
+        pairs = squarefree_partition(n, filter_of_supports(n, supports))
+    else:
+        members = sum(1 << 8 * g for g in set(supports))  # byte g is 1
+        for i in range(n):
+            members |= (members & _without_bit(n, i)) << (8 << i)
+        pairs = squarefree_partition(n, _FilterTable(members.to_bytes(1 << n, "little")))
+    return pairs, min(map(int.bit_count, map(operator.itemgetter(1), pairs)), default=n)
+
+
 def squarefree_partition(n: int, filter_sets) -> list:
     """Interval partition of an order filter with all tops of size >= 2s+1.
 
@@ -361,43 +382,49 @@ def squarefree_partition(n: int, filter_sets) -> list:
     covers every uncovered a-set A, in lexicographic order, by the interval
     up to lifted_f(n, A, sigma(a)); whatever survives the r stages becomes a
     trivial interval, by size and then lexicographically.  Disjointness is
-    asserted while covering.  A dense filter is checked and partitioned on
-    its membership table (see _TABLE_RATIO), a sparse one set by set; both
-    run the same _stages and give the same pairs in the same order.  A mask
-    outside [0, 2^n) raises ValueError.
+    asserted while covering.  A mask outside [0, 2^n) raises ValueError.
+
+    A dense family is checked and partitioned on its membership table (see
+    _TABLE_RATIO), as is a _FilterTable, unchecked; a sparse one set by set.
+    Either form is scanned once into sorted size classes (_size_classes).
     """
-    family = _cube_family(n, filter_sets)
-    if not family:
-        return []
-    table = _membership_table(n, family)
-    bad = _violation(n, family, table)
-    if bad is not None:
-        raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
-                         f"{mask_elements(bad[1])} is not")
-    if 0 in family:
+    if isinstance(filter_sets, _FilterTable):
+        table = filter_sets
+    else:
+        family = _cube_family(n, filter_sets)
+        if not family:
+            return []
+        table = _membership_table(n, family)
+        bad = _violation(n, family, table)
+        if bad is not None:
+            raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
+                             f"{mask_elements(bad[1])} is not")
+    if (0 in family) if table is None else table[0]:
         raise ValueError("the filter contains the empty set (unit ideal)")
     schedule = sigma_schedule(_largest_s(n + 1))
-    if table is not None:
-        # Each size class from combinations of the bits, kept where its
-        # byte is 1; covering a set sets its byte to 0.
-        bits = [1 << i for i in range(n)]
+    if table is None:  # covering a set removes it from the family
+        return _stages(n, schedule, _size_classes(n, family), family.__contains__,
+                       family.difference_update)
 
-        def uncovered(size):
-            masks, probes = itertools.tee(_lex_masks(bits, size))
-            return itertools.compress(masks, map(table.__getitem__, probes))
+    def cover(members):
+        for C in members:
+            table[C] = 0
 
-        def cover(members):
-            for C in members:
-                table[C] = 0
+    members = itertools.compress(range(len(table)), table)
+    return _stages(n, schedule, _size_classes(n, members), table.__getitem__, cover)
 
-        return _stages(n, schedule, uncovered, table.__getitem__, cover)
-    # Each size class sorted once, kept while in the family; covering a set
-    # removes it from the family.
+
+def _size_classes(n: int, masks) -> list:
+    """The masks by size, each size class in lexicographic order: of two
+    sets of one size, the one holding the least element of their symmetric
+    difference has the greater little-endian bytes, each bit-reversed."""
+    width = (n + 7) >> 3
     by_size = [[] for _ in range(n + 1)]
-    for S in sorted(family, key=_lex_key(n)):
+    for S in masks:
         by_size[S.bit_count()].append(S)
-    return _stages(n, schedule, lambda size: filter(family.__contains__, by_size[size]),
-                   family.__contains__, family.difference_update)
+    for group in by_size:
+        group.sort(key=lambda S: S.to_bytes(width, "little").translate(_REVERSED), reverse=True)
+    return by_size
 
 
 def _lex_masks(bits: list, size: int):
@@ -406,16 +433,15 @@ def _lex_masks(bits: list, size: int):
     return map(sum, itertools.combinations(bits, size))
 
 
-def _stages(n: int, schedule: SigmaSchedule, uncovered, present, cover) -> list:
+def _stages(n: int, schedule: SigmaSchedule, by_size: list, present, cover) -> list:
     """squarefree_partition's stages and trivial intervals on one membership
-    form of the filter: uncovered(size) iterates over the members of that
-    size not yet covered, in lexicographic order, reading the form as it
-    goes; present(C) is true while the member C is uncovered; cover(members)
+    form of the filter: by_size[k] lists its k-sets in lexicographic order,
+    present(C) is true while the member C is uncovered, and cover(members)
     marks the members covered.
     """
     out = []
     for a in range(1, schedule.r + 1):
-        for A in uncovered(a):
+        for A in filter(present, by_size[a]):
             top = subset_mask(lifted_f(n, mask_elements(A), schedule(a)))
             members = _upset(A, top & ~A)
             if not all(map(present, members)):
@@ -428,8 +454,9 @@ def _stages(n: int, schedule: SigmaSchedule, uncovered, present, cover) -> list:
                                    f"{mask_elements(clash)}")
             cover(members)
             out.append((A, top))
-    for size in range(1, n + 1):
-        out.extend((B, B) for B in uncovered(size))
+    for size_class in by_size:
+        trivial = list(filter(present, size_class))
+        out += zip(trivial, trivial)
     return out
 
 

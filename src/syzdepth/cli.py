@@ -73,7 +73,10 @@ def load_ideal(path: str) -> tuple[MonomialIdeal, tuple[Mono, ...]]:
                              "nonnegative integers")
         if not any(g):
             raise InputError("the zero exponent vector is not a valid generator")
-    gens = [monomials.check_monomial(tuple(g)) for g in gens]
+    gens = [tuple(g) for g in gens]
+    for g in gens:  # the signs are checked above: only the cap is left
+        if max(g) >= monomials.EXPONENT_CAP:
+            raise InputError(f"exponent overflow in {g}")
     I = MonomialIdeal._made(n, gens)
     # The minimal generators in first-occurrence order of the file.
     minimal = set(I.gens)
@@ -89,7 +92,7 @@ def _dumps(value, indent: str = "\n") -> str:
     and indentation in front of the value's closing bracket.
     """
     if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:  # bool is a subclass of int, not int
+        if all(type(x) is int for x in value):  # bool is a subclass of int, not int
             return _json_ints(value, indent)
         return _json_list([_dumps(x, indent + "  ") for x in value], indent)
     if isinstance(value, dict):
@@ -377,9 +380,7 @@ def _squarefree_partition_json(I: MonomialIdeal):
     if not I.is_squarefree():
         raise InputError("sqfree-construct needs a squarefree ideal")
     n = I.n
-    family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
-    pairs = blocks.squarefree_partition(n, family)
-    value = min(B.bit_count() for _, B in pairs) if pairs else n
+    pairs, value = blocks.squarefree_certificate(n, map(blocks.support_mask, I.gens))
     return _object_chunks({
         "bound": blocks.sqfree_lower_bound(n), "g": [1] * n, "sdepth": value,
         "intervals": _interval_list(n, pairs, lambda i, bit: _ITEM + "01"[bit]),
@@ -394,6 +395,7 @@ _INDENT = "\n  "
 _ITEM = ",\n        "
 # Intervals per chunk of the squarefree certificate's text.
 _BATCH = 1024
+_OPEN, _MID, _CLOSE = '\n    {\n      "a": [', '\n      ],\n      "b": [', '\n      ]\n    }'
 
 
 def _interval_list(n: int, pairs, item):
@@ -403,9 +405,10 @@ def _interval_list(n: int, pairs, item):
     item's text starts with _ITEM.
 
     A table per 8-bit chunk of the mask gives the joined items of each of
-    the chunk's values; a mask's list is its chunks' entries joined, without
-    the first item's comma.  A trivial interval's list is made once, for
-    both "a" and "b".
+    the chunk's values; a mask's items are its chunks' entries added up,
+    and its list drops the first item's comma.  An interval's text is
+    _OPEN, the list of A, _MID, that of B and _CLOSE, so a trivial one is
+    its one list joined between them.
     """
     if not pairs:
         yield "[]"
@@ -416,20 +419,22 @@ def _interval_list(n: int, pairs, item):
         for i in range(low, min(low + 8, n)):
             table = [t + item(i, 0) for t in table] + [t + item(i, 1) for t in table]
         tables.append(table)
-    size = len(tables)
-    get = list.__getitem__
-    join = "".join
-
-    def text(mask):
-        return f"[{join(map(get, tables, mask.to_bytes(size, 'little')))[1:]}\n      ]"
-
+    first = tables[0]
+    rest = [(table, 8 * j) for j, table in enumerate(tables) if j]
     opener = "["
     for start in range(0, len(pairs), _BATCH):
         batch = []
         for A, B in pairs[start:start + _BATCH]:
-            a = text(A)
-            b = a if A == B else text(B)
-            batch.append(f'\n    {{\n      "a": {a},\n      "b": {b}\n    }}')
+            a = first[A & 255]
+            for table, shift in rest:
+                a += table[A >> shift & 255]
+            if A == B:
+                batch.append(a[1:].join((_OPEN, _MID, _CLOSE)))
+                continue
+            b = first[B & 255]
+            for table, shift in rest:
+                b += table[B >> shift & 255]
+            batch.append(_OPEN + a[1:] + _MID + b[1:] + _CLOSE)
         yield opener + ",".join(batch)
         opener = ","
     yield _INDENT + "]"

@@ -357,14 +357,13 @@ def partition_to_decomposition(P: CharPoset, intervals: Sequence[Interval]):
     return out
 
 
-def verify_decomposition(decomposition, I: MonomialIdeal,
-                         J: Optional[MonomialIdeal] = None):
-    """Each degree of the box up to the default cap plus one in every
-    coordinate must be covered exactly once iff it lies in I/J.
+def verify_decomposition(decomposition, I: MonomialIdeal):
+    """Each degree of the box up to I's lcm exponent plus one in every
+    coordinate must be covered exactly once iff it lies in I.
 
     Returns (ok, first bad degree)."""
-    for a in itertools.product(*(range(e + 2) for e in _default_cap(I, J))):
-        expected = 1 if I.contains(a) and (J is None or not J.contains(a)) else 0
+    for a in itertools.product(*(range(e + 2) for e in I.lcm_exponent())):
+        expected = 1 if I.contains(a) else 0
         covering = 0
         for e, Z in decomposition:
             if monomials.divide(a, e) is not None and all(

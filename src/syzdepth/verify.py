@@ -216,8 +216,7 @@ def _run_sqfree_stde(rng, job) -> dict:
     n = rng.randint(2, job.n_max)
     I = random_monomial_ideal(rng, n, job.m_max, 1, squarefree=True, n=n)
     instance = ideal_instance(I)
-    family = blocks.filter_of_supports(n, [blocks.support_mask(g) for g in I.gens])
-    pairs = blocks.squarefree_partition(n, family)
+    pairs, worst = blocks.squarefree_certificate(n, map(blocks.support_mask, I.gens))
     poset = char_poset(I, g=(1,) * n)
     intervals = blocks.to_interval_partition(n, pairs)
     try:
@@ -225,7 +224,6 @@ def _run_sqfree_stde(rng, job) -> dict:
     except ValueError as exc:
         return _report("sqfree-stde", instance, "FAIL", {"error": str(exc)})
     bound = blocks.sqfree_lower_bound(n)
-    worst = min(B.bit_count() for _, B in pairs)
     if worst < bound:
         return _report("sqfree-stde", instance, "FAIL",
                        {"min_top": worst, "bound": bound})

@@ -301,8 +301,8 @@ def squarefree_supports(draw):
 
 @st.composite
 def dense_supports(draw):
-    """n <= 12 and support masks of one to three elements: a filter that
-    fills a quarter of the cube or more, held as a membership table."""
+    """n <= 12 and support masks of one to three elements, whose filters
+    mostly fill a quarter of the cube or more: membership tables."""
     n = draw(st.integers(1, 12))
     support = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n)).map(
         lambda elements: sum(1 << i for i in elements))
@@ -326,7 +326,11 @@ def test_masks_match_the_frozenset_reference(case, data):
     family = filter_of_supports(n, gens)
     assert {as_set(S) for S in family} == ref_family
     ref_pairs = reference_squarefree_partition(n, ref_family)
-    assert [(as_set(A), as_set(B)) for A, B in squarefree_partition(n, family)] == ref_pairs
+    pairs = squarefree_partition(n, family)
+    assert [(as_set(A), as_set(B)) for A, B in pairs] == ref_pairs
+    # The certificate makes the filter from the supports, as a table where dense.
+    assert blocks.squarefree_certificate(n, gens) == (
+        pairs, min((len(B) for _, B in ref_pairs), default=n))
     # Dropping a member with exactly one lower cover in the filter leaves a
     # family with exactly one violating pair, so both must name that pair.
     lonely = [S for S in sorted(family)

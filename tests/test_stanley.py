@@ -328,6 +328,39 @@ def _reference_feasible_partition(P, points_sorted, d):
     return search(frozenset())
 
 
+def reference_candidate_tops(P):
+    """_CandidateTops as it read when it walked the box [a, cap] coordinate
+    by coordinate: the (value, interval, bitmask) list of each point a, in
+    lexicographic order.  The masks of the points at most t in a coordinate,
+    and of the points at or above a, are read off the points one by one."""
+    points = sorted(P.points)
+
+    def points_at_most(k, t):
+        return sum(1 << i for i, x in enumerate(points) if x[k] <= t)
+
+    def multiples(a):
+        return sum(1 << i for i, x in enumerate(points) if all(u <= v for u, v in zip(a, x)))
+
+    tables = []
+    for k, hi in enumerate(P.cap):
+        low = min(a[k] for a in points)
+        tables.append((low, [points_at_most(k, t) for t in range(low, hi + 1)]))
+    lists = []
+    for a in points:
+        # (top so far, bitmask, value, size), extended one coordinate at a time
+        partial = [((), multiples(a), 0, 1)]
+        for lo, hi, (low, below) in zip(a, P.cap, tables):
+            steps = list(zip(range(lo, hi + 1), below[lo - low:]))  # (t, at most t)
+            partial = [(b + (t,), mask & at_most,
+                        value + (t == hi), size * (t - lo + 1))
+                       for b, mask, value, size in partial for t, at_most in steps]
+        found = [(value, Interval(a, b), mask) for b, mask, value, size in partial
+                 if mask.bit_count() == size]
+        found.sort(key=lambda entry: (-entry[0], entry[1].top))
+        lists.append(found)
+    return lists
+
+
 # S/J with 110 points whose true value is 1.  Started at d = n, the bitset
 # search spent 1,924,753 nodes refuting d = 2 and was refused, and the
 # reference search took about 95 s.
@@ -446,6 +479,32 @@ def test_exact_sdepth_matches_reference_search(P):
         return
     result = exact_sdepth(P)
     assert (result.value, result.partition) == reference_sdepth(P)
+
+
+# Not convex: (0, 1) and (1, 0) lie between its two points but not in it.
+GAPPED = CharPoset(2, (1, 1), frozenset({(0, 0), (1, 1)}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets())
+@example(POSET_110)
+@example(GAPPED)
+def test_candidate_tops_match_the_box_walk(P):
+    # Each point's intervals inside P, by decreasing value, then top, with
+    # their masks, and the start bound read from them.
+    if not P.points:
+        return
+    tops = stanley._CandidateTops(P)
+    assert [tops[i] for i in range(P.size)] == reference_candidate_tops(P)
+    assert stanley._start_bound(tops) == reference_start_bound(P)
+
+
+def test_candidate_tops_drop_a_top_whose_box_leaves_the_poset():
+    # The interval [(0, 0), (1, 1)] has its ends in GAPPED but two of its
+    # four points outside, so its mask of two bits is not taken.
+    tops = stanley._CandidateTops(GAPPED)
+    assert tops[0] == [(0, Interval((0, 0), (0, 0)), 0b01)]
+    assert tops[1] == [(2, Interval((1, 1), (1, 1)), 0b10)]
 
 
 @pytest.mark.parametrize("gens", [[(2,)], [(2, 0), (0, 3)], [(2, 0), (1, 1), (0, 2)],

@@ -12,7 +12,7 @@ the rows it is given.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le
 from typing import Any, Iterable, Optional
@@ -92,15 +92,13 @@ class DegreeMasks:
     Per coordinate k, the distinct values of the vectors' k-th coordinates
     in increasing order, and their prefix masks: prefix j holds the vectors
     whose k-th coordinate is one of the first j values.  So the vectors
-    whose k-th coordinate is at most t are one prefix mask, found by
-    bisection, and the vectors in a box are an AND of one per coordinate.
-    The tables hold one mask per distinct value, however large the
-    exponents are.  degrees is a sequence of (index, exponent vector)
-    pairs, and size the number of bits of the full mask.
+    that divide a are an AND of one prefix mask per coordinate, each found
+    by bisection.  The tables hold one mask per distinct value, however
+    large the exponents are.  degrees is a sequence of (index, exponent
+    vector) pairs.
     """
 
-    def __init__(self, degrees, n: int, size: int):
-        self.full = (1 << size) - 1
+    def __init__(self, degrees, n: int):
         self._known = 0  # the vectors that have a degree
         for i, _ in degrees:
             self._known |= 1 << i
@@ -116,26 +114,12 @@ class DegreeMasks:
                 prefixes.append(prefixes[-1] | by_value[t])
             self._tables.append((values, prefixes, values[-1] if values else 0))
 
-    def at_most(self, k: int, t: int) -> int:
-        """Bitmask of the vectors whose k-th coordinate is at most t."""
-        values, prefixes, _ = self._tables[k]
-        return prefixes[bisect_right(values, t)]
-
     def dividing(self, a: Mono) -> int:
         """Bitmask of the vectors that divide a."""
         mask = self._known
         for (values, prefixes, top), t in zip(self._tables, a):
             if t < top:
                 mask &= prefixes[bisect_right(values, t)]
-        return mask
-
-    def multiples(self, a: Mono) -> int:
-        """Bitmask of the vectors that a divides: per coordinate, those
-        whose value there is not below a's."""
-        mask = self.full
-        for (values, prefixes, _), t in zip(self._tables, a):
-            if t > 0:
-                mask &= ~prefixes[bisect_left(values, t)]
         return mask
 
 
@@ -203,7 +187,7 @@ class Slices:
             known.extend((start + i, d) for i, d in enumerate(degrees) if d is not None)
             self.blocks.append(((1 << len(self.rows)) - (1 << start), rank))
         self.degrees = [d for _, d in known]
-        self._masks = DegreeMasks(known, n, len(self.rows))
+        self._masks = DegreeMasks(known, n)
         self.pivots = [{} for _ in self.blocks]
         self._reduced = 0  # bitmask of the rows reduced on the path
         self._made = []  # (block, leading column) of the pivots, in the order made

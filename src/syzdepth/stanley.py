@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import monomials
-from .freemod import DegreeMasks
 from .groebner import InitialModule
 from .monomials import Mono, MonomialIdeal
 
@@ -159,16 +158,18 @@ def exact_sdepth(P: CharPoset) -> SdepthResult:
 
     Decision search for descending target values: branch on the
     lexicographically smallest uncovered point, try tops by decreasing value,
-    ties by increasing top.  The targets start at the start bound: the
-    minimum over points x of the largest value of a point of P above x.
-    The interval that covers x has its top among those points, so no
-    partition beats the bound, and the targets above it, which would all
-    be refuted, are skipped.  Points are the bits of an int in lexicographic
-    order, so the smallest uncovered point is the lowest zero bit of the
-    covered set, and failure states are memoized on that int.  Every
-    returned partition has passed validate_partition.  A search that
-    visits more than SEARCH_NODE_LIMIT nodes, or a poset above POINT_LIMIT,
-    raises SearchRefused.
+    ties by increasing top.  The tops from a point are the points of P above
+    it, as the poset of a module is convex, each kept when its interval's
+    bitmask counts all of the interval's points.  The targets start at the
+    start bound: the minimum over points x of the largest value of a point
+    of P above x.  The interval that covers x has its top among those
+    points, so no partition beats the bound, and the targets above it,
+    which would all be refuted, are skipped.  Points are the bits of an int
+    in lexicographic order, so the smallest uncovered point is the lowest
+    zero bit of the covered set, and failure states are memoized on that
+    int.  Every returned partition has passed validate_partition.  A search
+    that visits more than SEARCH_NODE_LIMIT nodes, or a poset above
+    POINT_LIMIT, raises SearchRefused.
     """
     check_point_limit(P.size)
     if not P.points:
@@ -193,8 +194,15 @@ class _CandidateTops(dict):
     then top; built on first use and shared by every target d, as is the
     count of search nodes visited so far.
 
-    An interval lies in P exactly when its bitmask has one bit for each of
-    its prod(b_j - a_j + 1) points.
+    Point j has its value, up[j], the bitmask of the points at or above it,
+    and down[j], of the points at or below it.  The tops from a are the
+    points of up[a]: the poset of a module I/J is convex (a <= c <= b with
+    a, b in P puts c in P), so every point b above a closes an interval
+    [a, b] inside P, whose points are up[a] & down[b].  The interval is
+    kept only when that mask has one bit for each of its prod(b_k - a_k + 1)
+    points, which drops the tops of a poset that is not convex.  The bits
+    of up[a] are the tops in lexicographic order, and a stable sort by
+    value puts the list in order.
     """
 
     def __init__(self, P: CharPoset):
@@ -202,28 +210,35 @@ class _CandidateTops(dict):
         self.nodes = 0
         self.points = sorted(P.points)
         self.cap = P.cap
-        self.masks = DegreeMasks(list(enumerate(self.points)), P.n, len(self.points))
-        # Per coordinate, its least value over the points and the masks of
-        # the points at most t there, for t from that value up to the cap:
-        # every value a top can take from a point.  A table is as long as
-        # the walk of the tops from the point with that least value.
-        self._below = []
-        for k, hi in enumerate(self.cap):
-            low = min(a[k] for a in self.points)
-            self._below.append((low, [self.masks.at_most(k, t) for t in range(low, hi + 1)]))
+        self.values = [sum(map(operator.eq, b, self.cap)) for b in self.points]
+        # Per coordinate, {t: bitmask of the points at least t there} and
+        # {t: bitmask of the points at most t}, for the values t it takes.
+        full = (1 << len(self.points)) - 1
+        self.up, self.down = [full] * len(self.points), [full] * len(self.points)
+        for column in zip(*self.points):
+            by_value = {}
+            for i, t in enumerate(column):
+                by_value[t] = by_value.get(t, 0) | 1 << i
+            at_least, at_most, below = {}, {}, 0
+            for t in sorted(by_value):
+                at_least[t] = full ^ below
+                below |= by_value[t]
+                at_most[t] = below
+            self.up[:] = map(operator.and_, self.up, map(at_least.__getitem__, column))
+            self.down[:] = map(operator.and_, self.down, map(at_most.__getitem__, column))
 
     def __missing__(self, i):
-        a = self.points[i]
-        # (top so far, bitmask, value, size), extended one coordinate at a time
-        partial = [((), self.masks.multiples(a), 0, 1)]
-        for lo, hi, (low, below) in zip(a, self.cap, self._below):
-            steps = list(zip(range(lo, hi + 1), below[lo - low:]))  # (t, at most t)
-            partial = [(b + (t,), mask & at_most,
-                        value + (t == hi), size * (t - lo + 1))
-                       for b, mask, value, size in partial for t, at_most in steps]
-        found = [(value, Interval(a, b), mask) for b, mask, value, size in partial
-                 if mask.bit_count() == size]
-        found.sort(key=lambda entry: (-entry[0], entry[1].top))
+        a, up = self.points[i], self.up[i]
+        before = [s - 1 for s in a]  # an interval [a, b] has prod(b - before) points
+        found = []
+        tops = bin(up)[:1:-1]  # bit j is character j
+        j = tops.find("1")
+        while j >= 0:
+            b, mask = self.points[j], up & self.down[j]
+            if mask.bit_count() == math.prod(map(operator.sub, b, before)):
+                found.append((self.values[j], Interval(a, b), mask))
+            j = tops.find("1", j + 1)
+        found.sort(key=operator.itemgetter(0), reverse=True)
         self[i] = found
         return found
 
@@ -236,13 +251,12 @@ def _start_bound(tops) -> int:
     """
     n = len(tops.cap)
     at_least = [0] * (n + 1)
-    for i, b in enumerate(tops.points):
-        at_least[sum(map(operator.eq, b, tops.cap))] |= 1 << i
+    for i, value in enumerate(tops.values):
+        at_least[value] |= 1 << i
     for v in range(n - 1, -1, -1):
         at_least[v] |= at_least[v + 1]
     bound = n
-    for a in tops.points:
-        above = tops.masks.multiples(a)
+    for above in tops.up:
         while not at_least[bound] & above:
             bound -= 1
     return bound

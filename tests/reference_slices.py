@@ -102,7 +102,7 @@ class RankSlices:
             if d is not None:
                 known.append((i, d))
         self.degrees = [d for _, d in known]
-        self._masks = DegreeMasks(known, basis.n, len(self._rows))
+        self._masks = DegreeMasks(known, basis.n)
         self._ranks = {}
 
     def active(self, a: Mono) -> int:
@@ -148,7 +148,7 @@ class Slices:
         self.rows = list(rows)
         known = [(i, d) for i, d in enumerate(degrees) if d is not None]
         self.degrees = [d for _, d in known]
-        self._masks = DegreeMasks(known, basis.n, len(self.rows))
+        self._masks = DegreeMasks(known, basis.n)
         self._positions = len(basis)
         self.pivots = {}
         self._reduced = 0  # bitmask of the rows reduced on the path

@@ -511,8 +511,8 @@ def test_candidate_tops_drop_a_top_whose_box_leaves_the_poset():
                                   [(1, 0, 0), (0, 2, 0), (0, 0, 3)]])
 def test_exact_quotient_with_the_cap_past_every_point(gens):
     # The poset of sdepth --quotient: S/I under I's lcm exponent, which no
-    # point of S/I reaches, so every candidate top's last coordinate lies
-    # past the prefix tables of the points.
+    # point of S/I reaches, so the tops of the box [a, cap] past the points
+    # close no interval inside P, and every interval has value 0.
     n = len(gens[0])
     P = char_poset(MonomialIdeal(n, [unit(n)]), MonomialIdeal(n, gens))
     assert all(max(x[k] for x in P.points) < P.cap[k] for k in range(n))

@@ -143,3 +143,15 @@ def test_every_definition_is_read_or_exported():
             if node.name not in exported
             and reads[node.name] == sum(read == node.name for read in _loads(node))]
     assert dead == []
+
+
+def test_names_defined_more_than_once_are_pinned():
+    # The test above matches reads by name, so a read of one definition
+    # also counts for every other of the same name: a live MonomialIdeal.is_zero
+    # hid a dead InitialModule.is_zero.  Each name here has a reader for
+    # every one of its definitions; a new shared name fails until its
+    # readers are checked and it is added.
+    counts = collections.Counter(node.name for name in MODULES
+                                 for node in _definitions(_parsed(name)))
+    shared = sorted(name for name, count in counts.items() if count > 1)
+    assert shared == ["_made", "is_squarefree", "rank", "to_jsonable"]

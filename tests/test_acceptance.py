@@ -31,7 +31,7 @@ from syzdepth.complexes import (
     taylor_complex,
 )
 from syzdepth.groebner import buchberger, initial_module, is_squarefree_module
-from syzdepth.instances import (
+from syzdepth.verify import (
     random_monomial_ideal,
     random_regular_sequence,
     trial_rng,

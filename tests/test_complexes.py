@@ -32,7 +32,7 @@ from syzdepth.complexes import (
 from syzdepth import complexes, freemod, groebner, linalg
 from syzdepth.freemod import BasisElement, OrderedBasis
 from syzdepth.groebner import InitialModule, hilbert_slice_check
-from syzdepth.instances import random_monomial_ideal, trial_rng
+from syzdepth.verify import random_monomial_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal, divides, lcm, lcm_closure, mul, unit, variable
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone

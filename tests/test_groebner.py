@@ -22,7 +22,7 @@ from syzdepth.groebner import (
     kernel_generators,
     leading_module,
 )
-from syzdepth.instances import random_monomial_ideal, random_stable_ideal, trial_rng
+from syzdepth.verify import random_monomial_ideal, random_stable_ideal, trial_rng
 from syzdepth.monomials import MonomialIdeal
 from syzdepth.syzygy import lex_refined_initial
 from syzdepth.verify import taylor_step_cone

@@ -179,6 +179,17 @@ def offending_generator(initial: InitialModule, k: int):
     return None
 
 
+def _avoidance_report(theorem, p, initial: InitialModule, k: int, witness: dict):
+    """The report that initial avoids x_1..x_k: the witness gains its
+    components, and on a FAIL the first offending generator."""
+    witness["components"] = initial.to_jsonable()
+    bad = offending_generator(initial, k)
+    if bad is None:
+        return TheoremReport(theorem, p, "PASS", witness)
+    witness["offender"] = {"position": bad[0], "generator": list(bad[1])}
+    return TheoremReport(theorem, p, "FAIL", witness)
+
+
 def verify_theorem_main(C: FreeComplex, p: int) -> TheoremReport:
     """With a lex-refined basis of F_p, the oracle-computed ini(Z_p) must be
     generated away from x_1..x_p.  Z_0 is the resolved module itself, where
@@ -191,12 +202,7 @@ def verify_theorem_main(C: FreeComplex, p: int) -> TheoremReport:
         witness["note"] = ("Z_0 is the resolved submodule of F_0; no variables "
                            "are required to vanish at p=0")
     ini, _ = lex_refined_initial(C, p)
-    witness["components"] = ini.to_jsonable()
-    bad = offending_generator(ini, min(p, C.n))
-    if bad is not None:
-        witness["offender"] = {"position": bad[0], "generator": list(bad[1])}
-        return TheoremReport("theorem-main", p, "FAIL", witness)
-    return TheoremReport("theorem-main", p, "PASS", witness)
+    return _avoidance_report("theorem-main", p, ini, min(p, C.n), witness)
 
 
 def verify_gunnar_step(rows, source_basis: OrderedBasis, target_basis: OrderedBasis,
@@ -224,9 +230,4 @@ def verify_gunnar_step(rows, source_basis: OrderedBasis, target_basis: OrderedBa
         witness["note"] = "injective map; the kernel statement is vacuous"
         return TheoremReport("gunnar-step", p, "PASS", witness)
     kernel_ini = _initial_module(kernel, degrees, F_basis)
-    witness["components"] = kernel_ini.to_jsonable()
-    bad = offending_generator(kernel_ini, min(p, source_basis.n))
-    if bad is not None:
-        witness["offender"] = {"position": bad[0], "generator": list(bad[1])}
-        return TheoremReport("gunnar-step", p, "FAIL", witness)
-    return TheoremReport("gunnar-step", p, "PASS", witness)
+    return _avoidance_report("gunnar-step", p, kernel_ini, min(p, source_basis.n), witness)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from syzdepth import freemod, verify
+from syzdepth import freemod, syzygy, verify
 from syzdepth.complexes import (
     FreeComplex,
     comparison_cone,
@@ -154,6 +154,33 @@ def test_theorem_main_p0_vacuous():
     C = taylor_complex(SQUARES, 2)
     rep = verify_theorem_main(C, 0)
     assert rep.passed and "note" in rep.witness
+
+
+def test_theorem_main_fails_on_a_complex_that_is_not_exact():
+    # d_2 sends e, of degree x1, to x1 e' and d_1 = 0, so Z_1 is all of F_1
+    # but its generators are read from d_2's columns: ini(Z_1) holds x1.
+    bases = [OrderedBasis(2, [BasisElement((0, 0))]),
+             OrderedBasis(2, [BasisElement((0, 0))]),
+             OrderedBasis(2, [BasisElement((1, 0))])]
+    C = FreeComplex(2, bases, [[{}], [{0: 1}]])
+    rep = verify_theorem_main(C, 1)
+    assert rep.status == "FAIL"
+    assert rep.witness["offender"] == {"position": 0, "generator": [1, 0]}
+    assert rep.witness["components"] == lex_refined_initial(C, 1)[0].to_jsonable()
+
+
+def test_gunnar_step_fails_on_a_kernel_that_meets_x1(monkeypatch):
+    # The Koszul map of (x1, x2, x3) passes at p = 1; a kernel element
+    # x1 e_1 put in place of the true kernel must fail it.
+    def kernel_meeting_x1(rows, source, target):
+        degree = source.degrees[0]
+        return [{0: 1}], [(degree[0] + 1,) + degree[1:]]
+
+    monkeypatch.setattr(syzygy, "_kernel_generators", kernel_meeting_x1)
+    K = taylor_complex([X1, X2, X3], 3)
+    rep = verify_gunnar_step(syzygy_rows(K, 0)[0], K.basis(1), K.basis(0), 1)
+    assert rep.status == "FAIL" and rep.witness["kernel_size"] == 1
+    assert rep.witness["offender"] == {"position": 0, "generator": [1, 0, 0]}
 
 
 def test_gunnar_step_koszul():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -135,6 +136,25 @@ def test_p0_oracle_catches_a_damaged_initial_module(ideal_file, capsys, monkeypa
     assert code == 1
     assert data["oracle_equal"] is False
     assert data["failing_degree"]
+
+
+def test_boundary_oracle_disagreement_exits_1(ideal_file, capsys, monkeypatch):
+    # No golden or corpus input makes the boundary oracle disagree, so a
+    # report whose oracle lost its components is put in place of the real one.
+    argv = ["initial", "--input", ideal_file(SQUARES), "--p", "1", "--basis", "boundary",
+            "--oracle"]
+    code, agreed = run_json(argv, capsys)
+    assert code == 0 and agreed["oracle_equal"] is True
+    real = cli.verify_boundary_gb
+
+    def disagreeing(C, p, taylor_gens):
+        rep = real(C, p, taylor_gens=taylor_gens)
+        return dataclasses.replace(rep, oracle=InitialModule(rep.oracle.basis, ()))
+
+    monkeypatch.setattr(cli, "verify_boundary_gb", disagreeing)
+    code, data = run_json(argv, capsys)
+    assert code == 1
+    assert data == {**agreed, "oracle_equal": False}
 
 
 @pytest.mark.parametrize("args", [
@@ -575,6 +595,19 @@ OTHER_MODE_FLAGS = [
 @pytest.mark.parametrize("args, message", OTHER_MODE_FLAGS,
                          ids=[" ".join(args) for args, _ in OTHER_MODE_FLAGS])
 def test_sdepth_rejects_flags_of_other_modes(ideal_file, capsys, args, message):
+    code = main(args + ["--input", ideal_file(MAXIMAL4)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["initial", "--p", "-1"], "p must be nonnegative"),
+    (["sdepth", "--mode", "filtration-bound", "--p", "0"],
+     "filtration-bound mode needs --p at least 1"),
+], ids=["initial", "filtration-bound"])
+def test_p_out_of_range_exits_2(ideal_file, capsys, args, message):
     code = main(args + ["--input", ideal_file(MAXIMAL4)])
     captured = capsys.readouterr()
     assert code == 2

@@ -353,6 +353,27 @@ def test_supports_outside_n_generate_nothing():
         assert {as_set(S) for S in filter_of_supports(n, gens)} == expected
 
 
+def whole(n, A, s):
+    return frozenset(range(1, n + 1))
+
+
+def wide_at_12_and_34(n, A, s):
+    return frozenset(range(1, 6)) if set(A) in ({1, 2}, {3, 4}) else frozenset(A)
+
+
+# Two tops patched over lifted_f, on the filter of all subsets of [6], and
+# the clash each makes.  With every top equal to [n] (whole), the second
+# stage interval meets the first.  With wide_at_12_and_34, stage 1 covers
+# each singleton alone; at stage 2, [12, 12345] covers 1234 and 12345, so
+# [34, 12345] first meets the cover at a two-element extension of 34, past
+# its one-element extensions 134, 234 and 345.
+_CLASHES = (
+    (whole, "stage 1 interval [[2], [1, 2, 3, 4, 5, 6]] meets the cover at [1, 2]"),
+    (wide_at_12_and_34,
+     "stage 2 interval [[3, 4], [1, 2, 3, 4, 5]] meets the cover at [1, 2, 3, 4]"),
+)
+
+
 def _clash_messages(monkeypatch, lifted):
     """The RuntimeError texts of the partition and of the reference on the
     filter of all subsets of [6], with lifted in place of lifted_f."""
@@ -366,28 +387,49 @@ def _clash_messages(monkeypatch, lifted):
 
 
 def test_clash_is_reported_like_the_reference(monkeypatch):
-    # With every top equal to [n], the second stage interval meets the first.
-    def whole(n, A, s):
-        return frozenset(range(1, n + 1))
-
-    message = "stage 1 interval [[2], [1, 2, 3, 4, 5, 6]] meets the cover at [1, 2]"
-    assert _clash_messages(monkeypatch, whole) == (message, message)
-
-    # Stage 1 covers each singleton alone; at stage 2, [12, 12345] covers
-    # 1234 and 12345, so [34, 12345] first meets the cover at a two-element
-    # extension of 34, past its one-element extensions 134, 234 and 345.
-    def wide_at_12_and_34(n, A, s):
-        return frozenset(range(1, 6)) if set(A) in ({1, 2}, {3, 4}) else frozenset(A)
-
-    message = "stage 2 interval [[3, 4], [1, 2, 3, 4, 5]] meets the cover at [1, 2, 3, 4]"
-    assert _clash_messages(monkeypatch, wide_at_12_and_34) == (message, message)
+    for lifted, message in _CLASHES:
+        assert _clash_messages(monkeypatch, lifted) == (message, message)
 
 
-def test_clash_is_reported_like_the_reference_set_by_set(monkeypatch):
-    # The filter of [6] above gets the membership table; the same clash on
-    # the per-set code, with the table switched off.
+def _certificate_clashes(monkeypatch):
+    """The RuntimeError texts of squarefree_certificate on the supports of
+    the six singletons, which generate the filter of all subsets of [6], one
+    per clash of _CLASHES, and whether each reached squarefree_partition as
+    a table."""
+    tables = []
+    partition = blocks.squarefree_partition
+
+    def spy(n, filter_sets):
+        tables.append(isinstance(filter_sets, blocks._FilterTable))
+        return partition(n, filter_sets)
+
+    monkeypatch.setattr(blocks, "squarefree_partition", spy)
+    messages = []
+    for lifted, _ in _CLASHES:
+        monkeypatch.setattr(blocks, "lifted_f", lifted)
+        with pytest.raises(RuntimeError) as info:
+            blocks.squarefree_certificate(6, [1 << i for i in range(6)])
+        messages.append(str(info.value))
+    return messages, tables
+
+
+def test_certificate_reports_a_clash_like_the_reference_on_its_table(monkeypatch):
+    # Six up-sets of 32 sets each against 2^6 subsets: the table form.
+    assert _certificate_clashes(monkeypatch) == (
+        [message for _, message in _CLASHES], [True, True])
+
+
+def test_certificate_reports_a_clash_like_the_reference_on_its_set(monkeypatch):
+    # The same clashes on the set form, with the table switched off.
     monkeypatch.setattr(blocks, "_TABLE_RATIO", 0)
-    test_clash_is_reported_like_the_reference(monkeypatch)
+    assert _certificate_clashes(monkeypatch) == (
+        [message for _, message in _CLASHES], [False, False])
+
+
+def test_certificate_refuses_the_unit_ideal_on_its_table():
+    # The empty support generates every subset of [3]: dense, so a table.
+    with pytest.raises(ValueError, match=r"^the filter contains the empty set \(unit ideal\)$"):
+        blocks.squarefree_certificate(3, [0])
 
 
 # ---------------------------------------------------------------------------

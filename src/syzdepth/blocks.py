@@ -9,9 +9,10 @@ filters, stage by cardinality, with a schedule of densities.
 Block structures take subsets of [n] as sets of ints.  Order filters and
 their interval partitions are int bitmasks, bit i standing for x_{i+1},
 which is element i+1 of [n]: the subset {1, 3} is 0b101.  lifted_f keeps
-the set interface and the partition converts at that one call.  A dense
-filter is a membership table of 2^n bytes instead of a set of masks, and
-squarefree_certificate builds it straight from the filter's supports.
+the set interface and the partition converts at that one call.  A filter
+is checked and partitioned member by member, as a set of masks; only
+squarefree_certificate holds a dense one as a membership table of 2^n
+bytes instead, built straight from the filter's supports.
 
 An integral density is held as an int, so the sweep and the axiom check
 compare ints; only a non-integral one stays a Fraction.
@@ -251,10 +252,11 @@ def _upset(base: int, free: int) -> list:
         sub = (sub - 1) & free
 
 
-# A family gets a membership table, one byte per subset of [n], only when
-# 2^n is at most this many times its size.  The table's partition walks all
-# 2^n subsets at about a sixth of the per-set code's cost per member, so it
-# wins while the family fills more than about a fifth of the cube.  A filter
+# squarefree_certificate, the only builder of a membership table (one byte
+# per subset of [n]), builds one only when 2^n is at most this many times
+# the supports' up-sets counted with overlaps.  The table's partition walks
+# all 2^n subsets at about a sixth of the per-set code's cost per member, so
+# it wins while the filter fills more than about a fifth of the cube.  A filter
 # of a few large supports in a large n, such as (x1...x38) in n = 40, is far
 # sparser, and only the per-set code can hold it.
 _TABLE_RATIO = 4
@@ -269,24 +271,11 @@ class _FilterTable(bytearray):
 
 def _cube_family(n: int, sets) -> set:
     """The masks as a set, each checked to lie in [0, 2^n), the subsets of
-    [n]; a mask outside raises ValueError.  A negative mask must never
-    index a membership table: a bytearray takes -1 as its last byte."""
+    [n], else ValueError.  Such a set is never made a membership table."""
     family = set(sets)
     if family and (min(family) < 0 or max(family) >> n):
         raise ValueError(f"the filter has a set outside [{n}]")
     return family
-
-
-def _membership_table(n: int, family: set) -> Optional[bytearray]:
-    """Byte S is 1 exactly for the members S of a family of subsets of [n]
-    (see _cube_family), or None where the family is too sparse for a table
-    of 2^n bytes."""
-    if not family or (1 << n) > _TABLE_RATIO * len(family):
-        return None
-    table = bytearray(1 << n)
-    for S in family:
-        table[S] = 1
-    return table
 
 
 def _without_bit(n: int, i: int) -> int:
@@ -294,37 +283,15 @@ def _without_bit(n: int, i: int) -> int:
     return int.from_bytes((b"\x01" * (1 << i) + bytes(1 << i)) * (1 << (n - i - 1)), "little")
 
 
-def _table_violation(n: int, table: bytearray) -> Optional[tuple]:
-    """The (member, superset) pair of the least bit i, then the least
-    member S without i, for which S | 2^i is missing; None when up-closed.
-
-    Read as one int, the table has byte S at bit 8 * S, so shifting the
-    members without bit i up by 2^i bytes sets the bytes of their
-    one-element extensions by i; n passes test all extensions at once.
-    """
-    members = int.from_bytes(table, "little")
-    for i in range(n):
-        step = 1 << i
-        missing = ((members & _without_bit(n, i)) << (8 * step)) & ~members
-        if missing:
-            superset = ((missing & -missing).bit_length() - 1) >> 3
-            return (superset - step, superset)
-    return None
-
-
 def is_order_filter(n: int, sets) -> Optional[tuple]:
-    """None when up-closed; otherwise a violating (member, superset) pair.
-    A mask outside [0, 2^n) raises ValueError."""
-    family = _cube_family(n, sets)
-    return _violation(n, family, _membership_table(n, family))
+    """None when up-closed, else a violating (member, superset) pair found
+    member by member (_violation).  A mask outside [0, 2^n) is a ValueError."""
+    return _violation(n, _cube_family(n, sets))
 
 
-def _violation(n: int, family: set, table: Optional[bytearray]) -> Optional[tuple]:
-    """is_order_filter on the family's membership table where it has one
-    (see _table_violation), else set by set: each member's one-element
-    extensions."""
-    if table is not None:
-        return _table_violation(n, table)
+def _violation(n: int, family: set) -> Optional[tuple]:
+    """The first member, in the set's order, with a one-element extension
+    missing, and that extension; None when there is none."""
     full = (1 << n) - 1
     for S in family:
         free = full & ~S
@@ -361,8 +328,8 @@ def squarefree_certificate(n: int, supports: Iterable) -> tuple:
     """squarefree_partition of filter_of_supports(n, supports), and the least
     size of a top (n if there is none).  Where the supports' up-sets, counted
     with overlaps, hold 2^n / _TABLE_RATIO sets or more, the filter is made
-    as a membership table, by n shift-or passes over the table read as one
-    int (see _table_violation); otherwise as a set."""
+    as a membership table, the only one the module builds; otherwise as a
+    set.  Read as one int, the table has byte S at bit 8 * S."""
     full = (1 << n) - 1
     supports = [g for g in supports if not g & ~full]
     if _TABLE_RATIO * sum(1 << (n - g.bit_count()) for g in supports) < 1 << n:
@@ -370,7 +337,7 @@ def squarefree_certificate(n: int, supports: Iterable) -> tuple:
     else:
         members = sum(1 << 8 * g for g in set(supports))  # byte g is 1
         for i in range(n):
-            members |= (members & _without_bit(n, i)) << (8 << i)
+            members |= (members & _without_bit(n, i)) << (8 << i)  # S onto S | 2^i
         pairs = squarefree_partition(n, _FilterTable(members.to_bytes(1 << n, "little")))
     return pairs, min(map(int.bit_count, map(operator.itemgetter(1), pairs)), default=n)
 
@@ -384,34 +351,27 @@ def squarefree_partition(n: int, filter_sets) -> list:
     trivial interval, by size and then lexicographically.  Disjointness is
     asserted while covering.  A mask outside [0, 2^n) raises ValueError.
 
-    A dense family is checked and partitioned on its membership table (see
-    _TABLE_RATIO), as is a _FilterTable, unchecked; a sparse one set by set.
-    Either form is scanned once into sorted size classes (_size_classes).
+    A set is checked (_violation) and partitioned member by member.  A
+    _FilterTable, which only squarefree_certificate builds, up-closed, is
+    partitioned on its bytes, unchecked.  Either form is scanned once into
+    sorted size classes (_size_classes).
     """
-    if isinstance(filter_sets, _FilterTable):
-        table = filter_sets
-    else:
+    if not isinstance(filter_sets, _FilterTable):
         family = _cube_family(n, filter_sets)
-        if not family:
-            return []
-        table = _membership_table(n, family)
-        bad = _violation(n, family, table)
+        bad = _violation(n, family)
         if bad is not None:
             raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
                              f"{mask_elements(bad[1])} is not")
-    if (0 in family) if table is None else table[0]:
-        raise ValueError("the filter contains the empty set (unit ideal)")
-    schedule = sigma_schedule(_largest_s(n + 1))
-    if table is None:  # covering a set removes it from the family
-        return _stages(n, schedule, _size_classes(n, family), family.__contains__,
+        return _stages(n, _size_classes(n, family), family.__contains__,
                        family.difference_update)
+    table = filter_sets
 
     def cover(members):
         for C in members:
             table[C] = 0
 
     members = itertools.compress(range(len(table)), table)
-    return _stages(n, schedule, _size_classes(n, members), table.__getitem__, cover)
+    return _stages(n, _size_classes(n, members), table.__getitem__, cover)
 
 
 def _size_classes(n: int, masks) -> list:
@@ -433,12 +393,16 @@ def _lex_masks(bits: list, size: int):
     return map(sum, itertools.combinations(bits, size))
 
 
-def _stages(n: int, schedule: SigmaSchedule, by_size: list, present, cover) -> list:
-    """squarefree_partition's stages and trivial intervals on one membership
-    form of the filter: by_size[k] lists its k-sets in lexicographic order,
-    present(C) is true while the member C is uncovered, and cover(members)
-    marks the members covered.
+def _stages(n: int, by_size: list, present, cover) -> list:
+    """squarefree_partition's stages and trivial intervals on either form of
+    the filter, the set or the certificate's table: by_size[k] lists its
+    k-sets in lexicographic order, present(C) is true while the member C is
+    uncovered, and cover(members) marks the members covered.  Both forms
+    share the refusal of the unit ideal and the sigma schedule.
     """
+    if present(0):
+        raise ValueError("the filter contains the empty set (unit ideal)")
+    schedule = sigma_schedule(_largest_s(n + 1))
     out = []
     for a in range(1, schedule.r + 1):
         for A in filter(present, by_size[a]):

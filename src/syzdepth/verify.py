@@ -123,8 +123,9 @@ def random_regular_sequence(rng: random.Random, n_max: int, m_max: int, exp_max:
     return n, gens
 
 
-def ideal_instance(I: MonomialIdeal) -> dict:
-    return {"n": I.n, "generators": [list(g) for g in I.gens]}
+def ideal_instance(n: int, gens) -> dict:
+    """The replay layout of a stream's instance: n and the generators."""
+    return {"n": n, "generators": [list(g) for g in gens]}
 
 
 def taylor_step_cone(gens, n):
@@ -154,14 +155,14 @@ def run_verify_job(job: VerifyJob) -> Iterator[dict]:
 def _taylor_trial(rng, job):
     """A drawn ideal, its instance and its Taylor complex."""
     I = random_monomial_ideal(rng, job.n_max, job.m_max, job.exp_max)
-    return I, ideal_instance(I), taylor_complex(list(I.gens), I.n)
+    return I, ideal_instance(I.n, I.gens), taylor_complex(list(I.gens), I.n)
 
 
 def _squarefree_trial(rng, job):
     """A drawn squarefree ideal in 2 to n_max variables and its instance."""
     n = rng.randint(2, job.n_max)
     I = random_monomial_ideal(rng, n, job.m_max, 1, squarefree=True, n=n)
-    return I, ideal_instance(I)
+    return I, ideal_instance(I.n, I.gens)
 
 
 def _bound_failure(p, ini, required):
@@ -199,8 +200,8 @@ def _run_boundary_gb(rng, job):
         for p in range(1, EK.length + 1):
             rep = verify_boundary_gb(EK, p)
             if not rep.equal:
-                return ideal_instance(stable), {"complex": "eliahou-kervaire",
-                                                **rep.to_jsonable()}
+                return ideal_instance(stable.n, stable.gens), {
+                    "complex": "eliahou-kervaire", **rep.to_jsonable()}
     return instance, None
 
 
@@ -208,7 +209,7 @@ def _run_lemma_groebner(rng, job):
     I = random_monomial_ideal(rng, job.n_max, job.m_max, job.exp_max, min_gens=2)
     while len(I.gens) < 2:
         I = random_monomial_ideal(rng, job.n_max, job.m_max, job.exp_max, min_gens=2)
-    instance = ideal_instance(I)
+    instance = ideal_instance(I.n, I.gens)
     gens = list(I.gens)
     cone, phi = taylor_step_cone(gens, I.n)
     G, F = phi.source, phi.target
@@ -253,7 +254,7 @@ def _run_mainsyz(rng, job):
 def _run_regular(rng, job):
     n, gens = random_regular_sequence(rng, min(job.n_max + 1, 5), min(job.m_max, 3),
                                       job.exp_max)
-    instance = {"n": n, "generators": [list(g) for g in gens]}
+    instance = ideal_instance(n, gens)
     m = len(gens)
     C = taylor_complex(gens, n)
     for p in range(1, m + 1):

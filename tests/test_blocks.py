@@ -433,7 +433,7 @@ def test_certificate_refuses_the_unit_ideal_on_its_table():
 
 
 # ---------------------------------------------------------------------------
-# The membership table against the per-set code, on both sides of its guard.
+# The member-by-member check against brute force and the reference.
 
 
 def _violations(n, family):
@@ -460,9 +460,9 @@ def families_near_filters(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(families_near_filters())
-@example((10, filter_of_supports(10, [0b0011111111]), None))             # per-set side
-@example((10, filter_of_supports(10, [0b1]), None))                      # table side
-@example((10, filter_of_supports(10, [0b1]) - {0b11}, None))             # table, refused
+@example((10, filter_of_supports(10, [0b0011111111]), None))             # sparse
+@example((10, filter_of_supports(10, [0b1]), None))                      # dense
+@example((10, filter_of_supports(10, [0b1]) - {0b11}, None))             # dense, refused
 @example((10, filter_of_supports(10, [0b0011111111]) - {0b0111111111}, None))
 @example((10, filter_of_supports(10, [0b1, 0]), None))                   # empty set
 @example((9, filter_of_supports(9, [0b11, 0b110000100]), None))        # dense, n = 9..12
@@ -474,19 +474,15 @@ def families_near_filters(draw):
 @example((4, filter_of_supports(4, [0b1]), 1 << 4))
 @example((4, filter_of_supports(4, [0b1]), -1))
 @example((2, {0b01}, -1))  # a table indexed at -1 would mark 0b11 a member
-def test_membership_table_matches_the_per_set_code(case):
+def test_member_by_member_check_matches_brute_force_and_the_reference(case):
     n, family, stray = case
     if stray is not None:
-        # A mask outside [0, 2^n) is refused before any table is built.
+        # A mask outside [0, 2^n) is refused before any member is checked.
         family = family | {stray}
         assert rejection(is_order_filter, n, family) == f"the filter has a set outside [{n}]"
         assert rejection(squarefree_partition, n, family) == \
             f"the filter has a set outside [{n}]"
         return
-    # The guard: a table only for a dense family.
-    dense = bool(family) and (1 << n) <= blocks._TABLE_RATIO * len(family)
-    assert (blocks._membership_table(n, family) is not None) == dense
-
     bad = is_order_filter(n, family)
     violations = _violations(n, family)
     assert (bad is None) == (not violations)

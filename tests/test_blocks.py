@@ -394,19 +394,20 @@ def test_clash_is_reported_like_the_reference(monkeypatch):
 def _certificate_clashes(monkeypatch):
     """The RuntimeError texts of squarefree_certificate on the supports of
     the six singletons, which generate the filter of all subsets of [6], one
-    per clash of _CLASHES, and whether each reached squarefree_partition as
-    a table."""
+    per clash of _CLASHES, and whether each took the table form: only the
+    set form calls filter_of_supports."""
     tables = []
-    partition = blocks.squarefree_partition
+    of_supports = blocks.filter_of_supports
 
-    def spy(n, filter_sets):
-        tables.append(isinstance(filter_sets, blocks._FilterTable))
-        return partition(n, filter_sets)
+    def spy(n, supports):
+        tables[-1] = False
+        return of_supports(n, supports)
 
-    monkeypatch.setattr(blocks, "squarefree_partition", spy)
+    monkeypatch.setattr(blocks, "filter_of_supports", spy)
     messages = []
     for lifted, _ in _CLASHES:
         monkeypatch.setattr(blocks, "lifted_f", lifted)
+        tables.append(True)
         with pytest.raises(RuntimeError) as info:
             blocks.squarefree_certificate(6, [1 << i for i in range(6)])
         messages.append(str(info.value))

@@ -10,9 +10,9 @@ Block structures take subsets of [n] as sets of ints.  Order filters and
 their interval partitions are int bitmasks, bit i standing for x_{i+1},
 which is element i+1 of [n]: the subset {1, 3} is 0b101.  lifted_f keeps
 the set interface and the partition converts at that one call.  A filter
-is checked and partitioned member by member, as a set of masks; only
-squarefree_certificate holds a dense one as a membership table of 2^n
-bytes instead, built straight from the filter's supports.
+from outside is checked and partitioned member by member, as a set of masks;
+squarefree_certificate builds its own up-closed and partitions it unchecked,
+a dense one as a membership table of 2^n bytes.
 
 An integral density is held as an int, so the sweep and the axiom check
 compare ints; only a non-integral one stays a Fraction.
@@ -265,13 +265,9 @@ _TABLE_RATIO = 4
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-class _FilterTable(bytearray):
-    """A membership table that squarefree_certificate built up-closed."""
-
-
 def _cube_family(n: int, sets) -> set:
     """The masks as a set, each checked to lie in [0, 2^n), the subsets of
-    [n], else ValueError.  Such a set is never made a membership table."""
+    [n], else ValueError."""
     family = set(sets)
     if family and (min(family) < 0 or max(family) >> n):
         raise ValueError(f"the filter has a set outside [{n}]")
@@ -325,20 +321,27 @@ def _largest_s(budget: int) -> int:
 
 
 def squarefree_certificate(n: int, supports: Iterable) -> tuple:
-    """squarefree_partition of filter_of_supports(n, supports), and the least
-    size of a top (n if there is none).  Where the supports' up-sets, counted
-    with overlaps, hold 2^n / _TABLE_RATIO sets or more, the filter is made
-    as a membership table, the only one the module builds; otherwise as a
-    set.  Read as one int, the table has byte S at bit 8 * S."""
+    """squarefree_partition of filter_of_supports(n, supports), unchecked, and
+    the least size of a top (n if there is none).  Where the supports' up-sets,
+    counted with overlaps, hold 2^n / _TABLE_RATIO sets or more, the filter is
+    made as a membership table, the only one the module builds; otherwise as
+    a set.  Read as one int, the table has byte S at bit 8 * S."""
     full = (1 << n) - 1
     supports = [g for g in supports if not g & ~full]
     if _TABLE_RATIO * sum(1 << (n - g.bit_count()) for g in supports) < 1 << n:
-        pairs = squarefree_partition(n, filter_of_supports(n, supports))
+        pairs = _set_stages(n, filter_of_supports(n, supports))
     else:
         members = sum(1 << 8 * g for g in set(supports))  # byte g is 1
         for i in range(n):
             members |= (members & _without_bit(n, i)) << (8 << i)  # S onto S | 2^i
-        pairs = squarefree_partition(n, _FilterTable(members.to_bytes(1 << n, "little")))
+        table = bytearray(members.to_bytes(1 << n, "little"))
+
+        def cover(covered):
+            for C in covered:
+                table[C] = 0
+
+        members = itertools.compress(range(1 << n), table)
+        pairs = _stages(n, _size_classes(n, members), table.__getitem__, cover)
     return pairs, min(map(int.bit_count, map(operator.itemgetter(1), pairs)), default=n)
 
 
@@ -350,28 +353,19 @@ def squarefree_partition(n: int, filter_sets) -> list:
     up to lifted_f(n, A, sigma(a)); whatever survives the r stages becomes a
     trivial interval, by size and then lexicographically.  Disjointness is
     asserted while covering.  A mask outside [0, 2^n) raises ValueError.
-
-    A set is checked (_violation) and partitioned member by member.  A
-    _FilterTable, which only squarefree_certificate builds, up-closed, is
-    partitioned on its bytes, unchecked.  Either form is scanned once into
-    sorted size classes (_size_classes).
+    The filter is checked (_violation) and partitioned member by member.
     """
-    if not isinstance(filter_sets, _FilterTable):
-        family = _cube_family(n, filter_sets)
-        bad = _violation(n, family)
-        if bad is not None:
-            raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
-                             f"{mask_elements(bad[1])} is not")
-        return _stages(n, _size_classes(n, family), family.__contains__,
-                       family.difference_update)
-    table = filter_sets
+    family = _cube_family(n, filter_sets)
+    bad = _violation(n, family)
+    if bad is not None:
+        raise ValueError(f"not an order filter: {mask_elements(bad[0])} is in but "
+                         f"{mask_elements(bad[1])} is not")
+    return _set_stages(n, family)
 
-    def cover(members):
-        for C in members:
-            table[C] = 0
 
-    members = itertools.compress(range(len(table)), table)
-    return _stages(n, _size_classes(n, members), table.__getitem__, cover)
+def _set_stages(n: int, family: set) -> list:
+    """_stages on a set of masks, which loses the members it covers."""
+    return _stages(n, _size_classes(n, family), family.__contains__, family.difference_update)
 
 
 def _size_classes(n: int, masks) -> list:
@@ -394,10 +388,10 @@ def _lex_masks(bits: list, size: int):
 
 
 def _stages(n: int, by_size: list, present, cover) -> list:
-    """squarefree_partition's stages and trivial intervals on either form of
-    the filter, the set or the certificate's table: by_size[k] lists its
-    k-sets in lexicographic order, present(C) is true while the member C is
-    uncovered, and cover(members) marks the members covered.  Both forms
+    """The stages and trivial intervals on an up-closed filter, unchecked, in
+    either form, a set or squarefree_certificate's table: by_size[k] lists
+    its k-sets in lexicographic order, present(C) is true while the member C
+    is uncovered, and cover(members) marks the members covered.  Both forms
     share the refusal of the unit ideal and the sigma schedule.
     """
     if present(0):

@@ -378,7 +378,7 @@ def _squarefree_partition_json(I: MonomialIdeal):
     their chunks are read.
     """
     if not I.is_squarefree():
-        raise InputError("sqfree-construct needs a squarefree ideal")
+        raise InputError("the squarefree construction needs a squarefree ideal")
     n = I.n
     pairs, value = blocks.squarefree_certificate(n, map(blocks.support_mask, I.gens))
     return _object_chunks({

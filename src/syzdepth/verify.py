@@ -73,20 +73,19 @@ def trial_rng(seed: int, index: int) -> random.Random:
 
 
 def random_monomial_ideal(rng: random.Random, n_max: int, m_max: int,
-                          exp_max: int, squarefree: bool = False,
-                          min_gens: int = 1, n: Optional[int] = None) -> MonomialIdeal:
+                          exp_max: int, min_gens: int = 1,
+                          n: Optional[int] = None) -> MonomialIdeal:
     """Uniform exponents in [0, exp_max], zero vectors rejected, generators
     deduplicated and minimalized; the draws are length n, nonnegative and
     below the cap, so the ideal is made unchecked."""
     if n is None:
         n = rng.randint(1, n_max)
     m = rng.randint(min_gens, max(min_gens, m_max))
-    cap = 1 if squarefree else exp_max
     gens = []
     attempts = 0
     while len(gens) < m and attempts < 50 * m:
         attempts += 1
-        u = tuple(rng.randint(0, cap) for _ in range(n))
+        u = tuple(rng.randint(0, exp_max) for _ in range(n))
         if any(u):
             gens.append(u)
     ideal = MonomialIdeal._made(n, gens)
@@ -161,7 +160,7 @@ def _taylor_trial(rng, job):
 def _squarefree_trial(rng, job):
     """A drawn squarefree ideal in 2 to n_max variables and its instance."""
     n = rng.randint(2, job.n_max)
-    I = random_monomial_ideal(rng, n, job.m_max, 1, squarefree=True, n=n)
+    I = random_monomial_ideal(rng, n, job.m_max, 1, n=n)
     return I, ideal_instance(I.n, I.gens)
 
 

@@ -271,7 +271,7 @@ def test_criterion_09_squarefree_partitions():
     for t in range(200):
         rng = trial_rng(CORPUS_SEED + 4, t)
         nn = rng.randint(2, 9)
-        I = random_monomial_ideal(rng, nn, 5, 1, squarefree=True, n=nn)
+        I = random_monomial_ideal(rng, nn, 5, 1, n=nn)
         family = filter_of_supports(nn, [support_mask(g) for g in I.gens])
         pairs = squarefree_partition(nn, family)
         _assert_partition_covers(nn, family, pairs)
@@ -325,7 +325,7 @@ def test_criterion_11_squarefree_syzygies():
     for t in range(100):
         rng = trial_rng(CORPUS_SEED + 5, t)
         n = rng.randint(2, 7)
-        I = random_monomial_ideal(rng, n, 5, 1, squarefree=True, n=n)
+        I = random_monomial_ideal(rng, n, 5, 1, n=n)
         d = min(sum(g) for g in I.gens) - 1
         C = minimize(taylor_complex(list(I.gens), I.n))
         for p in range(1, C.length + 1):

@@ -427,6 +427,24 @@ def test_certificate_reports_a_clash_like_the_reference_on_its_set(monkeypatch):
         [message for _, message in _CLASHES], [False, False])
 
 
+def test_certificate_does_not_check_the_set_it_built(monkeypatch):
+    # 96 sets of 1,024: the set form.  The public partition checks the same
+    # filter once; the certificate built it up-closed, so skips the check.
+    n, s = 10, [0b11111 << k for k in (0, 2, 4, 5)]
+    calls = []
+    violation = blocks._violation
+
+    def spy(n, family):
+        calls.append(n)
+        return violation(n, family)
+
+    monkeypatch.setattr(blocks, "_violation", spy)
+    pairs, _ = blocks.squarefree_certificate(n, s)
+    assert calls == []
+    assert squarefree_partition(n, filter_of_supports(n, s)) == pairs
+    assert calls == [n]
+
+
 def test_certificate_refuses_the_unit_ideal_on_its_table():
     # The empty support generates every subset of [3]: dense, so a table.
     with pytest.raises(ValueError, match=r"^the filter contains the empty set \(unit ideal\)$"):
@@ -474,7 +492,7 @@ def families_near_filters(draw):
 @example((12, filter_of_supports(12, [0b110, 0b100000001001, 0b10100000000]), None))
 @example((4, filter_of_supports(4, [0b1]), 1 << 4))
 @example((4, filter_of_supports(4, [0b1]), -1))
-@example((2, {0b01}, -1))  # a table indexed at -1 would mark 0b11 a member
+@example((2, {0b01}, -1))  # the low bits of -1 name 0b11, above 0b01
 def test_member_by_member_check_matches_brute_force_and_the_reference(case):
     n, family, stray = case
     if stray is not None:
@@ -506,8 +524,9 @@ def test_member_by_member_check_matches_brute_force_and_the_reference(case):
     assert [(as_set(A), as_set(B)) for A, B in squarefree_partition(n, family)] == expected
 
 
-def test_a_negative_mask_never_indexes_the_table():
-    # bytearray takes -1 as its last byte, 0b11 here.
+def test_a_negative_mask_is_a_set_outside_n():
+    # A negative mask is no subset of [n], though its low n bits name one:
+    # those of -1 name [2] in n = 2, a superset of 0b01.
     for n, family in ((2, [-1, 0b01]), (3, [-2, 0b111]), (3, [-1, -5])):
         for check in (is_order_filter, squarefree_partition):
             with pytest.raises(ValueError, match=rf"^the filter has a set outside \[{n}\]$"):

@@ -225,9 +225,12 @@ def test_partition_command(ideal_file, capsys):
 
 
 def test_partition_rejects_nonsquarefree(ideal_file, capsys):
-    code = main(["partition", "--input", ideal_file(SQUARES)])
-    assert code == 2
-    assert "squarefree" in capsys.readouterr().err
+    # Both spellings of the construction refuse with the same text.
+    for args in (["partition"], ["sdepth", "--mode", "sqfree-construct"]):
+        code = main(args + ["--input", ideal_file(SQUARES)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: the squarefree construction needs a squarefree ideal\n")
 
 
 def test_resolve_check_certifies_the_minimized_complex(ideal_file, capsys, monkeypatch):

@@ -263,7 +263,7 @@ def test_squarefree_initial_modules_of_squarefree_ideals():
     # Initial modules of syzygies of squarefree ideals stay squarefree.
     for trial in range(8):
         rng = trial_rng(31, trial)
-        I = random_monomial_ideal(rng, 4, 4, 1, squarefree=True)
+        I = random_monomial_ideal(rng, 4, 4, 1)
         C = taylor_complex(list(I.gens), I.n)
         for p in range(1, C.length + 1):
             ini, _ = lex_refined_initial(C, p)

@@ -5,8 +5,9 @@ disagreement, 2 bad input or configuration (such as a malformed ideal
 file, an output file that cannot be written, a stdout whose reader closed
 it early, as `| head -c 20` does, sdepth's --quotient outside
 --mode exact or --p outside --mode filtration-bound, verify bounds below
-their minimum, or an exact search refused at its point limit or node
-budget), 3 internal error (a RuntimeError raised inside the library, such
+their minimum, an exact search refused at its point limit or node
+budget, or a squarefree certificate refused at its up-set limit), 3
+internal error (a RuntimeError raised inside the library, such
 as a failed minimization, a failed lift or a Stanley-depth certificate that
 does not validate, or a MemoryError or RecursionError when a computation
 outgrows the process), 143 (128 + SIGTERM) the program was sent SIGTERM, as
@@ -348,9 +349,9 @@ def cmd_sdepth(args) -> int:
         except SearchRefused as exc:
             raise InputError(f"{exc}; use the filtration or squarefree lower bounds "
                              "instead") from exc
-        payload = {"sdepth": result.value, "g": list(poset.cap),
-                   "intervals": [{"a": list(iv.bottom), "b": list(iv.top)}
-                                 for iv in result.partition]}
+        chunks = _object_chunks({
+            "sdepth": result.value, "g": list(poset.cap),
+            "intervals": _interval_list(result.partition, _exponent_items)})
     else:  # filtration-bound, the one --mode choice left
         if args.p is None or args.p < 1:
             raise InputError("filtration-bound mode needs --p at least 1")
@@ -363,7 +364,8 @@ def cmd_sdepth(args) -> int:
             bound = filtration_lower_bound(ini)
             payload = {"p": args.p, "sdepth_lower_bound": bound.value,
                        "free": bound.free, "components": ini.to_jsonable()}
-    write_output((_dumps(payload),), args.output)
+        chunks = (_dumps(payload),)
+    write_output(chunks, args.output)
     return 0
 
 
@@ -383,8 +385,9 @@ def _squarefree_partition_json(I: MonomialIdeal):
     pairs, value = blocks.squarefree_certificate(n, map(blocks.support_mask, I.gens))
     return _object_chunks({
         "bound": blocks.sqfree_lower_bound(n), "g": [1] * n, "sdepth": value,
-        "intervals": _interval_list(n, pairs, lambda i, bit: _ITEM + "01"[bit]),
-        "subsets": _interval_list(n, pairs, lambda i, bit: _ITEM + str(i + 1) if bit else "")})
+        "intervals": _interval_list(pairs, _mask_items(n, lambda i, bit: _ITEM + "01"[bit])),
+        "subsets": _interval_list(pairs, _mask_items(n, lambda i, bit: _ITEM + str(i + 1)
+                                                     if bit else ""))})
 
 
 # _INDENT goes in front of each field of a top-level object and of the
@@ -393,51 +396,60 @@ def _squarefree_partition_json(I: MonomialIdeal):
 # sits behind six spaces.
 _INDENT = "\n  "
 _ITEM = ",\n        "
-# Intervals per chunk of the squarefree certificate's text.
+# Intervals per chunk of an interval list's text.
 _BATCH = 1024
 _OPEN, _MID, _CLOSE = '\n    {\n      "a": [', '\n      ],\n      "b": [', '\n      ]\n    }'
 
 
-def _interval_list(n: int, pairs, item):
-    """Yield the JSON text of the list of {"a": A, "b": B} over the mask
-    pairs, one level deep, in chunks of _BATCH intervals.  A mask is the
-    list of item(i, bit) over its bits i < n, lowest first, where each
-    item's text starts with _ITEM.
+def _interval_list(pairs, items):
+    """Yield the JSON text of the list of {"a": A, "b": B} over the pairs
+    (A, B), one level deep, in chunks of _BATCH intervals.  items(A) is the
+    text of the items of A's int list, each item's text starting with
+    _ITEM.
 
-    A table per 8-bit chunk of the mask gives the joined items of each of
-    the chunk's values; a mask's items are its chunks' entries added up,
-    and its list drops the first item's comma.  An interval's text is
-    _OPEN, the list of A, _MID, that of B and _CLOSE, so a trivial one is
-    its one list joined between them.
+    An interval's text is _OPEN, the items of A less their first comma,
+    _MID, those of B and _CLOSE, so a trivial one is its one list joined
+    between them.
     """
     if not pairs:
         yield "[]"
         return
-    tables = []
-    for low in range(0, n, 8):
-        table = [""]
-        for i in range(low, min(low + 8, n)):
-            table = [t + item(i, 0) for t in table] + [t + item(i, 1) for t in table]
-        tables.append(table)
-    first = tables[0]
-    rest = [(table, 8 * j) for j, table in enumerate(tables) if j]
+    around = (_OPEN, _MID, _CLOSE)
     opener = "["
     for start in range(0, len(pairs), _BATCH):
         batch = []
+        append = batch.append
         for A, B in pairs[start:start + _BATCH]:
-            a = first[A & 255]
-            for table, shift in rest:
-                a += table[A >> shift & 255]
+            a = items(A)
             if A == B:
-                batch.append(a[1:].join((_OPEN, _MID, _CLOSE)))
-                continue
-            b = first[B & 255]
-            for table, shift in rest:
-                b += table[B >> shift & 255]
-            batch.append(_OPEN + a[1:] + _MID + b[1:] + _CLOSE)
+                append(a[1:].join(around))
+            else:
+                append(_OPEN + a[1:] + _MID + items(B)[1:] + _CLOSE)
         yield opener + ",".join(batch)
         opener = ","
     yield _INDENT + "]"
+
+
+def _exponent_items(vector) -> str:
+    """The items of an exponent vector, for _interval_list."""
+    return _ITEM + _ITEM.join(map(int.__repr__, vector))
+
+
+def _mask_items(n: int, item):
+    """The items of a mask inside [n], for _interval_list: the list of
+    item(i, bit) over its bits i < n, lowest first, where each item's text
+    starts with _ITEM.
+
+    A table gives the joined items of each value of the mask's lowest 8
+    bits, and the bits above are read the same way, 8 at a time.
+    """
+    table = [""]
+    for i in range(min(n, 8)):
+        table = [t + item(i, 0) for t in table] + [t + item(i, 1) for t in table]
+    if n <= 8:
+        return table.__getitem__
+    higher = _mask_items(n - 8, lambda i, bit: item(i + 8, bit))
+    return lambda mask: table[mask & 255] + higher(mask >> 8)
 
 
 def cmd_partition(args) -> int:

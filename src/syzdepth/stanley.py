@@ -42,7 +42,9 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
 
     The default cap is the componentwise maximum of all generator exponents,
     which is the smallest valid choice.  The points are those of the boxes
-    [u, g] of I's generators u that J does not contain.
+    [u, g] of I's generators u that J does not contain, listed box by box
+    with no membership test per point (_outside): in the box [u, g] a
+    generator v of J divides the same points as lcm(u, v).
     """
     n = I.n
     if J is not None:
@@ -58,9 +60,35 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
         for u in I.gens + (J.gens if J is not None else ()):
             if monomials.divide(g, u) is None:
                 raise ValueError(f"cap {g} does not dominate generator {u}")
-    top = [e + 1 for e in g]
-    points = (a for u in I.gens for a in itertools.product(*map(range, u, top)))
-    return CharPoset(n, g, frozenset(a for a in points if J is None or not J.contains(a)))
+    top = tuple(e + 1 for e in g)
+    if J is None:
+        boxes = (itertools.product(*map(range, u, top)) for u in I.gens)
+    else:
+        boxes = (_outside({monomials.lcm(u, v) for v in J.gens}, u, top, n) for u in I.gens)
+    return CharPoset(n, g, frozenset(itertools.chain.from_iterable(boxes)))
+
+
+def _outside(gens: set, low: tuple, top: tuple, k: int):
+    """The points a with low <= a < top in the first k coordinates that no
+    member of gens, each a k-tuple at least low, divides.
+
+    A box of at most POINT_LIMIT points is listed whole, less the points
+    above each member.  A larger one is cut on coordinate k into slabs at
+    the members' exponents there, as in poset_size: every point of the slab
+    from one cut up to the next is divided by the same members, those at or
+    below the cut, so the slab is their points in the first k - 1
+    coordinates times its range on coordinate k.
+    """
+    ranges = [range(a, b) for a, b in zip(low[:k], top)]
+    if math.prod(map(len, ranges)) <= POINT_LIMIT:
+        return set(itertools.product(*ranges)).difference(itertools.chain.from_iterable(
+            itertools.product(*map(range, u, top)) for u in gens))
+    cuts = sorted({u[-1] for u in gens} | {low[k - 1]}) + [top[k - 1]]
+    out = []
+    for cut, end in zip(cuts, cuts[1:]):
+        below = _outside({u[:-1] for u in gens if u[-1] <= cut}, low, top, k - 1)
+        out += [a + (t,) for t in range(cut, end) for a in below]
+    return out
 
 
 def _default_cap(I: MonomialIdeal, J: Optional[MonomialIdeal]) -> Mono:
@@ -167,7 +195,9 @@ def exact_sdepth(P: CharPoset) -> SdepthResult:
     which would all be refuted, are skipped.  Points are the bits of an int
     in lexicographic order, so the smallest uncovered point is the lowest
     zero bit of the covered set, and failure states are memoized on that
-    int.  Every returned partition has passed validate_partition.  A search
+    int.  The search names each interval by the indices of its bottom and
+    top, and only the partition it returns is made into Intervals, which
+    pass validate_partition before they are returned.  A search
     that visits more than SEARCH_NODE_LIMIT nodes, or a poset above
     POINT_LIMIT, raises SearchRefused.
     """
@@ -176,8 +206,9 @@ def exact_sdepth(P: CharPoset) -> SdepthResult:
         return SdepthResult(P.n, ())
     tops = _CandidateTops(P)
     for d in range(_start_bound(tops), -1, -1):
-        partition = _feasible_partition(tops, d)
-        if partition is not None:
+        found = _feasible_partition(tops, d)
+        if found is not None:
+            partition = [Interval(tops.points[a], tops.points[b]) for a, b in found]
             try:
                 validate_partition(P, partition)
             except ValueError as exc:
@@ -190,9 +221,9 @@ def exact_sdepth(P: CharPoset) -> SdepthResult:
 
 class _CandidateTops(dict):
     """i -> the intervals [a, b] inside P from the i-th point a in
-    lexicographic order, as (value, interval, bitmask) by decreasing value,
-    then top; built on first use and shared by every target d, as is the
-    count of search nodes visited so far.
+    lexicographic order, as (value, j, bitmask), b the j-th point, by
+    decreasing value, then top; built on first use and shared by every
+    target d, as is the count of search nodes visited so far.
 
     Point j has its value, up[j], the bitmask of the points at or above it,
     and down[j], of the points at or below it.  The tops from a are the
@@ -211,32 +242,35 @@ class _CandidateTops(dict):
         self.points = sorted(P.points)
         self.cap = P.cap
         self.values = [sum(map(operator.eq, b, self.cap)) for b in self.points]
-        # Per coordinate, {t: bitmask of the points at least t there} and
-        # {t: bitmask of the points at most t}, for the values t it takes.
-        full = (1 << len(self.points)) - 1
-        self.up, self.down = [full] * len(self.points), [full] * len(self.points)
+        # Per coordinate that takes more than one value, the bitmask of the
+        # points at least t there, for each value t it takes, from one pass
+        # over the coordinate per value; the points at most t are the rest
+        # of those at least the next value.
+        size = len(self.points)
+        full = (1 << size) - 1
+        bits = [1 << i for i in range(size)]
+        up, down = itertools.repeat(full, size), itertools.repeat(full, size)
         for column in zip(*self.points):
-            by_value = {}
-            for i, t in enumerate(column):
-                by_value[t] = by_value.get(t, 0) | 1 << i
-            at_least, at_most, below = {}, {}, 0
-            for t in sorted(by_value):
-                at_least[t] = full ^ below
-                below |= by_value[t]
-                at_most[t] = below
-            self.up[:] = map(operator.and_, self.up, map(at_least.__getitem__, column))
-            self.down[:] = map(operator.and_, self.down, map(at_most.__getitem__, column))
+            if column.count(column[0]) == size:
+                continue
+            exponents = sorted(set(column))
+            at_least = [full] + [sum(itertools.compress(bits, map(t.__le__, column)))
+                                 for t in exponents[1:]]
+            at_most = map(full.__xor__, at_least[1:] + [0])
+            up = map(operator.and_, up, map(dict(zip(exponents, at_least)).__getitem__, column))
+            down = map(operator.and_, down, map(dict(zip(exponents, at_most)).__getitem__, column))
+        self.up, self.down = list(up), list(down)
 
     def __missing__(self, i):
-        a, up = self.points[i], self.up[i]
-        before = [s - 1 for s in a]  # an interval [a, b] has prod(b - before) points
+        points, down, values, up = self.points, self.down, self.values, self.up[i]
+        before = [s - 1 for s in points[i]]  # [a, b] has prod(b - before) points
         found = []
         tops = bin(up)[:1:-1]  # bit j is character j
         j = tops.find("1")
         while j >= 0:
-            b, mask = self.points[j], up & self.down[j]
-            if mask.bit_count() == math.prod(map(operator.sub, b, before)):
-                found.append((self.values[j], Interval(a, b), mask))
+            mask = up & down[j]
+            if mask.bit_count() == math.prod(map(operator.sub, points[j], before)):
+                found.append((values[j], j, mask))
             j = tops.find("1", j + 1)
         found.sort(key=operator.itemgetter(0), reverse=True)
         self[i] = found
@@ -264,7 +298,7 @@ def _start_bound(tops) -> int:
 
 def _feasible_partition(tops, d: int):
     """An interval partition of every point into intervals of value at least
-    d, as a list of Interval, or None."""
+    d, as a list of the (bottom, top) indices of its intervals, or None."""
     full = (1 << len(tops.points)) - 1
     failed = set()
     budget = SEARCH_NODE_LIMIT - tops.nodes
@@ -280,13 +314,13 @@ def _feasible_partition(tops, d: int):
         if covered in failed:
             return None
         first = (~covered & (covered + 1)).bit_length() - 1
-        for value, iv, mask in tops[first]:
+        for value, top, mask in tops[first]:
             if value < d:
                 break
             if not mask & covered:
                 rest = search(covered | mask)
                 if rest is not None:
-                    return [iv] + rest
+                    return [(first, top)] + rest
         failed.add(covered)
         return None
 

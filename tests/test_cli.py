@@ -233,6 +233,24 @@ def test_partition_rejects_nonsquarefree(ideal_file, capsys):
             "", "error: the squarefree construction needs a squarefree ideal\n")
 
 
+def test_construction_refuses_an_up_set_above_the_limit(ideal_file, capsys):
+    # The order filter of (x1) in 40 variables has 2^39 sets, and its
+    # membership table would take 2^40 bytes.  Both spellings refuse, with
+    # exit 2, before any table or set is built.
+    x1 = {"n": 40, "generators": [[1] + [0] * 39]}
+    for args in (["partition"], ["sdepth", "--mode", "sqfree-construct"]):
+        tracemalloc.start()
+        try:
+            code = main(args + ["--input", ideal_file(x1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: a support's up-set has 549755813888 sets, above the limit 262144\n")
+        assert peak < 200_000
+
+
 def test_resolve_check_certifies_the_minimized_complex(ideal_file, capsys, monkeypatch):
     # A minimization that loses the top level emits a complex that is not a
     # resolution; the certificate must be taken on that emitted complex.
@@ -722,6 +740,50 @@ def test_cli_on_random_small_ideals(ideal, args):
         code = run_cli(args + ["--input", path])
     if not all(any(g) for g in gens):
         assert code == 2
+
+
+@st.composite
+def exact_modules(draw):
+    """(n, generators, quotient) for sdepth --mode exact: n <= 3, exponents
+    <= 2, and one exponent raised to 10..12 in some draws."""
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        g, k = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, n - 1))
+        gens[g][k] = draw(st.integers(10, 12))
+    return n, gens, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_modules())
+@example((1, [[10]], False))
+@example((1, [[11], [3]], True))
+@example((2, [[12, 0], [1, 1], [0, 2]], True))
+def test_exact_mode_writes_the_json_of_its_result(module):
+    # The streamed payload is json.dumps of exact_sdepth's result, written
+    # to a file and to stdout.
+    n, gens, quotient = module
+    I = MonomialIdeal(n, [tuple(g) for g in gens])
+    ideals = (MonomialIdeal(n, [(0,) * n]), I) if quotient else (I,)
+    poset = stanley.char_poset_under_limit(*ideals)
+    result = stanley.exact_sdepth(poset)
+    expected = json.dumps({"sdepth": result.value, "g": list(poset.cap),
+                           "intervals": [{"a": list(iv.bottom), "b": list(iv.top)}
+                                         for iv in result.partition]},
+                          indent=2, sort_keys=True) + "\n"
+    argv = ["sdepth", "--mode", "exact"] + ["--quotient"] * quotient
+    with tempfile.TemporaryDirectory() as directory:
+        path, target = f"{directory}/ideal.json", f"{directory}/out.json"
+        with open(path, "w") as fh:
+            json.dump({"n": n, "generators": gens}, fh)
+        assert main(argv + ["--input", path, "--output", target]) == 0
+        with open(target) as fh:
+            assert fh.read() == expected
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--input", path]) == 0
+    assert out.getvalue() == expected
 
 
 # ---------------------------------------------------------------------------

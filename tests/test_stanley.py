@@ -433,6 +433,36 @@ def test_char_poset_matches_the_box_walk(module, data):
         assert Q.points == reference_char_poset(I, J, Q.cap)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_modules(), st.data())
+def test_char_poset_lists_boxes_above_the_point_limit_slab_by_slab(module, data):
+    # With a limit of one point, every box of more than one point is cut
+    # into slabs down to single points.
+    I, J = module
+    P = char_poset(I, J)
+    raised = tuple(e + data.draw(st.integers(0, 1)) for e in P.cap)
+    with mock.patch.object(stanley, "POINT_LIMIT", 1):
+        listed = [char_poset(I, J), char_poset(I, J, raised)]
+    for Q in listed:
+        assert Q.points == reference_char_poset(I, J, Q.cap)
+
+
+def test_char_poset_of_a_quotient_in_a_wide_box_lists_no_box_point():
+    # S/J has 208 points in a box of 71^3 = 357,911: the three axes below
+    # 70.  contains is called once per generator of J, to check that S
+    # holds it, and never for a point of the box.
+    J = MonomialIdeal(3, [(70, 0, 0), (0, 70, 0), (0, 0, 70), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    S = MonomialIdeal(3, [unit(3)])
+    with mock.patch.object(MonomialIdeal, "contains", autospec=True,
+                           side_effect=MonomialIdeal.contains) as contains:
+        P = char_poset(S, J)
+    assert contains.call_count == len(J.gens)
+    axes = {tuple(t if k == axis else 0 for k in range(3)) for axis in range(3)
+            for t in range(70)}
+    assert P.points == axes
+    assert P.size == poset_size(S, J) == 208
+
+
 def test_char_poset_of_a_wide_cap_skips_the_box():
     # Three planes of 301^2 points in a box of 301^3 points, found without
     # a membership test: the box walk made 27.3 million of them.
@@ -485,6 +515,13 @@ def test_exact_sdepth_matches_reference_search(P):
 GAPPED = CharPoset(2, (1, 1), frozenset({(0, 0), (1, 1)}))
 
 
+def tops_as_intervals(tops, i):
+    """The i-th list of _CandidateTops, each (value, j, mask) with its top,
+    the j-th point, rebuilt as the Interval from the i-th point."""
+    a = tops.points[i]
+    return [(value, Interval(a, tops.points[j]), mask) for value, j, mask in tops[i]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_posets())
 @example(POSET_110)
@@ -495,7 +532,7 @@ def test_candidate_tops_match_the_box_walk(P):
     if not P.points:
         return
     tops = stanley._CandidateTops(P)
-    assert [tops[i] for i in range(P.size)] == reference_candidate_tops(P)
+    assert [tops_as_intervals(tops, i) for i in range(P.size)] == reference_candidate_tops(P)
     assert stanley._start_bound(tops) == reference_start_bound(P)
 
 
@@ -503,8 +540,8 @@ def test_candidate_tops_drop_a_top_whose_box_leaves_the_poset():
     # The interval [(0, 0), (1, 1)] has its ends in GAPPED but two of its
     # four points outside, so its mask of two bits is not taken.
     tops = stanley._CandidateTops(GAPPED)
-    assert tops[0] == [(0, Interval((0, 0), (0, 0)), 0b01)]
-    assert tops[1] == [(2, Interval((1, 1), (1, 1)), 0b10)]
+    assert tops_as_intervals(tops, 0) == [(0, Interval((0, 0), (0, 0)), 0b01)]
+    assert tops_as_intervals(tops, 1) == [(2, Interval((1, 1), (1, 1)), 0b10)]
 
 
 @pytest.mark.parametrize("gens", [[(2,)], [(2, 0), (0, 3)], [(2, 0), (1, 1), (0, 2)],

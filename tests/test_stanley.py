@@ -436,8 +436,9 @@ def test_char_poset_matches_the_box_walk(module, data):
 @settings(max_examples=150, deadline=None)
 @given(small_modules(), st.data())
 def test_char_poset_lists_boxes_above_the_point_limit_slab_by_slab(module, data):
-    # With a limit of one point, every box of more than one point is cut
-    # into slabs down to single points.
+    # With a limit of one point, _outside cuts every box of I/J of more
+    # than one point into slabs, down to single points; an ideal's boxes
+    # are listed whole.
     I, J = module
     P = char_poset(I, J)
     raised = tuple(e + data.draw(st.integers(0, 1)) for e in P.cap)

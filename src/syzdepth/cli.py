@@ -436,9 +436,9 @@ def _exponent_items(vector) -> str:
 
 
 def _mask_items(n: int, item):
-    """The items of a mask inside [n], for _interval_list: the list of
-    item(i, bit) over its bits i < n, lowest first, where each item's text
-    starts with _ITEM.
+    """The items function of masks inside [n], for _interval_list: a mask's
+    items are item(i, bit) over its bits i < n, lowest first, where each
+    item's text starts with _ITEM.
 
     A table gives the joined items of each value of the mask's lowest 8
     bits, and the bits above are read the same way, 8 at a time.

@@ -13,7 +13,7 @@ the set interface and the partition converts at that one call.  A filter
 from outside is checked and partitioned member by member, as a set of masks;
 squarefree_certificate builds its own up-closed and partitions it unchecked,
 a dense one as a membership table of 2^n bytes; it refuses, before building
-either, supports whose largest up-set holds more than UPSET_LIMIT sets.
+either, supports whose up-sets hold more than UPSET_LIMIT sets.
 
 An integral density is held as an int, so the sweep and the axiom check
 compare ints; only a non-integral one stays a Fraction.
@@ -262,12 +262,12 @@ def _upset(base: int, free: int) -> list:
 # sparser, and only the per-set code can hold it.
 _TABLE_RATIO = 4
 
-# The most sets that the up-set of one support may hold: squarefree_certificate
-# refuses supports whose largest up-set, that of the least support, holds
-# more, before it builds any table or set.  (x1) in 19 variables, at the
-# limit, takes about a second and writes 197 MB; (x1) in 40 variables would
-# ask for a table of 2^40 bytes.
-UPSET_LIMIT = 1 << 18
+# The most sets that the supports' up-sets, counted with overlaps, may hold:
+# squarefree_certificate refuses more, before it builds any table or set, so
+# the filter holds at most this many sets and a table at most _TABLE_RATIO
+# times as many bytes.  The singletons of [16] hold 16 * 2^15 sets, at the
+# limit; (x1) in 40 variables would ask for a table of 2^40 bytes.
+UPSET_LIMIT = 1 << 19
 
 # _REVERSED[b] is the byte b with its eight bits in reverse order.
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -334,14 +334,13 @@ def squarefree_certificate(n: int, supports: Iterable) -> tuple:
     counted with overlaps, hold 2^n / _TABLE_RATIO sets or more, the filter is
     made as a membership table, the only one the module builds; otherwise as
     a set.  Read as one int, the table has byte S at bit 8 * S.  Supports
-    whose least one has an up-set of more than UPSET_LIMIT sets raise
-    ValueError first."""
+    whose up-sets hold more than UPSET_LIMIT sets raise ValueError first."""
     full = (1 << n) - 1
     supports = [g for g in supports if not g & ~full]
-    largest = 1 << (n - min(map(int.bit_count, supports), default=n))
-    if largest > UPSET_LIMIT:
-        raise ValueError(f"a support's up-set has {largest} sets, above the limit {UPSET_LIMIT}")
-    if _TABLE_RATIO * sum(1 << (n - g.bit_count()) for g in supports) < 1 << n:
+    size = sum(1 << (n - g.bit_count()) for g in supports)
+    if size > UPSET_LIMIT:
+        raise ValueError(f"the supports' up-sets hold {size} sets, above the limit {UPSET_LIMIT}")
+    if _TABLE_RATIO * size < 1 << n:
         pairs = _set_stages(n, filter_of_supports(n, supports))
     else:
         members = sum(1 << 8 * g for g in set(supports))  # byte g is 1

@@ -60,35 +60,34 @@ def char_poset(I: MonomialIdeal, J: Optional[MonomialIdeal] = None,
         for u in I.gens + (J.gens if J is not None else ()):
             if monomials.divide(g, u) is None:
                 raise ValueError(f"cap {g} does not dominate generator {u}")
-    top = tuple(e + 1 for e in g)
-    if J is None:
-        boxes = (itertools.product(*map(range, u, top)) for u in I.gens)
-    else:
-        boxes = (_outside({monomials.lcm(u, v) for v in J.gens}, u, top, n) for u in I.gens)
-    return CharPoset(n, g, frozenset(itertools.chain.from_iterable(boxes)))
+    top = [e + 1 for e in g]
+    others = J.gens if J is not None else ()
+    boxes = [box for u in I.gens
+             for box in _outside({monomials.lcm(u, v) for v in others}, u, top, n)]
+    return CharPoset(n, g, frozenset(itertools.chain.from_iterable(
+        itertools.starmap(itertools.product, boxes))))
 
 
-def _outside(gens: set, low: tuple, top: tuple, k: int):
-    """The points a with low <= a < top in the first k coordinates that no
-    member of gens, each a k-tuple at least low, divides.
+def _outside(gens: set, low: tuple, top: list, k: int) -> list:
+    """Disjoint boxes, each a tuple of k ranges, that together hold the
+    points a with low <= a < top in the first k coordinates that no member
+    of gens, each a k-tuple at least low, divides.
 
-    A box of at most POINT_LIMIT points is listed whole, less the points
-    above each member.  A larger one is cut on coordinate k into slabs at
-    the members' exponents there, as in poset_size: every point of the slab
-    from one cut up to the next is divided by the same members, those at or
-    below the cut, so the slab is their points in the first k - 1
-    coordinates times its range on coordinate k.
+    With no member, that is the whole box, and with low itself a member, no
+    point (at k = 0 the one member is the empty tuple).  Otherwise the box
+    is cut on coordinate k into slabs at the members' exponents there, as in
+    poset_size: every point of the slab from one cut up to the next is
+    divided by the same members, those at or below the cut, so the slab is
+    their boxes in the first k - 1 coordinates times its range on
+    coordinate k.
     """
-    ranges = [range(a, b) for a, b in zip(low[:k], top)]
-    if math.prod(map(len, ranges)) <= POINT_LIMIT:
-        return set(itertools.product(*ranges)).difference(itertools.chain.from_iterable(
-            itertools.product(*map(range, u, top)) for u in gens))
+    if not gens:
+        return [tuple(map(range, low[:k], top))]
+    if low[:k] in gens:
+        return []
     cuts = sorted({u[-1] for u in gens} | {low[k - 1]}) + [top[k - 1]]
-    out = []
-    for cut, end in zip(cuts, cuts[1:]):
-        below = _outside({u[:-1] for u in gens if u[-1] <= cut}, low, top, k - 1)
-        out += [a + (t,) for t in range(cut, end) for a in below]
-    return out
+    return [box + (range(cut, end),) for cut, end in zip(cuts, cuts[1:])
+            for box in _outside({u[:-1] for u in gens if u[-1] <= cut}, low, top, k - 1)]
 
 
 def _default_cap(I: MonomialIdeal, J: Optional[MonomialIdeal]) -> Mono:
@@ -242,24 +241,21 @@ class _CandidateTops(dict):
         self.points = sorted(P.points)
         self.cap = P.cap
         self.values = [sum(map(operator.eq, b, self.cap)) for b in self.points]
-        # Per coordinate that takes more than one value, the bitmask of the
-        # points at least t there, for each value t it takes, from one pass
-        # over the coordinate per value; the points at most t are the rest
-        # of those at least the next value.
-        size = len(self.points)
-        full = (1 << size) - 1
-        bits = [1 << i for i in range(size)]
-        up, down = itertools.repeat(full, size), itertools.repeat(full, size)
+        # Per coordinate, {t: bitmask of the points at least t there} and
+        # {t: bitmask of the points at most t}, for the values t it takes.
+        full = (1 << len(self.points)) - 1
+        self.up, self.down = [full] * len(self.points), [full] * len(self.points)
         for column in zip(*self.points):
-            if column.count(column[0]) == size:
-                continue
-            exponents = sorted(set(column))
-            at_least = [full] + [sum(itertools.compress(bits, map(t.__le__, column)))
-                                 for t in exponents[1:]]
-            at_most = map(full.__xor__, at_least[1:] + [0])
-            up = map(operator.and_, up, map(dict(zip(exponents, at_least)).__getitem__, column))
-            down = map(operator.and_, down, map(dict(zip(exponents, at_most)).__getitem__, column))
-        self.up, self.down = list(up), list(down)
+            by_value = {}
+            for i, t in enumerate(column):
+                by_value[t] = by_value.get(t, 0) | 1 << i
+            at_least, at_most, below = {}, {}, 0
+            for t in sorted(by_value):
+                at_least[t] = full ^ below
+                below |= by_value[t]
+                at_most[t] = below
+            self.up[:] = map(operator.and_, self.up, map(at_least.__getitem__, column))
+            self.down[:] = map(operator.and_, self.down, map(at_most.__getitem__, column))
 
     def __missing__(self, i):
         points, down, values, up = self.points, self.down, self.values, self.up[i]

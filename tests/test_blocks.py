@@ -451,17 +451,18 @@ def test_certificate_refuses_the_unit_ideal_on_its_table():
         blocks.squarefree_certificate(3, [0])
 
 
-def test_certificate_refuses_an_up_set_above_the_limit(monkeypatch):
-    # The least support, {1} in [5], has an up-set of 2^4 sets: taken at a
-    # limit of 16, refused at 15 before filter_of_supports or a table.
+def test_certificate_refuses_up_sets_above_the_limit(monkeypatch):
+    # The supports {1} and {2..5} in [5] have up-sets of 16 and 2 sets: taken
+    # at a limit of 18, refused at 17 before filter_of_supports or a table.
     supports = [0b00001, 0b11110]
-    monkeypatch.setattr(blocks, "UPSET_LIMIT", 16)
+    monkeypatch.setattr(blocks, "UPSET_LIMIT", 18)
     pairs, _ = blocks.squarefree_certificate(5, supports)
     assert pairs == squarefree_partition(5, filter_of_supports(5, supports))
-    monkeypatch.setattr(blocks, "UPSET_LIMIT", 15)
+    monkeypatch.setattr(blocks, "UPSET_LIMIT", 17)
     monkeypatch.setattr(blocks, "filter_of_supports", None)
     monkeypatch.setattr(blocks, "_without_bit", None)
-    with pytest.raises(ValueError, match="^a support's up-set has 16 sets, above the limit 15$"):
+    message = "^the supports' up-sets hold 18 sets, above the limit 17$"
+    with pytest.raises(ValueError, match=message):
         blocks.squarefree_certificate(5, supports)
 
 

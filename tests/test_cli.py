@@ -233,7 +233,7 @@ def test_partition_rejects_nonsquarefree(ideal_file, capsys):
             "", "error: the squarefree construction needs a squarefree ideal\n")
 
 
-def test_construction_refuses_an_up_set_above_the_limit(ideal_file, capsys):
+def test_construction_refuses_up_sets_above_the_limit(ideal_file, capsys):
     # The order filter of (x1) in 40 variables has 2^39 sets, and its
     # membership table would take 2^40 bytes.  Both spellings refuse, with
     # exit 2, before any table or set is built.
@@ -247,7 +247,7 @@ def test_construction_refuses_an_up_set_above_the_limit(ideal_file, capsys):
             tracemalloc.stop()
         assert code == 2
         assert capsys.readouterr() == (
-            "", "error: a support's up-set has 549755813888 sets, above the limit 262144\n")
+            "", "error: the supports' up-sets hold 549755813888 sets, above the limit 524288\n")
         assert peak < 200_000
 
 

@@ -433,21 +433,6 @@ def test_char_poset_matches_the_box_walk(module, data):
         assert Q.points == reference_char_poset(I, J, Q.cap)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_modules(), st.data())
-def test_char_poset_lists_boxes_above_the_point_limit_slab_by_slab(module, data):
-    # With a limit of one point, _outside cuts every box of I/J of more
-    # than one point into slabs, down to single points; an ideal's boxes
-    # are listed whole.
-    I, J = module
-    P = char_poset(I, J)
-    raised = tuple(e + data.draw(st.integers(0, 1)) for e in P.cap)
-    with mock.patch.object(stanley, "POINT_LIMIT", 1):
-        listed = [char_poset(I, J), char_poset(I, J, raised)]
-    for Q in listed:
-        assert Q.points == reference_char_poset(I, J, Q.cap)
-
-
 def test_char_poset_of_a_quotient_in_a_wide_box_lists_no_box_point():
     # S/J has 208 points in a box of 71^3 = 357,911: the three axes below
     # 70.  contains is called once per generator of J, to check that S
